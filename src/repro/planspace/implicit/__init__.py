@@ -16,9 +16,10 @@ implicit combinatorial object it is:
 * :mod:`.counting` derives per-group alternative counts analytically from
   the shared rule module (:mod:`repro.optimizer.rules`), in array-backed
   tables keyed by alias bitmasks; :mod:`.turbo` is its vectorized twin;
-* :mod:`.tables` + :mod:`.unranking` rebuild exactly the rows a group
-  would have held, lazily, so unranking yields byte-identical
-  ``PlanNode`` trees (same ``group.local`` ids) at O(plan) cost;
+* :mod:`.tables` + :mod:`.unranking` select positions over per-group
+  count columns and build a row only where a plan lands, so unranking
+  yields byte-identical ``PlanNode`` trees (same ``group.local`` ids) at
+  O(plan) cost;
 * :mod:`.sampling` binds the shared rank-sampler contract to it.
 
 :class:`ImplicitPlanSpace` is the facade; ``Session.plan_space(sql,

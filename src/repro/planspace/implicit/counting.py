@@ -35,6 +35,7 @@ fallback for ablation configurations turbo does not cover.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.algebra.logical import LogicalGet
 from repro.catalog.catalog import Catalog
@@ -50,7 +51,26 @@ from repro.planspace.implicit.keys import KeyTable, OrderIndex
 from repro.planspace.implicit.layout import ImplicitGroup, ImplicitLayout
 from repro.resilience.faults import fault_point
 
-__all__ = ["CountState", "TowerOp"]
+__all__ = ["CountState", "JoinColumns", "TowerOp"]
+
+
+class JoinColumns(NamedTuple):
+    """One join group's operators as columns, in local-id order.
+
+    ``left``/``right``/``lkid``/``rkid`` have one entry per logical join
+    (the initial left-deep expression first): the child masks and the
+    merge-join key kids (``-1`` where the cut has no equi-keys).
+    ``starts[e]`` is the position of expression ``e``'s first operator
+    (``len(left) + 1`` entries); ``counts`` is the flat per-operator
+    ``N(v)`` list, which the caller owns.
+    """
+
+    left: list[int]
+    right: list[int]
+    lkid: list[int]
+    rkid: list[int]
+    starts: list[int]
+    counts: list[int]
 
 
 @dataclass
@@ -100,6 +120,8 @@ class CountState:
     total: int = 0
     physical_count: int = 0
     turbo_used: bool = False
+    #: the turbo pass's per-group column slicer (None: reference-backed)
+    split_columns: object = None
 
     # ------------------------------------------------------------------
     def _checkpoint(self, units: int = 0) -> None:
@@ -274,7 +296,7 @@ class CountState:
         self.physical_count += len(scans)
         return len(scans)
 
-    def _count_inlj(self, left: int, right: int, bits: int, a_left: int) -> int:
+    def _inlj_matches(self, right: int, bits: int) -> int:
         """Index-lookup joins of one orientation: inner side must be a
         single relation; one operator per index whose leading key column
         is among the cut's inner columns."""
@@ -284,13 +306,54 @@ class CountState:
         assert isinstance(group.op, LogicalGet)
         _left_seq, right_seq = self.edges.decode(bits)
         inner_columns = {self.edges.columns[b].column for b in right_seq}
-        matches = sum(
+        return sum(
             1
             for index in self.catalog.indexes(group.op.table)
             if index.key[0] in inner_columns
         )
+
+    def _count_inlj(self, left: int, right: int, bits: int, a_left: int) -> int:
+        matches = self._inlj_matches(right, bits)
         self.physical_count += matches
         return matches * a_left
+
+    # ------------------------------------------------------------------
+    # the unranking tables' column source
+    # ------------------------------------------------------------------
+    def join_columns(self, gid: int) -> JoinColumns:
+        """The operator columns of join group ``gid``: sliced out of the
+        turbo pass's per-split columns when it ran, else filled pair by
+        pair from the reference aggregates (same columns either way)."""
+        group = self.layout.group(gid)
+        if self.split_columns is not None:
+            return self.split_columns(group)
+        config = self.config
+        plain_keys, merge = join_rule_arity(config, True)
+        plain_cross, _ = join_rule_arity(config, False)
+        inlj = config.enable_index_nl_join
+        cut, cut_kids = self.edges.cut, self.keys.cut_kids
+        A, sord = self.A, self.sord
+        cols = JoinColumns([], [], [], [], [0], [])
+        counts = cols.counts
+        for left, right in group.ordered_exprs():
+            bits = cut(left, right)
+            al = A[left]
+            lk = rk = -1
+            if bits:
+                lk, rk = cut_kids(bits)
+                counts += [al * A[right]] * plain_keys
+                if merge:
+                    counts.append(sord[(left, lk)] * sord[(right, rk)])
+                if inlj:
+                    counts += [al] * self._inlj_matches(right, bits)
+            else:
+                counts += [al * A[right]] * plain_cross
+            cols.left.append(left)
+            cols.right.append(right)
+            cols.lkid.append(lk)
+            cols.rkid.append(rk)
+            cols.starts.append(len(counts))
+        return cols
 
     def _finalize_group(
         self,

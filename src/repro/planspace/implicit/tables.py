@@ -1,30 +1,43 @@
-"""Lazy array-backed operator tables for unranking.
+"""Column-backed operator tables for unranking.
 
-Counting never enumerates individual operators — it works on group
-aggregates.  Unranking must: selecting the operator for a rank walks a
-group's alternatives in ``local_id`` order with their ``N(v)`` counts.
-:class:`GroupTable` reconstructs exactly the rows the materializer would
-have inserted — same order, same local ids — *for one group at a time*,
-on demand, from the layout plus the counting aggregates.  A rank's plan
-touches O(depth) groups, so only those groups ever get tables; repeated
-unrankings share them.
+Counting works on group aggregates; unranking must walk a group's
+alternatives in ``local_id`` order with their ``N(v)`` counts.  A
+:class:`GroupTable` holds exactly the rows the materializer would have
+inserted — same order, same local ids — one group at a time, on first
+touch, as columns:
 
-Rows hold numbers and byte-packed orders only.  The physical operator
-object of a row is built lazily (and cached) the first time a plan
-actually includes it — the point of the implicit engine is that plans
-instantiate O(plan) operators, not O(space).
+* ``counts``: the flat per-row ``N(v)`` list; position ``p`` is local id
+  ``base + p``.  The group's own operators (its *body*: scans, joins or
+  unary-tower operators) come first, its ``Sort`` enforcers after them;
+* join groups: per-expression :class:`~.counting.JoinColumns` (child
+  masks, merge kids, first row of each logical join) from
+  ``CountState.join_columns`` — sliced out of the turbo pass's int64
+  columns or filled by the reference per-pair loop; the table
+  cannot tell which.  A row's operator is arithmetic on its offset within
+  its expression (``[nlj] [hash] [merge] [index-nl ...]``, rule order);
+* ``delivering()``: the sparse delivered-order column, ``(position,
+  kid)`` of every row that delivers an order.
+
+A requirement (``None`` / kid / ``(NONENF, kid)``) selects *positions*:
+all of them, the delivering ones whose kid extends the required one (one
+prefix test per distinct kid), or the body.  A :class:`Row` (slots,
+``B_v`` prefix, payload, later its operator) is constructed, and cached,
+only for a position a plan, a stratum descent or a pooled fragment
+selects — ``TableSet.rows_built`` counts them: O(plan), never O(group).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from repro.algebra.logical import LogicalGet
 from repro.errors import PlanSpaceError
 from repro.optimizer.rules import (
+    JoinImplementations,
     index_nl_join_implementations,
     join_implementations,
+    join_rule_arity,
     scan_implementations,
 )
 from repro.planspace.implicit.counting import CountState
@@ -35,7 +48,7 @@ __all__ = ["GroupTable", "CandidateList", "TableSet"]
 NONENF = "nonenf"
 
 
-@dataclass
+@dataclass(slots=True)
 class Row:
     """One virtual physical operator of a group."""
 
@@ -43,172 +56,165 @@ class Row:
     kind: str  # scan | join | inlj | unary | sort
     payload: tuple
     count: int
-    delivered: bytes | None
     #: per child slot: (child_gid, requirement) where requirement is
     #: None (any), a kid id, or (NONENF, sort kid) for enforcer children
     slots: tuple
-    #: B_v prefix products, B_v(0)=1 first
+    #: B_v prefix products per slot, B_v(0)=1 first
     prefix: tuple
+    #: the physical operator, built by :meth:`TableSet.operator`
+    op: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateList:
-    """Qualifying rows of one (group, requirement) pair, with the prefix
-    sums operator selection bisects over."""
+    """Qualifying positions of one (group, requirement) pair, with the
+    prefix sums operator selection bisects over."""
 
-    gid: int
-    rows: list[Row]
-    cumulative: list[int]  # exclusive prefix sums, len(rows)+1
+    table: "GroupTable"
+    positions: range | list[int]  # ascending table positions
+    cumulative: list[int]  # exclusive prefix sums, len(positions)+1
+
+    @property
+    def gid(self) -> int:
+        return self.table.gid
 
     @property
     def total(self) -> int:
         return self.cumulative[-1]
 
+    def find(self, local_id: int) -> int:
+        """Index of the row with ``local_id`` in this list, or -1."""
+        position = local_id - self.table.base
+        index = bisect_left(self.positions, position)
+        if index < len(self.positions) and self.positions[index] == position:
+            return index
+        return -1
+
 
 class GroupTable:
-    """All virtual operator rows of one group, in local-id order."""
+    """The virtual operators of one group, in local-id order, as columns."""
 
     def __init__(self, tables: "TableSet", gid: int):
+        # no reference back to ``tables``: a dropped space must free its
+        # tables by reference count, not wait for the cycle collector
+        self.state = state = tables.state
         self.gid = gid
-        self.rows: list[Row] = []
-        self.row_by_local: dict[int, Row] = {}
-        self._build(tables)
-
-    def _add(self, kind, payload, count, delivered, slots, bs, local_id):
-        prefix = (1, *accumulate(bs, lambda a, b: a * b)) if bs else (1,)
-        row = Row(
-            local_id=local_id,
-            kind=kind,
-            payload=payload,
-            count=count,
-            delivered=delivered,
-            slots=slots,
-            prefix=prefix,
-        )
-        self.rows.append(row)
-        self.row_by_local[local_id] = row
-        return row
-
-    def _build(self, tables: "TableSet") -> None:
-        state = tables.state
-        layout = state.layout
-        group = layout.group(self.gid)
-        config = state.config
-        local = group.logical_count + 1
-
+        self.group = group = state.layout.group(gid)
+        #: local id of position 0 (logical expressions occupy ``1..L``)
+        self.base = group.logical_count + 1
+        self.join = None
         if group.kind == "leaf":
-            scans = scan_implementations(group.op, state.catalog, config)
-            for pos, scan in enumerate(scans):
-                order = scan.delivered_order()
-                delivered = state.edges.seq_bytes(order) if order else None
-                self._add("scan", (pos,), 1, delivered, (), (), local)
-                local += 1
+            self.scans = tables.scan_ops(gid)
+            counts = [1] * len(self.scans)
         elif group.kind == "join":
-            A = state.A
-            sord = state.sord
-            gid_by_mask = layout.gid_by_mask
-            kid_bytes = state.keys.kid_bytes
-            cut = state.edges.cut
-            cut_kids = state.keys.cut_kids
-            plain_nlj = config.enable_nested_loop_join
-            hashj = config.enable_hash_join
-            merge = config.enable_merge_join
-            inlj = config.enable_index_nl_join
-            for left, right in group.ordered_exprs():
-                lgid = gid_by_mask[left]
-                rgid = gid_by_mask[right]
-                bits = cut(left, right)
-                al, ar = A[left], A[right]
-                ops_pos = 0
-                if plain_nlj:
-                    self._add(
-                        "join",
-                        (left, right, ops_pos),
-                        al * ar,
-                        None,
-                        ((lgid, None), (rgid, None)),
-                        (al, ar),
-                        local,
-                    )
-                    local += 1
-                    ops_pos += 1
-                if bits:
-                    lk, rk = cut_kids(bits)
-                    if hashj:
-                        self._add(
-                            "join",
-                            (left, right, ops_pos),
-                            al * ar,
-                            None,
-                            ((lgid, None), (rgid, None)),
-                            (al, ar),
-                            local,
-                        )
-                        local += 1
-                        ops_pos += 1
-                    if merge:
-                        bl = sord[(left, lk)]
-                        br = sord[(right, rk)]
-                        self._add(
-                            "join",
-                            (left, right, ops_pos),
-                            bl * br,
-                            kid_bytes[lk],
-                            ((lgid, lk), (rgid, rk)),
-                            (bl, br),
-                            local,
-                        )
-                        local += 1
-                        ops_pos += 1
-                    if inlj:
-                        for pos in range(
-                            tables.inlj_count(left, right, bits)
-                        ):
-                            self._add(
-                                "inlj",
-                                (left, right, pos),
-                                al,
-                                None,
-                                ((lgid, None),),
-                                (al,),
-                                local,
-                            )
-                            local += 1
+            self.join = state.join_columns(gid)
+            counts = self.join.counts
         else:  # unary tower
-            for pos, top in enumerate(state.tower_ops[self.gid]):
-                child_gid = group.child_gid
-                b = top.count
-                self._add(
-                    "unary",
-                    (pos,),
-                    top.count,
-                    top.delivered,
-                    ((child_gid, top.required_kid),),
-                    (b,),
-                    local,
-                )
-                local += 1
+            counts = [top.count for top in state.tower_ops[gid]]
+        self.body = len(counts)
 
         # sort enforcers, in global first-occurrence requirement order
-        if config.enable_sort_enforcers:
-            kid_bytes = state.keys.kid_bytes
+        self.sort_kids: list[int] = []
+        if state.config.enable_sort_enforcers:
             if group.kind in ("leaf", "join"):
-                required = state.required.get(group.mask, {})
-                counts = state.sort_counts.get(group.mask, [])
+                self.sort_kids = list(state.required.get(group.mask, ()))
+                counts += state.sort_counts.get(group.mask, [])
             else:
-                required = state.tower_required.get(self.gid, {})
-                counts = [c for _k, c in state.tower_sorts.get(self.gid, [])]
-            for (kid, count) in zip(required, counts):
-                self._add(
-                    "sort",
-                    (kid,),
-                    count,
-                    kid_bytes[kid],
-                    ((self.gid, (NONENF, kid)),),
-                    (count,),
-                    local,
-                )
-                local += 1
+                sorts = state.tower_sorts.get(gid, [])
+                self.sort_kids = [kid for kid, _count in sorts]
+                counts += [count for _kid, count in sorts]
+        self.counts: list[int] = counts
+        self._rows: dict[int, Row] = {}
+        self._delivering: list[tuple[int, int]] | None = None
+
+    # ------------------------------------------------------------------
+    def delivering(self) -> list[tuple[int, int]]:
+        """``(position, delivered kid)`` of every order-delivering row."""
+        out = self._delivering
+        if out is None:
+            state = self.state
+            kind = self.group.kind
+            if kind == "join":
+                plain, merge = join_rule_arity(state.config, True)
+                out = [
+                    (start + plain, kid)  # the expression's merge join
+                    for start, kid in zip(self.join.starts, self.join.lkid)
+                    if merge and kid >= 0
+                ]
+            elif kind == "leaf":
+                out = [
+                    (pos, state.keys.kid_of_columns(order))
+                    for pos, scan in enumerate(self.scans)
+                    if (order := scan.delivered_order())
+                ]
+            else:
+                out = [
+                    (pos, state.keys.kid(top.delivered))
+                    for pos, top in enumerate(state.tower_ops[self.gid])
+                    if top.delivered is not None
+                ]
+            out += [(self.body + j, k) for j, k in enumerate(self.sort_kids)]
+            self._delivering = out
+        return out
+
+    def satisfying(self, kid: int) -> list[int]:
+        """Positions whose delivered order satisfies required ``kid``."""
+        kid_bytes = self.state.keys.kid_bytes
+        seq = kid_bytes[kid]
+        verdict: dict[int, bool] = {}
+        out = []
+        for pos, delivered in self.delivering():
+            ok = verdict.get(delivered)
+            if ok is None:
+                ok = verdict[delivered] = kid_bytes[delivered].startswith(seq)
+            if ok:
+                out.append(pos)
+        return out
+
+    # ------------------------------------------------------------------
+    def row(self, pos: int) -> Row:
+        """The row at ``pos`` (constructed on first selection)."""
+        row = self._rows.get(pos)
+        if row is None:
+            row = self._rows[pos] = self._make(pos)
+        return row
+
+    def row_by_local(self, local_id: int) -> Row:
+        return self.row(local_id - self.base)
+
+    def _make(self, pos: int) -> Row:
+        state = self.state
+        gid = self.gid
+        local = self.base + pos
+        count = self.counts[pos]
+        if pos >= self.body:
+            kid = self.sort_kids[pos - self.body]
+            return Row(local, "sort", (kid,), count, ((gid, (NONENF, kid)),), (1,))
+        kind = self.group.kind
+        if kind == "leaf":
+            return Row(local, "scan", (pos,), count, (), ())
+        if kind != "join":
+            top = state.tower_ops[gid][pos]
+            slots = ((self.group.child_gid, top.required_kid),)
+            return Row(local, "unary", (pos,), count, slots, (1,))
+        cols = self.join
+        expr = bisect_right(cols.starts, pos) - 1
+        offset = pos - cols.starts[expr]
+        left, right = cols.left[expr], cols.right[expr]
+        gid_by_mask = state.layout.gid_by_mask
+        lgid, rgid = gid_by_mask[left], gid_by_mask[right]
+        lkid = cols.lkid[expr]
+        plain, merge = join_rule_arity(state.config, lkid >= 0)
+        payload = (left, right, offset)
+        if offset < plain:
+            slots = ((lgid, None), (rgid, None))
+            return Row(local, "join", payload, count, slots, (1, state.A[left]))
+        if merge and offset == plain:
+            slots = ((lgid, lkid), (rgid, cols.rkid[expr]))
+            prefix = (1, state.sord[(left, lkid)])
+            return Row(local, "join", payload, count, slots, prefix)
+        payload = (left, right, offset - plain - merge)
+        return Row(local, "inlj", payload, count, ((lgid, None),), (1,))
 
 
 class TableSet:
@@ -219,14 +225,18 @@ class TableSet:
         self.include_redundant_sorts = include_redundant_sorts
         self._tables: dict[int, GroupTable] = {}
         self._candidates: dict[tuple, CandidateList] = {}
-        self._join_ops: dict[tuple[int, int], tuple] = {}
+        self._join_ops: dict[tuple[int, int], JoinImplementations] = {}
         self._inlj_ops: dict[tuple[int, int], list] = {}
         self._scan_ops: dict[int, list] = {}
-        self._op_cache: dict[tuple[int, int], object] = {}
         self._cardinality: dict[int, float] = {}
         self._estimator = None
 
     # ------------------------------------------------------------------
+    @property
+    def rows_built(self) -> int:
+        """:class:`Row` objects constructed so far (the laziness measure)."""
+        return sum(len(table._rows) for table in self._tables.values())
+
     def table(self, gid: int) -> GroupTable:
         table = self._tables.get(gid)
         if table is None:
@@ -235,7 +245,7 @@ class TableSet:
         return table
 
     def candidates(self, gid: int, requirement) -> CandidateList:
-        """The qualifying rows of ``(group, requirement)`` in local order.
+        """The qualifying positions of ``(group, requirement)``.
 
         ``requirement`` is None (all alternatives), a kid id (delivered
         order must satisfy it), or ``(NONENF, kid)`` (enforcer children:
@@ -247,35 +257,45 @@ class TableSet:
         if cached is not None:
             return cached
         table = self.table(gid)
+        counts = table.counts
         if requirement is None:
-            rows = table.rows
+            positions = range(len(counts))
         elif isinstance(requirement, tuple):
-            _tag, kid = requirement
-            rows = [row for row in table.rows if row.kind != "sort"]
+            positions = range(table.body)
             if not self.include_redundant_sorts:
-                seq = self.state.keys.kid_bytes[kid]
-                rows = [
-                    row
-                    for row in rows
-                    if row.delivered is None or not row.delivered.startswith(seq)
-                ]
+                ordered = set(table.satisfying(requirement[1]))
+                positions = [pos for pos in positions if pos not in ordered]
         else:
-            seq = self.state.keys.kid_bytes[requirement]
-            rows = [
-                row
-                for row in table.rows
-                if row.delivered is not None and row.delivered.startswith(seq)
-            ]
-        cumulative = [0, *accumulate(row.count for row in rows)]
-        cached = CandidateList(gid=gid, rows=rows, cumulative=cumulative)
+            positions = table.satisfying(requirement)
+        cumulative = [0, *accumulate(map(counts.__getitem__, positions))]
+        cached = CandidateList(table, positions, cumulative)
         self._candidates[key] = cached
         return cached
 
     # ------------------------------------------------------------------
     # operator construction (lazy, cached per row)
     # ------------------------------------------------------------------
-    def inlj_count(self, left: int, right: int, bits: int) -> int:
-        return len(self._inlj_list(left, right))
+    def scan_ops(self, gid: int) -> list:
+        ops = self._scan_ops.get(gid)
+        if ops is None:
+            state = self.state
+            group = state.layout.group(gid)
+            ops = scan_implementations(group.op, state.catalog, state.config)
+            self._scan_ops[gid] = ops
+        return ops
+
+    def _join_impls(self, left: int, right: int):
+        ji = self._join_ops.get((left, right))
+        if ji is None:
+            layout = self.state.layout
+            ji = join_implementations(
+                layout.graph.join_predicate_m(left, right),
+                layout.universe.names(left),
+                layout.universe.names(right),
+                self.state.config,
+            )
+            self._join_ops[(left, right)] = ji
+        return ji
 
     def _inlj_list(self, left: int, right: int) -> list:
         key = (left, right)
@@ -283,72 +303,39 @@ class TableSet:
         if ops is None:
             state = self.state
             layout = state.layout
-            group = layout.group_for_mask(right)
-            if right & (right - 1) or not isinstance(group.op, LogicalGet):
-                ops = []
-            else:
-                universe = layout.universe
-                predicate = layout.graph.join_predicate_m(left, right)
-                ji = join_implementations(
-                    predicate,
-                    universe.names(left),
-                    universe.names(right),
-                    state.config,
-                )
-                if ji.left_keys:
-                    ops = index_nl_join_implementations(
-                        group.op,
-                        state.catalog,
-                        predicate,
-                        ji.left_keys,
-                        ji.right_keys,
-                    )
-                else:
-                    ops = []
-            self._inlj_ops[key] = ops
+            ji = self._join_impls(left, right)
+            ops = self._inlj_ops[key] = index_nl_join_implementations(
+                layout.group_for_mask(right).op,
+                state.catalog,
+                layout.graph.join_predicate_m(left, right),
+                ji.left_keys,
+                ji.right_keys,
+            )
         return ops
 
     def operator(self, gid: int, row: Row):
         """The physical operator of ``row`` (built on first use)."""
-        key = (gid, row.local_id)
-        op = self._op_cache.get(key)
+        op = row.op
         if op is not None:
             return op
-        state = self.state
         kind = row.kind
         if kind == "scan":
-            ops = self._scan_ops.get(gid)
-            if ops is None:
-                group = state.layout.group(gid)
-                ops = scan_implementations(group.op, state.catalog, state.config)
-                self._scan_ops[gid] = ops
-            op = ops[row.payload[0]]
+            op = self.scan_ops(gid)[row.payload[0]]
         elif kind == "join":
             left, right, pos = row.payload
-            ji = self._join_ops.get((left, right))
-            if ji is None:
-                layout = state.layout
-                predicate = layout.graph.join_predicate_m(left, right)
-                ji = join_implementations(
-                    predicate,
-                    layout.universe.names(left),
-                    layout.universe.names(right),
-                    state.config,
-                ).ops
-                self._join_ops[(left, right)] = ji
-            op = ji[pos]
+            op = self._join_impls(left, right).ops[pos]
         elif kind == "inlj":
             left, right, pos = row.payload
             op = self._inlj_list(left, right)[pos]
         elif kind == "unary":
-            op = state.tower_ops[gid][row.payload[0]].op
+            op = self.state.tower_ops[gid][row.payload[0]].op
         elif kind == "sort":
             from repro.algebra.physical import Sort
 
-            op = Sort(state.keys.columns_of(row.payload[0]))
+            op = Sort(self.state.keys.columns_of(row.payload[0]))
         else:  # pragma: no cover - defensive
             raise PlanSpaceError(f"unknown row kind {kind!r}")
-        self._op_cache[key] = op
+        row.op = op
         return op
 
     # ------------------------------------------------------------------

@@ -23,7 +23,11 @@ columnar array passes, one per subset-size layer:
 Everything the rest of the engine consumes (``A``, ``nonenf``, ``sord``,
 the ordered requirement registry, sort counts) is exported in the same
 shape the reference pass produces — as lazy array-backed views, so a
-count-only run pays for no Python-level dict materialization.  The turbo
+count-only run pays for no Python-level dict materialization.  The int64
+per-split columns (sides, cut kids and query slots per orientation) are
+laid out once more per logical join and stay alive behind
+``state.split_columns``: the unranking tables slice them per group
+instead of re-deriving them pair by pair.  The turbo
 path requires the default rule configuration (no index-lookup joins,
 paper-faithful redundant sorts); ablations fall back to the reference
 pass.
@@ -41,6 +45,7 @@ from repro.kernel.vector import (
     prefix_intervals,
 )
 from repro.optimizer.rules import join_rule_arity, scan_implementations
+from repro.planspace.implicit.counting import JoinColumns
 
 __all__ = ["turbo_rels_pass"]
 
@@ -88,12 +93,15 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
     store = layout.store
     join_groups = []
     split_counts = []
+    expr_range: dict[int, tuple[int, int]] = {}  # gid -> its logical joins
+    M = 0
     for g in layout.join_groups():
         count = store.split_count(g.gid)
         if count:
             join_groups.append(g)
             split_counts.append(count)
-    M = sum(split_counts)
+            expr_range[g.gid] = (2 * M, 2 * (M + count))
+            M += count
     mask_lut = np.fromiter(
         (g.mask if g.mask is not None else 0 for g in layout.groups),
         np.int64,
@@ -410,6 +418,56 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
         state.A[mask] = A_obj[mask]
         state.nonenf[mask] = NE_obj[mask]
     state.keys.preload(kid_mat, kid_lengths)
+
+    # The unranking tables' columns: one int64 entry per logical join,
+    # group-major in local-id order — both orientations of every split
+    # interleaved, a group's initial left-deep expression rotated to the
+    # front.  Bigint operator counts are multiplied out per group, on
+    # demand: no ``object`` array is retained beyond the DP's own.
+    def both(lr, rl):
+        out = np.empty(2 * M, np.int64)
+        out[0::2] = lr
+        out[1::2] = rl
+        return out
+
+    keyed = np.repeat(has_keys, 2)
+    exprs = [  # left mask, right mask, left kid, right kid (-1: no keys)
+        both(Ls, Rs),
+        both(Rs, Ls),
+        np.where(keyed, both(lk_lr, lk_rl), -1),
+        np.where(keyed, both(rk_lr, rk_rl), -1),
+    ]
+    if merge and M:  # the QS slots of S(left, lkid) and S(right, rkid)
+        exprs += [both(q_l_lr, q_r_rl), both(q_r_lr, q_l_rl)]
+    for g in join_groups:
+        if g.initial is not None:
+            lo, hi = expr_range[g.gid]
+            seg_l, seg_r = exprs[0][lo:hi], exprs[1][lo:hi]
+            first = np.flatnonzero((seg_l == g.initial[0]) & (seg_r == g.initial[1]))
+            to = lo + int(first[0]) + 1
+            for col in exprs:
+                col[lo:to] = np.roll(col[lo:to], 1)
+
+    def join_columns(group) -> JoinColumns:
+        """``CountState.join_columns`` of a turbo-backed state."""
+        lo, hi = expr_range[group.gid]
+        left, right, lkid, rkid, *slots = (col[lo:hi] for col in exprs)
+        keyed = lkid >= 0
+        plain = A_obj[left] * A_obj[right]
+        starts = np.zeros(hi - lo + 1, np.int64)
+        np.cumsum(np.where(keyed, plain_keys + merge, plain_cross), out=starts[1:])
+        counts = np.empty(starts[-1], dtype=object)
+        at, at_keyed = starts[:-1], starts[:-1][keyed]
+        for k in range(plain_cross):
+            counts[at + k] = plain
+        for k in range(plain_cross, plain_keys):
+            counts[at_keyed + k] = plain[keyed]
+        if merge:
+            counts[at_keyed + plain_keys] = QS[slots[0][keyed]] * QS[slots[1][keyed]]
+        columns = (left, right, lkid, rkid, starts, counts)
+        return JoinColumns(*(col.tolist() for col in columns))
+
+    state.split_columns = join_columns
     state.sord = _SordView(np, KS, req_packed, QS)
     state.required = _RequiredView(np, KS, req_packed, regs_o)
     state.sort_counts = _SortCountsView(state) if enforcers else {}
@@ -434,44 +492,31 @@ class _SordView:
             raise KeyError(key)
         return self._QS[pos]
 
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
 
 class _RequiredView:
-    """Lazy ``mask -> ordered kid list`` (global first-occurrence order)."""
+    """Lazy ``mask -> ordered kid list`` (global first-occurrence order),
+    one mask at a time: a group's requirements are a contiguous run of
+    the mask-major ``req_packed``, reordered by first registration."""
 
     def __init__(self, np, KS, req_packed, regs_emission_order):
         self._np = np
         self._KS = KS
         self._req_packed = req_packed
         self._regs = regs_emission_order
-        self._by_mask: dict[int, list[int]] | None = None
-
-    def _materialize(self) -> dict[int, list[int]]:
-        if self._by_mask is None:
-            np = self._np
-            _pairs, first = np.unique(self._regs, return_index=True)
-            by_mask: dict[int, list[int]] = {}
-            for pos in np.argsort(first, kind="stable"):
-                packed = int(_pairs[pos])
-                by_mask.setdefault(packed // self._KS, []).append(
-                    packed % self._KS
-                )
-            self._by_mask = by_mask
-        return self._by_mask
-
-    def __getitem__(self, mask):
-        return self._materialize()[mask]
+        self._first = None  # per req_packed entry: first index in _regs
+        self._by_mask: dict[int, list[int]] = {}
 
     def get(self, mask, default=None):
-        return self._materialize().get(mask, default)
-
-    def __contains__(self, mask):
-        return mask in self._materialize()
+        kids = self._by_mask.get(mask)
+        if kids is None:
+            np, KS = self._np, self._KS
+            if self._first is None:
+                _pairs, self._first = np.unique(self._regs, return_index=True)
+            lo, hi = np.searchsorted(self._req_packed, (mask * KS, (mask + 1) * KS))
+            run = self._req_packed[lo:hi] - mask * KS
+            kids = run[np.argsort(self._first[lo:hi], kind="stable")].tolist()
+            self._by_mask[mask] = kids
+        return kids or default
 
 
 class _SortCountsView:

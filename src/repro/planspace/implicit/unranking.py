@@ -2,13 +2,15 @@
 
 The recurrences are the paper's (Section 3.3), identical to
 :class:`repro.planspace.unranking.Unranker` — only the candidate lists
-are implicit: instead of materialized link arrays they come from
-:class:`~.tables.TableSet`, which reconstructs a group's alternatives on
-first touch.  Operator selection bisects the list's prefix sums, the
-local rank splits by the row's ``B_v`` products, and each child recurses
-with its slot's requirement.  A single unranking therefore instantiates
-O(depth) group tables and exactly the plan's operators — never the
-physical memo.
+are implicit: instead of materialized link arrays they are position
+selections over a group's count column (:class:`~.tables.TableSet`).
+Operator selection bisects the list's prefix sums and indexes the
+selected *position*; only that position becomes a row object, whose
+``B_v`` products split the local rank and whose slots name the child
+lists to recurse into.  ``rank`` inverts it by arithmetic: a node's
+position is ``local_id - base``.  One unranking therefore touches
+O(depth) group tables and constructs exactly the plan's rows and
+operators — never a group's, let alone the physical memo.
 """
 
 from __future__ import annotations
@@ -50,36 +52,31 @@ class ImplicitUnranker:
         # bisect over the exclusive prefix sums = the paper's linear
         # prefix-sum scan, sublinear in wide groups
         pos = bisect_right(cumulative, rank) - 1
-        if pos >= len(candidates.rows):  # pragma: no cover - guarded by total
+        if pos >= len(candidates.positions):  # pragma: no cover - guarded by total
             raise PlanSpaceError(
                 f"rank {rank} exceeds the {cumulative[-1]} plans of this list"
             )
-        row = candidates.rows[pos]
+        table = candidates.table
+        row = table.row(candidates.positions[pos])
         local = rank - cumulative[pos]
         tables = self.tables
-        n = len(row.slots)
-        children = []
-        if n:
-            # R_v / s_v mixed-radix split, highest slot first
-            prefix = row.prefix
-            remainder = local
-            sub_ranks = [0] * n
-            for i in range(n - 1, 0, -1):
-                sub_ranks[i] = remainder // prefix[i]
-                remainder %= prefix[i]
-            sub_ranks[0] = remainder
-            for (child_gid, requirement), sub_rank in zip(row.slots, sub_ranks):
-                children.append(
-                    self._unrank_among(
-                        tables.candidates(child_gid, requirement), sub_rank
-                    )
-                )
+        # R_v / s_v mixed-radix split, highest slot first (B_v(0) = 1
+        # leaves the whole remainder to slot 0)
+        slots, prefix = row.slots, row.prefix
+        children = [None] * len(slots)
+        for i in range(len(slots) - 1, -1, -1):
+            sub_rank, local = divmod(local, prefix[i])
+            child_gid, requirement = slots[i]
+            children[i] = self._unrank_among(
+                tables.candidates(child_gid, requirement), sub_rank
+            )
+        gid = table.gid
         return PlanNode(
-            op=tables.operator(candidates.gid, row),
+            op=tables.operator(gid, row),
             children=tuple(children),
-            group_id=candidates.gid,
+            group_id=gid,
             local_id=row.local_id,
-            cardinality=tables.cardinality(candidates.gid),
+            cardinality=tables.cardinality(gid),
         )
 
     # ------------------------------------------------------------------
@@ -88,21 +85,16 @@ class ImplicitUnranker:
         return self._rank_among(self._root_candidates(), plan)
 
     def _rank_among(self, candidates: CandidateList, plan: PlanNode) -> int:
-        row = None
-        skipped = 0
-        for pos, candidate in enumerate(candidates.rows):
-            if (
-                candidates.gid == plan.group_id
-                and candidate.local_id == plan.local_id
-            ):
-                row = candidate
-                skipped = candidates.cumulative[pos]
-                break
-        if row is None:
+        pos = -1
+        if candidates.gid == plan.group_id:
+            pos = candidates.find(plan.local_id)
+        if pos < 0:
             raise PlanSpaceError(
                 f"operator {plan.expr_id} is not a valid candidate here "
                 "(plan does not belong to this space)"
             )
+        row = candidates.table.row(candidates.positions[pos])
+        skipped = candidates.cumulative[pos]
         local = 0
         for i, (child_gid, requirement) in enumerate(row.slots):
             sub_rank = self._rank_among(

@@ -28,7 +28,6 @@ memos take minutes to build.
 
 from __future__ import annotations
 
-import gc
 import random
 import time
 from dataclasses import dataclass, field
@@ -49,6 +48,7 @@ from repro.sampledopt.stopping import (
 from repro.sampledopt.strata import StratifiedSampler
 from repro.sql.binder import Binder, BoundQuery
 from repro.sql.parser import parse
+from repro.util.gcguard import paused_gc
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -102,7 +102,7 @@ class FragmentPool:
         stack = [(plan, self.root_ctx)]
         while stack:
             node, ctx = stack.pop()
-            row = tables.table(node.group_id).row_by_local[node.local_id]
+            row = tables.table(node.group_id).row_by_local(node.local_id)
             pooled = fragments.get(ctx)
             if pooled is None:
                 fragments[ctx] = pooled = {}
@@ -281,11 +281,10 @@ class SampledOptimizer:
         duration (as in ``Optimizer.optimize``): sampling allocates many
         short-lived tuples and acyclic ``PlanNode`` trees, and on a large
         heap — e.g. a memo from an earlier exhaustive run — generational
-        passes only add pauses."""
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        passes only add pauses.  The pause is ref-counted, so a server
+        worker degrading to this tier does not re-enable the collector
+        under a sibling's in-flight exact optimize."""
+        with paused_gc():
             return self._optimize(
                 query,
                 samples=samples,
@@ -297,9 +296,6 @@ class SampledOptimizer:
                 space=space,
                 scope=scope,
             )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _optimize(
         self,
@@ -369,6 +365,7 @@ class SampledOptimizer:
             self.catalog, space, self.options.cost_params
         )
         pool = FragmentPool(space, coster)
+        rows_before = pool.tables.rows_built
         if stratified:
             sampler = StratifiedSampler(space, seed=seed)
             draw = sampler.sample_ranks
@@ -433,7 +430,11 @@ class SampledOptimizer:
             tracer.record(
                 "sample",
                 sample_time,
-                counters={"samples": drawn, "batches": batches},
+                counters={
+                    "samples": drawn,
+                    "batches": batches,
+                    "rows_built": pool.tables.rows_built - rows_before,
+                },
             )
             tracer.record(
                 "recombine", solve_time, counters={"fragments": len(pool)}

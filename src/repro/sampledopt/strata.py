@@ -52,45 +52,45 @@ class Stratum:
 
 
 class _Node:
-    """A refinable stratum: either a full candidate list (``row=None``)
-    or one row of it, pending descent into its last child slot."""
+    """A refinable stratum: either a full candidate list (``pos=None``)
+    or the row at table position ``pos``, pending descent into its last
+    child slot.  ``label`` is the operator prefix as a linked
+    ``(parent label, gid, local_id)`` chain, formatted only for the
+    strata :func:`rank_strata` returns."""
 
-    __slots__ = ("gid", "req", "row", "lo", "hi", "label", "depth")
+    __slots__ = ("gid", "req", "pos", "lo", "hi", "label", "depth")
 
-    def __init__(self, gid, req, row, lo, hi, label, depth):
+    def __init__(self, gid, req, pos, lo, hi, label, depth):
         self.gid = gid
         self.req = req
-        self.row = row
+        self.pos = pos
         self.lo = lo
         self.hi = hi
         self.label = label
         self.depth = depth
 
 
-def _expand(node: _Node, tables) -> list[_Node] | None:
-    """Refine one stratum a single level; None = atomic."""
-    if node.row is None:
+def _expand(node: _Node, tables, room: int) -> list[_Node] | None:
+    """Refine one stratum a single level; None = atomic, or wider than
+    the ``room`` left under ``max_strata``."""
+    if room < 1:
+        return None
+    if node.pos is None:
         candidates = tables.candidates(node.gid, node.req)
-        rows = candidates.rows
-        if not rows:
+        positions = candidates.positions
+        if not positions or len(positions) > room:
             return None
         # hi - lo = total * span: each unit of this list's rank space
         # covers `span` full ranks (the faster-varying choices upstream)
         span = (node.hi - node.lo) // candidates.total
-        out = []
-        for pos, row in enumerate(rows):
-            lo = node.lo + candidates.cumulative[pos] * span
-            hi = node.lo + candidates.cumulative[pos + 1] * span
-            label = (
-                f"{node.label}/{node.gid}.{row.local_id}"
-                if node.label
-                else f"{node.gid}.{row.local_id}"
-            )
-            out.append(
-                _Node(node.gid, node.req, row, lo, hi, label, node.depth + 1)
-            )
-        return out
-    row = node.row
+        bounds = [node.lo + c * span for c in candidates.cumulative]
+        gid, label, depth = node.gid, node.label, node.depth + 1
+        base = candidates.table.base
+        return [
+            _Node(gid, node.req, pos, lo, hi, (label, gid, base + pos), depth)
+            for pos, lo, hi in zip(positions, bounds, bounds[1:])
+        ]
+    row = tables.table(node.gid).row(node.pos)
     if not row.slots:
         return None
     # descend into the slowest-varying (last) slot: its sub-rank has
@@ -100,6 +100,15 @@ def _expand(node: _Node, tables) -> list[_Node] | None:
     return [
         _Node(child_gid, child_req, None, node.lo, node.hi, node.label, node.depth)
     ]
+
+
+def _format(label) -> str:
+    """``gid.local/gid.local/...`` of a linked operator-prefix chain."""
+    parts = []
+    while label is not None:
+        label, gid, local_id = label
+        parts.append(f"{gid}.{local_id}")
+    return "/".join(reversed(parts)) or "(root)"
 
 
 def rank_strata(
@@ -121,7 +130,7 @@ def rank_strata(
     state = space.state
     tables = space.unranker.tables
     root = _Node(
-        state.layout.root_gid, state.root_kid, None, 0, total, "", 0
+        state.layout.root_gid, state.root_kid, None, 0, total, None, 0
     )
     # heap of refinable nodes, largest interval first (ties: FIFO)
     counter = 0
@@ -132,9 +141,7 @@ def rank_strata(
         _, _, node = heapq.heappop(heap)
         children = None
         if node.depth < max_depth:
-            children = _expand(node, tables)
-        if children is not None and leaves - 1 + len(children) > max_strata:
-            children = None
+            children = _expand(node, tables, max_strata - leaves + 1)
         if children is None:
             done.append(node)
             continue
@@ -144,7 +151,7 @@ def rank_strata(
             heapq.heappush(heap, (-(child.hi - child.lo), counter, child))
     done.extend(node for _, _, node in heap)
     strata = [
-        Stratum(label=node.label or "(root)", lo=node.lo, hi=node.hi)
+        Stratum(label=_format(node.label), lo=node.lo, hi=node.hi)
         for node in done
     ]
     strata.sort(key=lambda s: s.lo)

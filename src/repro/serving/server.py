@@ -62,7 +62,10 @@ class PlanServer:
         self.database = database
         self.options = options
         self.workers = workers
-        self.cache = PlanCache() if cache is None else (cache or None)
+        # identity tests: an empty PlanCache is falsy (``__len__``)
+        if cache is None:
+            cache = PlanCache()
+        self.cache = None if cache is False else cache
         self.deadline_s = deadline_s
         self.on_budget = on_budget
         #: one ledger shared by every worker session: feedback observed

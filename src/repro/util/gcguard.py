@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import gc
 import threading
-from contextlib import contextmanager
 
 __all__ = ["paused_gc", "pause_depth"]
 
@@ -24,29 +23,41 @@ _depth = 0
 _was_enabled = False
 
 
-@contextmanager
-def paused_gc():
-    """Pause the cycle collector for the block, ref-counted.
+class paused_gc:
+    """Pause the cycle collector for the ``with`` block, ref-counted.
 
     Safe under concurrent and nested use: only the outermost pauser
     across *all threads* toggles the collector, and the original
     enabled-state is restored (a caller running with GC already off
     never has it switched on behind its back).
+
+    A plain class, not a ``contextlib`` generator: resuming the collector
+    is the last thing ``__exit__`` does and nothing is allocated after
+    it, so the pass the pause deferred runs at the caller's next
+    allocation — after the optimize call has returned its result — rather
+    than inside the guard's own exit (a generator's ``StopIteration``).
     """
-    global _depth, _was_enabled
-    with _lock:
-        _depth += 1
-        if _depth == 1:
-            _was_enabled = gc.isenabled()
-            if _was_enabled:
-                gc.disable()
-    try:
-        yield
-    finally:
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        global _depth, _was_enabled
         with _lock:
+            _depth += 1
+            if _depth == 1:
+                _was_enabled = gc.isenabled()
+                if _was_enabled:
+                    gc.disable()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        global _depth
+        _lock.acquire()
+        try:
             _depth -= 1
             if _depth == 0 and _was_enabled:
                 gc.enable()
+        finally:
+            _lock.release()
 
 
 def pause_depth() -> int:

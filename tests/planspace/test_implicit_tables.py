@@ -1,0 +1,193 @@
+"""The column-backed unranking tables against the materialized space.
+
+Every way the tables get their columns — sliced from the turbo pass,
+filled by the reference loop (``use_turbo=False``, index-NL-joins, the
+redundant-sort ablation) — must give each rank the plan the materialized
+:class:`PlanSpace` gives it, node for node, and build rows only for the
+positions something selects.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from repro.optimizer.optimizer import Optimizer, OptimizerOptions
+from repro.optimizer.rules import ImplementationConfig
+from repro.planspace.implicit import ImplicitPlanSpace
+from repro.planspace.space import PlanSpace
+from repro.sampledopt import StratifiedSampler
+from repro.workloads.synthetic import (
+    chain_query,
+    clique_query,
+    cycle_query,
+    random_query,
+    star_query,
+)
+
+SHAPES = {
+    "chain": chain_query,
+    "star": star_query,
+    "cycle": cycle_query,
+    "clique": clique_query,
+    "dense": lambda n, **kw: random_query(n, edge_density=0.6, **kw),
+}
+
+#: spaces up to this size are checked rank by rank
+EXHAUSTIVE = 400
+SEEDED_RANKS = 200
+
+#: with cross products every 7-relation graph spans the clique's subsets:
+#: one of them (the dense one) stays in the smoke tier
+CASES = [
+    pytest.param(
+        shape,
+        n,
+        cross,
+        marks=[pytest.mark.slow] if n == 7 and cross and shape != "dense" else [],
+    )
+    for shape in SHAPES
+    for n in (3, 5, 7)
+    for cross in (False, True)
+]
+
+
+def _variants(workload, cross):
+    """``(tag, materialized space, implicit space)`` per column source."""
+    default = OptimizerOptions(allow_cross_products=cross)
+    inlj = OptimizerOptions(
+        allow_cross_products=cross,
+        implementation=ImplementationConfig(enable_index_nl_join=True),
+    )
+    catalog, sql = workload.catalog, workload.sql
+    result = Optimizer(catalog, default).optimize_sql(sql)
+    space = PlanSpace.from_result(result)
+    yield "default", space, ImplicitPlanSpace.from_sql(catalog, sql, options=default)
+    yield "reference", space, ImplicitPlanSpace.from_sql(
+        catalog, sql, options=default, use_turbo=False
+    )
+    yield "no-redundant-sorts", PlanSpace.from_result(
+        result, include_redundant_sorts=False
+    ), ImplicitPlanSpace.from_sql(
+        catalog, sql, options=default, include_redundant_sorts=False
+    )
+    yield "index-nlj", PlanSpace.from_result(
+        Optimizer(catalog, inlj).optimize_sql(sql)
+    ), ImplicitPlanSpace.from_sql(catalog, sql, options=inlj)
+
+
+@pytest.mark.parametrize("shape,n,cross", CASES)
+def test_unrank_matches_materialized_node_for_node(shape, n, cross):
+    workload = SHAPES[shape](n, rows=5, seed=0)
+    for tag, materialized, implicit in _variants(workload, cross):
+        where = (shape, n, cross, tag)
+        assert implicit.state.turbo_used is (tag == "default"), where
+        total = materialized.count()
+        assert implicit.count() == total, where
+        if total <= EXHAUSTIVE:
+            ranks = range(total)
+        else:
+            rng = random.Random(f"{shape}/{n}/{cross}/{tag}")
+            ranks = sorted(
+                {0, total - 1, *(rng.randrange(total) for _ in range(SEEDED_RANKS))}
+            )
+        for rank in ranks:
+            ours = implicit.unrank(rank)
+            theirs = materialized.unrank(rank)
+            for a, b in zip(ours.iter_nodes(), theirs.iter_nodes(), strict=True):
+                assert (a.group_id, a.local_id) == (b.group_id, b.local_id), (
+                    where,
+                    rank,
+                )
+                assert a.op.key() == b.op.key(), (where, rank, a.expr_id)
+                assert a.cardinality == pytest.approx(b.cardinality, rel=1e-12)
+            assert implicit.rank(ours) == rank, (where, rank)
+
+
+#: sha256(repr(StratifiedSampler(space, seed).sample_ranks(100))), pinned
+#: from the commit before the tables became column-backed
+PINNED_DRAWS = [
+    (
+        lambda: clique_query(7, rows=5, seed=0),
+        False,
+        7,
+        "9bfad3f6b5a9cf60e9abe72a45d2909815dfc6c1e5cd149bb868de8dcfffa6bd",
+    ),
+    (
+        lambda: star_query(8, rows=5, seed=1),
+        True,
+        3,
+        "87373c3853955b56f9a6ef4dee3879e9a5fb817512b6b4f8bece8a49ff5bf5d2",
+    ),
+    (
+        lambda: random_query(8, edge_density=0.5, seed=2, rows=5),
+        False,
+        11,
+        "222b3aaf81943752537f8db3b9f2c62fa5231c3b73830cf506b3357397a89681",
+    ),
+]
+
+
+@pytest.mark.parametrize("make,cross,seed,digest", PINNED_DRAWS)
+def test_stratified_draws_are_pinned(make, cross, seed, digest):
+    workload = make()
+    space = ImplicitPlanSpace.from_sql(
+        workload.catalog,
+        workload.sql,
+        options=OptimizerOptions(allow_cross_products=cross),
+    )
+    ranks = StratifiedSampler(space, seed=seed).sample_ranks(100)
+    assert hashlib.sha256(repr(ranks).encode()).hexdigest() == digest
+
+
+def test_rows_are_built_only_where_selected():
+    """100 stratified draws on clique8 construct at most one row per
+    selected plan node plus the rows of the expanded strata lists — a
+    small share of the touched groups' rows.  A count, so it repeats."""
+    workload = clique_query(8, rows=5, seed=0)
+    space = ImplicitPlanSpace.from_sql(
+        workload.catalog,
+        workload.sql,
+        options=OptimizerOptions(allow_cross_products=False),
+    )
+    tables = space.unranker.tables
+    sampler = StratifiedSampler(space, seed=0)
+    assert len(sampler.strata) >= 64
+    strata_rows = tables.rows_built
+    # one row per expanded operator-prefix stratum, never a whole list
+    assert strata_rows <= 64
+    plans = [space.unrank(rank) for rank in sampler.sample_ranks(100)]
+    selected = sum(plan.size() for plan in plans)
+    assert 0 < tables.rows_built - strata_rows <= selected
+    group_rows = sum(
+        len(tables.table(group.gid).counts) for group in space.state.layout.groups
+    )
+    assert tables.rows_built < 0.25 * group_rows
+    # drawing the same plans again constructs nothing
+    built = tables.rows_built
+    for plan in plans:
+        assert space.rank(plan) in range(space.count())
+    assert tables.rows_built == built
+
+
+def test_dropped_space_frees_its_tables_by_reference_count():
+    """Tables hold no reference back to their ``TableSet`` (and rows none
+    to candidate lists): a cached-then-dropped space must not wait for
+    the cycle collector, which the optimizers pause."""
+    import gc
+    import weakref
+
+    workload = chain_query(4, rows=5, seed=0)
+    gc.collect()
+    gc.disable()
+    try:
+        space = ImplicitPlanSpace.from_sql(workload.catalog, workload.sql)
+        plan = space.unrank(space.count() // 2)
+        tables = space.unranker.tables
+        watched = [weakref.ref(tables), weakref.ref(tables.table(plan.group_id))]
+        del space, tables
+        assert [ref() for ref in watched] == [None, None]
+    finally:
+        gc.enable()

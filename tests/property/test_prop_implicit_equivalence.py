@@ -88,14 +88,14 @@ def _check_equivalence(shape: str, n: int, allow_cross: bool) -> None:
         tables = implicit.unranker.tables
         for group in result.memo.groups:
             table = tables.table(group.gid)
-            rows = {row.local_id: row for row in table.rows}
             physical = group.physical_exprs()
-            assert len(rows) == len(physical), (tag, group.gid)
+            assert len(table.counts) == len(physical), (tag, group.gid)
             for expr in physical:
                 linked = materialized.linked.operators[
                     (group.gid, expr.local_id)
                 ]
-                row = rows[expr.local_id]
+                row = table.row_by_local(expr.local_id)
+                assert row.local_id == expr.local_id, (tag, expr.id_str)
                 assert row.count == linked.count, (tag, expr.id_str)
                 op = tables.operator(group.gid, row)
                 assert op.key() == expr.op.key(), (tag, expr.id_str)

@@ -152,6 +152,18 @@ class TestPlanServer:
             assert result.cache is None
             assert server.stats().get("cache") is None
 
+    def test_passed_in_empty_cache_is_used(self, database):
+        # an empty PlanCache is falsy (``__len__``): it must still be the
+        # cache that receives the admits, not be mistaken for cache=False
+        cache = PlanCache()
+        with PlanServer(database, workers=2, cache=cache) as server:
+            assert server.cache is cache
+            sql = SQL.format(lit="1000.0")
+            assert server.optimize(sql).cache.tier == "miss"
+            assert server.optimize(sql).cache.tier == "plan"
+            assert server.stats()["cache"]["plan.hits"] == 1
+        assert len(cache) == 1
+
     def test_map_preserves_order(self, database):
         statements = [SQL.format(lit=f"{v}.0") for v in (1000, 2000, 1000)]
         with PlanServer(database, workers=4) as server:

@@ -103,3 +103,45 @@ class TestOptimizerIntegration:
         assert not errors
         assert gc.isenabled()
         assert pause_depth() == 0
+
+    def test_sampled_optimize_keeps_a_siblings_pause(self):
+        # A server worker degrading to the sampled tier returns while a
+        # sibling's exact optimize still holds the pause: the collector
+        # must stay off for the sibling (raw gc.enable() turned it on).
+        from repro.sampledopt import FixedSamples, SampledOptimizer
+        from repro.workloads.synthetic import chain_query
+
+        workload = chain_query(4, rows=5, seed=0)
+        holder_in = threading.Event()
+        sampled_done = threading.Event()
+        observed = {}
+
+        class Probe(FixedSamples):
+            def update(self, samples, best_cost):
+                observed["inside_sampled"] = pause_depth()
+                return super().update(samples, best_cost)
+
+        def holder():
+            with paused_gc():
+                holder_in.set()
+                sampled_done.wait(30)
+                observed["after_sampled"] = (pause_depth(), gc.isenabled())
+
+        def sampled():
+            try:
+                holder_in.wait(5)
+                SampledOptimizer(workload.catalog).optimize_sql(
+                    workload.sql, rule=Probe(20)
+                )
+            finally:
+                sampled_done.set()
+
+        threads = [threading.Thread(target=holder), threading.Thread(target=sampled)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+        assert observed == {"inside_sampled": 2, "after_sampled": (1, False)}
+        assert gc.isenabled()
+        assert pause_depth() == 0
