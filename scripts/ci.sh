@@ -247,6 +247,29 @@ assert "explore.cached" in names and "explore" not in names, (
     "template-tier serve re-ran exploration instead of replaying the "
     "cached logical store"
 )
+
+# Through the front end: every warm request is answered on the caller's
+# thread (none crosses the pool), byte-identical to an uncached
+# optimization.  Counts, not timings.
+from repro.serving import PlanServer
+
+warm_requests = 50
+reference = Session(workload.database).optimize(sql)
+with PlanServer(workload.database, workers=2, cache=session.plan_cache) as server:
+    results = [server.optimize(sql) for _ in range(warm_requests)]
+    stats = server.stats()
+print(
+    f"PlanServer: {stats['served_inline']} of {warm_requests} warm requests "
+    f"answered on the caller's thread, {stats['served_pooled']} pooled"
+)
+assert (stats["served_inline"], stats["served_pooled"]) == (warm_requests, 0), (
+    "a warm request crossed the thread pool: the caller-side probe missed "
+    "a plan the cache holds"
+)
+for result in results:
+    assert result.cache.tier == "plan"
+    assert result.best_plan.render() == reference.best_plan.render()
+    assert repr(result.best_cost) == repr(reference.best_cost)
 EOF
 
 echo "== sampled optimize smoke =="

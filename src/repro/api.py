@@ -36,12 +36,13 @@ from repro.optimizer.optimizer import (
 from repro.optimizer.plan import PlanNode
 from repro.planspace.implicit import ImplicitPlanSpace
 from repro.planspace.space import PlanSpace
-from repro.serving.cache import CacheInfo, CacheKey, TemplateArtifacts
-from repro.serving.fingerprint import (
-    catalog_signature,
-    fingerprint_sql,
-    options_signature,
+from repro.serving.cache import (
+    CacheIdentity,
+    CacheInfo,
+    TemplateArtifacts,
+    probe_plan,
 )
+from repro.serving.fingerprint import fingerprint_sql
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
 from repro.storage.database import Database
@@ -144,12 +145,7 @@ class Session:
         #: thread-safe and meant to be *shared* across the sessions of a
         #: :class:`repro.serving.PlanServer`.
         self.plan_cache = plan_cache
-        # cache-identity memos: the catalog is immutable for the life of
-        # a session (feedback flows through the ledger, not the stats),
-        # so its signature is computed once; options signatures vary only
-        # by per-call prune_factor.
-        self._catalog_sig: str | None = None
-        self._options_sigs: dict = {}
+        self._identity = CacheIdentity(self.catalog, self.options)
         #: the session's metrics registry: fresh (empty) per session,
         #: fed by traced calls (``optimize(..., trace=True)``,
         #: ``explain(analyze=True)``); ``metrics.reset()`` clears it
@@ -185,6 +181,7 @@ class Session:
         max_memory_mb: float | None = None,
         trace: bool = False,
         feedback=None,
+        fingerprint=None,
         **kwargs,
     ):
         """Optimize a statement.
@@ -248,23 +245,28 @@ class Session:
         (``"template"``); a cold call runs the full pipeline and
         populates both tiers (``"miss"``).  Feedback-costed entries are
         invalidated — re-costed, never served stale — once the ledger's
-        stats epoch moves past the q-error threshold.
+        stats epoch moves past the q-error threshold.  ``fingerprint``
+        is the statement's :class:`~repro.serving.QueryFingerprint` when
+        the caller has it already (:class:`~repro.serving.PlanServer`
+        scans a statement before it queues it).
         """
         ledger = self._resolve_feedback(feedback, method)
         cache = self.plan_cache if method == "exhaustive" else None
         fp = key = artifacts = None
         if cache is not None:
-            fp = fingerprint_sql(sql)
-            key = self._cache_identity(fp, prune_factor)
-            entry = cache.lookup_plan(
-                key,
-                fp.params,
-                ledger is not None,
-                epoch=ledger.stats_epoch if ledger is not None else None,
+            result, fp, key = probe_plan(
+                cache,
+                self._identity,
+                sql,
+                fingerprint=fingerprint,
+                prune_factor=prune_factor,
+                ledger=ledger,
                 metrics=self.metrics,
             )
-            if entry is not None:
-                return self._serve_cached_plan(entry, fp, trace)
+            if result is not None:
+                if trace:
+                    self._trace_cache_hit(result)
+                return result
             artifacts = cache.lookup_template(key, metrics=self.metrics)
         if trace:
             tracer = Tracer()
@@ -309,39 +311,17 @@ class Session:
     # ------------------------------------------------------------------
     # plan-cache plumbing
     # ------------------------------------------------------------------
-    def _cache_identity(self, fp, prune_factor=None) -> CacheKey:
-        """The template-level cache key for this session's environment."""
-        if self._catalog_sig is None:
-            self._catalog_sig = catalog_signature(self.catalog)
-        config = self._options_sigs.get(prune_factor)
-        if config is None:
-            config = options_signature(self.options, prune_factor)
-            self._options_sigs[prune_factor] = config
-        return CacheKey(
-            template=fp.template, catalog=self._catalog_sig, config=config
-        )
-
-    def _serve_cached_plan(self, entry, fp, trace: bool):
-        """Serve a plan-tier hit: a shallow copy of the cached result
-        (same memo, byte-identical plan) tagged with ``result.cache``.
-        Under tracing the span tree is ``optimize`` → ``cache.hit`` —
-        the shape tests assert to prove no optimization phase ran."""
-        info = CacheInfo(
-            tier="plan",
-            fingerprint=fp.digest,
-            template_age_s=entry.age_s(),
-            hits=entry.hits,
-        )
-        result = replace(entry.result, cache=info)
-        if trace:
-            tracer = Tracer()
-            with tracing(tracer):
-                with tracer.span("optimize"):
-                    with obs_phase("cache.hit") as span:
-                        span.add("hits", entry.hits)
-            result.trace = tracer.root
-            self._record_result_metrics(result)
-        return result
+    def _trace_cache_hit(self, result) -> None:
+        """The span tree of a traced plan-tier hit is ``optimize`` →
+        ``cache.hit`` — the shape tests assert to prove no optimization
+        phase ran."""
+        tracer = Tracer()
+        with tracing(tracer):
+            with tracer.span("optimize"):
+                with obs_phase("cache.hit") as span:
+                    span.add("hits", result.cache.hits)
+        result.trace = tracer.root
+        self._record_result_metrics(result)
 
     def _cache_admit(self, cache, key, fp, result, ledger, artifacts) -> None:
         """Populate the cache from a finished optimization and tag the
@@ -621,8 +601,7 @@ class Session:
         if implicit:
             cache = self.plan_cache
             if cache is not None:
-                fp = fingerprint_sql(sql)
-                key = self._cache_identity(fp)
+                key = self._identity.key(fingerprint_sql(sql).template)
                 count = cache.implicit_count(key, metrics=self.metrics)
                 if count is None:
                     count = self.implicit_plan_space(sql).count()

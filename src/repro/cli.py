@@ -927,7 +927,9 @@ def _cmd_serve(args, out) -> int:
         return 0
     out.write(
         f"served {stats['requests']} requests on {stats['workers']} workers "
-        f"in {elapsed:.3f}s ({stats['qps']:,.1f} qps)\n"
+        f"in {elapsed:.3f}s ({stats['qps']:,.1f} qps); "
+        f"{stats['served_inline']} answered on the caller's thread, "
+        f"{stats['served_pooled']} pooled\n"
     )
     out.write(
         f"latency: p50 {stats['latency_p50_ms']:.2f}ms  "

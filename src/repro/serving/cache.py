@@ -41,7 +41,21 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-__all__ = ["CacheInfo", "CacheKey", "PlanCache", "TemplateArtifacts"]
+from repro.serving.fingerprint import (
+    catalog_signature,
+    fingerprint_sql,
+    options_signature,
+    template_digest,
+)
+
+__all__ = [
+    "CacheIdentity",
+    "CacheInfo",
+    "CacheKey",
+    "PlanCache",
+    "TemplateArtifacts",
+    "probe_plan",
+]
 
 
 @dataclass(frozen=True)
@@ -51,6 +65,28 @@ class CacheKey:
     template: str  # literal-normalized statement (fingerprint_sql)
     catalog: str  # statistics snapshot digest (catalog_signature)
     config: str  # optimizer configuration digest (options_signature)
+
+
+class CacheIdentity:
+    """The environment half of every cache key.  The catalog is
+    immutable for the life of a session (feedback flows through the
+    ledger, not the stats), so its signature is computed once; the
+    configuration's varies only by the per-call ``prune_factor``."""
+
+    def __init__(self, catalog, options):
+        self.catalog = catalog
+        self.options = options
+        self._catalog_sig: str | None = None
+        self._config_sigs: dict = {}
+
+    def key(self, template: str, prune_factor=None) -> CacheKey:
+        if self._catalog_sig is None:
+            self._catalog_sig = catalog_signature(self.catalog)
+        config = self._config_sigs.get(prune_factor)
+        if config is None:
+            config = options_signature(self.options, prune_factor)
+            self._config_sigs[prune_factor] = config
+        return CacheKey(template, self._catalog_sig, config)
 
 
 @dataclass(frozen=True)
@@ -159,11 +195,23 @@ class TemplateArtifacts:
 class _PlanEntry:
     result: object  # OptimizationResult (trace/cache stripped)
     epoch: int | None  # ledger stats_epoch at admission (feedback only)
+    fingerprint: str  # template digest, hashed once at admission
     created_s: float = field(default_factory=time.monotonic)
     hits: int = 0
 
     def age_s(self) -> float:
         return time.monotonic() - self.created_s
+
+    def tagged(self):
+        """What a hit returns: a shallow copy of the cached result (same
+        memo, byte-identical plan) with ``cache`` set — through
+        ``__dict__``; ``dataclasses.replace`` re-runs ``__init__`` over
+        every field, at several times the cost of the lookup."""
+        stored = self.result
+        result = object.__new__(type(stored))
+        result.__dict__.update(stored.__dict__)
+        result.cache = CacheInfo("plan", self.fingerprint, self.age_s(), self.hits)
+        return result
 
 
 class PlanCache:
@@ -201,20 +249,24 @@ class PlanCache:
     # plan tier
     # ------------------------------------------------------------------
     def lookup_plan(
-        self, key: CacheKey, params, feedback: bool, epoch=None, metrics=None
+        self, key: CacheKey, params, feedback: bool, epoch=None, metrics=None,
+        count_miss: bool = True,
     ) -> _PlanEntry | None:
         """The cached final plan for this exact request, or ``None``.
 
         A hit under a moved stats epoch (feedback-keyed entries only) is
         *invalidated*, not served: the entry is evicted, the
         invalidation counted, and the caller re-costs via the template
-        tier.
+        tier.  ``count_miss=False`` is for a probe whose miss another
+        lookup of the same request follows (``PlanServer``'s caller-side
+        probe, then its worker's): hits + misses == requests.
         """
         plan_key = self._plan_key(key, params, feedback)
         with self._lock:
             entry = self._plans.get(plan_key)
             if entry is None:
-                self._count("plan.misses", metrics)
+                if count_miss:
+                    self._count("plan.misses", metrics)
                 return None
             if feedback and entry.epoch != epoch:
                 del self._plans[plan_key]
@@ -230,7 +282,11 @@ class PlanCache:
         self, key: CacheKey, params, result, feedback: bool, epoch=None
     ) -> _PlanEntry:
         plan_key = self._plan_key(key, params, feedback)
-        entry = _PlanEntry(result=result, epoch=epoch if feedback else None)
+        entry = _PlanEntry(
+            result=result,
+            epoch=epoch if feedback else None,
+            fingerprint=template_digest(key.template),
+        )
         with self._lock:
             self._plans[plan_key] = entry
             self._plans.move_to_end(plan_key)
@@ -330,3 +386,30 @@ class PlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._plans)
+
+
+def probe_plan(
+    cache: PlanCache,
+    identity: CacheIdentity,
+    sql: str,
+    fingerprint=None,
+    prune_factor=None,
+    ledger=None,
+    metrics=None,
+    count_miss: bool = True,
+):
+    """The hit path, whole — fingerprint -> identity -> plan-tier lookup
+    -> tagged result — for ``Session.optimize`` and ``PlanServer`` both.
+
+    Returns ``(result, fingerprint, key)``; ``result`` is ``None`` on a
+    miss, which goes on with the other two.  A caller that already
+    scanned the statement passes its ``fingerprint``.
+    """
+    if fingerprint is None:
+        fingerprint = fingerprint_sql(sql)
+    key = identity.key(fingerprint.template, prune_factor)
+    epoch = ledger.stats_epoch if ledger is not None else None
+    entry = cache.lookup_plan(
+        key, fingerprint.params, ledger is not None, epoch, metrics, count_miss
+    )
+    return (None if entry is None else entry.tagged()), fingerprint, key

@@ -28,17 +28,23 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import TokenType, tokenize
 
 __all__ = [
     "QueryFingerprint",
     "catalog_signature",
     "fingerprint_sql",
     "options_signature",
+    "template_digest",
 ]
 
 #: token types rewritten to parameter markers
 _LITERALS = (TokenType.INTEGER, TokenType.FLOAT, TokenType.STRING)
+
+
+def template_digest(template: str) -> str:
+    """A short stable hex digest of a template (display/keys)."""
+    return hashlib.sha256(template.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -56,16 +62,9 @@ class QueryFingerprint:
 
     @property
     def digest(self) -> str:
-        """A short stable hex digest of the template (display/keys)."""
-        return hashlib.sha256(self.template.encode()).hexdigest()[:16]
-
-
-def _normalize(value: str, kind: TokenType) -> str:
-    """Canonical parameter spelling: numerics via float folding so
-    ``0.50`` and ``0.5`` compare equal, strings verbatim."""
-    if kind is TokenType.FLOAT:
-        return repr(float(value))
-    return value
+        """:func:`template_digest` of the template.  Computed per access:
+        a plan-cache entry keeps its own, so a hit never asks."""
+        return template_digest(self.template)
 
 
 def fingerprint_sql(sql: str) -> QueryFingerprint:
@@ -78,21 +77,22 @@ def fingerprint_sql(sql: str) -> QueryFingerprint:
     """
     parts: list[str] = []
     params: list[tuple[str, str]] = []
-    previous: Token | None = None
-    for token in tokenize(sql):
-        if token.type is TokenType.EOF:
-            break
-        if token.type in _LITERALS and not (
-            previous is not None and previous.is_keyword("USEPLAN")
-        ):
+    after_useplan = False
+    tokens = tokenize(sql)
+    tokens.pop()  # EOF
+    for kind, value, _line, _column in tokens:
+        if kind in _LITERALS and not after_useplan:
             parts.append("?")
-            params.append((token.type.value, _normalize(token.value, token.type)))
-        elif token.type is TokenType.STRING:
+            if kind is TokenType.FLOAT:
+                # float folding: ``0.50`` and ``0.5`` are one parameter
+                value = repr(float(value))
+            params.append((kind.value, value))
+        elif kind is TokenType.STRING:
             # USEPLAN never takes strings; kept for symmetry/safety.
-            parts.append("'" + token.value.replace("'", "''") + "'")
+            parts.append("'" + value.replace("'", "''") + "'")
         else:
-            parts.append(token.value)
-        previous = token
+            parts.append(value)
+        after_useplan = kind is TokenType.KEYWORD and value == "USEPLAN"
     return QueryFingerprint(template=" ".join(parts), params=tuple(params))
 
 

@@ -2,16 +2,20 @@
 
 A :class:`PlanServer` is what the cache exists for: many clients firing
 statements at one database, most of them literal variants of a few
-templates.  Requests run on a thread pool; every worker thread owns a
-private :class:`~repro.api.Session` (optimizer state is per-request,
-sessions are not thread-safe) while all of them share the read-only
-:class:`~repro.storage.database.Database`, one thread-safe
-:class:`~repro.serving.cache.PlanCache` and one cardinality ledger — so
-a plan cached by any worker serves every worker, and a feedback epoch
-bump invalidates for every worker at once.
+templates.  A request first probes the shared plan cache **on the
+caller's thread** (:func:`~repro.serving.cache.probe_plan`, the hit path
+``Session.optimize`` runs too): a hit needs no optimizer state, so it is
+answered there, for the price of scanning its text.  Only misses (and
+``trace=`` / ``feedback=`` / extra-argument calls) cross to the thread
+pool, carrying the fingerprint already computed.  Every worker thread
+owns a private :class:`~repro.api.Session` (sessions are not
+thread-safe); all share the read-only database, one thread-safe
+:class:`~repro.serving.cache.PlanCache` and one cardinality ledger — a
+plan cached by any worker serves every caller, and a feedback epoch bump
+invalidates for all at once.  ``README.md`` has the threading contract.
 
-Every request routes through ``Session.optimize(deadline_s=...)``: the
-server's deadline rides the resilience ladder, so an overloaded or
+Every pooled request routes through ``Session.optimize(deadline_s=...)``:
+the server's deadline rides the resilience ladder, so an overloaded or
 pathological request degrades (``result.resilience``) instead of
 stalling the pool, and the cache tag (``result.cache``) reports how much
 work the request actually did.
@@ -25,7 +29,8 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.obs.feedback import CardinalityLedger
-from repro.serving.cache import PlanCache
+from repro.optimizer.optimizer import OptimizerOptions
+from repro.serving.cache import CacheIdentity, PlanCache, probe_plan
 
 __all__ = ["PlanServer"]
 
@@ -38,7 +43,8 @@ def _percentile(sorted_values, q: float) -> float:
 
 
 class PlanServer:
-    """Thread-pool front end serving plans out of a shared cache.
+    """Front end serving plans out of a shared cache: hits on the
+    caller's thread, everything else on a pool of ``workers`` threads.
 
     ``cache`` is a :class:`PlanCache` to share (e.g. across servers),
     ``None`` for a private default-sized cache, or ``False`` to serve
@@ -60,7 +66,7 @@ class PlanServer:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.database = database
-        self.options = options
+        self.options = options if options is not None else OptimizerOptions()
         self.workers = workers
         # identity tests: an empty PlanCache is falsy (``__len__``)
         if cache is None:
@@ -74,10 +80,12 @@ class PlanServer:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
+        self._identity = CacheIdentity(database.catalog, self.options)
         self._local = threading.local()
         self._lock = threading.Lock()
         self._sessions: list = []
-        self._requests = 0
+        self._served_inline = 0
+        self._served_pooled = 0
         self._errors = 0
         self._latencies: deque = deque(maxlen=4096)
         self._closed = False
@@ -98,7 +106,8 @@ class PlanServer:
             self._local.session = session
         return session
 
-    def _serve(self, sql: str, deadline_s, trace: bool, feedback, kwargs):
+    def _serve(self, sql, deadline_s, trace, feedback, fingerprint, kwargs):
+        """One pooled request, on a worker thread."""
         start = time.perf_counter()
         try:
             result = self._session().optimize(
@@ -107,41 +116,70 @@ class PlanServer:
                 on_budget=self.on_budget,
                 trace=trace,
                 feedback=feedback,
+                fingerprint=fingerprint,
                 **kwargs,
             )
         except Exception:
             with self._lock:
-                self._requests += 1
+                self._served_pooled += 1
                 self._errors += 1
             raise
         elapsed = time.perf_counter() - start
         with self._lock:
-            self._requests += 1
+            self._served_pooled += 1
             self._latencies.append(elapsed)
         return result
 
-    # ------------------------------------------------------------------
-    def submit(
+    def _route(
         self,
         sql: str,
         deadline_s: float | None = None,
         trace: bool = False,
         feedback=None,
         **kwargs,
-    ) -> Future:
-        """Enqueue one statement; the Future resolves to the
-        optimization result (``result.cache`` / ``result.resilience``
-        report how it was served)."""
+    ):
+        """``(result, None)`` for a plan-tier hit, answered here on the
+        caller's thread, else ``(None, future)`` of the pooled request.
+        The probe leaves its miss to the worker's own lookup (which may
+        hit: another request's admit can land while this one queues)."""
         if self._closed:
             raise RuntimeError("PlanServer is closed")
-        effective = deadline_s if deadline_s is not None else self.deadline_s
-        return self._pool.submit(
-            self._serve, sql, effective, trace, feedback, kwargs
+        fingerprint = None
+        if not (self.cache is None or trace or feedback or kwargs):
+            start = time.perf_counter()
+            result, fingerprint, _key = probe_plan(
+                self.cache, self._identity, sql, count_miss=False
+            )
+            if result is not None:
+                elapsed = time.perf_counter() - start
+                with self._lock:
+                    self._served_inline += 1
+                    self._latencies.append(elapsed)
+                return result, None
+        if deadline_s is None:
+            deadline_s = self.deadline_s
+        return None, self._pool.submit(
+            self._serve, sql, deadline_s, trace, feedback, fingerprint, kwargs
         )
 
+    # ------------------------------------------------------------------
+    def submit(self, sql: str, **kwargs) -> Future:
+        """Enqueue one statement (``deadline_s``, ``trace``, ``feedback``
+        and further ``Session.optimize`` arguments pass through); the
+        Future resolves to the optimization result (``result.cache`` /
+        ``result.resilience`` report how it was served) and is already
+        done on a plan-tier hit."""
+        result, future = self._route(sql, **kwargs)
+        if future is None:
+            future = Future()
+            future.set_result(result)
+        return future
+
     def optimize(self, sql: str, **kwargs):
-        """Serve one statement synchronously (convenience)."""
-        return self.submit(sql, **kwargs).result()
+        """Serve one statement synchronously (a hit never leaves the
+        caller's thread)."""
+        result, future = self._route(sql, **kwargs)
+        return result if future is None else future.result()
 
     def map(self, statements, **kwargs) -> list:
         """Serve a batch concurrently; results in submission order."""
@@ -169,7 +207,9 @@ class PlanServer:
             latencies = sorted(self._latencies)
             data = {
                 "workers": self.workers,
-                "requests": self._requests,
+                "requests": self._served_inline + self._served_pooled,
+                "served_inline": self._served_inline,
+                "served_pooled": self._served_pooled,
                 "errors": self._errors,
                 "sessions": len(self._sessions),
             }

@@ -7,7 +7,7 @@ aliases, conjunctive ``WHERE`` (with ``BETWEEN``/``LIKE``/``IN``),
 ``OPTION (USEPLAN n)`` that forces execution of plan number ``n``.
 """
 
-from repro.sql.lexer import Lexer, Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, tokenize
 from repro.sql.ast import (
     QueryOptions,
     SelectItem,
@@ -18,7 +18,6 @@ from repro.sql.parser import Parser, parse
 from repro.sql.binder import Binder, BoundQuery, Quantifier, bind
 
 __all__ = [
-    "Lexer",
     "Token",
     "TokenType",
     "tokenize",

@@ -1,13 +1,19 @@
-"""SQL lexer: text -> token stream, with line/column tracking."""
+"""SQL lexer: text -> token stream, with line/column tracking.
+
+One compiled master pattern is matched at successive offsets; each match
+is a run of blanks and ``--`` comments or one token.  Lines and columns
+come from the offsets: only a match that holds a newline moves the line.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import LexerError
 
-__all__ = ["TokenType", "Token", "Lexer", "tokenize", "KEYWORDS"]
+__all__ = ["TokenType", "Token", "tokenize", "KEYWORDS"]
 
 
 class TokenType(enum.Enum):
@@ -31,12 +37,8 @@ KEYWORDS = frozenset(
     }
 )
 
-_OPERATORS = ("<>", "<=", ">=", "=", "<", ">", "+", "-", "*", "/", "!=")
-_PUNCT = "(),."
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     line: int
@@ -49,125 +51,77 @@ class Token:
         return f"{self.type.value}:{self.value!r}@{self.line}:{self.column}"
 
 
-class Lexer:
-    """A hand-rolled single-pass lexer."""
+# A closing quote must not be followed by a quote, or a backtrack would
+# end ``'it''s`` at ``'it'``.
+_MASTER = re.compile(
+    r"""(?P<skip>(?:[ \t\r\n]+|--[^\n]*)+)
+    |(?P<word>[A-Za-z_]\w*)
+    |(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+    |(?P<integer>[0-9]+)
+    |(?P<string>'[^']*(?:''[^']*)*'(?!'))
+    |(?P<operator><>|<=|>=|!=|[=<>+\-*/])
+    |(?P<punct>[(),.])""",
+    re.VERBOSE,
+)
+#: the groups whose token is the matched text as it stands
+_VERBATIM = {
+    "float": TokenType.FLOAT,
+    "integer": TokenType.INTEGER,
+    "punct": TokenType.PUNCT,
+}
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.text[idx] if idx < len(self.text) else ""
+class _AsciiClasses:
+    """``str.translate`` table under which the pattern's ASCII classes
+    read ``str.isalpha`` / ``str.isdigit``: a letter beyond ASCII scans
+    as ``a``, a digit as ``0`` (``\\w`` already is ``str.isalnum`` plus
+    the underscore).  Offsets are kept; values are cut from the text."""
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
+    def __getitem__(self, code: int):
+        if code < 128:
+            return code
+        ch = chr(code)
+        return "a" if ch.isalpha() else "0" if ch.isdigit() else code
 
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
 
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        while True:
-            token = self.next_token()
-            out.append(token)
-            if token.type is TokenType.EOF:
-                return out
-
-    def next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        line, column = self.line, self.column
-        if self.pos >= len(self.text):
-            return Token(TokenType.EOF, "", line, column)
-        ch = self._peek()
-
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(line, column)
-        if ch.isdigit():
-            return self._lex_number(line, column)
-        if ch == "'":
-            return self._lex_string(line, column)
-        for op in _OPERATORS:
-            if self.text.startswith(op, self.pos):
-                self._advance(len(op))
-                value = "<>" if op == "!=" else op
-                return Token(TokenType.OPERATOR, value, line, column)
-        if ch in _PUNCT:
-            self._advance()
-            return Token(TokenType.PUNCT, ch, line, column)
-        raise LexerError(f"unexpected character {ch!r}", line, column)
-
-    def _lex_word(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        word = self.text[start : self.pos]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, line, column)
-        return Token(TokenType.IDENT, word, line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.text[start : self.pos]
-        return Token(
-            TokenType.FLOAT if is_float else TokenType.INTEGER, text, line, column
-        )
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        # Opening quote.
-        self._advance()
-        parts: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise LexerError("unterminated string literal", line, column)
-            ch = self._peek()
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    parts.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                return Token(TokenType.STRING, "".join(parts), line, column)
-            parts.append(ch)
-            self._advance()
+_ASCII_CLASSES = _AsciiClasses()
 
 
 def tokenize(text: str) -> list[Token]:
     """Lex ``text`` into a token list ending with an EOF token."""
-    return Lexer(text).tokens()
+    scanned = text if text.isascii() else text.translate(_ASCII_CLASSES)
+    tokens: list[Token] = []
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    pos, end = 0, len(text)
+    while pos < end:
+        match = _MASTER.match(scanned, pos)
+        column = pos - line_start + 1
+        if match is None:
+            if text[pos] == "'":
+                raise LexerError("unterminated string literal", line, column)
+            raise LexerError(f"unexpected character {text[pos]!r}", line, column)
+        kind = match.lastgroup
+        start, pos = pos, match.end()
+        value = text[start:pos]
+        if kind == "word":
+            upper = value.upper()
+            if upper in KEYWORDS:
+                tokens.append(Token(TokenType.KEYWORD, upper, line, column))
+            else:
+                tokens.append(Token(TokenType.IDENT, value, line, column))
+        elif kind in _VERBATIM:
+            tokens.append(Token(_VERBATIM[kind], value, line, column))
+        elif kind == "operator":
+            if value == "!=":
+                value = "<>"
+            tokens.append(Token(TokenType.OPERATOR, value, line, column))
+        else:  # a string literal or a skip: the two that can hold a newline
+            if kind == "string":
+                value = value[1:-1].replace("''", "'")
+                tokens.append(Token(TokenType.STRING, value, line, column))
+            newlines = text.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, pos) + 1
+    tokens.append(Token(TokenType.EOF, "", line, end - line_start + 1))
+    return tokens

@@ -1,10 +1,15 @@
 """End-to-end serving: cold-vs-warm identity, explore-skipping span
 shapes, and the concurrent hammer."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.api import Session
 from repro.serving import PlanCache, PlanServer
+from repro.testing.faults import FaultSpec, inject
 
 SQL = (
     "SELECT * FROM customer c, orders o, lineitem l "
@@ -135,7 +140,12 @@ class TestPlanServer:
         assert "plan" in tiers  # the warm majority
         cache_stats = stats["cache"]
         assert cache_stats["plan.hits"] > 0
-        assert cache_stats["plan.hits"] + cache_stats["plan.misses"] >= 64
+        # one counted plan-tier outcome per request: the caller-side probe
+        # leaves its miss to the worker's own lookup
+        assert cache_stats["plan.hits"] + cache_stats["plan.misses"] == 64
+        # callers probe through the server, not through sessions of their own
+        assert stats["sessions"] <= 64
+        assert stats["served_inline"] + stats["served_pooled"] == 64
 
     def test_deadline_rides_the_resilience_ladder(self, database):
         with PlanServer(database, workers=2, deadline_s=30.0) as server:
@@ -176,3 +186,133 @@ class TestPlanServer:
         server.close()
         with pytest.raises(RuntimeError):
             server.submit("SELECT * FROM orders o")
+
+
+def served(plan_result):
+    return plan_result.best_plan.render() + "\n" + repr(plan_result.best_cost)
+
+
+class TestHitPath:
+    """Plan-tier hits are answered on the caller's thread; only misses
+    (and trace/feedback/extra-argument calls) cross to the pool."""
+
+    def test_worker_admits_caller_hits_and_back(self, database):
+        first, second = SQL.format(lit="1000.0"), SQL.format(lit="2000.0")
+        uncached = Session(database)
+        cache = PlanCache()
+        with PlanServer(database, workers=2, cache=cache) as server:
+            assert server.optimize(first).cache.tier == "miss"  # a worker admits
+            inline = server.optimize(first)  # the caller's probe hits it
+            Session(database, plan_cache=cache).optimize(second)  # a caller admits
+            pooled = server.optimize(second, trace=True)  # a worker hits it
+            stats = server.stats()
+        assert inline.cache.tier == pooled.cache.tier == "plan"
+        assert served(inline) == served(uncached.optimize(first))
+        assert served(pooled) == served(uncached.optimize(second))
+        assert [c.name for c in pooled.trace.children] == ["cache.hit"]
+        assert (stats["served_inline"], stats["served_pooled"]) == (1, 2)
+        assert stats["requests"] == 3
+        assert stats["latency_p50_ms"] > 0.0
+
+    def test_hit_does_not_wait_for_a_busy_pool(self, database):
+        warm_sql = SQL.format(lit="1000.0")
+        # another template: a literal variant would replay the cached
+        # exploration and never reach the fault site
+        cold_sql = (
+            "SELECT * FROM customer c, orders o "
+            "WHERE c.c_custkey = o.o_custkey AND o.o_totalprice < 5.0"
+        )
+        with PlanServer(database, workers=1) as server:
+            server.optimize(warm_sql)
+            stall = FaultSpec("explore.batch", action="delay", delay_s=1.0)
+            with inject(stall) as injector:
+                cold = server.submit(cold_sql)
+                give_up = time.monotonic() + 30.0
+                while not injector.fired and time.monotonic() < give_up:
+                    time.sleep(0.005)
+                assert injector.fired, "the worker never reached exploration"
+                warm = server.optimize(warm_sql)
+                assert not cold.done()  # the one worker is still inside it
+            assert warm.cache.tier == "plan"
+            assert cold.result(timeout=60).cache.tier == "miss"
+
+    def test_submit_returns_a_done_future_on_a_hit(self, database):
+        sql = SQL.format(lit="1000.0")
+        with PlanServer(database, workers=1) as server:
+            assert server.submit(sql).result(timeout=60).cache.tier == "miss"
+            future = server.submit(sql)
+            assert future.done()
+            assert future.result().cache.tier == "plan"
+
+    def test_closed_server_rejects_a_cached_statement(self, database):
+        sql = SQL.format(lit="1000.0")
+        server = PlanServer(database, workers=1)
+        server.optimize(sql)
+        server.close()
+        with pytest.raises(RuntimeError):
+            server.optimize(sql)
+
+    def test_everything_but_a_plain_hit_goes_through_the_pool(self, database):
+        sql = SQL.format(lit="1000.0")
+        with PlanServer(database, workers=2, cache=False) as server:
+            assert server.optimize(sql).cache is None
+            assert server.stats()["served_pooled"] == 1
+        with PlanServer(database, workers=2) as server:
+            server.optimize(sql)
+            traced = server.optimize(sql, trace=True)
+            assert traced.cache.tier == "plan" and traced.trace is not None
+            assert server.optimize(sql, feedback=True).cache.tier == "plan"
+            pruned = server.optimize(sql, prune_factor=1.5)
+            assert pruned.cache.tier != "plan"  # another config identity
+            assert server.optimize(sql, prune_factor=1.5).cache.tier == "plan"
+            with pytest.raises(Exception):
+                server.optimize(sql, prune_factor=0.5)
+            stats = server.stats()
+        assert (stats["served_inline"], stats["served_pooled"]) == (0, 6)
+        assert stats["errors"] == 1
+
+    def test_one_counted_lookup_per_request(self, database):
+        statements = [SQL.format(lit=f"{1000.0 * (i % 4 + 1):.1f}") for i in range(40)]
+        with PlanServer(database, workers=3) as server:
+            server.map(statements)  # a burst: callers probe before any admit
+            for sql in statements:
+                server.optimize(sql)
+            stats = server.stats()
+        cache_stats = stats["cache"]
+        assert stats["requests"] == 80
+        assert cache_stats["plan.hits"] + cache_stats["plan.misses"] == 80
+        assert stats["served_inline"] >= 40
+        assert stats["served_inline"] <= cache_stats["plan.hits"]
+        assert stats["sessions"] <= 3
+
+    def test_concurrent_callers_lose_no_count(self, database):
+        statements = [SQL.format(lit=f"{1000.0 * (i + 1):.1f}") for i in range(4)]
+        callers, each = 8, 150
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PlanServer(database, workers=2) as server:
+                tiers: list = []
+
+                def caller(offset):
+                    for i in range(each):
+                        sql = statements[(offset + i) % len(statements)]
+                        tiers.append(server.optimize(sql).cache.tier)
+
+                threads = [
+                    threading.Thread(target=caller, args=(n,)) for n in range(callers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = server.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        total = callers * each
+        assert len(tiers) == total and stats["errors"] == 0
+        assert stats["served_inline"] + stats["served_pooled"] == total
+        assert stats["cache"]["plan.hits"] + stats["cache"]["plan.misses"] == total
+        assert stats["cache"]["plan.hits"] == tiers.count("plan")
+        assert stats["sessions"] <= 2
