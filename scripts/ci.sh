@@ -323,6 +323,41 @@ assert rows_built <= fragments + 64 and rows_built < 0.25 * operators, (
 )
 EOF
 
+echo "== plan-testing smoke =="
+python - <<'EOF'
+# The paper's Section 4 loop, in counts (no timing threshold): uniformly
+# drawn plans of one query must all return the best plan's rows; a
+# defective executor must still be caught; and the executor's compiled
+# expressions must come out of its bounded code cache, not the compiler.
+from repro.api import Session
+from repro.executor.scalar import CODE_CACHE_SIZE, code_object
+from repro.storage.datagen import generate_tpch
+from repro.testing.diff import canonical_rows
+from repro.testing.faults import IgnoredResidualExecutor
+from repro.workloads.tpch_queries import TPCH_QUERIES
+from tests.testing.test_faults import RESIDUAL_SQL, _validate as validate_with
+
+database = generate_tpch(seed=0)
+session = Session(database)
+code_object.cache_clear()
+for name in ("Q5", "Q9"):
+    sql = TPCH_QUERIES[name].sql
+    expected = canonical_rows(session.execute(sql).rows)
+    plans = session.iterate_plans(sql, sample=200, seed=14, implicit=True)
+    wrong = [rank for rank, result in plans if canonical_rows(result.rows) != expected]
+    print(f"tpch {name}: 200 sampled plans executed, {len(wrong)} differ from the best plan")
+    assert not wrong, f"{name}: plans {wrong[:5]} return different rows"
+
+report = validate_with(database, IgnoredResidualExecutor(database), RESIDUAL_SQL)
+print(f"ignored-residual executor: {len(report.mismatches)} mismatching plans reported")
+assert len(report.mismatches) >= 1, "the harness no longer catches a forgotten residual"
+
+info = code_object.cache_info()
+print(f"executor code cache: {info.hits} hits, {info.misses} misses, {info.currsize} kept")
+assert info.hits > 10 * info.misses, f"compiled expressions are not being reused: {info}"
+assert info.currsize <= CODE_CACHE_SIZE == info.maxsize, info
+EOF
+
 echo "== benchmark self-tests =="
 python -m pytest benchmarks/perf/tests -q
 

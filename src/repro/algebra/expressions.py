@@ -9,9 +9,10 @@ Expressions are immutable, hashable trees.  Each node exposes
   duplicate detection;
 * ``render()`` — SQL-ish text for EXPLAIN output.
 
-Evaluation is *not* implemented here: the execution engine compiles
-expressions into Python closures (:mod:`repro.executor.scalar`), keeping
-the algebra layer free of runtime concerns.
+Evaluation is *not* implemented here: the execution engine emits each
+tree as the source of one Python expression and compiles that
+(:mod:`repro.executor.scalar`), keeping the algebra layer free of runtime
+concerns.
 """
 
 from __future__ import annotations

@@ -13,14 +13,19 @@ the optimizer ever wires an unsorted child below an order-requiring
 operator, execution fails loudly instead of silently producing wrong
 results.  This is the kind of defect the paper's methodology is designed
 to expose.
+
+``README.md`` beside this file: the operators' contract with the scalar
+compiler, and NULLs (a NULL join key matches nothing; none may be sorted).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 
-from repro.algebra.expressions import AggFunc, AggregateCall, ColumnId
+from repro.algebra.expressions import AggFunc, ColumnId, Literal, make_conjunction
 from repro.algebra.physical import (
     HashAggregate,
     HashJoin,
@@ -35,10 +40,10 @@ from repro.algebra.physical import (
     TableScan,
 )
 from repro.errors import ExecutionError, ResourceExhausted
-from repro.executor.scalar import compile_predicate, compile_scalar
+from repro.executor.scalar import compile_filter, compile_join, compile_projection
 from repro.obs.analyze import ExecutionStats, OperatorStats
 from repro.resilience.faults import fault_point
-from repro.executor.schema import RowSchema, output_schema
+from repro.executor.schema import RowSchema, inner_columns, output_schema
 from repro.optimizer.plan import PlanNode
 from repro.storage.database import Database
 
@@ -80,43 +85,20 @@ def _column_label(column: ColumnId) -> str:
     return column.column if not column.alias else f"{column.alias}.{column.column}"
 
 
-class _Accumulator:
-    """State for one aggregate call within one group."""
-
-    __slots__ = ("func", "count", "total", "minimum", "maximum")
-
-    def __init__(self, func: AggFunc):
-        self.func = func
-        self.count = 0
-        self.total = 0.0
-        self.minimum = None
-        self.maximum = None
-
-    def add(self, value) -> None:
-        if value is None:
-            return
-        self.count += 1
-        if self.func in (AggFunc.SUM, AggFunc.AVG):
-            self.total += value
-        elif self.func is AggFunc.MIN:
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-        elif self.func is AggFunc.MAX:
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
-
-    def result(self):
-        if self.func is AggFunc.COUNT:
-            return self.count
-        if self.count == 0:
-            return None
-        if self.func is AggFunc.SUM:
-            return self.total
-        if self.func is AggFunc.AVG:
-            return self.total / self.count
-        if self.func is AggFunc.MIN:
-            return self.minimum
-        return self.maximum
+def _aggregate(func: AggFunc, values: tuple):
+    """One aggregate call over one group's argument values, in row order
+    (NULLs do not count; SUM and AVG add left to right from ``0.0``)."""
+    values = [value for value in values if value is not None]
+    if func is AggFunc.COUNT:
+        return len(values)
+    if not values:
+        return None
+    if func is AggFunc.MIN:
+        return min(values)
+    if func is AggFunc.MAX:
+        return max(values)
+    total = reduce(add, values, 0.0)
+    return total if func is AggFunc.SUM else total / len(values)
 
 
 class PlanExecutor:
@@ -264,57 +246,50 @@ class PlanExecutor:
         else:
             rows = table.scan()
         schema = output_schema(plan, self.catalog)
-        predicate = compile_predicate(op.predicate, schema)
-        return schema, [row for row in rows if predicate(row)]
+        return schema, compile_filter(op.predicate, schema)(rows)
 
     def _run_filter(self, plan: PlanNode) -> tuple[RowSchema, list[tuple]]:
         schema, rows = self._run(plan.children[0])
-        predicate = compile_predicate(plan.op.predicate, schema)
-        return schema, [row for row in rows if predicate(row)]
+        return schema, compile_filter(plan.op.predicate, schema)(rows)
 
     def _run_nested_loop(self, plan: PlanNode) -> tuple[RowSchema, list[tuple]]:
         left_schema, left_rows = self._run(plan.children[0])
         right_schema, right_rows = self._run(plan.children[1])
-        schema = left_schema + right_schema
-        predicate = compile_predicate(plan.op.predicate, schema)
-        out = []
-        for left in left_rows:
-            for right in right_rows:
-                row = left + right
-                if predicate(row):
-                    out.append(row)
-        return schema, out
+        join = compile_join(plan.op.predicate, left_schema, right_schema)
+        return left_schema + right_schema, join(left_rows, right_rows)
 
     def _run_hash_join(self, plan: PlanNode) -> tuple[RowSchema, list[tuple]]:
         op = plan.op
         left_schema, left_rows = self._run(plan.children[0])
         right_schema, right_rows = self._run(plan.children[1])
-        schema = left_schema + right_schema
 
         left_key = self._key_fn(op.left_keys, left_schema)
         right_key = self._key_fn(op.right_keys, right_schema)
-        residual = compile_predicate(op.residual, schema)
+        join = compile_join(op.residual, left_schema, right_schema)
 
-        buckets: dict[tuple, list[tuple]] = {}
+        # A NULL key equals nothing: such a row is never built, so no
+        # probe -- NULL-keyed or not -- can find it.
+        one_column = len(op.right_keys) == 1
+        buckets: dict[object, list[tuple]] = {}
         for row in right_rows:
-            buckets.setdefault(right_key(row), []).append(row)
+            key = right_key(row)
+            if not (key is None if one_column else None in key):
+                buckets.setdefault(key, []).append(row)
         out = []
         for left in left_rows:
-            for right in buckets.get(left_key(left), ()):
-                row = left + right
-                if residual(row):
-                    out.append(row)
-        return schema, out
+            bucket = buckets.get(left_key(left))
+            if bucket:
+                out += join((left,), bucket)
+        return left_schema + right_schema, out
 
     def _run_merge_join(self, plan: PlanNode) -> tuple[RowSchema, list[tuple]]:
         op = plan.op
         left_schema, left_rows = self._run(plan.children[0])
         right_schema, right_rows = self._run(plan.children[1])
-        schema = left_schema + right_schema
 
         left_key = self._key_fn(op.left_keys, left_schema)
         right_key = self._key_fn(op.right_keys, right_schema)
-        residual = compile_predicate(op.residual, schema)
+        join = compile_join(op.residual, left_schema, right_schema)
 
         if self.check_orders:
             self._assert_sorted(left_rows, left_key, "merge join left input")
@@ -337,134 +312,88 @@ class PlanExecutor:
                 rj = ri
                 while rj < n_right and right_key(right_rows[rj]) == rk:
                     rj += 1
-                for left in left_rows[li:lj]:
-                    for right in right_rows[ri:rj]:
-                        row = left + right
-                        if residual(row):
-                            out.append(row)
+                out += join(left_rows[li:lj], right_rows[ri:rj])
                 li, ri = lj, rj
-        return schema, out
+        return left_schema + right_schema, out
 
     def _run_index_nl_join(self, plan: PlanNode) -> tuple[RowSchema, list[tuple]]:
         op = plan.op
         outer_schema, outer_rows = self._run(plan.children[0])
-        inner_table = self.database.table(op.inner_table)
-        inner_catalog = self.catalog.table(op.inner_table)
-        inner_schema = tuple(
-            ColumnId(op.inner_alias, col.name) for col in inner_catalog.columns
-        )
-        schema = outer_schema + inner_schema
-
-        inner_filter = compile_predicate(op.inner_predicate, inner_schema)
-        # Simulate index seeks: the sorted index view bucketed by the
-        # matched key prefix gives O(1) lookups per outer row.
-        key_positions = tuple(
-            inner_catalog.column_position(c.column) for c in op.inner_keys
-        )
-        buckets: dict[tuple, list[tuple]] = {}
-        for row in inner_table.index_scan(op.index_name):
-            if not inner_filter(row):
-                continue
-            buckets.setdefault(
-                tuple(row[p] for p in key_positions), []
-            ).append(row)
-
+        inner_schema = inner_columns(op, self.catalog)
+        # An index seek: the rows under the probed key prefix, in index
+        # order; the inner table's own filter runs on what the seek finds.
+        inner = self.database.table(op.inner_table)
+        seek = inner.index_lookup(op.index_name, len(op.inner_keys))
         outer_key = self._key_fn(op.outer_keys, outer_schema)
-        residual = compile_predicate(op.residual, schema)
+        predicates = [p for p in (op.inner_predicate, op.residual) if p is not None]
+        join = compile_join(make_conjunction(predicates), outer_schema, inner_schema)
         out = []
         for outer in outer_rows:
-            for inner in buckets.get(outer_key(outer), ()):
-                row = outer + inner
-                if residual(row):
-                    out.append(row)
-        return schema, out
+            bucket = seek.get(outer_key(outer))
+            if bucket:
+                out += join((outer,), bucket)
+        return outer_schema + inner_schema, out
 
     def _run_sort(self, plan: PlanNode) -> tuple[RowSchema, list[tuple]]:
         schema, rows = self._run(plan.children[0])
-        key = self._key_fn(plan.op.order, schema)
-        return schema, sorted(rows, key=key)
+        return schema, sorted(rows, key=self._key_fn(plan.op.order, schema))
 
     def _run_aggregate(self, plan: PlanNode) -> tuple[RowSchema, list[tuple]]:
         op = plan.op
         child_schema, rows = self._run(plan.children[0])
         schema = output_schema(plan, self.catalog)
 
-        group_key = self._key_fn(op.group_by, child_schema)
-        calls: list[tuple[AggregateCall, object]] = []
-        for _, call in op.aggregates:
-            arg_fn = (
-                None if call.arg is None else compile_scalar(call.arg, child_schema)
-            )
-            calls.append((call, arg_fn))
+        funcs = [call.func for _, call in op.aggregates]
+        # COUNT(*) counts a constant: every row, NULLs and all
+        arguments = compile_projection(
+            [Literal(1) if call.arg is None else call.arg for _, call in op.aggregates],
+            child_schema,
+        )(rows)
 
-        if isinstance(op, StreamAggregate) and self.check_orders and op.group_by:
-            self._assert_sorted(rows, group_key, "stream aggregate input")
+        def aggregates(members: list[tuple]) -> tuple:
+            columns = zip(*members) if members else [()] * len(funcs)
+            return tuple(map(_aggregate, funcs, columns))
 
-        def new_accumulators() -> list[_Accumulator]:
-            return [_Accumulator(call.func) for call, _ in calls]
-
-        def feed(accs: list[_Accumulator], row: tuple) -> None:
-            for (call, arg_fn), acc in zip(calls, accs):
-                if call.arg is None:
-                    acc.count += 1  # COUNT(*)
-                else:
-                    acc.add(arg_fn(row))
-
-        out: list[tuple] = []
         if not op.group_by:
-            accs = new_accumulators()
-            for row in rows:
-                feed(accs, row)
-            out.append(tuple(acc.result() for acc in accs))
-            return schema, out
+            return schema, [aggregates(arguments)]
 
+        group_key = self._key_fn(op.group_by, child_schema)
         if isinstance(op, StreamAggregate):
-            current_key: tuple | None = None
-            accs: list[_Accumulator] | None = None
-            for row in rows:
+            if self.check_orders:
+                self._assert_sorted(rows, group_key, "stream aggregate input")
+            # one group per run of equal keys
+            groups = []
+            for row, values in zip(rows, arguments):
                 key = group_key(row)
-                if key != current_key:
-                    if accs is not None:
-                        out.append(current_key + tuple(a.result() for a in accs))
-                    current_key = key
-                    accs = new_accumulators()
-                feed(accs, row)
-            if accs is not None:
-                out.append(current_key + tuple(a.result() for a in accs))
-            return schema, out
-
-        groups: dict[tuple, list[_Accumulator]] = {}
-        order: list[tuple] = []
-        for row in rows:
-            key = group_key(row)
-            accs = groups.get(key)
-            if accs is None:
-                accs = new_accumulators()
-                groups[key] = accs
-                order.append(key)
-            feed(accs, row)
-        for key in order:
-            out.append(key + tuple(a.result() for a in groups[key]))
-        return schema, out
+                if not groups or groups[-1][0] != key:
+                    groups.append((key, []))
+                groups[-1][1].append(values)
+        else:
+            # one group per key, in first-seen order
+            table: dict[object, list[tuple]] = {}
+            for row, values in zip(rows, arguments):
+                table.setdefault(group_key(row), []).append(values)
+            groups = table.items()
+        if len(op.group_by) == 1:  # a one-column key is the bare value
+            return schema, [(key,) + aggregates(members) for key, members in groups]
+        return schema, [key + aggregates(members) for key, members in groups]
 
     def _run_project(self, plan: PlanNode) -> tuple[RowSchema, list[tuple]]:
         child_schema, rows = self._run(plan.children[0])
-        schema = output_schema(plan, self.catalog)
-        fns = [compile_scalar(expr, child_schema) for _, expr in plan.op.outputs]
-        return schema, [tuple(fn(row) for fn in fns) for row in rows]
+        project = compile_projection([e for _, e in plan.op.outputs], child_schema)
+        return output_schema(plan, self.catalog), project(rows)
 
     # ------------------------------------------------------------------
     def _key_fn(self, columns: tuple[ColumnId, ...], schema: RowSchema):
-        positions = []
-        index = {column: i for i, column in enumerate(schema)}
-        for column in columns:
-            try:
-                positions.append(index[column])
-            except KeyError:
-                raise ExecutionError(
-                    f"key column {column.render()!r} not in input schema"
-                ) from None
-        return lambda row: tuple(row[p] for p in positions)
+        """``fn(row) -> key``: the bare value for one column, a tuple
+        otherwise (``operator.itemgetter``) -- on both sides of a join
+        alike, so their keys hash and compare as the tuples would."""
+        try:
+            return itemgetter(*[schema.positions[column] for column in columns])
+        except KeyError as missing:
+            raise ExecutionError(
+                f"key column {missing.args[0].render()!r} not in input schema"
+            ) from None
 
     @staticmethod
     def _assert_sorted(rows: list[tuple], key, what: str) -> None:

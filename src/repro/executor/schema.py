@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from functools import cached_property
+
 from repro.algebra.expressions import ColumnId
 from repro.algebra.physical import (
     HashAggregate,
@@ -20,9 +23,23 @@ from repro.catalog.catalog import Catalog
 from repro.errors import ExecutionError
 from repro.optimizer.plan import PlanNode
 
-__all__ = ["output_schema", "schema_positions"]
+__all__ = ["RowSchema", "output_schema", "schema_positions"]
 
-RowSchema = tuple[ColumnId, ...]
+
+class RowSchema(tuple):
+    """The ordered column ids of one operator's output rows.
+
+    The ``{column: position}`` map every compile against this schema
+    needs is built on first use and kept: once per operator output,
+    however many predicates, keys and projections read it.
+    """
+
+    @cached_property
+    def positions(self) -> dict[ColumnId, int]:
+        return {column: i for i, column in enumerate(self)}
+
+    def __add__(self, other: tuple) -> "RowSchema":
+        return RowSchema(tuple.__add__(self, other))
 
 
 def output_schema(plan: PlanNode, catalog: Catalog) -> RowSchema:
@@ -31,7 +48,7 @@ def output_schema(plan: PlanNode, catalog: Catalog) -> RowSchema:
 
     if isinstance(op, (TableScan, IndexScan)):
         schema = catalog.table(op.table)
-        return tuple(ColumnId(op.alias, col.name) for col in schema.columns)
+        return RowSchema(ColumnId(op.alias, col.name) for col in schema.columns)
 
     if isinstance(op, (PhysicalFilter, Sort)):
         return output_schema(plan.children[0], catalog)
@@ -43,22 +60,28 @@ def output_schema(plan: PlanNode, catalog: Catalog) -> RowSchema:
 
     if isinstance(op, IndexNestedLoopJoin):
         outer = output_schema(plan.children[0], catalog)
-        inner_schema = catalog.table(op.inner_table)
-        inner = tuple(
-            ColumnId(op.inner_alias, col.name) for col in inner_schema.columns
-        )
-        return outer + inner
+        return outer + inner_columns(op, catalog)
 
     if isinstance(op, (HashAggregate, StreamAggregate)):
-        return tuple(op.group_by) + tuple(
+        return RowSchema(op.group_by) + tuple(
             ColumnId("", name) for name, _ in op.aggregates
         )
 
     if isinstance(op, PhysicalProject):
-        return tuple(ColumnId("", name) for name, _ in op.outputs)
+        return RowSchema(ColumnId("", name) for name, _ in op.outputs)
 
     raise ExecutionError(f"no output schema rule for operator {op.name}")
 
 
-def schema_positions(schema: RowSchema) -> dict[ColumnId, int]:
+def inner_columns(op: IndexNestedLoopJoin, catalog: Catalog) -> RowSchema:
+    """The inner table's columns under the join's inner alias."""
+    columns = catalog.table(op.inner_table).columns
+    return RowSchema(ColumnId(op.inner_alias, col.name) for col in columns)
+
+
+def schema_positions(schema: Sequence[ColumnId]) -> dict[ColumnId, int]:
+    """``{column: position}``: a :class:`RowSchema`'s own map, a fresh
+    one for any other sequence of column ids."""
+    if isinstance(schema, RowSchema):
+        return schema.positions
     return {column: i for i, column in enumerate(schema)}

@@ -10,19 +10,13 @@ about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.catalog.schema import TableSchema
 from repro.catalog.statistics import TableStats
 from repro.errors import StorageError
 
 __all__ = ["DataTable"]
-
-
-def _sort_key_for(positions: tuple[int, ...]):
-    def key(row: tuple) -> tuple:
-        return tuple(row[p] for p in positions)
-
-    return key
 
 
 @dataclass
@@ -32,6 +26,7 @@ class DataTable:
     schema: TableSchema
     rows: list[tuple] = field(default_factory=list)
     _index_views: dict[str, list[tuple]] = field(default_factory=dict, repr=False)
+    _index_lookups: dict[tuple, dict] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         arity = len(self.schema.columns)
@@ -57,6 +52,7 @@ class DataTable:
             )
         self.rows.append(row)
         self._index_views.clear()
+        self._index_lookups.clear()
 
     def extend(self, rows: list[tuple]) -> None:
         for row in rows:
@@ -73,16 +69,33 @@ class DataTable:
         reading a sorted index without charging the executor a sort.
         """
         cached = self._index_views.get(index_name)
-        if cached is not None:
-            return cached
+        if cached is None:
+            key = self._index_key(index_name)
+            cached = self._index_views[index_name] = sorted(self.rows, key=key)
+        return cached
+
+    def index_lookup(self, index_name: str, prefix_len: int) -> dict:
+        """What seeks on the first ``prefix_len`` key columns of the named
+        index return: ``{key: rows under it, in index order}``, computed
+        lazily once like the sorted views.  A key is the bare value for a
+        one-column prefix and a tuple otherwise (``operator.itemgetter``).
+        Rows with a NULL in the prefix are left out: a seek finds no NULL.
+        """
+        cached = self._index_lookups.get((index_name, prefix_len))
+        if cached is None:
+            key = self._index_key(index_name, prefix_len)
+            cached = self._index_lookups[index_name, prefix_len] = {}
+            for row in self.index_scan(index_name):
+                value = key(row)
+                if not (value is None if prefix_len == 1 else None in value):
+                    cached.setdefault(value, []).append(row)
+        return cached
+
+    def _index_key(self, index_name: str, prefix_len: int | None = None):
         for index in self.schema.indexes:
             if index.name == index_name:
-                positions = tuple(
-                    self.schema.column_position(col) for col in index.key
-                )
-                view = sorted(self.rows, key=_sort_key_for(positions))
-                self._index_views[index_name] = view
-                return view
+                columns = index.key[:prefix_len]
+                return itemgetter(*map(self.schema.column_position, columns))
         raise StorageError(
             f"table {self.schema.name!r} has no index {index_name!r}"
         )

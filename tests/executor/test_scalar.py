@@ -111,6 +111,10 @@ class TestLike:
         assert like_matcher("a.b")("a.b")
         assert not like_matcher("a.b")("axb")
 
+    def test_matcher_built_once_per_pattern(self):
+        assert like_matcher("%kept%") is like_matcher("%kept%")
+        assert like_matcher("multi\nline%")("multi\nline\ntext")
+
     def test_compiled_like(self):
         assert run(Like(S, "%x%"), (0, 0, "axa"))
         assert run(Like(S, "%x%", negated=True), (0, 0, "aaa"))

@@ -46,6 +46,32 @@ class TestDataTable:
     def test_unknown_index(self):
         with pytest.raises(StorageError):
             DataTable(_schema(), []).index_scan("nope")
+        with pytest.raises(StorageError):
+            DataTable(_schema(), []).index_lookup("nope", 1)
+
+    def test_index_lookup_buckets_the_sorted_view(self):
+        table = DataTable(_schema(), [(3, 5), (1, 9), (2, 5)])
+        # one key column: the bare value; rows under a key in index order
+        assert table.index_lookup("t_b", 1) == {5: [(3, 5), (2, 5)], 9: [(1, 9)]}
+        assert table.index_lookup("t_b", 1) is table.index_lookup("t_b", 1)
+        # a seek finds no NULL
+        assert DataTable(_schema(), [(0, None)]).index_lookup("t_b", 1) == {}
+
+    def test_index_lookup_on_a_key_prefix(self):
+        schema = TableSchema(
+            name="t",
+            columns=(Column("a", ColumnType.INTEGER), Column("b", ColumnType.INTEGER)),
+            indexes=(Index("t_ab", "t", ("a", "b")),),
+        )
+        table = DataTable(schema, [(1, 2), (1, 1), (2, None)])
+        assert table.index_lookup("t_ab", 1) == {1: [(1, 1), (1, 2)], 2: [(2, None)]}
+        assert table.index_lookup("t_ab", 2) == {(1, 1): [(1, 1)], (1, 2): [(1, 2)]}
+
+    def test_insert_invalidates_index_lookups(self):
+        table = DataTable(_schema(), [(2, 1)])
+        table.index_lookup("t_a", 1)
+        table.insert((1, 5))
+        assert table.index_lookup("t_a", 1) == {1: [(1, 5)], 2: [(2, 1)]}
 
     def test_arity_checked_on_construction(self):
         with pytest.raises(StorageError):
