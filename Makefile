@@ -16,7 +16,6 @@ bench:
 	PYTHONPATH=src python benchmarks/bench_exploration_scaling.py --merge
 	PYTHONPATH=src python benchmarks/bench_planspace.py --merge
 	PYTHONPATH=src python benchmarks/bench_sampledopt.py --merge
-	PYTHONPATH=src python benchmarks/bench_optimize.py --merge
 	PYTHONPATH=src python benchmarks/bench_robustness.py --merge
 	PYTHONPATH=src python benchmarks/bench_observability.py --merge
 	PYTHONPATH=src python benchmarks/bench_feedback.py --merge

@@ -53,8 +53,8 @@ def _phase_line(root: Span) -> str:
     """One line of ``phase elapsed`` pairs from the root's children.
 
     The fused implement+bestplan pass keeps its sub-phases as children of
-    a ``fused`` span; flatten those so the phase names (and therefore the
-    columns of this report) stay comparable across fused/unfused runs."""
+    a ``fused`` span; flatten those so the report has one column per
+    phase."""
     parts = []
     for child in root.children:
         if child.name == "fused" and child.children:
@@ -78,37 +78,6 @@ def _best_of(run, repeat: int) -> tuple[object, Span]:
     return outcome, best_root
 
 
-def phase_comparison(workload, args) -> int:
-    """``--optimize-phases``: columnar vs object per-phase wall timings.
-
-    Both engines optimize the same query under tracing; the per-phase
-    numbers are the fastest run's span tree, so they are directly
-    comparable to the default mode's phase line (same workload
-    construction, same best-of-N protocol).
-    """
-    results = {}
-    for engine, columnar in (("columnar", True), ("object", False)):
-        options = OptimizerOptions(
-            allow_cross_products=args.cross, columnar=columnar
-        )
-        session = Session(workload.database, options=options)
-
-        def run():
-            result = session.optimize(workload.sql, trace=True)
-            return result, result.trace
-
-        result, root = _best_of(run, args.repeat)
-        results[engine] = result.best_cost
-        kernel = getattr(result, "kernel", "pure")
-        print(
-            f"{workload.name} cross={'on' if args.cross else 'off'} "
-            f"[{engine} kernel={kernel}]: total {root.elapsed_s:.4f}s  "
-            f"{_phase_line(root)}"
-        )
-    assert results["columnar"] == results["object"], "engines disagree"
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--shape", choices=sorted(WORKLOADS), default="star")
@@ -125,21 +94,11 @@ def main(argv: list[str] | None = None) -> int:
         help="profile the implicit (count-only) pipeline instead of the "
         "full optimizer",
     )
-    parser.add_argument(
-        "--optimize-phases",
-        action="store_true",
-        help="compare the columnar and object exact-optimization paths: "
-        "per-phase wall timings for both (best of --repeat), no cProfile "
-        "pass — the phase-split measurement optimization PRs quote",
-    )
     args = parser.parse_args(argv)
 
     workload = WORKLOADS[args.shape](args.n, rows=5, seed=0)
     options = OptimizerOptions(allow_cross_products=args.cross)
     session = Session(workload.database, options=options)
-
-    if args.optimize_phases:
-        return phase_comparison(workload, args)
 
     mode = " count-only" if args.count_only else ""
     if args.count_only:

@@ -465,17 +465,14 @@ def _cmd_optimize(args, out) -> int:
             out.write(
                 "feedback: ledger holds no observations for this query\n"
             )
+        # A fallback engine is never silent: it can be 50x slower.
+        engine = getattr(result, "engine", None)
+        reason = getattr(result, "fallback_reason", None)
+        if reason:
+            out.write(f"engine: {engine} (fallback: {reason})\n")
+        elif args.verbose and engine is not None:
+            out.write(f"engine: {engine}\n")
         if args.verbose:
-            engine = getattr(result, "engine", None)
-            if engine is not None:
-                line = f"engine: {engine}"
-                reason = getattr(result, "fallback_reason", None)
-                if reason:
-                    line += f" (fallback: {reason})"
-                out.write(line + "\n")
-            kernel = getattr(result, "kernel", None)
-            if kernel is not None:
-                out.write(f"kernel: {kernel}\n")
             dp_stats = getattr(result, "dp_stats", None)
             if dp_stats is not None:
                 out.write(

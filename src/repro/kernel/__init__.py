@@ -1,4 +1,4 @@
-"""The pluggable vector-kernel layer.
+"""The vector-kernel layer.
 
 Three hot loops in the exact path share the same inner machinery —
 batched implementation (:mod:`repro.memo.columnar`), the layered
@@ -6,90 +6,16 @@ best-plan DP (:mod:`repro.optimizer.bestplan`), and the implicit
 engine's turbo counting pass (:mod:`repro.planspace.implicit.turbo`):
 row interning over uint64 word matrices, cut-bitmask decoding, byte-wise
 lexicographic ranking with prefix intervals, first-occurrence ordering,
-and segmented range minima.  This package is the single home for those
-primitives (:mod:`.vector` for the numpy forms, :mod:`.pure` for the
-reference Python forms) plus the backend selection every consumer asks
-before choosing a code path.
-
-Backends
---------
-
-``pure``
-    No numpy anywhere: the columnar build and the DP walk the arrays
-    row by row (the reference semantics every vectorized path is tested
-    against).
-``numpy``
-    The default whenever numpy imports: whole-bucket emission and
-    whole-layer DP resolution as array expressions.
-``native``
-    Opt-in only (``REPRO_KERNEL=native``): numba-jitted inner loops
-    layered *on top of* the numpy forms.  Auto-detected, never selected
-    automatically, and silently degrades to ``numpy`` (then ``pure``)
-    when numba is absent — the container image does not ship it.
-
-Selection rules (first match wins):
-
-1. ``REPRO_COLUMNAR_NUMPY=0`` — the historical kill-switch — forces
-   ``pure`` regardless of ``REPRO_KERNEL``.
-2. ``REPRO_KERNEL`` ∈ {``auto`` (or unset), ``pure``, ``numpy``,
-   ``native``} picks the backend; unavailable choices degrade
-   (``native`` → ``numpy`` → ``pure``) instead of erroring.
-
-``selected_backend()`` is recomputed per call (tests flip the
-environment mid-process); the numpy import itself is cached by Python.
+and segmented range minima.  :mod:`.vector` is the single home for those
+primitives: plain numpy functions (numpy is a hard dependency), with no
+backend to select and nothing read from the environment.
 """
 
 from __future__ import annotations
 
-import os
-
-__all__ = [
-    "active_numpy",
-    "native_available",
-    "selected_backend",
-]
-
-_KNOWN = ("auto", "pure", "numpy", "native")
-
-
-def _numpy_or_none():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy ships in the image
-        return None
-    return numpy
-
-
-def native_available() -> bool:
-    """True when the optional numba backend can actually run."""
-    from repro.kernel import native
-
-    return native.AVAILABLE
+__all__ = ["selected_backend"]
 
 
 def selected_backend() -> str:
-    """The kernel backend this process would use right now."""
-    if os.environ.get("REPRO_COLUMNAR_NUMPY", "").strip() == "0":
-        return "pure"
-    raw = os.environ.get("REPRO_KERNEL", "").strip().lower() or "auto"
-    if raw not in _KNOWN:
-        raw = "auto"
-    if raw == "pure":
-        return "pure"
-    if _numpy_or_none() is None:
-        return "pure"
-    if raw == "native" and native_available():
-        return "native"
+    """The one kernel there is — kept for provenance blocks that record it."""
     return "numpy"
-
-
-def active_numpy():
-    """numpy when the selected backend vectorizes, else ``None``.
-
-    The single gate every vectorized path checks: ``pure`` (or a missing
-    numpy) returns ``None`` and callers fall back to their row-by-row
-    reference loops.
-    """
-    if selected_backend() == "pure":
-        return None
-    return _numpy_or_none()

@@ -1,9 +1,5 @@
 """numpy kernel primitives shared by implement, the DP, and turbo.
 
-Every function takes the numpy module as its first argument (the
-callers already hold it from :func:`repro.kernel.active_numpy`), so this
-module imports cleanly even where numpy is absent.
-
 The interning/ranking primitives originated in the implicit engine's
 turbo counting pass and are exact by construction:
 
@@ -17,6 +13,8 @@ turbo counting pass and are exact by construction:
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "HashCollision",
@@ -43,7 +41,7 @@ class HashCollision(Exception):
     """A mix-hash collision (astronomically rare): retry unvectorized."""
 
 
-def intern_rows(np, words):
+def intern_rows(words):
     """Exact row interning: ``(ids, representative row indices)``.
 
     ``ids`` are arbitrary dense ints; representatives are the first
@@ -76,7 +74,7 @@ def intern_rows(np, words):
     return ids, rep
 
 
-def byte_words(np, mat):
+def byte_words(mat):
     """View a 0-padded (n, width) uint8 matrix as big-endian uint64 words
     — numeric word order equals byte-lexicographic row order."""
     width = mat.shape[1]
@@ -88,18 +86,18 @@ def byte_words(np, mat):
     return np.ascontiguousarray(mat).view(">u8").astype(np.uint64)
 
 
-def lex_rank_rows(np, mat):
+def lex_rank_rows(mat):
     """Byte-lexicographic row ranks of a 0-padded uint8 matrix:
     ``(order, rank)`` with ``mat[order]`` sorted and ``rank[i]`` the
     position of row ``i`` in that order."""
-    words = byte_words(np, mat)
+    words = byte_words(mat)
     order = np.lexsort(words.T[::-1])
     rank = np.empty(len(mat), np.int64)
     rank[order] = np.arange(len(mat))
     return order, rank
 
 
-def prefix_intervals(np, sorted_mat, lengths, pad_width):
+def prefix_intervals(sorted_mat, lengths, pad_width):
     """``hi_rank`` over byte-lex-sorted 0-padded rows: ``hi_rank[k]`` is
     the first rank after ``k`` whose row does not extend row ``k`` — so
     the extensions of row ``k`` (itself included) are exactly the
@@ -131,7 +129,7 @@ def prefix_intervals(np, sorted_mat, lengths, pad_width):
     return hi_rank
 
 
-def lex_unique_rows(np, mat):
+def lex_unique_rows(mat):
     """Distinct rows of a 0-padded uint8 matrix in byte-lex order, plus
     each input row's rank in that order: ``(distinct_sorted, rank)``
     with ``distinct_sorted`` the deduplicated sorted matrix and
@@ -144,7 +142,7 @@ def lex_unique_rows(np, mat):
     n = len(mat)
     if not n:
         return mat, np.zeros(0, np.int64)
-    words = byte_words(np, mat)
+    words = byte_words(mat)
     order = np.lexsort(words.T[::-1])
     sw = words[order]
     is_new = np.empty(n, dtype=bool)
@@ -157,7 +155,7 @@ def lex_unique_rows(np, mat):
     return mat[order[is_new]], rank
 
 
-def prefix_interval_ends(np, sorted_mat, lengths, pad_width, ranks):
+def prefix_interval_ends(sorted_mat, lengths, pad_width, ranks):
     """:func:`prefix_intervals` evaluated at selected ranks only.
 
     The DP needs interval ends for the *required* kids — a small
@@ -172,7 +170,7 @@ def prefix_interval_ends(np, sorted_mat, lengths, pad_width, ranks):
     K = len(sorted_mat)
     if K <= 1 or not len(ranks):
         return out
-    words = byte_words(np, sorted_mat)
+    words = byte_words(sorted_mat)
     prev = words[:-1]
     nxt = words[1:]
     rlen = np.asarray(lengths, np.int64)[ranks]
@@ -199,7 +197,7 @@ def prefix_interval_ends(np, sorted_mat, lengths, pad_width, ranks):
 
 
 def decode_bit_rows(
-    np, bit_rows, nbits, left_lut, right_lut, chunk_size=DECODE_CHUNK, on_chunk=None
+    bit_rows, nbits, left_lut, right_lut, chunk_size=DECODE_CHUNK, on_chunk=None
 ):
     """Decode packed little-endian bit rows into padded byte matrices.
 
@@ -260,7 +258,7 @@ def decode_bit_rows(
     return left_chunks, right_chunks, chunk_maxlens
 
 
-def union_words_by_mask(np, bit_words, masks, nbits):
+def union_words_by_mask(bit_words, masks, nbits):
     """Per-mask unions of per-bit word rows: ``out[i] = OR of
     bit_words[b] over set bits b of masks[i]``.  One vectorized OR sweep
     per universe bit (``nbits`` ≤ 24 everywhere the columnar path
@@ -274,7 +272,7 @@ def union_words_by_mask(np, bit_words, masks, nbits):
     return out
 
 
-def first_occurrence_order(np, codes):
+def first_occurrence_order(codes):
     """Distinct values of ``codes`` in first-occurrence order, plus the
     index of each first occurrence."""
     uniq, first = np.unique(codes, return_index=True)
@@ -282,7 +280,7 @@ def first_occurrence_order(np, codes):
     return uniq[order], first[order]
 
 
-def range_min_pairs(np, values, lo, hi):
+def range_min_pairs(values, lo, hi):
     """Per-interval minima over a 1-D float array: ``out[k] =
     min(values[lo[k]:hi[k]])``, ``+inf`` for empty intervals.  The
     classic interleaved-``reduceat`` trick: only the even slots of the

@@ -41,8 +41,8 @@ splits are two parallel child-gid columns (``sl``/``sr``, bucket order,
 blocks contiguous per group in enumeration-universe order) plus the
 group's initial left-deep orientation when the setup pass seeded one.
 Both orientations of every split — minus the initial duplicate, exactly
-what the object explorer's per-expression ``memo.insert`` loop would
-have kept — are derived positionally, so a 12-relation clique's ~1M
+what a per-expression ``memo.insert`` loop would have kept — are
+derived positionally, so a 12-relation clique's ~1M
 logical joins are two ``array('i')`` buffers instead of a million
 ``GroupExpr``/``LogicalJoin`` constructions and fingerprint probes.
 
@@ -56,24 +56,23 @@ hook materializes in logical-then-physical order, and
 (`expression_count` and friends) answers from the arrays without
 materializing anything.
 
-Works with or without numpy: columns are ``array.array`` buffers; the
-layered best-plan DP (:mod:`repro.optimizer.bestplan`) views them as
-numpy arrays when available and falls back to pure-Python loops when not,
-mirroring :mod:`repro.planspace.implicit.turbo` / ``counting``.
+Columns are ``array.array`` buffers; the vectorized emitter and the
+layered best-plan DP (:mod:`repro.optimizer.bestplan`) view them as
+numpy arrays without copying.
 """
 
 from __future__ import annotations
 
 from array import array
 
+import numpy as np
+
 from repro.algebra.logical import LogicalGet, LogicalJoin
 from repro.algebra.physical import Sort
 from repro.errors import MemoError
-from repro.kernel import active_numpy
 from repro.kernel.vector import (
     HashCollision,
     decode_bit_rows,
-    first_occurrence_order,
     intern_rows,
     lex_unique_rows,
     union_words_by_mask,
@@ -183,7 +182,8 @@ class ColumnarLogicalStore:
     ``Group.exprs`` holds) are derived positionally: the group's initial
     left-deep expression first (it was inserted by setup and survives as
     the object prefix), then both orientations of each split minus that
-    duplicate — byte-identical to the object explorer's insert stream.
+    duplicate — byte-identical to a per-expression insert stream (the
+    reference explorer under ``tests/`` is the oracle).
     """
 
     def __init__(self, memo, graph, allow_cross_products: bool):
@@ -233,8 +233,8 @@ class ColumnarLogicalStore:
         return count
 
     def expression_total(self) -> int:
-        """Logical joins the batched build contributed (the number the
-        object explorer's insert loop would have reported)."""
+        """Logical joins the batched build contributed (the number a
+        per-expression insert loop would have reported)."""
         return 2 * self.row_count - len(self.initial_by_gid)
 
     # ------------------------------------------------------------------
@@ -279,10 +279,10 @@ class ColumnarLogicalStore:
 
     def materialize_group(self, group: Group) -> None:
         """Append the group's explored logical joins — identical
-        operators (interned per mask cut), order and local ids as the
-        object explorer would have inserted.  Fingerprints are registered
-        with the memo, so later ``memo.insert`` calls (a re-exploration,
-        a transformation pass) deduplicate against rebuilt expressions
+        operators (interned per mask cut), order and local ids as a
+        per-expression explorer would have inserted.  Fingerprints are
+        registered with the memo, so later ``memo.insert`` calls (a
+        transformation pass) deduplicate against rebuilt expressions
         exactly as they would against inserted ones."""
         exprs = group._exprs
         gid = group.gid
@@ -305,14 +305,13 @@ def build_logical_store(
     """Batched exploration: emit whole per-subset csg–cmp buckets into a
     :class:`ColumnarLogicalStore`.
 
-    Walks the enumeration universe in the object explorer's order,
+    Walks the enumeration universe in its canonical order,
     creating (or finding) each subset's group and appending its bucket as
     one block of child-gid columns — no per-expression ``memo.insert``,
     no ``GroupExpr``/fingerprint work.  Raises
     :class:`ColumnarUnsupported` (memo untouched beyond group creation)
     when the memo is not a freshly seeded one — a group already holding
-    anything but its single setup-inserted left-deep join — so the caller
-    can fall back to object exploration.
+    anything but its single setup-inserted left-deep join.
     """
     if memo.universe is None:
         raise ColumnarUnsupported("memo has no alias universe")
@@ -508,15 +507,13 @@ class ColumnarPhysicalStore:
         #: logical expression count per group at build time (local-id base)
         self.logical_counts: list[int] = []
 
-        #: all (gid, kid) requirement states, first-occurrence order —
-        #: exactly the object path's enforcer-requirement dict.  The
-        #: vectorized build keeps the stream as int64 columns and the
-        #: tuple list (plus the per-group ``sorts_by_gid`` view) only
-        #: materializes on demand.
-        self._requirements: list[tuple[int, int]] | None = []
-        self._req_np = None
-        self._req_gid = None
-        self._req_kid = None
+        #: all (gid, kid) requirement states as int64 columns, global
+        #: first-occurrence order — exactly the object path's
+        #: enforcer-requirement dict.  The tuple list and the per-group
+        #: ``sorts_by_gid`` view only materialize on demand.
+        self._req_gid = np.zeros(0, np.int64)
+        self._req_kid = np.zeros(0, np.int64)
+        self._requirements: list[tuple[int, int]] | None = None
         self._sorts_by_gid: dict[int, list[int]] | None = None
         self._sort_counts: list[int] | None = None
         #: fused build→DP handoff: per merge row (in row order) the
@@ -559,19 +556,9 @@ class ColumnarPhysicalStore:
             )
         return self._requirements
 
-    @requirements.setter
-    def requirements(self, value) -> None:
-        self._requirements = value
-        self._req_np = self._req_gid = self._req_kid = None
-        self._sorts_by_gid = None
-        self._sort_counts = None
-        self._merge_sid0 = self._merge_sid1 = None
-
-    def set_requirement_arrays(self, np, req_gid, req_kid) -> None:
-        """Adopt the vectorized build's requirement stream (int64 gid/kid
-        columns, global first-occurrence order) without materializing the
-        tuple list."""
-        self._req_np = np
+    def set_requirement_arrays(self, req_gid, req_kid) -> None:
+        """Adopt the build's requirement stream (int64 gid/kid columns,
+        global first-occurrence order)."""
         self._req_gid = req_gid
         self._req_kid = req_kid
         self._requirements = None
@@ -579,20 +566,12 @@ class ColumnarPhysicalStore:
         self._sort_counts = None
 
     def requirement_count(self) -> int:
-        if self._requirements is not None:
-            return len(self._requirements)
         return len(self._req_gid)
 
-    def requirement_arrays(self, np):
+    def requirement_arrays(self):
         """``(gid, kid)`` int64 requirement columns, first-occurrence
-        order — the vectorized build's columns when present, else built
-        from the tuple list."""
-        if self._req_gid is not None:
-            return self._req_gid, self._req_kid
-        reqs = self._requirements
-        gid = np.fromiter((r[0] for r in reqs), np.int64, len(reqs))
-        kid = np.fromiter((r[1] for r in reqs), np.int64, len(reqs))
-        return gid, kid
+        order."""
+        return self._req_gid, self._req_kid
 
     @property
     def sorts_by_gid(self) -> dict[int, list[int]]:
@@ -612,22 +591,15 @@ class ColumnarPhysicalStore:
             return self._sorts_by_gid.get(gid, [])
         if not self.config.enable_sort_enforcers:
             return []
-        if self._req_gid is not None:
-            return self._req_kid[self._req_gid == gid].tolist()
-        return [kid for g, kid in self._requirements if g == gid]
+        return self._req_kid[self._req_gid == gid].tolist()
 
     def _group_sort_counts(self) -> list[int]:
         if self._sort_counts is None:
             n = len(self.group_start) - 1
-            counts = [0] * n
             if self.config.enable_sort_enforcers:
-                if self._req_np is not None:
-                    counts = self._req_np.bincount(
-                        self._req_gid, minlength=n
-                    ).tolist()
-                else:
-                    for gid, _kid in self.requirements:
-                        counts[gid] += 1
+                counts = np.bincount(self._req_gid, minlength=n).tolist()
+            else:
+                counts = [0] * n
             self._sort_counts = counts
         return self._sort_counts
 
@@ -810,13 +782,12 @@ def build_columnar_store(
 ) -> ColumnarPhysicalStore:
     """Populate a :class:`ColumnarPhysicalStore` by batched implementation.
 
-    With a vectorizing kernel backend (:func:`repro.kernel.active_numpy`)
-    and a complete batched-explored logical store, the join rows of every
+    Over a complete batched-explored logical store the join rows of every
     group are emitted in one whole-bucket array pass
     (:func:`_emit_rows_vectorized`); otherwise — and for leaf/tower groups
     always — each group's operator block is accumulated in small
     per-group buffers and appended to the flat columns in one ``extend``
-    per column (:func:`_emit_rows_scalar`, the reference loop).  Raises
+    per column (:func:`_emit_rows_scalar`).  Raises
     :class:`ColumnarUnsupported` for memos the columnar path cannot
     represent (no alias universe / too many relations or key columns) —
     before any state is attached, so the caller can fall back cleanly.
@@ -835,17 +806,15 @@ def build_columnar_store(
     store._keyed_tags = keyed_tags
 
     logical_store = memo.columnar_logical
-    np = active_numpy()
     req_arrays = None
     if (
-        np is not None
-        and logical_store is not None
+        logical_store is not None
         and logical_store.complete
         and not config.enable_index_nl_join
         and store.tag.itemsize == 4
     ):
         req_arrays = _emit_rows_vectorized(
-            np, store, logical_store, keyed_kinds, keyed_tags, cross_tags, scope
+            store, logical_store, keyed_kinds, keyed_tags, cross_tags, scope
         )
 
     # ------------------------------------------------------------------
@@ -857,12 +826,10 @@ def build_columnar_store(
         merge_reqs = _emit_rows_scalar(
             store, logical_store, keyed_kinds, keyed_tags, cross_tags, scope
         )
-        seen: dict[tuple[int, int], None] = {}
-        record = seen.setdefault
-        for req in merge_reqs:
-            record(req)
-        _record_tail_requirements(store, record)
-        store.requirements = list(seen)
+        seen = dict.fromkeys(merge_reqs)
+        _record_tail_requirements(store, seen.setdefault)
+        req_gid = np.fromiter((g for g, _k in seen), np.int64, len(seen))
+        req_kid = np.fromiter((k for _g, k in seen), np.int64, len(seen))
     else:
         req_gid, req_kid = req_arrays
         codes = np.sort((req_gid << np.int64(32)) | req_kid)
@@ -889,7 +856,7 @@ def build_columnar_store(
                     np.fromiter((k for _g, k in extra), np.int64, len(extra)),
                 ]
             )
-        store.set_requirement_arrays(np, req_gid, req_kid)
+    store.set_requirement_arrays(req_gid, req_kid)
 
     store.complete = True
     return store
@@ -943,7 +910,7 @@ def _record_tail_requirements(store, record) -> None:
 def _emit_rows_scalar(
     store, logical_store, keyed_kinds, keyed_tags, cross_tags, scope
 ) -> list[tuple[int, int]]:
-    """The reference per-group emission loop (any backend, any config).
+    """The per-group emission loop (any memo, any config).
 
     Returns the merge-requirement stream: (gid, kid) interleaved
     left/right in emission order — the object path's inline requirement
@@ -1056,7 +1023,7 @@ _WORD_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def _emit_rows_vectorized(
-    np, store, logical_store, keyed_kinds, keyed_tags, cross_tags, scope
+    store, logical_store, keyed_kinds, keyed_tags, cross_tags, scope
 ):
     """Whole-bucket join emission over the columnar logical store.
 
@@ -1175,8 +1142,8 @@ def _emit_rows_vectorized(
     mask_arr = np.fromiter(
         (group.mask or 0 for group in groups), np.int64, len(groups)
     )
-    from_by_gid = union_words_by_mask(np, from_words, mask_arr, n_alias)
-    to_by_gid = union_words_by_mask(np, to_words, mask_arr, n_alias)
+    from_by_gid = union_words_by_mask(from_words, mask_arr, n_alias)
+    to_by_gid = union_words_by_mask(to_words, mask_arr, n_alias)
     cut_words = from_by_gid[pl] & to_by_gid[pr]
     keyed = (cut_words != 0).any(axis=1)
 
@@ -1193,14 +1160,13 @@ def _emit_rows_vectorized(
     if kc:
         keyed_cuts = cut_words[keyed]
         try:
-            cut_ids, cut_rep = intern_rows(np, keyed_cuts)
+            cut_ids, cut_rep = intern_rows(keyed_cuts)
         except HashCollision:  # pragma: no cover - astronomically rare
             return None
         uniq_cuts = keyed_cuts[cut_rep]
         lcol_lut = np.frombuffer(edges.left_col, dtype=np.uint8)
         rcol_lut = np.frombuffer(edges.right_col, dtype=np.uint8)
         left_chunks, right_chunks, chunk_maxlens = decode_bit_rows(
-            np,
             uniq_cuts,
             E,
             lcol_lut,
@@ -1228,7 +1194,7 @@ def _emit_rows_vectorized(
         # One lexsort interns and ranks the whole key universe at once:
         # distinct rows in lex order (row = kid = lex rank) plus every
         # stacked row's kid — exact, no hash-collision retry needed.
-        kid_mat, kid_of_row = lex_unique_rows(np, stacked)
+        kid_mat, kid_of_row = lex_unique_rows(stacked)
         kid_lengths = (kid_mat != 0).sum(axis=1).astype(np.int64)
         store._keys.preload(kid_mat, kid_lengths)
         U = len(uniq_cuts)

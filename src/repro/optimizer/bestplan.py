@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.algebra.physical import PhysicalOperator, Sort
 from repro.algebra.properties import SortOrder, order_satisfies
 from repro.errors import OptimizerError
-from repro.kernel import active_numpy, native_available, selected_backend
-from repro.kernel import native as _native
 from repro.kernel.vector import (
     lex_rank_rows,
     prefix_interval_ends,
@@ -51,7 +51,6 @@ __all__ = [
     "BestPlanSearch",
     "ColumnarBestPlanSearch",
     "find_best_plan",
-    "find_best_plan_columnar",
 ]
 
 _IN_PROGRESS = object()
@@ -375,26 +374,22 @@ def find_best_plan(
 # ======================================================================
 # the layered columnar DP
 # ======================================================================
-def _interval_ends(np, sorted_mat, lengths, pad_width, ranks):
-    """Backend-dispatched prefix-interval ends for the required ranks.
+def _interval_ends(sorted_mat, lengths, pad_width, ranks):
+    """Prefix-interval ends for the required ranks.
 
-    Native backend: the jitted full-table sweep, indexed at ``ranks``.
-    Otherwise the selective masked-word compare when the required kids
-    span few distinct lengths (each distinct length costs whole-array
-    word compares), falling back to the full LCP sweep when the
-    requirement set is dense — on clique-style queries nearly every kid
-    in the table is required, at every length, and one ``(K, width)``
-    byte sweep beats per-length word passes."""
-    if selected_backend() == "native" and native_available():  # pragma: no cover
-        full = _native.prefix_intervals(np, sorted_mat, lengths, pad_width)
-        return full[ranks]
+    The selective masked-word compare when the required kids span few
+    distinct lengths (each distinct length costs whole-array word
+    compares), falling back to the full LCP sweep when the requirement
+    set is dense — on clique-style queries nearly every kid in the table
+    is required, at every length, and one ``(K, width)`` byte sweep beats
+    per-length word passes."""
     if len(ranks):
         lens = np.asarray(lengths, np.int64)
         distinct = np.unique(lens[ranks])
         words = (pad_width + 7) // 8
         if len(distinct) * words * 8 > pad_width + len(distinct):
-            return prefix_intervals(np, sorted_mat, lengths, pad_width)[ranks]
-    return prefix_interval_ends(np, sorted_mat, lengths, pad_width, ranks)
+            return prefix_intervals(sorted_mat, lengths, pad_width)[ranks]
+    return prefix_interval_ends(sorted_mat, lengths, pad_width, ranks)
 
 
 #: placeholder for state winners the vectorized layers never resolved —
@@ -415,10 +410,9 @@ class ColumnarBestPlanSearch:
     bottom-up in layers — leaves, then join groups by relation-set
     popcount (children of a join strictly precede it), then the unary
     tower — and resolves each group's order-free optimum and all its
-    ordered states from the arrays.  Join layers are vectorized with
-    numpy when available (cost formulas and candidate minima as array
-    expressions over the whole layer); the pure-Python fallback walks the
-    same arrays row by row.
+    ordered states from the arrays.  Join layers are vectorized (cost
+    formulas and candidate minima as array expressions over the whole
+    layer); leaves and the unary tower walk their few rows one by one.
 
     Tie-breaking replicates the object search bit for bit: candidates
     are considered in insertion (local-id) order with strict-``<``
@@ -457,30 +451,17 @@ class ColumnarBestPlanSearch:
         self._best0_row = [-1] * G
         self._enforcers = store.config.enable_sort_enforcers
 
-        #: state table: one slot per collected (group, required kid).
-        #: On the vector backend states live in int64 gid/kid columns
-        #: (lookup = binary search over packed codes); the pure backend
-        #: keeps the historical dict index.
-        np = self._np = active_numpy()
+        #: state table: one slot per collected (group, required kid),
+        #: as int64 gid/kid columns (lookup = binary search over packed
+        #: codes).
         S = store.requirement_count()
-        if np is not None:
-            rg, rk = store.requirement_arrays(np)
-            self._req_gid_arr = rg
-            self._req_kid_arr = rk
-            codes = (rg << np.int64(32)) | rk
-            self._state_order = np.argsort(codes)
-            self._sorted_state_codes = codes[self._state_order]
-            self._state_cost = np.full(S, _INFINITY, dtype=np.float64)
-            self._state_index = None
-            self._reqs_by_gid = None
-        else:
-            self._state_index = {
-                state: sid for sid, state in enumerate(store.requirements)
-            }
-            self._state_cost = [_INFINITY] * S
-            self._reqs_by_gid = {}
-            for sid, (gid, kid) in enumerate(store.requirements):
-                self._reqs_by_gid.setdefault(gid, []).append((sid, kid))
+        rg, rk = store.requirement_arrays()
+        self._req_gid_arr = rg
+        self._req_kid_arr = rk
+        codes = (rg << np.int64(32)) | rk
+        self._state_order = np.argsort(codes)
+        self._sorted_state_codes = codes[self._state_order]
+        self._state_cost = np.full(S, _INFINITY, dtype=np.float64)
         #: winner per resolved state: row index, or ("sort", kid), or
         #: None (infeasible).  Sparse: the vectorized layers resolve
         #: costs for every state but winners only lazily at assembly.
@@ -493,7 +474,7 @@ class ColumnarBestPlanSearch:
         }
 
         #: group layers: leaves and towers run scalar; join groups run
-        #: per popcount layer (vectorized when numpy is present)
+        #: vectorized, one popcount layer at a time
         self._leaf_gids: list[int] = []
         self._tower_gids: list[int] = []
         join_layers: dict[int, list[int]] = {}
@@ -509,44 +490,27 @@ class ColumnarBestPlanSearch:
                 self._tower_gids.append(group.gid)
         self._join_layers = [join_layers[pc] for pc in sorted(join_layers)]
 
-        #: (sid, kid) lists for every scalar-processed group, collected
-        #: in one pass over the requirement columns (the vector backend
-        #: has no per-gid dict; a scan per leaf/tower group would cost
-        #: O(S) each).  Join groups ride along only when the store is
-        #: empty and the whole sweep falls back to scalar.
-        if np is not None:
-            scalar_gids = list(self._leaf_gids) + list(self._tower_gids)
-            if not store.row_count:
-                for layer in self._join_layers:
-                    scalar_gids.extend(layer)
-            is_scalar = np.zeros(G, dtype=bool)
-            if scalar_gids:
-                is_scalar[np.asarray(scalar_gids, dtype=np.int64)] = True
-            reqs: dict[int, list] = {}
-            if S:
-                for s in np.flatnonzero(is_scalar[rg]).tolist():
-                    reqs.setdefault(int(rg[s]), []).append((s, int(rk[s])))
-            self._scalar_reqs = reqs
-        else:
-            self._scalar_reqs = None
+        #: (sid, kid) lists for every scalar-processed (leaf or tower)
+        #: group, collected in one pass over the requirement columns (a
+        #: scan per group would cost O(S) each)
+        scalar_gids = self._leaf_gids + self._tower_gids
+        is_scalar = np.zeros(G, dtype=bool)
+        if scalar_gids:
+            is_scalar[np.asarray(scalar_gids, dtype=np.int64)] = True
+        reqs: dict[int, list] = {}
+        if S:
+            for s in np.flatnonzero(is_scalar[rg]).tolist():
+                reqs.setdefault(int(rg[s]), []).append((s, int(rk[s])))
+        self._scalar_reqs = reqs
 
     # ------------------------------------------------------------------
     def run(self) -> "ColumnarBestPlanSearch":
-        np = self._np
         checkpoint = self.scope.checkpoint if self.scope is not None else None
         if checkpoint is not None:
             checkpoint("bestplan.layer", len(self._leaf_gids))
         for gid in self._leaf_gids:
             self._process_group_scalar(gid)
-        if np is not None and self.store.row_count:
-            self._run_join_layers_numpy(np)
-        else:
-            for layer in self._join_layers:
-                fault_point("bestplan.layer", self)
-                if checkpoint is not None:
-                    checkpoint("bestplan.layer", len(layer))
-                for gid in layer:
-                    self._process_group_scalar(gid)
+        self._run_join_layers()
         if checkpoint is not None:
             checkpoint("bestplan.layer", len(self._tower_gids))
         for gid in self._tower_gids:
@@ -557,12 +521,9 @@ class ColumnarBestPlanSearch:
         return self
 
     # ------------------------------------------------------------------
-    # state lookup (dict on the pure backend, binary search on numpy)
+    # state lookup (binary search over the packed state codes)
     # ------------------------------------------------------------------
     def _sid_of(self, gid: int, kid: int) -> int:
-        index = self._state_index
-        if index is not None:
-            return index[(gid, kid)]
         code = (gid << 32) | kid
         i = int(self._sorted_state_codes.searchsorted(code))
         if i >= len(self._sorted_state_codes) or int(
@@ -571,14 +532,8 @@ class ColumnarBestPlanSearch:
             raise KeyError((gid, kid))
         return int(self._state_order[i])
 
-    def _group_reqs(self, gid: int):
-        """One group's ``(sid, required kid)`` states, or ``None``."""
-        if self._reqs_by_gid is not None:
-            return self._reqs_by_gid.get(gid)
-        return self._scalar_reqs.get(gid)
-
     # ------------------------------------------------------------------
-    # shared scalar machinery (leaves, towers, and the no-numpy fallback)
+    # scalar machinery (leaves, towers, and winning-path assembly)
     # ------------------------------------------------------------------
     def _local_cost(self, row: int) -> float:
         """One row's operator-local cost — the same formulas (and the
@@ -669,7 +624,7 @@ class ColumnarBestPlanSearch:
                 best_row = row
         self._best0[gid] = best
         self._best0_row[gid] = best_row
-        reqs = self._group_reqs(gid)
+        reqs = self._scalar_reqs.get(gid)
         if reqs:
             for sid, rkid in reqs:
                 rb = kid_bytes[rkid]
@@ -710,7 +665,7 @@ class ColumnarBestPlanSearch:
     # ------------------------------------------------------------------
     # the vectorized join layers
     # ------------------------------------------------------------------
-    def _kid_rank_tables(self, np):
+    def _kid_rank_tables(self):
         """Lexicographic kid ranks over the store's key table:
         ``(lexrank, sorted_mat, sorted_lengths, pad_width)`` with
         ``lexrank[kid]`` the kid's byte-lex rank and ``sorted_mat`` the
@@ -792,10 +747,10 @@ class ColumnarBestPlanSearch:
             if seq:
                 mat[pre + i, : len(seq)] = np.frombuffer(seq, np.uint8)
             lengths[pre + i] = len(seq)
-        order, rank = lex_rank_rows(np, mat)
+        order, rank = lex_rank_rows(mat)
         return rank, mat[order], lengths[order], width
 
-    def _run_join_layers_numpy(self, np) -> None:
+    def _run_join_layers(self) -> None:
         store = self.store
         intc = np.intc
         tag = np.frombuffer(store.tag, dtype=intc)
@@ -866,10 +821,10 @@ class ColumnarBestPlanSearch:
         # prefix interval — computed once, for every state at once.
         req_gid_arr = self._req_gid_arr
         req_kid_arr = self._req_kid_arr
-        lexrank, kid_mat, kid_len, kid_width = self._kid_rank_tables(np)
+        lexrank, kid_mat, kid_len, kid_width = self._kid_rank_tables()
         if S:
             req_lo = lexrank[req_kid_arr]
-            req_hi = _interval_ends(np, kid_mat, kid_len, kid_width, req_lo)
+            req_hi = _interval_ends(kid_mat, kid_len, kid_width, req_lo)
         K1 = len(lexrank) + 1
 
         # math.log2 per group (not np.log2: last-ulp identity with the
@@ -982,12 +937,12 @@ class ColumnarBestPlanSearch:
                 packed = i0 * M + i1
                 uniq, inv = np.unique(packed, return_inverse=True)
                 cand_min = range_min_pairs(
-                    np, sorted_tot, uniq // M, uniq % M
+                    sorted_tot, uniq // M, uniq % M
                 )[inv]
                 stats["pruned_empty"] += int((i0 >= i1).sum())
                 stats["pruned_dedup"] += int(len(packed) - len(uniq))
             else:
-                cand_min = range_min_pairs(np, sorted_tot, i0, i1)
+                cand_min = range_min_pairs(sorted_tot, i0, i1)
             if self._enforcers:
                 inner_best = best0[sgid]
                 bound = sort_local_g[sgid] + inner_best
@@ -1117,18 +1072,3 @@ class ColumnarBestPlanSearch:
             local_id=store.row_local_id(row),
             cardinality=self._card[gid],
         )
-
-
-def find_best_plan_columnar(
-    store: ColumnarPhysicalStore,
-    cost_model: CostModel,
-    required_order: SortOrder = (),
-    scope=None,
-    prune_dominated: bool = True,
-) -> tuple[PlanNode, float]:
-    """The optimizer's chosen plan from a columnar memo — same plan, same
-    cost as :func:`find_best_plan` over the materialized memo."""
-    search = ColumnarBestPlanSearch(
-        store, cost_model, scope=scope, prune_dominated=prune_dominated
-    )
-    return search.run().best_plan(required_order)

@@ -94,93 +94,41 @@ class EnumerationExplorer:
     """Bottom-up generation of every valid subset partition.
 
     For every alias subset (connected subsets only, when cross products are
-    off) of size >= 2, in ascending size order, insert one logical join per
+    off) of size >= 2, in ascending size order, emit one logical join per
     valid ordered partition of the subset.  Partitions come straight from
     the join graph's csg–cmp enumeration as mask pairs, and child groups
     are resolved by mask key — the hot loop never touches an alias name.
     The resulting memo contains the complete bushy search space.
 
-    ``batched`` selects the memo representation: ``None`` (default) emits
-    whole per-subset buckets into the columnar logical store
-    (:func:`repro.memo.columnar.build_logical_store`) whenever the memo
-    supports it — no per-expression ``memo.insert``, ``Group.exprs``
-    rebuilds the identical ``GroupExpr`` list lazily — falling back to
-    the object loop otherwise; ``False`` forces the object loop
-    (equivalence tests, ablations); ``True`` requires the batched path
-    and errors when it is unsupported.  Both paths produce byte-identical
-    memos — group ids, expression order, local ids, renders.
+    Whole per-subset buckets go into the columnar logical store
+    (:func:`repro.memo.columnar.build_logical_store`): no per-expression
+    ``memo.insert``; ``Group.exprs`` rebuilds the ``GroupExpr`` list
+    lazily — group ids, expression order, local ids and renders are what
+    a per-expression insert loop would have produced.  The memo must be
+    freshly seeded (:func:`repro.optimizer.setup.build_initial_memo`);
+    re-exploring an explored memo adds nothing.
     """
 
     name = "enumeration"
 
-    def __init__(self, batched: bool | None = None):
-        self.batched = batched
-
     def explore(
         self, memo: Memo, graph: JoinGraph, allow_cross_products: bool, scope=None
     ) -> int:
-        if self.batched is not False:
-            # Deferred import: repro.memo.columnar reaches back into
-            # repro.optimizer.rules.
-            from repro.memo.columnar import (
-                ColumnarUnsupported,
-                build_logical_store,
+        # Deferred import: repro.memo.columnar reaches back into
+        # repro.optimizer.rules.
+        from repro.memo.columnar import ColumnarUnsupported, build_logical_store
+
+        explored = memo.columnar_logical
+        if explored is not None and explored.complete:
+            return 0
+        try:
+            store = build_logical_store(
+                memo, graph, allow_cross_products, scope=scope
             )
-
-            try:
-                store = build_logical_store(
-                    memo, graph, allow_cross_products, scope=scope
-                )
-            except ColumnarUnsupported as exc:
-                if self.batched is True:
-                    raise OptimizerError(
-                        f"batched exploration was requested but this memo "
-                        f"does not support it: {exc}"
-                    ) from None
-            else:
-                store.attach()
-                return store.expression_total()
-        return self._explore_objects(memo, graph, allow_cross_products, scope=scope)
-
-    def _explore_objects(
-        self, memo: Memo, graph: JoinGraph, allow_cross_products: bool, scope=None
-    ) -> int:
-        inserted = 0
-        universe, buckets = graph.enumeration_universe(allow_cross_products)
-        get_group = memo.get_or_create_rels_group
-        group_for_mask = memo.group_for_mask
-        insert = memo.insert
-        join_operator = graph.join_operator_m
-        checkpoint = scope.checkpoint if scope is not None else None
-        last_inserted = 0
-        for subset in universe:
-            if subset.bit_count() < 2:
-                continue
-            fault_point("explore.object", memo)
-            if checkpoint is not None:
-                checkpoint("explore.object", inserted - last_inserted)
-                last_inserted = inserted
-            # Materialize the group even if some partition orders repeat
-            # expressions already seeded by the initial plan.
-            group = get_group(subset)
-            if buckets is None:
-                splits = graph.cross_splits_m(subset)
-            else:
-                splits = buckets.get(subset, ())
-            for left, right in splits:
-                left_group = group_for_mask(left)
-                right_group = group_for_mask(right)
-                if left_group is None or right_group is None:
-                    raise OptimizerError(
-                        "join children must be registered before the join"
-                    )
-                op = join_operator(left, right)
-                children = (left_group.gid, right_group.gid)
-                if insert(op, children, group) is not None:
-                    inserted += 1
-                if insert(op, (children[1], children[0]), group) is not None:
-                    inserted += 1
-        return inserted
+        except ColumnarUnsupported as exc:
+            raise OptimizerError(str(exc)) from None
+        store.attach()
+        return store.expression_total()
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +191,7 @@ class TransformationExplorer:
         inserted = 0
         checkpoint = scope.checkpoint if scope is not None else None
         while queue:
+            fault_point("explore.object", memo)
             expr = queue.popleft()
             new_exprs = self._apply_rules(expr, memo, graph, allow_cross_products)
             inserted += len(new_exprs)

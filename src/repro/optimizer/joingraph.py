@@ -562,9 +562,9 @@ class JoinGraph:
         """The explorer's subset universe plus per-subset split buckets.
 
         One definition for every consumer that must walk the search space
-        in the canonical order — the object explorer, the batched
-        columnar builder, and (through it) the implicit engine — so the
-        byte-identical-memo guarantee cannot drift between them.  In the
+        in the canonical order — the batched columnar builder and
+        (through it) the implicit engine — so the byte-identical-memo
+        guarantee cannot drift between them.  In the
         cross-products space ``buckets`` is ``None``: every split is
         valid, and callers take :meth:`cross_splits_m` per subset.
         """

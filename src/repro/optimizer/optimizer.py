@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
 from repro.errors import OptimizerError
+from repro.memo.columnar import replay_logical_store
 from repro.memo.memo import Memo
 from repro.obs.trace import active_tracer, phase as obs_phase
 from repro.optimizer.annotate import annotate_cardinalities
-from repro.kernel import selected_backend
 from repro.optimizer.bestplan import (
     BestPlanSearch,
     ColumnarBestPlanSearch,
@@ -95,17 +95,10 @@ class OptimizerOptions:
 
     ``allow_cross_products`` selects between the two spaces of the paper's
     Table 1.  ``pruning_factor`` (off by default, as the paper recommends
-    for testing) applies cost-bound pruning after optimization.
-    ``columnar`` selects the physical-memo representation for exact
-    optimization: ``None`` (default) takes the struct-of-arrays columnar
-    path whenever the memo supports it, falling back to the object path
-    otherwise; ``False`` forces the object path (equivalence tests,
-    ablations); ``True`` requires the columnar path and errors when it is
-    unsupported.  ``batched_exploration`` is the same tri-state for the
-    *logical* side (enumeration strategy only): ``None`` lets the
-    explorer emit whole csg–cmp buckets into the columnar logical store
-    when the memo supports it, ``False`` forces per-expression object
-    inserts, ``True`` requires batching.
+    for testing) applies cost-bound pruning after optimization.  Which
+    engine serves a query is not an option: the struct-of-arrays columnar
+    path runs whenever the query fits it, and the object path serves the
+    rest (``OptimizationResult.engine`` / ``fallback_reason`` say which).
     """
 
     allow_cross_products: bool = False
@@ -114,15 +107,6 @@ class OptimizerOptions:
     implementation: ImplementationConfig = field(default_factory=ImplementationConfig)
     cost_params: CostParameters = field(default_factory=CostParameters)
     pruning_factor: float | None = None
-    columnar: bool | None = None
-    batched_exploration: bool | None = None
-    #: phase order: the default (None / True) annotates cardinalities
-    #: right after exploration, then runs one fused implement+best-plan
-    #: pass (a "fused" span with "implement" and "bestplan" sub-spans —
-    #: implementation never reads cardinalities, so the reordering is
-    #: observationally identical); False keeps the historical
-    #: explore -> implement -> annotate -> bestplan order.
-    fused: bool | None = None
     #: dominated-state pruning in the columnar DP (identical/empty
     #: candidate intervals collapse before the range scan); chosen
     #: plans and costs are identical either way.
@@ -151,11 +135,8 @@ class OptimizationResult:
     #: which physical-memo engine served: "columnar", "object", or (from
     #: the degradation ladder) "sampled" / "heuristic"
     engine: str = "columnar"
-    #: why the fast path was not taken, when auto-selection fell back
+    #: why the columnar path was not taken, when the query did not fit it
     fallback_reason: str | None = None
-    #: which kernel backend served the vectorized primitives:
-    #: "numpy", "native", or "pure"
-    kernel: str = "pure"
     #: columnar best-plan DP statistics (state and pruned-state counts);
     #: ``None`` on the object path
     dp_stats: dict | None = None
@@ -283,19 +264,13 @@ class Optimizer:
             artifacts is not None
             and getattr(artifacts, "logical", None) is not None
             and opts.exploration is ExplorationStrategy.ENUMERATION
-            and opts.batched_exploration is not False
         ):
-            from repro.memo.columnar import (
-                ColumnarUnsupported as _Unsupported,
-                replay_logical_store,
-            )
-
             with obs_phase("explore.cached") as span:
                 try:
                     store = replay_logical_store(
                         memo, graph, opts.allow_cross_products, artifacts.logical
                     )
-                except _Unsupported:
+                except ColumnarUnsupported:
                     store = None
                 else:
                     store.attach()
@@ -330,7 +305,6 @@ class Optimizer:
     ) -> OptimizationResult:
         opts = self.options
         traced = active_tracer() is not None
-        fused = opts.fused is not False
 
         replayed = self._explore_phase(
             memo, graph, timings, scope, traced, artifacts
@@ -340,33 +314,21 @@ class Optimizer:
 
         cost_model = CostModel(self.catalog, opts.cost_params)
 
-        if fused:
-            # Fused order: annotate first (it reads only the logical
-            # side, which exploration finished), then implementation and
-            # the best-plan DP back to back under one span — the two
-            # halves of the single-pass exact hot path, with the
-            # columnar store handing its requirement stream and merge
-            # state ids straight to the DP.
-            estimator = self._annotate_phase(query, memo, graph, timings, ledger)
-            with obs_phase("fused") as fspan:
-                store, fallback_reason = self._implement_phase(
-                    query, memo, graph, timings, scope, traced, artifacts
-                )
-                search, dp_stats, best_plan, best_cost = self._bestplan_phase(
-                    query, memo, store, cost_model, timings, scope, traced
-                )
-            timings["fused"] = fspan.elapsed_s
-        else:
+        # Annotate first (it reads only the logical side, which
+        # exploration finished), then implementation and the best-plan
+        # DP back to back under one span — the two halves of the
+        # single-pass exact hot path, with the columnar store handing
+        # its requirement stream and merge state ids straight to the DP.
+        estimator = self._annotate_phase(query, memo, graph, timings, ledger)
+        with obs_phase("fused") as fspan:
             store, fallback_reason = self._implement_phase(
                 query, memo, graph, timings, scope, traced, artifacts
             )
-            estimator = self._annotate_phase(query, memo, graph, timings, ledger)
             search, dp_stats, best_plan, best_cost = self._bestplan_phase(
                 query, memo, store, cost_model, timings, scope, traced
             )
+        timings["fused"] = fspan.elapsed_s
 
-        kernel = selected_backend()
-        timings["kernel"] = kernel
         if dp_stats is not None:
             timings["pruned_states"] = dp_stats["pruned"]
 
@@ -402,7 +364,6 @@ class Optimizer:
             timings=timings,
             engine="columnar" if store is not None else "object",
             fallback_reason=fallback_reason,
-            kernel=kernel,
             dp_stats=dp_stats,
         )
 
@@ -410,10 +371,11 @@ class Optimizer:
     def _implement_phase(
         self, query, memo, graph, timings, scope, traced, artifacts=None
     ):
-        """Implementation: the columnar (struct-of-arrays) path by
-        default — batched operator blocks, no GroupExpr objects — with
-        the object path as the forced/fallback alternative.  Both
-        produce the identical memo facade."""
+        """Implementation: the columnar (struct-of-arrays) path —
+        batched operator blocks, no GroupExpr objects — for every query
+        it can represent; the object path serves the rest (beyond the
+        24-relation / 254-key-column limits).  Both produce the identical
+        memo facade."""
         opts = self.options
         edges = None
         if artifacts is not None:
@@ -421,27 +383,18 @@ class Optimizer:
         with obs_phase("implement") as span:
             store = None
             fallback_reason: str | None = None
-            if opts.columnar is not False:
-                try:
-                    store = implement_memo_columnar(
-                        memo,
-                        graph,
-                        self.catalog,
-                        opts.implementation,
-                        root_order=query.order_by,
-                        scope=scope,
-                        edges=edges,
-                    )
-                except ColumnarUnsupported as exc:
-                    if opts.columnar is True:
-                        raise OptimizerError(
-                            "columnar optimization was requested but this "
-                            "memo does not support it"
-                        ) from None
-                    fallback_reason = str(exc)
-            if store is None:
-                if fallback_reason is None and opts.columnar is False:
-                    fallback_reason = "columnar disabled by options"
+            try:
+                store = implement_memo_columnar(
+                    memo,
+                    graph,
+                    self.catalog,
+                    opts.implementation,
+                    root_order=query.order_by,
+                    scope=scope,
+                    edges=edges,
+                )
+            except ColumnarUnsupported as exc:
+                fallback_reason = str(exc)
                 implement_memo(
                     memo,
                     self.catalog,
@@ -494,7 +447,7 @@ class Optimizer:
     # ------------------------------------------------------------------
     def _make_explorer(self):
         if self.options.exploration is ExplorationStrategy.ENUMERATION:
-            return EnumerationExplorer(batched=self.options.batched_exploration)
+            return EnumerationExplorer()
         if self.options.exploration is ExplorationStrategy.TRANSFORMATION:
             return TransformationExplorer(self.options.rules)
         raise OptimizerError(

@@ -26,10 +26,11 @@ also pins the ``Sort`` local ids for unranking).
 
 Groups are processed bottom-up in subset-size order, with every
 per-group aggregate held in tables keyed by the PR-1 alias bitmasks.
-When numpy is available the join-group recurrence runs through the
-vectorized :mod:`.turbo` path instead (same results, asserted by the
-property suite); this module is the reference implementation and the
-fallback for ablation configurations turbo does not cover.
+The join-group recurrence runs through the vectorized :mod:`.turbo`
+path whenever it covers the query (same results, asserted by the
+property suite); the per-pair loop here is the reference implementation
+and what serves the inputs turbo does not cover: ablation configurations
+and universes above its 18-relation word tables.
 """
 
 from __future__ import annotations
@@ -163,10 +164,6 @@ class CountState:
                 raise PlanSpaceError(
                     "turbo counting does not support this configuration"
                 )
-            return False
-        try:
-            import numpy  # noqa: F401
-        except ImportError:  # pragma: no cover - numpy is available here
             return False
         return True
 

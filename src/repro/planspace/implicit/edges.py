@@ -46,6 +46,12 @@ class EdgeCatalog:
         self.graph = graph
         self.universe = graph.universe
         n = self.universe.size
+        # Refuse before the per-conjunct equality analysis: the caller's
+        # fallback should not pay for tables it will never read.
+        if n > 24:
+            raise PlanSpaceError(
+                f"implicit plan space supports at most 24 relations ({n} given)"
+            )
 
         #: interned columns: ColumnId -> 1-based byte id (and back)
         self.col_ids: dict[ColumnId, int] = {}
@@ -86,10 +92,6 @@ class EdgeCatalog:
         # recurrence), not pre-filled densely: a sparse topology touches
         # only its connected subsets, a vanishing fraction of 2^n.  The
         # turbo path builds its own dense word tables vectorized.
-        if n > 24:
-            raise PlanSpaceError(
-                f"implicit plan space supports at most 24 relations ({n} given)"
-            )
         self._from_cache: dict[int, int] = {0: 0}
         self._to_cache: dict[int, int] = {0: 0}
 

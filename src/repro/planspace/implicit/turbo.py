@@ -35,6 +35,8 @@ pass.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import PlanSpaceError
 from repro.kernel.vector import (
     HashCollision as _HashCollision,
@@ -61,20 +63,18 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> bool:
     registered after all merge requirements, like the materializer's
     enforcer pass.
     """
-    import numpy as np
-
     if state.layout.universe.size > _MAX_UNIVERSE_BITS:
         return False
     if not hasattr(np, "bitwise_count"):  # pragma: no cover - numpy < 2.0
         return False
     try:
-        _turbo_rels_pass(np, state, extra_pairs)
+        _turbo_rels_pass(state, extra_pairs)
         return True
     except _HashCollision:  # pragma: no cover - ~2^-64 per pair of rows
         return False
 
 
-def _turbo_rels_pass(np, state, extra_pairs) -> None:
+def _turbo_rels_pass(state, extra_pairs) -> None:
     layout = state.layout
     config = state.config
     edges = state.edges
@@ -149,7 +149,7 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
     ebits = np.concatenate(
         [FROM_w[Ls] & TO_w[Rs], FROM_w[Rs] & TO_w[Ls]], axis=0
     )
-    eb_ids, eb_rep = _intern_rows(np, ebits)
+    eb_ids, eb_rep = _intern_rows(ebits)
     u_ebits = ebits[eb_rep]
     has_keys = u_ebits.any(axis=1)[eb_ids[:M]]
     U = len(u_ebits)
@@ -158,7 +158,6 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
     lcol_lut = np.frombuffer(edges.left_col, dtype=np.uint8)
     rcol_lut = np.frombuffer(edges.right_col, dtype=np.uint8)
     left_chunks, right_chunks, chunk_maxlens = decode_bit_rows(
-        np,
         u_ebits,
         E,
         lcol_lut,
@@ -213,13 +212,13 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
         if stack
         else np.zeros((0, maxlen), np.uint8)
     )
-    raw_ids, raw_rep = _intern_rows(np, _byte_words(np, all_rows))
+    raw_ids, raw_rep = _intern_rows(_byte_words(all_rows))
     kid_mat_raw = all_rows[raw_rep]
     K = len(kid_mat_raw)
 
     # lexicographic kid ranks: big-endian word lexsort == byte order, and
     # 0-padding sorts a key directly before its extensions
-    order, rank_of_raw = lex_rank_rows(np, kid_mat_raw)
+    order, rank_of_raw = lex_rank_rows(kid_mat_raw)
     kid_mat = kid_mat_raw[order]
     kid_ids = rank_of_raw[raw_ids]  # every input row -> lex-ranked kid
     kid_lengths = (kid_mat != 0).sum(axis=1).astype(np.int64)
@@ -232,7 +231,7 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
 
     # prefix intervals: hi_rank[k] = first kid after k that does not
     # extend k — one LCP sweep + monotonic stack over the sorted rows
-    hi_rank = prefix_intervals(np, kid_mat, kid_lengths, maxlen)
+    hi_rank = prefix_intervals(kid_mat, kid_lengths, maxlen)
 
     # per-split kid roles (valid where has_keys)
     lk_lr = lkid_of_eb[eb_ids[:M]]
@@ -468,16 +467,15 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
         return JoinColumns(*(col.tolist() for col in columns))
 
     state.split_columns = join_columns
-    state.sord = _SordView(np, KS, req_packed, QS)
-    state.required = _RequiredView(np, KS, req_packed, regs_o)
+    state.sord = _SordView(KS, req_packed, QS)
+    state.required = _RequiredView(KS, req_packed, regs_o)
     state.sort_counts = _SortCountsView(state) if enforcers else {}
 
 
 class _SordView:
     """Lazy ``(mask, kid) -> S(g, q)`` mapping over the query-slot arrays."""
 
-    def __init__(self, np, KS, req_packed, QS):
-        self._np = np
+    def __init__(self, KS, req_packed, QS):
         self._KS = KS
         self._req_packed = req_packed
         self._QS = QS
@@ -487,7 +485,7 @@ class _SordView:
         if kid >= self._KS - 2:  # overflow kid: cannot be a turbo slot
             raise KeyError(key)
         packed = mask * self._KS + kid
-        pos = self._np.searchsorted(self._req_packed, packed)
+        pos = np.searchsorted(self._req_packed, packed)
         if pos >= len(self._req_packed) or self._req_packed[pos] != packed:
             raise KeyError(key)
         return self._QS[pos]
@@ -498,8 +496,7 @@ class _RequiredView:
     one mask at a time: a group's requirements are a contiguous run of
     the mask-major ``req_packed``, reordered by first registration."""
 
-    def __init__(self, np, KS, req_packed, regs_emission_order):
-        self._np = np
+    def __init__(self, KS, req_packed, regs_emission_order):
         self._KS = KS
         self._req_packed = req_packed
         self._regs = regs_emission_order
@@ -509,7 +506,7 @@ class _RequiredView:
     def get(self, mask, default=None):
         kids = self._by_mask.get(mask)
         if kids is None:
-            np, KS = self._np, self._KS
+            KS = self._KS
             if self._first is None:
                 _pairs, self._first = np.unique(self._regs, return_index=True)
             lo, hi = np.searchsorted(self._req_packed, (mask * KS, (mask + 1) * KS))

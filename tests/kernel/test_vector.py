@@ -8,11 +8,9 @@ every lexicographic trick must agree with plain Python byte comparison.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.kernel import active_numpy, selected_backend
 from repro.kernel.vector import (
     byte_words,
     decode_bit_rows,
@@ -42,7 +40,7 @@ class TestLexPrimitives:
     def test_byte_words_order_equals_bytes_order(self, seed):
         rng = np.random.default_rng(seed)
         mat, _ = _random_padded_rows(rng, 200, 11)
-        words = byte_words(np, mat)
+        words = byte_words(mat)
         by_words = sorted(range(len(mat)), key=lambda i: tuple(words[i]))
         by_bytes = sorted(range(len(mat)), key=lambda i: mat[i].tobytes())
         assert [mat[i].tobytes() for i in by_words] == [
@@ -53,7 +51,7 @@ class TestLexPrimitives:
     def test_lex_rank_rows_matches_sorted_bytes(self, seed):
         rng = np.random.default_rng(seed)
         mat, _ = _random_padded_rows(rng, 300, 9)
-        order, rank = lex_rank_rows(np, mat)
+        order, rank = lex_rank_rows(mat)
         rows = [mat[i].tobytes() for i in range(len(mat))]
         assert [rows[i] for i in order] == sorted(rows)
         assert (rank[order] == np.arange(len(mat))).all()
@@ -65,27 +63,27 @@ class TestLexPrimitives:
         per-row rank."""
         rng = np.random.default_rng(seed)
         mat, _ = _random_padded_rows(rng, 400, 10)
-        distinct, rank = lex_unique_rows(np, mat)
+        distinct, rank = lex_unique_rows(mat)
 
         ref_rows = sorted({mat[i].tobytes() for i in range(len(mat))})
         assert [r.tobytes() for r in distinct] == ref_rows
         for i in range(len(mat)):
             assert distinct[rank[i]].tobytes() == mat[i].tobytes()
 
-        ids, rep = intern_rows(np, byte_words(np, mat))
-        _order, iref_rank = lex_rank_rows(np, mat[rep])
+        ids, rep = intern_rows(byte_words(mat))
+        _order, iref_rank = lex_rank_rows(mat[rep])
         assert (iref_rank[ids] == rank).all()
 
     def test_lex_unique_rows_empty(self):
         mat = np.zeros((0, 4), np.uint8)
-        distinct, rank = lex_unique_rows(np, mat)
+        distinct, rank = lex_unique_rows(mat)
         assert len(distinct) == 0 and len(rank) == 0
 
     def test_intern_rows_exact_on_duplicates(self):
         rng = np.random.default_rng(7)
         base, _ = _random_padded_rows(rng, 50, 8)
         mat = base[rng.integers(0, 50, size=500)]
-        ids, rep = intern_rows(np, byte_words(np, mat))
+        ids, rep = intern_rows(byte_words(mat))
         for i in range(len(mat)):
             assert (mat[rep[ids[i]]] == mat[i]).all()
 
@@ -113,9 +111,9 @@ class TestPrefixIntervals:
     def test_full_sweep_matches_reference(self, seed, width):
         rng = np.random.default_rng(seed)
         mat, lengths = _random_padded_rows(rng, 150, width, alphabet=3)
-        order, _ = lex_rank_rows(np, mat)
+        order, _ = lex_rank_rows(mat)
         smat, slen = mat[order], lengths[order]
-        got = prefix_intervals(np, smat, slen, width)
+        got = prefix_intervals(smat, slen, width)
         assert (got == _ref_prefix_intervals(smat, slen)).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -126,18 +124,17 @@ class TestPrefixIntervals:
         density-cutover dispatch assumes the two are interchangeable."""
         rng = np.random.default_rng(seed)
         mat, lengths = _random_padded_rows(rng, 200, width, alphabet=3)
-        order, _ = lex_rank_rows(np, mat)
+        order, _ = lex_rank_rows(mat)
         smat, slen = mat[order], lengths[order]
-        full = prefix_intervals(np, smat, slen, width)
+        full = prefix_intervals(smat, slen, width)
         ranks = rng.integers(0, len(smat), size=70).astype(np.int64)
-        got = prefix_interval_ends(np, smat, slen, width, ranks)
+        got = prefix_interval_ends(smat, slen, width, ranks)
         assert (got == full[ranks]).all()
 
     def test_selective_ends_empty_ranks(self):
         mat = np.zeros((5, 4), np.uint8)
         mat[:, 0] = np.arange(1, 6)
-        got = prefix_interval_ends(
-            np, mat, np.ones(5, np.int64), 4, np.zeros(0, np.int64)
+        got = prefix_interval_ends(mat, np.ones(5, np.int64), 4, np.zeros(0, np.int64)
         )
         assert len(got) == 0
 
@@ -153,8 +150,7 @@ class TestDecodeBitRows:
         bit_rows = masks.reshape(-1, 1)
         left_lut = rng.integers(1, 200, size=nbits).astype(np.uint8)
         right_lut = rng.integers(1, 200, size=nbits).astype(np.uint8)
-        lefts, rights, _maxlens = decode_bit_rows(
-            np, bit_rows, nbits, left_lut, right_lut, chunk_size=64
+        lefts, rights, _maxlens = decode_bit_rows(bit_rows, nbits, left_lut, right_lut, chunk_size=64
         )
         li = 0
         for chunk_l, chunk_r in zip(lefts, rights):
@@ -175,8 +171,7 @@ class TestDecodeBitRows:
         calls = []
         bit_rows = np.ones((10, 1), np.uint64)
         lut = np.ones(1, np.uint8)
-        decode_bit_rows(
-            np, bit_rows, 1, lut, lut, chunk_size=3,
+        decode_bit_rows(bit_rows, 1, lut, lut, chunk_size=3,
             on_chunk=lambda: calls.append(1),
         )
         assert len(calls) == 4
@@ -190,7 +185,7 @@ class TestSegmentedPrimitives:
         lo = rng.integers(0, 500, size=80).astype(np.int64)
         span = rng.integers(0, 30, size=80)
         hi = np.minimum(lo + span, 500).astype(np.int64)
-        got = range_min_pairs(np, values, lo, hi)
+        got = range_min_pairs(values, lo, hi)
         for k in range(80):
             want = (
                 values[lo[k] : hi[k]].min() if lo[k] < hi[k] else float("inf")
@@ -198,9 +193,7 @@ class TestSegmentedPrimitives:
             assert got[k] == want
 
     def test_range_min_pairs_all_empty(self):
-        got = range_min_pairs(
-            np,
-            np.array([1.0, 2.0]),
+        got = range_min_pairs(np.array([1.0, 2.0]),
             np.array([1, 2], np.int64),
             np.array([1, 2], np.int64),
         )
@@ -208,7 +201,7 @@ class TestSegmentedPrimitives:
 
     def test_first_occurrence_order(self):
         codes = np.array([5, 3, 5, 9, 3, 1], np.int64)
-        uniq, first = first_occurrence_order(np, codes)
+        uniq, first = first_occurrence_order(codes)
         assert uniq.tolist() == [5, 3, 9, 1]
         assert first.tolist() == [0, 1, 3, 5]
 
@@ -220,41 +213,10 @@ class TestSegmentedPrimitives:
             0, 1 << 63, size=(nbits, W), dtype=np.uint64
         )
         masks = rng.integers(0, 1 << nbits, size=40, dtype=np.int64)
-        got = union_words_by_mask(np, bit_words, masks, nbits)
+        got = union_words_by_mask(bit_words, masks, nbits)
         for i, mask in enumerate(masks):
             want = np.zeros(W, np.uint64)
             for b in range(nbits):
                 if int(mask) >> b & 1:
                     want |= bit_words[b]
             assert (got[i] == want).all()
-
-
-class TestBackendSelection:
-    def test_default_is_numpy_when_available(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
-        assert selected_backend() == "numpy"
-        assert active_numpy() is np
-
-    def test_kill_switch_wins_over_kernel_choice(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert selected_backend() == "pure"
-        assert active_numpy() is None
-
-    def test_pure_choice(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "pure")
-        assert selected_backend() == "pure"
-
-    def test_native_degrades_when_unavailable(self, monkeypatch):
-        from repro.kernel import native_available
-
-        monkeypatch.setenv("REPRO_KERNEL", "native")
-        if native_available():  # pragma: no cover - numba not in image
-            assert selected_backend() == "native"
-        else:
-            assert selected_backend() == "numpy"
-
-    def test_unknown_value_treated_as_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "turbo-mode")
-        assert selected_backend() == "numpy"

@@ -1,12 +1,17 @@
-"""Kernel-backend equivalence of the columnar physical store.
+"""Emission-path equivalence of the columnar physical store.
 
-The pure and numpy emission paths may intern kids in different orders
+``build_columnar_store`` has two emission backends, chosen by what the
+memo holds: the whole-bucket vectorized pass over a batched-explored
+logical store (the default route), and the per-group scalar loop for
+memos explored one ``memo.insert`` at a time (the transformation
+explorer, index-lookup joins).  They may intern kids in different orders
 (the vectorized build preloads a lex-sorted kid universe; the scalar
-build interns first-occurrence), so raw kid ids are *not* comparable
-across backends.  What must agree is everything observable: the row
-structure (tag/gid/children), the kid *byte strings* each row's payload
-denotes, the requirement stream under the same mapping — and, through
-the facade, the full memo render.
+build interns first-occurrence), so raw kid ids are *not* comparable.
+What must agree is everything observable: the row structure
+(tag/gid/children), the kid *byte strings* each row's payload denotes,
+the requirement stream under the same mapping, the plan the numpy DP
+extracts from either store — and, through the facade, the full memo
+render.
 """
 
 from __future__ import annotations
@@ -15,10 +20,16 @@ import pytest
 
 from repro.api import Session
 from repro.memo.columnar import TAG_HASH, TAG_INLJ, TAG_MERGE, TAG_NLJ
-from repro.optimizer.optimizer import OptimizerOptions
+from repro.optimizer.annotate import annotate_cardinalities
+from repro.optimizer.bestplan import ColumnarBestPlanSearch
+from repro.optimizer.cardinality import CardinalityEstimator
+from repro.optimizer.cost import CostModel
+from repro.optimizer.implementation import implement_memo_columnar
+from repro.optimizer.setup import build_initial_memo
+from repro.sql.binder import Binder
+from repro.sql.parser import parse
 from repro.workloads.synthetic import clique_query, cycle_query, star_query
-
-BACKENDS = ["pure", "numpy"]
+from tests.optimizer.reference_enumeration import ReferenceEnumerationExplorer
 
 WORKLOADS = {
     "star6": lambda: star_query(6, rows=5, seed=0),
@@ -29,11 +40,9 @@ WORKLOADS = {
 _JOIN_TAGS = (TAG_NLJ, TAG_HASH, TAG_MERGE)
 
 
-def _store_fingerprint(result):
-    """Backend-independent view of a columnar store: kid payloads are
+def _store_fingerprint(store):
+    """Emission-independent view of a columnar store: kid payloads are
     resolved to their byte strings."""
-    store = result.memo.columnar
-    assert store is not None
     kid_bytes = store._keys.kid_bytes
     rows = []
     for row in range(store.row_count):
@@ -59,36 +68,37 @@ def _store_fingerprint(result):
     }
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", request.param)
-    return request.param
+def _scalar_emission(workload):
+    """Columnar implementation + DP over a reference-explored memo: no
+    logical store, so the build takes the scalar emission loop."""
+    query = Binder(workload.catalog).bind(parse(workload.sql))
+    setup = build_initial_memo(query, False)
+    memo, graph = setup.memo, setup.graph
+    ReferenceEnumerationExplorer().explore(memo, graph, False)
+    assert memo.columnar_logical is None
+    annotate_cardinalities(
+        memo, graph, CardinalityEstimator(workload.catalog, query)
+    )
+    store = implement_memo_columnar(
+        memo, graph, workload.catalog, root_order=query.order_by
+    )
+    search = ColumnarBestPlanSearch(store, CostModel(workload.catalog))
+    plan, cost = search.run().best_plan(query.order_by)
+    return memo, store, plan, cost
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_store_identical_across_backends(name, monkeypatch):
+def test_store_identical_across_backends(name):
     workload = WORKLOADS[name]()
-    prints = {}
-    results = {}
-    for backend in BACKENDS:
-        monkeypatch.setenv("REPRO_KERNEL", backend)
-        result = Session(
-            workload.database, options=OptimizerOptions(columnar=True)
-        ).optimize(workload.sql)
-        assert result.kernel == backend
-        prints[backend] = _store_fingerprint(result)
-        results[backend] = result
-    assert prints["pure"] == prints["numpy"]
-    assert results["pure"].best_cost == results["numpy"].best_cost
-    assert (
-        results["pure"].memo.render() == results["numpy"].memo.render()
-    )
-
-
-def test_backend_reported_on_result(backend):
-    workload = WORKLOADS["star6"]()
-    result = Session(
-        workload.database, options=OptimizerOptions(columnar=True)
-    ).optimize(workload.sql)
-    assert result.kernel == backend
-    assert result.timings["kernel"] == backend
+    vector = Session(workload.database).optimize(workload.sql)
+    vector_store = vector.memo.columnar
+    memo, scalar_store, plan, cost = _scalar_emission(workload)
+    # Which loop emitted each store: only the vectorized pass hands the
+    # DP its merge rows' state ids.
+    assert vector_store._merge_sid0 is not None
+    assert scalar_store._merge_sid0 is None
+    assert _store_fingerprint(vector_store) == _store_fingerprint(scalar_store)
+    # The numpy DP returns the same plan over either store.
+    assert cost == vector.best_cost
+    assert plan.render() == vector.best_plan.render()
+    assert memo.render() == vector.memo.render()

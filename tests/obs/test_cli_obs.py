@@ -186,7 +186,6 @@ class TestOptimizeVerbose:
         code, text = run_cli("optimize", "Q3", "-v")
         assert code == 0
         assert "engine: columnar" in text
-        assert "kernel: " in text
         assert "pruned_states=" in text
         assert "timings:" in text and "bestplan" in text
 

@@ -5,9 +5,10 @@ import pytest
 
 from repro.api import Session
 from repro.obs import Metrics
-from repro.optimizer.optimizer import OptimizerOptions
+from repro.optimizer.optimizer import ExplorationStrategy, OptimizerOptions
 from repro.resilience.budget import BudgetScope
 from repro.resilience.faults import FAULT_SITES
+from repro.workloads.synthetic import chain_query
 from repro.workloads.tpch_queries import tpch_query
 
 Q3 = tpch_query("Q3").sql
@@ -143,16 +144,22 @@ class TestFaultSiteLockstep:
         session.execute_detailed(Q3, analyze=True)
         harvest(session.metrics)
 
-        # Exact, object engine (explore.object / implement.object /
-        # bestplan.object).
-        object_session = Session.tpch(
+        # Exact, object engine: implement.object / bestplan.object serve
+        # what the columnar path cannot (25 relations), explore.object
+        # is the rule-driven explorer.
+        chain25 = chain_query(25, rows=5, seed=0)
+        object_session = Session(chain25.database)
+        result = object_session.optimize(chain25.sql, trace=True)
+        assert result.engine == "object"
+        harvest(object_session.metrics)
+        rules_session = Session.tpch(
             seed=0,
             options=OptimizerOptions(
-                columnar=False, batched_exploration=False
+                exploration=ExplorationStrategy.TRANSFORMATION
             ),
         )
-        object_session.optimize(Q3, trace=True)
-        harvest(object_session.metrics)
+        rules_session.optimize(Q3, trace=True)
+        harvest(rules_session.metrics)
 
         # Sampled engine (implicit.count / sampled.batch).
         sampled_session = Session.tpch(seed=0)

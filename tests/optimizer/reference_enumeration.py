@@ -1,14 +1,14 @@
-"""Reference (slow-path) join enumeration, retained for equivalence testing.
+"""Reference (slow-path) join enumeration: the exploration oracle.
 
-This module preserves the original ``frozenset[str]``-based generate-and-
-test algorithms that :mod:`repro.optimizer.joingraph` and
-:mod:`repro.optimizer.explorer` replaced with bitmask csg–cmp enumeration.
-It is deliberately *not* optimized: its value is that it is small enough
-to audit by eye, and that property tests can assert the fast path produces
-exactly the same search space — same connected subsets, same valid
-partitions, same memo group/expression counts — on every query shape.
-
-Nothing in the production pipeline imports this module.
+The original ``frozenset[str]``-based generate-and-test algorithms that
+:mod:`repro.optimizer.joingraph` and :mod:`repro.optimizer.explorer`
+replaced with bitmask csg–cmp enumeration and batched store emission.
+Deliberately *not* optimized: small enough to audit by eye, and inserting
+one ``GroupExpr`` at a time through ``memo.insert`` — so a memo it
+explores carries no columnar store at all.  ``tests/reference_pipeline.py``
+composes it with the object implementation and best-plan search into the
+slow end-to-end oracle the differential suites diff the production
+engine against.
 """
 
 from __future__ import annotations

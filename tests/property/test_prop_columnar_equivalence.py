@@ -1,21 +1,17 @@
 """Equivalence of the columnar optimization path against the object memo.
 
-The struct-of-arrays physical memo (:mod:`repro.memo.columnar`), batched
-implementation, and the layered best-plan DP must reproduce the object
-pipeline *exactly*: same best plan (byte-identical render, same local
-ids, same cost), same plan-space total ``N``, same per-operator census —
-and, through the lazy materialization facade, a byte-identical memo
-render.  These tests sweep chain/star/clique/cycle shapes in both
-cross-product modes; n in {7, 8} runs under ``-m slow``.
-
-The pure-Python array fallback (numpy disabled via
-``REPRO_COLUMNAR_NUMPY=0``) is asserted against the same oracle on a
-representative subset.
+The struct-of-arrays memo (:mod:`repro.memo.columnar`) — batched
+exploration, batched implementation, and the layered best-plan DP — must
+reproduce the object pipeline *exactly*: same best plan (byte-identical
+render, same local ids, same cost), same plan-space total ``N``, same
+per-operator census — and, through the lazy materialization facade, a
+byte-identical memo render.  The object pipeline is the slow oracle of
+``tests/reference_pipeline.py``; the engine under test is whatever the
+default options select.  These tests sweep chain/star/clique/cycle
+shapes in both cross-product modes; n in {7, 8} runs under ``-m slow``.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import pytest
 
@@ -30,6 +26,11 @@ from repro.workloads.synthetic import (
     star_query,
 )
 from repro.workloads.tpch_queries import TPCH_QUERIES
+from tests.reference_pipeline import (
+    assert_matches_reference,
+    operator_census,
+    optimize_reference,
+)
 
 SHAPES = {
     "chain": chain_query,
@@ -55,57 +56,34 @@ SLOW_CASES = [
 ]
 
 
-def _operator_census(memo) -> Counter:
-    """Physical expression counts per operator name (forces the lazy
-    materialization of a columnar memo)."""
-    census: Counter = Counter()
-    for group in memo.groups:
-        for expr in group.physical_exprs():
-            census[expr.op.name] += 1
-    return census
-
-
-def _optimize_both(workload, cross: bool, implementation=None):
-    kwargs = {"allow_cross_products": cross}
-    if implementation is not None:
-        kwargs["implementation"] = implementation
-    columnar = Session(
-        workload.database, options=OptimizerOptions(columnar=True, **kwargs)
-    ).optimize(workload.sql)
-    objectpath = Session(
-        workload.database, options=OptimizerOptions(columnar=False, **kwargs)
-    ).optimize(workload.sql)
+def _optimize_both(
+    workload, cross: bool, implementation=ImplementationConfig()
+):
+    options = OptimizerOptions(
+        allow_cross_products=cross, implementation=implementation
+    )
+    columnar = Session(workload.database, options=options).optimize(workload.sql)
+    objectpath = optimize_reference(workload.catalog, workload.sql, options)
+    assert columnar.engine == "columnar"
     assert columnar.memo.columnar is not None
-    assert objectpath.memo.columnar is None
     return columnar, objectpath
 
 
 def _check_equivalence(shape: str, n: int, cross: bool) -> None:
     workload = SHAPES[shape](n, rows=5, seed=0)
     columnar, objectpath = _optimize_both(workload, cross)
+    assert columnar.memo.columnar_logical is not None
 
-    # Best plan: byte-identical (operators, shape, group/local ids), same
-    # cost to the bit.
-    assert columnar.best_cost == objectpath.best_cost
-    assert columnar.best_plan.render() == objectpath.best_plan.render()
+    # Counts answered from the arrays, before anything materializes;
+    # best plan byte-identical (operators, shape, group/local ids), same
+    # cost to the bit; then the full memo dump.
+    assert_matches_reference(columnar, objectpath)
 
-    # Counts answered from the arrays, before anything materializes.
-    assert (
-        columnar.memo.expression_count() == objectpath.memo.expression_count()
-    )
-    assert (
-        columnar.memo.physical_expression_count()
-        == objectpath.memo.physical_expression_count()
-    )
-
-    # Plan-space N through the lazy facade.
+    # Plan-space N and the per-operator census through the lazy facade.
     n_columnar = PlanSpace.from_result(columnar).count()
     n_object = PlanSpace.from_result(objectpath).count()
     assert n_columnar == n_object
-
-    # Per-operator census and, strongest of all, the full memo dump.
-    assert _operator_census(columnar.memo) == _operator_census(objectpath.memo)
-    assert columnar.memo.render() == objectpath.memo.render()
+    assert operator_census(columnar.memo) == operator_census(objectpath.memo)
 
 
 @pytest.mark.parametrize("shape,n,cross", FAST_CASES)
@@ -123,110 +101,31 @@ def test_columnar_matches_object_path_large(shape, n, cross):
 @pytest.mark.parametrize("cross", [False, True])
 def test_columnar_matches_object_path_tpch(query, cross):
     sql = TPCH_QUERIES[query].sql
-    columnar = Session.tpch(
-        options=OptimizerOptions(allow_cross_products=cross, columnar=True)
-    ).optimize(sql)
-    objectpath = Session.tpch(
-        options=OptimizerOptions(allow_cross_products=cross, columnar=False)
-    ).optimize(sql)
-    assert columnar.best_cost == objectpath.best_cost
-    assert columnar.best_plan.render() == objectpath.best_plan.render()
-    assert columnar.memo.render() == objectpath.memo.render()
-
-
-@pytest.mark.parametrize(
-    "shape,n,cross", [("clique", 5, False), ("star", 6, True), ("chain", 6, False)]
-)
-def test_columnar_python_fallback_matches(shape, n, cross, monkeypatch):
-    """The pure-Python array sweep (numpy absent) is the same function."""
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-    _check_equivalence(shape, n, cross)
-
-
-@pytest.mark.parametrize(
-    "shape,n,cross",
-    [("cycle", 5, False), ("clique", 5, False), ("star", 6, True)],
-)
-@pytest.mark.parametrize("numpy_off", [False, True])
-def test_batched_exploration_matrix(shape, n, cross, numpy_off, monkeypatch):
-    """The batched logical path forced on and off — crossed with the
-    numpy-disabled best-plan fallback — yields identical best plans,
-    counts and memo renders end-to-end."""
-    if numpy_off:
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-    workload = SHAPES[shape](n, rows=5, seed=0)
-    results = {}
-    for batched in (True, False):
-        results[batched] = Session(
-            workload.database,
-            options=OptimizerOptions(
-                allow_cross_products=cross, batched_exploration=batched
-            ),
-        ).optimize(workload.sql)
-    on, off = results[True], results[False]
-    assert on.memo.columnar_logical is not None
-    assert off.memo.columnar_logical is None
-    assert on.best_cost == off.best_cost
-    assert on.best_plan.render() == off.best_plan.render()
-    # Logical counts answer from the arrays before anything materializes.
-    assert (
-        on.memo.logical_expression_count()
-        == off.memo.logical_expression_count()
+    options = OptimizerOptions(allow_cross_products=cross)
+    session = Session.tpch(options=options)
+    columnar = session.optimize(sql)
+    assert columnar.engine == "columnar"
+    assert_matches_reference(
+        columnar, optimize_reference(session.catalog, sql, options)
     )
-    assert on.memo.expression_count() == off.memo.expression_count()
-    assert on.memo.render() == off.memo.render()
-
-
-@pytest.mark.parametrize(
-    "shape,n,cross",
-    [("cycle", 5, False), ("clique", 5, False), ("star", 6, True)],
-)
-@pytest.mark.parametrize("numpy_off", [False, True])
-def test_fused_pass_matrix(shape, n, cross, numpy_off, monkeypatch):
-    """The single-pass implement+DP (``fused``, the default) against the
-    historical phase order (``fused=False``) — crossed with batched
-    exploration and the numpy kill-switch — same best plan, same cost,
-    same memo render."""
-    if numpy_off:
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-    workload = SHAPES[shape](n, rows=5, seed=0)
-    results = {}
-    for fused in (True, False):
-        for batched in (True, False):
-            results[fused, batched] = Session(
-                workload.database,
-                options=OptimizerOptions(
-                    allow_cross_products=cross,
-                    fused=fused,
-                    batched_exploration=batched,
-                ),
-            ).optimize(workload.sql)
-    baseline = results[True, True]
-    for key, result in results.items():
-        assert result.best_cost == baseline.best_cost, key
-        assert result.best_plan.render() == baseline.best_plan.render(), key
-        assert result.memo.render() == baseline.memo.render(), key
 
 
 @pytest.mark.parametrize("density", [0.0, 0.4, 1.0])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_fused_and_pruning_random_topologies(density, seed):
-    """Random connected topologies: fused/unfused and dominated-state
-    pruning on/off all land on the identical plan and cost."""
+    """Random connected topologies: dominated-state pruning on and off
+    land on the identical plan and cost."""
     from repro.workloads.synthetic import random_query
 
     workload = random_query(7, edge_density=density, seed=seed, rows=5)
-    results = {}
-    for fused in (True, False):
-        for prune in (True, False):
-            results[fused, prune] = Session(
-                workload.database,
-                options=OptimizerOptions(fused=fused, prune_dominated=prune),
-            ).optimize(workload.sql)
-    baseline = results[True, True]
-    for key, result in results.items():
-        assert result.best_cost == baseline.best_cost, key
-        assert result.best_plan.render() == baseline.best_plan.render(), key
+    on, off = (
+        Session(
+            workload.database, options=OptimizerOptions(prune_dominated=prune)
+        ).optimize(workload.sql)
+        for prune in (True, False)
+    )
+    assert off.best_cost == on.best_cost
+    assert off.best_plan.render() == on.best_plan.render()
 
 
 @pytest.mark.parametrize(
@@ -253,13 +152,10 @@ def test_dominated_state_pruning_equivalence(shape, n, cross):
     assert off.dp_stats["pruned"] == 0
 
 
-def test_batched_exploration_counts_do_not_materialize():
+def test_logical_counts_do_not_materialize():
     """Logical counting on a batched memo must not rebuild GroupExprs."""
     workload = SHAPES["cycle"](6, rows=5, seed=0)
-    result = Session(
-        workload.database,
-        options=OptimizerOptions(batched_exploration=True, columnar=True),
-    ).optimize(workload.sql)
+    result = Session(workload.database).optimize(workload.sql)
     memo = result.memo
     store = memo.columnar_logical
     assert store is not None
@@ -295,34 +191,25 @@ def test_columnar_matches_object_path_ablations(implementation):
     columnar, objectpath = _optimize_both(
         workload, False, implementation=implementation
     )
-    assert columnar.best_cost == objectpath.best_cost
-    assert columnar.best_plan.render() == objectpath.best_plan.render()
-    assert columnar.memo.render() == objectpath.memo.render()
+    assert_matches_reference(columnar, objectpath)
 
 
 def test_columnar_auto_falls_back_when_unsupported():
-    """Beyond the EdgeCatalog limits (>24 relations) the default options
-    silently fall back to the object path; columnar=True errors."""
-    from repro.errors import OptimizerError
-
+    """Beyond the EdgeCatalog limits (>24 relations) the object path
+    serves — and says so (``tests/optimizer/test_engine_selection.py``
+    pins the rest of the selection contract)."""
     workload = chain_query(25, rows=5, seed=0)
-    result = Session(
-        workload.database, options=OptimizerOptions(columnar=None)
-    ).optimize(workload.sql)
+    result = Session(workload.database).optimize(workload.sql)
     assert result.memo.columnar is None
+    assert result.engine == "object"
+    assert "24 relations" in result.fallback_reason
     assert result.best_plan is not None
-    with pytest.raises(OptimizerError):
-        Session(
-            workload.database, options=OptimizerOptions(columnar=True)
-        ).optimize(workload.sql)
 
 
 def test_columnar_counts_do_not_materialize():
     """Counting a columnar memo must not rebuild GroupExpr objects."""
     workload = SHAPES["star"](6, rows=5, seed=0)
-    result = Session(
-        workload.database, options=OptimizerOptions(columnar=True)
-    ).optimize(workload.sql)
+    result = Session(workload.database).optimize(workload.sql)
     memo = result.memo
     assert memo.expression_count() > 0
     assert memo.physical_expression_count() > 0

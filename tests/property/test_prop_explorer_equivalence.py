@@ -4,8 +4,8 @@ reference (slow-path) implementation.
 The bitset rewrite of :mod:`repro.optimizer.joingraph` and
 :mod:`repro.optimizer.explorer` must span *exactly* the same search space
 as the original generate-and-test algorithms, preserved verbatim in
-:mod:`repro.optimizer.reference`.  These tests sweep chain/star/clique/
-cycle shapes in both cross-product modes and assert:
+``tests/optimizer/reference_enumeration.py``.  These tests sweep
+chain/star/clique/cycle shapes in both cross-product modes and assert:
 
 * identical connected-subset universes and partition lists (including
   enumeration *order* — the rewrite promises byte-identical memo layout);
@@ -25,7 +25,7 @@ from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import implement_memo
 from repro.optimizer.annotate import annotate_cardinalities
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.reference import (
+from tests.optimizer.reference_enumeration import (
     ReferenceEnumerationExplorer,
     reference_connected_subsets,
     reference_partitions,

@@ -7,11 +7,12 @@ random_query`), so enumeration-order or cut-key bugs that only surface on
 irregular shapes (asymmetric trees, partial cliques, bridged cycles)
 cannot hide.  For every graph, in both cross-product modes:
 
-* batched exploration and per-expression object exploration produce
-  byte-identical memos (full render — group ids, expression order, local
-  ids), identical best plans and costs;
+* the default (columnar) engine and the object oracle of
+  ``tests/reference_pipeline.py`` produce byte-identical memos (full
+  render — group ids, expression order, local ids), identical best plans
+  and costs;
 * the implicit plan-space engine's exact ``N`` equals the materialized
-  count on both explorer paths;
+  count over either memo;
 * per-operator censuses agree across all three engines.
 
 The n=8 sweeps run under ``-m slow``; the smoke tier keeps a spread of
@@ -20,8 +21,6 @@ sizes and densities below that.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
 from repro.api import Session
@@ -29,6 +28,11 @@ from repro.optimizer.optimizer import OptimizerOptions
 from repro.planspace.implicit import ImplicitPlanSpace
 from repro.planspace.space import PlanSpace
 from repro.workloads.synthetic import random_query
+from tests.reference_pipeline import (
+    assert_matches_reference,
+    operator_census,
+    optimize_reference,
+)
 
 # (n, edge_density, seed, allow_cross_products) — ~20 seeded topologies.
 # Cross-product spaces grow like the clique's regardless of density, so
@@ -65,67 +69,37 @@ SLOW_CASES = [
 ]
 
 
-def _operator_census(memo) -> Counter:
-    census: Counter = Counter()
-    for group in memo.groups:
-        for expr in group.physical_exprs():
-            census[expr.op.name] += 1
-    return census
-
-
 def _check_topology(n: int, density: float, seed: int, cross: bool) -> None:
     workload = random_query(n, edge_density=density, seed=seed, rows=5)
     tag = (workload.name, cross)
+    options = OptimizerOptions(allow_cross_products=cross)
 
-    batched = Session(
-        workload.database,
-        options=OptimizerOptions(
-            allow_cross_products=cross, batched_exploration=True
-        ),
-    ).optimize(workload.sql)
-    objectpath = Session(
-        workload.database,
-        options=OptimizerOptions(
-            allow_cross_products=cross, batched_exploration=False
-        ),
-    ).optimize(workload.sql)
+    batched = Session(workload.database, options=options).optimize(workload.sql)
+    objectpath = optimize_reference(workload.catalog, workload.sql, options)
+    assert batched.engine == "columnar", tag
     assert batched.memo.columnar_logical is not None, tag
-    assert objectpath.memo.columnar_logical is None, tag
 
-    # Best plan: byte-identical, same cost to the bit.
-    assert batched.best_cost == objectpath.best_cost, tag
-    assert batched.best_plan.render() == objectpath.best_plan.render(), tag
+    # Best plan byte-identical, same cost to the bit; counts answered
+    # from the arrays before anything materializes; then — strongest of
+    # all — the full memo dump, through the lazy facade.
+    assert_matches_reference(batched, objectpath, tag)
 
-    # Counts answered from the arrays, before anything materializes.
-    assert (
-        batched.memo.logical_expression_count()
-        == objectpath.memo.logical_expression_count()
-    ), tag
-    assert (
-        batched.memo.expression_count() == objectpath.memo.expression_count()
-    ), tag
-
-    # Materialized plan-space totals across both explorer paths, and the
-    # implicit engine's N against them.
+    # Materialized plan-space totals over both memos, and the implicit
+    # engine's N against them.
     total = PlanSpace.from_result(batched).count()
     assert PlanSpace.from_result(objectpath).count() == total, tag
     implicit = ImplicitPlanSpace.from_sql(
-        workload.catalog,
-        workload.sql,
-        options=OptimizerOptions(allow_cross_products=cross),
+        workload.catalog, workload.sql, options=options
     )
     assert implicit.count() == total, tag
 
-    # Per-operator censuses: batched memo vs object memo, and the
+    # Per-operator censuses: columnar memo vs object memo, and the
     # implicit engine's virtual total vs the memo's.
-    assert _operator_census(batched.memo) == _operator_census(objectpath.memo), tag
+    assert operator_census(batched.memo) == operator_census(objectpath.memo), tag
     assert (
         implicit.physical_operator_count()
         == batched.memo.physical_expression_count()
     ), tag
-
-    # Strongest of all: the full memo dump, through the lazy facade.
-    assert batched.memo.render() == objectpath.memo.render(), tag
 
 
 @pytest.mark.parametrize("n,density,seed,cross", FAST_CASES)

@@ -340,12 +340,8 @@ def test_degraded_plans_render_cost_execute(seed):
     and executes — across random join topologies."""
     workload = random_query(7, edge_density=0.5, seed=seed)
     bound = _bind(workload)
-    # Force degradation regardless of how fast exact is on this shape
-    # (either exploration strategy: whichever the memo picks, it faults).
-    with inject(
-        FaultSpec("explore.batch", action="raise"),
-        FaultSpec("explore.object", action="raise"),
-    ):
+    # Force degradation regardless of how fast exact is on this shape.
+    with inject(FaultSpec("explore.batch", action="raise")):
         result = optimize_resilient(
             workload.catalog,
             bound,

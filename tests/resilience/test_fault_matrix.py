@@ -25,6 +25,7 @@ from repro.executor.executor import PlanExecutor
 from repro.memo.columnar import build_columnar_store, build_logical_store
 from repro.optimizer.implementation import implement_memo_columnar
 from repro.optimizer.optimizer import (
+    ExplorationStrategy,
     Optimizer,
     OptimizerOptions,
     _detach_stale_stores,
@@ -40,21 +41,27 @@ from repro.resilience.faults import (
 )
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
-from repro.workloads.synthetic import clique_query
+from repro.workloads.synthetic import chain_query, clique_query
 
 COLUMNAR = OptimizerOptions(allow_cross_products=False)
-OBJECT = OptimizerOptions(
-    allow_cross_products=False, columnar=False, batched_exploration=False
+RULES = OptimizerOptions(
+    allow_cross_products=False, exploration=ExplorationStrategy.TRANSFORMATION
 )
 
-#: exact-tier sites and the optimizer options that reach them
+#: exact-tier sites and the (workload fixture, optimizer options,
+#: delay-test deadline) that reach them.  The object engine is selected
+#: by the input, not by an option: ``implement.object`` /
+#: ``bestplan.object`` serve the 25-relation chain the columnar path
+#: refuses, and ``explore.object`` is the rule-driven explorer.  The
+#: exact tier gets half the deadline and must reach the site inside it;
+#: the chain needs ~0.1s to get to its DP.
 EXACT_SITES = {
-    "explore.batch": COLUMNAR,
-    "implement.columnar": COLUMNAR,
-    "bestplan.layer": COLUMNAR,
-    "explore.object": OBJECT,
-    "implement.object": OBJECT,
-    "bestplan.object": OBJECT,
+    "explore.batch": ("clique6", COLUMNAR, 0.2),
+    "implement.columnar": ("clique6", COLUMNAR, 0.2),
+    "bestplan.layer": ("clique6", COLUMNAR, 0.2),
+    "explore.object": ("clique6", RULES, 0.2),
+    "implement.object": ("chain25", COLUMNAR, 0.5),
+    "bestplan.object": ("chain25", COLUMNAR, 0.5),
 }
 
 #: sites only reachable once the ladder falls through to the sampled tier
@@ -64,6 +71,11 @@ SAMPLED_SITES = ("implicit.count", "sampled.batch")
 @pytest.fixture(scope="module")
 def clique6():
     return clique_query(6)
+
+
+@pytest.fixture(scope="module")
+def chain25():
+    return chain_query(25, rows=5)
 
 
 def _bind(workload):
@@ -87,19 +99,19 @@ def test_matrix_covers_every_registered_site():
 
 # ----------------------------------------------------------- raise matrix
 @pytest.mark.parametrize("site", sorted(EXACT_SITES))
-def test_raise_in_exact_tier_degrades_and_serves(site, clique6):
-    bound = _bind(clique6)
+def test_raise_in_exact_tier_degrades_and_serves(site, request):
+    fixture, options, _deadline = EXACT_SITES[site]
+    workload = request.getfixturevalue(fixture)
+    bound = _bind(workload)
     with inject(FaultSpec(site, action="raise")) as injector:
-        result = optimize_resilient(
-            clique6.catalog, bound, EXACT_SITES[site]
-        )
+        result = optimize_resilient(workload.catalog, bound, options)
     assert any(f.startswith(f"{site}#") for f in injector.fired)
     report = result.resilience
     assert report.degraded
     assert report.attempts[0].tier == "exact"
     assert report.attempts[0].outcome == "error"
     assert "InjectedFault" in report.attempts[0].detail
-    _assert_served(clique6, result)
+    _assert_served(workload, result)
 
 
 @pytest.mark.parametrize("site", SAMPLED_SITES)
@@ -137,22 +149,25 @@ def test_raise_in_executor_leaves_session_reusable(clique6):
 
 # ----------------------------------------------------------- delay matrix
 @pytest.mark.parametrize("site", sorted(EXACT_SITES))
-def test_delay_in_exact_tier_hits_the_deadline(site, clique6):
+def test_delay_in_exact_tier_hits_the_deadline(site, request):
     """A stalled phase only stalls until the next checkpoint: the
     deadline fires there and the ladder serves a degraded plan."""
-    bound = _bind(clique6)
-    with inject(FaultSpec(site, action="delay", delay_s=0.3)) as injector:
+    fixture, options, deadline = EXACT_SITES[site]
+    workload = request.getfixturevalue(fixture)
+    bound = _bind(workload)
+    stall = FaultSpec(site, action="delay", delay_s=deadline + 0.1)
+    with inject(stall) as injector:
         result = optimize_resilient(
-            clique6.catalog,
+            workload.catalog,
             bound,
-            EXACT_SITES[site],
-            budget=Budget(deadline_s=0.2),
+            options,
+            budget=Budget(deadline_s=deadline),
         )
     assert any(f.startswith(f"{site}#") for f in injector.fired)
     report = result.resilience
     assert report.degraded
     assert report.attempts[0].outcome == "timeout"
-    _assert_served(clique6, result)
+    _assert_served(workload, result)
 
 
 @pytest.mark.parametrize("site", SAMPLED_SITES)

@@ -92,6 +92,28 @@ class TestOptimize:
         assert code == 0
         assert "best cost" in text
         assert "sampled" not in text
+        assert "engine:" not in text  # the default engine needs no -v line
+
+    def test_fallback_engine_is_never_silent(self):
+        """25 relations exceed the columnar path's limit: the object
+        engine serves, and says so without ``-v``."""
+        aliases = [f"n{i}" for i in range(25)]
+        sql = (
+            "SELECT n0.n_name FROM "
+            + ", ".join(f"nation {alias}" for alias in aliases)
+            + " WHERE "
+            + " AND ".join(
+                f"{a}.n_nationkey = {b}.n_nationkey"
+                for a, b in zip(aliases, aliases[1:])
+            )
+        )
+        code, text = run_cli("optimize", sql)
+        assert code == 0
+        assert (
+            "engine: object (fallback: implicit plan space supports at "
+            "most 24 relations (25 given))"
+        ) in text
+        assert "best cost" in text
 
     def test_sampled(self):
         code, text = run_cli(
