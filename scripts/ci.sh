@@ -186,7 +186,9 @@ EOF
 
 echo "== sampled optimize smoke =="
 python - <<'EOF'
+import gc
 import os
+import weakref
 
 from repro.obs.trace import Tracer, tracing
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
@@ -199,30 +201,61 @@ from repro.workloads.synthetic import clique_query
 # the true optimum, seed-deterministically, and its unranking tables
 # construct rows only for the operators its draws select -- at most one
 # per pooled fragment plus the (<= 64) rows the strata descend through,
-# a small share of the space's virtual operators.  That is a count: it
-# repeats exactly on a shared host, where a wall-clock budget does not.
+# a small share of the space's virtual operators -- and at most three
+# candidate lists per touched group table (a group's sort enforcers
+# share one).  The request also pays for its own space: with the cycle
+# collector off, dropping the space and the result frees the count state
+# by reference count and leaves no CountState / ImplicitLayout /
+# TableSet for a later collection.  All of these are counts: they repeat
+# exactly on a shared host, where a wall-clock budget does not.
 # The materialized optimizer runs afterwards to provide the optimum.
 factor_cap = float(os.environ.get("CI_SAMPLED_FACTOR", "2"))
-workload = clique_query(10, rows=5, seed=0)
 options = OptimizerOptions()
+warm = clique_query(4, rows=5, seed=0)  # lazy imports, process-wide caches
+SampledOptimizer(warm.catalog, options).optimize_sql(warm.sql, samples=8, seed=0)
+workload = clique_query(10, rows=5, seed=0)
+gc.collect()
+gc.disable()
 space = ImplicitPlanSpace.from_sql(workload.catalog, workload.sql, options=options)
+operators = space.physical_operator_count()
+state = weakref.ref(space.state)
 
 tracer = Tracer()
 with tracing(tracer), tracer.span("smoke") as root:
     result = SampledOptimizer(workload.catalog, options).optimize_sql(
         workload.sql, seed=0, space=space
     )
-rows_built = root.find("sample").counters["rows_built"]
+sample = root.find("sample").counters
+rows_built, tables, lists = (
+    sample[name] for name in ("rows_built", "tables", "candidate_lists")
+)
 fragments = root.find("recombine").counters["fragments"]
-operators = space.physical_operator_count()
+best_cost, samples = result.best_cost, result.samples
+
+del space, result
+assert state() is None, (
+    "the count state outlived its space and result with the collector off "
+    "-- an ownership cycle is back on the sampled route"
+)
+gc.set_debug(gc.DEBUG_SAVEALL)
+gc.collect()
+pinned = sorted(
+    {type(obj).__name__ for obj in gc.garbage}
+    & {"CountState", "ImplicitLayout", "TableSet"}
+)
+gc.set_debug(0)
+gc.garbage.clear()
+gc.enable()
+assert not pinned, f"left for the cycle collector: {pinned}"
 
 optimum = Optimizer(workload.catalog, options).optimize_sql(workload.sql)
-factor = result.best_cost / optimum.best_cost
+factor = best_cost / optimum.best_cost
 print(
-    f"clique10 no-cross: sampled {result.best_cost:,.1f} vs optimum "
+    f"clique10 no-cross: sampled {best_cost:,.1f} vs optimum "
     f"{optimum.best_cost:,.1f} ({factor:.2f}x, cap {factor_cap:g}x); "
-    f"{result.samples} samples built {rows_built} rows for {fragments} "
-    f"fragments, of {operators} virtual operators"
+    f"{samples} samples built {rows_built} rows for {fragments} "
+    f"fragments, of {operators} virtual operators; {lists} candidate "
+    f"lists over {tables} group tables; space freed by reference count"
 )
 assert factor <= factor_cap, (
     f"sampled optimization regressed to {factor:.2f}x the optimum "
@@ -232,6 +265,10 @@ assert rows_built <= fragments + 64 and rows_built < 0.25 * operators, (
     f"sampling built {rows_built} table rows ({fragments} fragments, "
     f"{operators} virtual operators) — did the unranking tables start "
     "materializing whole groups?"
+)
+assert lists <= 3 * tables, (
+    f"{lists} candidate lists over {tables} group tables — are enforcer "
+    "children back to one list per sort kid?"
 )
 EOF
 

@@ -533,6 +533,7 @@ def _cmd_optimize(args, out) -> int:
         )
 
     from repro.sampledopt import make_rule
+    from repro.sampledopt.search import FIRST_TOUCH
 
     if args.rule == "fixed" and args.samples is None:
         raise ReproError("--rule fixed needs an explicit --samples budget")
@@ -560,6 +561,7 @@ def _cmd_optimize(args, out) -> int:
         rule=rule,
         seed=args.seed if args.seed is not None else 0,
         stratified=False if args.uniform else None,
+        trace=args.verbose,
     )
     out.write(result.describe() + "\n")
     if args.verbose and result.timings:
@@ -569,6 +571,9 @@ def _cmd_optimize(args, out) -> int:
             if isinstance(seconds, float)
         )
         out.write(f"timings: {rendered}\n")
+        counters = result.trace.find("sample").counters
+        rendered = "  ".join(f"{name}={counters[name]}" for name in FIRST_TOUCH)
+        out.write(f"first touch: {rendered}\n")
     out.write(result.explain() + "\n")
     return 0
 

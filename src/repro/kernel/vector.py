@@ -28,6 +28,7 @@ __all__ = [
     "decode_bit_rows",
     "union_words_by_mask",
     "first_occurrence_order",
+    "sorted_unique",
     "range_min_pairs",
 ]
 
@@ -278,6 +279,19 @@ def first_occurrence_order(codes):
     uniq, first = np.unique(codes, return_index=True)
     order = np.argsort(first, kind="stable")
     return uniq[order], first[order]
+
+
+def sorted_unique(values):
+    """``np.unique(values)`` of a 1-D array as one sort plus a neighbour
+    mask — numpy 2.3+ answers the bare call through a hash table, which
+    is several times slower on the registries' int64 keys."""
+    out = np.sort(values)
+    if len(out) > 1:
+        keep = np.empty(len(out), dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
 
 
 def range_min_pairs(values, lo, hi):

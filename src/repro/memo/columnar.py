@@ -493,7 +493,7 @@ class ColumnarPhysicalStore:
         #: builds, a preloaded lex-sorted byte matrix (row = kid = lex
         #: rank) when the vectorized emitter interned the cut universe
         self._keys = KeyTable(self.edges)
-        self.kid_bytes = self._keys.kid_bytes
+        self.kid_bytes = self._keys
 
         # Parallel row columns (signed 32-bit ints on CPython/Linux).
         self.tag = array("i")

@@ -211,8 +211,12 @@ class Optimizer:
 
         The cycle collector is paused for the duration: optimization
         allocates hundreds of thousands of short-lived tuples and memo
-        expressions but no reference cycles (children are group *ids*),
-        so generational GC passes only add pauses.  The pause is
+        expressions, none of them garbage before the call returns, so
+        generational GC passes only add pauses.  What it returns is not
+        cycle-free, though: the memo and its columnar stores refer to
+        each other and join predicates cache operators that point back
+        at them (``rules.py``), so a dropped result waits for a later
+        full collection.  The pause is
         ref-counted (:func:`repro.util.gcguard.paused_gc`) so
         overlapping optimizations on sibling threads do not re-enable
         the collector for each other mid-flight.

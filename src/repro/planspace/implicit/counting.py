@@ -240,7 +240,7 @@ class CountState:
         inlj = config.enable_index_nl_join
         cut = self.edges.cut
         cut_kids = self.keys.cut_kids
-        kid_bytes = self.keys.kid_bytes
+        kid_bytes = self.keys
         A, nonenf, sord = self.A, self.nonenf, self.sord
 
         scope = self.scope
@@ -360,7 +360,7 @@ class CountState:
         enforcers: bool,
     ) -> None:
         """Attach sorts, answer this group's order queries, store totals."""
-        kid_bytes = self.keys.kid_bytes
+        kid_bytes = self.keys
         required = self.required.get(mask)
         self.nonenf[mask] = total
         group_total = total
@@ -402,7 +402,7 @@ class CountState:
             if top.delivered is not None and top.delivered.startswith(seq):
                 total += top.count
         for kid, count in self.tower_sorts[gid]:
-            if self.keys.kid_bytes[kid].startswith(seq):
+            if self.keys[kid].startswith(seq):
                 total += count
         return total
 
@@ -410,7 +410,7 @@ class CountState:
         group = self.layout.group(gid)
         if group.kind in ("leaf", "join"):
             return self.sord[(group.mask, kid)]
-        return self._tower_sum_satisfying(gid, self.keys.kid_bytes[kid])
+        return self._tower_sum_satisfying(gid, self.keys[kid])
 
     def _count_tower(self) -> None:
         layout = self.layout
@@ -458,7 +458,7 @@ class CountState:
                             top.count
                             for top in ops
                             if top.delivered is not None
-                            and top.delivered.startswith(keys.kid_bytes[kid])
+                            and top.delivered.startswith(keys[kid])
                         )
                     sorts.append((kid, count))
                 self.physical_count += len(sorts)
@@ -469,7 +469,7 @@ class CountState:
         if self.root_kid is None:
             self.total = self.total_of_gid(root.gid)
         else:
-            seq = keys.kid_bytes[self.root_kid]
+            seq = keys[self.root_kid]
             if root.kind in ("leaf", "join"):  # pragma: no cover - root is proj
                 self.total = self.sord[(root.mask, self.root_kid)]
             else:

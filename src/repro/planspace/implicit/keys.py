@@ -44,7 +44,6 @@ class KeyTable:
     def __init__(self, edges: EdgeCatalog):
         self.edges = edges
         self._kid_by_bytes: dict[bytes, int] = {}
-        self.kid_bytes = _KidBytes(self)
         self._overflow: list[bytes] = []
         self._mat_flat: bytes = b""
         self._width: int = 0
@@ -72,6 +71,10 @@ class KeyTable:
         if kid < self._preloaded:
             return self._row(kid)
         return self._overflow[kid - self._preloaded]
+
+    #: ``keys[kid]`` — the table is its own ``kid -> bytes`` column.  No
+    #: ``__len__`` beside it: an empty table must not become falsy.
+    __getitem__ = bytes_of
 
     def kid(self, seq: bytes) -> int:
         """Intern a packed key sequence."""
@@ -117,22 +120,6 @@ class KeyTable:
     def columns_of(self, kid: int):
         """The ColumnId sequence of a kid (for ``Sort``/key construction)."""
         return self.edges.seq_columns(self.bytes_of(kid))
-
-
-class _KidBytes:
-    """Indexable ``kid -> bytes`` facade over both key-table backings."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: KeyTable):
-        self._table = table
-
-    def __getitem__(self, kid: int) -> bytes:
-        return self._table.bytes_of(kid)
-
-    def __len__(self) -> int:
-        table = self._table
-        return table._preloaded + len(table._overflow)
 
 
 class OrderIndex:

@@ -97,7 +97,9 @@ class GroupTable:
     def __init__(self, tables: "TableSet", gid: int):
         # no reference back to ``tables``: a dropped space must free its
         # tables by reference count, not wait for the cycle collector
+        # (rows are counted through a one-slot cell the set shares out)
         self.state = state = tables.state
+        self._built = tables._built
         self.gid = gid
         self.group = group = state.layout.group(gid)
         #: local id of position 0 (logical expressions occupy ``1..L``)
@@ -159,7 +161,7 @@ class GroupTable:
 
     def satisfying(self, kid: int) -> list[int]:
         """Positions whose delivered order satisfies required ``kid``."""
-        kid_bytes = self.state.keys.kid_bytes
+        kid_bytes = self.state.keys
         seq = kid_bytes[kid]
         verdict: dict[int, bool] = {}
         out = []
@@ -177,6 +179,7 @@ class GroupTable:
         row = self._rows.get(pos)
         if row is None:
             row = self._rows[pos] = self._make(pos)
+            self._built[0] += 1
         return row
 
     def row_by_local(self, local_id: int) -> Row:
@@ -228,14 +231,27 @@ class TableSet:
         self._join_ops: dict[tuple[int, int], JoinImplementations] = {}
         self._inlj_ops: dict[tuple[int, int], list] = {}
         self._scan_ops: dict[int, list] = {}
+        self._sort_ops: dict[int, object] = {}  # kid -> its one Sort
         self._cardinality: dict[int, float] = {}
         self._estimator = None
+        self._built = [0]  # rows constructed, counted by the tables
 
     # ------------------------------------------------------------------
+    # first-touch work so far, in counts (each an O(1) read)
     @property
     def rows_built(self) -> int:
         """:class:`Row` objects constructed so far (the laziness measure)."""
-        return sum(len(table._rows) for table in self._tables.values())
+        return self._built[0]
+
+    @property
+    def tables(self) -> int:
+        """Group tables built so far."""
+        return len(self._tables)
+
+    @property
+    def candidate_lists(self) -> int:
+        """Candidate lists (positions + bigint prefix sums) built so far."""
+        return len(self._candidates)
 
     def table(self, gid: int) -> GroupTable:
         table = self._tables.get(gid)
@@ -250,8 +266,13 @@ class TableSet:
         ``requirement`` is None (all alternatives), a kid id (delivered
         order must satisfy it), or ``(NONENF, kid)`` (enforcer children:
         every non-enforcer, minus the already-ordered ones under the
-        redundant-sort ablation).
+        redundant-sort ablation).  With redundant sorts kept, every
+        enforcer of a group has the same children — its body — so the
+        group keeps one list for all of them; without, the lists really
+        differ per kid.
         """
+        if self.include_redundant_sorts and isinstance(requirement, tuple):
+            requirement = NONENF
         key = (gid, requirement)
         cached = self._candidates.get(key)
         if cached is not None:
@@ -260,11 +281,11 @@ class TableSet:
         counts = table.counts
         if requirement is None:
             positions = range(len(counts))
-        elif isinstance(requirement, tuple):
+        elif requirement is NONENF:
             positions = range(table.body)
-            if not self.include_redundant_sorts:
-                ordered = set(table.satisfying(requirement[1]))
-                positions = [pos for pos in positions if pos not in ordered]
+        elif isinstance(requirement, tuple):
+            ordered = set(table.satisfying(requirement[1]))
+            positions = [pos for pos in range(table.body) if pos not in ordered]
         else:
             positions = table.satisfying(requirement)
         cumulative = [0, *accumulate(map(counts.__getitem__, positions))]
@@ -332,7 +353,11 @@ class TableSet:
         elif kind == "sort":
             from repro.algebra.physical import Sort
 
-            op = Sort(self.state.keys.columns_of(row.payload[0]))
+            kid = row.payload[0]
+            op = self._sort_ops.get(kid)
+            if op is None:
+                op = Sort(self.state.keys.columns_of(kid))
+                self._sort_ops[kid] = op
         else:  # pragma: no cover - defensive
             raise PlanSpaceError(f"unknown row kind {kind!r}")
         row.op = op

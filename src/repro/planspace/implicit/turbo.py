@@ -45,6 +45,7 @@ from repro.kernel.vector import (
     intern_rows as _intern_rows,
     lex_rank_rows,
     prefix_intervals,
+    sorted_unique,
 )
 from repro.optimizer.rules import join_rule_arity, scan_implementations
 from repro.planspace.implicit.counting import JoinColumns
@@ -91,16 +92,19 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
     # (gid-major via per-group ranges) and map gids to masks through one
     # lookup table — no per-split Python tuples are ever built.
     store = layout.store
-    join_groups = []
     split_counts = []
+    first_rows = []  # each group's first row in the store's columns
+    initials = []  # groups seeded by the initial plan: (left mask, splits lo, hi)
     expr_range: dict[int, tuple[int, int]] = {}  # gid -> its logical joins
     M = 0
     for g in layout.join_groups():
         count = store.split_count(g.gid)
         if count:
-            join_groups.append(g)
             split_counts.append(count)
+            first_rows.append(store.split_rows(g.gid)[0])
             expr_range[g.gid] = (2 * M, 2 * (M + count))
+            if g.initial is not None:
+                initials.append((g.initial[0], M, M + count))
             M += count
     mask_lut = np.fromiter(
         (g.mask if g.mask is not None else 0 for g in layout.groups),
@@ -108,9 +112,9 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
         count=len(layout.groups),
     )
     if M:
-        gather = np.concatenate(
-            [np.arange(*store.split_rows(g.gid)) for g in join_groups]
-        )
+        counts = np.array(split_counts)
+        shift = np.array(first_rows) - (np.cumsum(counts) - counts)
+        gather = np.arange(M) + np.repeat(shift, counts)
         sl_col = np.frombuffer(store.sl, dtype=np.intc)
         sr_col = np.frombuffer(store.sr, dtype=np.intc)
         Ls = mask_lut[sl_col[gather]]
@@ -119,6 +123,14 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
         Ls = np.zeros(0, np.int64)
         Rs = np.zeros(0, np.int64)
     Ss = Ls | Rs
+    # A seeded group emits its initial left-deep join first.  Locate it:
+    # (the group's first split, the split holding the join, whether the
+    # join is that split's (l, r) orientation)
+    seeded = []
+    for left, lo, hi in initials:
+        forward = Ls[lo:hi] == left
+        at = int(np.flatnonzero(forward | (Rs[lo:hi] == left))[0])
+        seeded.append((lo, lo + at, bool(forward[at])))
 
     # ------------------------------------------------------------------
     # cut bitmasks as uint64 word rows; intern and decode
@@ -247,37 +259,13 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
         [mask * KS + kid for (mask, _), kid in zip(extra_pairs, extra_kids)],
         np.int64,
     )
+    reg_keys = []  # per split: its four packed (mask, kid) registrations
     if merge and M:
-        regs = np.empty(4 * M, np.int64)
-        regs[0::4] = Ls * KS + lk_lr
-        regs[1::4] = Rs * KS + rk_lr
-        regs[2::4] = Rs * KS + lk_rl
-        regs[3::4] = Ls * KS + rk_rl
-        keep = np.repeat(has_keys, 4)
-        # materializer emission order: a group's initial left-deep join
-        # registers before its bucket splits.  Only the few groups seeded
-        # by the initial plan materialize their split lists here.
-        perm = np.arange(4 * M)
-        base = 0
-        for g, count in zip(join_groups, split_counts):
-            if g.initial is not None:
-                lo = 4 * base
-                for j, (l, r) in enumerate(g.splits):
-                    if (l, r) == g.initial or (r, l) == g.initial:
-                        src = lo + 4 * j + (0 if (l, r) == g.initial else 2)
-                        hi = lo + 4 * count
-                        seg = list(range(lo, hi))
-                        seg.remove(src)
-                        seg.remove(src + 1)
-                        perm[lo:hi] = [src, src + 1] + seg
-                        break
-            base += count
-        regs_o = regs[perm][keep[perm]]
-        if len(extra_packed):
-            regs_o = np.concatenate([regs_o, extra_packed])
-    else:
-        regs_o = extra_packed
-    req_packed = np.unique(regs_o)
+        reg_keys = [Ls * KS + lk_lr, Rs * KS + rk_lr]  # (l, r) orientation
+        reg_keys += [Rs * KS + lk_rl, Ls * KS + rk_rl]  # (r, l)
+    req_packed = sorted_unique(
+        np.concatenate([key[has_keys] for key in reg_keys] + [extra_packed])
+    )
     NQ = len(req_packed)
     req_masks = req_packed // KS
     req_kids = req_packed % KS
@@ -289,35 +277,44 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
         [mask * KS + kid for (mask, _), kid in zip(leaf_pairs, leaf_kids)],
         np.int64,
     )
-    d_parts = []
+    d_parts = [leaf_packed]
     if merge and M:
-        d_parts.append((Ss * KS + lk_lr)[has_keys])
-        d_parts.append((Ss * KS + lk_rl)[has_keys])
-    if enforcers and NQ:
+        deliv_lr, deliv_rl = Ss * KS + lk_lr, Ss * KS + lk_rl
+        d_parts += [deliv_lr[has_keys], deliv_rl[has_keys]]
+    if enforcers:
         d_parts.append(req_packed)
-    if len(leaf_packed):
-        d_parts.append(leaf_packed)
-    D_packed = (
-        np.unique(np.concatenate(d_parts)) if d_parts else np.zeros(0, np.int64)
-    )
+    D_packed = sorted_unique(np.concatenate(d_parts))
     ND = len(D_packed)
     DS = np.empty(ND, dtype=object)
     DS[:] = 0
 
+    # The registration stream in query-slot coordinates, materializer
+    # emission order: four per split, a seeded group's left-deep join
+    # rolled to the front of its segment, the extra requirements last.
+    # Keyless splits register nothing: they point at a spare slot.
+    stream = np.searchsorted(req_packed, extra_packed)
     if merge and M:
-        d_lr = np.searchsorted(D_packed, Ss * KS + lk_lr)
-        d_rl = np.searchsorted(D_packed, Ss * KS + lk_rl)
-        q_l_lr = np.searchsorted(req_packed, Ls * KS + lk_lr)
-        q_r_lr = np.searchsorted(req_packed, Rs * KS + rk_lr)
-        q_r_rl = np.searchsorted(req_packed, Rs * KS + lk_rl)
-        q_l_rl = np.searchsorted(req_packed, Ls * KS + rk_rl)
-    req_slot_in_D = (
-        np.searchsorted(D_packed, req_packed) if (enforcers and NQ) else None
-    )
+        d_lr = np.searchsorted(D_packed, deliv_lr)
+        d_rl = np.searchsorted(D_packed, deliv_rl)
+        q_l_lr, q_r_lr, q_r_rl, q_l_rl = (
+            np.searchsorted(req_packed, key) for key in reg_keys
+        )
+        regs = np.stack([q_l_lr, q_r_lr, q_r_rl, q_l_rl], axis=1)
+        regs[~has_keys] = NQ
+        regs = regs.reshape(-1)
+        for lo, at, forward in seeded:
+            hi = 4 * at + (2 if forward else 4)
+            regs[4 * lo : hi] = np.roll(regs[4 * lo : hi], 2)
+        stream = np.concatenate([regs, stream])
+    first = np.empty(NQ + 1, np.int64)  # per slot: its first registration
+    first[stream[::-1]] = np.arange(len(stream) - 1, -1, -1)
+    # slots are mask-major; within each mask, first registered first
+    by_first = np.argsort(req_masks * len(stream) + first[:NQ])
 
     # query ranges in D coordinates (a group's slots are contiguous and
-    # kid-rank ordered, because the packed key is mask-major, rank-minor)
-    q_lo_D = np.searchsorted(D_packed, req_masks * KS + req_kids)
+    # kid-rank ordered, because the packed key is mask-major, rank-minor);
+    # with enforcers every requirement is itself a delivered slot
+    q_lo_D = req_slot_in_D = np.searchsorted(D_packed, req_packed)
     q_hi_D = np.searchsorted(D_packed, req_masks * KS + hi_rank[req_kids])
     QS = np.empty(NQ, dtype=object)
     QS[:] = 0
@@ -438,14 +435,10 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
     ]
     if merge and M:  # the QS slots of S(left, lkid) and S(right, rkid)
         exprs += [both(q_l_lr, q_r_rl), both(q_r_lr, q_l_rl)]
-    for g in join_groups:
-        if g.initial is not None:
-            lo, hi = expr_range[g.gid]
-            seg_l, seg_r = exprs[0][lo:hi], exprs[1][lo:hi]
-            first = np.flatnonzero((seg_l == g.initial[0]) & (seg_r == g.initial[1]))
-            to = lo + int(first[0]) + 1
-            for col in exprs:
-                col[lo:to] = np.roll(col[lo:to], 1)
+    for lo, at, forward in seeded:
+        hi = 2 * at + (1 if forward else 2)
+        for col in exprs:
+            col[2 * lo : hi] = np.roll(col[2 * lo : hi], 1)
 
     def join_columns(group) -> JoinColumns:
         """``CountState.join_columns`` of a turbo-backed state."""
@@ -468,8 +461,10 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
 
     state.split_columns = join_columns
     state.sord = _SordView(KS, req_packed, QS)
-    state.required = _RequiredView(KS, req_packed, regs_o)
-    state.sort_counts = _SortCountsView(state) if enforcers else {}
+    state.required = _RequiredView(req_kids[by_first], nreq_by_mask)
+    state.sort_counts = (
+        _SortCountsView(state.required, state.nonenf) if enforcers else {}
+    )
 
 
 class _SordView:
@@ -492,42 +487,31 @@ class _SordView:
 
 
 class _RequiredView:
-    """Lazy ``mask -> ordered kid list`` (global first-occurrence order),
-    one mask at a time: a group's requirements are a contiguous run of
-    the mask-major ``req_packed``, reordered by first registration."""
+    """``mask -> ordered kid list`` (global first-registration order),
+    sliced out of the mask-major kid column by each mask's slot count."""
 
-    def __init__(self, KS, req_packed, regs_emission_order):
-        self._KS = KS
-        self._req_packed = req_packed
-        self._regs = regs_emission_order
-        self._first = None  # per req_packed entry: first index in _regs
-        self._by_mask: dict[int, list[int]] = {}
+    def __init__(self, kids, nreq_by_mask):
+        self._kids = kids
+        self._ends = np.cumsum(nreq_by_mask)
 
     def get(self, mask, default=None):
-        kids = self._by_mask.get(mask)
-        if kids is None:
-            KS = self._KS
-            if self._first is None:
-                _pairs, self._first = np.unique(self._regs, return_index=True)
-            lo, hi = np.searchsorted(self._req_packed, (mask * KS, (mask + 1) * KS))
-            run = self._req_packed[lo:hi] - mask * KS
-            kids = run[np.argsort(self._first[lo:hi], kind="stable")].tolist()
-            self._by_mask[mask] = kids
-        return kids or default
+        ends = self._ends
+        return self._kids[ends[mask - 1] : ends[mask]].tolist() or default
 
 
 class _SortCountsView:
     """``mask -> per-sort counts`` — with paper-faithful redundant sorts
     every enforcer of a group counts its non-enforcer total."""
 
-    def __init__(self, state):
-        self._state = state
+    def __init__(self, required, nonenf):
+        self._required = required
+        self._nonenf = nonenf
 
     def __getitem__(self, mask):
-        kids = self._state.required.get(mask)
+        kids = self._required.get(mask)
         if kids is None:
             raise KeyError(mask)
-        return [self._state.nonenf[mask]] * len(kids)
+        return [self._nonenf[mask]] * len(kids)
 
     def get(self, mask, default=None):
         try:

@@ -62,6 +62,8 @@ __all__ = [
 DEFAULT_BATCH_SIZE = 128
 #: default cap on total samples (the plateau rule usually fires earlier)
 DEFAULT_MAX_SAMPLES = 384
+#: the ``TableSet`` counters the "sample" trace record carries
+FIRST_TOUCH = ("tables", "candidate_lists", "rows_built")
 
 
 @dataclass
@@ -79,9 +81,11 @@ class FragmentPool:
 
     ``add_plan`` walks a sampled plan and its virtual operator rows in
     lockstep, recording which rows have been observed in which context;
-    ``solve`` runs the dynamic program and assembles the best recombined
-    plan.  Both are iterative over explicit stacks, so chain-query plans
-    of any depth are safe.
+    ``solve`` runs the dynamic program over the pooled contexts and
+    ``assemble`` builds the plan it chose.  All three are loops over
+    explicit work lists, so chain-query plans of any depth are safe, and
+    no closure refers back to the pool: it and the space it holds are
+    freed by reference count when the optimize call returns.
     """
 
     def __init__(self, space: ImplicitPlanSpace, coster: SampledPlanCoster):
@@ -153,20 +157,22 @@ class FragmentPool:
     def assemble(self, choice: dict[tuple, int]) -> PlanNode:
         """Build the recombined plan from the DP's per-context choices."""
         tables = self.tables
-
-        def build(ctx: tuple) -> PlanNode:
-            gid = ctx[0]
-            row = self.fragments[ctx][choice[ctx]]
-            children = tuple(build(slot) for slot in row.slots)
-            return PlanNode(
+        rows = {}
+        order = [self.root_ctx]
+        for ctx in order:  # grows as it is walked: parents before slots
+            rows[ctx] = row = self.fragments[ctx][choice[ctx]]
+            order.extend(row.slots)
+        nodes: dict[tuple, PlanNode] = {}
+        for ctx in reversed(order):
+            gid, row = ctx[0], rows[ctx]
+            nodes[ctx] = PlanNode(
                 op=tables.operator(gid, row),
-                children=children,
+                children=tuple(nodes[slot] for slot in row.slots),
                 group_id=gid,
-                local_id=choice[ctx],
+                local_id=row.local_id,
                 cardinality=tables.cardinality(gid),
             )
-
-        return build(self.root_ctx)
+        return nodes[self.root_ctx]
 
 
 @dataclass
@@ -279,9 +285,14 @@ class SampledOptimizer:
     ) -> SampledOptimizationResult:
         """See :meth:`_optimize`; the cycle collector is paused for the
         duration (as in ``Optimizer.optimize``): sampling allocates many
-        short-lived tuples and acyclic ``PlanNode`` trees, and on a large
-        heap — e.g. a memo from an earlier exhaustive run — generational
-        passes only add pauses.  The pause is ref-counted, so a server
+        short-lived tuples and ``PlanNode`` trees, and on a large heap —
+        e.g. a memo from an earlier exhaustive run — generational passes
+        only add pauses.  The request's space (layout, count state, group
+        tables, fragment pool) is owner-points-down and dies by reference
+        count on return; what is left for the collector is the
+        predicate-cache cycles of the join operators the plans used
+        (``optimizer/rules.py``; see ``planspace/implicit/README.md``,
+        "Ownership and lifetime").  The pause is ref-counted, so a server
         worker degrading to this tier does not re-enable the collector
         under a sibling's in-flight exact optimize."""
         with paused_gc():
@@ -365,7 +376,7 @@ class SampledOptimizer:
             self.catalog, space, self.options.cost_params
         )
         pool = FragmentPool(space, coster)
-        rows_before = pool.tables.rows_built
+        before = [getattr(pool.tables, name) for name in FIRST_TOUCH]
         if stratified:
             sampler = StratifiedSampler(space, seed=seed)
             draw = sampler.sample_ranks
@@ -427,15 +438,10 @@ class SampledOptimizer:
             # The sample/recombine phases interleave per batch, so their
             # spans attach post-hoc from the accumulated wall times — the
             # same numbers the timings dict reports.
-            tracer.record(
-                "sample",
-                sample_time,
-                counters={
-                    "samples": drawn,
-                    "batches": batches,
-                    "rows_built": pool.tables.rows_built - rows_before,
-                },
-            )
+            counters = {"samples": drawn, "batches": batches}
+            for name, was in zip(FIRST_TOUCH, before):
+                counters[name] = getattr(pool.tables, name) - was
+            tracer.record("sample", sample_time, counters=counters)
             tracer.record(
                 "recombine", solve_time, counters={"fragments": len(pool)}
             )

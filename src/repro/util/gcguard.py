@@ -1,9 +1,13 @@
 """Ref-counted pausing of the cycle collector.
 
-The optimizer pauses generational GC for the duration of a call: it
-allocates hundreds of thousands of short-lived tuples and memo
-expressions but no reference cycles, so collector passes only add
-pauses.  ``gc.disable()``/``gc.enable()`` are *process-wide*, though —
+The optimizers pause generational GC for the duration of a call: they
+allocate hundreds of thousands of tuples and expressions that are all
+still reachable until the call returns, so collector passes inside it
+only add pauses.  (Not because nothing is cyclic: an exact result's memo
+and stores refer to each other, and join predicates cache operators that
+point back at them — the collector reclaims those after the call.  The
+sampled route's space is acyclic and dies by reference count.)
+``gc.disable()``/``gc.enable()`` are *process-wide*, though —
 under a thread-pool front end (:mod:`repro.serving.server`), a sibling
 optimize finishing first would re-enable GC mid-flight for every other
 in-flight call.  :func:`paused_gc` nests instead: the collector is

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.kernel.vector import (
     byte_words,
@@ -21,6 +22,7 @@ from repro.kernel.vector import (
     prefix_interval_ends,
     prefix_intervals,
     range_min_pairs,
+    sorted_unique,
     union_words_by_mask,
 )
 
@@ -220,3 +222,42 @@ class TestSegmentedPrimitives:
                 if int(mask) >> b & 1:
                     want |= bit_words[b]
             assert (got[i] == want).all()
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+class TestSortedUnique:
+    """The registries' sort + neighbour-mask primitive is ``np.unique``:
+    same values, same order, same dtype — whatever route numpy's own
+    bare call takes on this version."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(_INT64.min, _INT64.max),
+                st.integers(-3, 3),  # small range: long runs of duplicates
+                st.sampled_from([_INT64.min, _INT64.max]),
+            ),
+            max_size=200,
+        )
+    )
+    @example([])
+    @example([7])
+    @example([4] * 50)
+    @example([_INT64.max, _INT64.min, _INT64.max, 0, _INT64.min])
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_unique(self, values):
+        array = np.array(values, np.int64)
+        before = array.copy()
+        got = sorted_unique(array)
+        want = np.unique(array)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert (array == before).all()  # the input is not sorted in place
+
+    def test_packed_registry_keys(self):
+        """The shape of the real input: mask-major packed ``(mask, kid)``
+        keys, every one registered several times."""
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 1 << 10, 52_000) * 4099 + rng.integers(0, 40, 52_000)
+        assert (sorted_unique(keys) == np.unique(keys)).all()

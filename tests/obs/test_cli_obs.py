@@ -29,6 +29,8 @@ class TestTraceCommand:
         assert code == 0
         for phase in ("space", "sample", "recombine", "assemble"):
             assert phase in text
+        for counter in ("rows_built=", "tables=", "candidate_lists="):
+            assert counter in text
 
     def test_deadline_traces_tiers(self):
         code, text = run_cli("trace", "Q3", "--deadline-s", "30")
@@ -201,3 +203,9 @@ class TestOptimizeVerbose:
         code, text = run_cli("optimize", "Q3", "--sampled", "-v")
         assert code == 0
         assert "timings:" in text
+        # first-touch work in counts, next to the wall times
+        (line,) = [ln for ln in text.splitlines() if ln.startswith("first touch:")]
+        counts = dict(item.split("=") for item in line.split()[2:])
+        assert list(counts) == ["tables", "candidate_lists", "rows_built"]
+        assert 0 < int(counts["tables"]) <= int(counts["candidate_lists"])
+        assert int(counts["candidate_lists"]) <= 3 * int(counts["tables"])

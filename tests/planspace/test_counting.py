@@ -5,9 +5,16 @@ Figure 3 for its worked example, and equal brute-force enumeration
 everywhere else.
 """
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.optimizer.optimizer import OptimizerOptions
 from repro.planspace.counting import annotate_counts, operator_count
+from repro.planspace.implicit import ImplicitPlanSpace
 from repro.planspace.links import materialize_links
 from repro.workloads.paper_example import EXPECTED_COUNTS, EXPECTED_TOTAL
+from repro.workloads.synthetic import random_query
+from tests.planspace.test_implicit_tables import SHAPES
 
 
 class TestPaperFigure3:
@@ -101,3 +108,107 @@ class TestZeroAlternativeOperators:
             assert total == EXPECTED_TOTAL
         finally:
             g3.exprs.remove(expr)
+
+
+# ----------------------------------------------------------------------
+# the implicit engine's requirement registry: one sort, same order
+# ----------------------------------------------------------------------
+def _registries(catalog, sql, cross):
+    """``mask -> required key byte strings in Sort local-id order`` of
+    the turbo-backed and of the reference-backed state of one query (kid
+    *ids* differ between the two key tables; the orders they name do
+    not)."""
+    options = OptimizerOptions(allow_cross_products=cross)
+    out = []
+    for use_turbo in (True, False):
+        state = ImplicitPlanSpace.from_sql(
+            catalog, sql, options=options, use_turbo=use_turbo
+        ).state
+        assert state.turbo_used is use_turbo
+        if use_turbo:
+            by_mask = {
+                mask: state.required.get(mask)
+                for mask in state.layout.subset_masks
+            }
+            seeded = [
+                g.mask for g in state.layout.join_groups() if g.initial is not None
+            ]
+        else:
+            by_mask = {
+                mask: list(state.required[mask]) if mask in state.required else None
+                for mask in state.layout.subset_masks
+            }
+        out.append(
+            {
+                mask: kids and [state.keys.bytes_of(kid) for kid in kids]
+                for mask, kids in by_mask.items()
+            }
+        )
+    return out[0], out[1], seeded
+
+
+def _assert_same_registry(catalog, sql, cross, n_relations):
+    turbo, reference, seeded = _registries(catalog, sql, cross)
+    assert len(seeded) == n_relations - 1  # the left-deep prefix chain
+    assert any(turbo[mask] for mask in seeded)
+    assert turbo == reference  # every mask, seeded groups included
+
+
+class TestTurboRegistryOrder:
+    """``state.required`` names a group's ``Sort`` enforcers in local-id
+    order, so the vectorized pass must register requirements exactly
+    like the per-pair reference loop (the materializer's emission order:
+    a seeded group's initial left-deep join first)."""
+
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shapes(self, shape, cross):
+        n = 6 if cross else 7
+        workload = SHAPES[shape](n, rows=5, seed=0)
+        _assert_same_registry(workload.catalog, workload.sql, cross, n)
+
+    def test_extra_requirements_register_last(self, catalog):
+        """A stream aggregate's child order is a requirement on the join
+        root, which no merge join registers one on; the ORDER BY lands on
+        the tower."""
+        sql = (
+            "SELECT n.n_name, COUNT(*) AS orders FROM customer c, orders o, "
+            "nation n, region r WHERE c.c_custkey = o.o_custkey AND "
+            "c.c_nationkey = n.n_nationkey AND n.n_regionkey = r.r_regionkey "
+            "GROUP BY n.n_name ORDER BY n.n_name"
+        )
+        state = ImplicitPlanSpace.from_sql(catalog, sql).state
+        extra, _tower, root_seq = state._tower_requirement_seqs()
+        assert extra and root_seq is not None
+        (mask, seq), = extra
+        assert mask == state.layout.universe.full_mask
+        assert _registries(catalog, sql, False)[0][mask] == [seq]
+        _assert_same_registry(catalog, sql, False, 4)
+
+    def test_seeded_join_in_reverse_orientation(self, catalog):
+        """FROM lists the name-smallest alias last, so the top group's
+        initial join is the *(r, l)* orientation of its stored split, and
+        the two orientations order the multi-column cut key differently:
+        the pair's first registration decides the Sort local ids."""
+        sql = (
+            "SELECT COUNT(*) AS n FROM supplier b, orders c, lineitem a "
+            "WHERE b.s_nationkey = c.o_custkey AND a.l_orderkey = c.o_orderkey "
+            "AND a.l_suppkey = b.s_suppkey"
+        )
+        state = ImplicitPlanSpace.from_sql(catalog, sql).state
+        top = state.layout.group_for_mask(state.layout.universe.full_mask)
+        assert top.initial not in top.splits and top.initial[::-1] in top.splits
+        turbo, _reference, _seeded = _registries(catalog, sql, False)
+        first, second = turbo[top.initial[0]]
+        assert len(first) == 2 and first == second[::-1]
+        _assert_same_registry(catalog, sql, False, 3)
+
+    @given(
+        n=st.integers(4, 7),
+        density=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=3, deadline=None)
+    def test_random_topologies(self, n, density, seed):
+        workload = random_query(n, edge_density=density, seed=seed, rows=5)
+        _assert_same_registry(workload.catalog, workload.sql, False, n)

@@ -191,3 +191,68 @@ def test_dropped_space_frees_its_tables_by_reference_count():
         assert [ref() for ref in watched] == [None, None]
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("redundant", [True, False])
+def test_enforcer_child_lists_are_shared_only_where_equal(redundant):
+    """With redundant sorts kept, every ``Sort`` of a group ranges over
+    the group's whole body, so the set keeps one candidate list per
+    group; under the ablation a sort skips the operators already ordered
+    its way, so the lists differ per kid and stay per kid.  Either way
+    the lists are what a fresh per-kid computation gives, and ranks
+    round-trip."""
+    from itertools import accumulate
+
+    from repro.planspace.implicit.tables import NONENF
+
+    workload = clique_query(5, rows=5, seed=0)
+    space = ImplicitPlanSpace.from_sql(
+        workload.catalog, workload.sql, include_redundant_sorts=redundant
+    )
+    tables = space.unranker.tables
+    checked = differing = 0
+    for group in space.state.layout.groups:
+        table = tables.table(group.gid)
+        lists = [
+            tables.candidates(group.gid, (NONENF, kid)) for kid in table.sort_kids
+        ]
+        for kid, found in zip(table.sort_kids, lists):
+            ordered = set() if redundant else set(table.satisfying(kid))
+            positions = [p for p in range(table.body) if p not in ordered]
+            assert list(found.positions) == positions
+            assert found.cumulative == [
+                0, *accumulate(table.counts[p] for p in positions)
+            ]
+            checked += 1
+        for other in lists[1:]:
+            if redundant:
+                assert other is lists[0]
+            else:
+                assert other is not lists[0]
+                differing += list(other.positions) != list(lists[0].positions)
+    assert checked > len(space.state.layout.groups)  # several sorts a group
+    assert redundant or differing
+    rng = random.Random(3)
+    for rank in (rng.randrange(space.count()) for _ in range(SEEDED_RANKS)):
+        assert space.rank(space.unrank(rank)) == rank
+
+
+def test_first_touch_counters():
+    """``rows_built`` / ``tables`` / ``candidate_lists`` count what the
+    set has constructed — plain reads, no walk over the tables."""
+    workload = clique_query(6, rows=5, seed=0)
+    space = ImplicitPlanSpace.from_sql(workload.catalog, workload.sql)
+    tables = space.unranker.tables
+    assert (tables.rows_built, tables.tables, tables.candidate_lists) == (0, 0, 0)
+    plans = [space.unrank(rank) for rank in space.sample_ranks(50, seed=1)]
+    assert tables.rows_built == sum(len(t._rows) for t in tables._tables.values())
+    assert tables.tables == len(tables._tables) > 0
+    lists = {id(found) for found in tables._candidates.values()}
+    assert tables.candidate_lists == len(lists) <= 3 * tables.tables
+    # one Sort per kid, whichever groups' enforcers the plans used
+    sorts = {}
+    for plan in plans:
+        for node in plan.iter_nodes():
+            if node.op.is_enforcer:
+                assert sorts.setdefault(node.op.order, node.op) is node.op
+    assert sorts

@@ -1,9 +1,12 @@
 """The sampled optimizer: recombination, stopping, determinism."""
 
+import sys
+
 import pytest
 
 from repro.executor.executor import PlanExecutor
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
+from repro.optimizer.plan import PlanNode
 from repro.planspace.implicit import ImplicitPlanSpace
 from repro.sampledopt import (
     FixedSamples,
@@ -13,7 +16,12 @@ from repro.sampledopt import (
     SampledPlanCoster,
 )
 from repro.testing import canonical_result
-from repro.workloads.synthetic import chain_query, clique_query, star_query
+from repro.workloads.synthetic import (
+    chain_query,
+    clique_query,
+    random_query,
+    star_query,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +127,87 @@ class TestFragmentPool:
         cost, choice = pool.solve()
         assert cost == pytest.approx(coster.cost(plan), rel=1e-12)
         assert pool.assemble(choice).fingerprint() == plan.fingerprint()
+
+
+def _assemble_recursive(pool, choice):
+    """``FragmentPool.assemble`` as a recursive closure — the reference
+    the explicit-stack walk must reproduce (and, being a closure that
+    refers to itself and to the pool, the shape that used to pin every
+    request's space until the cycle collector ran)."""
+    tables = pool.tables
+
+    def build(ctx):
+        gid = ctx[0]
+        row = pool.fragments[ctx][choice[ctx]]
+        children = tuple(build(slot) for slot in row.slots)
+        return PlanNode(
+            op=tables.operator(gid, row),
+            children=children,
+            group_id=gid,
+            local_id=choice[ctx],
+            cardinality=tables.cardinality(gid),
+        )
+
+    return build(pool.root_ctx)
+
+
+def _pool_of(workload, plans):
+    space = ImplicitPlanSpace.from_sql(
+        workload.catalog, workload.sql, options=OptimizerOptions()
+    )
+    pool = FragmentPool(space, SampledPlanCoster(workload.catalog, space))
+    for plan in plans(space):
+        pool.add_plan(plan)
+    return pool
+
+
+class TestIterativeAssemble:
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            pytest.param(lambda: chain_query(3, rows=5, seed=0), id="chain3"),
+            pytest.param(lambda: star_query(6, rows=5, seed=0), id="star6"),
+            pytest.param(lambda: clique_query(6, rows=5, seed=0), id="clique6"),
+            *(
+                pytest.param(
+                    lambda d=density, s=seed: random_query(
+                        6, edge_density=d, seed=s, rows=5
+                    ),
+                    id=f"random6-{density}-{seed}",
+                )
+                for density, seed in [(0.0, 1), (0.4, 2), (0.8, 3)]
+            ),
+        ],
+    )
+    def test_same_plan_as_the_recursive_reference(self, workload):
+        pool = _pool_of(workload(), lambda space: space.sample(80, seed=4))
+        _cost, choice = pool.solve()
+        plan = pool.assemble(choice)
+        reference = _assemble_recursive(pool, choice)
+        assert plan.render() == reference.render()
+        assert plan.operator_ids() == reference.operator_ids()
+        assert plan == reference  # ops, ids and cardinalities, node for node
+
+    def test_depth_is_not_bounded_by_the_interpreter_stack(self):
+        """A 24-relation chain plan is deeper than the frames left under
+        the recursion limit: the walk does not care, recursion does."""
+        pool = _pool_of(
+            chain_query(24, rows=5, seed=0),
+            lambda space: [max(space.sample(20, seed=0), key=PlanNode.depth)],
+        )
+        _cost, choice = pool.solve()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            plan = pool.assemble(choice)
+            with pytest.raises(RecursionError):
+                _assemble_recursive(pool, choice)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert plan.operator_ids() == _assemble_recursive(pool, choice).operator_ids()
 
 
 class TestDriverLoop:
