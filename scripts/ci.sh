@@ -94,6 +94,36 @@ for workload, logical, best_cost in (
     )
 EOF
 
+echo "== engine limits smoke =="
+# One engine up to the kernels' limit, one refusal past it — asserted on
+# what the CLI prints and returns, not on how long it takes.  25 aliases
+# (past the old 24-relation fork) are served with no fallback line; 64
+# are refused with the error naming the limit and a non-zero exit.
+chain_sql() {
+    python - "$1" <<'EOF'
+import sys
+aliases = [f"n{i}" for i in range(int(sys.argv[1]))]
+print(
+    "SELECT n0.n_name FROM "
+    + ", ".join(f"nation {a}" for a in aliases)
+    + " WHERE "
+    + " AND ".join(
+        f"{a}.n_nationkey = {b}.n_nationkey" for a, b in zip(aliases, aliases[1:])
+    )
+)
+EOF
+}
+served=$(python -m repro optimize "$(chain_sql 25)" -v)
+[ "$(grep -c "fallback" <<<"$served" || true)" -eq 0 ]
+[ "$(grep -c "^engine: columnar$" <<<"$served")" -eq 1 ]
+[ "$(grep -c "^best cost" <<<"$served")" -eq 1 ]
+if refused=$(python -m repro optimize "$(chain_sql 64)" 2>&1); then
+    echo "a 64-relation query was served: $refused" >&2
+    exit 1
+fi
+[ "$(grep -c "limit of 63 relations (64 given)" <<<"$refused")" -eq 1 ]
+echo "chain25 served by the columnar engine; chain64 refused: $refused"
+
 echo "== plan-serving smoke =="
 python - <<'EOF'
 import os

@@ -465,7 +465,8 @@ def _cmd_optimize(args, out) -> int:
             out.write(
                 "feedback: ledger holds no observations for this query\n"
             )
-        # A fallback engine is never silent: it can be 50x slower.
+        # Only the ladder's heuristic tier sets a fallback reason: a
+        # greedy plan is never served silently.
         engine = getattr(result, "engine", None)
         reason = getattr(result, "fallback_reason", None)
         if reason:

@@ -262,8 +262,8 @@ def decode_bit_rows(
 def union_words_by_mask(bit_words, masks, nbits):
     """Per-mask unions of per-bit word rows: ``out[i] = OR of
     bit_words[b] over set bits b of masks[i]``.  One vectorized OR sweep
-    per universe bit (``nbits`` ≤ 24 everywhere the columnar path
-    runs)."""
+    per universe bit; ``masks`` is a signed int64 column, so ``nbits`` ≤
+    63 (``repro.planspace.implicit.edges.MAX_RELATIONS``)."""
     W = bit_words.shape[1] if nbits else 1
     out = np.zeros((len(masks), W), np.uint64)
     for i in range(nbits):

@@ -19,13 +19,14 @@ a/b    per-tag payload: interned sort-order ids (*kids*) for merge keys
        operator list (scans, unary operators, index-lookup joins)
 ====== ===================================================================
 
-Rows are emitted in exactly the order :func:`~repro.optimizer.
-implementation.implement_memo` would have inserted expressions — group by
-group, logical expression by logical expression, rule order within — so
-``local_id`` arithmetic is positional: row ``r`` of group ``g`` has local
-id ``logical_count(g) + (r - start(g)) + 1``.  ``Sort`` enforcers are not
-rows; they are per-group kid lists in global requirement
-first-occurrence order, with the local ids that follow the group's block.
+Rows are emitted in exactly the order a one-``memo.insert``-per-operator
+loop (the oracle, ``tests/optimizer/reference_implementation.py``)
+inserts expressions — group by group, logical expression by logical
+expression, rule order within — so ``local_id`` arithmetic is
+positional: row ``r`` of group ``g`` has local id ``logical_count(g) +
+(r - start(g)) + 1``.  ``Sort`` enforcers are not rows; they are
+per-group kid lists in global requirement first-occurrence order, with
+the local ids that follow the group's block.
 
 Key identity is *bitmask* work, reused from the implicit engine
 (:mod:`repro.planspace.implicit.edges`): the equi-key sequences of a join
@@ -122,8 +123,10 @@ _UNARY_TAGS = {
 
 
 class ColumnarUnsupported(Exception):
-    """This memo/configuration cannot take the columnar path (caller
-    falls back to the object implementation)."""
+    """This memo cannot take a columnar build: not freshly seeded
+    (batched exploration), drifted from its cached template (replay —
+    the caller explores normally instead), or hand-assembled without an
+    alias universe (implementation, which has no other path)."""
 
 
 class _PendingExprs:
@@ -475,7 +478,6 @@ class ColumnarPhysicalStore:
         # reaches back into repro.optimizer.
         from repro.planspace.implicit.edges import EdgeCatalog
         from repro.planspace.implicit.keys import KeyTable
-        from repro.errors import PlanSpaceError
 
         # A cache-supplied edge catalog (template replay) skips the
         # per-query equality analysis; it must already be bound to this
@@ -483,10 +485,7 @@ class ColumnarPhysicalStore:
         if edges is not None and edges.graph is graph:
             self.edges = edges
         else:
-            try:
-                self.edges = EdgeCatalog(graph)
-            except PlanSpaceError as exc:  # >24 relations / >254 key columns
-                raise ColumnarUnsupported(str(exc)) from None
+            self.edges = EdgeCatalog(graph)
 
         #: interned sort-order ids (kids) over packed key byte strings —
         #: the implicit engine's hybrid table: dict-backed for scalar
@@ -508,7 +507,7 @@ class ColumnarPhysicalStore:
         self.logical_counts: list[int] = []
 
         #: all (gid, kid) requirement states as int64 columns, global
-        #: first-occurrence order — exactly the object path's
+        #: first-occurrence order — exactly the oracle insert loop's
         #: enforcer-requirement dict.  The tuple list and the per-group
         #: ``sorts_by_gid`` view only materialize on demand.
         self._req_gid = np.zeros(0, np.int64)
@@ -645,8 +644,8 @@ class ColumnarPhysicalStore:
 
     def join_ops(self, left_mask: int, right_mask: int) -> tuple:
         """One orientation's generated join operators, in rule order —
-        identical to what ``implement_memo`` inserts (same construction
-        through the shared rule module)."""
+        identical to what the oracle's insert loop builds (same
+        construction through the shared rule module)."""
         key = (left_mask, right_mask)
         ops = self._join_ops.get(key)
         if ops is None:
@@ -754,8 +753,8 @@ class ColumnarPhysicalStore:
 
     def materialize_group(self, group: Group) -> None:
         """Rebuild the group's physical ``GroupExpr`` block — identical
-        operators, order and local ids as ``implement_memo`` would have
-        inserted (the columnar equivalence suite asserts byte identity)."""
+        operators, order and local ids as the oracle's insert loop (the
+        columnar equivalence suite asserts byte identity)."""
         exprs = group._exprs
         gid = group.gid
         local = self.logical_counts[gid] + 1
@@ -788,9 +787,9 @@ def build_columnar_store(
     always — each group's operator block is accumulated in small
     per-group buffers and appended to the flat columns in one ``extend``
     per column (:func:`_emit_rows_scalar`).  Raises
-    :class:`ColumnarUnsupported` for memos the columnar path cannot
-    represent (no alias universe / too many relations or key columns) —
-    before any state is attached, so the caller can fall back cleanly.
+    :class:`ColumnarUnsupported` for a memo without an alias universe,
+    and lets the ``EdgeCatalog``'s limit refusal through — either way
+    before any state is attached.
     """
     for group in memo.groups:
         if group.mask is None and group.key[0] == "rels":
@@ -818,7 +817,7 @@ def build_columnar_store(
         )
 
     # ------------------------------------------------------------------
-    # requirement registration, in the object path's exact order: the
+    # requirement registration, in the oracle insert loop's exact order: the
     # interleaved merge stream first, then the enforcer scan's non-join
     # requirements (stream aggregates, in group order), then ORDER BY.
     # ------------------------------------------------------------------
@@ -888,7 +887,7 @@ def _emit_tower_rows(store, gid, child, g_tag, g_c0, g_c1, g_a, g_b) -> None:
 
 
 def _record_tail_requirements(store, record) -> None:
-    """The enforcer scan's non-merge requirements, in the object path's
+    """The enforcer scan's non-merge requirements, in the oracle's
     order: stream-aggregate GROUP BYs (group order, and stream aggregates
     live only in unary tower groups, so the scan skips relation-set
     groups — the bulk of the rows — entirely), then ORDER BY."""
@@ -913,7 +912,7 @@ def _emit_rows_scalar(
     """The per-group emission loop (any memo, any config).
 
     Returns the merge-requirement stream: (gid, kid) interleaved
-    left/right in emission order — the object path's inline requirement
+    left/right in emission order — the oracle's inline requirement
     collection.
     """
     memo = store.memo

@@ -39,9 +39,9 @@ __all__ = ["Memo"]
 class Memo:
     """A compact encoding of the plan search space."""
 
-    #: struct-of-arrays physical store when the memo was implemented by
-    #: the columnar path (see :mod:`repro.memo.columnar`); plain class
-    #: attribute default so object-path memos carry no extra field
+    #: struct-of-arrays physical store once the memo is implemented
+    #: (see :mod:`repro.memo.columnar`), ``None`` again after pruning;
+    #: plain class attribute default so hand-built memos carry no field
     columnar = None
     #: struct-of-arrays *logical* store when exploration was batched
     #: (:func:`repro.memo.columnar.build_logical_store`); same class

@@ -564,25 +564,33 @@ def true_cardinality_ledger(result, database) -> CardinalityLedger:
     Executes the cheapest subplan of each ``("rels", mask)`` group once
     against ``database`` (any subplan of a group produces the same rows
     — that is what a memo group *means*), folding the actual row counts
-    into a fresh ledger.  Exponential in the join-graph size like the
-    memo itself; intended for benchmark/test workloads, not serving.
+    into a fresh ledger.  The subplans come from the best-plan DP over
+    the result's columnar store, so a pruned result (whose store is
+    detached) has no oracle.  Exponential in the join-graph size like
+    the memo itself; intended for benchmark/test workloads, not serving.
     """
     # Deferred: keep repro.obs import-light (the executor and best-plan
     # search pull in the whole physical layer).
     from repro.executor.executor import PlanExecutor
-    from repro.optimizer.bestplan import BestPlanSearch
+    from repro.optimizer.bestplan import ColumnarBestPlanSearch
 
+    store = result.memo.columnar
+    if store is None:
+        raise ReproError(
+            "true_cardinality_ledger needs the result's columnar store "
+            "(pruning detaches it): optimize without a prune factor"
+        )
     ledger = CardinalityLedger()
     universe = result.graph.universe.order
-    search = BestPlanSearch(result.memo, result.cost_model)
+    search = ColumnarBestPlanSearch(store, result.cost_model).run()
     executor = PlanExecutor(database)
     for group in result.memo.groups:
         if group.key[0] != "rels":
             continue
-        best = search.best(group.gid, ())
-        if best is None:  # pragma: no cover - groups are always implemented
+        plan = search.group_plan(group.gid)
+        if plan is None:  # pragma: no cover - groups are always implemented
             continue
-        actual = len(executor.execute(best.plan).rows)
+        actual = len(executor.execute(plan).rows)
         ledger.observe(
             universe,
             group.key[1],

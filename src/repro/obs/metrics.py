@@ -5,7 +5,7 @@ One :class:`Metrics` instance belongs to one :class:`~repro.api.Session`
 clears one in place).  It is fed from two directions:
 
 * **hot-loop counters** arrive through the resilience layer's existing
-  ``BudgetScope.checkpoint(site, units)`` calls — the same nine sites
+  ``BudgetScope.checkpoint(site, units)`` calls — the same sites
   the fault-injection registry (:data:`repro.resilience.faults.FAULT_SITES`)
   names.  A metrics-observing scope turns each checkpoint into
   ``<site>.polls`` (+1) and ``<site>.units`` (+units) counters, so

@@ -14,17 +14,21 @@ the group's Sort enforcer over the group optimized order-free.  Because
 operator costs depend only on group cardinalities, this DP finds the true
 global minimum over the entire plan space — a property the test suite
 checks by exhaustive enumeration on small queries.
+
+:class:`ColumnarBestPlanSearch` is the one engine: the exact optimizer,
+the heuristic tier, cost-bound pruning and the true-cardinality ledger
+all read this DP.  The recursive object search it replaced is the test
+oracle (``tests/optimizer/reference_bestplan.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algebra.physical import PhysicalOperator, Sort
-from repro.algebra.properties import SortOrder, order_satisfies
+from repro.algebra.physical import Sort
+from repro.algebra.properties import SortOrder
 from repro.errors import OptimizerError
 from repro.kernel.vector import (
     lex_rank_rows,
@@ -42,338 +46,15 @@ from repro.memo.columnar import (
     TAG_TABLE_SCAN,
     ColumnarPhysicalStore,
 )
-from repro.memo.memo import Memo
 from repro.optimizer.cost import CostModel
 from repro.optimizer.plan import PlanNode
 from repro.resilience.faults import fault_point
 
-__all__ = [
-    "BestPlanSearch",
-    "ColumnarBestPlanSearch",
-    "find_best_plan",
-]
+__all__ = ["ColumnarBestPlanSearch"]
 
-_IN_PROGRESS = object()
-
-
-@dataclass
-class _Best:
-    cost: float
-    plan: PlanNode
-
-
-_MISSING = object()
 _INFINITY = float("inf")
 
-#: trivial per-child requirements by arity, for operators inheriting the
-#: base class's ``required_child_order``
-_EMPTY_REQS: tuple[tuple, ...] = ((), ((),), ((), ()), ((), (), ()))
 
-_NO_CHILD_ORDER = PhysicalOperator.required_child_order
-_NO_DELIVERED_ORDER = PhysicalOperator.delivered_order
-
-
-class BestPlanSearch:
-    """Memoized best-plan search over one memo.
-
-    States are (group, required sort order).  The order-free state — the
-    overwhelmingly common one — is computed in a single fused pass over
-    the group's physical expressions; the same pass records the few
-    order-delivering candidates (merge joins, index scans, ...) and Sort
-    enforcers, which is all that ordered states ever need to scan.
-    Operator-local costs are computed exactly once per expression.
-    """
-
-    def __init__(self, memo: Memo, cost_model: CostModel, scope=None):
-        self.memo = memo
-        self.cost_model = cost_model
-        self.scope = scope
-        #: ordered states only; the order-free state lives in ``_best0``
-        self._cache: dict[tuple[int, SortOrder], _Best | None | object] = {}
-        #: order-free state per gid, indexed directly (no tuple keys on
-        #: the hottest lookup of the search)
-        self._best0: list = [_MISSING] * len(memo.groups)
-        #: gid -> (cardinality, order-delivering candidates, Sort enforcers)
-        self._ordered_info: dict[int, tuple] = {}
-
-    # ------------------------------------------------------------------
-    def best(self, gid: int, required: SortOrder = ()) -> _Best | None:
-        """Cheapest plan for group ``gid`` delivering ``required`` order,
-        or ``None`` when no operator combination can satisfy it."""
-        if not required:
-            best0 = self._best0
-            cached = best0[gid]
-            if cached is not _MISSING:
-                if cached is _IN_PROGRESS:
-                    raise OptimizerError(
-                        f"cycle detected while optimizing group {gid}"
-                    )
-                return cached
-            best0[gid] = _IN_PROGRESS
-            result = self._best_unordered(gid)
-            best0[gid] = result
-            return result
-        key = (gid, required)
-        cache = self._cache
-        cached = cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            if cached is _IN_PROGRESS:
-                raise OptimizerError(f"cycle detected while optimizing group {gid}")
-            return cached
-        cache[key] = _IN_PROGRESS
-        result = self._best_ordered(gid, required)
-        cache[key] = result
-        return result
-
-    # ------------------------------------------------------------------
-    def _candidate(self, expr, op, cardinality: float, groups) -> tuple:
-        """The per-expression candidate record: (op, children, delivered
-        order, per-child requirements, local cost, local id)."""
-        operator_cost = self.cost_model.operator_cost
-        children = expr.children
-        arity = len(children)
-        if type(op).required_child_order is _NO_CHILD_ORDER:
-            child_reqs = _EMPTY_REQS[arity]
-        else:
-            child_reqs = tuple(
-                op.required_child_order(i) for i in range(arity)
-            )
-        if arity == 2:
-            child_rows = (
-                groups[children[0]].cardinality,
-                groups[children[1]].cardinality,
-            )
-        elif arity == 1:
-            child_rows = (groups[children[0]].cardinality,)
-        else:
-            child_rows = ()
-        if type(op).delivered_order is _NO_DELIVERED_ORDER:
-            delivered = ()
-        else:
-            delivered = op.delivered_order()
-        local = operator_cost(op, cardinality, child_rows)
-        return (op, children, delivered, child_reqs, local, expr.local_id)
-
-    def _store_ordered_info(
-        self, gid: int, group, cardinality: float, ordered, enforcers
-    ) -> tuple:
-        """Snapshot the order-state tables, stamped with the expression
-        count so pruning-time mutation of the group is detected."""
-        info = (len(group.exprs), cardinality, ordered, enforcers)
-        self._ordered_info[gid] = info
-        return info
-
-    def _rebuild_ordered_info(self, gid: int, group, cardinality: float) -> tuple:
-        """Re-collect the order-delivering candidates and enforcers from
-        the group's *current* expressions (after pruning removed some)."""
-        groups = self.memo.groups
-        operator_cost = self.cost_model.operator_cost
-        ordered: list[tuple] = []
-        enforcers: list[tuple] = []
-        for expr in group.exprs:
-            if not expr.is_physical:
-                continue
-            op = expr.op
-            if expr.is_enforcer:
-                if isinstance(op, Sort):
-                    enforcers.append(
-                        (expr, operator_cost(op, cardinality, (cardinality,)))
-                    )
-                continue
-            candidate = self._candidate(expr, op, cardinality, groups)
-            if candidate[2]:
-                ordered.append(candidate)
-        return self._store_ordered_info(gid, group, cardinality, ordered, enforcers)
-
-    # ------------------------------------------------------------------
-    def _best_unordered(self, gid: int) -> _Best | None:
-        """The order-free state, fused with candidate-table construction."""
-        fault_point("bestplan.object", self)
-        if self.scope is not None:
-            self.scope.checkpoint("bestplan.object")
-        group = self.memo.group(gid)
-        cardinality = group.cardinality
-        if cardinality is None:
-            raise OptimizerError(
-                f"group {gid} has no cardinality; run annotate_cardinalities first"
-            )
-        groups = self.memo.groups
-        operator_cost = self.cost_model.operator_cost
-        make_candidate = self._candidate
-        cache_get = self._cache.get
-        best0 = self._best0
-        search = self.best
-        ordered_candidates: list[tuple] = []
-        enforcers: list[tuple] = []
-        best_total = _INFINITY
-        best_candidate: tuple | None = None
-
-        for expr in group.exprs:
-            if not expr.is_physical:
-                continue
-            op = expr.op
-            if expr.is_enforcer:
-                if isinstance(op, Sort):
-                    enforcers.append(
-                        (expr, operator_cost(op, cardinality, (cardinality,)))
-                    )
-                continue
-            candidate = make_candidate(expr, op, cardinality, groups)
-            _, children, delivered, child_reqs, local, _ = candidate
-            if delivered:
-                ordered_candidates.append(candidate)
-            # The order-free state accepts every non-enforcer candidate.
-            # Plans are not assembled during the scan — only the winning
-            # candidate's plan is built, once, afterwards.
-            total = local
-            feasible = True
-            for child_gid, child_req in zip(children, child_reqs):
-                # Inline both cache hits: order-free child states live in
-                # a gid-indexed array, ordered ones in the state dict.
-                if child_req:
-                    child_best = cache_get((child_gid, child_req), _MISSING)
-                else:
-                    child_best = best0[child_gid]
-                if child_best is _MISSING:
-                    child_best = search(child_gid, child_req)
-                elif child_best is _IN_PROGRESS:
-                    raise OptimizerError(
-                        f"cycle detected while optimizing group {child_gid}"
-                    )
-                if child_best is None:
-                    feasible = False
-                    break
-                total += child_best.cost
-            if not feasible:
-                continue
-            if total < best_total:
-                best_total = total
-                best_candidate = (op, children, child_reqs, expr.local_id)
-
-        self._store_ordered_info(
-            gid, group, cardinality, ordered_candidates, enforcers
-        )
-        if best_candidate is None:
-            return None
-        return self._assemble(gid, cardinality, best_total, best_candidate)
-
-    # ------------------------------------------------------------------
-    def _best_ordered(self, gid: int, required: SortOrder) -> _Best | None:
-        """A state with a sort requirement: only order-delivering
-        candidates (plus the group's Sort enforcer) can satisfy it."""
-        info = self._ordered_info.get(gid)
-        if info is None:
-            # Fill the candidate table (and the order-free state, which
-            # the enforcer path consults anyway).
-            self.best(gid, ())
-            info = self._ordered_info[gid]
-        group = self.memo.group(gid)
-        if info[0] != len(group.exprs):
-            # The group was mutated since the snapshot (cost-bound pruning
-            # removes expressions in place): answer from live expressions,
-            # matching the behavior of a from-scratch scan.
-            info = self._rebuild_ordered_info(gid, group, info[1])
-        _, cardinality, ordered_candidates, enforcers = info
-        required_len = len(required)
-        cache_get = self._cache.get
-        best0 = self._best0
-        search = self.best
-        best_total = _INFINITY
-        best_candidate: tuple | None = None
-
-        for op, children, delivered, child_reqs, local, local_id in ordered_candidates:
-            if delivered[:required_len] != required:
-                continue
-            total = local
-            feasible = True
-            for child_gid, child_req in zip(children, child_reqs):
-                if child_req:
-                    child_best = cache_get((child_gid, child_req), _MISSING)
-                else:
-                    child_best = best0[child_gid]
-                if child_best is _MISSING:
-                    child_best = search(child_gid, child_req)
-                elif child_best is _IN_PROGRESS:
-                    raise OptimizerError(
-                        f"cycle detected while optimizing group {child_gid}"
-                    )
-                if child_best is None:
-                    feasible = False
-                    break
-                total += child_best.cost
-            if not feasible:
-                continue
-            if total < best_total:
-                best_total = total
-                best_candidate = (op, children, child_reqs, local_id)
-
-        best: _Best | None = None
-        if best_candidate is not None:
-            best = self._assemble(gid, cardinality, best_total, best_candidate)
-
-        for expr, local in enforcers:
-            if not order_satisfies(expr.op.delivered_order(), required):
-                continue
-            inner = search(gid, ())
-            if inner is not None:
-                total = local + inner.cost
-                if best is None or total < best.cost:
-                    best = _Best(
-                        cost=total,
-                        plan=PlanNode(
-                            op=expr.op,
-                            children=(inner.plan,),
-                            group_id=gid,
-                            local_id=expr.local_id,
-                            cardinality=cardinality,
-                        ),
-                    )
-            break
-
-        return best
-
-    # ------------------------------------------------------------------
-    def _assemble(
-        self, gid: int, cardinality: float, total: float, candidate: tuple
-    ) -> _Best:
-        """Build the plan for a scan's winning candidate (children's best
-        states are all cached by the time a winner is known)."""
-        op, children, child_reqs, local_id = candidate
-        plans = tuple(
-            self.best(child_gid, child_req).plan
-            for child_gid, child_req in zip(children, child_reqs)
-        )
-        return _Best(
-            cost=total,
-            plan=PlanNode(
-                op=op,
-                children=plans,
-                group_id=gid,
-                local_id=local_id,
-                cardinality=cardinality,
-            ),
-        )
-
-
-def find_best_plan(
-    memo: Memo, cost_model: CostModel, required_order: SortOrder = (), scope=None
-) -> tuple[PlanNode, float]:
-    """The optimizer's chosen plan and its cost."""
-    search = BestPlanSearch(memo, cost_model, scope=scope)
-    if memo.root_group_id is None:
-        raise OptimizerError("memo has no root group")
-    best = search.best(memo.root_group_id, required_order)
-    if best is None:
-        raise OptimizerError(
-            "no physical plan satisfies the root requirement "
-            "(are implementations/enforcers enabled?)"
-        )
-    return best.plan, best.cost
-
-
-# ======================================================================
-# the layered columnar DP
-# ======================================================================
 def _interval_ends(sorted_mat, lengths, pad_width, ranks):
     """Prefix-interval ends for the required ranks.
 
@@ -400,28 +81,36 @@ _UNRESOLVED = object()
 class ColumnarBestPlanSearch:
     """Layered best-plan DP over the struct-of-arrays physical store.
 
-    The recursive object search (:class:`BestPlanSearch`) and this sweep
-    compute the same function — the cheapest plan per ``(group, required
-    sort order)`` state — but the columnar store makes every state's
+    A recursive search over ``GroupExpr`` objects (the test oracle,
+    ``tests/optimizer/reference_bestplan.py``) and this sweep compute
+    the same function — the cheapest plan per ``(group, required sort
+    order)`` state — but the columnar store makes every state's
     requirement known *up front* (the requirement set collected during
     batched implementation is exactly the set of child orders any
     candidate ever demands, plus the root ORDER BY).  So instead of
-    recursing over ``GroupExpr`` objects, the search sweeps groups
-    bottom-up in layers — leaves, then join groups by relation-set
-    popcount (children of a join strictly precede it), then the unary
-    tower — and resolves each group's order-free optimum and all its
-    ordered states from the arrays.  Join layers are vectorized (cost
+    recursing, the search sweeps groups bottom-up in layers — leaves,
+    then join groups by relation-set popcount (children of a join
+    strictly precede it), then the unary tower — and resolves each
+    group's order-free optimum and all its ordered states from the
+    arrays.  Join layers are vectorized (cost
     formulas and candidate minima as array expressions over the whole
     layer); leaves and the unary tower walk their few rows one by one.
 
-    Tie-breaking replicates the object search bit for bit: candidates
-    are considered in insertion (local-id) order with strict-``<``
+    Tie-breaking replicates the oracle bit for bit: candidates are
+    considered in insertion (local-id) order with strict-``<``
     improvement, ordered states consult only order-delivering candidates
     plus the group's first satisfying Sort enforcer, and per-candidate
     totals are accumulated in the same ``local + child0 + child1``
     association — so the chosen plan, its local ids, and its cost are
-    byte-identical to the object path's (asserted by the columnar
-    property suite).
+    byte-identical to the oracle's (asserted by the columnar property
+    suite).
+
+    After :meth:`run` the resolved tables answer more than the root:
+    :meth:`group_plan` is any group's cheapest subplan (the
+    true-cardinality ledger), and :meth:`group_cost`,
+    :meth:`ordered_state_costs`, :meth:`row_total` and
+    :meth:`sort_total` are what cost-bound pruning judges survival by —
+    the DP's own sums, so a state's winner costs exactly its state.
     """
 
     def __init__(
@@ -574,9 +263,33 @@ class ColumnarBestPlanSearch:
         rows = self._card[gid]
         return rows * math.log2(rows + 2.0) * self.cost_model.params.sort_row_log
 
-    def _row_total(self, row: int) -> float:
-        """Local cost plus the children's best state costs, accumulated
-        left to right — the object search's exact float association."""
+    def sort_total(self, gid: int) -> float:
+        """Rooted cost of any of the group's Sort enforcers (they price
+        alike): the sort over the group's order-free optimum."""
+        return self._sort_local(gid) + self._best0[gid]
+
+    def group_cost(self, gid: int) -> float:
+        """The group's order-free optimum (``inf`` when infeasible)."""
+        return self._best0[gid]
+
+    def ordered_state_costs(self) -> dict[int, list[tuple[int, float]]]:
+        """gid -> ``(required kid, resolved cost)`` for every feasible
+        ordered state, in requirement first-occurrence order."""
+        by_gid: dict[int, list[tuple[int, float]]] = {}
+        for gid, kid, cost in zip(
+            self._req_gid_arr.tolist(),
+            self._req_kid_arr.tolist(),
+            self._state_cost.tolist(),
+        ):
+            if cost < _INFINITY:
+                by_gid.setdefault(gid, []).append((kid, cost))
+        return by_gid
+
+    def row_total(self, row: int) -> float:
+        """One candidate's rooted cost: local cost plus the children's
+        best state costs, accumulated left to right — the float
+        association the vectorized layers use, so a group's winning row
+        totals exactly the group's resolved cost."""
         store = self.store
         tag = store.tag[row]
         total = self._local_cost(row)
@@ -597,7 +310,8 @@ class ColumnarBestPlanSearch:
             total += self._best0[store.c0[row]]
         return total
 
-    def _delivered_kid(self, row: int) -> int:
+    def delivered_kid(self, row: int) -> int:
+        """The sort-order id a row delivers, or -1 for none."""
         tag = self.store.tag[row]
         if tag == TAG_MERGE:
             return self.store.a[row]
@@ -613,8 +327,8 @@ class ColumnarBestPlanSearch:
         best_row = -1
         ordered: list[tuple[bytes, int, float]] = []
         for row in range(start, end):
-            total = self._row_total(row)
-            dkid = self._delivered_kid(row)
+            total = self.row_total(row)
+            dkid = self.delivered_kid(row)
             if dkid >= 0:
                 # Resolve the delivered order to bytes once per row, not
                 # once per (requirement, row) pair below.
@@ -647,7 +361,7 @@ class ColumnarBestPlanSearch:
         sorts at all, a satisfying one exists (at least the requirement's
         own), and every sort of a group prices identically (sort cost
         depends only on group cardinality).  Which satisfying sort wins
-        (the first, as in the object search) only matters for plan
+        (the first, as in the oracle) only matters for plan
         identity, so it is resolved lazily during assembly.
         """
         winner = cand_row if cand_row >= 0 else None
@@ -985,6 +699,13 @@ class ColumnarBestPlanSearch:
             )
         return self._assemble(root, None), float(cost)
 
+    def group_plan(self, gid: int) -> PlanNode | None:
+        """The cheapest order-free plan rooted in group ``gid`` (``None``
+        when the group has no feasible plan)."""
+        if self._best0_row[gid] < 0:
+            return None
+        return self._assemble(gid, None)
+
     def _lazy_winner(self, gid: int, sid: int, rkid: int):
         """Recompute one state's winner from the resolved DP tables —
         the vectorized layers only record state *costs*; the winning
@@ -997,9 +718,9 @@ class ColumnarBestPlanSearch:
         rbest = _INFINITY
         rrow = -1
         for row in range(start, end):
-            dkid = self._delivered_kid(row)
+            dkid = self.delivered_kid(row)
             if dkid >= 0 and kid_bytes[dkid].startswith(rb):
-                total = self._row_total(row)
+                total = self.row_total(row)
                 if total < rbest:
                     rbest = total
                     rrow = row
@@ -1028,8 +749,8 @@ class ColumnarBestPlanSearch:
             raise OptimizerError(f"group {gid} has no feasible ordered plan")
         if isinstance(winner, tuple):
             _tag, winner_rkid = winner
-            # First satisfying sort in insertion order, as the object
-            # search picks — resolved here, on the winning path only.
+            # First satisfying sort in insertion order, as the oracle
+            # picks — resolved here, on the winning path only.
             rb = store.kid_bytes[winner_rkid]
             kid_bytes = store.kid_bytes
             position, skid = next(

@@ -12,15 +12,11 @@ from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
 from repro.errors import OptimizerError
-from repro.memo.columnar import replay_logical_store
+from repro.memo.columnar import ColumnarUnsupported, replay_logical_store
 from repro.memo.memo import Memo
 from repro.obs.trace import active_tracer, phase as obs_phase
 from repro.optimizer.annotate import annotate_cardinalities
-from repro.optimizer.bestplan import (
-    BestPlanSearch,
-    ColumnarBestPlanSearch,
-    find_best_plan,
-)
+from repro.optimizer.bestplan import ColumnarBestPlanSearch
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters
 from repro.optimizer.explorer import (
@@ -30,9 +26,7 @@ from repro.optimizer.explorer import (
     TransformationExplorer,
 )
 from repro.optimizer.implementation import (
-    ColumnarUnsupported,
     ImplementationConfig,
-    implement_memo,
     implement_memo_columnar,
 )
 from repro.optimizer.joingraph import JoinGraph
@@ -69,19 +63,6 @@ def _detach_stale_stores(memo: Memo) -> None:
         memo.columnar_logical = None
 
 
-def _extract_best(search: BestPlanSearch, memo: Memo, required_order):
-    """Root extraction from an existing (reusable) object search."""
-    if memo.root_group_id is None:
-        raise OptimizerError("memo has no root group")
-    best = search.best(memo.root_group_id, required_order)
-    if best is None:
-        raise OptimizerError(
-            "no physical plan satisfies the root requirement "
-            "(are implementations/enforcers enabled?)"
-        )
-    return best.plan, best.cost
-
-
 class ExplorationStrategy(enum.Enum):
     """How the logical search space is generated."""
 
@@ -96,9 +77,11 @@ class OptimizerOptions:
     ``allow_cross_products`` selects between the two spaces of the paper's
     Table 1.  ``pruning_factor`` (off by default, as the paper recommends
     for testing) applies cost-bound pruning after optimization.  Which
-    engine serves a query is not an option: the struct-of-arrays columnar
-    path runs whenever the query fits it, and the object path serves the
-    rest (``OptimizationResult.engine`` / ``fallback_reason`` say which).
+    engine serves a query is not an option, nor a function of the query:
+    there is one — the struct-of-arrays columnar store and its layered
+    DP — and a query past its limits (63 relations, 254 distinct key
+    columns) is refused before exploration with the error naming the
+    limit.
     """
 
     allow_cross_products: bool = False
@@ -132,13 +115,14 @@ class OptimizationResult:
     estimator: CardinalityEstimator
     options: OptimizerOptions
     timings: dict[str, float] = field(default_factory=dict)
-    #: which physical-memo engine served: "columnar", "object", or (from
-    #: the degradation ladder) "sampled" / "heuristic"
+    #: what served: "columnar" (the exact optimizer) or "heuristic" (the
+    #: degradation ladder's last tier; its sampled tier returns a
+    #: ``SampledOptimizationResult``, which has no such field)
     engine: str = "columnar"
-    #: why the columnar path was not taken, when the query did not fit it
+    #: why the exact optimizer did not serve; set by the heuristic tier
     fallback_reason: str | None = None
-    #: columnar best-plan DP statistics (state and pruned-state counts);
-    #: ``None`` on the object path
+    #: best-plan DP statistics (state and pruned-state counts) of an
+    #: exact run; ``None`` on the heuristic tier
     dp_stats: dict | None = None
     #: :class:`repro.resilience.degrade.ResilienceReport` when the run
     #: went through a budgeted ``Session.optimize``; ``None`` otherwise
@@ -325,35 +309,22 @@ class Optimizer:
         # its requirement stream and merge state ids straight to the DP.
         estimator = self._annotate_phase(query, memo, graph, timings, ledger)
         with obs_phase("fused") as fspan:
-            store, fallback_reason = self._implement_phase(
+            store = self._implement_phase(
                 query, memo, graph, timings, scope, traced, artifacts
             )
-            search, dp_stats, best_plan, best_cost = self._bestplan_phase(
-                query, memo, store, cost_model, timings, scope, traced
+            dp, best_plan, best_cost = self._bestplan_phase(
+                query, store, cost_model, timings, scope, traced
             )
         timings["fused"] = fspan.elapsed_s
-
-        if dp_stats is not None:
-            timings["pruned_states"] = dp_stats["pruned"]
+        dp_stats = dict(dp.stats)
+        timings["pruned_states"] = dp_stats["pruned"]
 
         if opts.pruning_factor is not None:
             with obs_phase("prune") as span:
-                # Reuse the best-plan search's memoized state table on the
-                # object path (the columnar DP has no object-level table;
-                # pruning materializes the memo and builds one).
-                prune_memo(
-                    memo,
-                    cost_model,
-                    opts.pruning_factor,
-                    search=search,
-                    root_order=query.order_by,
-                )
+                # Survival is judged by the DP that chose the plan, so
+                # the plan (and its local ids) survives as extracted.
+                prune_memo(memo, cost_model, opts.pruning_factor, search=dp)
             timings["prune"] = span.elapsed_s
-            # The best plan always survives pruning (factor >= 1), but we
-            # re-extract so node local_ids refer to surviving expressions.
-            best_plan, best_cost = find_best_plan(
-                memo, cost_model, required_order=query.order_by
-            )
 
         return OptimizationResult(
             memo=memo,
@@ -366,8 +337,6 @@ class Optimizer:
             estimator=estimator,
             options=opts,
             timings=timings,
-            engine="columnar" if store is not None else "object",
-            fallback_reason=fallback_reason,
             dp_stats=dp_stats,
         )
 
@@ -375,41 +344,27 @@ class Optimizer:
     def _implement_phase(
         self, query, memo, graph, timings, scope, traced, artifacts=None
     ):
-        """Implementation: the columnar (struct-of-arrays) path —
-        batched operator blocks, no GroupExpr objects — for every query
-        it can represent; the object path serves the rest (beyond the
-        24-relation / 254-key-column limits).  Both produce the identical
-        memo facade."""
+        """Implementation onto the columnar (struct-of-arrays) store:
+        batched operator blocks, no GroupExpr objects; the object memo
+        facade materializes lazily from it."""
         opts = self.options
         edges = None
         if artifacts is not None:
             edges = artifacts.take_edges(graph)
         with obs_phase("implement") as span:
-            store = None
-            fallback_reason: str | None = None
-            try:
-                store = implement_memo_columnar(
-                    memo,
-                    graph,
-                    self.catalog,
-                    opts.implementation,
-                    root_order=query.order_by,
-                    scope=scope,
-                    edges=edges,
-                )
-            except ColumnarUnsupported as exc:
-                fallback_reason = str(exc)
-                implement_memo(
-                    memo,
-                    self.catalog,
-                    opts.implementation,
-                    root_order=query.order_by,
-                    scope=scope,
-                )
+            store = implement_memo_columnar(
+                memo,
+                graph,
+                self.catalog,
+                opts.implementation,
+                root_order=query.order_by,
+                scope=scope,
+                edges=edges,
+            )
             if traced:
                 span.add("physical_exprs", memo.physical_expression_count())
         timings["implement"] = span.elapsed_s
-        return store, fallback_reason
+        return store
 
     def _annotate_phase(self, query, memo, graph, timings, ledger):
         traced = active_tracer() is not None
@@ -421,32 +376,20 @@ class Optimizer:
         timings["annotate"] = span.elapsed_s
         return estimator
 
-    def _bestplan_phase(
-        self, query, memo, store, cost_model, timings, scope, traced
-    ):
-        opts = self.options
+    def _bestplan_phase(self, query, store, cost_model, timings, scope, traced):
         with obs_phase("bestplan") as span:
-            search = None
-            dp_stats = None
-            if store is not None:
-                dp = ColumnarBestPlanSearch(
-                    store,
-                    cost_model,
-                    scope=scope,
-                    prune_dominated=opts.prune_dominated,
-                )
-                best_plan, best_cost = dp.run().best_plan(query.order_by)
-                dp_stats = dict(dp.stats)
-                if traced:
-                    span.add("states", dp_stats["states"])
-                    span.add("pruned_states", dp_stats["pruned"])
-            else:
-                search = BestPlanSearch(memo, cost_model, scope=scope)
-                best_plan, best_cost = _extract_best(
-                    search, memo, required_order=query.order_by
-                )
+            dp = ColumnarBestPlanSearch(
+                store,
+                cost_model,
+                scope=scope,
+                prune_dominated=self.options.prune_dominated,
+            )
+            best_plan, best_cost = dp.run().best_plan(query.order_by)
+            if traced:
+                span.add("states", dp.stats["states"])
+                span.add("pruned_states", dp.stats["pruned"])
         timings["bestplan"] = span.elapsed_s
-        return search, dp_stats, best_plan, best_cost
+        return dp, best_plan, best_cost
 
     # ------------------------------------------------------------------
     def _make_explorer(self):

@@ -18,39 +18,47 @@ an index scan (or Sort enforcer) is usually beaten order-free by a plain
 table scan, but it may be the cheapest supplier of an ordered state some
 surviving merge join requires.  Every state's own best plan satisfies
 ``rooted == best(state) <= factor * best(state)``, so the optimum of
-every reachable state (including the root's ORDER BY state, when
-``root_order`` is passed) survives intact.
+every reachable state (including the root's ORDER BY state) survives
+intact.
 
-Costing reuses one :class:`~repro.optimizer.bestplan.BestPlanSearch`
-memoized state table for the whole sweep — pass the search that already
-solved the memo (the optimizer does) and no group best is re-derived at
-all.  Survivors are decided for *every* group before any group is
-mutated: the search's cached states stay coherent throughout, instead of
-being invalidated and rebuilt once per mutated group as the old
-interleaved loop did — that re-resolution was O(groups x expressions) of
-redundant candidate-table scans on large memos.
+That ``==`` is exact because both sides come out of one place: rooted
+costs, group bests and state bests are all read from the best-plan DP
+(:class:`~repro.optimizer.bestplan.ColumnarBestPlanSearch`) — pass the
+one that already solved the memo (the optimizer does) and nothing is
+re-derived.  Re-adding the same terms in another association would put
+a state's winner a last-place bit above its own state and, at factor
+1.0, prune the optimum.
 """
 
 from __future__ import annotations
 
-from repro.algebra.physical import PhysicalOperator
-from repro.algebra.properties import order_satisfies
+import math
+
+from repro.errors import OptimizerError
 from repro.memo.memo import Memo
-from repro.optimizer.bestplan import BestPlanSearch
+from repro.optimizer.bestplan import ColumnarBestPlanSearch
 from repro.optimizer.cost import CostModel
 
 __all__ = ["prune_memo"]
 
-_NO_CHILD_ORDER = PhysicalOperator.required_child_order
-_NO_DELIVERED_ORDER = PhysicalOperator.delivered_order
+
+def _allowance(group_best: float, states, delivered: bytes | None) -> float:
+    """The dearest state an expression qualifies for: the group's
+    order-free best, or a dearer ordered state (``(required order,
+    best)`` pairs) that its ``delivered`` order satisfies."""
+    allowed = group_best
+    if delivered is not None:
+        for required, cost in states:
+            if cost > allowed and delivered.startswith(required):
+                allowed = cost
+    return allowed
 
 
 def prune_memo(
     memo: Memo,
     cost_model: CostModel,
     factor: float,
-    search: BestPlanSearch | None = None,
-    root_order: tuple = (),
+    search: ColumnarBestPlanSearch | None = None,
 ) -> int:
     """Drop physical expressions costing more than ``factor`` x the best
     of every state they can serve.
@@ -58,109 +66,64 @@ def prune_memo(
     Returns the number of expressions removed.  ``factor`` is >= 1.0; a
     factor of 1.0 keeps only state-best operators, larger factors keep
     progressively more of the space.  Logical expressions are never
-    removed (they carry the group structure).  ``search`` may be an
-    existing best-plan search over this memo (its memoized table is
-    reused); omitted, a fresh one is built.  ``root_order`` protects the
-    root group's ORDER BY state the same way parent-imposed orders are.
+    removed (they carry the group structure), and survivors keep their
+    local ids.  ``search`` may be the finished best-plan DP over this
+    memo; omitted, one is run over ``memo.columnar`` (so a memo can be
+    pruned once: pruning detaches the store it no longer describes).
     """
     if factor < 1.0:
         raise ValueError("pruning factor must be >= 1.0")
     if search is None:
-        search = BestPlanSearch(memo, cost_model)
-    best = search.best
-    operator_cost = cost_model.operator_cost
-    groups = memo.groups
+        if memo.columnar is None:
+            raise OptimizerError(
+                "prune_memo needs the memo's columnar store "
+                "(not implemented yet, or already pruned)"
+            )
+        search = ColumnarBestPlanSearch(memo.columnar, cost_model).run()
+    store = search.store
+    kid_bytes = store.kid_bytes
+    #: the ordered contexts each group serves — the child requirements
+    #: any physical operator imposes, plus ORDER BY — with their bests
+    states_by_gid = search.ordered_state_costs()
 
-    # Phase 0: the ordered contexts each group serves — exactly the
-    # child requirements any physical operator imposes, plus ORDER BY.
-    reqs_by_gid: dict[int, dict[tuple, None]] = {}
-    for group in groups:
-        for expr in group.exprs:
-            if not expr.is_physical or expr.is_enforcer:
-                continue
-            op = expr.op
-            if type(op).required_child_order is _NO_CHILD_ORDER:
-                continue
-            for child_pos, child_gid in enumerate(expr.children):
-                required = op.required_child_order(child_pos)
-                if required:
-                    reqs_by_gid.setdefault(child_gid, {}).setdefault(required)
-    if root_order and memo.root_group_id is not None:
-        reqs_by_gid.setdefault(memo.root_group_id, {}).setdefault(
-            tuple(root_order)
-        )
-
-    # Phase 1: decide survivors everywhere, mutating nothing — every
-    # best() call below lands in (or fills) the shared memo table.
-    survivors_by_gid: list[tuple[int, list]] = []
+    # Decide survivors everywhere before mutating anything.
+    pruned: list[tuple[int, list[bool]]] = []
     removed = 0
-    for group in groups:
-        group_best = best(group.gid, ())
-        if group_best is None:
+    for group in memo.groups:
+        gid = group.gid
+        group_best = search.group_cost(gid)
+        if group_best == math.inf:
             continue
-        ordered_costs: list[tuple[tuple, float]] = []
-        for required in reqs_by_gid.get(group.gid, ()):
-            state_best = best(group.gid, required)
-            if state_best is not None:
-                ordered_costs.append((required, state_best.cost))
-        cardinality = group.cardinality
-        survivors = []
-        dropped = 0
-        for expr in group.exprs:
-            if not expr.is_physical:
-                survivors.append(expr)
-                continue
-            op = expr.op
-            if expr.is_enforcer:
-                # Enforcers root the group's order-free optimum.
-                rooted = operator_cost(op, cardinality, (cardinality,))
-                rooted += group_best.cost
-            else:
-                rooted = 0.0
-                trivial_reqs = type(op).required_child_order is _NO_CHILD_ORDER
-                for child_pos, child_gid in enumerate(expr.children):
-                    child_best = best(
-                        child_gid,
-                        () if trivial_reqs else op.required_child_order(child_pos),
-                    )
-                    if child_best is None:
-                        rooted = None
-                        break
-                    rooted += child_best.cost
-                if rooted is not None:
-                    rooted += operator_cost(
-                        op,
-                        cardinality,
-                        tuple(
-                            groups[cgid].cardinality for cgid in expr.children
-                        ),
-                    )
-            if rooted is None:
-                dropped += 1
-                continue
-            allowance = group_best.cost
-            if ordered_costs and (
-                type(op).delivered_order is not _NO_DELIVERED_ORDER
-            ):
-                delivered = op.delivered_order()
-                if delivered:
-                    for required, state_cost in ordered_costs:
-                        if state_cost > allowance and order_satisfies(
-                            delivered, required
-                        ):
-                            allowance = state_cost
-            if rooted <= allowance * factor:
-                survivors.append(expr)
-            else:
-                dropped += 1
+        states = [
+            (kid_bytes[kid], cost)
+            for kid, cost in states_by_gid.get(gid, ())
+            if cost > group_best
+        ]
+        start, end = store.group_rows(gid)
+        keep = []
+        for row in range(start, end):
+            kid = search.delivered_kid(row)
+            delivered = kid_bytes[kid] if kid >= 0 and states else None
+            allowed = _allowance(group_best, states, delivered)
+            keep.append(search.row_total(row) <= allowed * factor)
+        # Enforcers root the group's order-free optimum.
+        sort_total = search.sort_total(gid)
+        for kid in store.group_sorts(gid):
+            allowed = _allowance(group_best, states, kid_bytes[kid])
+            keep.append(sort_total <= allowed * factor)
+        dropped = keep.count(False)
         if dropped:
-            survivors_by_gid.append((group.gid, survivors))
+            pruned.append((gid, keep))
             removed += dropped
 
-    # Phase 2: apply.  Mutation invalidates any columnar array store
-    # still attached (its rows no longer describe the memo).
-    if survivors_by_gid:
-        for gid, survivors in survivors_by_gid:
-            groups[gid].exprs[:] = survivors
+    # Apply.  Expressions materialize logical block first, then the
+    # store's rows, then its sorts — the order ``keep`` was built in.
+    # Mutation invalidates the columnar store (its rows no longer
+    # describe the memo); untouched groups still materialize from it.
+    if pruned:
+        for gid, keep in pruned:
+            exprs = memo.groups[gid].exprs
+            flags = iter(keep)
+            exprs[:] = [e for e in exprs if not e.is_physical or next(flags)]
         memo.columnar = None
     return removed

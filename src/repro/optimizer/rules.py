@@ -3,9 +3,9 @@
 This is the single source of truth for the paper's rule category (2) — "a
 physical operator in the same group" — shared by two consumers:
 
-* :func:`repro.optimizer.implementation.implement_memo` *materializes* the
-  rules: it inserts one physical :class:`~repro.memo.group.GroupExpr` per
-  generated operator into the memo;
+* :func:`repro.optimizer.implementation.implement_memo_columnar`
+  *materializes* the rules: one row of the physical store per generated
+  operator (rebuilt on demand as a :class:`~repro.memo.group.GroupExpr`);
 * :mod:`repro.planspace.implicit` applies the rules *analytically*: it
   derives per-group physical-alternative counts from the rule arity alone
   (:func:`join_rule_arity`) and only instantiates the operators on an

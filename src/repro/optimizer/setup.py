@@ -77,10 +77,20 @@ def _initial_join_order(
 def build_initial_memo(
     query: BoundQuery, allow_cross_products: bool = True
 ) -> MemoSetup:
-    """Seed a memo with the initial logical plan for ``query``."""
+    """Seed a memo with the initial logical plan for ``query``.
+
+    Every route — exact, sampled, heuristic tier, implicit counting —
+    starts here, so this is where a query beyond the kernels' limits is
+    refused, before anything is explored.
+    """
+    # Deferred import: repro.planspace's package __init__ reaches back
+    # into repro.optimizer.
+    from repro.planspace.implicit.edges import check_limits
+
     graph = JoinGraph(
         aliases=query.aliases(), conjuncts=list(query.where_conjuncts)
     )
+    check_limits(graph)
     memo = Memo(universe=graph.universe)
 
     # Leaf groups: one per range variable, with its pushed-down filter.

@@ -32,11 +32,49 @@ from repro.errors import PlanSpaceError
 from repro.optimizer.joingraph import JoinGraph
 from repro.optimizer.rules import equality_analysis
 
-__all__ = ["EdgeCatalog"]
+__all__ = ["MAX_RELATIONS", "EdgeCatalog", "check_limits"]
+
+#: relation sets are bitmasks in signed int64 columns throughout the
+#: vectorized kernels (``union_words_by_mask``, the layout and count
+#: passes): bit 63 is the sign bit, so 63 aliases is the widest universe
+#: they represent — a 64th raises ``OverflowError`` inside numpy
+MAX_RELATIONS = 63
 
 #: column ids are 1-based single bytes; 0 is reserved as the pad/sentinel
 #: value of the vectorized key tables
 _MAX_COLUMNS = 254
+
+
+def _limit_error(limit: int, what: str, given) -> PlanSpaceError:
+    return PlanSpaceError(
+        f"query exceeds the optimizer's limit of {limit} {what} ({given} given)"
+    )
+
+
+def check_limits(graph: JoinGraph) -> None:
+    """Refuse a query beyond what the kernels represent — more than
+    :data:`MAX_RELATIONS` relations or ``_MAX_COLUMNS`` distinct
+    equi-join key columns — with the one error every route raises.
+
+    Cheap enough for every request (two integer compares; the columns
+    are only counted when there are enough conjuncts to overflow), so
+    :func:`repro.optimizer.setup.build_initial_memo` calls it before any
+    route explores anything.
+    """
+    n = graph.universe.size
+    if n > MAX_RELATIONS:
+        raise _limit_error(MAX_RELATIONS, "relations", n)
+    # A conjunct contributes at most one equality, hence two columns.
+    if 2 * len(graph.conjuncts) > _MAX_COLUMNS:
+        columns = set()
+        for conjunct in graph.conjuncts:
+            for pair in equality_analysis(conjunct.expr)[0]:
+                if pair[2] != pair[3]:  # same-alias equality is no join key
+                    columns.update(pair[:2])
+        if len(columns) > _MAX_COLUMNS:
+            raise _limit_error(
+                _MAX_COLUMNS, "distinct key columns", len(columns)
+            )
 
 
 class EdgeCatalog:
@@ -46,12 +84,7 @@ class EdgeCatalog:
         self.graph = graph
         self.universe = graph.universe
         n = self.universe.size
-        # Refuse before the per-conjunct equality analysis: the caller's
-        # fallback should not pay for tables it will never read.
-        if n > 24:
-            raise PlanSpaceError(
-                f"implicit plan space supports at most 24 relations ({n} given)"
-            )
+        check_limits(graph)
 
         #: interned columns: ColumnId -> 1-based byte id (and back)
         self.col_ids: dict[ColumnId, int] = {}
@@ -135,9 +168,10 @@ class EdgeCatalog:
         if cid is None:
             cid = len(self.columns)
             if cid > _MAX_COLUMNS:
-                raise PlanSpaceError(
-                    "implicit plan space supports at most "
-                    f"{_MAX_COLUMNS} distinct key columns"
+                # Index, GROUP BY and ORDER BY columns intern after the
+                # equality edges check_limits counted.
+                raise _limit_error(
+                    _MAX_COLUMNS, "distinct key columns", f"{cid} or more"
                 )
             self.col_ids[column] = cid
             self.columns.append(column)

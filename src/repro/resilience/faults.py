@@ -51,9 +51,7 @@ FAULT_SITES: dict[str, str] = {
     "explore.batch": "per-subset during columnar logical store build",
     "explore.object": "per queued expression in the transformation explorer",
     "implement.columnar": "per-group during columnar physical store build",
-    "implement.object": "per-expression during object-path implementation",
     "bestplan.layer": "per join layer / group in the columnar best-plan DP",
-    "bestplan.object": "per-group in the object-path best-plan search",
     "implicit.count": "per-phase inside implicit plan-space counting",
     "sampled.batch": "per-batch in the sampled optimizer loop",
     "execute.operator": "per-operator result in the plan executor",

@@ -7,15 +7,17 @@ smallest-estimated-table first (connectivity-permitting, so the
 no-cross-products policy is honoured), the initial left-deep memo is
 built exactly as the exact path would, and the plan is read out of that
 un-explored memo — implementation rules, cardinality annotation, and
-the best-plan extraction still run, but over the single join order, so
-the whole tier costs milliseconds even on queries whose full search
-space takes minutes.
+the best-plan DP still run (the exact tier's own kernel: the columnar
+store and :class:`~repro.optimizer.bestplan.ColumnarBestPlanSearch`),
+but over the single join order, so the whole tier costs milliseconds
+even on queries whose full search space takes minutes.
 
 The result is a genuine :class:`~repro.optimizer.optimizer.OptimizationResult`
 (``engine="heuristic"``): it renders, costs finitely, and executes
 through the same machinery as any exact plan.  No budget is enforced
-inside this tier — it must always succeed, and it is cheap enough that
-enforcement would only add a failure mode.
+inside this tier — it serves every query within the kernel's limits
+(a query past them never reaches a tier: memo setup refuses it), and it
+is cheap enough that enforcement would only add a failure mode.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import time
 
 from repro.catalog.catalog import Catalog
 from repro.optimizer.annotate import annotate_cardinalities
-from repro.optimizer.bestplan import find_best_plan
+from repro.optimizer.bestplan import ColumnarBestPlanSearch
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
-from repro.optimizer.implementation import implement_memo
+from repro.optimizer.implementation import implement_memo_columnar
 from repro.optimizer.joingraph import JoinGraph
 from repro.optimizer.optimizer import OptimizationResult, OptimizerOptions
 from repro.optimizer.setup import build_initial_memo
@@ -106,8 +108,8 @@ def optimize_heuristic(
     # and the best-plan DP picks the cheapest — so within the single
     # join shape the plan is optimal.
     start = time.perf_counter()
-    implement_memo(
-        memo, catalog, options.implementation, root_order=query.order_by
+    store = implement_memo_columnar(
+        memo, graph, catalog, options.implementation, root_order=query.order_by
     )
     timings["implement"] = time.perf_counter() - start
 
@@ -118,9 +120,8 @@ def optimize_heuristic(
 
     cost_model = CostModel(catalog, options.cost_params)
     start = time.perf_counter()
-    best_plan, best_cost = find_best_plan(
-        memo, cost_model, required_order=query.order_by
-    )
+    search = ColumnarBestPlanSearch(store, cost_model)
+    best_plan, best_cost = search.run().best_plan(query.order_by)
     timings["bestplan"] = time.perf_counter() - start
 
     return OptimizationResult(

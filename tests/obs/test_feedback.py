@@ -15,7 +15,9 @@ from repro.obs import (
 )
 from repro.obs.feedback import Q_ERROR_HISTORY, LedgerEntry
 from repro.workloads.misestimated import misestimated_tpch
+from repro.workloads.synthetic import cycle_query
 from repro.workloads.tpch_queries import tpch_query
+from tests.reference_pipeline import reference_true_cardinality_ledger
 
 Q3 = tpch_query("Q3").sql
 TWO_TABLE = (
@@ -281,6 +283,30 @@ class TestPlanCostUnderLedger:
             g for g in rels if g.relations == frozenset(("n",))
         ]
         assert binding.rows_for_mask(n_group.mask) == float(n_rows)
+
+
+    @pytest.mark.parametrize("name", ["Q3", "Q5", "cycle5"])
+    def test_true_cardinality_ledger_matches_the_oracle_driven_one(
+        self, session, name
+    ):
+        """The ledger oracle reads each group's cheapest subplan off the
+        production DP; the object search over the same memo picks the
+        same subplans, so every entry is equal."""
+        if name == "cycle5":
+            workload = cycle_query(5, rows=5, seed=0)
+            session, sql = Session(workload.database), workload.sql
+        else:
+            sql = tpch_query(name).sql
+        result = session.optimize(sql)
+        ledger = true_cardinality_ledger(result, session.database)
+        reference = reference_true_cardinality_ledger(result, session.database)
+        assert len(ledger) == len(reference) > 0
+        assert ledger.to_dict() == reference.to_dict()
+
+    def test_true_cardinality_ledger_needs_an_unpruned_result(self, session):
+        pruned = session.optimize(TWO_TABLE, prune_factor=2.0)
+        with pytest.raises(ReproError, match="columnar store"):
+            true_cardinality_ledger(pruned, session.database)
 
 
 class TestLedgerEntrySerialization:

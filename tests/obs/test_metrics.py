@@ -8,7 +8,6 @@ from repro.obs import Metrics
 from repro.optimizer.optimizer import ExplorationStrategy, OptimizerOptions
 from repro.resilience.budget import BudgetScope
 from repro.resilience.faults import FAULT_SITES
-from repro.workloads.synthetic import chain_query
 from repro.workloads.tpch_queries import tpch_query
 
 Q3 = tpch_query("Q3").sql
@@ -123,8 +122,8 @@ class TestFaultSiteLockstep:
         Both registries ride the same ``BudgetScope.checkpoint`` /
         ``fault_point`` instrumentation, so a hot loop visible to fault
         injection must be visible to metrics and vice versa.  A sweep
-        covering every engine — exact columnar, exact object, sampled,
-        implicit counting, instrumented execution — must poll exactly
+        covering every route — exact (both explorers), sampled, implicit
+        counting, instrumented execution — must poll exactly
         the sites the fault registry names; a mismatch means one layer
         gained an instrumentation point the other lost.
         """
@@ -144,14 +143,8 @@ class TestFaultSiteLockstep:
         session.execute_detailed(Q3, analyze=True)
         harvest(session.metrics)
 
-        # Exact, object engine: implement.object / bestplan.object serve
-        # what the columnar path cannot (25 relations), explore.object
-        # is the rule-driven explorer.
-        chain25 = chain_query(25, rows=5, seed=0)
-        object_session = Session(chain25.database)
-        result = object_session.optimize(chain25.sql, trace=True)
-        assert result.engine == "object"
-        harvest(object_session.metrics)
+        # The rule-driven explorer (explore.object) feeds the same
+        # columnar implementation and DP.
         rules_session = Session.tpch(
             seed=0,
             options=OptimizerOptions(
@@ -167,6 +160,7 @@ class TestFaultSiteLockstep:
         harvest(sampled_session.metrics)
 
         assert observed == set(FAULT_SITES)
+        assert len(FAULT_SITES) == 7
 
 
 class TestSessionLifecycle:

@@ -10,14 +10,18 @@ import pytest
 from repro.algebra.expressions import ColumnId
 from repro.algebra.physical import Sort
 from repro.errors import OptimizerError
-from repro.optimizer.bestplan import BestPlanSearch, find_best_plan
-from repro.optimizer.cost import CostModel
+from repro.optimizer.bestplan import ColumnarBestPlanSearch
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.planspace.space import PlanSpace
+from tests.optimizer.reference_bestplan import BestPlanSearch
 
 
 def _optimize(catalog, sql, **kwargs):
     return Optimizer(catalog, OptimizerOptions(**kwargs)).optimize_sql(sql)
+
+
+def _search(result) -> ColumnarBestPlanSearch:
+    return ColumnarBestPlanSearch(result.memo.columnar, result.cost_model)
 
 
 JOIN2 = (
@@ -66,33 +70,54 @@ class TestRequirements:
         assert isinstance(ordered.best_plan.op, Sort)
 
     def test_unsatisfiable_requirement_detected(self, catalog, q3_result):
-        search = BestPlanSearch(q3_result.memo, q3_result.cost_model)
+        """The DP solves the states the store collected; an order nobody
+        registered is refused, not silently served unordered."""
+        search = _search(q3_result).run()
         bogus = (ColumnId("zz", "zz"),)
-        assert search.best(q3_result.memo.root_group_id, bogus) is None
+        with pytest.raises(OptimizerError, match="root order"):
+            search.best_plan(bogus)
 
     def test_missing_cardinality_raises(self, catalog, q3_result):
-        search = BestPlanSearch(q3_result.memo, q3_result.cost_model)
         saved = q3_result.memo.groups[0].cardinality
         q3_result.memo.groups[0].cardinality = None
         try:
-            search._cache.clear()
-            with pytest.raises(OptimizerError):
-                search.best(0, ())
+            with pytest.raises(OptimizerError, match="no cardinality"):
+                _search(q3_result)
         finally:
             q3_result.memo.groups[0].cardinality = saved
 
     def test_find_best_plan_requires_root(self, catalog, q3_result):
-        from repro.memo.memo import Memo
-
-        with pytest.raises(OptimizerError):
-            find_best_plan(Memo(), q3_result.cost_model)
+        search = _search(q3_result).run()
+        memo = q3_result.memo
+        saved, memo.root_group_id = memo.root_group_id, None
+        try:
+            with pytest.raises(OptimizerError, match="no root group"):
+                search.best_plan(q3_result.root_order)
+        finally:
+            memo.root_group_id = saved
 
 
 class TestMemoization:
     def test_cache_reused(self, q3_result):
-        search = BestPlanSearch(q3_result.memo, q3_result.cost_model)
-        first = search.best(q3_result.memo.root_group_id, ())
-        cache_size = len(search._cache)
-        second = search.best(q3_result.memo.root_group_id, ())
-        assert first is second
-        assert len(search._cache) == cache_size
+        """Extraction reads the resolved tables: a second ``best_plan``
+        re-derives nothing and returns the same plan."""
+        search = _search(q3_result).run()
+        first, first_cost = search.best_plan(q3_result.root_order)
+        winners = dict(search._state_winner)
+        second, second_cost = search.best_plan(q3_result.root_order)
+        assert first.render() == second.render() == q3_result.best_plan.render()
+        assert first_cost == second_cost == q3_result.best_cost
+        assert search._state_winner == winners
+
+
+class TestGroupPlans:
+    def test_group_plan_is_each_groups_optimum(self, q3_result):
+        """``group_plan`` (the ledger oracle's accessor) returns, for
+        every group, the subplan and cost the oracle search picks."""
+        search = _search(q3_result).run()
+        oracle = BestPlanSearch(q3_result.memo, q3_result.cost_model)
+        for group in q3_result.memo.groups:
+            plan = search.group_plan(group.gid)
+            best = oracle.best(group.gid, ())
+            assert plan.render() == best.plan.render()
+            assert search.group_cost(group.gid) == best.cost

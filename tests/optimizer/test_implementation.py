@@ -1,4 +1,5 @@
-"""Tests for implementation rules and enforcer insertion."""
+"""Tests for implementation rules and enforcer insertion, read through
+the object ``Memo`` facade the columnar store materializes lazily."""
 
 from repro.algebra.expressions import ColumnId
 from repro.algebra.physical import (
@@ -16,7 +17,7 @@ from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import (
     ImplementationConfig,
     extract_equi_keys,
-    implement_memo,
+    implement_memo_columnar,
 )
 from repro.optimizer.setup import build_initial_memo
 from repro.sql.binder import bind
@@ -26,7 +27,9 @@ from repro.sql.parser import parse
 def _implemented(catalog, sql, config=None, allow_cross=False, root_order=()):
     setup = build_initial_memo(bind(parse(sql), catalog), allow_cross)
     EnumerationExplorer().explore(setup.memo, setup.graph, allow_cross)
-    implement_memo(setup.memo, catalog, config, root_order=root_order)
+    implement_memo_columnar(
+        setup.memo, setup.graph, catalog, config, root_order=root_order
+    )
     return setup.memo
 
 
@@ -230,8 +233,14 @@ class TestEnforcers:
         assert len(_ops(memo, PhysicalProject)) == 1
 
     def test_idempotent(self, catalog):
+        """Implementing again replaces the store, it does not stack a
+        second physical block onto the groups."""
         setup = build_initial_memo(bind(parse(JOIN2), catalog), False)
         EnumerationExplorer().explore(setup.memo, setup.graph, False)
-        implement_memo(setup.memo, catalog)
-        added = implement_memo(setup.memo, catalog)
-        assert added == 0
+        first = implement_memo_columnar(setup.memo, setup.graph, catalog)
+        count = setup.memo.physical_expression_count()
+        second = implement_memo_columnar(setup.memo, setup.graph, catalog)
+        assert setup.memo.columnar is second is not first
+        assert second.physical_count() == first.physical_count() == count
+        assert setup.memo.physical_expression_count() == count
+        assert len(_ops(setup.memo, TableScan)) == 2

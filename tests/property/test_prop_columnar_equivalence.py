@@ -6,8 +6,9 @@ reproduce the object pipeline *exactly*: same best plan (byte-identical
 render, same local ids, same cost), same plan-space total ``N``, same
 per-operator census — and, through the lazy materialization facade, a
 byte-identical memo render.  The object pipeline is the slow oracle of
-``tests/reference_pipeline.py``; the engine under test is whatever the
-default options select.  These tests sweep chain/star/clique/cycle
+``tests/reference_pipeline.py``; the engine under test is the only one
+production has (``tests/optimizer/test_engine_selection.py`` pins that,
+and the equivalence at 25 and 63 relations).  These tests sweep chain/star/clique/cycle
 shapes in both cross-product modes; n in {7, 8} runs under ``-m slow``.
 """
 
@@ -192,18 +193,6 @@ def test_columnar_matches_object_path_ablations(implementation):
         workload, False, implementation=implementation
     )
     assert_matches_reference(columnar, objectpath)
-
-
-def test_columnar_auto_falls_back_when_unsupported():
-    """Beyond the EdgeCatalog limits (>24 relations) the object path
-    serves — and says so (``tests/optimizer/test_engine_selection.py``
-    pins the rest of the selection contract)."""
-    workload = chain_query(25, rows=5, seed=0)
-    result = Session(workload.database).optimize(workload.sql)
-    assert result.memo.columnar is None
-    assert result.engine == "object"
-    assert "24 relations" in result.fallback_reason
-    assert result.best_plan is not None
 
 
 def test_columnar_counts_do_not_materialize():

@@ -22,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.optimizer.explorer import EnumerationExplorer
-from repro.optimizer.implementation import implement_memo
+from repro.optimizer.implementation import implement_memo_columnar
 from repro.optimizer.annotate import annotate_cardinalities
 from repro.optimizer.cardinality import CardinalityEstimator
 from tests.optimizer.reference_enumeration import (
@@ -75,8 +75,11 @@ def _explored(workload, explorer, allow_cross):
 
 
 def _space_total(workload, setup) -> int:
-    implement_memo(
-        setup.memo, workload.catalog, None, root_order=setup.query.order_by
+    implement_memo_columnar(
+        setup.memo,
+        setup.graph,
+        workload.catalog,
+        root_order=setup.query.order_by,
     )
     estimator = CardinalityEstimator(workload.catalog, setup.query)
     annotate_cardinalities(setup.memo, setup.graph, estimator)

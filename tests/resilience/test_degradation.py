@@ -33,7 +33,15 @@ from repro.resilience.heuristic import (
 )
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
-from repro.workloads.synthetic import clique_query, random_query
+from repro.workloads.synthetic import (
+    chain_query,
+    clique_query,
+    cycle_query,
+    random_query,
+    star_query,
+)
+from repro.workloads.tpch_queries import TPCH_QUERIES
+from tests.reference_pipeline import assert_matches_reference, reference_heuristic
 
 NO_CROSS = OptimizerOptions(allow_cross_products=False)
 
@@ -316,6 +324,43 @@ def test_heuristic_result_is_a_real_optimization(clique10):
         result.timings
     )
     assert _execute(clique10, result.best_plan).rows
+
+
+HEURISTIC_SHAPES = {
+    "chain8": lambda: chain_query(8, rows=5, seed=0),
+    "star7": lambda: star_query(7, rows=5, seed=0),
+    "cycle6": lambda: cycle_query(6, rows=5, seed=0),
+    "clique6": lambda: clique_query(6, rows=5, seed=0),
+    "clique10": lambda: clique_query(10, rows=5, seed=0),
+    "random7": lambda: random_query(7, 0.3, seed=3, rows=5),
+}
+
+
+@pytest.mark.parametrize("shape", HEURISTIC_SHAPES)
+@pytest.mark.parametrize("cross", [False, True], ids=["no-cross", "cross"])
+def test_heuristic_tier_matches_the_oracle_on_its_own_memo(shape, cross):
+    """The tier reads its plan out of the exact tier's kernel (scalar
+    emission: an unexplored memo has no logical store); the object
+    implementation + search over the same greedy memo is the oracle."""
+    workload = HEURISTIC_SHAPES[shape]()
+    options = OptimizerOptions(allow_cross_products=cross)
+    result = optimize_heuristic(workload.catalog, _bind(workload), options)
+    assert result.memo.columnar is not None
+    assert result.memo.columnar_logical is None
+    assert_matches_reference(
+        result, reference_heuristic(workload.catalog, workload.sql, options)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
+def test_heuristic_tier_matches_the_oracle_on_tpch(name):
+    session = Session.tpch(seed=0)
+    sql = TPCH_QUERIES[name].sql
+    bound = Binder(session.catalog).bind(parse(sql))
+    result = optimize_heuristic(session.catalog, bound, NO_CROSS)
+    assert_matches_reference(
+        result, reference_heuristic(session.catalog, sql, NO_CROSS)
+    )
 
 
 # ------------------------------------------------------------ session API

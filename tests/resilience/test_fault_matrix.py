@@ -41,7 +41,7 @@ from repro.resilience.faults import (
 )
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
-from repro.workloads.synthetic import chain_query, clique_query
+from repro.workloads.synthetic import clique_query
 
 COLUMNAR = OptimizerOptions(allow_cross_products=False)
 RULES = OptimizerOptions(
@@ -49,20 +49,19 @@ RULES = OptimizerOptions(
 )
 
 #: exact-tier sites and the (workload fixture, optimizer options,
-#: delay-test deadline) that reach them.  The object engine is selected
-#: by the input, not by an option: ``implement.object`` /
-#: ``bestplan.object`` serve the 25-relation chain the columnar path
-#: refuses, and ``explore.object`` is the rule-driven explorer.  The
-#: exact tier gets half the deadline and must reach the site inside it;
-#: the chain needs ~0.1s to get to its DP.
+#: delay-test deadline) that reach them; ``explore.object`` is the
+#: rule-driven explorer.  The exact tier gets half the deadline and must
+#: reach the site inside it.
 EXACT_SITES = {
     "explore.batch": ("clique6", COLUMNAR, 0.2),
     "implement.columnar": ("clique6", COLUMNAR, 0.2),
     "bestplan.layer": ("clique6", COLUMNAR, 0.2),
     "explore.object": ("clique6", RULES, 0.2),
-    "implement.object": ("chain25", COLUMNAR, 0.5),
-    "bestplan.object": ("chain25", COLUMNAR, 0.5),
 }
+
+#: the two exact-tier sites the heuristic tier passes as well — it runs
+#: the same implementation + DP kernel over its one join order
+SHARED_WITH_HEURISTIC = ("implement.columnar", "bestplan.layer")
 
 #: sites only reachable once the ladder falls through to the sampled tier
 SAMPLED_SITES = ("implicit.count", "sampled.batch")
@@ -71,11 +70,6 @@ SAMPLED_SITES = ("implicit.count", "sampled.batch")
 @pytest.fixture(scope="module")
 def clique6():
     return clique_query(6)
-
-
-@pytest.fixture(scope="module")
-def chain25():
-    return chain_query(25, rows=5)
 
 
 def _bind(workload):
@@ -127,6 +121,29 @@ def test_raise_in_sampled_tier_falls_to_heuristic(site, clique6):
     assert any(f.startswith(f"{site}#") for f in injector.fired)
     report = result.resilience
     assert report.tier == "heuristic"
+    assert [a.outcome for a in report.attempts] == [
+        "error",
+        "error",
+        "served",
+    ]
+    _assert_served(clique6, result)
+
+
+@pytest.mark.parametrize("site", SHARED_WITH_HEURISTIC)
+def test_heuristic_tier_serves_through_the_sites_it_shares(site, clique6):
+    """A fault at hit 1 of a shared site fells the exact tier; with the
+    sampled tier felled too, the heuristic tier passes the *same* site
+    (hits 2+) and still serves an executable plan."""
+    bound = _bind(clique6)
+    with inject(
+        FaultSpec(site, action="raise"),
+        FaultSpec("implicit.count", action="raise"),
+    ) as injector:
+        result = optimize_resilient(clique6.catalog, bound, COLUMNAR)
+    assert injector.fired == [f"{site}#1:raise", "implicit.count#1:raise"]
+    assert injector.hits[site] >= 2  # the last tier did pass the site
+    report = result.resilience
+    assert report.tier == "heuristic" and result.engine == "heuristic"
     assert [a.outcome for a in report.attempts] == [
         "error",
         "error",

@@ -95,8 +95,9 @@ class TestOptimize:
         assert "engine:" not in text  # the default engine needs no -v line
 
     def test_fallback_engine_is_never_silent(self):
-        """25 relations exceed the columnar path's limit: the object
-        engine serves, and says so without ``-v``."""
+        """The only fallback left is the ladder's heuristic tier, and it
+        says so without ``-v``; 25 relations are not one — the one engine
+        serves them, so nothing is printed."""
         aliases = [f"n{i}" for i in range(25)]
         sql = (
             "SELECT n0.n_name FROM "
@@ -109,9 +110,16 @@ class TestOptimize:
         )
         code, text = run_cli("optimize", sql)
         assert code == 0
+        assert "fallback" not in text and "engine:" not in text
+        assert "best cost" in text
+        code, text = run_cli("optimize", sql, "-v")
+        assert code == 0
+        assert "engine: columnar\n" in text
+        code, text = run_cli("optimize", "Q5", "--deadline-s", "0.000001")
+        assert code == 0
         assert (
-            "engine: object (fallback: implicit plan space supports at "
-            "most 24 relations (25 given))"
+            "engine: heuristic (fallback: greedy left-deep tier "
+            "(no exploration))"
         ) in text
         assert "best cost" in text
 

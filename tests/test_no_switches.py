@@ -1,22 +1,55 @@
-"""ROADMAP's standing rule as a test: no knob, no environment variable.
+"""ROADMAP's standing rule as a test: no knob, no environment variable,
+no second engine.
 
-The exact path picks its engine from the query.  These guards fail in
-tier-1 — not in review — when an engine selector comes back as an
-optimizer option, an explorer argument, or an environment lookup.
+There is one exact engine.  These guards fail in tier-1 — not in review
+— when an engine selector comes back as an optimizer option, an explorer
+argument or an environment lookup, or when the deleted object best-plan
+path (or a result served by it) reappears under ``src/``.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import inspect
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.api import Session
 from repro.optimizer.explorer import EnumerationExplorer
-from repro.optimizer.optimizer import OptimizerOptions
+from repro.optimizer.implementation import ImplementationConfig
+from repro.optimizer.optimizer import ExplorationStrategy, OptimizerOptions
+from repro.resilience.faults import FAULT_SITES
+from repro.workloads.synthetic import chain_query, cycle_query, star_query
 
 SRC = Path(repro.__file__).resolve().parent
+
+#: the object best-plan path, moved under ``tests/`` as the oracle
+DELETED_ENGINE = {
+    "BestPlanSearch",
+    "find_best_plan",
+    "implement_memo",
+    "_insert_enforcers",
+    "_extract_best",
+}
+
+
+@functools.cache
+def _src_trees() -> tuple[tuple[Path, ast.Module], ...]:
+    """``src/`` parsed once for all the guards."""
+    return tuple(
+        (path.relative_to(SRC), ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(SRC.rglob("*.py"))
+    )
+
+
+def _src_nodes():
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
+            yield path, node
 
 
 def test_optimizer_options_fields_are_pinned():
@@ -37,17 +70,86 @@ def test_enumeration_explorer_takes_no_arguments():
 
 def test_src_reads_no_environment_variables():
     offenders = []
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in ("environ", "getenv", "putenv")
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "os"
-            ) or (
-                isinstance(node, ast.ImportFrom)
-                and node.module == "os"
-                and any(a.name in ("environ", "getenv") for a in node.names)
-            ):
-                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    for path, node in _src_nodes():
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv", "putenv")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(a.name in ("environ", "getenv") for a in node.names)
+        ):
+            offenders.append(f"{path}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_src_neither_defines_nor_imports_the_object_engine():
+    offenders = []
+    for path, node in _src_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.rpartition(".")[2] for a in node.names]
+            names += [a.asname for a in node.names if a.asname]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        offenders += [
+            f"{path}:{node.lineno}: {name}"
+            for name in names
+            if name in DELETED_ENGINE
+        ]
+    assert not offenders, offenders
+
+
+def test_only_the_rule_explorer_keeps_an_object_fault_site():
+    assert [s for s in FAULT_SITES if s.endswith(".object")] == ["explore.object"]
+    assert len(FAULT_SITES) == 7
+
+
+ENGINE_MATRIX = {
+    "default": OptimizerOptions(),
+    "cross-products": OptimizerOptions(allow_cross_products=True),
+    "index-nl-join": OptimizerOptions(
+        implementation=ImplementationConfig(enable_index_nl_join=True)
+    ),
+    "transformation": OptimizerOptions(
+        exploration=ExplorationStrategy.TRANSFORMATION
+    ),
+    "pruned": OptimizerOptions(pruning_factor=1.5),
+    "no-dominated-pruning": OptimizerOptions(prune_dominated=False),
+}
+
+
+@pytest.mark.parametrize("options", ENGINE_MATRIX.values(), ids=ENGINE_MATRIX)
+def test_result_engine_is_one_of_three(options):
+    """Over options x shapes x routes, a result only ever names the exact
+    engine or a degradation tier (the sampled flavour carries no
+    ``engine`` field at all)."""
+    workloads = [star_query(5, rows=5, seed=0), cycle_query(5, rows=5, seed=0)]
+    if options == OptimizerOptions():
+        # past the old 24-relation fork
+        workloads.append(chain_query(25, rows=5, seed=0))
+    seen = set()
+    for workload in workloads:
+        session = Session(workload.database, options=options)
+        exact = session.optimize(workload.sql)
+        assert exact.engine == "columnar" and exact.fallback_reason is None
+        results = [exact, session.optimize(workload.sql, deadline_s=60.0)]
+        # A deadline too short for any budgeted tier: the greedy floor.
+        floor = session.optimize(workload.sql, deadline_s=1e-6)
+        assert floor.engine == "heuristic" and floor.fallback_reason
+        results.append(floor)
+        if options.pruning_factor is None and (
+            options.exploration is ExplorationStrategy.ENUMERATION
+        ):
+            results.append(
+                session.optimize(workload.sql, method="sampled", samples=16)
+            )
+        seen |= {getattr(result, "engine", "sampled") for result in results}
+    assert {"columnar", "heuristic"} <= seen <= {"columnar", "sampled", "heuristic"}
