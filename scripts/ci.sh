@@ -7,12 +7,10 @@
 #     bash scripts/ci.sh            # tier-1 + perf smokes
 #     CI_SLOW=1 bash scripts/ci.sh  # additionally run the -m slow tier
 #
-# The perf smoke counts the clique10 no-cross space implicitly and fails
-# if it takes longer than ${CI_COUNT_BUDGET_S:-10} seconds of wall clock.
-# The materialized pipeline needs ~45s of memo + link construction for
-# that same space (BENCH_planspace.json), so a budget miss almost
-# certainly means the implicit path started materializing
-# per-expression state again.
+# The count smoke asserts the one count pass's numbers, not its wall
+# clock: clique10's pinned N and virtual operator census, and the pinned
+# N of a 25- and a 63-relation chain (universes past the count pass's
+# old 18-relation word tables).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,33 +25,40 @@ if [[ "${CI_SLOW:-0}" != "0" ]]; then
     python -m pytest -x -q -m slow
 fi
 
-echo "== implicit count perf smoke =="
+echo "== implicit count smoke =="
 python - <<'EOF'
-import os
-import time
-
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.planspace.implicit import ImplicitPlanSpace
-from repro.workloads.synthetic import clique_query
+from repro.workloads.synthetic import chain_query, clique_query
 
-budget = float(os.environ.get("CI_COUNT_BUDGET_S", "10"))
-workload = clique_query(10, rows=5, seed=0)
-start = time.perf_counter()
-space = ImplicitPlanSpace.from_sql(
-    workload.catalog, workload.sql, options=OptimizerOptions()
+CHAIN63 = int(
+    "8167755965813083143140197799737229305467342982980824989059202073"
+    "1497884647211757320061047220049129028879676076311245387068192074"
+    "2644570907973139644201225529851904"
 )
-total = space.count()
-elapsed = time.perf_counter() - start
-print(
-    f"clique10 no-cross: N={total:.3e} in {elapsed:.2f}s "
-    f"(budget {budget:.0f}s, turbo={space.state.turbo_used})"
-)
-expected = 2171074081505474005104170938254011092792438446472041794816
-assert total == expected, f"implicit clique10 count changed: {total}"
-assert elapsed < budget, (
-    f"implicit clique10 count took {elapsed:.2f}s (> {budget:.0f}s budget) — "
-    "did the implicit engine start materializing the memo?"
-)
+for workload, expected, census in (
+    (
+        clique_query(10, rows=5, seed=0),
+        2171074081505474005104170938254011092792438446472041794816,
+        251009,
+    ),
+    (
+        chain_query(25, rows=5, seed=0),
+        15574360364329420776240810664552159216788423621366556127133696,
+        None,
+    ),
+    (chain_query(63, rows=5, seed=0), CHAIN63, None),
+):
+    space = ImplicitPlanSpace.from_sql(
+        workload.catalog, workload.sql, options=OptimizerOptions()
+    )
+    total = space.count()
+    physical = space.physical_operator_count()
+    print(f"{workload.name} no-cross: N={total:.3e} physical={physical}")
+    assert total == expected, f"implicit {workload.name} count changed: {total}"
+    assert census in (None, physical), (
+        f"implicit {workload.name} operator census changed: {physical}"
+    )
 EOF
 
 echo "== exact-path engine smoke =="

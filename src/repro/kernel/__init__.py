@@ -1,12 +1,12 @@
 """The vector-kernel layer.
 
-Three hot loops in the exact path share the same inner machinery —
-batched implementation (:mod:`repro.memo.columnar`), the layered
+Three hot loops share the same inner machinery — the exact path's
+batched implementation (:mod:`repro.memo.columnar`) and layered
 best-plan DP (:mod:`repro.optimizer.bestplan`), and the implicit
-engine's turbo counting pass (:mod:`repro.planspace.implicit.turbo`):
-row interning over uint64 word matrices, cut-bitmask decoding, byte-wise
-lexicographic ranking with prefix intervals, first-occurrence ordering,
-and segmented range minima.  :mod:`.vector` is the single home for those
+engine's one count pass (:mod:`repro.planspace.implicit.turbo`): row
+interning over uint64 word matrices, per-mask edge unions, cut-bitmask
+decoding, byte-wise lexicographic ranking with prefix intervals, and
+segmented range minima.  :mod:`.vector` is the single home for those
 primitives: plain numpy functions (numpy is a hard dependency), with no
 backend to select and nothing read from the environment.
 """

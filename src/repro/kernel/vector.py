@@ -1,11 +1,9 @@
-"""numpy kernel primitives shared by implement, the DP, and turbo.
+"""numpy kernel primitives shared by implement, the DP, and the count pass.
 
-The interning/ranking primitives originated in the implicit engine's
-turbo counting pass and are exact by construction:
+The interning/ranking primitives are exact by construction:
 
-* :func:`intern_rows` verifies every row against its representative, so
-  a mix-hash collision raises :class:`HashCollision` instead of
-  corrupting the result;
+* :func:`unique_rows` interns word rows by one lexsort — no hashing, so
+  no collision to detect or fall back from;
 * :func:`byte_words` + a big-endian word lexsort give byte-
   lexicographic row order, and 0-padded rows sort a key directly before
   its extensions, which is what makes :func:`prefix_intervals` a single
@@ -17,9 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "HashCollision",
     "DECODE_CHUNK",
-    "intern_rows",
     "byte_words",
     "lex_rank_rows",
     "lex_unique_rows",
@@ -27,52 +23,13 @@ __all__ = [
     "prefix_interval_ends",
     "decode_bit_rows",
     "union_words_by_mask",
-    "first_occurrence_order",
+    "int_words",
+    "unique_rows",
     "sorted_unique",
     "range_min_pairs",
 ]
 
 DECODE_CHUNK = 1 << 18
-
-_MIX = 0x9E3779B97F4A7C15
-_MIX2 = 0xFF51AFD7ED558CCD
-
-
-class HashCollision(Exception):
-    """A mix-hash collision (astronomically rare): retry unvectorized."""
-
-
-def intern_rows(words):
-    """Exact row interning: ``(ids, representative row indices)``.
-
-    ``ids`` are arbitrary dense ints; representatives are the first
-    occurrence of each distinct row.  Rows are compared to their
-    representative afterwards, so a hash collision cannot corrupt the
-    result — it raises instead.
-    """
-    n, w = words.shape
-
-    def avalanche(x):
-        # splitmix64 finalizer: full bit diffusion per word, so sparse
-        # single-bit cut masks cannot cancel across the combine step
-        x = x ^ (x >> np.uint64(30))
-        x = x * np.uint64(0xBF58476D1CE4E5B9)
-        x = x ^ (x >> np.uint64(27))
-        x = x * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
-
-    h = np.zeros(n, np.uint64)
-    for i in range(w):
-        seed = np.uint64(((i + 1) * _MIX2) & 0xFFFFFFFFFFFFFFFF)
-        h = (h * np.uint64(_MIX)) ^ avalanche(words[:, i] + seed)
-    _uniq, ids = np.unique(h, return_inverse=True)
-    ids = ids.reshape(-1)
-    count = len(_uniq)
-    rep = np.empty(count, np.int64)
-    rep[ids[::-1]] = np.arange(n - 1, -1, -1)
-    if not (words == words[rep[ids]]).all():
-        raise HashCollision
-    return ids, rep
 
 
 def byte_words(mat):
@@ -130,30 +87,37 @@ def prefix_intervals(sorted_mat, lengths, pad_width):
     return hi_rank
 
 
-def lex_unique_rows(mat):
-    """Distinct rows of a 0-padded uint8 matrix in byte-lex order, plus
-    each input row's rank in that order: ``(distinct_sorted, rank)``
-    with ``distinct_sorted`` the deduplicated sorted matrix and
-    ``rank[i]`` the position of row ``i``'s value in it.
-
-    One lexsort over all rows — exact by construction (no hashing), and
-    cheaper than interning to distinct rows first and sorting those:
-    the duplicate-collapse rides the same sort.
+def unique_rows(words):
+    """Exact interning of a 2-D word matrix by one lexsort (no hashing):
+    ``(first, rank)`` with ``words[first]`` the distinct rows in word
+    order and ``rank[i]`` the position of row ``i``'s value among them.
     """
-    n = len(mat)
+    n = len(words)
     if not n:
-        return mat, np.zeros(0, np.int64)
-    words = byte_words(mat)
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
     order = np.lexsort(words.T[::-1])
     sw = words[order]
     is_new = np.empty(n, dtype=bool)
     is_new[0] = True
     if n > 1:
         is_new[1:] = (sw[1:] != sw[:-1]).any(axis=1)
-    rank_sorted = np.cumsum(is_new) - 1
     rank = np.empty(n, np.int64)
-    rank[order] = rank_sorted
-    return mat[order[is_new]], rank
+    rank[order] = np.cumsum(is_new) - 1
+    return order[is_new], rank
+
+
+def lex_unique_rows(mat):
+    """Distinct rows of a 0-padded uint8 matrix in byte-lex order, plus
+    each input row's rank in that order: ``(distinct_sorted, rank)``
+    with ``distinct_sorted`` the deduplicated sorted matrix and
+    ``rank[i]`` the position of row ``i``'s value in it.
+
+    :func:`unique_rows` over the big-endian words — exact, and cheaper
+    than interning to distinct rows first and sorting those: the
+    duplicate-collapse rides the same sort.
+    """
+    first, rank = unique_rows(byte_words(mat))
+    return mat[first], rank
 
 
 def prefix_interval_ends(sorted_mat, lengths, pad_width, ranks):
@@ -273,12 +237,13 @@ def union_words_by_mask(bit_words, masks, nbits):
     return out
 
 
-def first_occurrence_order(codes):
-    """Distinct values of ``codes`` in first-occurrence order, plus the
-    index of each first occurrence."""
-    uniq, first = np.unique(codes, return_index=True)
-    order = np.argsort(first, kind="stable")
-    return uniq[order], first[order]
+def int_words(values, width):
+    """Python ints as little-endian uint64 word rows: an
+    ``(len(values), width)`` matrix, bit ``b`` of ``values[i]`` at bit
+    ``b % 64`` of word ``b // 64``."""
+    buf = b"".join(v.to_bytes(width * 8, "little") for v in values)
+    words = np.frombuffer(buf, dtype="<u8").reshape(len(values), width)
+    return words.astype(np.uint64)
 
 
 def sorted_unique(values):

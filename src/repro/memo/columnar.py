@@ -72,11 +72,11 @@ from repro.algebra.logical import LogicalGet, LogicalJoin
 from repro.algebra.physical import Sort
 from repro.errors import MemoError
 from repro.kernel.vector import (
-    HashCollision,
     decode_bit_rows,
-    intern_rows,
+    int_words,
     lex_unique_rows,
     union_words_by_mask,
+    unique_rows,
 )
 from repro.memo.group import Group, GroupExpr
 from repro.resilience.faults import fault_point
@@ -1018,8 +1018,6 @@ def _emit_rows_scalar(
 #: per-group emission kinds of the vectorized build plan
 _VEC, _LEAF, _TOWER, _EMPTY = 0, 1, 2, 3
 
-_WORD_MASK = 0xFFFFFFFFFFFFFFFF
-
 
 def _emit_rows_vectorized(
     store, logical_store, keyed_kinds, keyed_tags, cross_tags, scope
@@ -1035,8 +1033,7 @@ def _emit_rows_vectorized(
 
     Returns the deduplicated merge-requirement stream as ``(gid, kid)``
     int64 columns in first-occurrence order, or ``None`` when this memo
-    needs the scalar loop (an object-explored join group, or an
-    astronomically-unlikely hash collision while interning).
+    needs the scalar loop (an object-explored join group).
     """
     memo = store.memo
     groups = memo.groups
@@ -1130,14 +1127,8 @@ def _emit_rows_vectorized(
     # ------------------------------------------------------------------
     n_alias = edges.universe.size
     W = max(1, (E + 63) // 64)
-    from_words = np.zeros((n_alias, W), np.uint64)
-    to_words = np.zeros((n_alias, W), np.uint64)
-    for i in range(n_alias):
-        fb = edges.from_bits[i]
-        tb = edges.to_bits[i]
-        for w in range(W):
-            from_words[i, w] = (fb >> (64 * w)) & _WORD_MASK
-            to_words[i, w] = (tb >> (64 * w)) & _WORD_MASK
+    from_words = int_words(edges.from_bits, W)
+    to_words = int_words(edges.to_bits, W)
     mask_arr = np.fromiter(
         (group.mask or 0 for group in groups), np.int64, len(groups)
     )
@@ -1158,11 +1149,8 @@ def _emit_rows_vectorized(
     rk_pair = np.full(P, -1, np.int64)
     if kc:
         keyed_cuts = cut_words[keyed]
-        try:
-            cut_ids, cut_rep = intern_rows(keyed_cuts)
-        except HashCollision:  # pragma: no cover - astronomically rare
-            return None
-        uniq_cuts = keyed_cuts[cut_rep]
+        cut_first, cut_ids = unique_rows(keyed_cuts)
+        uniq_cuts = keyed_cuts[cut_first]
         lcol_lut = np.frombuffer(edges.left_col, dtype=np.uint8)
         rcol_lut = np.frombuffer(edges.right_col, dtype=np.uint8)
         left_chunks, right_chunks, chunk_maxlens = decode_bit_rows(

@@ -14,8 +14,8 @@ implicit combinatorial object it is:
 * :mod:`.edges` / :mod:`.keys` reduce merge-key identity and the paper's
   physical-property qualification to bitmask and byte-string operations;
 * :mod:`.counting` derives per-group alternative counts analytically from
-  the shared rule module (:mod:`repro.optimizer.rules`), in array-backed
-  tables keyed by alias bitmasks; :mod:`.turbo` is its vectorized twin;
+  the shared rule module (:mod:`repro.optimizer.rules`); the relation-set
+  groups are counted by :mod:`.turbo`'s one vectorized layer pass;
 * :mod:`.tables` + :mod:`.unranking` select positions over per-group
   count columns and build a row only where a plan lands, so unranking
   yields byte-identical ``PlanNode`` trees (same ``group.local`` ids) at
@@ -29,7 +29,7 @@ See ``README.md`` in this directory for the derivation.
 
 from repro.planspace.implicit.counting import CountState
 from repro.planspace.implicit.edges import EdgeCatalog
-from repro.planspace.implicit.keys import KeyTable, OrderIndex
+from repro.planspace.implicit.keys import KeyTable
 from repro.planspace.implicit.layout import ImplicitGroup, ImplicitLayout
 from repro.planspace.implicit.sampling import ImplicitPlanSampler
 from repro.planspace.implicit.space import ImplicitPlanSpace
@@ -46,6 +46,5 @@ __all__ = [
     "ImplicitPlanSpace",
     "ImplicitUnranker",
     "KeyTable",
-    "OrderIndex",
     "TableSet",
 ]

@@ -13,8 +13,10 @@ single integer: the bitmask (bit *i* = rank-*i* edge crosses) ::
 
     cut(left, right) = FROM[left] & TO[right]
 
-where ``FROM[mask]``/``TO[mask]`` are union tables over the alias bits of
-``mask``, filled once per query in ``O(2^n)`` word operations.  Decoding a
+where ``FROM[mask]``/``TO[mask]`` are unions over the alias bits of
+``mask`` — per group, one vectorized OR sweep per alias bit in the count
+pass and the exact path's emitter, memoized per mask in the scalar
+emitter (:meth:`EdgeCatalog.from_mask`).  Decoding a
 cut bitmask yields both oriented column sequences — the left keys (sorted
 canonically for the left side) and the right keys (the matching columns
 in *the same order*, which is how merge-join ``right_keys`` are ordered).
@@ -121,10 +123,9 @@ class EdgeCatalog:
         self.left_col = bytes(left_cols)
         self.right_col = bytes(right_cols)
 
-        # FROM/TO union tables are memoized per queried mask (lowest-bit
+        # FROM/TO unions are memoized per queried mask (lowest-bit
         # recurrence), not pre-filled densely: a sparse topology touches
-        # only its connected subsets, a vanishing fraction of 2^n.  The
-        # turbo path builds its own dense word tables vectorized.
+        # only its connected subsets, a vanishing fraction of 2^n.
         self._from_cache: dict[int, int] = {0: 0}
         self._to_cache: dict[int, int] = {0: 0}
 
@@ -205,10 +206,6 @@ class EdgeCatalog:
     def to_mask(self, mask: int) -> int:
         """Bitmask of the oriented edges entering any alias of ``mask``."""
         return self._union(mask, self.to_bits, self._to_cache)
-
-    def cut(self, left: int, right: int) -> int:
-        """The oriented-edge bitmask of the cut ``(left, right)``."""
-        return self.from_mask(left) & self.to_mask(right)
 
     def decode(self, cut_bits: int) -> tuple[bytes, bytes]:
         """Decode a cut bitmask into ``(left key bytes, right key bytes)``.

@@ -1,28 +1,22 @@
-"""Interned cut keys and prefix-closed order indexes.
+"""Interned cut keys.
 
 Every sort order the search space mentions — merge-join key sequences,
 index key orders, GROUP BY / ORDER BY requirements — is interned here as a
-*kid* (key id) over its packed byte form (:mod:`.edges`).  Two structures
-answer everything counting and unranking need:
-
-* :meth:`KeyTable.kid` — identity: the same column sequence always maps to
-  the same kid, which is what deduplicates ``Sort`` enforcers exactly like
-  the memo's duplicate detection does;
-* :class:`OrderIndex` — a per-group sorted index of *delivered* orders
-  with bigint prefix sums.  ``sum_satisfying(q)`` returns the total count
-  of operators whose delivered order satisfies the required order ``q``
-  (the paper's qualification rule: requirement is a prefix of delivery) as
-  one lexicographic range query — delivered orders extending ``q`` occupy
-  the contiguous byte-string interval ``[q, q + 0xff)``.
+*kid* (key id) over its packed byte form (:mod:`.edges`).
+:meth:`KeyTable.kid` is identity: the same column sequence always maps to
+the same kid, which is what deduplicates ``Sort`` enforcers exactly like
+the memo's duplicate detection does.  The paper's qualification rule
+(requirement is a prefix of delivery) is ``keys[delivered].startswith(
+keys[required])``; over a preloaded, lexicographically sorted kid matrix
+the deliveries extending ``q`` are the contiguous kid interval the count
+pass sums over.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from repro.planspace.implicit.edges import EdgeCatalog
 
-__all__ = ["KeyTable", "OrderIndex"]
+__all__ = ["KeyTable"]
 
 #: sentinel "required order" ids
 NO_ORDER_KID = -1
@@ -33,10 +27,10 @@ class KeyTable:
 
     Two backings share one id space:
 
-    * the plain dict/list path (reference counting pass, and any kid the
-      preloaded matrix does not contain);
+    * the plain dict/list path (the exact path's scalar emitter, and any
+      kid the preloaded matrix does not contain);
     * a :meth:`preload`-ed, lexicographically sorted byte matrix (the
-      turbo pass's kid universe) — lookups binary-search it, and the byte
+      count pass's kid universe) — lookups binary-search it, and the byte
       strings themselves are sliced out lazily, so a count-only run never
       materializes hundreds of thousands of ``bytes`` objects.
     """
@@ -120,26 +114,3 @@ class KeyTable:
     def columns_of(self, kid: int):
         """The ColumnId sequence of a kid (for ``Sort``/key construction)."""
         return self.edges.seq_columns(self.bytes_of(kid))
-
-
-class OrderIndex:
-    """Sorted (delivered order -> total count) index for one group."""
-
-    __slots__ = ("keys", "prefix")
-
-    def __init__(self, deliveries: dict[bytes, int]):
-        items = sorted(deliveries.items())
-        self.keys = [seq for seq, _count in items]
-        prefix = [0]
-        total = 0
-        for _seq, count in items:
-            total += count
-            prefix.append(total)
-        self.prefix = prefix
-
-    def sum_satisfying(self, required: bytes) -> int:
-        """Total count of deliveries whose order satisfies ``required``."""
-        keys = self.keys
-        lo = bisect_left(keys, required)
-        hi = bisect_left(keys, required + b"\xff")
-        return self.prefix[hi] - self.prefix[lo]

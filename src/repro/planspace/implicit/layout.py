@@ -20,7 +20,7 @@ and consumes the resulting child-gid arrays directly:
   order, both orientations, with the initial left-deep expression (if the
   group has one) first — read positionally from the store's ``sl``/``sr``
   columns; :attr:`ImplicitGroup.splits` rebuilds the mask-pair list
-  lazily for the per-group Python passes, while the turbo counting path
+  lazily for the per-group Python passes, while the count pass
   (:mod:`.turbo`) gathers the columns wholesale without ever building it.
 
 ``local_id`` arithmetic follows: logical expressions occupy ``1..L``, the

@@ -38,12 +38,9 @@ class ImplicitPlanSpace:
     """Counting, enumeration, ranking/unranking and uniform sampling over
     a query's plan space, computed without materializing it."""
 
-    def __init__(self, state: CountState, include_redundant_sorts: bool = True):
+    def __init__(self, state: CountState):
         self.state = state
-        self.include_redundant_sorts = include_redundant_sorts
-        self.unranker = ImplicitUnranker(
-            state, include_redundant_sorts=include_redundant_sorts
-        )
+        self.unranker = ImplicitUnranker(state)
 
     # ------------------------------------------------------------------
     # construction
@@ -55,14 +52,15 @@ class ImplicitPlanSpace:
         bound: BoundQuery,
         options=None,
         include_redundant_sorts: bool = True,
-        use_turbo: bool | None = None,
         scope=None,
     ) -> "ImplicitPlanSpace":
         """Build the implicit space for a bound query.
 
         ``options`` is an :class:`~repro.optimizer.optimizer.OptimizerOptions`
         (cross-product policy + implementation config); defaults apply when
-        omitted.  ``scope`` is an optional
+        omitted.  ``include_redundant_sorts=False`` counts the paper's
+        space minus the redundant ``Sort`` enforcers (the state carries the
+        flag for everything built on it).  ``scope`` is an optional
         :class:`~repro.resilience.budget.BudgetScope` checkpointed during
         layout and counting.
         """
@@ -93,13 +91,12 @@ class ImplicitPlanSpace:
                 catalog=catalog,
                 config=options.implementation,
                 include_redundant_sorts=include_redundant_sorts,
-                use_turbo=use_turbo,
                 scope=scope,
             ).compute()
             span.add("groups", len(layout.groups))
         timings["count"] = span.elapsed_s
         state.timings = timings
-        return cls(state, include_redundant_sorts=include_redundant_sorts)
+        return cls(state)
 
     @classmethod
     def from_sql(
@@ -108,7 +105,6 @@ class ImplicitPlanSpace:
         sql: str,
         options=None,
         include_redundant_sorts: bool = True,
-        use_turbo: bool | None = None,
     ) -> "ImplicitPlanSpace":
         bound = Binder(catalog).bind(parse(sql))
         return cls.from_query(
@@ -116,7 +112,6 @@ class ImplicitPlanSpace:
             bound,
             options=options,
             include_redundant_sorts=include_redundant_sorts,
-            use_turbo=use_turbo,
         )
 
     # ------------------------------------------------------------------
@@ -190,10 +185,9 @@ class ImplicitPlanSpace:
 
     def describe(self) -> str:
         layout = self.state.layout
-        mode = "turbo" if self.state.turbo_used else "reference"
         lines = [
             f"implicit plan space over {len(layout.groups)} groups, "
-            f"{self.state.physical_count} physical operators (virtual, {mode})",
+            f"{self.state.physical_count} physical operators (virtual)",
             f"root group: {layout.root_gid}, "
             f"root requirement: {layout.root_order or '(none)'}",
             f"total plans N = {self.count():,}",

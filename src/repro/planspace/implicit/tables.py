@@ -9,11 +9,10 @@ touch, as columns:
 * ``counts``: the flat per-row ``N(v)`` list; position ``p`` is local id
   ``base + p``.  The group's own operators (its *body*: scans, joins or
   unary-tower operators) come first, its ``Sort`` enforcers after them;
-* join groups: per-expression :class:`~.counting.JoinColumns` (child
+* join groups: per-expression :class:`~.turbo.JoinColumns` (child
   masks, merge kids, first row of each logical join) from
-  ``CountState.join_columns`` — sliced out of the turbo pass's int64
-  columns or filled by the reference per-pair loop; the table
-  cannot tell which.  A row's operator is arithmetic on its offset within
+  ``CountState.join_columns`` — sliced out of the count pass's int64
+  columns.  A row's operator is arithmetic on its offset within
   its expression (``[nlj] [hash] [merge] [index-nl ...]``, rule order);
 * ``delivering()``: the sparse delivered-order column, ``(position,
   kid)`` of every row that delivers an order.
@@ -223,9 +222,8 @@ class GroupTable:
 class TableSet:
     """Lazy per-group tables plus candidate lists and operator caches."""
 
-    def __init__(self, state: CountState, include_redundant_sorts: bool = True):
+    def __init__(self, state: CountState):
         self.state = state
-        self.include_redundant_sorts = include_redundant_sorts
         self._tables: dict[int, GroupTable] = {}
         self._candidates: dict[tuple, CandidateList] = {}
         self._join_ops: dict[tuple[int, int], JoinImplementations] = {}
@@ -271,7 +269,7 @@ class TableSet:
         group keeps one list for all of them; without, the lists really
         differ per kid.
         """
-        if self.include_redundant_sorts and isinstance(requirement, tuple):
+        if isinstance(requirement, tuple) and self.state.include_redundant_sorts:
             requirement = NONENF
         key = (gid, requirement)
         cached = self._candidates.get(key)

@@ -1,100 +1,116 @@
-"""Vectorized join-group counting (numpy-accelerated layer DP).
+"""The relation-group count pass: one vectorized layer DP.
 
-Reference semantics live in :mod:`.counting`; this module computes the
-identical per-group aggregates with the per-split Python loop replaced by
-columnar array passes, one per subset-size layer:
+Every relation-set group's aggregates (``A``, ``nonenf``, ``sord``, the
+ordered requirement registry, sort counts, the virtual operator census)
+come out of one bottom-up pass per subset-size layer — the recurrence
+:mod:`.counting` describes, with the per-split work done as columnar
+array operations:
 
-* cut key identity: ``FROM[l] & TO[r]`` word rows and the decoded key
-  byte rows are interned by a mix-hash + first-occurrence-representative
-  scheme whose result is *verified exactly* (every row is compared to its
-  representative; a hash collision falls back to the reference pass, so
-  correctness never rests on the hash);
-* interned key rows are ranked by a big-endian word lexsort — 0-padded
-  byte rows sort prefix-first, so the extensions of key ``q`` form the
-  contiguous rank interval ``[rank(q), hi(q))``, with ``hi`` computed in
-  one LCP sweep;
-* ``(group, kid)`` requirement and delivery *slots* pack into int64 keys;
-  order queries become prefix-sum differences over each group's slot
-  segment;
+* groups are addressed by gid — the logical store's ``sl``/``sr``
+  columns hold child gids already — so every per-group array is as long
+  as the layout, never ``2^n``: each group's ``FROM``/``TO`` edge unions
+  are one :func:`~repro.kernel.vector.union_words_by_mask` call over the
+  group masks, and every universe up to ``MAX_RELATIONS`` is served;
+* cut key identity: the ``FROM[l] & TO[r]`` word rows and the decoded
+  key byte rows are interned exactly by sorting (no hash, so no
+  collision path); a kid is its byte-lexicographic rank, and 0-padded
+  rows sort a key directly before its extensions, so the extensions of
+  key ``q`` form the contiguous rank interval ``[rank(q), hi(q))``, with
+  ``hi`` computed in one LCP sweep;
+* ``(gid, kid)`` requirement and delivery *slots* pack into group-major
+  int64 keys; order queries become prefix-sum differences over each
+  group's slot segment;
+* an index-lookup join contributes ``matches × A(outer)`` per keyed
+  orientation whose inner side is one relation; without redundant sorts
+  a layer answers its queries once over the non-enforcer deliveries
+  (each ``Sort`` counts the alternatives not already ordered its way)
+  and once more after its sorts are delivered;
 * the bigint recurrences themselves (counts overflow ``float64`` and
   ``int64`` by hundreds of digits) run on ``object``-dtype arrays —
   numpy's C loops over arbitrary-precision Python ints.
 
-Everything the rest of the engine consumes (``A``, ``nonenf``, ``sord``,
-the ordered requirement registry, sort counts) is exported in the same
-shape the reference pass produces — as lazy array-backed views, so a
-count-only run pays for no Python-level dict materialization.  The int64
-per-split columns (sides, cut kids and query slots per orientation) are
-laid out once more per logical join and stay alive behind
-``state.split_columns``: the unranking tables slice them per group
-instead of re-deriving them pair by pair.  The turbo
-path requires the default rule configuration (no index-lookup joins,
-paper-faithful redundant sorts); ablations fall back to the reference
-pass.
+The state gets mask-keyed ``A``/``nonenf`` dicts and lazy array-backed
+views for the rest, so a count-only run pays for no per-requirement
+Python objects.  The int64 per-split columns (sides, cut kids, query
+slots and index-lookup matches per orientation) are laid out once more
+per logical join and stay alive behind ``state.join_columns``: the
+unranking tables slice them per group.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.errors import PlanSpaceError
 from repro.kernel.vector import (
-    HashCollision as _HashCollision,
-    byte_words as _byte_words,
     decode_bit_rows,
-    intern_rows as _intern_rows,
-    lex_rank_rows,
+    int_words,
+    lex_unique_rows,
     prefix_intervals,
     sorted_unique,
+    union_words_by_mask,
+    unique_rows,
 )
 from repro.optimizer.rules import join_rule_arity, scan_implementations
-from repro.planspace.implicit.counting import JoinColumns
 
-__all__ = ["turbo_rels_pass"]
-
-#: turbo needs the full 2^n FROM/TO tables in word form
-_MAX_UNIVERSE_BITS = 18
+__all__ = ["JoinColumns", "turbo_rels_pass"]
 
 
-def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> bool:
-    """Fill ``state``'s relation-group aggregates; False if not applicable.
+class JoinColumns(NamedTuple):
+    """One join group's operators as columns, in local-id order.
+
+    ``left``/``right``/``lkid``/``rkid`` have one entry per logical join
+    (the initial left-deep expression first): the child masks and the
+    merge-join key kids (``-1`` where the cut has no equi-keys).
+    ``starts[e]`` is the position of expression ``e``'s first operator
+    (``len(left) + 1`` entries); ``counts`` is the flat per-operator
+    ``N(v)`` list, which the caller owns.
+    """
+
+    left: list[int]
+    right: list[int]
+    lkid: list[int]
+    rkid: list[int]
+    starts: list[int]
+    counts: list[int]
+
+
+def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
+    """Fill ``state``'s relation-group aggregates.
 
     ``extra_pairs`` are the StreamAggregate/ORDER BY requirements that
     target relation-set groups, as ``(mask, packed column bytes)`` —
     registered after all merge requirements, like the materializer's
     enforcer pass.
     """
-    if state.layout.universe.size > _MAX_UNIVERSE_BITS:
-        return False
-    if not hasattr(np, "bitwise_count"):  # pragma: no cover - numpy < 2.0
-        return False
-    try:
-        _turbo_rels_pass(state, extra_pairs)
-        return True
-    except _HashCollision:  # pragma: no cover - ~2^-64 per pair of rows
-        return False
-
-
-def _turbo_rels_pass(state, extra_pairs) -> None:
     layout = state.layout
     config = state.config
     edges = state.edges
-    scope = getattr(state, "scope", None)
+    scope = state.scope
     checkpoint = scope.checkpoint if scope is not None else None
     plain_keys, merge = join_rule_arity(config, True)
     plain_cross, _ = join_rule_arity(config, False)
     enforcers = config.enable_sort_enforcers
+    gid_by_mask = layout.gid_by_mask
+    G = len(layout.groups)
+    mask_lut = np.fromiter(
+        (g.mask if g.mask is not None else 0 for g in layout.groups),
+        np.int64,
+        count=G,
+    )
 
     # ------------------------------------------------------------------
     # flatten splits, gid-major (the materializer's registration order)
     # ------------------------------------------------------------------
     # Columnar logical store: gather the child-gid columns directly
-    # (gid-major via per-group ranges) and map gids to masks through one
-    # lookup table — no per-split Python tuples are ever built.
+    # (gid-major via per-group ranges) — no per-split Python tuples are
+    # ever built.
     store = layout.store
     split_counts = []
     first_rows = []  # each group's first row in the store's columns
-    initials = []  # groups seeded by the initial plan: (left mask, splits lo, hi)
+    join_gids = []
+    initials = []  # groups seeded by the initial plan: (left gid, lo, hi)
     expr_range: dict[int, tuple[int, int]] = {}  # gid -> its logical joins
     M = 0
     for g in layout.join_groups():
@@ -102,27 +118,20 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
         if count:
             split_counts.append(count)
             first_rows.append(store.split_rows(g.gid)[0])
+            join_gids.append(g.gid)
             expr_range[g.gid] = (2 * M, 2 * (M + count))
             if g.initial is not None:
-                initials.append((g.initial[0], M, M + count))
+                initials.append((gid_by_mask[g.initial[0]], M, M + count))
             M += count
-    mask_lut = np.fromiter(
-        (g.mask if g.mask is not None else 0 for g in layout.groups),
-        np.int64,
-        count=len(layout.groups),
-    )
     if M:
         counts = np.array(split_counts)
         shift = np.array(first_rows) - (np.cumsum(counts) - counts)
         gather = np.arange(M) + np.repeat(shift, counts)
-        sl_col = np.frombuffer(store.sl, dtype=np.intc)
-        sr_col = np.frombuffer(store.sr, dtype=np.intc)
-        Ls = mask_lut[sl_col[gather]]
-        Rs = mask_lut[sr_col[gather]]
+        Ls = np.frombuffer(store.sl, dtype=np.intc)[gather].astype(np.int64)
+        Rs = np.frombuffer(store.sr, dtype=np.intc)[gather].astype(np.int64)
+        Ss = np.repeat(np.array(join_gids, np.int64), counts)
     else:
-        Ls = np.zeros(0, np.int64)
-        Rs = np.zeros(0, np.int64)
-    Ss = Ls | Rs
+        Ls = Rs = Ss = np.zeros(0, np.int64)
     # A seeded group emits its initial left-deep join first.  Locate it:
     # (the group's first split, the split holding the join, whether the
     # join is that split's (l, r) orientation)
@@ -137,32 +146,14 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
     # ------------------------------------------------------------------
     E = edges.edge_count
     W = max(1, (E + 63) // 64)
-    full = layout.universe.full_mask
-
-    def words(table):
-        buf = b"".join(v.to_bytes(W * 8, "little") for v in table)
-        return np.frombuffer(buf, dtype="<u8").reshape(len(table), W)
-
-    # dense FROM/TO union tables, one vectorized OR sweep per alias bit
-    from_bits_w = words(edges.from_bits)
-    to_bits_w = words(edges.to_bits)
-    FROM_w = np.zeros((full + 1, W), np.uint64)
-    TO_w = np.zeros((full + 1, W), np.uint64)
-    has_bit = (
-        np.arange(full + 1)[:, None] >> np.arange(layout.universe.size)
-    ) & 1
-    for i in range(layout.universe.size):
-        sel = has_bit[:, i] == 1
-        FROM_w[sel] |= from_bits_w[i]
-        TO_w[sel] |= to_bits_w[i]
-    del has_bit
+    n_alias = layout.universe.size
+    FROM = union_words_by_mask(int_words(edges.from_bits, W), mask_lut, n_alias)
+    TO = union_words_by_mask(int_words(edges.to_bits, W), mask_lut, n_alias)
     if checkpoint is not None:
         checkpoint("implicit.count", int(M))
-    ebits = np.concatenate(
-        [FROM_w[Ls] & TO_w[Rs], FROM_w[Rs] & TO_w[Ls]], axis=0
-    )
-    eb_ids, eb_rep = _intern_rows(ebits)
-    u_ebits = ebits[eb_rep]
+    ebits = np.concatenate([FROM[Ls] & TO[Rs], FROM[Rs] & TO[Ls]], axis=0)
+    eb_first, eb_ids = unique_rows(ebits)
+    u_ebits = ebits[eb_first]
     has_keys = u_ebits.any(axis=1)[eb_ids[:M]]
     U = len(u_ebits)
 
@@ -184,22 +175,22 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
     # ------------------------------------------------------------------
     # the kid universe: cut keys, extra requirements, leaf deliveries
     # ------------------------------------------------------------------
-    leaf_pairs: list[tuple[int, bytes]] = []  # (mask, seq), delivery count 1
+    leaf_pairs: list[tuple[int, bytes]] = []  # (gid, seq), delivery count 1
     leaf_nonenf: dict[int, int] = {}
     for mask in layout.subset_masks:
         if mask & (mask - 1):
             break  # universes are size-sorted: leaves come first
-        group = layout.group_for_mask(mask)
-        scans = scan_implementations(group.op, state.catalog, config)
-        leaf_nonenf[mask] = len(scans)
+        gid = gid_by_mask[mask]
+        scans = scan_implementations(layout.group(gid).op, state.catalog, config)
+        leaf_nonenf[gid] = len(scans)
         state.physical_count += len(scans)
         for scan in scans:
             order = scan.delivered_order()
             if order:
-                leaf_pairs.append((mask, edges.seq_bytes(order)))
+                leaf_pairs.append((gid, edges.seq_bytes(order)))
 
     loose_seqs = [seq for _mask, seq in extra_pairs]
-    loose_seqs += [seq for _mask, seq in leaf_pairs]
+    loose_seqs += [seq for _gid, seq in leaf_pairs]
     maxlen = max(chunk_maxlens, default=1)
     if loose_seqs:
         maxlen = max(maxlen, max(len(s) for s in loose_seqs))
@@ -224,16 +215,12 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
         if stack
         else np.zeros((0, maxlen), np.uint8)
     )
-    raw_ids, raw_rep = _intern_rows(_byte_words(all_rows))
-    kid_mat_raw = all_rows[raw_rep]
-    K = len(kid_mat_raw)
-
-    # lexicographic kid ranks: big-endian word lexsort == byte order, and
-    # 0-padding sorts a key directly before its extensions
-    order, rank_of_raw = lex_rank_rows(kid_mat_raw)
-    kid_mat = kid_mat_raw[order]
-    kid_ids = rank_of_raw[raw_ids]  # every input row -> lex-ranked kid
+    # one lexsort interns and ranks the whole key universe: row = kid =
+    # byte-lexicographic rank, and every input row's kid
+    kid_mat, kid_ids = lex_unique_rows(all_rows)
+    K = len(kid_mat)
     kid_lengths = (kid_mat != 0).sum(axis=1).astype(np.int64)
+    state.keys.preload(kid_mat, kid_lengths)
 
     lkid_of_eb = kid_ids[:U]
     rkid_of_eb = kid_ids[U : 2 * U]
@@ -251,15 +238,33 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
     lk_rl = lkid_of_eb[eb_ids[M:]]
     rk_rl = rkid_of_eb[eb_ids[M:]]
 
+    # index-lookup joins per orientation, (l, r) then (r, l): the inner
+    # side is the right one
+    KS = K + 2
+    if config.enable_index_nl_join:
+        matches = _index_lookup_matches(
+            state,
+            np.concatenate([Rs, Ls]),
+            np.concatenate([rk_lr, rk_rl]),
+            np.concatenate([has_keys, has_keys]),
+            mask_lut,
+            KS,
+        )
+    else:
+        matches = np.zeros(2 * M, np.int64)
+    m_lr, m_rl = matches[:M], matches[M:]
+
     # ------------------------------------------------------------------
     # requirement registry and slot universes
     # ------------------------------------------------------------------
-    KS = K + 2
     extra_packed = np.array(
-        [mask * KS + kid for (mask, _), kid in zip(extra_pairs, extra_kids)],
+        [
+            gid_by_mask[mask] * KS + kid
+            for (mask, _), kid in zip(extra_pairs, extra_kids)
+        ],
         np.int64,
     )
-    reg_keys = []  # per split: its four packed (mask, kid) registrations
+    reg_keys = []  # per split: its four packed (gid, kid) registrations
     if merge and M:
         reg_keys = [Ls * KS + lk_lr, Rs * KS + rk_lr]  # (l, r) orientation
         reg_keys += [Rs * KS + lk_rl, Ls * KS + rk_rl]  # (r, l)
@@ -267,14 +272,13 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
         np.concatenate([key[has_keys] for key in reg_keys] + [extra_packed])
     )
     NQ = len(req_packed)
-    req_masks = req_packed // KS
+    req_gids = req_packed // KS
     req_kids = req_packed % KS
-    full = layout.universe.full_mask
-    nreq_by_mask = np.bincount(req_masks, minlength=full + 1)
+    nreq_by_gid = np.bincount(req_gids, minlength=G)
 
     # delivered slots: merge deliveries, sort deliveries, leaf deliveries
     leaf_packed = np.array(
-        [mask * KS + kid for (mask, _), kid in zip(leaf_pairs, leaf_kids)],
+        [gid * KS + kid for (gid, _), kid in zip(leaf_pairs, leaf_kids)],
         np.int64,
     )
     d_parts = [leaf_packed]
@@ -308,42 +312,43 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
         stream = np.concatenate([regs, stream])
     first = np.empty(NQ + 1, np.int64)  # per slot: its first registration
     first[stream[::-1]] = np.arange(len(stream) - 1, -1, -1)
-    # slots are mask-major; within each mask, first registered first
-    by_first = np.argsort(req_masks * len(stream) + first[:NQ])
+    # slots are group-major; within each group, first registered first
+    by_first = np.argsort(req_gids * len(stream) + first[:NQ])
 
     # query ranges in D coordinates (a group's slots are contiguous and
-    # kid-rank ordered, because the packed key is mask-major, rank-minor);
+    # kid-rank ordered, because the packed key is gid-major, rank-minor);
     # with enforcers every requirement is itself a delivered slot
     q_lo_D = req_slot_in_D = np.searchsorted(D_packed, req_packed)
-    q_hi_D = np.searchsorted(D_packed, req_masks * KS + hi_rank[req_kids])
+    q_hi_D = np.searchsorted(D_packed, req_gids * KS + hi_rank[req_kids])
     QS = np.empty(NQ, dtype=object)
     QS[:] = 0
+    SC = np.empty(NQ, dtype=object)  # per requirement slot: its Sort's count
 
     # ------------------------------------------------------------------
     # bottom-up layer DP
     # ------------------------------------------------------------------
-    A_obj = np.empty(full + 1, dtype=object)
-    NE_obj = np.empty(full + 1, dtype=object)
-    req_sizes = np.bitwise_count(req_masks.astype(np.uint64)).astype(np.int64)
-    split_sizes = np.bitwise_count(Ss.astype(np.uint64)).astype(np.int64)
+    A_obj = np.empty(G, dtype=object)
+    NE_obj = np.empty(G, dtype=object)
+    req_sizes = np.bitwise_count(mask_lut[req_gids]).astype(np.int64)
+    split_sizes = np.bitwise_count(mask_lut[Ss]).astype(np.int64)
 
     def answer_queries(q_sel):
         """Fill QS for the query slots ``q_sel`` (one finalized layer)."""
         if not len(q_sel):
             return
-        # req_packed is sorted mask-major, so the layer's masks ascend:
+        # req_packed is sorted gid-major, so the layer's gids ascend:
         # boundary detection replaces a hash unique
-        sel_masks = req_masks[q_sel]
-        seg_masks = sel_masks[
-            np.concatenate([[0], np.flatnonzero(np.diff(sel_masks)) + 1])
+        sel_gids = req_gids[q_sel]
+        seg_gids = sel_gids[
+            np.concatenate([[0], np.flatnonzero(np.diff(sel_gids)) + 1])
         ]
-        seg_lo = np.searchsorted(D_packed, seg_masks * KS)
-        seg_hi = np.searchsorted(D_packed, (seg_masks + 1) * KS)
+        seg_lo = np.searchsorted(D_packed, seg_gids * KS)
+        seg_hi = np.searchsorted(D_packed, (seg_gids + 1) * KS)
         seg_len = seg_hi - seg_lo
         total = int(seg_len.sum())
         if not total:
             return
-        offsets = np.zeros(len(seg_masks), np.int64)
+        offsets = np.zeros(len(seg_gids), np.int64)
         np.cumsum(seg_len[:-1], out=offsets[1:])
         block = (
             np.arange(total)
@@ -353,67 +358,78 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
         prefix = np.empty(total + 1, dtype=object)
         prefix[0] = 0
         np.cumsum(DS[block], out=prefix[1:])
-        seg_pos = np.searchsorted(seg_masks, sel_masks)
+        seg_pos = np.searchsorted(seg_gids, sel_gids)
         base = offsets[seg_pos] - seg_lo[seg_pos]
         QS[q_sel] = prefix[base + q_hi_D[q_sel]] - prefix[base + q_lo_D[q_sel]]
 
+    def finish_layer(gids, nonenf, size):
+        """Store one layer's totals, deliver its sorts, answer its queries."""
+        NE_obj[gids] = nonenf
+        layer_req = np.flatnonzero(req_sizes == size)
+        if not enforcers:
+            A_obj[gids] = nonenf
+            answer_queries(layer_req)
+            return
+        state.physical_count += len(layer_req)  # one Sort per requirement
+        owners = req_gids[layer_req]
+        if state.include_redundant_sorts:
+            SC[layer_req] = NE_obj[owners]
+            A_obj[gids] = nonenf * (1 + nreq_by_gid[gids])
+        else:
+            answer_queries(layer_req)  # S(g, q) over the non-enforcers
+            SC[layer_req] = NE_obj[owners] - QS[layer_req]
+            A_obj[gids] = nonenf
+            np.add.at(A_obj, owners, SC[layer_req])
+        # requirement slots are unique, so the buffered += is safe
+        DS[req_slot_in_D[layer_req]] += SC[layer_req]
+        answer_queries(layer_req)
+
     # layer 1: leaves
-    for mask, nonenf in leaf_nonenf.items():
-        nreq = int(nreq_by_mask[mask])
-        A_obj[mask] = nonenf * (1 + nreq) if enforcers else nonenf
-        NE_obj[mask] = nonenf
-        if enforcers:
-            state.physical_count += nreq
+    leaf_gids = np.fromiter(leaf_nonenf, np.int64, count=len(leaf_nonenf))
+    leaf_counts = np.empty(len(leaf_gids), dtype=object)
+    leaf_counts[:] = list(leaf_nonenf.values())
     if len(leaf_packed):
         np.add.at(DS, np.searchsorted(D_packed, leaf_packed), 1)
-    layer_req = np.flatnonzero(req_sizes == 1)
-    if enforcers and len(layer_req):
-        # requirement slots are unique, so the buffered += is safe
-        DS[req_slot_in_D[layer_req]] += NE_obj[req_masks[layer_req]]
-    answer_queries(layer_req)
+    finish_layer(leaf_gids, leaf_counts, 1)
 
-    for size in range(2, layout.universe.size + 1):
+    for size in range(2, n_alias + 1):
         if checkpoint is not None:
             checkpoint("implicit.count")
         sel = np.flatnonzero(split_sizes == size)
+        ls, rs, ss = Ls[sel], Rs[sel], Ss[sel]
+        hk = has_keys[sel]
+        coeff = np.where(hk, 2 * plain_keys, 2 * plain_cross)
+        a_l, a_r = A_obj[ls], A_obj[rs]
+        contrib = a_l * a_r * coeff
+        state.physical_count += int(coeff.sum())
+        if merge:
+            keyed = np.flatnonzero(hk)
+            if len(keyed):
+                ksel = sel[keyed]
+                mc_lr = QS[q_l_lr[ksel]] * QS[q_r_lr[ksel]]
+                mc_rl = QS[q_r_rl[ksel]] * QS[q_l_rl[ksel]]
+                contrib[keyed] += mc_lr + mc_rl
+                np.add.at(DS, d_lr[ksel], mc_lr)
+                np.add.at(DS, d_rl[ksel], mc_rl)
+                state.physical_count += 2 * len(keyed)
+        inlj = np.flatnonzero(m_lr[sel] | m_rl[sel])
+        if len(inlj):
+            k_lr, k_rl = m_lr[sel[inlj]], m_rl[sel[inlj]]
+            contrib[inlj] += k_lr * a_l[inlj] + k_rl * a_r[inlj]
+            state.physical_count += int(k_lr.sum() + k_rl.sum())
         if len(sel):
-            ls, rs, ss = Ls[sel], Rs[sel], Ss[sel]
-            hk = has_keys[sel]
-            coeff = np.where(hk, 2 * plain_keys, 2 * plain_cross)
-            contrib = A_obj[ls] * A_obj[rs] * coeff
-            state.physical_count += int(coeff.sum())
-            if merge:
-                keyed = np.flatnonzero(hk)
-                if len(keyed):
-                    ksel = sel[keyed]
-                    mc_lr = QS[q_l_lr[ksel]] * QS[q_r_lr[ksel]]
-                    mc_rl = QS[q_r_rl[ksel]] * QS[q_l_rl[ksel]]
-                    contrib[keyed] += mc_lr + mc_rl
-                    np.add.at(DS, d_lr[ksel], mc_lr)
-                    np.add.at(DS, d_rl[ksel], mc_rl)
-                    state.physical_count += 2 * len(keyed)
             starts = np.concatenate([[0], np.flatnonzero(np.diff(ss)) + 1])
-            group_masks = ss[starts]
-            nonenf_g = np.add.reduceat(contrib, starts)
-            if enforcers:
-                nreq_g = nreq_by_mask[group_masks]
-                A_obj[group_masks] = nonenf_g * (1 + nreq_g)
-                state.physical_count += int(nreq_g.sum())
-            else:
-                A_obj[group_masks] = nonenf_g
-            NE_obj[group_masks] = nonenf_g
-        layer_req = np.flatnonzero(req_sizes == size)
-        if enforcers and len(layer_req):
-            DS[req_slot_in_D[layer_req]] += NE_obj[req_masks[layer_req]]
-        answer_queries(layer_req)
+            finish_layer(ss[starts], np.add.reduceat(contrib, starts), size)
+        else:
+            finish_layer(ss, contrib, size)
 
     # ------------------------------------------------------------------
     # export: mask-keyed totals as dicts, the rest as lazy views
     # ------------------------------------------------------------------
-    for mask in layout.subset_masks:
-        state.A[mask] = A_obj[mask]
-        state.nonenf[mask] = NE_obj[mask]
-    state.keys.preload(kid_mat, kid_lengths)
+    masks = layout.subset_masks
+    rels_gids = [gid_by_mask[mask] for mask in masks]
+    state.A = dict(zip(masks, A_obj[rels_gids].tolist()))
+    state.nonenf = dict(zip(masks, NE_obj[rels_gids].tolist()))
 
     # The unranking tables' columns: one int64 entry per logical join,
     # group-major in local-id order — both orientations of every split
@@ -427,11 +443,12 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
         return out
 
     keyed = np.repeat(has_keys, 2)
-    exprs = [  # left mask, right mask, left kid, right kid (-1: no keys)
+    exprs = [  # left/right gid, left/right kid (-1: no keys), index lookups
         both(Ls, Rs),
         both(Rs, Ls),
         np.where(keyed, both(lk_lr, lk_rl), -1),
         np.where(keyed, both(rk_lr, rk_rl), -1),
+        both(m_lr, m_rl),
     ]
     if merge and M:  # the QS slots of S(left, lkid) and S(right, rkid)
         exprs += [both(q_l_lr, q_r_rl), both(q_r_lr, q_l_rl)]
@@ -440,14 +457,19 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
         for col in exprs:
             col[2 * lo : hi] = np.roll(col[2 * lo : hi], 1)
 
-    def join_columns(group) -> JoinColumns:
-        """``CountState.join_columns`` of a turbo-backed state."""
-        lo, hi = expr_range[group.gid]
-        left, right, lkid, rkid, *slots = (col[lo:hi] for col in exprs)
+    def join_columns(gid: int) -> JoinColumns:
+        """The operator columns of join group ``gid``, rule order within
+        each logical join: ``[nlj] [hash] [merge] [index-nl ...]``."""
+        lo, hi = expr_range[gid]
+        left, right, lkid, rkid, n_inlj, *slots = (col[lo:hi] for col in exprs)
         keyed = lkid >= 0
-        plain = A_obj[left] * A_obj[right]
+        a_left = A_obj[left]
+        plain = a_left * A_obj[right]
         starts = np.zeros(hi - lo + 1, np.int64)
-        np.cumsum(np.where(keyed, plain_keys + merge, plain_cross), out=starts[1:])
+        np.cumsum(
+            np.where(keyed, plain_keys + merge + n_inlj, plain_cross),
+            out=starts[1:],
+        )
         counts = np.empty(starts[-1], dtype=object)
         at, at_keyed = starts[:-1], starts[:-1][keyed]
         for k in range(plain_cross):
@@ -456,65 +478,78 @@ def _turbo_rels_pass(state, extra_pairs) -> None:
             counts[at_keyed + k] = plain[keyed]
         if merge:
             counts[at_keyed + plain_keys] = QS[slots[0][keyed]] * QS[slots[1][keyed]]
-        columns = (left, right, lkid, rkid, starts, counts)
+        if n_inlj.any():  # ``matches`` copies of A(outer) after the merge
+            at_inlj = np.repeat(at + plain_keys + merge, n_inlj)
+            offset = np.arange(len(at_inlj)) - np.repeat(
+                np.cumsum(n_inlj) - n_inlj, n_inlj
+            )
+            counts[at_inlj + offset] = np.repeat(a_left, n_inlj)
+        columns = (mask_lut[left], mask_lut[right], lkid, rkid, starts, counts)
         return JoinColumns(*(col.tolist() for col in columns))
 
-    state.split_columns = join_columns
-    state.sord = _SordView(KS, req_packed, QS)
-    state.required = _RequiredView(req_kids[by_first], nreq_by_mask)
+    state.join_columns = join_columns
+    state.sord = _SordView(KS, req_packed, QS, gid_by_mask)
+    bounds = np.zeros(G + 1, np.int64)
+    np.cumsum(nreq_by_gid, out=bounds[1:])
+    state.required = _PerGroupView(req_kids[by_first], bounds, gid_by_mask)
     state.sort_counts = (
-        _SortCountsView(state.required, state.nonenf) if enforcers else {}
+        _PerGroupView(SC[by_first], bounds, gid_by_mask) if enforcers else {}
     )
+
+
+def _index_lookup_matches(state, inner, inner_kid, keyed, mask_lut, KS):
+    """Index-lookup joins per orientation: none unless the cut has keys
+    and the inner side is a single relation; then one per index of the
+    inner table whose leading key column is among the cut's inner
+    columns.  Counted once per distinct (inner relation, inner key)."""
+    inner_masks = mask_lut[inner]
+    sel = np.flatnonzero(keyed & ((inner_masks & (inner_masks - 1)) == 0))
+    out = np.zeros(len(inner), np.int64)
+    if not len(sel):
+        return out
+    packed = inner[sel] * KS + inner_kid[sel]
+    pairs = sorted_unique(packed)
+    layout, keys, columns = state.layout, state.keys, state.edges.columns
+    per_pair = []
+    for gid, kid in zip((pairs // KS).tolist(), (pairs % KS).tolist()):
+        names = {columns[b].column for b in keys[kid]}
+        indexes = state.catalog.indexes(layout.group(gid).op.table)
+        per_pair.append(sum(1 for index in indexes if index.key[0] in names))
+    out[sel] = np.array(per_pair, np.int64)[np.searchsorted(pairs, packed)]
+    return out
 
 
 class _SordView:
     """Lazy ``(mask, kid) -> S(g, q)`` mapping over the query-slot arrays."""
 
-    def __init__(self, KS, req_packed, QS):
+    def __init__(self, KS, req_packed, QS, gid_by_mask):
         self._KS = KS
         self._req_packed = req_packed
         self._QS = QS
+        self._gid_by_mask = gid_by_mask
 
     def __getitem__(self, key):
         mask, kid = key
-        if kid >= self._KS - 2:  # overflow kid: cannot be a turbo slot
+        if kid >= self._KS - 2:  # overflow kid: cannot be a slot
             raise KeyError(key)
-        packed = mask * self._KS + kid
+        packed = self._gid_by_mask[mask] * self._KS + kid
         pos = np.searchsorted(self._req_packed, packed)
         if pos >= len(self._req_packed) or self._req_packed[pos] != packed:
             raise KeyError(key)
         return self._QS[pos]
 
 
-class _RequiredView:
-    """``mask -> ordered kid list`` (global first-registration order),
-    sliced out of the mask-major kid column by each mask's slot count."""
+class _PerGroupView:
+    """``mask -> list`` over a group-major column: group ``g``'s entries
+    (its required kids, or its sorts' counts, in first-registration
+    order) are ``column[bounds[g]:bounds[g + 1]]``."""
 
-    def __init__(self, kids, nreq_by_mask):
-        self._kids = kids
-        self._ends = np.cumsum(nreq_by_mask)
-
-    def get(self, mask, default=None):
-        ends = self._ends
-        return self._kids[ends[mask - 1] : ends[mask]].tolist() or default
-
-
-class _SortCountsView:
-    """``mask -> per-sort counts`` — with paper-faithful redundant sorts
-    every enforcer of a group counts its non-enforcer total."""
-
-    def __init__(self, required, nonenf):
-        self._required = required
-        self._nonenf = nonenf
-
-    def __getitem__(self, mask):
-        kids = self._required.get(mask)
-        if kids is None:
-            raise KeyError(mask)
-        return [self._nonenf[mask]] * len(kids)
+    def __init__(self, column, bounds, gid_by_mask):
+        self._column = column
+        self._bounds = bounds.tolist()
+        self._gid_by_mask = gid_by_mask
 
     def get(self, mask, default=None):
-        try:
-            return self[mask]
-        except KeyError:
-            return default
+        gid = self._gid_by_mask[mask]
+        bounds = self._bounds
+        return self._column[bounds[gid] : bounds[gid + 1]].tolist() or default

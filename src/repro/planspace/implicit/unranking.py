@@ -28,11 +28,9 @@ __all__ = ["ImplicitUnranker"]
 class ImplicitUnranker:
     """Bijection between ranks ``0..N-1`` and plans, without a memo."""
 
-    def __init__(self, state: CountState, include_redundant_sorts: bool = True):
+    def __init__(self, state: CountState):
         self.state = state
-        self.tables = TableSet(
-            state, include_redundant_sorts=include_redundant_sorts
-        )
+        self.tables = TableSet(state)
         self.total = state.total
 
     def _root_candidates(self) -> CandidateList:

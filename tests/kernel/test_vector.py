@@ -15,8 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.kernel.vector import (
     byte_words,
     decode_bit_rows,
-    first_occurrence_order,
-    intern_rows,
+    int_words,
     lex_rank_rows,
     lex_unique_rows,
     prefix_interval_ends,
@@ -24,6 +23,7 @@ from repro.kernel.vector import (
     range_min_pairs,
     sorted_unique,
     union_words_by_mask,
+    unique_rows,
 )
 
 
@@ -72,22 +72,32 @@ class TestLexPrimitives:
         for i in range(len(mat)):
             assert distinct[rank[i]].tobytes() == mat[i].tobytes()
 
-        ids, rep = intern_rows(byte_words(mat))
+        first_seen: dict[bytes, int] = {}
+        ids = [first_seen.setdefault(row.tobytes(), i) for i, row in enumerate(mat)]
+        rep = np.array(sorted(set(ids)))
         _order, iref_rank = lex_rank_rows(mat[rep])
-        assert (iref_rank[ids] == rank).all()
+        assert (iref_rank[np.searchsorted(rep, ids)] == rank).all()
 
     def test_lex_unique_rows_empty(self):
         mat = np.zeros((0, 4), np.uint8)
         distinct, rank = lex_unique_rows(mat)
         assert len(distinct) == 0 and len(rank) == 0
 
-    def test_intern_rows_exact_on_duplicates(self):
+    def test_unique_rows_exact_on_duplicates(self):
+        """Sort-based interning of word rows: every row maps to a
+        representative equal to it, and distinct rows to distinct ids —
+        one-word rows and rows that share a leading word alike."""
         rng = np.random.default_rng(7)
         base, _ = _random_padded_rows(rng, 50, 8)
-        mat = base[rng.integers(0, 50, size=500)]
-        ids, rep = intern_rows(byte_words(mat))
-        for i in range(len(mat)):
-            assert (mat[rep[ids[i]]] == mat[i]).all()
+        multi = rng.integers(0, 1 << 63, size=(40, 3), dtype=np.uint64)
+        multi[2, 0] = multi[0, 0]  # shares a leading word, differs later
+        for words in (byte_words(base), multi):
+            dup = words[rng.integers(0, len(words), size=500)]
+            first, rank = unique_rows(dup)
+            assert (dup[first][rank] == dup).all()
+            assert len(first) == len({row.tobytes() for row in dup})
+        first, rank = unique_rows(np.zeros((0, 2), np.uint64))
+        assert len(first) == len(rank) == 0
 
 
 def _ref_prefix_intervals(mat, lengths):
@@ -201,11 +211,12 @@ class TestSegmentedPrimitives:
         )
         assert np.isinf(got).all()
 
-    def test_first_occurrence_order(self):
-        codes = np.array([5, 3, 5, 9, 3, 1], np.int64)
-        uniq, first = first_occurrence_order(codes)
-        assert uniq.tolist() == [5, 3, 9, 1]
-        assert first.tolist() == [0, 1, 3, 5]
+    def test_int_words_splits_bits_into_words(self):
+        values = [0, 1, (1 << 64) | 5, (1 << 127) | (1 << 63)]
+        got = int_words(values, 2)
+        assert got.dtype == np.uint64 and got.shape == (4, 2)
+        for row, value in zip(got, values):
+            assert int(row[0]) | int(row[1]) << 64 == value
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_union_words_by_mask_matches_loop(self, seed):

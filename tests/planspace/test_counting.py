@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.optimizer.optimizer import OptimizerOptions
+from repro.optimizer.rules import ImplementationConfig
 from repro.planspace.counting import annotate_counts, operator_count
 from repro.planspace.implicit import ImplicitPlanSpace
 from repro.planspace.links import materialize_links
 from repro.workloads.paper_example import EXPECTED_COUNTS, EXPECTED_TOTAL
-from repro.workloads.synthetic import random_query
+from repro.workloads.synthetic import chain_query, cycle_query, random_query
+from repro.workloads.tpch_queries import tpch_query
+from tests.planspace.reference_counting import assert_same_aggregates, count_both
 from tests.planspace.test_implicit_tables import SHAPES
 
 
@@ -115,35 +118,22 @@ class TestZeroAlternativeOperators:
 # ----------------------------------------------------------------------
 def _registries(catalog, sql, cross):
     """``mask -> required key byte strings in Sort local-id order`` of
-    the turbo-backed and of the reference-backed state of one query (kid
-    *ids* differ between the two key tables; the orders they name do
-    not)."""
+    the count pass's state and of the per-pair oracle's, over one layout
+    (kid *ids* differ between the two key tables; the orders they name
+    do not)."""
     options = OptimizerOptions(allow_cross_products=cross)
-    out = []
-    for use_turbo in (True, False):
-        state = ImplicitPlanSpace.from_sql(
-            catalog, sql, options=options, use_turbo=use_turbo
-        ).state
-        assert state.turbo_used is use_turbo
-        if use_turbo:
-            by_mask = {
-                mask: state.required.get(mask)
-                for mask in state.layout.subset_masks
-            }
-            seeded = [
-                g.mask for g in state.layout.join_groups() if g.initial is not None
-            ]
-        else:
-            by_mask = {
-                mask: list(state.required[mask]) if mask in state.required else None
-                for mask in state.layout.subset_masks
-            }
-        out.append(
-            {
-                mask: kids and [state.keys.bytes_of(kid) for kid in kids]
-                for mask, kids in by_mask.items()
-            }
-        )
+    states = count_both(catalog, sql, options)
+    out = [
+        {
+            mask: (kids := state.required.get(mask))
+            and [state.keys.bytes_of(kid) for kid in kids]
+            for mask in state.layout.subset_masks
+        }
+        for state in states
+    ]
+    seeded = [
+        g.mask for g in states[0].layout.join_groups() if g.initial is not None
+    ]
     return out[0], out[1], seeded
 
 
@@ -212,3 +202,55 @@ class TestTurboRegistryOrder:
     def test_random_topologies(self, n, density, seed):
         workload = random_query(n, edge_density=density, seed=seed, rows=5)
         _assert_same_registry(workload.catalog, workload.sql, False, n)
+
+
+# ----------------------------------------------------------------------
+# the one count pass against the per-pair oracle
+# ----------------------------------------------------------------------
+#: configuration -> (implementation config, include_redundant_sorts)
+CONFIGS = {
+    "default": (ImplementationConfig(), True),
+    "index-nl-join": (ImplementationConfig(enable_index_nl_join=True), True),
+    "no-redundant-sorts": (ImplementationConfig(), False),
+}
+
+
+def _assert_matches_oracle(catalog, sql, cross=False, config="default"):
+    implementation, redundant = CONFIGS[config]
+    options = OptimizerOptions(
+        allow_cross_products=cross, implementation=implementation
+    )
+    state, reference = count_both(
+        catalog, sql, options, include_redundant_sorts=redundant
+    )
+    assert_same_aggregates(state, reference)
+
+
+class TestCountPassAgainstOracle:
+    """Every per-group aggregate of the vectorized pass equals the
+    per-pair loop's (``tests/planspace/reference_counting.py``), in every
+    configuration and past the old 18-relation word-table limit."""
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shapes(self, shape, cross, config):
+        workload = SHAPES[shape](5 if cross else 6, rows=5, seed=0)
+        _assert_matches_oracle(workload.catalog, workload.sql, cross, config)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_stream_aggregate_and_order_by(self, catalog, config):
+        sql = tpch_query("Q3").sql + " ORDER BY revenue"
+        _assert_matches_oracle(catalog, sql, config=config)
+
+    @pytest.mark.parametrize(
+        "shape", [chain_query, cycle_query], ids=["chain", "cycle"]
+    )
+    def test_twenty_five_relations(self, shape):
+        workload = shape(25, rows=5, seed=0)
+        _assert_matches_oracle(workload.catalog, workload.sql)
+
+    @pytest.mark.slow
+    def test_sixty_three_relations(self):
+        workload = chain_query(63, rows=5, seed=0)
+        _assert_matches_oracle(workload.catalog, workload.sql)

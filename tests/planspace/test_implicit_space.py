@@ -7,6 +7,7 @@ few pointed equivalence spot-checks.
 """
 
 import io
+import random
 
 import pytest
 
@@ -19,10 +20,13 @@ from repro.optimizer.optimizer import (
     OptimizerOptions,
 )
 from repro.optimizer.rules import ImplementationConfig
-from repro.planspace.implicit import ImplicitPlanSpace
+from repro.planspace.implicit import CountState, ImplicitLayout, ImplicitPlanSpace
 from repro.planspace.space import PlanSpace
-from repro.workloads.synthetic import chain_query, clique_query
+from repro.sql.binder import Binder
+from repro.sql.parser import parse
+from repro.workloads.synthetic import chain_query, clique_query, cycle_query
 from repro.workloads.tpch_queries import tpch_query
+from tests.planspace.reference_counting import count_both
 
 
 def _spaces(workload, **options_kwargs):
@@ -76,15 +80,11 @@ class TestCounting:
             )
 
     def test_turbo_and_reference_agree(self):
+        """The count pass and the per-pair oracle unrank alike."""
         workload = clique_query(5, rows=5, seed=0)
-        reference = ImplicitPlanSpace.from_sql(
-            workload.catalog, workload.sql, use_turbo=False
+        turbo, reference = map(
+            ImplicitPlanSpace, count_both(workload.catalog, workload.sql)
         )
-        turbo = ImplicitPlanSpace.from_sql(
-            workload.catalog, workload.sql, use_turbo=True
-        )
-        assert not reference.state.turbo_used
-        assert turbo.state.turbo_used
         assert reference.count() == turbo.count()
         for rank in (0, 17, turbo.count() - 1):
             assert (
@@ -199,6 +199,38 @@ class TestConfigurations:
             implicit.unrank(7).fingerprint()
             == materialized.unrank(7).fingerprint()
         )
+
+    @pytest.mark.parametrize(
+        "workload",
+        [chain_query(4, rows=5, seed=0), cycle_query(5, rows=5, seed=0)],
+        ids=["chain4", "cycle5"],
+    )
+    def test_redundant_sorts_flag_lives_on_the_state(self, workload):
+        """A space assembled from a state counted without redundant sorts
+        unranks within that state's space: the tables and the unranker
+        read the flag from the state, never a default of their own."""
+        catalog, sql = workload.catalog, workload.sql
+        layout = ImplicitLayout(Binder(catalog).bind(parse(sql)), False)
+        state = CountState(
+            layout=layout,
+            catalog=catalog,
+            config=ImplementationConfig(),
+            include_redundant_sorts=False,
+        ).compute()
+        assembled = ImplicitPlanSpace(state)
+        built = ImplicitPlanSpace.from_sql(
+            catalog, sql, include_redundant_sorts=False
+        )
+        result = Optimizer(catalog, OptimizerOptions()).optimize_sql(sql)
+        materialized = PlanSpace.from_result(result, include_redundant_sorts=False)
+        total = assembled.count()
+        assert total == built.count() == materialized.count()
+        rng = random.Random(5)
+        for rank in sorted({0, total - 1, *(rng.randrange(total) for _ in range(200))}):
+            plan = assembled.unrank(rank)
+            assert plan.render() == built.unrank(rank).render(), rank
+            assert plan.render() == materialized.unrank(rank).render(), rank
+            assert assembled.rank(plan) == rank
 
 
 class TestSessionApi:

@@ -1,8 +1,8 @@
 """The column-backed unranking tables against the materialized space.
 
-Every way the tables get their columns — sliced from the turbo pass,
-filled by the reference loop (``use_turbo=False``, index-NL-joins, the
-redundant-sort ablation) — must give each rank the plan the materialized
+In every configuration the count pass serves — the default space,
+index-NL-joins, the redundant-sort ablation — the tables sliced from its
+columns must give each rank the plan the materialized
 :class:`PlanSpace` gives it, node for node, and build rows only for the
 positions something selects.
 """
@@ -55,7 +55,7 @@ CASES = [
 
 
 def _variants(workload, cross):
-    """``(tag, materialized space, implicit space)`` per column source."""
+    """``(tag, materialized space, implicit space)`` per configuration."""
     default = OptimizerOptions(allow_cross_products=cross)
     inlj = OptimizerOptions(
         allow_cross_products=cross,
@@ -65,9 +65,6 @@ def _variants(workload, cross):
     result = Optimizer(catalog, default).optimize_sql(sql)
     space = PlanSpace.from_result(result)
     yield "default", space, ImplicitPlanSpace.from_sql(catalog, sql, options=default)
-    yield "reference", space, ImplicitPlanSpace.from_sql(
-        catalog, sql, options=default, use_turbo=False
-    )
     yield "no-redundant-sorts", PlanSpace.from_result(
         result, include_redundant_sorts=False
     ), ImplicitPlanSpace.from_sql(
@@ -83,7 +80,6 @@ def test_unrank_matches_materialized_node_for_node(shape, n, cross):
     workload = SHAPES[shape](n, rows=5, seed=0)
     for tag, materialized, implicit in _variants(workload, cross):
         where = (shape, n, cross, tag)
-        assert implicit.state.turbo_used is (tag == "default"), where
         total = materialized.count()
         assert implicit.count() == total, where
         if total <= EXHAUSTIVE:

@@ -7,8 +7,8 @@ path — same total ``N``, same per-operator counts ``N(v)``, same
 rank -> plan bijection (down to the memo's ``group.local`` identifiers),
 same sampled rank streams — computed without ever creating a physical
 ``GroupExpr``.  These sweeps assert exactly that over chain/star/clique/
-cycle shapes in both cross-product modes, for both the reference
-(pure-Python) and turbo (vectorized) counting paths:
+cycle shapes in both cross-product modes (the count pass itself is
+diffed against the per-pair oracle in ``tests/planspace/test_counting.py``):
 
 * ``N`` and the virtual physical-operator census match the memo;
 * every group's implicit operator table matches the materialized linked
@@ -68,69 +68,67 @@ def _check_equivalence(shape: str, n: int, allow_cross: bool) -> None:
     result = Optimizer(workload.catalog, options).optimize_sql(workload.sql)
     materialized = PlanSpace.from_result(result)
 
-    for use_turbo in (False, True):
-        implicit = ImplicitPlanSpace.from_sql(
-            workload.catalog, workload.sql, options=options, use_turbo=use_turbo
-        )
-        tag = (shape, n, allow_cross, "turbo" if use_turbo else "reference")
-        assert implicit.state.turbo_used is use_turbo, tag
+    implicit = ImplicitPlanSpace.from_sql(
+        workload.catalog, workload.sql, options=options
+    )
+    tag = (shape, n, allow_cross)
 
-        # space totals and the operator census
-        total = materialized.count()
-        assert implicit.count() == total, tag
-        assert (
-            implicit.physical_operator_count()
-            == result.memo.physical_expression_count()
-        ), tag
+    # space totals and the operator census
+    total = materialized.count()
+    assert implicit.count() == total, tag
+    assert (
+        implicit.physical_operator_count()
+        == result.memo.physical_expression_count()
+    ), tag
 
-        # per-group, per-operator counts: the implicit tables must match
-        # the materialized linked space row for row
-        tables = implicit.unranker.tables
-        for group in result.memo.groups:
-            table = tables.table(group.gid)
-            physical = group.physical_exprs()
-            assert len(table.counts) == len(physical), (tag, group.gid)
-            for expr in physical:
-                linked = materialized.linked.operators[
-                    (group.gid, expr.local_id)
-                ]
-                row = table.row_by_local(expr.local_id)
-                assert row.local_id == expr.local_id, (tag, expr.id_str)
-                assert row.count == linked.count, (tag, expr.id_str)
-                op = tables.operator(group.gid, row)
-                assert op.key() == expr.op.key(), (tag, expr.id_str)
+    # per-group, per-operator counts: the implicit tables must match
+    # the materialized linked space row for row
+    tables = implicit.unranker.tables
+    for group in result.memo.groups:
+        table = tables.table(group.gid)
+        physical = group.physical_exprs()
+        assert len(table.counts) == len(physical), (tag, group.gid)
+        for expr in physical:
+            linked = materialized.linked.operators[
+                (group.gid, expr.local_id)
+            ]
+            row = table.row_by_local(expr.local_id)
+            assert row.local_id == expr.local_id, (tag, expr.id_str)
+            assert row.count == linked.count, (tag, expr.id_str)
+            op = tables.operator(group.gid, row)
+            assert op.key() == expr.op.key(), (tag, expr.id_str)
 
-        # rank -> plan bijection on a sampled rank set (plus both ends)
-        rng = random.Random(f"{shape}/{n}/{allow_cross}")
-        ranks = sorted(
-            {0, total - 1, *(rng.randrange(total) for _ in range(SAMPLED_RANKS))}
-        )
-        cost_model = result.cost_model
-        for rank in ranks:
-            mat_plan = materialized.unrank(rank)
-            imp_plan = implicit.unrank(rank)
-            assert imp_plan.fingerprint() == mat_plan.fingerprint(), (tag, rank)
-            assert imp_plan.render() == mat_plan.render(), (tag, rank)
-            assert implicit.rank(imp_plan) == rank, (tag, rank)
-            assert materialized.rank(imp_plan) == rank, (tag, rank)
-            # cardinality parity: both engines annotate every node with
-            # the same real estimate (never a 0.0 placeholder), so both
-            # plans price identically under one cost model
-            for imp_node, mat_node in zip(
-                imp_plan.iter_nodes(), mat_plan.iter_nodes()
-            ):
-                assert imp_node.cardinality == pytest.approx(
-                    mat_node.cardinality, rel=1e-12
-                ), (tag, rank, imp_node.expr_id)
-                assert mat_node.cardinality > 0.0, (tag, rank)
-            assert cost_model.plan_cost(imp_plan) == pytest.approx(
-                cost_model.plan_cost(mat_plan), rel=1e-12
-            ), (tag, rank)
+    # rank -> plan bijection on a sampled rank set (plus both ends)
+    rng = random.Random(f"{shape}/{n}/{allow_cross}")
+    ranks = sorted(
+        {0, total - 1, *(rng.randrange(total) for _ in range(SAMPLED_RANKS))}
+    )
+    cost_model = result.cost_model
+    for rank in ranks:
+        mat_plan = materialized.unrank(rank)
+        imp_plan = implicit.unrank(rank)
+        assert imp_plan.fingerprint() == mat_plan.fingerprint(), (tag, rank)
+        assert imp_plan.render() == mat_plan.render(), (tag, rank)
+        assert implicit.rank(imp_plan) == rank, (tag, rank)
+        assert materialized.rank(imp_plan) == rank, (tag, rank)
+        # cardinality parity: both engines annotate every node with
+        # the same real estimate (never a 0.0 placeholder), so both
+        # plans price identically under one cost model
+        for imp_node, mat_node in zip(
+            imp_plan.iter_nodes(), mat_plan.iter_nodes()
+        ):
+            assert imp_node.cardinality == pytest.approx(
+                mat_node.cardinality, rel=1e-12
+            ), (tag, rank, imp_node.expr_id)
+            assert mat_node.cardinality > 0.0, (tag, rank)
+        assert cost_model.plan_cost(imp_plan) == pytest.approx(
+            cost_model.plan_cost(mat_plan), rel=1e-12
+        ), (tag, rank)
 
-        # shared-seed sampler contract
-        assert materialized.sample_ranks(40, seed=7) == implicit.sample_ranks(
-            40, seed=7
-        ), tag
+    # shared-seed sampler contract
+    assert materialized.sample_ranks(40, seed=7) == implicit.sample_ranks(
+        40, seed=7
+    ), tag
 
 
 @pytest.mark.parametrize("shape,n,cross", FAST_CASES)

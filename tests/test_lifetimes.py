@@ -28,13 +28,16 @@ route                  parent   now  what pinned the space
 sampled, stratified     9 768 1 731  ``FragmentPool.assemble``'s nested
 sampled, quantile rule  9 019 1 922  ``build``: a closure over itself
 sampled, budget-stopped 2 914   422  and the pool — hence the space: 65
-reference-backed       11 317 1 731  ``ImplicitGroup``, 65 memo
+reference-backed [*]_  11 317 1 731  ``ImplicitGroup``, 65 memo
 no redundant sorts     12 460 1 782  ``Group``, every table/list/row
 iterate_plans, all      1 291   465  ``_SortCountsView`` ↔ ``CountState``
 iterate_plans, dropped  1 092   299  and ``_KidBytes`` ↔ ``KeyTable``:
 count_plans             1 011   240  state, layout, seed memo, its 65
 unrank                  1 078   315  groups, the key table
 ====================== ====== =====  ==================================
+
+.. [*] Measured then; the route left with the reference count pass,
+   which now lives under ``tests/`` as the count-pass oracle.
 """
 
 from __future__ import annotations
@@ -142,7 +145,6 @@ ROUTES = {
     "sampled-budget-stopped": lambda s, w: _sampled(
         s, w.sql, samples=10_000, batch_size=8, budget_s=1e-9
     ),
-    "reference-backed": lambda s, w: _with_space(w, use_turbo=False),
     "no-redundant-sorts": lambda s, w: _with_space(w, include_redundant_sorts=False),
     "iterate-plans-exhausted": lambda s, w: list(
         s.iterate_plans(w.sql, sample=4, seed=2, implicit=True)

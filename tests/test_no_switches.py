@@ -1,10 +1,12 @@
 """ROADMAP's standing rule as a test: no knob, no environment variable,
 no second engine.
 
-There is one exact engine.  These guards fail in tier-1 — not in review
-— when an engine selector comes back as an optimizer option, an explorer
-argument or an environment lookup, or when the deleted object best-plan
-path (or a result served by it) reappears under ``src/``.
+There is one exact engine and one count pass.  These guards fail in
+tier-1 — not in review — when an engine selector comes back as an
+optimizer option, an explorer argument, a count-state field or an
+environment lookup, or when the deleted object best-plan path, the
+per-pair reference count pass (or a result served by either) reappears
+under ``src/``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.api import Session
 from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import ImplementationConfig
 from repro.optimizer.optimizer import ExplorationStrategy, OptimizerOptions
+from repro.planspace.implicit import CountState, ImplicitPlanSpace
 from repro.resilience.faults import FAULT_SITES
 from repro.workloads.synthetic import chain_query, cycle_query, star_query
 
@@ -105,6 +108,63 @@ def test_src_neither_defines_nor_imports_the_object_engine():
             if name in DELETED_ENGINE
         ]
     assert not offenders, offenders
+
+
+#: the per-pair count pass and its selectors, moved under ``tests/`` as
+#: the oracle (``tests/planspace/reference_counting.py``), and the hash
+#: interning whose collision fell back to it
+DELETED_COUNT_PASS = {
+    "_MAX_UNIVERSE_BITS",
+    "turbo_used",
+    "_count_rels_groups",
+    "OrderIndex",
+    "HashCollision",
+    "intern_rows",
+}
+
+
+def test_count_pass_takes_no_selector():
+    fields = {f.name for f in dataclasses.fields(CountState)}
+    assert "use_turbo" not in fields
+    for build in (ImplicitPlanSpace.from_query, ImplicitPlanSpace.from_sql):
+        assert "use_turbo" not in inspect.signature(build).parameters
+
+
+def test_src_defines_no_second_count_pass():
+    offenders = []
+    for path, node in _src_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                t.id if isinstance(t, ast.Name) else t.attr
+                for t in targets
+                if isinstance(t, (ast.Name, ast.Attribute))
+            ]
+        else:
+            continue
+        offenders += [
+            f"{path}:{node.lineno}: {name}"
+            for name in names
+            if name in DELETED_COUNT_PASS
+        ]
+    assert not offenders, offenders
+
+
+def test_count_pass_has_no_collision_fallback():
+    (turbo,) = [
+        tree
+        for path, tree in _src_trees()
+        if path.as_posix() == "planspace/implicit/turbo.py"
+    ]
+    imported = {
+        alias.name
+        for node in ast.walk(turbo)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "HashCollision" not in imported
 
 
 def test_only_the_rule_explorer_keeps_an_object_fault_site():
