@@ -131,37 +131,23 @@ echo "chain25 served by the columnar engine; chain64 refused: $refused"
 
 echo "== plan-serving smoke =="
 python - <<'EOF'
-import os
-import time
-
 from repro.api import Session
 from repro.serving import PlanCache
 from repro.workloads.synthetic import clique_query
 
-# A warm plan-cache hit must be dramatically cheaper than the cold
-# optimization it replaces — and byte-identical.  The measured warm
-# serve is ~1.4ms against a ~0.3s cold clique10 run (>200x); the 5x
-# floor has enormous headroom, so a miss means the cache stopped
-# hitting (fingerprint or key identity drifted) rather than noise.
-# The literal variant then proves the template tier: exploration is
-# replayed, not re-enumerated, and the plan still matches an uncached
-# reference.
-floor = float(os.environ.get("CI_SERVING_SPEEDUP", "5"))
+# A warm plan-cache hit must come from the plan tier and be
+# byte-identical to the cold optimization it replaces.  The literal
+# variant then proves the template tier: exploration is replayed, not
+# re-enumerated, and the plan still matches an uncached reference.
+# Asserted on tiers and spans, not on timings; what a hit costs is
+# measured by the serve-hot workload of benchmarks/perf.
 workload = clique_query(10, rows=5, seed=0)
 session = Session(workload.database, plan_cache=PlanCache())
 sql = workload.sql + " AND t0.val < 999"
 
-start = time.perf_counter()
 cold = session.optimize(sql)
-cold_s = time.perf_counter() - start
-start = time.perf_counter()
 warm = session.optimize(sql)
-warm_s = time.perf_counter() - start
-speedup = cold_s / warm_s if warm_s > 0 else float("inf")
-print(
-    f"clique10 no-cross: cold {cold_s:.3f}s warm {warm_s * 1000:.2f}ms "
-    f"({speedup:,.0f}x, floor {floor:g}x, tier={warm.cache.tier})"
-)
+print(f"clique10 no-cross: warm tier={warm.cache.tier}")
 assert warm.cache.tier == "plan", (
     f"second identical request served from tier {warm.cache.tier!r}, "
     "not the plan cache"
@@ -170,10 +156,6 @@ assert warm.explain() == cold.explain(), (
     "warm cache hit is not byte-identical to the cold plan"
 )
 assert warm.best_cost == cold.best_cost
-assert speedup >= floor, (
-    f"warm serve only {speedup:.1f}x faster than cold (< {floor:g}x) — "
-    "the plan cache is no longer short-circuiting optimization"
-)
 
 # Same template, different literal: must skip enumeration via the
 # cached logical store (span explore.cached, never explore).

@@ -30,7 +30,6 @@ from repro.errors import ReproError
 from repro.executor.executor import PlanExecutor, QueryResult, execute_plan
 from repro.memo.memo import Memo
 from repro.optimizer.optimizer import (
-    ExplorationStrategy,
     OptimizationResult,
     Optimizer,
     OptimizerOptions,
@@ -49,7 +48,6 @@ __all__ = [
     "Catalog",
     "Database",
     "ExecutedQuery",
-    "ExplorationStrategy",
     "Memo",
     "OptimizationResult",
     "Optimizer",

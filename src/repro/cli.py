@@ -56,6 +56,14 @@ def _session(args) -> Session:
     return Session.tpch(seed=args.data_seed, options=options)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a sample size: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -327,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample = sub.add_parser("sample", help="uniformly sample plans")
     sample.add_argument("query")
-    sample.add_argument("-n", type=int, default=10, help="sample size")
+    sample.add_argument(
+        "-n", type=_positive_int, default=10, help="sample size"
+    )
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument(
         "--analyze", action="store_true", help="aggregate shape/operator stats"
@@ -358,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="execute many plans, verify identical results"
     )
     validate.add_argument("query")
-    validate.add_argument("--sample", type=int, default=100)
+    validate.add_argument("--sample", type=_positive_int, default=100)
     validate.add_argument("--exhaustive-limit", type=int, default=200)
     validate.add_argument("--seed", type=int, default=0)
 

@@ -1,8 +1,7 @@
 """The cost-based optimizer (system S7).
 
-Populates a MEMO with logical alternatives (join reordering via either
-Volcano-style transformation rules or Starburst-style bottom-up
-enumeration), derives physical implementations plus Sort enforcers,
+Populates a MEMO with logical alternatives (join reordering by
+Starburst-style bottom-up enumeration), derives physical implementations plus Sort enforcers,
 estimates cardinalities, costs operators, and extracts the best plan —
 everything the paper's plan-space toolkit assumes has already happened
 when it takes over.
@@ -15,7 +14,6 @@ from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters
 from repro.optimizer.explain import explain_plan
 from repro.optimizer.optimizer import (
-    ExplorationStrategy,
     OptimizationResult,
     Optimizer,
     OptimizerOptions,
@@ -29,7 +27,6 @@ __all__ = [
     "CostModel",
     "CostParameters",
     "explain_plan",
-    "ExplorationStrategy",
     "OptimizationResult",
     "Optimizer",
     "OptimizerOptions",

@@ -7,11 +7,9 @@ extraction — and hands the finished memo to the plan-space toolkit.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
-from repro.errors import OptimizerError
 from repro.memo.columnar import ColumnarUnsupported, replay_logical_store
 from repro.memo.memo import Memo
 from repro.obs.trace import active_tracer, phase as obs_phase
@@ -19,12 +17,7 @@ from repro.optimizer.annotate import annotate_cardinalities
 from repro.optimizer.bestplan import ColumnarBestPlanSearch
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters
-from repro.optimizer.explorer import (
-    DEFAULT_RULES,
-    EnumerationExplorer,
-    RuleSet,
-    TransformationExplorer,
-)
+from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import (
     ImplementationConfig,
     implement_memo_columnar,
@@ -38,7 +31,6 @@ from repro.sql.parser import parse
 from repro.util.gcguard import paused_gc
 
 __all__ = [
-    "ExplorationStrategy",
     "OptimizerOptions",
     "OptimizationResult",
     "Optimizer",
@@ -63,30 +55,24 @@ def _detach_stale_stores(memo: Memo) -> None:
         memo.columnar_logical = None
 
 
-class ExplorationStrategy(enum.Enum):
-    """How the logical search space is generated."""
-
-    ENUMERATION = "enumeration"
-    TRANSFORMATION = "transformation"
-
-
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Knobs controlling the shape of the search space.
 
     ``allow_cross_products`` selects between the two spaces of the paper's
-    Table 1.  ``pruning_factor`` (off by default, as the paper recommends
-    for testing) applies cost-bound pruning after optimization.  Which
-    engine serves a query is not an option, nor a function of the query:
-    there is one — the struct-of-arrays columnar store and its layered
-    DP — and a query past its limits (63 relations, 254 distinct key
-    columns) is refused before exploration with the error naming the
-    limit.
+    Table 1.  How the space is explored is not an option: the bottom-up
+    :class:`~repro.optimizer.explorer.EnumerationExplorer` populates every
+    memo (restricted spaces, such as a rule engine's commute-only
+    closure, are not reachable from here).  ``pruning_factor`` (off by
+    default, as the paper recommends for testing) applies cost-bound
+    pruning after optimization.  Which engine serves a query is not an
+    option, nor a function of the query: there is one — the
+    struct-of-arrays columnar store and its layered DP — and a query past
+    its limits (63 relations, 254 distinct key columns) is refused before
+    exploration with the error naming the limit.
     """
 
     allow_cross_products: bool = False
-    exploration: ExplorationStrategy = ExplorationStrategy.ENUMERATION
-    rules: RuleSet = DEFAULT_RULES
     implementation: ImplementationConfig = field(default_factory=ImplementationConfig)
     cost_params: CostParameters = field(default_factory=CostParameters)
     pruning_factor: float | None = None
@@ -243,16 +229,12 @@ class Optimizer:
     def _explore_phase(self, memo, graph, timings, scope, traced, artifacts):
         """Exploration: replay cached template artifacts when available
         (span ``explore.cached``, no enumeration), otherwise run the
-        configured explorer.  A replay that fails its consistency checks
+        enumeration explorer.  A replay that fails its consistency checks
         falls through to normal exploration — the memo is untouched
         beyond group creation either way."""
         opts = self.options
         replayed = False
-        if (
-            artifacts is not None
-            and getattr(artifacts, "logical", None) is not None
-            and opts.exploration is ExplorationStrategy.ENUMERATION
-        ):
+        if getattr(artifacts, "logical", None) is not None:
             with obs_phase("explore.cached") as span:
                 try:
                     store = replay_logical_store(
@@ -273,8 +255,9 @@ class Optimizer:
                 timings["explore_source"] = "cached"
                 return True
         with obs_phase("explore") as span:
-            explorer = self._make_explorer()
-            explorer.explore(memo, graph, opts.allow_cross_products, scope=scope)
+            EnumerationExplorer().explore(
+                memo, graph, opts.allow_cross_products, scope=scope
+            )
             if traced:
                 span.add("groups", len(memo.groups))
                 span.add("logical_exprs", memo.logical_expression_count())
@@ -391,12 +374,3 @@ class Optimizer:
         timings["bestplan"] = span.elapsed_s
         return dp, best_plan, best_cost
 
-    # ------------------------------------------------------------------
-    def _make_explorer(self):
-        if self.options.exploration is ExplorationStrategy.ENUMERATION:
-            return EnumerationExplorer()
-        if self.options.exploration is ExplorationStrategy.TRANSFORMATION:
-            return TransformationExplorer(self.options.rules)
-        raise OptimizerError(
-            f"unknown exploration strategy {self.options.exploration!r}"
-        )

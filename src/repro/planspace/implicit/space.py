@@ -8,11 +8,10 @@ minutes of memo materialization to sub-second table passes; unranking
 instantiates exactly the operators on the requested plan's path, with the
 same group and local ids the materialized pipeline would produce.
 
-Scope: the implicit layout simulates the enumeration explorer's memo.
-Transformation-rule exploration spans the same space but lays groups out
-differently, and post-optimization pruning removes expressions — both are
-rejected so implicit ranks never silently diverge from the ranks the
-materialized path would assign.
+Scope: the implicit layout simulates the enumeration explorer's memo —
+the one explorer.  Post-optimization pruning removes expressions, so a
+pruned configuration is rejected and implicit ranks never silently
+diverge from the ranks the materialized path would assign.
 """
 
 from __future__ import annotations
@@ -64,16 +63,10 @@ class ImplicitPlanSpace:
         :class:`~repro.resilience.budget.BudgetScope` checkpointed during
         layout and counting.
         """
-        from repro.optimizer.optimizer import ExplorationStrategy, OptimizerOptions
+        from repro.optimizer.optimizer import OptimizerOptions
 
         if options is None:
             options = OptimizerOptions()
-        if options.exploration is not ExplorationStrategy.ENUMERATION:
-            raise PlanSpaceError(
-                "the implicit plan space simulates the enumeration explorer's "
-                "memo layout; transformation-rule memos must use the "
-                "materialized PlanSpace"
-            )
         if options.pruning_factor is not None:
             raise PlanSpaceError(
                 "the implicit plan space models the unpruned search space; "

@@ -55,7 +55,10 @@ class RankSampler:
 
     def sample_ranks(self, n: int, unique: bool = False) -> list[int]:
         """``n`` uniform ranks; ``unique=True`` samples without replacement
-        (requires ``n <= N``)."""
+        (requires ``n <= N``).  A negative ``n`` is refused, never read as
+        an empty sample."""
+        if n < 0:
+            raise ValueError(f"sample size must be non-negative, got {n}")
         if not unique:
             return [self.sample_rank() for _ in range(n)]
         if n > self.total:

@@ -18,9 +18,9 @@ all literal-free) is shared across parameter values.  See
 
 Cache identity also includes what the optimizer would consult beyond
 the text: :func:`catalog_signature` digests the statistics snapshot a
-plan was costed under, and :func:`options_signature` digests the rule /
-implementation / cost-parameter configuration that shaped the search
-space.  Either changing yields a fresh key, never a stale hit.
+plan was costed under, and :func:`options_signature` digests the
+cross-product / implementation / cost-parameter configuration that
+shaped the search space.  Either changing yields a fresh key, never a stale hit.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ def catalog_signature(catalog) -> str:
 def options_signature(options, prune_factor=None) -> str:
     """Digest of the optimizer configuration shaping the search space.
 
-    ``OptimizerOptions`` is a frozen dataclass of frozen dataclasses
-    (rules, implementation, cost parameters) and enums, so its ``repr``
-    is a complete, deterministic spelling of every knob.  The effective
+    ``OptimizerOptions`` is a frozen dataclass of scalars and frozen
+    dataclasses (implementation, cost parameters), so its ``repr`` is a
+    complete, deterministic spelling of every knob.  The effective
     ``prune_factor`` (a per-call override of ``pruning_factor``) is
     folded in alongside.
     """

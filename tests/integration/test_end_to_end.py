@@ -10,15 +10,13 @@ These are the paper's claims, executed end to end:
 import pytest
 
 from repro.api import Session
-from repro.optimizer.optimizer import (
-    ExplorationStrategy,
-    Optimizer,
-    OptimizerOptions,
-)
+from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.planspace.space import PlanSpace
 from repro.testing.diff import canonical_rows
 from repro.testing.harness import PlanValidator
 from repro.workloads.tpch_queries import tpch_query
+from tests.optimizer.reference_transformation import TransformationExplorer
+from tests.reference_pipeline import optimize_reference
 
 
 @pytest.fixture(scope="module")
@@ -92,18 +90,17 @@ class TestResultEquivalence:
 
 class TestStrategiesProduceSameSpace:
     def test_enumeration_vs_transformation_q3(self, catalog):
-        counts = {}
-        for strategy in ExplorationStrategy:
-            result = Optimizer(
-                catalog,
-                OptimizerOptions(
-                    allow_cross_products=False, exploration=strategy
-                ),
-            ).optimize_sql(tpch_query("Q3").sql)
-            counts[strategy] = PlanSpace.from_result(result).count()
-        assert counts[ExplorationStrategy.ENUMERATION] == counts[
-            ExplorationStrategy.TRANSFORMATION
-        ]
+        """The optimizer's explorer against the rule-engine oracle."""
+        sql = tpch_query("Q3").sql
+        options = OptimizerOptions(allow_cross_products=False)
+        enumeration = Optimizer(catalog, options).optimize_sql(sql)
+        transformation = optimize_reference(
+            catalog, sql, options, explorer=TransformationExplorer()
+        )
+        assert (
+            PlanSpace.from_result(enumeration).count()
+            == PlanSpace.from_result(transformation).count()
+        )
 
 
 class TestUseplanReproducibility:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.api import Session
 from repro.obs import Metrics
-from repro.optimizer.optimizer import ExplorationStrategy, OptimizerOptions
 from repro.resilience.budget import BudgetScope
 from repro.resilience.faults import FAULT_SITES
 from repro.workloads.tpch_queries import tpch_query
@@ -122,9 +121,9 @@ class TestFaultSiteLockstep:
         Both registries ride the same ``BudgetScope.checkpoint`` /
         ``fault_point`` instrumentation, so a hot loop visible to fault
         injection must be visible to metrics and vice versa.  A sweep
-        covering every route — exact (both explorers), sampled, implicit
-        counting, instrumented execution — must poll exactly
-        the sites the fault registry names; a mismatch means one layer
+        covering every route — exact, sampled, implicit counting,
+        instrumented execution — must poll exactly the sites the fault
+        registry names; a mismatch means one layer
         gained an instrumentation point the other lost.
         """
         observed: set[str] = set()
@@ -143,24 +142,13 @@ class TestFaultSiteLockstep:
         session.execute_detailed(Q3, analyze=True)
         harvest(session.metrics)
 
-        # The rule-driven explorer (explore.object) feeds the same
-        # columnar implementation and DP.
-        rules_session = Session.tpch(
-            seed=0,
-            options=OptimizerOptions(
-                exploration=ExplorationStrategy.TRANSFORMATION
-            ),
-        )
-        rules_session.optimize(Q3, trace=True)
-        harvest(rules_session.metrics)
-
         # Sampled engine (implicit.count / sampled.batch).
         sampled_session = Session.tpch(seed=0)
         sampled_session.optimize(Q3, method="sampled", trace=True, samples=64)
         harvest(sampled_session.metrics)
 
         assert observed == set(FAULT_SITES)
-        assert len(FAULT_SITES) == 7
+        assert len(FAULT_SITES) == 6
 
 
 class TestSessionLifecycle:

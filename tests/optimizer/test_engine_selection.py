@@ -3,8 +3,8 @@
 The exact path has one production engine: the columnar store and its
 layered best-plan DP.  A query changes only *how the store is emitted*
 (whole buckets after batched exploration; per group for index-lookup
-joins and the rule-driven explorer) — never which engine serves, and
-never what it returns (the object-memo oracle of
+joins and the heuristic tier's unexplored memo) — never which engine
+serves, and never what it returns (the object-memo oracle of
 ``tests/reference_pipeline.py`` is the witness, up to the limit itself).
 Past the limit — 63 relations, 254 distinct key columns — every route
 refuses with the same named error before exploring anything.  Nothing —
@@ -29,11 +29,7 @@ from repro.errors import PlanSpaceError
 from repro.executor.executor import PlanExecutor
 from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import ImplementationConfig
-from repro.optimizer.optimizer import (
-    ExplorationStrategy,
-    Optimizer,
-    OptimizerOptions,
-)
+from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.planspace.implicit.edges import MAX_RELATIONS
 from repro.resilience.heuristic import optimize_heuristic
 from repro.sampledopt import SampledOptimizer
@@ -80,15 +76,11 @@ def test_default_options_take_the_columnar_engine(make, n):
 # ----------------------------------------------------------------------
 # two emission modes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "options",
-    [INDEX_NLJ, OptimizerOptions(exploration=ExplorationStrategy.TRANSFORMATION)],
-    ids=["index-nl-join", "transformation"],
-)
+@pytest.mark.parametrize("options", [INDEX_NLJ], ids=["index-nl-join"])
 def test_scalar_emission_is_still_the_columnar_engine(options):
-    """Index-lookup joins and the rule-driven explorer change how the
-    columnar store is *emitted* (per group, not per bucket) — not which
-    engine serves, and not what it returns."""
+    """Index-lookup joins change how the columnar store is *emitted* (per
+    group, not per bucket) — not which engine serves, and not what it
+    returns."""
     workload = cycle_query(5, rows=5, seed=0)
     result = Session(workload.database, options=options).optimize(workload.sql)
     assert result.engine == "columnar"

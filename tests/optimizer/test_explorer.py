@@ -1,17 +1,16 @@
-"""Tests for exploration: enumeration vs transformation rules."""
-
-import pytest
+"""Tests for exploration: the enumeration explorer, and the rule-engine
+oracle (``tests/optimizer/reference_transformation.py``) against it."""
 
 from repro.algebra.logical import LogicalJoin
-from repro.optimizer.explorer import (
-    DEFAULT_RULES,
-    EnumerationExplorer,
-    RuleSet,
-    TransformationExplorer,
-)
+from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.setup import build_initial_memo
 from repro.sql.binder import bind
 from repro.sql.parser import parse
+from tests.optimizer.reference_transformation import (
+    DEFAULT_RULES,
+    RuleSet,
+    TransformationExplorer,
+)
 
 CHAIN3 = (
     "SELECT c.c_custkey FROM customer c, orders o, lineitem l "
@@ -22,6 +21,19 @@ CHAIN4 = (
     "SELECT n.n_name FROM region r, nation n, supplier s, partsupp ps "
     "WHERE r.r_regionkey = n.n_regionkey AND n.n_nationkey = s.s_nationkey "
     "AND s.s_suppkey = ps.ps_suppkey"
+)
+
+STAR3 = (
+    "SELECT n.n_name FROM nation n, supplier s, customer c "
+    "WHERE n.n_nationkey = s.s_nationkey AND n.n_nationkey = c.c_nationkey"
+)
+
+#: Q5's customer/supplier nationkey edge closes this cycle
+CYCLE3 = (
+    "SELECT n.n_name FROM nation n, supplier s, customer c "
+    "WHERE n.n_nationkey = s.s_nationkey "
+    "AND n.n_nationkey = c.c_nationkey "
+    "AND c.c_nationkey = s.s_nationkey"
 )
 
 
@@ -81,25 +93,15 @@ class TestTransformation:
         assert _join_fingerprints(rule_memo) == _join_fingerprints(enum_memo)
 
     def test_matches_enumeration_star_no_cross(self, catalog):
-        star = (
-            "SELECT n.n_name FROM nation n, supplier s, customer c "
-            "WHERE n.n_nationkey = s.s_nationkey AND n.n_nationkey = c.c_nationkey"
-        )
-        enum_memo = _explore(catalog, star, EnumerationExplorer(), False)
-        rule_memo = _explore(catalog, star, TransformationExplorer(), False)
+        enum_memo = _explore(catalog, STAR3, EnumerationExplorer(), False)
+        rule_memo = _explore(catalog, STAR3, TransformationExplorer(), False)
         assert _join_fingerprints(rule_memo) == _join_fingerprints(enum_memo)
 
     def test_matches_enumeration_cycle_no_cross(self, catalog):
         """Cyclic join graphs are the hard case for rule completeness —
         Q5's customer/supplier nationkey edge closes a cycle."""
-        cycle = (
-            "SELECT n.n_name FROM nation n, supplier s, customer c "
-            "WHERE n.n_nationkey = s.s_nationkey "
-            "AND n.n_nationkey = c.c_nationkey "
-            "AND c.c_nationkey = s.s_nationkey"
-        )
-        enum_memo = _explore(catalog, cycle, EnumerationExplorer(), False)
-        rule_memo = _explore(catalog, cycle, TransformationExplorer(), False)
+        enum_memo = _explore(catalog, CYCLE3, EnumerationExplorer(), False)
+        rule_memo = _explore(catalog, CYCLE3, TransformationExplorer(), False)
         assert _join_fingerprints(rule_memo) == _join_fingerprints(enum_memo)
 
     def test_matches_enumeration_clique4(self, catalog):

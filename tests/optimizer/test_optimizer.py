@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.optimizer.explorer import RuleSet
-from repro.optimizer.optimizer import (
-    ExplorationStrategy,
-    Optimizer,
-    OptimizerOptions,
-)
+from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.planspace.space import PlanSpace
 from repro.workloads.tpch_queries import tpch_query
+from tests.optimizer.reference_transformation import (
+    RuleSet,
+    TransformationExplorer,
+)
+from tests.reference_pipeline import optimize_reference
 
 Q3 = tpch_query("Q3").sql
 
@@ -45,20 +45,12 @@ class TestOptions:
         )
 
     def test_exploration_strategies_agree_on_count(self, catalog):
-        enum_result = Optimizer(
-            catalog,
-            OptimizerOptions(
-                allow_cross_products=False,
-                exploration=ExplorationStrategy.ENUMERATION,
-            ),
-        ).optimize_sql(Q3)
-        rule_result = Optimizer(
-            catalog,
-            OptimizerOptions(
-                allow_cross_products=False,
-                exploration=ExplorationStrategy.TRANSFORMATION,
-            ),
-        ).optimize_sql(Q3)
+        """The optimizer's explorer against the rule-engine oracle."""
+        options = OptimizerOptions(allow_cross_products=False)
+        enum_result = Optimizer(catalog, options).optimize_sql(Q3)
+        rule_result = optimize_reference(
+            catalog, Q3, options, explorer=TransformationExplorer()
+        )
         assert (
             PlanSpace.from_result(enum_result).count()
             == PlanSpace.from_result(rule_result).count()
@@ -66,21 +58,16 @@ class TestOptions:
         assert enum_result.best_cost == pytest.approx(rule_result.best_cost)
 
     def test_restricted_rules_shrink_space(self, catalog):
-        full = Optimizer(
+        options = OptimizerOptions(allow_cross_products=False)
+        full = optimize_reference(
+            catalog, Q3, options, explorer=TransformationExplorer()
+        )
+        commute_only = optimize_reference(
             catalog,
-            OptimizerOptions(
-                allow_cross_products=False,
-                exploration=ExplorationStrategy.TRANSFORMATION,
-            ),
-        ).optimize_sql(Q3)
-        commute_only = Optimizer(
-            catalog,
-            OptimizerOptions(
-                allow_cross_products=False,
-                exploration=ExplorationStrategy.TRANSFORMATION,
-                rules=RuleSet(True, False, False, False),
-            ),
-        ).optimize_sql(Q3)
+            Q3,
+            options,
+            explorer=TransformationExplorer(RuleSet(True, False, False, False)),
+        )
         assert (
             PlanSpace.from_result(commute_only).count()
             <= PlanSpace.from_result(full).count()

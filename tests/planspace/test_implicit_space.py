@@ -14,11 +14,7 @@ import pytest
 from repro.api import PlanSpaceHandle, Session
 from repro.cli import main as cli_main
 from repro.errors import PlanSpaceError, RankOutOfRangeError
-from repro.optimizer.optimizer import (
-    ExplorationStrategy,
-    Optimizer,
-    OptimizerOptions,
-)
+from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.optimizer.rules import ImplementationConfig
 from repro.planspace.implicit import CountState, ImplicitLayout, ImplicitPlanSpace
 from repro.planspace.space import PlanSpace
@@ -140,17 +136,6 @@ class TestSampling:
 
 
 class TestConfigurations:
-    def test_rejects_transformation_strategy(self):
-        workload = chain_query(3, rows=5, seed=0)
-        with pytest.raises(PlanSpaceError):
-            ImplicitPlanSpace.from_sql(
-                workload.catalog,
-                workload.sql,
-                options=OptimizerOptions(
-                    exploration=ExplorationStrategy.TRANSFORMATION
-                ),
-            )
-
     def test_rejects_pruning(self):
         workload = chain_query(3, rows=5, seed=0)
         with pytest.raises(PlanSpaceError):

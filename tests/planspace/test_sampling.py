@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.api import Session
 from repro.planspace.links import materialize_links
 from repro.planspace.sampling import UniformPlanSampler, naive_walk_sample
 from repro.planspace.unranking import Unranker
@@ -86,6 +87,23 @@ class TestSamplerApi:
 
     def test_total_property(self, small_space):
         assert UniformPlanSampler(small_space).total == 44
+
+
+@pytest.mark.parametrize("unique", [False, True], ids=["replace", "unique"])
+@pytest.mark.parametrize(
+    "count_only", [False, True], ids=["materialized", "implicit"]
+)
+def test_negative_sample_size_rejected(micro_db, count_only, unique):
+    """Both engines draw through ``RankSampler``: a negative size is an
+    error there, not an empty sample; a size of zero is an empty one."""
+    space = Session(micro_db).plan_space(
+        "SELECT n.n_name FROM nation n, region r "
+        "WHERE n.n_regionkey = r.r_regionkey",
+        count_only=count_only,
+    )
+    with pytest.raises(ValueError, match="non-negative"):
+        space.sample_ranks(-1, unique=unique)
+    assert space.sample_ranks(0, unique=unique) == []
 
 
 class TestLargeSpaceSampling:

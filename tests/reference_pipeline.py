@@ -23,12 +23,7 @@ from repro.obs.feedback import CardinalityLedger
 from repro.optimizer.annotate import annotate_cardinalities
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
-from repro.optimizer.explorer import TransformationExplorer
-from repro.optimizer.optimizer import (
-    ExplorationStrategy,
-    OptimizationResult,
-    OptimizerOptions,
-)
+from repro.optimizer.optimizer import OptimizationResult, OptimizerOptions
 from repro.optimizer.setup import build_initial_memo
 from repro.resilience.heuristic import greedy_quantifier_order
 from repro.sql.binder import Binder
@@ -58,6 +53,9 @@ def optimize_reference(
     walks all ``2**n`` subsets, so the 25- and 63-relation limit tests
     pass the production ``EnumerationExplorer()`` and diff the two
     phases this oracle exists for — implementation and best-plan search.
+    The rule-engine oracle comes in the same way:
+    ``explorer=TransformationExplorer(rules)`` from
+    ``tests/optimizer/reference_transformation.py``.
     """
     if options is None:
         options = OptimizerOptions()
@@ -65,10 +63,7 @@ def optimize_reference(
     query = Binder(catalog).bind(parse(sql))
     setup = build_initial_memo(query, options.allow_cross_products)
     if explorer is None:
-        if options.exploration is ExplorationStrategy.TRANSFORMATION:
-            explorer = TransformationExplorer(options.rules)
-        else:
-            explorer = ReferenceEnumerationExplorer()
+        explorer = ReferenceEnumerationExplorer()
     explorer.explore(setup.memo, setup.graph, options.allow_cross_products)
     return _implement_and_search(catalog, query, setup, options)
 

@@ -24,8 +24,8 @@ from repro.errors import MemoError
 from repro.executor.executor import PlanExecutor
 from repro.memo.columnar import build_columnar_store, build_logical_store
 from repro.optimizer.implementation import implement_memo_columnar
+from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.optimizer import (
-    ExplorationStrategy,
     Optimizer,
     OptimizerOptions,
     _detach_stale_stores,
@@ -44,19 +44,14 @@ from repro.sql.parser import parse
 from repro.workloads.synthetic import clique_query
 
 COLUMNAR = OptimizerOptions(allow_cross_products=False)
-RULES = OptimizerOptions(
-    allow_cross_products=False, exploration=ExplorationStrategy.TRANSFORMATION
-)
 
 #: exact-tier sites and the (workload fixture, optimizer options,
-#: delay-test deadline) that reach them; ``explore.object`` is the
-#: rule-driven explorer.  The exact tier gets half the deadline and must
-#: reach the site inside it.
+#: delay-test deadline) that reach them.  The exact tier gets half the
+#: deadline and must reach the site inside it.
 EXACT_SITES = {
     "explore.batch": ("clique6", COLUMNAR, 0.2),
     "implement.columnar": ("clique6", COLUMNAR, 0.2),
     "bestplan.layer": ("clique6", COLUMNAR, 0.2),
-    "explore.object": ("clique6", RULES, 0.2),
 }
 
 #: the two exact-tier sites the heuristic tier passes as well — it runs
@@ -231,11 +226,9 @@ def test_interrupted_logical_build_never_attaches(clique6):
 
 
 def test_interrupted_physical_build_never_attaches(clique6):
-    options = COLUMNAR
-    optimizer = Optimizer(clique6.catalog, options)
     setup = build_initial_memo(_bind(clique6), False)
     memo, graph = setup.memo, setup.graph
-    optimizer._make_explorer().explore(memo, graph, False)
+    EnumerationExplorer().explore(memo, graph, False)
     with inject(FaultSpec("implement.columnar", action="raise", nth=2)):
         with pytest.raises(InjectedFault):
             implement_memo_columnar(memo, graph, clique6.catalog)
@@ -288,7 +281,7 @@ def test_fault_point_is_inert_without_injector():
 def test_nested_injection_rejected():
     with inject(FaultSpec("explore.batch")):
         with pytest.raises(RuntimeError, match="already active"):
-            with inject(FaultSpec("explore.object")):
+            with inject(FaultSpec("implement.columnar")):
                 pass
 
 

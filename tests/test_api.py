@@ -60,6 +60,11 @@ class TestIteratePlans:
         results = list(session.iterate_plans(SQL, sample=5, seed=3))
         assert len(results) == 5
 
+    @pytest.mark.parametrize("implicit", [False, True])
+    def test_negative_sample_rejected(self, session, implicit):
+        with pytest.raises(ValueError, match="non-negative"):
+            list(session.iterate_plans(SQL, sample=-1, implicit=implicit))
+
     def test_full_enumeration_when_unspecified(self, session):
         space = session.plan_space(SQL)
         results = list(session.iterate_plans(SQL))

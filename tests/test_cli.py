@@ -245,6 +245,25 @@ class TestValidate:
         assert "identical results" in text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "Q3", "--sample", "-1"),
+        ("validate", "Q3", "--sample", "0"),
+        ("sample", "Q3", "-n", "-2"),
+        ("sample", "Q3", "-n", "0", "--implicit"),
+    ],
+    ids=["validate-negative", "validate-zero", "sample-negative", "sample-zero"],
+)
+def test_sample_size_must_be_positive(argv, capsys):
+    """A sample of no plans validates nothing: refused at the parser
+    (exit 2), never reported as a pass."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 class TestParticipationAndDiff:
     def test_participation(self):
         code, text = run_cli("participation", TWO_TABLE)

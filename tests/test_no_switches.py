@@ -1,12 +1,12 @@
 """ROADMAP's standing rule as a test: no knob, no environment variable,
 no second engine.
 
-There is one exact engine and one count pass.  These guards fail in
-tier-1 — not in review — when an engine selector comes back as an
-optimizer option, an explorer argument, a count-state field or an
-environment lookup, or when the deleted object best-plan path, the
-per-pair reference count pass (or a result served by either) reappears
-under ``src/``.
+There is one explorer, one exact engine and one count pass.  These
+guards fail in tier-1 — not in review — when an engine selector comes
+back as an optimizer option, an explorer argument, a count-state field
+or an environment lookup, or when the deleted rule engine, object
+best-plan path, per-pair reference count pass (or a result served by
+any of them) reappears under ``src/``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import repro
 from repro.api import Session
 from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import ImplementationConfig
-from repro.optimizer.optimizer import ExplorationStrategy, OptimizerOptions
+from repro.optimizer.optimizer import OptimizerOptions
 from repro.planspace.implicit import CountState, ImplicitPlanSpace
 from repro.resilience.faults import FAULT_SITES
 from repro.workloads.synthetic import chain_query, cycle_query, star_query
@@ -55,11 +55,37 @@ def _src_nodes():
             yield path, node
 
 
+def _names_used(node) -> list[str]:
+    """The names ``node`` defines, imports, references or spells as a
+    string (``__all__`` entries, ``getattr`` keys)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [a.name.rpartition(".")[2] for a in node.names]
+        return names + [a.asname for a in node.names if a.asname]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def _src_uses(deleted) -> list[str]:
+    """Every ``path:line: name`` under ``src/`` whose name ``deleted``
+    accepts."""
+    return [
+        f"{path}:{node.lineno}: {name}"
+        for path, node in _src_nodes()
+        for name in _names_used(node)
+        if deleted(name)
+    ]
+
+
 def test_optimizer_options_fields_are_pinned():
     assert tuple(f.name for f in dataclasses.fields(OptimizerOptions)) == (
         "allow_cross_products",
-        "exploration",
-        "rules",
         "implementation",
         "cost_params",
         "pruning_factor",
@@ -89,24 +115,7 @@ def test_src_reads_no_environment_variables():
 
 
 def test_src_neither_defines_nor_imports_the_object_engine():
-    offenders = []
-    for path, node in _src_nodes():
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [a.name.rpartition(".")[2] for a in node.names]
-            names += [a.asname for a in node.names if a.asname]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, ast.Name):
-            names = [node.id]
-        else:
-            continue
-        offenders += [
-            f"{path}:{node.lineno}: {name}"
-            for name in names
-            if name in DELETED_ENGINE
-        ]
+    offenders = _src_uses(DELETED_ENGINE.__contains__)
     assert not offenders, offenders
 
 
@@ -167,9 +176,27 @@ def test_count_pass_has_no_collision_fallback():
     assert "HashCollision" not in imported
 
 
-def test_only_the_rule_explorer_keeps_an_object_fault_site():
-    assert [s for s in FAULT_SITES if s.endswith(".object")] == ["explore.object"]
-    assert len(FAULT_SITES) == 7
+#: the rule engine and its selectors, moved under ``tests/`` as the
+#: oracle (``tests/optimizer/reference_transformation.py``); ``RULE_*``
+#: matches by prefix
+DELETED_EXPLORER = {
+    "TransformationExplorer",
+    "ExplorationStrategy",
+    "RuleSet",
+    "DEFAULT_RULES",
+}
+
+
+def test_src_neither_defines_nor_references_the_rule_engine():
+    offenders = _src_uses(
+        lambda name: name in DELETED_EXPLORER or name.startswith("RULE_")
+    )
+    assert not offenders, offenders
+
+
+def test_no_object_fault_site_survives():
+    assert not [s for s in FAULT_SITES if s.endswith(".object")]
+    assert len(FAULT_SITES) == 6
 
 
 ENGINE_MATRIX = {
@@ -177,9 +204,6 @@ ENGINE_MATRIX = {
     "cross-products": OptimizerOptions(allow_cross_products=True),
     "index-nl-join": OptimizerOptions(
         implementation=ImplementationConfig(enable_index_nl_join=True)
-    ),
-    "transformation": OptimizerOptions(
-        exploration=ExplorationStrategy.TRANSFORMATION
     ),
     "pruned": OptimizerOptions(pruning_factor=1.5),
     "no-dominated-pruning": OptimizerOptions(prune_dominated=False),
@@ -205,9 +229,7 @@ def test_result_engine_is_one_of_three(options):
         floor = session.optimize(workload.sql, deadline_s=1e-6)
         assert floor.engine == "heuristic" and floor.fallback_reason
         results.append(floor)
-        if options.pruning_factor is None and (
-            options.exploration is ExplorationStrategy.ENUMERATION
-        ):
+        if options.pruning_factor is None:
             results.append(
                 session.optimize(workload.sql, method="sampled", samples=16)
             )
