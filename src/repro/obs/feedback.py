@@ -29,8 +29,8 @@ Three consumers sit on top:
 * **benchmarking** — :func:`true_cardinality_ledger` is the oracle:
   a ledger populated with the *actual* cardinality of every join-level
   memo group (each group's best subplan is executed once), which
-  defines the "optimum under true cardinalities" that
-  ``benchmarks/bench_feedback.py`` scores chosen plans against.
+  defines the "optimum under true cardinalities" that the feedback
+  smoke of ``scripts/ci.sh`` scores chosen plans against.
 
 Everything round-trips through JSON (:meth:`CardinalityLedger.save` /
 :meth:`CardinalityLedger.load`), so a ledger outlives the session that

@@ -66,13 +66,6 @@ class SpaceDiff:
         return "\n".join(lines)
 
 
-def _operator_signature(node) -> str:
-    """Identity of an operator independent of memo numbering: the rendered
-    operator plus the relation sets of its children's groups."""
-    memo_group = node.expr.group_id
-    return f"{node.expr.op.render()}@g{memo_group}"
-
-
 def diff_spaces(baseline: LinkedSpace, candidate: LinkedSpace) -> SpaceDiff:
     """Compare two linked spaces of the *same query*.
 

@@ -25,7 +25,7 @@ from repro.optimizer.plan import PlanNode
 from repro.planspace.counting import annotate_counts
 from repro.planspace.enumeration import enumerate_plans
 from repro.planspace.links import LinkedSpace, materialize_links
-from repro.planspace.sampling import UniformPlanSampler, naive_walk_sample
+from repro.planspace.sampling import UniformPlanSampler
 from repro.planspace.unranking import Unranker, UnrankTrace
 
 __all__ = ["PlanSpace"]
@@ -103,12 +103,6 @@ class PlanSpace:
 
     def sampler(self, seed: int | random.Random = 0) -> UniformPlanSampler:
         return UniformPlanSampler(self.linked, seed=seed)
-
-    def sample_naive_walk(
-        self, n: int, seed: int | random.Random = 0
-    ) -> list[PlanNode]:
-        """The biased random-walk baseline (for the bias ablation)."""
-        return naive_walk_sample(self.linked, n, seed=seed)
 
     def enumerate(
         self, start: int = 0, stop: int | None = None, step: int = 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.executor.executor import PlanExecutor, QueryResult
+from repro.executor.executor import PlanExecutor
 from repro.optimizer.optimizer import OptimizationResult, Optimizer, OptimizerOptions
 from repro.optimizer.plan import PlanNode
 from repro.planspace.space import PlanSpace
@@ -163,10 +163,6 @@ class PlanValidator:
                 )
         report.elapsed_seconds = time.perf_counter() - started
         return report
-
-    # ------------------------------------------------------------------
-    def reference_result(self, result: OptimizationResult) -> QueryResult:
-        return self.executor.execute(result.best_plan)
 
 
 def _first_difference(expected: list[tuple], got: list[tuple]) -> str:

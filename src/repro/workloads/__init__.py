@@ -8,8 +8,6 @@ from repro.workloads.tpch_queries import (
 )
 from repro.workloads.misestimated import (
     corrupt_statistics,
-    misestimated_chain,
-    misestimated_star,
     misestimated_tpch,
 )
 from repro.workloads.synthetic import (
@@ -28,7 +26,5 @@ __all__ = [
     "clique_query",
     "star_query",
     "corrupt_statistics",
-    "misestimated_chain",
-    "misestimated_star",
     "misestimated_tpch",
 ]

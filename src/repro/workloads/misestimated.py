@@ -1,14 +1,13 @@
 """Misestimation workloads: queries whose first plan pick is wrong.
 
 The execution-feedback loop (:mod:`repro.obs.feedback`) only matters
-when static statistics mislead the optimizer, so the feedback benchmark
-(``benchmarks/bench_feedback.py``) and the CI feedback smoke run on
-workloads where they deliberately do: a synthetic chain/star query (or
-the TPC-H micro database) whose catalog statistics are skewed by
-:func:`corrupt_statistics` *after* data generation.  The data itself is
-untouched — execution still returns the true rows — so every
-instrumented run feeds the ledger actuals that contradict the catalog,
-and feedback-driven re-costing has something real to correct.
+when static statistics mislead the optimizer, so its tests and the CI
+feedback smoke run where they deliberately do: the TPC-H micro database
+with catalog statistics skewed by :func:`corrupt_statistics` *after*
+data generation.  The data itself is untouched — execution still returns
+the true rows — so every instrumented run feeds the ledger actuals that
+contradict the catalog, and feedback-driven re-costing has something
+real to correct.
 
 The skew is multiplicative and per-table (row counts and distinct
 counts scaled together, keeping per-row selectivities consistent),
@@ -24,18 +23,8 @@ from repro.catalog.statistics import ColumnStats, TableStats
 from repro.storage.database import Database
 from repro.storage.datagen import generate_tpch
 from repro.util.rng import make_rng
-from repro.workloads.synthetic import (
-    SyntheticWorkload,
-    chain_query,
-    star_query,
-)
 
-__all__ = [
-    "corrupt_statistics",
-    "misestimated_chain",
-    "misestimated_star",
-    "misestimated_tpch",
-]
+__all__ = ["corrupt_statistics", "misestimated_tpch"]
 
 
 def corrupt_statistics(
@@ -74,30 +63,6 @@ def corrupt_statistics(
         }
         catalog.set_stats(name, TableStats(row_count=new_rows, columns=columns))
     return applied
-
-
-def misestimated_chain(
-    n_tables: int = 5,
-    rows: int = 24,
-    seed: int = 0,
-    factor: float = 64.0,
-) -> SyntheticWorkload:
-    """A chain join whose catalog statistics are seeded lies."""
-    workload = chain_query(n_tables, rows=rows, seed=seed, aggregate=False)
-    corrupt_statistics(workload.catalog, seed=seed, factor=factor)
-    return workload
-
-
-def misestimated_star(
-    n_tables: int = 5,
-    rows: int = 24,
-    seed: int = 0,
-    factor: float = 64.0,
-) -> SyntheticWorkload:
-    """A star join whose catalog statistics are seeded lies."""
-    workload = star_query(n_tables, rows=rows, seed=seed, aggregate=False)
-    corrupt_statistics(workload.catalog, seed=seed, factor=factor)
-    return workload
 
 
 def misestimated_tpch(seed: int = 0, factor: float = 64.0) -> Database:

@@ -1,11 +1,12 @@
 """Synthetic workloads: parameterized chain/star/clique join queries.
 
-Used for scaling benchmarks (counting time vs. query size, experiment E5)
-and property-based tests that need many structurally different queries
-with known join graphs.  Each generator builds its own catalog (tables
-``t0 .. t{n-1}``), a matching micro database, and the query SQL, so the
-whole pipeline — parse, bind, optimize, count, sample, execute — runs on
-them exactly as on TPC-H.
+Used for the counting pins of experiment E5 (one count per memo
+operator, ``tests/experiments/test_paper_pins.py``), the
+``benchmarks/perf`` workloads and property-based tests that need many
+structurally different queries with known join graphs.  Each generator
+builds its own catalog (tables ``t0 .. t{n-1}``), a matching micro
+database, and the query SQL, so the whole pipeline — parse, bind,
+optimize, count, sample, execute — runs on them exactly as on TPC-H.
 """
 
 from __future__ import annotations

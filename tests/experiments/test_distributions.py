@@ -11,15 +11,8 @@ from repro.workloads.tpch_queries import tpch_query
 
 
 @pytest.fixture(scope="module")
-def q3_dist(catalog):
-    return sample_cost_distribution(
-        catalog,
-        tpch_query("Q3").sql,
-        query_name="Q3",
-        allow_cross_products=False,
-        sample_size=2_000,
-        seed=0,
-    )
+def q3_dist(cost_distribution):
+    return cost_distribution("Q3")
 
 
 # Re-declare catalog at module scope for the fixture above.

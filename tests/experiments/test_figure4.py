@@ -50,3 +50,18 @@ class TestFigure4:
     def test_render_multiple_panels(self, dist):
         text = render_figure4([dist, dist])
         assert text.count("lower 50%") == 2
+
+
+@pytest.mark.parametrize("name", ["Q5", "Q7", "Q8", "Q9"])
+def test_tpch_panel(cost_distribution, name):
+    """The paper's four panels (no cross products): the zoom-in holds half
+    the sample, its mass concentrates toward the optimum, and the fitted
+    Gamma shape is of the order of 1, as the paper observes."""
+    dist = cost_distribution(name)
+    histogram = figure4_histogram(dist)
+    assert sum(histogram.counts) == dist.sample_size // 2
+    quarter = len(histogram.counts) // 4
+    assert sum(histogram.counts[:quarter]) > sum(histogram.counts[-quarter:])
+    shape = dist.gamma_shape()
+    assert shape is not None and 0.1 < shape < 5.0
+    assert dist.skewness() > 0

@@ -5,10 +5,26 @@ import pytest
 from repro.experiments.distributions import CostDistribution
 from repro.experiments.table1 import (
     PAPER_TABLE1,
+    TABLE1_QUERIES,
     reproduce_table1,
     render_table1,
     row_from_distribution,
 )
+from repro.optimizer.optimizer import OptimizerOptions
+from repro.planspace.implicit import ImplicitPlanSpace
+from repro.workloads.tpch_queries import tpch_query
+
+#: The measured "# of plans" column: (query, cross products) -> N.
+MEASURED_PLANS = {
+    ("Q5", False): 140_951_971_740_672,
+    ("Q7", False): 150_537_513_609_984,
+    ("Q8", False): 573_618_354_504_634_368,
+    ("Q9", False): 9_281_551_627_776,
+    ("Q5", True): 21_037_435_312_880_256,
+    ("Q7", True): 4_604_571_326_581_440,
+    ("Q8", True): 284_140_946_585_379_031_049_856,
+    ("Q9", True): 1_534_716_178_907_904,
+}
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +96,41 @@ class TestMeasuredTable:
         text = render_table1([dist], show_paper=False)
         assert "123" in text
         assert "68,572,049" not in text
+
+
+class TestMeasuredShape:
+    """The paper's headline observations on the measured table: Q8 has
+    the largest space under both policies, cross products inflate every
+    space, and each sampled distribution is right-skewed with a share of
+    plans within 10x of the optimum."""
+
+    def test_plan_counts(self, catalog):
+        measured = {
+            (name, cross): ImplicitPlanSpace.from_sql(
+                catalog,
+                tpch_query(name).sql,
+                options=OptimizerOptions(allow_cross_products=cross),
+            ).count()
+            for name, cross in MEASURED_PLANS
+        }
+        assert measured == MEASURED_PLANS
+        for cross in (False, True):
+            plans = {name: measured[(name, cross)] for name in TABLE1_QUERIES}
+            assert plans["Q8"] == max(plans.values())
+        for name in TABLE1_QUERIES:
+            assert measured[(name, True)] > measured[(name, False)]
+
+    @pytest.mark.parametrize(
+        "cross",
+        [False, pytest.param(True, marks=pytest.mark.slow)],
+        ids=["no-cross", "cross"],
+    )
+    @pytest.mark.parametrize("name", TABLE1_QUERIES)
+    def test_sampled_row(self, cost_distribution, name, cross):
+        dist = cost_distribution(name, cross)
+        row = row_from_distribution(dist)
+        assert row.plans == MEASURED_PLANS[(name, cross)]
+        assert row.min_cost >= 1.0
+        assert dist.skewness() > 0
+        if not cross:
+            assert row.within_10x > 0.001

@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import Session
 from repro.obs import PhaseTimer, Span, Tracer, active_tracer, phase, tracing
+from repro.workloads.synthetic import star_query
 from repro.workloads.tpch_queries import tpch_query
 
 Q3 = tpch_query("Q3").sql
@@ -246,6 +247,25 @@ class TestDisabledPath:
     def test_no_ambient_tracer_outside_traced_call(self, session):
         session.optimize(Q3, trace=True)
         assert active_tracer() is None
+
+    def test_untraced_cost_is_per_phase_not_per_expression(self, monkeypatch):
+        """An untraced optimize builds no span and one stopwatch per
+        phase, however large the memo: from star4 (125 memo
+        expressions) to star12 (92,221) the count stays put."""
+        built = []
+        for cls in (Span, PhaseTimer):
+            init = cls.__init__
+
+            def counted(self, name, init=init):
+                built.append(type(self).__name__)
+                init(self, name)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        for n in (4, 8, 12):
+            workload = star_query(n, rows=5, seed=0)
+            built.clear()
+            Session(workload.database).optimize(workload.sql)
+            assert built == ["PhaseTimer"] * 8, n
 
 
 class TestThreadIsolation:

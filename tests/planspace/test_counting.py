@@ -21,6 +21,12 @@ from tests.planspace.test_implicit_tables import SHAPES
 
 
 class TestPaperFigure3:
+    def test_figure2_memo_size(self, paper_example):
+        # Figure 2's partially expanded memo: 5 logical + 11 physical.
+        memo = paper_example.memo
+        assert memo.logical_expression_count() == 5
+        assert memo.physical_expression_count() == 11
+
     def test_every_annotated_count_matches(self, paper_example):
         space = materialize_links(paper_example.memo)
         annotate_counts(space)

@@ -108,6 +108,7 @@ class TestOnRealQuery:
         # In a fully implemented memo every operator should be live.
         dead = [op_id for op_id, count in exact.items() if count == 0]
         assert not dead, f"dead operators: {dead[:5]}"
+        assert max(exact.values()) <= q5_space.count()
 
     def test_linear_runtime_on_large_space(self, q5_space):
         import time

@@ -7,8 +7,10 @@ ranking inverts unranking — is the paper's central claim.
 import pytest
 
 from repro.errors import PlanSpaceError, RankOutOfRangeError
+from repro.executor.executor import PlanExecutor
 from repro.planspace.links import materialize_links
 from repro.planspace.unranking import Unranker
+from repro.testing.diff import canonical_result
 
 
 @pytest.fixture
@@ -68,6 +70,20 @@ class TestPaperAppendix:
         ids = plan.operator_ids()
         assert ids[0] == paper_example.paper_ids["7.7"]
         assert len(ids) == plan.size()
+
+    def test_all_44_plans_execute_to_the_same_rows(self, unranker, paper_example):
+        """Section 4 on the paper's own example: every plan is executable
+        and returns the same result."""
+        executor = PlanExecutor(paper_example.database)
+        results = [
+            canonical_result(result.columns, result.rows)
+            for result in (
+                executor.execute(unranker.unrank(rank))
+                for rank in range(unranker.total)
+            )
+        ]
+        assert len(results) == 44
+        assert all(result == results[0] for result in results)
 
 
 class TestBijection:

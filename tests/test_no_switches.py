@@ -4,7 +4,8 @@ no second engine.
 There is one explorer, one exact engine and one count pass.  These
 guards fail in tier-1 — not in review — when an engine selector comes
 back as an optimizer option, an explorer argument, a count-state field
-or an environment lookup, or when the deleted rule engine, object
+or an environment lookup (in ``src/`` or in ``scripts/ci.sh``, which
+also keeps no timer), or when the deleted rule engine, object
 best-plan path, per-pair reference count pass (or a result served by
 any of them) reappears under ``src/``.
 """
@@ -15,6 +16,7 @@ import ast
 import dataclasses
 import functools
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,7 @@ from repro.resilience.faults import FAULT_SITES
 from repro.workloads.synthetic import chain_query, cycle_query, star_query
 
 SRC = Path(repro.__file__).resolve().parent
+CI_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ci.sh"
 
 #: the object best-plan path, moved under ``tests/`` as the oracle
 DELETED_ENGINE = {
@@ -112,6 +115,19 @@ def test_src_reads_no_environment_variables():
         ):
             offenders.append(f"{path}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_ci_script_reads_no_clock_and_one_knob():
+    """``scripts/ci.sh`` asserts counts, costs and tiers — never a wall
+    clock — and its one setting is ``CI_SLOW``.  A shell variable it
+    assigns itself (``PYTHONPATH`` is extended with ``src``) is not a
+    setting."""
+    text = CI_SCRIPT.read_text()
+    assert "perf_counter" not in text and "time.time" not in text
+    assert not re.search(r"\b(environ|getenv)\b", text)
+    read = set(re.findall(r"\$\{?([A-Za-z_]\w*)", text))
+    assigned = set(re.findall(r"^\s*(?:if\s+|export\s+)?(\w+)=", text, re.M))
+    assert read - assigned == {"CI_SLOW"}
 
 
 def test_src_neither_defines_nor_imports_the_object_engine():
