@@ -68,17 +68,19 @@ EOF
 echo "== exact-path engine smoke =="
 python - <<'EOF'
 from repro.api import Session
-from repro.workloads.synthetic import clique_query, star_query
+from repro.workloads.synthetic import chain_query, clique_query, star_query
 
 # The exact path must stay on its one engine, asserted in counts (wall
 # time is benchmarks/perf's business): default options select the
 # columnar engine end to end — batched logical store, array-backed
 # physical store — and the hardest exact workload (clique12 no-cross,
 # 523k logical joins, a 2.4M-physical-expression space) still lands on
-# its known optimum to the bit.
-for workload, logical, best_cost in (
-    (star_query(12, rows=5, seed=0), 22542, None),
-    (clique_query(12, rows=5, seed=0), 523264, 156.56),
+# its known optimum to the bit.  The csg–cmp kernel's split counts are
+# Moerkotte & Neumann's closed forms: (n-1)2^(n-2) for the star,
+# (3^n - 2^(n+1) + 1)/2 for the clique, (n^3 - n)/6 for the 63-chain.
+for workload, logical, splits, best_cost in (
+    (star_query(12, rows=5, seed=0), 22542, 11264, None),
+    (clique_query(12, rows=5, seed=0), 523264, 261625, 156.56),
 ):
     result = Session(workload.database).optimize(workload.sql)
     memo = result.memo
@@ -101,6 +103,19 @@ for workload, logical, best_cost in (
         f"{workload.name} optimal cost changed: "
         f"{result.best_cost!r} != {best_cost}"
     )
+    assert memo.columnar_logical.row_count == splits, (
+        f"{workload.name} csg–cmp splits changed: "
+        f"{memo.columnar_logical.row_count} != {splits}"
+    )
+
+chain63 = chain_query(63, rows=5, seed=0)
+graph = Session(chain63.database).optimize(chain63.sql).graph
+subsets, left, right, offsets = graph.enumeration_universe(False)
+print(f"{chain63.name} no-cross: {len(subsets)} subsets, {len(left)} splits")
+assert (len(subsets), len(left)) == (2016, 41664), (
+    f"{chain63.name} csg–cmp universe changed: {len(subsets)} subsets, "
+    f"{len(left)} splits"
+)
 EOF
 
 echo "== engine limits smoke =="

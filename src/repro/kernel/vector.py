@@ -1,4 +1,10 @@
-"""numpy kernel primitives shared by implement, the DP, and the count pass.
+"""numpy kernel primitives shared by explore, implement, the DP, and the
+count pass.
+
+:func:`csg_cmp_universe` is the search space itself: a level-synchronous
+DPccp over int64 masks (byte-table bit-deposit and neighbour lookups, so
+up to 63 relations) that returns the subset universe and every csg–cmp
+split as arrays, in the canonical order the memo layout depends on.
 
 The interning/ranking primitives are exact by construction:
 
@@ -16,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "DECODE_CHUNK",
+    "csg_cmp_universe",
     "byte_words",
     "lex_rank_rows",
     "lex_unique_rows",
@@ -277,3 +284,241 @@ def range_min_pairs(values, lo, hi):
     bounds[1::2] = sel_hi
     out[ok] = np.minimum.reduceat(vals, bounds)[0::2]
     return out
+
+
+# ----------------------------------------------------------------------
+# csg–cmp enumeration
+# ----------------------------------------------------------------------
+def _pdep8_table():
+    """``table[(m << 8) | c]``: the low bits of ``c`` deposited, in
+    order, at the set bits of the byte ``m`` (an 8-bit ``pdep``)."""
+    m = np.arange(256, dtype=np.int64)[:, None]
+    c = np.arange(256, dtype=np.int64)[None, :]
+    out = np.zeros((256, 256), np.int64)
+    taken = np.zeros((256, 1), np.int64)
+    for p in range(8):
+        has = (m >> p) & 1
+        out |= ((c >> taken) & has) << p
+        taken = taken + has
+    return out.ravel()
+
+
+_PDEP8 = _pdep8_table()
+_POP8 = np.bitwise_count(np.arange(256, dtype=np.uint8)).astype(np.int64)
+#: byte value -> its bits reversed
+_REV8 = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], np.uint64)
+#: bit i as a one-bit mask, and 2^k - 1 by popcount k
+_BITS = np.left_shift(1, np.arange(63, dtype=np.int64))
+_LOW_ONES = np.left_shift(1, np.arange(64, dtype=np.int64)) - 1
+
+
+def _deposit(counter, mask, nbytes):
+    """Vectorized ``pdep``: the low bits of ``counter[i]`` placed, in
+    order, at the set bits of ``mask[i]`` — one byte-table gather per
+    byte of the universe (the top byte needs no masking: both operands
+    are below 256 there)."""
+    top = nbytes - 1
+    out = None
+    for b in range(nbytes):
+        shift = 8 * b
+        byte = mask >> shift if b else mask
+        if b < top:
+            byte = byte & 255
+            piece = _PDEP8[(byte << 8) | (counter & 255)]
+            counter = counter >> _POP8[byte]
+        else:
+            piece = _PDEP8[(byte << 8) | counter]
+        out = piece if b == 0 else out | (piece << shift)
+    return out
+
+
+def _or_tables(adjacency, nbytes):
+    """``tables[b][v]``: the OR of ``adjacency[8b + p]`` over the set
+    bits ``p`` of the byte ``v`` — neighbour masks by byte lookups."""
+    tables = np.zeros((nbytes, 256), np.int64)
+    for bit, adj in enumerate(adjacency):
+        row = tables[bit >> 3]
+        half = 1 << (bit & 7)
+        np.bitwise_or(row[:half], adj, out=row[half : 2 * half])
+    return tables
+
+
+def _neighbours(masks, tables, nbytes):
+    out = tables[0][masks & 255 if nbytes > 1 else masks]
+    for b in range(1, nbytes):
+        byte = masks >> (8 * b)
+        out |= tables[b][byte & 255 if b < nbytes - 1 else byte]
+    return out
+
+
+def _exactly_connected(masks, conjuncts):
+    """Hypergraph connectivity of each mask: a conjunct joins the
+    lowest bit's component only once all its aliases lie inside."""
+    component = masks & -masks
+    while True:
+        grown = component
+        for c in conjuncts:
+            hit = ((masks & c) == c) & ((grown & c) != 0)
+            grown = np.where(hit, grown | c, grown)
+        if np.array_equal(grown, component):
+            return component == masks
+        component = grown
+
+
+def _hyper_filter(owner, grown, conjuncts):
+    """Keep the rows whose csg, or csg–cmp pair, is valid in the
+    hypergraph: both sides exactly connected and, for a pair, linked by
+    a conjunct inside their union that touches both."""
+    keep = _exactly_connected(grown, conjuncts)
+    pair = owner != 0
+    left, right = owner[pair], grown[pair]
+    union = left | right
+    linked = np.zeros(len(left), dtype=bool)
+    for c in conjuncts:
+        linked |= ((union & c) == c) & ((left & c) != 0) & ((right & c) != 0)
+    keep[pair] &= linked & _exactly_connected(left, conjuncts)
+    return keep
+
+
+def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=None):
+    """DPccp (Moerkotte & Neumann 2006) over int64 masks, level-synchronous.
+
+    ``adjacency[i]`` is the OR of the conjunct masks touching bit ``i``
+    (at most 63 bits).  Returns ``(subsets, left, right, offsets)``:
+    the search space's subset universe (connected subsets, or every
+    subset when cross products are allowed) in canonical order — by
+    size, then by the sorted member list — and every valid unordered
+    split, left side holding the subset's lowest bit, grouped by subset
+    in universe order and by ascending left mask within a subset.
+    ``left``/``right`` are *ranks* into ``subsets``; subset ``r``'s
+    splits are rows ``offsets[r]:offsets[r + 1]``.
+
+    Each state row is (owner, grown, blocked): owner 0 marks
+    a connected subset (csg) grown from its lowest bit, any other owner
+    is the csg whose complement (cmp) the row grows.  One level emits
+    every row, expands every row's frontier into its nonempty subsets by
+    a vectorized bit-deposit (the frontier joins the blocked set below
+    them — DPccp's dedup argument), and seeds each new csg's complements
+    at its neighbours outside its prohibited prefix, so every csg–cmp
+    pair is emitted exactly once.  When a conjunct spans three or more
+    aliases the adjacency graph only proposes candidates, and exact
+    hypergraph connectivity plus a linking conjunct filter them.  The
+    cross-products space deposits every split of every subset directly.
+
+    ``on_level(units)`` is polled once per level with twice the splits
+    the level emitted — the logical joins they become.
+    """
+    n = len(adjacency)
+    nbytes = max((n + 7) // 8, 1)
+    if allow_cross_products:
+        return _cross_universe(n, nbytes, on_level)
+    hyper = any(c.bit_count() > 2 for c in conjunct_masks)
+    tables = _or_tables(adjacency, nbytes)
+    bits = _BITS[:n]
+    owner = np.zeros(n, np.int64)
+    grown = bits
+    blocked = _LOW_ONES[1 : n + 1]
+    owners, growns = [], []
+    while True:
+        if hyper:
+            keep = _hyper_filter(owner, grown, conjunct_masks)
+            owners.append(owner[keep])
+            growns.append(grown[keep])
+        else:
+            owners.append(owner)
+            growns.append(grown)
+        if on_level is not None:
+            on_level(2 * int(np.count_nonzero(owners[-1])))
+        nbr = _neighbours(grown, tables, nbytes)
+        # children: every nonempty subset of the frontier
+        frontier = nbr & ~(blocked | grown)
+        counts = _LOW_ONES[np.bitwise_count(frontier)]
+        # complement seeds: the neighbours of each csg outside its
+        # prohibited prefix (the bits below it, and itself); a seed
+        # blocks the prefix and the seeds at or below it
+        csg = owner == 0
+        g = grown[csg]
+        prefix = ((g & -g) - 1) | g
+        cand = nbr[csg] & ~prefix
+        seed_row, seed_bit = (cand[:, None] & bits).nonzero()
+        ends = counts.cumsum()
+        total = int(ends[-1])
+        if not total and not len(seed_row):
+            break
+        parent = np.arange(len(counts)).repeat(counts)
+        k = np.arange(1, total + 1) - (ends - counts)[parent]
+        front = frontier[parent]
+        v = bits[seed_bit]
+        owner = np.concatenate((owner[parent], g[seed_row]))
+        grown = np.concatenate((grown[parent] | _deposit(k, front, nbytes), v))
+        blocked = np.concatenate(
+            (
+                blocked[parent] | front,
+                prefix[seed_row] | (((v << 1) - 1) & cand[seed_row]),
+            )
+        )
+    owner = np.concatenate(owners)
+    grown = np.concatenate(growns)
+    pair = owner.nonzero()[0]
+    return _canonical(grown[owner == 0], owner[pair], grown[pair], nbytes)
+
+
+def _universe_order(masks, nbytes):
+    """Canonical universe order: by size, then by the ascending member
+    list — the lowest differing bit decides, so by descending
+    bit-reversed value (reversed per byte, bytes in reverse order)."""
+    reverse = _REV8[masks & 255 if nbytes > 1 else masks] << (8 * nbytes - 8)
+    for b in range(1, nbytes):
+        byte = masks >> (8 * b)
+        if b < nbytes - 1:
+            byte = byte & 255
+        reverse |= _REV8[byte] << (8 * (nbytes - 1 - b))
+    return np.lexsort((~reverse, np.bitwise_count(masks)))
+
+
+def _canonical(csgs, left, right, nbytes):
+    """Sort the universe canonically and the splits by (subset rank,
+    left mask); every mask becomes its subset rank by one
+    ``searchsorted`` over the value-sorted universe."""
+    subsets = csgs[_universe_order(csgs, nbytes)]
+    by_value = subsets.argsort()
+    m = len(left)
+    pos = subsets[by_value].searchsorted(np.concatenate((left | right, left, right)))
+    rank = by_value[pos]
+    union_rank = rank[:m]
+    # A left side's position in value order is monotone in its mask, so
+    # (subset rank, left mask) order is one int64 key's order.
+    width = len(subsets).bit_length()
+    order = ((union_rank << width) | pos[m : 2 * m]).argsort()
+    offsets = np.zeros(len(subsets) + 1, np.int64)
+    np.bincount(union_rank, minlength=len(subsets)).cumsum(out=offsets[1:])
+    return subsets, rank[m : 2 * m][order], rank[2 * m :][order], offsets
+
+
+def _cross_universe(n, nbytes, on_level):
+    """Every subset, and every split of it: the deposit of ``0 .. 2^(k-1)
+    - 2`` over a k-subset's bits above its lowest, one level per size."""
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    subsets = masks[_universe_order(masks, nbytes)]
+    sizes = np.bitwise_count(subsets)
+    counts = _LOW_ONES[sizes - 1]
+    offsets = np.zeros(len(subsets) + 1, np.int64)
+    counts.cumsum(out=offsets[1:])
+    bounds = sizes.searchsorted(np.arange(2, n + 2)).tolist()
+    lefts, rights = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        level = counts[lo:hi]
+        parent = np.arange(lo, hi).repeat(level)
+        k = np.arange(len(parent)) - (offsets[lo:hi] - offsets[lo])[parent - lo]
+        subset = subsets[parent]
+        low = subset & -subset
+        left = low | _deposit(k, subset ^ low, nbytes)
+        lefts.append(left)
+        rights.append(subset ^ left)
+        if on_level is not None:
+            on_level(2 * len(left))
+    # the universe is every mask, so a mask's rank is its position in
+    # the order: invert the permutation
+    rank = np.empty(len(subsets) + 1, np.int64)
+    rank[subsets] = np.arange(len(subsets))
+    return subsets, rank[np.concatenate(lefts)], rank[np.concatenate(rights)], offsets

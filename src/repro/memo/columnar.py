@@ -305,41 +305,51 @@ class ColumnarLogicalStore:
 def build_logical_store(
     memo, graph, allow_cross_products: bool, scope=None
 ) -> ColumnarLogicalStore:
-    """Batched exploration: emit whole per-subset csg–cmp buckets into a
-    :class:`ColumnarLogicalStore`.
+    """Batched exploration: the join graph's csg–cmp universe, as arrays,
+    into a :class:`ColumnarLogicalStore`.
 
-    Walks the enumeration universe in its canonical order,
-    creating (or finding) each subset's group and appending its bucket as
-    one block of child-gid columns — no per-expression ``memo.insert``,
-    no ``GroupExpr``/fingerprint work.  Raises
+    :meth:`JoinGraph.enumeration_universe` returns the subset universe
+    in its canonical order and every valid split as subset-rank columns
+    grouped by subset.  Each join subset's group is created (or found)
+    in that order — the only per-subset Python left — and the split
+    columns become child-gid columns by one gather each, with every
+    group's row range read off the kernel's offsets.  No per-expression
+    ``memo.insert``, no ``GroupExpr``/fingerprint work.  The kernel
+    accounts every split (both orientations) at its ``explore.batch``
+    checkpoints, one per level, before any group is created.  Raises
     :class:`ColumnarUnsupported` (memo untouched beyond group creation)
     when the memo is not a freshly seeded one — a group already holding
-    anything but its single setup-inserted left-deep join.
+    anything but its single setup-inserted left-deep join, or a seeded
+    join that is not one of its group's splits.
     """
     if memo.universe is None:
         raise ColumnarUnsupported("memo has no alias universe")
     store = ColumnarLogicalStore(memo, graph, allow_cross_products)
-    subsets, buckets = graph.enumeration_universe(allow_cross_products)
-    store.subset_masks = subsets
+    on_level = None
+    if scope is not None:
+        checkpoint = scope.checkpoint
 
-    get_group = memo.get_or_create_rels_group
+        def on_level(units: int) -> None:
+            checkpoint("explore.batch", units)
+
+    subsets, left, right, offsets = graph.enumeration_universe(
+        allow_cross_products, on_level
+    )
+    masks = subsets.tolist()
+    store.subset_masks = masks
+
+    # The universe opens with its singletons, which setup created.
+    leaves = memo.universe.size
     gid_of = memo._rels_gid_by_mask
-    sl, sr = store.sl, store.sr
-    range_by_gid = store._range_by_gid
+    gids = [gid_of[mask] for mask in masks[:leaves]]
+    get_group = memo.get_or_create_rels_group
     initial_by_gid = store.initial_by_gid
-    block_l: list[int] = []
-    block_r: list[int] = []
-    checkpoint = scope.checkpoint if scope is not None else None
-    for subset in subsets:
-        if not subset & (subset - 1):
-            continue
+    for subset in masks[leaves:]:
         fault_point("explore.batch", store)
-        if checkpoint is not None:
-            checkpoint("explore.batch", 2 * len(block_l))
         group = get_group(subset)
         gid = group.gid
+        gids.append(gid)
         prefix = group._exprs
-        init = None
         if prefix or group._pending is not None:
             if (
                 group._pending is not None
@@ -349,33 +359,29 @@ def build_logical_store(
                 raise ColumnarUnsupported(
                     "batched exploration requires a freshly seeded memo"
                 )
-            init = prefix[0].children
-            initial_by_gid[gid] = init
-        if buckets is None:
-            splits = graph.cross_splits_m(subset)
-        else:
-            splits = buckets.get(subset, ())
-        block_l.clear()
-        block_r.clear()
-        init_seen = init is None
-        for left, right in splits:
-            left_gid = gid_of[left]
-            right_gid = gid_of[right]
-            block_l.append(left_gid)
-            block_r.append(right_gid)
-            if not init_seen and init in (
-                (left_gid, right_gid),
-                (right_gid, left_gid),
-            ):
-                init_seen = True
-        if not init_seen:
+            initial_by_gid[gid] = prefix[0].children
+
+    gid_by_rank = np.array(gids, dtype=np.intc)
+    sl, sr = store.sl, store.sr
+    sl.frombytes(gid_by_rank[left].tobytes())
+    sr.frombytes(gid_by_rank[right].tobytes())
+    bounds = offsets.tolist()
+    range_by_gid = store._range_by_gid = dict(
+        zip(gids[leaves:], zip(bounds[leaves:-1], bounds[leaves + 1 :]))
+    )
+    groups = memo.groups
+    for gid, (a, b) in initial_by_gid.items():
+        # the seeded join must be one of the group's splits; the left
+        # side is the one holding the subset's lowest alias
+        mask = groups[gid].mask
+        start, end = range_by_gid[gid]
+        lower = a if groups[a].mask & mask & -mask else b
+        try:
+            sl.index(lower, start, end)
+        except ValueError:
             raise ColumnarUnsupported(
                 f"initial join of group {gid} missing from its splits"
-            )
-        start = len(sl)
-        sl.extend(block_l)
-        sr.extend(block_r)
-        range_by_gid[gid] = (start, len(sl))
+            ) from None
     store.gid_by_mask = dict(gid_of)
     store.complete = True
     return store

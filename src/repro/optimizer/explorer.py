@@ -14,11 +14,11 @@ its full rule set reaches exactly this explorer's space.
 
 The explorer works on alias *bitmasks* end-to-end (see
 :mod:`repro.optimizer.joingraph` for the encoding): subset groups are
-keyed ``("rels", mask)`` and it walks the join graph's csg–cmp partition
-stream, so in the no-cross-products space no invalid split is ever
-materialized, let alone re-checked — the optimization that makes memo
-population linear in the size of the valid search space rather than in
-``Σ 2^|S|``.
+keyed ``("rels", mask)`` and their splits arrive as the arrays of the
+join graph's vectorized csg–cmp kernel, so in the no-cross-products
+space no invalid split is ever materialized, let alone re-checked — the
+optimization that makes memo population linear in the size of the valid
+search space rather than in ``Σ 2^|S|``.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ class EnumerationExplorer:
     For every alias subset (connected subsets only, when cross products are
     off) of size >= 2, in ascending size order, emit one logical join per
     valid ordered partition of the subset.  Partitions come straight from
-    the join graph's csg–cmp enumeration as mask pairs, and child groups
-    are resolved by mask key — the hot loop never touches an alias name.
+    the join graph's csg–cmp kernel as arrays of subset ranks, mapped to
+    child group ids wholesale — no loop touches a split or an alias name.
     The resulting memo contains the complete bushy search space.
 
-    Whole per-subset buckets go into the columnar logical store
+    The split arrays become the columnar logical store
     (:func:`repro.memo.columnar.build_logical_store`): no per-expression
     ``memo.insert``; ``Group.exprs`` rebuilds the ``GroupExpr`` list
     lazily — group ids, expression order, local ids and renders are what

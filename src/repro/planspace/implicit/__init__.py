@@ -9,8 +9,8 @@ O(depth) operators per plan.  This package treats the plan space as the
 implicit combinatorial object it is:
 
 * :mod:`.layout` simulates the memo's group structure (ids, logical
-  expression order) from the bound query and the join graph's csg–cmp
-  stream — nothing is inserted anywhere;
+  expression order) from the bound query and the arrays of the join
+  graph's csg–cmp kernel — nothing is inserted anywhere;
 * :mod:`.edges` / :mod:`.keys` reduce merge-key identity and the paper's
   physical-property qualification to bitmask and byte-string operations;
 * :mod:`.counting` derives per-group alternative counts analytically from

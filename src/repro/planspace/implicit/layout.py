@@ -13,9 +13,10 @@ and consumes the resulting child-gid arrays directly:
 * groups of the initial memo keep their ids (``build_initial_memo`` runs
   as-is: it is O(query) and supplies the leaf ``Get`` operators, the
   left-deep prefix joins, and the unary tower);
-* every further subset of the enumeration universe gets the next id, in
-  universe order — the builder calls ``get_or_create`` exactly as the
-  explorer does;
+* every further subset of the enumeration universe — the join graph's
+  csg–cmp kernel returns it, and every split, as arrays — gets the next
+  id, in universe order: the builder calls ``get_or_create`` exactly as
+  the explorer does;
 * a join group's logical expressions are its valid splits in bucket
   order, both orientations, with the initial left-deep expression (if the
   group has one) first — read positionally from the store's ``sl``/``sr``

@@ -48,7 +48,7 @@ __all__ = [
 
 #: site name -> description.  The resilience test matrix iterates this.
 FAULT_SITES: dict[str, str] = {
-    "explore.batch": "per-subset during columnar logical store build",
+    "explore.batch": "per-subset group creation after the csg–cmp kernel",
     "implement.columnar": "per-group during columnar physical store build",
     "bestplan.layer": "per join layer / group in the columnar best-plan DP",
     "implicit.count": "per-phase inside implicit plan-space counting",

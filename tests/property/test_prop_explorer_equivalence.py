@@ -27,6 +27,9 @@ from repro.optimizer.annotate import annotate_cardinalities
 from repro.optimizer.cardinality import CardinalityEstimator
 from tests.optimizer.reference_enumeration import (
     ReferenceEnumerationExplorer,
+    all_subsets,
+    connected_subsets,
+    partitions,
     reference_connected_subsets,
     reference_partitions,
 )
@@ -94,12 +97,10 @@ def _check_equivalence(shape: str, n: int, allow_cross: bool) -> None:
 
     graph = fast.graph
     # Join-graph level: identical universes and partitions, same order.
-    assert graph.connected_subsets() == reference_connected_subsets(graph)
-    universe = (
-        graph.all_subsets() if allow_cross else graph.connected_subsets()
-    )
+    assert connected_subsets(graph) == reference_connected_subsets(graph)
+    universe = all_subsets(graph) if allow_cross else connected_subsets(graph)
     for subset in universe:
-        assert graph.partitions(subset, allow_cross) == reference_partitions(
+        assert partitions(graph, subset, allow_cross) == reference_partitions(
             graph, subset, allow_cross
         ), (shape, n, allow_cross, sorted(subset))
 

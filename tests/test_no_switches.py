@@ -6,8 +6,9 @@ guards fail in tier-1 — not in review — when an engine selector comes
 back as an optimizer option, an explorer argument, a count-state field
 or an environment lookup (in ``src/`` or in ``scripts/ci.sh``, which
 also keeps no timer), or when the deleted rule engine, object
-best-plan path, per-pair reference count pass (or a result served by
-any of them) reappears under ``src/``.
+best-plan path, per-pair reference count pass, Python csg–cmp
+enumerator (or a result served by any of them) reappears under
+``src/``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ import pytest
 
 import repro
 from repro.api import Session
+from repro.memo.columnar import build_logical_store
 from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import ImplementationConfig
+from repro.optimizer.joingraph import JoinGraph
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.planspace.implicit import CountState, ImplicitPlanSpace
 from repro.resilience.faults import FAULT_SITES
@@ -208,6 +211,43 @@ def test_src_neither_defines_nor_references_the_rule_engine():
         lambda name: name in DELETED_EXPLORER or name.startswith("RULE_")
     )
     assert not offenders, offenders
+
+
+#: the Python DPccp, moved under ``tests/`` as the oracle
+#: (``tests/optimizer/reference_enumeration.py``): the vectorized csg–cmp
+#: kernel is the one enumerator
+DELETED_ENUMERATOR = {
+    "_grow_connected",
+    "_connected_within",
+    "partitions_m",
+    "cross_splits_m",
+    "csg_cmp_buckets",
+    "connected_subset_masks",
+    "all_subset_masks",
+}
+
+
+def test_src_neither_defines_nor_references_the_python_enumerator():
+    offenders = _src_uses(DELETED_ENUMERATOR.__contains__)
+    assert not offenders, offenders
+    for name in ("partitions", "connected_subsets", "all_subsets"):
+        assert not hasattr(JoinGraph, name), name
+
+
+def test_enumeration_takes_no_selector_or_threshold():
+    """The kernel serves every graph: neither entry point grows a
+    parameter that could route small graphs elsewhere."""
+    assert list(inspect.signature(JoinGraph.enumeration_universe).parameters) == [
+        "self",
+        "allow_cross_products",
+        "on_level",
+    ]
+    assert list(inspect.signature(build_logical_store).parameters) == [
+        "memo",
+        "graph",
+        "allow_cross_products",
+        "scope",
+    ]
 
 
 def test_no_object_fault_site_survives():
