@@ -393,7 +393,7 @@ def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=N
     ``left``/``right`` are *ranks* into ``subsets``; subset ``r``'s
     splits are rows ``offsets[r]:offsets[r + 1]``.
 
-    Each state row is (owner, grown, blocked): owner 0 marks
+    Each state row is (owner, grown, neighbours, blocked): owner 0 marks
     a connected subset (csg) grown from its lowest bit, any other owner
     is the csg whose complement (cmp) the row grows.  One level emits
     every row, expands every row's frontier into its nonempty subsets by
@@ -414,10 +414,12 @@ def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=N
         return _cross_universe(n, nbytes, on_level)
     hyper = any(c.bit_count() > 2 for c in conjunct_masks)
     tables = _or_tables(adjacency, nbytes)
+    adj = np.array(adjacency, dtype=np.int64)
     bits = _BITS[:n]
-    owner = np.zeros(n, np.int64)
-    grown = bits
-    blocked = _LOW_ONES[1 : n + 1]
+    through = _LOW_ONES[1 : n + 1]  # bit p and every bit below it
+    owner, grown, nbr, blocked = _with_seeds(
+        np.zeros(n, np.int64), bits, adj, through, adj, bits, through
+    )
     owners, growns = [], []
     while True:
         if hyper:
@@ -429,38 +431,47 @@ def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=N
             growns.append(grown)
         if on_level is not None:
             on_level(2 * int(np.count_nonzero(owners[-1])))
-        nbr = _neighbours(grown, tables, nbytes)
-        # children: every nonempty subset of the frontier
+        # children: every nonempty subset of each row's frontier, which
+        # joins the blocked set below them
         frontier = nbr & ~(blocked | grown)
         counts = _LOW_ONES[np.bitwise_count(frontier)]
-        # complement seeds: the neighbours of each csg outside its
-        # prohibited prefix (the bits below it, and itself); a seed
-        # blocks the prefix and the seeds at or below it
-        csg = owner == 0
-        g = grown[csg]
-        prefix = ((g & -g) - 1) | g
-        cand = nbr[csg] & ~prefix
-        seed_row, seed_bit = (cand[:, None] & bits).nonzero()
         ends = counts.cumsum()
         total = int(ends[-1])
-        if not total and not len(seed_row):
+        if not total:
             break
         parent = np.arange(len(counts)).repeat(counts)
-        k = np.arange(1, total + 1) - (ends - counts)[parent]
         front = frontier[parent]
-        v = bits[seed_bit]
-        owner = np.concatenate((owner[parent], g[seed_row]))
-        grown = np.concatenate((grown[parent] | _deposit(k, front, nbytes), v))
-        blocked = np.concatenate(
-            (
-                blocked[parent] | front,
-                prefix[seed_row] | (((v << 1) - 1) & cand[seed_row]),
-            )
+        sub = _deposit(np.arange(1, total + 1) - (ends - counts)[parent], front, nbytes)
+        owner, grown, nbr, blocked = _with_seeds(
+            owner[parent],
+            grown[parent] | sub,
+            nbr[parent] | _neighbours(sub, tables, nbytes),
+            blocked[parent] | front,
+            adj,
+            bits,
+            through,
         )
     owner = np.concatenate(owners)
     grown = np.concatenate(growns)
     pair = owner.nonzero()[0]
     return _canonical(grown[owner == 0], owner[pair], grown[pair], nbytes)
+
+
+def _with_seeds(owner, grown, nbr, blocked, adj, bits, through):
+    """Append the complement seeds of the csg rows (owner 0): one per
+    neighbour v outside the csg's prohibited prefix X (the bits below
+    it, and itself), blocking X and the seeds at or below v."""
+    csg = owner == 0
+    g = grown[csg]
+    prefix = ((g & -g) - 1) | g
+    cand = nbr[csg] & ~prefix
+    row, bit = (cand[:, None] & bits).nonzero()
+    return (
+        np.concatenate((owner, g[row])),
+        np.concatenate((grown, bits[bit])),
+        np.concatenate((nbr, adj[bit])),
+        np.concatenate((blocked, prefix[row] | (through[bit] & cand[row]))),
+    )
 
 
 def _universe_order(masks, nbytes):
