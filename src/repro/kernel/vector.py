@@ -417,9 +417,24 @@ def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=N
     adj = np.array(adjacency, dtype=np.int64)
     bits = _BITS[:n]
     through = _LOW_ONES[1 : n + 1]  # bit p and every bit below it
-    owner, grown, nbr, blocked = _with_seeds(
-        np.zeros(n, np.int64), bits, adj, through, adj, bits, through
-    )
+
+    def with_seeds(owner, grown, nbr, blocked):
+        # Complement seeds of the csg rows (owner 0): one per neighbour
+        # v outside the csg's prohibited prefix X (the bits below it,
+        # and itself), blocking X and the seeds at or below v.
+        csg = owner == 0
+        g = grown[csg]
+        prefix = ((g & -g) - 1) | g
+        cand = nbr[csg] & ~prefix
+        row, bit = (cand[:, None] & bits).nonzero()
+        return (
+            np.concatenate((owner, g[row])),
+            np.concatenate((grown, bits[bit])),
+            np.concatenate((nbr, adj[bit])),
+            np.concatenate((blocked, prefix[row] | (through[bit] & cand[row]))),
+        )
+
+    owner, grown, nbr, blocked = with_seeds(np.zeros(n, np.int64), bits, adj, through)
     owners, growns = [], []
     while True:
         if hyper:
@@ -442,36 +457,16 @@ def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=N
         parent = np.arange(len(counts)).repeat(counts)
         front = frontier[parent]
         sub = _deposit(np.arange(1, total + 1) - (ends - counts)[parent], front, nbytes)
-        owner, grown, nbr, blocked = _with_seeds(
+        owner, grown, nbr, blocked = with_seeds(
             owner[parent],
             grown[parent] | sub,
             nbr[parent] | _neighbours(sub, tables, nbytes),
             blocked[parent] | front,
-            adj,
-            bits,
-            through,
         )
     owner = np.concatenate(owners)
     grown = np.concatenate(growns)
     pair = owner.nonzero()[0]
     return _canonical(grown[owner == 0], owner[pair], grown[pair], nbytes)
-
-
-def _with_seeds(owner, grown, nbr, blocked, adj, bits, through):
-    """Append the complement seeds of the csg rows (owner 0): one per
-    neighbour v outside the csg's prohibited prefix X (the bits below
-    it, and itself), blocking X and the seeds at or below v."""
-    csg = owner == 0
-    g = grown[csg]
-    prefix = ((g & -g) - 1) | g
-    cand = nbr[csg] & ~prefix
-    row, bit = (cand[:, None] & bits).nonzero()
-    return (
-        np.concatenate((owner, g[row])),
-        np.concatenate((grown, bits[bit])),
-        np.concatenate((nbr, adj[bit])),
-        np.concatenate((blocked, prefix[row] | (through[bit] & cand[row]))),
-    )
 
 
 def _universe_order(masks, nbytes):
@@ -498,7 +493,8 @@ def _canonical(csgs, left, right, nbytes):
     rank = by_value[pos]
     union_rank = rank[:m]
     # A left side's position in value order is monotone in its mask, so
-    # (subset rank, left mask) order is one int64 key's order.
+    # (subset rank, left mask) order is one int64 key's order (two
+    # fields of ``width`` bits: any universe that fits in memory).
     width = len(subsets).bit_length()
     order = ((union_rank << width) | pos[m : 2 * m]).argsort()
     offsets = np.zeros(len(subsets) + 1, np.int64)

@@ -100,7 +100,7 @@ class JoinGraph:
 
         self._conjunct_masks: list[int] = [c.mask for c in self.conjuncts]
         #: all conjuncts reference at most two aliases (a plain graph, no
-        #: hyperedges) — enables the pure csg–cmp fast paths
+        #: hyperedges) — connectivity is then a plain BFS
         self._only_binary = all(m.bit_count() <= 2 for m in self._conjunct_masks)
         # adjacency[i]: union of the masks of every conjunct touching bit i
         adjacency = [0] * self.universe.size
@@ -273,7 +273,7 @@ class JoinGraph:
 
     def neighbors(self, subset: frozenset[str]) -> frozenset[str]:
         """Aliases outside ``subset`` reachable by one conjunct that touches
-        ``subset`` (used by connected-subgraph enumeration)."""
+        ``subset``."""
         return self.universe.names(self.neighbors_m(self.universe.mask_of(subset)))
 
     # ------------------------------------------------------------------
