@@ -8,7 +8,10 @@ as the original generate-and-test algorithms, preserved verbatim in
 chain/star/clique/cycle shapes in both cross-product modes and assert:
 
 * identical connected-subset universes and partition lists (including
-  enumeration *order* — the rewrite promises byte-identical memo layout);
+  enumeration *order* — the rewrite promises byte-identical memo layout)
+  between the mask-based Python DPccp and the seed algorithm, both
+  oracles now (the production kernel is held to the former by
+  ``tests/optimizer/test_csg_cmp_kernel.py``);
 * identical memo group counts and logical expression counts;
 * identical plan-space totals ``N`` after full implementation;
 * ``rank(unrank(r)) == r`` still holds on memos built by the fast path.
