@@ -365,19 +365,17 @@ def _exactly_connected(masks, conjuncts):
         component = grown
 
 
-def _hyper_filter(owner, grown, conjuncts):
-    """Keep the rows whose csg, or csg–cmp pair, is valid in the
-    hypergraph: both sides exactly connected and, for a pair, linked by
-    a conjunct inside their union that touches both."""
-    keep = _exactly_connected(grown, conjuncts)
-    pair = owner != 0
-    left, right = owner[pair], grown[pair]
+def _hyper_filter(csg, left, right, conjuncts):
+    """The csgs, and csg–cmp pairs, that are valid in the hypergraph:
+    every side exactly connected and each pair linked by a conjunct
+    inside its union that touches both sides."""
     union = left | right
-    linked = np.zeros(len(left), dtype=bool)
+    linked = _exactly_connected(left, conjuncts) & _exactly_connected(right, conjuncts)
+    touching = np.zeros(len(left), dtype=bool)
     for c in conjuncts:
-        linked |= ((union & c) == c) & ((left & c) != 0) & ((right & c) != 0)
-    keep[pair] &= linked & _exactly_connected(left, conjuncts)
-    return keep
+        touching |= ((union & c) == c) & ((left & c) != 0) & ((right & c) != 0)
+    keep = linked & touching
+    return csg[_exactly_connected(csg, conjuncts)], left[keep], right[keep]
 
 
 def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=None):
@@ -418,14 +416,14 @@ def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=N
     bits = _BITS[:n]
     through = _LOW_ONES[1 : n + 1]  # bit p and every bit below it
 
-    def with_seeds(owner, grown, nbr, blocked):
-        # Complement seeds of the csg rows (owner 0): one per neighbour
-        # v outside the csg's prohibited prefix X (the bits below it,
-        # and itself), blocking X and the seeds at or below v.
-        csg = owner == 0
-        g = grown[csg]
-        prefix = ((g & -g) - 1) | g
-        cand = nbr[csg] & ~prefix
+    def with_seeds(owner, grown, nbr, blocked, k):
+        # Complement seeds of the csg rows (the first k): one per
+        # neighbour v outside the csg's prohibited prefix X (the bits
+        # below it, and itself), blocking X and the seeds at or below v.
+        # Appended, so the csg rows stay in front.
+        g = grown[:k]
+        prefix = g | (g - 1)
+        cand = nbr[:k] & ~prefix
         row, bit = (cand[:, None] & bits).nonzero()
         return (
             np.concatenate((owner, g[row])),
@@ -434,18 +432,20 @@ def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=N
             np.concatenate((blocked, prefix[row] | (through[bit] & cand[row]))),
         )
 
-    owner, grown, nbr, blocked = with_seeds(np.zeros(n, np.int64), bits, adj, through)
-    owners, growns = [], []
+    # Rows [0, k) are csgs (owner 0), the rest csg–cmp pairs; a row's
+    # children keep its side of that boundary.
+    k = n
+    owner, grown, nbr, blocked = with_seeds(np.zeros(n, np.int64), bits, adj, through, k)
+    csgs, lefts, rights = [], [], []
     while True:
+        level = grown[:k], owner[k:], grown[k:]
         if hyper:
-            keep = _hyper_filter(owner, grown, conjunct_masks)
-            owners.append(owner[keep])
-            growns.append(grown[keep])
-        else:
-            owners.append(owner)
-            growns.append(grown)
+            level = _hyper_filter(*level, conjunct_masks)
+        csgs.append(level[0])
+        lefts.append(level[1])
+        rights.append(level[2])
         if on_level is not None:
-            on_level(2 * int(np.count_nonzero(owners[-1])))
+            on_level(2 * len(level[1]))
         # children: every nonempty subset of each row's frontier, which
         # joins the blocked set below them
         frontier = nbr & ~(blocked | grown)
@@ -454,6 +454,7 @@ def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=N
         total = int(ends[-1])
         if not total:
             break
+        k = int(ends[k - 1]) if k else 0
         parent = np.arange(len(counts)).repeat(counts)
         front = frontier[parent]
         sub = _deposit(np.arange(1, total + 1) - (ends - counts)[parent], front, nbytes)
@@ -462,11 +463,11 @@ def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=N
             grown[parent] | sub,
             nbr[parent] | _neighbours(sub, tables, nbytes),
             blocked[parent] | front,
+            k,
         )
-    owner = np.concatenate(owners)
-    grown = np.concatenate(growns)
-    pair = owner.nonzero()[0]
-    return _canonical(grown[owner == 0], owner[pair], grown[pair], nbytes)
+    return _canonical(
+        np.concatenate(csgs), np.concatenate(lefts), np.concatenate(rights), nbytes
+    )
 
 
 def _universe_order(masks, nbytes):
