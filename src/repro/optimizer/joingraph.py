@@ -285,8 +285,8 @@ class JoinGraph:
         ``(subsets, left, right, offsets)`` from the vectorized csg–cmp
         kernel (:func:`repro.kernel.vector.csg_cmp_universe`): the
         universe by size then name, and the unordered splits of subset
-        ``r`` at ``offsets[r]:offsets[r + 1]`` in historical split-index
-        order.  One definition for every consumer that must walk the
+        ``r`` — both sides as ranks into ``subsets`` — at
+        ``offsets[r]:offsets[r + 1]`` in historical split-index order.  One definition for every consumer that must walk the
         search space in the canonical order — the batched columnar
         builder and (through it) the implicit engine — so the
         byte-identical-memo guarantee cannot drift between them.
