@@ -370,11 +370,14 @@ def _hyper_filter(csg, left, right, conjuncts):
     every side exactly connected and each pair linked by a conjunct
     inside its union that touches both sides."""
     union = left | right
-    linked = _exactly_connected(left, conjuncts) & _exactly_connected(right, conjuncts)
-    touching = np.zeros(len(left), dtype=bool)
+    linked = np.zeros(len(left), dtype=bool)
     for c in conjuncts:
-        touching |= ((union & c) == c) & ((left & c) != 0) & ((right & c) != 0)
-    keep = linked & touching
+        linked |= ((union & c) == c) & ((left & c) != 0) & ((right & c) != 0)
+    keep = (
+        linked
+        & _exactly_connected(left, conjuncts)
+        & _exactly_connected(right, conjuncts)
+    )
     return csg[_exactly_connected(csg, conjuncts)], left[keep], right[keep]
 
 
