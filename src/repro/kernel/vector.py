@@ -468,9 +468,9 @@ def csg_cmp_universe(adjacency, conjunct_masks, allow_cross_products, on_level=N
             blocked[parent] | front,
             k,
         )
-    return _canonical(
-        np.concatenate(csgs), np.concatenate(lefts), np.concatenate(rights), nbytes
-    )
+    # rebinding the names frees the per-level pieces before the sort
+    csgs, lefts, rights = (np.concatenate(parts) for parts in (csgs, lefts, rights))
+    return _canonical(csgs, lefts, rights, nbytes)
 
 
 def _universe_order(masks, nbytes):
@@ -488,22 +488,22 @@ def _universe_order(masks, nbytes):
 
 def _canonical(csgs, left, right, nbytes):
     """Sort the universe canonically and the splits by (subset rank,
-    left mask); every mask becomes its subset rank by one
-    ``searchsorted`` over the value-sorted universe."""
+    left mask); every mask becomes its subset rank by a ``searchsorted``
+    over the value-sorted universe."""
     subsets = csgs[_universe_order(csgs, nbytes)]
     by_value = subsets.argsort()
-    m = len(left)
-    pos = subsets[by_value].searchsorted(np.concatenate((left | right, left, right)))
-    rank = by_value[pos]
-    union_rank = rank[:m]
+    ascending = subsets[by_value]
+    union_rank = by_value[ascending.searchsorted(left | right)]
+    left_pos = ascending.searchsorted(left)
     # A left side's position in value order is monotone in its mask, so
     # (subset rank, left mask) order is one int64 key's order (two
     # fields of ``width`` bits: any universe that fits in memory).
     width = len(subsets).bit_length()
-    order = ((union_rank << width) | pos[m : 2 * m]).argsort()
+    order = ((union_rank << width) | left_pos).argsort()
     offsets = np.zeros(len(subsets) + 1, np.int64)
     np.bincount(union_rank, minlength=len(subsets)).cumsum(out=offsets[1:])
-    return subsets, rank[m : 2 * m][order], rank[2 * m :][order], offsets
+    right_rank = by_value[ascending.searchsorted(right[order])]
+    return subsets, by_value[left_pos[order]], right_rank, offsets
 
 
 def _cross_universe(n, nbytes, on_level):
