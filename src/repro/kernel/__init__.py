@@ -7,9 +7,10 @@ share the same inner machinery — the exact path's batched
 implementation (:mod:`repro.memo.columnar`) and layered best-plan DP
 (:mod:`repro.optimizer.bestplan`), and the implicit engine's one count
 pass (:mod:`repro.planspace.implicit.turbo`): row interning over uint64
-word matrices, per-mask edge unions, cut-bitmask decoding, byte-wise
-lexicographic ranking with prefix intervals, and segmented range
-minima.  :mod:`.vector` is the single home for those
+word matrices, per-mask edge unions, the one cut-key table (every cut
+key and every other order a query interns, in one byte-lex-ranked
+matrix), byte-wise lexicographic ranking with prefix intervals, and
+segmented range minima.  :mod:`.vector` is the single home for those
 primitives: plain numpy functions (numpy is a hard dependency), with no
 backend to select and nothing read from the environment.
 """

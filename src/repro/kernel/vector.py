@@ -6,6 +6,11 @@ DPccp over int64 masks (byte-table bit-deposit and neighbour lookups, so
 up to 63 relations) that returns the subset universe and every csg–cmp
 split as arrays, in the canonical order the memo layout depends on.
 
+:func:`cut_key_table` is the one cut-key table: it interns every merge-join
+key a query's cuts decode to, plus every other order its caller will
+intern, into one byte-lex-ranked kid matrix — the exact path's emitter
+and the count pass both build their key tables with it.
+
 The interning/ranking primitives are exact by construction:
 
 * :func:`unique_rows` interns word rows by one lexsort — no hashing, so
@@ -21,14 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "DECODE_CHUNK",
+    "CUT_BLOCK",
     "csg_cmp_universe",
+    "cut_key_table",
     "byte_words",
     "lex_rank_rows",
-    "lex_unique_rows",
     "prefix_intervals",
     "prefix_interval_ends",
-    "decode_bit_rows",
     "union_words_by_mask",
     "int_words",
     "unique_rows",
@@ -36,7 +40,8 @@ __all__ = [
     "range_min_pairs",
 ]
 
-DECODE_CHUNK = 1 << 18
+#: distinct cut rows decoded per budget poll of :func:`cut_key_table`
+CUT_BLOCK = 1 << 18
 
 
 def byte_words(mat):
@@ -103,28 +108,125 @@ def unique_rows(words):
     if not n:
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
     order = np.lexsort(words.T[::-1])
-    sw = words[order]
+    sw = words.take(order, axis=0)
     is_new = np.empty(n, dtype=bool)
     is_new[0] = True
-    if n > 1:
-        is_new[1:] = (sw[1:] != sw[:-1]).any(axis=1)
+    # word by word: a row-wise ``any`` over a few columns is slower
+    np.not_equal(sw[1:, 0], sw[:-1, 0], out=is_new[1:])
+    for k in range(1, words.shape[1]):
+        is_new[1:] |= sw[1:, k] != sw[:-1, k]
     rank = np.empty(n, np.int64)
     rank[order] = np.cumsum(is_new) - 1
     return order[is_new], rank
 
 
-def lex_unique_rows(mat):
-    """Distinct rows of a 0-padded uint8 matrix in byte-lex order, plus
-    each input row's rank in that order: ``(distinct_sorted, rank)``
-    with ``distinct_sorted`` the deduplicated sorted matrix and
-    ``rank[i]`` the position of row ``i``'s value in it.
+def cut_key_table(cut_words, left_lut, right_lut, extra_seqs=(), on_block=None):
+    """Intern every key of a query's cuts, and every other order the
+    caller will intern, into one byte-lex-ranked kid table.
 
-    :func:`unique_rows` over the big-endian words — exact, and cheaper
-    than interning to distinct rows first and sorting those: the
-    duplicate-collapse rides the same sort.
+    ``cut_words`` is an (n, W) uint64 matrix of oriented cut bitmasks;
+    set bit ``p`` contributes ``left_lut[p]`` / ``right_lut[p]`` (uint8
+    column ids, 1-based) to the cut's left / right key, in ascending bit
+    order.  ``extra_seqs`` are packed byte sequences (leaf and tower
+    deliveries, GROUP BY / ORDER BY requirements).  Returns ``(kid_mat,
+    kid_lengths, left_kids, right_kids, extra_kids)``: the distinct keys
+    as a 0-padded uint8 matrix of width ``max(longest key, 1)`` in
+    byte-lex order (row = kid = rank), their int64 lengths, the left and
+    right kid of every input cut row, and the kid of every extra.
+
+    The distinct cuts are decoded longest first, one key column at a
+    time, straight into one 0-padded buffer whose width is a whole number
+    of words: peeling a cut's lowest set bit ``p`` leaves
+    ``bitwise_count(x ^ (x - 1)) == p + 1`` (a borrow carries the peel
+    across words), and the rows still holding bits are a prefix.  One
+    :func:`unique_rows` over the buffer's big-endian words then interns
+    and ranks the whole key universe.  ``on_block`` (a budget poll) is
+    called before each :data:`CUT_BLOCK` distinct cuts are decoded and
+    once more before that sort.
     """
-    first, rank = unique_rows(byte_words(mat))
-    return mat[first], rank
+    cut_first, cut_ids = unique_rows(cut_words)
+    cuts = cut_words.take(cut_first, axis=0)
+    U, W = cuts.shape
+    X = len(extra_seqs)
+    cut_len = np.bitwise_count(cuts).sum(axis=1, dtype=np.int64)
+    by_len = np.argsort(-cut_len, kind="stable")
+    cuts = cuts.take(by_len, axis=0)
+    cut_len = cut_len[by_len]
+    extra_lens = [len(seq) for seq in extra_seqs]
+    width = max(int(cut_len[0]) if U else 0, max(extra_lens, default=0), 1)
+    padded = (width + 7) // 8 * 8
+    buf = np.zeros((2 * U + X, padded), np.uint8)
+    if U:
+        # the symbols of bit p at p + 1 (what the peel counts)
+        lut = np.zeros((2, 64 * W + 1), np.uint8)
+        lut[0, 1 : len(left_lut) + 1] = left_lut
+        lut[1, 1 : len(right_lut) + 1] = right_lut
+        # active[j]: the cuts with more than j keys — a prefix
+        active = U - np.cumsum(np.bincount(cut_len))
+        for lo in range(0, U, CUT_BLOCK):
+            if on_block is not None:
+                on_block()
+            hi = min(lo + CUT_BLOCK, U)
+            _peel_keys(
+                cuts[lo:hi],
+                active[: cut_len[lo]] - lo,
+                lut,
+                buf[lo:hi],
+                buf[U + lo : U + hi],
+            )
+    if X:
+        buf[2 * U :] = np.frombuffer(
+            b"".join(seq.ljust(padded, b"\x00") for seq in extra_seqs), np.uint8
+        ).reshape(X, padded)
+    if on_block is not None:
+        on_block()
+    first, rank = unique_rows(buf.view(">u8").astype(np.uint64))
+    kid_lengths = np.concatenate(
+        (cut_len, cut_len, np.array(extra_lens, np.int64))
+    )[first]
+    left = np.empty(U, np.int64)
+    right = np.empty(U, np.int64)
+    left[by_len] = rank[:U]
+    right[by_len] = rank[U : 2 * U]
+    kid_mat = buf[:, :width].take(first, axis=0)
+    return kid_mat, kid_lengths, left[cut_ids], right[cut_ids], rank[2 * U :]
+
+
+def _peel_keys(cuts, active, lut, left_out, right_out):
+    """Decode length-descending cut rows column by column into
+    ``left_out`` / ``right_out``: column ``j`` holds the symbols of the
+    first ``active[j]`` rows' lowest remaining bits (clipped to the
+    block)."""
+    n, W = cuts.shape
+    words = [cuts[:, k].copy() for k in range(W)]
+    below = np.empty(n, np.uint64)
+    spent = np.empty(n, np.uint64)
+    pos = np.empty(n, np.uint16)
+    if W > 1:
+        count = np.empty(n, np.uint16)
+        borrow = np.empty(n, bool)
+    for j, m in enumerate(np.minimum(active, n).tolist()):
+        t, y, p = below[:m], spent[:m], pos[:m]
+        x = words[0][:m]
+        np.subtract(x, np.uint64(1), out=t)
+        np.bitwise_xor(x, t, out=y)
+        np.bitwise_count(y, out=p)
+        if W > 1:
+            b, c = borrow[:m], count[:m]
+            np.equal(x, 0, out=b)
+        np.bitwise_and(x, t, out=x)
+        for k in range(1, W):
+            # a word is peeled only while every word below it is empty
+            x = words[k][:m]
+            np.subtract(x, b, out=t, casting="unsafe")
+            np.bitwise_xor(x, t, out=y)
+            np.bitwise_count(y, out=c)
+            p += c
+            if k + 1 < W:
+                b &= x == 0
+            np.bitwise_and(x, t, out=x)
+        left_out[:m, j] = lut[0].take(p)
+        right_out[:m, j] = lut[1].take(p)
 
 
 def prefix_interval_ends(sorted_mat, lengths, pad_width, ranks):
@@ -166,68 +268,6 @@ def prefix_interval_ends(sorted_mat, lengths, pad_width, ranks):
         vals[hit] = drops[pos[hit]] + 1
         out[sel] = vals
     return out
-
-
-def decode_bit_rows(
-    bit_rows, nbits, left_lut, right_lut, chunk_size=DECODE_CHUNK, on_chunk=None
-):
-    """Decode packed little-endian bit rows into padded byte matrices.
-
-    ``bit_rows`` is an (n, W) uint64 matrix of bitmasks; each set bit
-    ``p`` contributes ``left_lut[p]`` / ``right_lut[p]`` to that row's
-    left/right output, in ascending bit order.  Returns
-    ``(left_chunks, right_chunks, chunk_maxlens)`` — 0-padded uint8
-    matrices per decode chunk (pad widths differ per chunk; callers
-    re-pad to a common width).  ``on_chunk`` is polled once per chunk
-    for budget checkpoints.
-    """
-    left_chunks, right_chunks, chunk_maxlens = [], [], []
-    for lo in range(0, len(bit_rows), chunk_size):
-        if on_chunk is not None:
-            on_chunk()
-        chunk = bit_rows[lo : lo + chunk_size]
-        if nbits:
-            # Unpack only the bytes that can hold set bits, and take
-            # flatnonzero over the contiguous result — far faster than
-            # 2-D nonzero over a strided column slice.  Bits past
-            # ``nbits`` inside the last byte are guaranteed zero (masks
-            # fit in ``nbits``).
-            nbytes = (nbits + 7) // 8
-            bits = np.unpackbits(
-                np.ascontiguousarray(chunk.view(np.uint8)[:, :nbytes]),
-                axis=1,
-                bitorder="little",
-            )
-        else:
-            bits = np.zeros((len(chunk), 0), np.uint8)
-        ncols = bits.shape[1] if nbits else 1
-        flat = np.flatnonzero(bits)
-        if len(chunk) * ncols < 1 << 32:
-            # Chunks fit 32-bit flat indices (chunk_size * ncols stays
-            # far under 2**32), and uint32 division/scatter indexing run
-            # ~2x faster than int64.
-            flat = flat.astype(np.uint32)
-            rows = flat // np.uint32(ncols)
-            poss = flat - rows * np.uint32(ncols)
-        else:  # pragma: no cover - needs a >4G-bit chunk
-            rows = flat // ncols
-            poss = flat - rows * ncols
-        lengths = np.bincount(rows, minlength=len(chunk))
-        maxlen = max(int(lengths.max()) if lengths.size else 0, 1)
-        starts = np.zeros(len(chunk), np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        offs = (np.arange(len(rows)) - np.repeat(starts, lengths)).astype(
-            rows.dtype
-        )
-        idx = rows * rows.dtype.type(maxlen) + offs
-        lmat = np.zeros(len(chunk) * maxlen, np.uint8)
-        rmat = np.zeros(len(chunk) * maxlen, np.uint8)
-        lmat[idx] = left_lut[poss]
-        rmat[idx] = right_lut[poss]
-        left_chunks.append(lmat.reshape(len(chunk), maxlen))
-        right_chunks.append(rmat.reshape(len(chunk), maxlen))
-        chunk_maxlens.append(maxlen)
-    return left_chunks, right_chunks, chunk_maxlens
 
 
 def union_words_by_mask(bit_words, masks, nbits):

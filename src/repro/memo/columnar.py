@@ -71,13 +71,7 @@ import numpy as np
 from repro.algebra.logical import LogicalGet, LogicalJoin
 from repro.algebra.physical import Sort
 from repro.errors import MemoError
-from repro.kernel.vector import (
-    decode_bit_rows,
-    int_words,
-    lex_unique_rows,
-    union_words_by_mask,
-    unique_rows,
-)
+from repro.kernel.vector import cut_key_table, int_words, union_words_by_mask
 from repro.memo.group import Group, GroupExpr
 from repro.resilience.faults import fault_point
 from repro.optimizer.rules import (
@@ -495,8 +489,8 @@ class ColumnarPhysicalStore:
 
         #: interned sort-order ids (kids) over packed key byte strings —
         #: the implicit engine's hybrid table: dict-backed for scalar
-        #: builds, a preloaded lex-sorted byte matrix (row = kid = lex
-        #: rank) when the vectorized emitter interned the cut universe
+        #: builds, the preloaded cut-key table (row = kid = lex rank, no
+        #: overflow) when the vectorized emitter built one
         self._keys = KeyTable(self.edges)
         self.kid_bytes = self._keys
 
@@ -1032,10 +1026,11 @@ def _emit_rows_vectorized(
 
     Computes every join group's rows as one array pipeline — the ordered
     orientation stream positionally from the ``sl``/``sr`` split columns,
-    cut bitmasks through per-gid FROM/TO word tables, kids by interning
-    the decoded cut-key universe into a lex-sorted matrix the store's key
-    table adopts — then walks the groups once in gid order, splicing
-    vector block slices between the scalar leaf/tower emissions.
+    cut bitmasks through per-gid FROM/TO word tables, kids from the one
+    cut-key table (every cut key, leaf and tower delivery and the root
+    order, lex-ranked) the store's key table adopts — then walks the
+    groups once in gid order, splicing vector block slices between the
+    scalar leaf/tower emissions.
 
     Returns the deduplicated merge-requirement stream as ``(gid, kid)``
     int64 columns in first-occurrence order, or ``None`` when this memo
@@ -1078,6 +1073,19 @@ def _emit_rows_vectorized(
             plan.append((_LEAF, n_logical, -1))
         else:
             plan.append((_TOWER, n_logical, exprs[0].children[0]))
+
+    # Every other order the final walk and the requirement tail intern,
+    # in their interning order (column byte ids are assigned on first
+    # sight), so the key table holds them all.
+    extra_seqs: list[bytes] = []
+    for (kind, _n, _payload), group in zip(plan, groups):
+        if kind == _LEAF or kind == _TOWER:
+            for op in store.group_ops(group.gid):
+                order = op.delivered_order()
+                if order:
+                    extra_seqs.append(edges.seq_bytes(order))
+    if store.root_order:
+        extra_seqs.append(edges.seq_bytes(store.root_order))
 
     # ------------------------------------------------------------------
     # ordered-pair stream: both orientations of every split interleaved
@@ -1144,83 +1152,70 @@ def _emit_rows_vectorized(
     keyed = (cut_words != 0).any(axis=1)
 
     # ------------------------------------------------------------------
-    # kids: intern the distinct cuts, decode each once, intern the
-    # decoded key universe into a lex-sorted matrix (row = kid = lex
-    # rank) and hand it to the store's key table
+    # kids: one lex-ranked table over the keyed cuts and every other
+    # order the walk interns (row = kid = lex rank), adopted by the
+    # store's key table — a vector build has no overflow kids
     # ------------------------------------------------------------------
     n_keyed = len(keyed_tags)
     n_cross = len(cross_tags)
     kc = int(keyed.sum())
     lk_pair = np.full(P, -1, np.int64)
     rk_pair = np.full(P, -1, np.int64)
-    if kc:
-        keyed_cuts = cut_words[keyed]
-        cut_first, cut_ids = unique_rows(keyed_cuts)
-        uniq_cuts = keyed_cuts[cut_first]
-        lcol_lut = np.frombuffer(edges.left_col, dtype=np.uint8)
-        rcol_lut = np.frombuffer(edges.right_col, dtype=np.uint8)
-        left_chunks, right_chunks, chunk_maxlens = decode_bit_rows(
-            uniq_cuts,
-            E,
-            lcol_lut,
-            rcol_lut,
-            on_chunk=(
+    K = 0
+    if kc or extra_seqs:
+        kid_mat, kid_lengths, left_kids, right_kids, extra_kids = cut_key_table(
+            cut_words[keyed],
+            np.frombuffer(edges.left_col, dtype=np.uint8),
+            np.frombuffer(edges.right_col, dtype=np.uint8),
+            extra_seqs,
+            on_block=(
                 (lambda: checkpoint("implement.columnar", 0))
                 if checkpoint is not None
                 else None
             ),
         )
-        maxlen = max(chunk_maxlens, default=1)
-
-        def padded(mat, width):
-            if mat.shape[1] == width:
-                return mat
-            out = np.zeros((mat.shape[0], width), np.uint8)
-            out[:, : mat.shape[1]] = mat
-            return out
-
-        stacked = np.concatenate(
-            [padded(m, maxlen) for m in left_chunks]
-            + [padded(m, maxlen) for m in right_chunks],
-            axis=0,
-        )
-        # One lexsort interns and ranks the whole key universe at once:
-        # distinct rows in lex order (row = kid = lex rank) plus every
-        # stacked row's kid — exact, no hash-collision retry needed.
-        kid_mat, kid_of_row = lex_unique_rows(stacked)
-        kid_lengths = (kid_mat != 0).sum(axis=1).astype(np.int64)
-        store._keys.preload(kid_mat, kid_lengths)
-        U = len(uniq_cuts)
-        lk_pair[keyed] = kid_of_row[:U][cut_ids]
-        rk_pair[keyed] = kid_of_row[U:][cut_ids]
+        store._keys.preload(kid_mat, kid_lengths, extra_seqs, extra_kids)
+        lk_pair[keyed] = left_kids
+        rk_pair[keyed] = right_kids
+        K = len(kid_lengths)
     if checkpoint is not None:
         checkpoint("implement.columnar", kc)
 
     # ------------------------------------------------------------------
     # merge-requirement stream: (gid, kid) interleaved left/right per
-    # keyed pair in emission order, deduplicated to first occurrences
+    # keyed pair in emission order, deduplicated to first occurrences by
+    # one sort — the first occurrence of each code is the least stream
+    # position in its run, and a state id is the count of first
+    # occurrences before it
     # ------------------------------------------------------------------
     if "merge" in keyed_kinds and kc:
-        mcodes = np.empty(2 * kc, np.int64)
-        mcodes[0::2] = (pl[keyed] << np.int64(32)) | lk_pair[keyed]
-        mcodes[1::2] = (pr[keyed] << np.int64(32)) | rk_pair[keyed]
-        uniq_sorted, first, inverse = np.unique(
-            mcodes, return_index=True, return_inverse=True
-        )
-        forder = np.argsort(first, kind="stable")
-        uniq_codes = uniq_sorted[forder]
-        req_gid = (uniq_codes >> np.int64(32)).astype(np.int64)
-        req_kid = (uniq_codes & np.int64(0xFFFFFFFF)).astype(np.int64)
+        KS = K + 1
+        code_type = np.uint32 if len(groups) * KS < 1 << 32 else np.int64
+        codes = np.empty(2 * kc, code_type)
+        codes[0::2] = pl[keyed] * KS + lk_pair[keyed]
+        codes[1::2] = pr[keyed] * KS + rk_pair[keyed]
+        order = codes.argsort()
+        run = np.empty(2 * kc, dtype=bool)
+        run[0] = True
+        sorted_codes = codes[order]
+        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=run[1:])
+        starts = np.flatnonzero(run)
+        first = np.minimum.reduceat(order, starts)
+        is_first = np.zeros(2 * kc, dtype=bool)
+        is_first[first] = True
+        sid_of_run = (np.cumsum(is_first) - 1)[first]
         # Fused implement→DP handoff: each merge row's child states as
         # dense state ids (positions in the first-occurrence stream),
         # one pair per keyed ordered pair in emission order.  The
         # best-plan DP consumes these directly instead of re-deriving
         # them by binary search over the requirement codes.
-        perm = np.empty(len(forder), np.int64)
-        perm[forder] = np.arange(len(forder), dtype=np.int64)
-        sid_stream = perm[inverse]
+        sid_stream = np.empty(2 * kc, np.int64)
+        sid_stream[order] = sid_of_run[np.cumsum(run) - 1]
         store._merge_sid0 = sid_stream[0::2].copy()
         store._merge_sid1 = sid_stream[1::2].copy()
+        uniq_codes = codes[is_first].astype(np.int64)
+        req_gid = uniq_codes // KS
+        req_kid = uniq_codes % KS
     else:
         req_gid = np.zeros(0, np.int64)
         req_kid = np.zeros(0, np.int64)

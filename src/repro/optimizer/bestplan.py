@@ -388,81 +388,25 @@ class ColumnarBestPlanSearch:
         ``[lexrank[rkid], end)`` with ``end`` from
         :func:`_interval_ends` (evaluated for required ranks only).
 
-        Built from the key table's backing directly: the preloaded
-        matrix (already 0-padded) is adopted wholesale; overflow kids —
-        a handful of GROUP BY / ORDER BY sequences, or everything on a
-        scalar-built store — are appended row by row."""
-        keys = self.store._keys
-        pre = keys._preloaded
-        overflow = keys._overflow
+        A vector-built store's table is the lex-sorted cut-key table with
+        no overflow kids, adopted as built; a scalar-built store's kids
+        are all overflow, ranked here by one lexsort."""
+        matrix, lengths, overflow = self.store.kid_bytes.table()
+        pre, width = matrix.shape
+        if not overflow:
+            return np.arange(pre, dtype=np.int64), matrix, lengths, width
         K = pre + len(overflow)
-        if K == 0:
-            return (
-                np.zeros(0, np.int64),
-                np.zeros((0, 1), np.uint8),
-                np.zeros(0, np.int64),
-                1,
-            )
-        width = keys._width
-        if pre and len(overflow) <= 32 and all(
-            len(s) <= width for s in overflow
-        ):
-            # Vector-built store: the preloaded block is already
-            # lex-sorted (kid id == lex rank), so the handful of
-            # overflow kids (GROUP BY / ORDER BY tails) merge in by
-            # binary insertion — no 500k-row re-sort.
-            mat = np.frombuffer(keys._mat_flat, np.uint8).reshape(pre, width)
-            pre_len = np.asarray(keys._lengths, np.int64)
-            if not overflow:
-                rank = np.arange(pre, dtype=np.int64)
-                return rank, mat, pre_len, width
-            flat = keys._mat_flat
-            over = sorted(
-                range(len(overflow)),
-                key=lambda i: overflow[i].ljust(width, b"\x00"),
-            )
-            ins = []
-            for i in over:
-                probe = overflow[i].ljust(width, b"\x00")
-                lo, hi = 0, pre
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if flat[mid * width : (mid + 1) * width] < probe:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                ins.append(lo)
-            ins_arr = np.asarray(ins, np.int64)
-            over_mat = np.zeros((len(over), width), np.uint8)
-            over_len = np.zeros(len(over), np.int64)
-            for j, i in enumerate(over):
-                seq = overflow[i]
-                if seq:
-                    over_mat[j, : len(seq)] = np.frombuffer(seq, np.uint8)
-                over_len[j] = len(seq)
-            merged = np.insert(mat, ins_arr, over_mat, axis=0)
-            merged_len = np.insert(pre_len, ins_arr, over_len)
-            rank = np.empty(K, np.int64)
-            rank[:pre] = np.arange(pre) + np.searchsorted(
-                ins_arr, np.arange(pre), side="right"
-            )
-            for j, i in enumerate(over):
-                rank[pre + i] = int(ins_arr[j]) + j
-            return rank, merged, merged_len, width
-        width = max(width, max((len(s) for s in overflow), default=0), 1)
+        width = max(width, max(len(s) for s in overflow))
         mat = np.zeros((K, width), np.uint8)
-        lengths = np.zeros(K, np.int64)
-        if pre:
-            mat[:pre, : keys._width] = np.frombuffer(
-                keys._mat_flat, np.uint8
-            ).reshape(pre, keys._width)
-            lengths[:pre] = np.asarray(keys._lengths, np.int64)
+        mat[:pre, : matrix.shape[1]] = matrix
+        all_lengths = np.zeros(K, np.int64)
+        all_lengths[:pre] = lengths
         for i, seq in enumerate(overflow):
             if seq:
                 mat[pre + i, : len(seq)] = np.frombuffer(seq, np.uint8)
-            lengths[pre + i] = len(seq)
+            all_lengths[pre + i] = len(seq)
         order, rank = lex_rank_rows(mat)
-        return rank, mat[order], lengths[order], width
+        return rank, mat[order], all_lengths[order], width
 
     def _run_join_layers(self) -> None:
         store = self.store

@@ -14,6 +14,8 @@ pass sums over.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.planspace.implicit.edges import EdgeCatalog
 
 __all__ = ["KeyTable"]
@@ -27,39 +29,68 @@ class KeyTable:
 
     Two backings share one id space:
 
-    * the plain dict/list path (the exact path's scalar emitter, and any
-      kid the preloaded matrix does not contain);
-    * a :meth:`preload`-ed, lexicographically sorted byte matrix (the
-      count pass's kid universe) — lookups binary-search it, and the byte
-      strings themselves are sliced out lazily, so a count-only run never
-      materializes hundreds of thousands of ``bytes`` objects.
+    * a :meth:`preload`-ed, lexicographically sorted byte matrix — the
+      one cut-key table (:func:`repro.kernel.vector.cut_key_table`) a
+      vector build or the count pass interns every order it knows of
+      into, before anything asks for a kid.  Lookups binary-search it,
+      and the byte strings themselves are sliced out lazily, so a
+      count-only run never materializes hundreds of thousands of
+      ``bytes`` objects;
+    * the plain dict/list overflow: every kid of a scalar-built store,
+      and a sequence first named after the count pass (a tower's order
+      that no cut key or leaf delivers).  A vector-built store has none.
     """
 
     def __init__(self, edges: EdgeCatalog):
         self.edges = edges
         self._kid_by_bytes: dict[bytes, int] = {}
         self._overflow: list[bytes] = []
-        self._mat_flat: bytes = b""
-        self._width: int = 0
-        self._lengths: list[int] = []
+        self._matrix = np.zeros((0, 1), np.uint8)
+        self._lengths = np.zeros(0, np.int64)
+        self._width: int = 1
         self._preloaded: int = 0
+        #: the matrix as one ``bytes``, built on the first byte-level
+        #: lookup (the matrix then becomes a view of it: one copy)
+        self._flat: bytes | None = None
         #: cut bitmask -> (left kid, right kid), memoized: symmetric
         #: workloads reuse the same cut key sets across many subsets
         self._cut_kids: dict[int, tuple[int, int]] = {}
 
-    def preload(self, matrix, lengths) -> None:
-        """Adopt a sorted, 0-padded ``(K, width)`` uint8 kid matrix: row
-        index = kid id = lexicographic rank."""
+    def preload(self, matrix, lengths, seqs=(), kids=None) -> None:
+        """Adopt a sorted, 0-padded ``(K, width)`` uint8 kid matrix and
+        its int64 key lengths: row index = kid id = lexicographic rank.
+        ``seqs`` are sequences the matrix holds at rows ``kids`` (an
+        int64 array), registered so interning them later does not
+        search."""
         assert not self._preloaded and not self._overflow
-        self._mat_flat = matrix.tobytes()
+        self._matrix = matrix
+        self._lengths = lengths
         self._width = matrix.shape[1]
-        self._lengths = lengths.tolist()
-        self._preloaded = len(self._lengths)
+        self._preloaded = len(lengths)
+        if seqs:
+            self._kid_by_bytes.update(zip(seqs, kids.tolist()))
+
+    def table(self):
+        """``(matrix, lengths, overflow)``: the preloaded lex-sorted kid
+        matrix and key lengths (kid ``k < len(lengths)`` is row ``k``) and
+        the overflow kids' byte strings (kid ``len(lengths) + i``)."""
+        return self._matrix, self._lengths, self._overflow
+
+    def _flat_rows(self) -> bytes:
+        flat = self._flat
+        if flat is None:
+            matrix = self._matrix
+            flat = self._flat = matrix.tobytes()
+            self._matrix = np.frombuffer(flat, np.uint8).reshape(matrix.shape)
+        return flat
 
     def _row(self, kid: int) -> bytes:
-        width = self._width
-        start = kid * width
-        return self._mat_flat[start : start + self._lengths[kid]]
+        flat = self._flat
+        if flat is None:
+            flat = self._flat_rows()
+        start = kid * self._width
+        # column ids are 1-based: the trailing zeros are the padding
+        return flat[start : start + self._width].rstrip(b"\x00")
 
     def bytes_of(self, kid: int) -> bytes:
         if kid < self._preloaded:
@@ -79,7 +110,7 @@ class KeyTable:
             width = self._width
             if len(seq) <= width:
                 probe = seq.ljust(width, b"\x00")
-                flat = self._mat_flat
+                flat = self._flat_rows()
                 lo, hi = 0, self._preloaded
                 while lo < hi:
                     mid = (lo + hi) // 2

@@ -11,12 +11,14 @@ array operations:
   as the layout, never ``2^n``: each group's ``FROM``/``TO`` edge unions
   are one :func:`~repro.kernel.vector.union_words_by_mask` call over the
   group masks, and every universe up to ``MAX_RELATIONS`` is served;
-* cut key identity: the ``FROM[l] & TO[r]`` word rows and the decoded
-  key byte rows are interned exactly by sorting (no hash, so no
-  collision path); a kid is its byte-lexicographic rank, and 0-padded
-  rows sort a key directly before its extensions, so the extensions of
-  key ``q`` form the contiguous rank interval ``[rank(q), hi(q))``, with
-  ``hi`` computed in one LCP sweep;
+* cut key identity: the ``FROM[l] & TO[r]`` word rows, the extra
+  requirements and the leaf deliveries go through the one cut-key table
+  (:func:`~repro.kernel.vector.cut_key_table`, which the exact path's
+  emitter shares), interned exactly by sorting (no hash, so no collision
+  path); a kid is its byte-lexicographic rank, and 0-padded rows sort a
+  key directly before its extensions, so the extensions of key ``q``
+  form the contiguous rank interval ``[rank(q), hi(q))``, with ``hi``
+  computed in one LCP sweep;
 * ``(gid, kid)`` requirement and delivery *slots* pack into group-major
   int64 keys; order queries become prefix-sum differences over each
   group's slot segment;
@@ -44,13 +46,11 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.kernel.vector import (
-    decode_bit_rows,
+    cut_key_table,
     int_words,
-    lex_unique_rows,
     prefix_intervals,
     sorted_unique,
     union_words_by_mask,
-    unique_rows,
 )
 from repro.optimizer.rules import join_rule_arity, scan_implementations
 
@@ -89,6 +89,13 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
     edges = state.edges
     scope = state.scope
     checkpoint = scope.checkpoint if scope is not None else None
+
+    def poll() -> None:
+        # between the whole-universe sorts below: each is a large share
+        # of a big query's pass, so none runs unpolled after another
+        if checkpoint is not None:
+            checkpoint("implicit.count")
+
     plain_keys, merge = join_rule_arity(config, True)
     plain_cross, _ = join_rule_arity(config, False)
     enforcers = config.enable_sort_enforcers
@@ -142,7 +149,7 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
         seeded.append((lo, lo + at, bool(forward[at])))
 
     # ------------------------------------------------------------------
-    # cut bitmasks as uint64 word rows; intern and decode
+    # cut bitmasks as uint64 word rows, both orientations
     # ------------------------------------------------------------------
     E = edges.edge_count
     W = max(1, (E + 63) // 64)
@@ -152,25 +159,6 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
     if checkpoint is not None:
         checkpoint("implicit.count", int(M))
     ebits = np.concatenate([FROM[Ls] & TO[Rs], FROM[Rs] & TO[Ls]], axis=0)
-    eb_first, eb_ids = unique_rows(ebits)
-    u_ebits = ebits[eb_first]
-    has_keys = u_ebits.any(axis=1)[eb_ids[:M]]
-    U = len(u_ebits)
-
-    # decode each unique cut into its padded left/right column rows
-    lcol_lut = np.frombuffer(edges.left_col, dtype=np.uint8)
-    rcol_lut = np.frombuffer(edges.right_col, dtype=np.uint8)
-    left_chunks, right_chunks, chunk_maxlens = decode_bit_rows(
-        u_ebits,
-        E,
-        lcol_lut,
-        rcol_lut,
-        on_chunk=(
-            (lambda: checkpoint("implicit.count"))
-            if checkpoint is not None
-            else None
-        ),
-    )
 
     # ------------------------------------------------------------------
     # the kid universe: cut keys, extra requirements, leaf deliveries
@@ -189,54 +177,32 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
             if order:
                 leaf_pairs.append((gid, edges.seq_bytes(order)))
 
+    # one lex-ranked table: row = kid = byte-lexicographic rank, the left
+    # and right kid of every cut row, and the kid of every loose sequence
     loose_seqs = [seq for _mask, seq in extra_pairs]
     loose_seqs += [seq for _gid, seq in leaf_pairs]
-    maxlen = max(chunk_maxlens, default=1)
-    if loose_seqs:
-        maxlen = max(maxlen, max(len(s) for s in loose_seqs))
-    maxlen += 1  # headroom column for the 0xff prefix-range probes
-
-    def padded(mat, width):
-        if mat.shape[1] == width:
-            return mat
-        out = np.zeros((mat.shape[0], width), np.uint8)
-        out[:, : mat.shape[1]] = mat
-        return out
-
-    stack = [padded(m, maxlen) for m in left_chunks]
-    stack += [padded(m, maxlen) for m in right_chunks]
-    if loose_seqs:
-        loose = np.zeros((len(loose_seqs), maxlen), np.uint8)
-        for i, seq in enumerate(loose_seqs):
-            loose[i, : len(seq)] = np.frombuffer(seq, np.uint8)
-        stack.append(loose)
-    all_rows = (
-        np.concatenate(stack, axis=0)
-        if stack
-        else np.zeros((0, maxlen), np.uint8)
+    kid_mat, kid_lengths, left_kids, right_kids, loose_kids = cut_key_table(
+        ebits,
+        np.frombuffer(edges.left_col, dtype=np.uint8),
+        np.frombuffer(edges.right_col, dtype=np.uint8),
+        loose_seqs,
+        on_block=poll,
     )
-    # one lexsort interns and ranks the whole key universe: row = kid =
-    # byte-lexicographic rank, and every input row's kid
-    kid_mat, kid_ids = lex_unique_rows(all_rows)
+    poll()
     K = len(kid_mat)
-    kid_lengths = (kid_mat != 0).sum(axis=1).astype(np.int64)
     state.keys.preload(kid_mat, kid_lengths)
-
-    lkid_of_eb = kid_ids[:U]
-    rkid_of_eb = kid_ids[U : 2 * U]
-    loose_kids = kid_ids[2 * U :]
+    has_keys = kid_lengths[left_kids[:M]] > 0
     extra_kids = loose_kids[: len(extra_pairs)]
     leaf_kids = loose_kids[len(extra_pairs) :]
 
     # prefix intervals: hi_rank[k] = first kid after k that does not
     # extend k — one LCP sweep + monotonic stack over the sorted rows
-    hi_rank = prefix_intervals(kid_mat, kid_lengths, maxlen)
+    hi_rank = prefix_intervals(kid_mat, kid_lengths, kid_mat.shape[1])
+    poll()
 
     # per-split kid roles (valid where has_keys)
-    lk_lr = lkid_of_eb[eb_ids[:M]]
-    rk_lr = rkid_of_eb[eb_ids[:M]]
-    lk_rl = lkid_of_eb[eb_ids[M:]]
-    rk_rl = rkid_of_eb[eb_ids[M:]]
+    lk_lr, lk_rl = left_kids[:M], left_kids[M:]
+    rk_lr, rk_rl = right_kids[:M], right_kids[M:]
 
     # index-lookup joins per orientation, (l, r) then (r, l): the inner
     # side is the right one
@@ -288,6 +254,7 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
     if enforcers:
         d_parts.append(req_packed)
     D_packed = sorted_unique(np.concatenate(d_parts))
+    poll()
     ND = len(D_packed)
     DS = np.empty(ND, dtype=object)
     DS[:] = 0
@@ -314,6 +281,7 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
     first[stream[::-1]] = np.arange(len(stream) - 1, -1, -1)
     # slots are group-major; within each group, first registered first
     by_first = np.argsort(req_gids * len(stream) + first[:NQ])
+    poll()
 
     # query ranges in D coordinates (a group's slots are contiguous and
     # kid-rank ordered, because the packed key is gid-major, rank-minor);
@@ -393,8 +361,7 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
     finish_layer(leaf_gids, leaf_counts, 1)
 
     for size in range(2, n_alias + 1):
-        if checkpoint is not None:
-            checkpoint("implicit.count")
+        poll()
         sel = np.flatnonzero(split_sizes == size)
         ls, rs, ss = Ls[sel], Rs[sel], Ss[sel]
         hk = has_keys[sel]

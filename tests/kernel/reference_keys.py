@@ -1,0 +1,209 @@
+"""Reference (slow-path) cut-key interning: the key-table oracle.
+
+Before :func:`repro.kernel.vector.cut_key_table`, the exact path's
+emitter (``_emit_rows_vectorized`` in :mod:`repro.memo.columnar`) and the
+count pass (:func:`repro.planspace.implicit.turbo.turbo_rels_pass`) each
+ran the same chain over their cut word rows, written twice: intern the
+cuts, unpack every distinct cut to bits and scatter its symbols into
+per-chunk 0-padded uint8 matrices (:func:`decode_bit_rows`), re-pad the
+chunks to one width, stack the left and right halves (and, in the count
+pass, the loose requirement / leaf sequences), and rank the stack by one
+big-endian word lexsort (:func:`lex_unique_rows`).  Both chains are kept
+here verbatim as the oracle the shared table must reproduce byte for
+byte (``tests/kernel/test_cut_key_table.py``).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.kernel.vector import byte_words, unique_rows
+
+__all__ = [
+    "DECODE_CHUNK",
+    "count_pass_key_chain",
+    "decode_bit_rows",
+    "emitter_key_chain",
+    "lex_unique_rows",
+]
+
+DECODE_CHUNK = 1 << 18
+
+
+def lex_unique_rows(mat):
+    """Distinct rows of a 0-padded uint8 matrix in byte-lex order, plus
+    each input row's rank in that order: ``(distinct_sorted, rank)``
+    with ``distinct_sorted`` the deduplicated sorted matrix and
+    ``rank[i]`` the position of row ``i``'s value in it.
+
+    :func:`unique_rows` over the big-endian words — exact, and cheaper
+    than interning to distinct rows first and sorting those: the
+    duplicate-collapse rides the same sort.
+    """
+    first, rank = unique_rows(byte_words(mat))
+    return mat[first], rank
+
+
+def decode_bit_rows(
+    bit_rows, nbits, left_lut, right_lut, chunk_size=DECODE_CHUNK, on_chunk=None
+):
+    """Decode packed little-endian bit rows into padded byte matrices.
+
+    ``bit_rows`` is an (n, W) uint64 matrix of bitmasks; each set bit
+    ``p`` contributes ``left_lut[p]`` / ``right_lut[p]`` to that row's
+    left/right output, in ascending bit order.  Returns
+    ``(left_chunks, right_chunks, chunk_maxlens)`` — 0-padded uint8
+    matrices per decode chunk (pad widths differ per chunk; callers
+    re-pad to a common width).  ``on_chunk`` is polled once per chunk
+    for budget checkpoints.
+    """
+    left_chunks, right_chunks, chunk_maxlens = [], [], []
+    for lo in range(0, len(bit_rows), chunk_size):
+        if on_chunk is not None:
+            on_chunk()
+        chunk = bit_rows[lo : lo + chunk_size]
+        if nbits:
+            # Unpack only the bytes that can hold set bits, and take
+            # flatnonzero over the contiguous result — far faster than
+            # 2-D nonzero over a strided column slice.  Bits past
+            # ``nbits`` inside the last byte are guaranteed zero (masks
+            # fit in ``nbits``).
+            nbytes = (nbits + 7) // 8
+            bits = np.unpackbits(
+                np.ascontiguousarray(chunk.view(np.uint8)[:, :nbytes]),
+                axis=1,
+                bitorder="little",
+            )
+        else:
+            bits = np.zeros((len(chunk), 0), np.uint8)
+        ncols = bits.shape[1] if nbits else 1
+        flat = np.flatnonzero(bits)
+        if len(chunk) * ncols < 1 << 32:
+            # Chunks fit 32-bit flat indices (chunk_size * ncols stays
+            # far under 2**32), and uint32 division/scatter indexing run
+            # ~2x faster than int64.
+            flat = flat.astype(np.uint32)
+            rows = flat // np.uint32(ncols)
+            poss = flat - rows * np.uint32(ncols)
+        else:  # pragma: no cover - needs a >4G-bit chunk
+            rows = flat // ncols
+            poss = flat - rows * ncols
+        lengths = np.bincount(rows, minlength=len(chunk))
+        maxlen = max(int(lengths.max()) if lengths.size else 0, 1)
+        starts = np.zeros(len(chunk), np.int64)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        offs = (np.arange(len(rows)) - np.repeat(starts, lengths)).astype(
+            rows.dtype
+        )
+        idx = rows * rows.dtype.type(maxlen) + offs
+        lmat = np.zeros(len(chunk) * maxlen, np.uint8)
+        rmat = np.zeros(len(chunk) * maxlen, np.uint8)
+        lmat[idx] = left_lut[poss]
+        rmat[idx] = right_lut[poss]
+        left_chunks.append(lmat.reshape(len(chunk), maxlen))
+        right_chunks.append(rmat.reshape(len(chunk), maxlen))
+        chunk_maxlens.append(maxlen)
+    return left_chunks, right_chunks, chunk_maxlens
+
+
+def emitter_key_chain(keyed_cuts, E, lcol_lut, rcol_lut, checkpoint=None):
+    """The exact emitter's chain over its keyed cut rows (every row has
+    a set bit): ``(kid_mat, kid_lengths, left_kids, right_kids)`` with
+    the kids per input row — the matrix the store's key table adopted."""
+    cut_first, cut_ids = unique_rows(keyed_cuts)
+    uniq_cuts = keyed_cuts[cut_first]
+    left_chunks, right_chunks, chunk_maxlens = decode_bit_rows(
+        uniq_cuts,
+        E,
+        lcol_lut,
+        rcol_lut,
+        on_chunk=(
+            (lambda: checkpoint("implement.columnar", 0))
+            if checkpoint is not None
+            else None
+        ),
+    )
+    maxlen = max(chunk_maxlens, default=1)
+
+    def padded(mat, width):
+        if mat.shape[1] == width:
+            return mat
+        out = np.zeros((mat.shape[0], width), np.uint8)
+        out[:, : mat.shape[1]] = mat
+        return out
+
+    stacked = np.concatenate(
+        [padded(m, maxlen) for m in left_chunks]
+        + [padded(m, maxlen) for m in right_chunks],
+        axis=0,
+    )
+    # One lexsort interns and ranks the whole key universe at once:
+    # distinct rows in lex order (row = kid = lex rank) plus every
+    # stacked row's kid — exact, no hash-collision retry needed.
+    kid_mat, kid_of_row = lex_unique_rows(stacked)
+    kid_lengths = (kid_mat != 0).sum(axis=1).astype(np.int64)
+    U = len(uniq_cuts)
+    return kid_mat, kid_lengths, kid_of_row[:U][cut_ids], kid_of_row[U:][cut_ids]
+
+
+def count_pass_key_chain(ebits, E, lcol_lut, rcol_lut, loose_seqs, checkpoint=None):
+    """The count pass's chain over every cut row (keyless ones too) and
+    its loose sequences (extra requirements, then leaf deliveries):
+    ``(kid_mat, kid_lengths, left_kids, right_kids, loose_kids, maxlen)``
+    with the kids per input row, ``maxlen`` the matrix width including
+    the headroom column nothing read."""
+    eb_first, eb_ids = unique_rows(ebits)
+    u_ebits = ebits[eb_first]
+    U = len(u_ebits)
+
+    # decode each unique cut into its padded left/right column rows
+    left_chunks, right_chunks, chunk_maxlens = decode_bit_rows(
+        u_ebits,
+        E,
+        lcol_lut,
+        rcol_lut,
+        on_chunk=(
+            (lambda: checkpoint("implicit.count"))
+            if checkpoint is not None
+            else None
+        ),
+    )
+    maxlen = max(chunk_maxlens, default=1)
+    if loose_seqs:
+        maxlen = max(maxlen, max(len(s) for s in loose_seqs))
+    maxlen += 1  # headroom column for the 0xff prefix-range probes
+
+    def padded(mat, width):
+        if mat.shape[1] == width:
+            return mat
+        out = np.zeros((mat.shape[0], width), np.uint8)
+        out[:, : mat.shape[1]] = mat
+        return out
+
+    stack = [padded(m, maxlen) for m in left_chunks]
+    stack += [padded(m, maxlen) for m in right_chunks]
+    if loose_seqs:
+        loose = np.zeros((len(loose_seqs), maxlen), np.uint8)
+        for i, seq in enumerate(loose_seqs):
+            loose[i, : len(seq)] = np.frombuffer(seq, np.uint8)
+        stack.append(loose)
+    all_rows = (
+        np.concatenate(stack, axis=0)
+        if stack
+        else np.zeros((0, maxlen), np.uint8)
+    )
+    # one lexsort interns and ranks the whole key universe: row = kid =
+    # byte-lexicographic rank, and every input row's kid
+    kid_mat, kid_ids = lex_unique_rows(all_rows)
+    kid_lengths = (kid_mat != 0).sum(axis=1).astype(np.int64)
+    lkid_of_eb = kid_ids[:U]
+    rkid_of_eb = kid_ids[U : 2 * U]
+    loose_kids = kid_ids[2 * U :]
+    return (
+        kid_mat,
+        kid_lengths,
+        lkid_of_eb[eb_ids],
+        rkid_of_eb[eb_ids],
+        loose_kids,
+        maxlen,
+    )

@@ -14,10 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.kernel.vector import (
     byte_words,
-    decode_bit_rows,
     int_words,
     lex_rank_rows,
-    lex_unique_rows,
     prefix_interval_ends,
     prefix_intervals,
     range_min_pairs,
@@ -25,6 +23,10 @@ from repro.kernel.vector import (
     union_words_by_mask,
     unique_rows,
 )
+
+# the key-table oracle's own pieces: the per-chunk decode and the
+# byte-row lexsort the exact emitter and the count pass each chained
+from tests.kernel.reference_keys import decode_bit_rows, lex_unique_rows
 
 
 def _random_padded_rows(rng, n, width, alphabet=4):

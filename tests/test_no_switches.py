@@ -7,8 +7,8 @@ back as an optimizer option, an explorer argument, a count-state field
 or an environment lookup (in ``src/`` or in ``scripts/ci.sh``, which
 also keeps no timer), or when the deleted rule engine, object
 best-plan path, per-pair reference count pass, Python csg–cmp
-enumerator (or a result served by any of them) reappears under
-``src/``.
+enumerator, the two callers' own key-interning chains (or a result served
+by any of them) reappears under ``src/``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import pytest
 
 import repro
 from repro.api import Session
+from repro.kernel.vector import cut_key_table
 from repro.memo.columnar import build_logical_store
 from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import ImplementationConfig
@@ -247,6 +248,30 @@ def test_enumeration_takes_no_selector_or_threshold():
         "graph",
         "allow_cross_products",
         "scope",
+    ]
+
+
+#: the per-chunk cut decode and the byte-row lexsort the exact emitter
+#: and the count pass each chained, moved under ``tests/`` as the oracle
+#: (``tests/kernel/reference_keys.py``): ``cut_key_table`` is the one
+#: key table
+DELETED_KEY_CHAIN = {"decode_bit_rows", "DECODE_CHUNK", "lex_unique_rows"}
+
+
+def test_src_neither_defines_nor_references_the_key_chains():
+    offenders = _src_uses(DELETED_KEY_CHAIN.__contains__)
+    assert not offenders, offenders
+
+
+def test_cut_key_table_takes_no_selector_or_threshold():
+    """One table for every query: no parameter could route a size class
+    (or a caller) to another decode."""
+    assert list(inspect.signature(cut_key_table).parameters) == [
+        "cut_words",
+        "left_lut",
+        "right_lut",
+        "extra_seqs",
+        "on_block",
     ]
 
 
