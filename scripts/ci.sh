@@ -311,8 +311,10 @@ echo "== plan-testing smoke =="
 python - <<'EOF'
 # The paper's Section 4 loop, in counts (no timing threshold): uniformly
 # drawn plans of one query must all return the best plan's rows; a
-# defective executor must still be caught; and the executor's compiled
-# expressions must come out of its bounded code cache, not the compiler.
+# defective executor must still be caught, and the rank it reports must
+# replay through OPTION (USEPLAN n) as the very plan it flagged; and the
+# executor's compiled expressions must come out of its bounded code
+# cache, not the compiler.
 from repro.api import Session
 from repro.executor.scalar import CODE_CACHE_SIZE, code_object
 from repro.storage.datagen import generate_tpch
@@ -327,7 +329,7 @@ code_object.cache_clear()
 for name in ("Q5", "Q9"):
     sql = TPCH_QUERIES[name].sql
     expected = canonical_rows(session.execute(sql).rows)
-    plans = session.iterate_plans(sql, sample=200, seed=14, implicit=True)
+    plans = session.iterate_plans(sql, sample=200, seed=14)
     wrong = [rank for rank, result in plans if canonical_rows(result.rows) != expected]
     print(f"tpch {name}: 200 sampled plans executed, {len(wrong)} differ from the best plan")
     assert not wrong, f"{name}: plans {wrong[:5]} return different rows"
@@ -335,6 +337,14 @@ for name in ("Q5", "Q9"):
 report = validate_with(database, IgnoredResidualExecutor(database), RESIDUAL_SQL)
 print(f"ignored-residual executor: {len(report.mismatches)} mismatching plans reported")
 assert len(report.mismatches) >= 1, "the harness no longer catches a forgotten residual"
+flagged = report.mismatches[0]
+useplan = session.plan_space(RESIDUAL_SQL).unrank(flagged.rank)
+assert flagged.plan.render() == useplan.render(), (
+    f"plan #{flagged.rank} as reported is not the plan USEPLAN {flagged.rank} runs"
+)
+executed = session.execute_detailed(f"{RESIDUAL_SQL} OPTION (USEPLAN {flagged.rank})")
+assert executed.used_rank == flagged.rank and executed.rows
+print(f"mismatch #{flagged.rank} replayed through USEPLAN: {len(executed.rows)} rows")
 
 info = code_object.cache_info()
 print(f"executor code cache: {info.hits} hits, {info.misses} misses, {info.currsize} kept")

@@ -21,6 +21,11 @@ Quickstart::
     space.sample(10_000)        # uniform random plans
 
     session.execute("SELECT ... OPTION (USEPLAN 8)")   # run plan 8
+
+``Session.plan_space`` numbers plans with the implicit engine, which never
+builds the physical memo; :class:`PlanSpace` is the paper's literal
+algorithm over an optimized memo (``PlanSpace.from_result(result)``), kept
+as the reference both numberings are tested against.
 """
 
 from repro.api import ExecutedQuery, Session

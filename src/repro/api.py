@@ -35,7 +35,6 @@ from repro.optimizer.optimizer import (
 )
 from repro.optimizer.plan import PlanNode
 from repro.planspace.implicit import ImplicitPlanSpace
-from repro.planspace.space import PlanSpace
 from repro.serving.cache import (
     CacheIdentity,
     CacheInfo,
@@ -53,19 +52,13 @@ __all__ = ["Session", "ExecutedQuery", "PlanSpaceHandle"]
 
 @dataclass
 class PlanSpaceHandle:
-    """A count-only view of a query's plan space.
+    """A query's plan space, as :meth:`Session.plan_space` returns it.
 
-    Wraps the implicit engine: counting, unranking, enumeration and
-    sampling work immediately (and on clique-sized spaces interactively),
-    but no physical memo — and no best plan — exists.  The handle exposes
-    the same primitives as :class:`~repro.planspace.space.PlanSpace`, so
-    callers that only count/sample can switch with ``count_only=True``
-    and change nothing else; :meth:`materialize` runs the full optimizer
-    when the memo itself is eventually needed.
+    Forwards the paper's primitives — count, unrank, rank, sample,
+    enumerate — to the implicit engine (``space``), which serves every
+    production route; no physical memo and no best plan is built.
     """
 
-    session: "Session"
-    sql: str
     space: ImplicitPlanSpace
 
     def count(self) -> int:
@@ -101,10 +94,6 @@ class PlanSpaceHandle:
 
     def __len__(self) -> int:
         return self.count()
-
-    def materialize(self) -> PlanSpace:
-        """Build the full (physical-memo) plan space for this query."""
-        return self.session.plan_space(self.sql)
 
 
 @dataclass
@@ -563,25 +552,19 @@ class Session:
                 "resilience.attempts", len(resilience.attempts)
             )
 
-    def plan_space(
-        self, sql: str, count_only: bool = False
-    ) -> PlanSpace | PlanSpaceHandle:
+    def plan_space(self, sql: str, count_only: bool = False) -> PlanSpaceHandle:
         """The plan space of a query (counting/sampling entry point).
 
-        ``count_only=True`` skips the whole physical pipeline — no
-        implementation phase, no best-plan search, no memo — and returns a
-        :class:`PlanSpaceHandle` over the implicit engine instead: exact
-        counts, unranking, enumeration and uniform sampling at a fraction
-        of the cost (the clique12 memo takes minutes to materialize; its
-        implicit count takes seconds).
+        Built by the implicit engine: no implementation phase, no
+        best-plan search, no memo — exact counts, unranking, enumeration
+        and uniform sampling (the clique12 memo takes minutes to
+        materialize; its implicit count takes seconds).  Its numbering is
+        the one ``OPTION (USEPLAN n)`` executes.  ``count_only`` selects
+        nothing: both values build the same space.  It stays accepted
+        only because ``benchmarks/perf`` passes it (ROADMAP 1(b) deletes
+        it).
         """
-        if count_only:
-            return PlanSpaceHandle(
-                session=self,
-                sql=sql,
-                space=self.implicit_plan_space(sql),
-            )
-        return PlanSpace.from_result(self.optimize(sql))
+        return PlanSpaceHandle(space=self.implicit_plan_space(sql))
 
     def implicit_plan_space(self, sql: str) -> ImplicitPlanSpace:
         """The implicit plan space of a query (no physical memo)."""
@@ -590,25 +573,23 @@ class Session:
             self.catalog, bound, options=self.options
         )
 
-    def count_plans(self, sql: str, implicit: bool = True) -> int:
-        """``N`` for a query; implicit (fast) by default.
+    def count_plans(self, sql: str) -> int:
+        """``N`` for a query.
 
-        With a ``plan_cache`` attached, the implicit count is cached at
-        the template tier: ``N`` depends on the join-graph structure
-        only, never on literal values, so every literal variant of one
-        template shares the answer.
+        With a ``plan_cache`` attached, the count is cached at the
+        template tier: ``N`` depends on the join-graph structure only,
+        never on literal values, so every literal variant of one template
+        shares the answer.
         """
-        if implicit:
-            cache = self.plan_cache
-            if cache is not None:
-                key = self._identity.key(fingerprint_sql(sql).template)
-                count = cache.implicit_count(key, metrics=self.metrics)
-                if count is None:
-                    count = self.implicit_plan_space(sql).count()
-                    cache.store_implicit_count(key, count)
-                return count
+        cache = self.plan_cache
+        if cache is None:
             return self.implicit_plan_space(sql).count()
-        return self.plan_space(sql).count()
+        key = self._identity.key(fingerprint_sql(sql).template)
+        count = cache.implicit_count(key, metrics=self.metrics)
+        if count is None:
+            count = self.implicit_plan_space(sql).count()
+            cache.store_implicit_count(key, count)
+        return count
 
     def cost_distribution(
         self,
@@ -714,7 +695,9 @@ class Session:
         if useplan is None:
             plan = optimization.best_plan
         else:
-            space = PlanSpace.from_result(optimization)
+            space = ImplicitPlanSpace.from_query(
+                self.catalog, bound, options=self.options
+            )
             total = space.count()
             if useplan >= total:
                 raise PlanSpaceError(
@@ -767,15 +750,12 @@ class Session:
 
         ``ranks`` runs exactly those plan numbers; ``sample`` draws a
         uniform sample instead; giving neither enumerates the whole space.
-        ``implicit=True`` draws the plans from the implicit engine (no
-        physical memo); the same ``seed`` selects the same ranks either
-        way — see the RNG contract in :mod:`repro.util.rng`.  Yields
-        ``(rank, result)`` pairs.
+        The plans come from :meth:`plan_space`, so rank ``n`` is the plan
+        ``OPTION (USEPLAN n)`` runs.  ``implicit`` selects nothing: it
+        stays accepted only because ``benchmarks/perf`` passes it
+        (ROADMAP 1(b) deletes it).  Yields ``(rank, result)`` pairs.
         """
-        if implicit:
-            space = self.plan_space(sql, count_only=True)
-        else:
-            space = PlanSpace.from_result(self.optimize(sql))
+        space = self.implicit_plan_space(sql)
         if ranks is None:
             if sample is not None:
                 ranks = space.sample_ranks(sample, seed=seed)

@@ -32,7 +32,6 @@ from repro.experiments.distributions import distribution_from_result
 from repro.experiments.figure4 import figure4_histogram
 from repro.experiments.table1 import render_table1
 from repro.optimizer.optimizer import OptimizerOptions
-from repro.planspace.space import PlanSpace
 from repro.testing.harness import PlanValidator
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
@@ -82,12 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="count the plan space of a query")
     count.add_argument("query", help="TPC-H query name or SQL")
-    count.add_argument(
-        "--implicit",
-        action="store_true",
-        help="count from the logical memo only (no physical memo is built; "
-        "orders of magnitude faster on large join spaces)",
-    )
 
     optimize = sub.add_parser(
         "optimize",
@@ -342,13 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument(
         "--analyze", action="store_true", help="aggregate shape/operator stats"
     )
-    sample.add_argument(
-        "--implicit",
-        action="store_true",
-        help="sample without materializing the physical memo (same seed "
-        "draws the same ranks as the materialized path; plan costs are "
-        "printed unscaled because no best plan is computed)",
-    )
 
     execute = sub.add_parser(
         "execute", help="run a query (honours OPTION (USEPLAN n))"
@@ -416,24 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args, out) -> int:
     session = _session(args)
-    sql = _resolve_sql(args.query)
-    if args.implicit:
-        handle = session.plan_space(sql, count_only=True)
-        space = handle.space
-        out.write(
-            f"groups: {space.group_count()}\n"
-            f"logical operators: {space.logical_operator_count()}\n"
-            f"physical operators: {space.physical_operator_count()} (virtual)\n"
-            f"plans: {space.count():,}\n"
-        )
-        return 0
-    result = session.optimize(sql)
-    space = PlanSpace.from_result(result)
-    memo = result.memo
+    space = session.implicit_plan_space(_resolve_sql(args.query))
     out.write(
-        f"groups: {len(memo.groups)}\n"
-        f"logical operators: {memo.logical_expression_count()}\n"
-        f"physical operators: {memo.physical_expression_count()}\n"
+        f"groups: {space.group_count()}\n"
+        f"logical operators: {space.logical_operator_count()}\n"
+        f"physical operators: {space.physical_operator_count()}\n"
         f"plans: {space.count():,}\n"
     )
     return 0
@@ -691,12 +664,16 @@ def _cmd_explain(args, out) -> int:
 
 def _cmd_unrank(args, out) -> int:
     session = _session(args)
-    space = session.plan_space(_resolve_sql(args.query))
+    sql = _resolve_sql(args.query)
     if args.trace:
+        # The R/s trace is the paper's walk over the materialized links.
+        from repro.planspace.space import PlanSpace
+
+        space = PlanSpace.from_result(session.optimize(sql))
         plan, trace = space.unrank_with_trace(args.rank)
         out.write(trace.render() + "\n\n")
     else:
-        plan = space.unrank(args.rank)
+        plan = session.plan_space(sql).unrank(args.rank)
     out.write(plan.render() + "\n")
     return 0
 
@@ -704,25 +681,8 @@ def _cmd_unrank(args, out) -> int:
 def _cmd_sample(args, out) -> int:
     session = _session(args)
     sql = _resolve_sql(args.query)
-    if args.implicit:
-        from repro.optimizer.cost import CostModel
-
-        handle = session.plan_space(sql, count_only=True)
-        ranks = handle.sample_ranks(args.n, seed=args.seed)
-        plans = [handle.unrank(rank) for rank in ranks]
-        cost_model = CostModel(session.catalog, session.options.cost_params)
-        out.write(
-            f"space: {handle.count():,} plans; sampled {args.n} (implicit)\n"
-        )
-        for rank, plan in zip(ranks, plans):
-            cost = cost_model.plan_cost(plan)
-            shape = " -> ".join(node.op.name for node in plan.iter_nodes())
-            out.write(f"  #{rank}  cost {cost:,.1f}  [{shape}]\n")
-        if args.analyze:
-            out.write("\n" + analyze_plans(plans).render() + "\n")
-        return 0
     result = session.optimize(sql)
-    space = PlanSpace.from_result(result)
+    space = session.plan_space(sql)
     ranks = space.sample_ranks(args.n, seed=args.seed)
     plans = [space.unrank(rank) for rank in ranks]
     out.write(f"space: {space.count():,} plans; sampled {args.n}\n")
@@ -841,9 +801,10 @@ def _cmd_figure4(args, out) -> int:
 
 def _cmd_participation(args, out) -> int:
     from repro.planspace.participation import participation_report
+    from repro.planspace.space import PlanSpace
 
     session = _session(args)
-    space = session.plan_space(_resolve_sql(args.query))
+    space = PlanSpace.from_result(session.optimize(_resolve_sql(args.query)))
     out.write(participation_report(space.linked) + "\n")
     return 0
 

@@ -23,7 +23,7 @@ from repro.optimizer.optimizer import (
     Optimizer,
     OptimizerOptions,
 )
-from repro.planspace.space import PlanSpace
+from repro.planspace.implicit import ImplicitPlanSpace
 
 __all__ = ["CostDistribution", "sample_cost_distribution", "distribution_from_result"]
 
@@ -154,7 +154,9 @@ def distribution_from_result(
     seed: int = 0,
 ) -> CostDistribution:
     """Sample the cost distribution of an already-optimized query."""
-    space = PlanSpace.from_result(result)
+    space = ImplicitPlanSpace.from_query(
+        result.cost_model.catalog, result.query, options=result.options
+    )
     plans = space.sample(sample_size, seed=seed)
     best = result.best_cost
     scaled = [result.cost_model.plan_cost(plan) / best for plan in plans]

@@ -86,9 +86,12 @@ class OptimizerOptions:
 class OptimizationResult:
     """Everything produced by one optimizer run.
 
-    The plan-space toolkit (:class:`repro.planspace.PlanSpace`) consumes
-    ``memo`` + ``root_order``; the executor consumes plans; the experiment
-    harness consumes ``best_cost`` for cost scaling.
+    The query's plan space (:class:`repro.planspace.ImplicitPlanSpace`)
+    is built from ``query`` + ``options``, so its plan numbers do not
+    depend on the memo a degraded tier shrank; the paper-literal
+    reference (:class:`repro.planspace.PlanSpace`) reads ``memo`` +
+    ``root_order``.  The executor consumes plans; the experiment harness
+    consumes ``best_cost`` for cost scaling.
     """
 
     memo: Memo

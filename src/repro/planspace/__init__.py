@@ -1,6 +1,14 @@
 """The paper's contribution (system S8): counting, enumerating, ranking,
 unranking, and uniform sampling of execution plans from an optimized MEMO.
 
+Production numbers plans with :mod:`repro.planspace.implicit`, which never
+builds the physical memo.  The modules below are the paper's literal
+algorithm over a materialized memo, kept once as the reference the
+equivalence suites diff against, and for the diagnostics that print its
+internals (``repro participation``, ``repro diff``, ``repro unrank
+--trace``).  :mod:`repro.planspace.sampling` also holds
+:class:`RankSampler`, the one rank-drawing contract both engines share.
+
 Workflow (Section 3 of the paper):
 
 1. :mod:`repro.planspace.links` — the preparatory step: extract all
@@ -13,7 +21,7 @@ Workflow (Section 3 of the paper):
 4. :mod:`repro.planspace.sampling` / :mod:`repro.planspace.enumeration` —
    uniform sampling and exhaustive generation built on unranking.
 
-:class:`PlanSpace` is the user-facing facade.
+:class:`PlanSpace` is the reference's facade.
 """
 
 from repro.planspace.links import LinkedOperator, LinkedSpace, materialize_links

@@ -22,9 +22,12 @@ implicit combinatorial object it is:
   O(plan) cost;
 * :mod:`.sampling` binds the shared rank-sampler contract to it.
 
-:class:`ImplicitPlanSpace` is the facade; ``Session.plan_space(sql,
-count_only=True)`` and the ``--implicit`` CLI flags are the front doors.
-See ``README.md`` in this directory for the derivation.
+:class:`ImplicitPlanSpace` is the facade, and the one engine every
+production route numbers plans with: ``Session.plan_space`` /
+``count_plans`` / ``iterate_plans``, ``OPTION (USEPLAN n)``, the
+validation harness, the golden corpus, the cost-distribution experiments
+and the ``count`` / ``sample`` / ``unrank`` CLI commands.  See
+``README.md`` in this directory for the derivation.
 """
 
 from repro.planspace.implicit.counting import CountState

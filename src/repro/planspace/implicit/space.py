@@ -8,10 +8,17 @@ minutes of memo materialization to sub-second table passes; unranking
 instantiates exactly the operators on the requested plan's path, with the
 same group and local ids the materialized pipeline would produce.
 
+Every production route that counts, ranks, unranks, samples or
+enumerates plans goes through this class (see the package docstring), so
+a plan number means one thing everywhere; the materialized
+:class:`~repro.planspace.space.PlanSpace` is the paper-literal reference
+it is tested against.
+
 Scope: the implicit layout simulates the enumeration explorer's memo —
-the one explorer.  Post-optimization pruning removes expressions, so a
-pruned configuration is rejected and implicit ranks never silently
-diverge from the ranks the materialized path would assign.
+the one explorer.  Plan numbers are defined on the unpruned space:
+post-optimization pruning removes expressions, so a configuration with
+``pruning_factor`` set is refused with a named error rather than numbered
+differently from ``USEPLAN``.
 """
 
 from __future__ import annotations
@@ -69,8 +76,9 @@ class ImplicitPlanSpace:
             options = OptimizerOptions()
         if options.pruning_factor is not None:
             raise PlanSpaceError(
-                "the implicit plan space models the unpruned search space; "
-                "pruned memos must use the materialized PlanSpace"
+                "plan numbers are defined on the unpruned search space: "
+                "counting, sampling, unranking and USEPLAN refuse "
+                f"pruning_factor={options.pruning_factor:g}"
             )
         timings: dict[str, float] = {}
         with obs_phase("implicit.layout") as span:

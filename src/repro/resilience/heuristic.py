@@ -126,7 +126,9 @@ def optimize_heuristic(
 
     return OptimizationResult(
         memo=memo,
-        query=ordered,
+        # The query as bound, not the greedy reordering: plan numbers
+        # (validation, USEPLAN) are defined over the query's own space.
+        query=query,
         graph=graph,
         best_plan=best_plan,
         best_cost=best_cost,

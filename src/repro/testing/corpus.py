@@ -19,7 +19,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from repro.api import Session
-from repro.planspace.space import PlanSpace
+from repro.planspace.implicit import ImplicitPlanSpace
 from repro.testing.diff import canonical_result
 
 __all__ = [
@@ -138,7 +138,7 @@ def build_corpus(
     corpus = PlanCorpus(seed=seed)
     for sql in queries:
         result = session.optimize(sql)
-        space = PlanSpace.from_result(result)
+        space = session.implicit_plan_space(sql)
         total = space.count()
         corpus.plans.append(
             QueryPlanRecord(
@@ -180,10 +180,10 @@ def verify_corpus(session: Session, corpus: PlanCorpus) -> CorpusVerification:
     result-digest mismatch further down.
     """
     verification = CorpusVerification()
-    spaces: dict[str, PlanSpace] = {}
+    spaces: dict[str, ImplicitPlanSpace] = {}
     for plan in corpus.plans:
         result = session.optimize(plan.query)
-        spaces[plan.query] = PlanSpace.from_result(result)
+        spaces[plan.query] = session.implicit_plan_space(plan.query)
         if result.best_plan.render() != plan.best_plan:
             verification.plan_failures.append(
                 (
@@ -216,7 +216,7 @@ def verify_corpus(session: Session, corpus: PlanCorpus) -> CorpusVerification:
         verification.checked += 1
         space = spaces.get(record.query)
         if space is None:
-            space = PlanSpace.from_result(session.optimize(record.query))
+            space = session.implicit_plan_space(record.query)
             spaces[record.query] = space
         if record.rank >= space.count():
             verification.failures.append(

@@ -1,11 +1,11 @@
 """The plan-validation harness (Section 4 of the paper).
 
-Given a query, the harness optimizes it once, opens the plan space, and
-executes *many* plans — all of them when the space is small enough,
-otherwise a uniform sample — comparing every result against the
-optimizer-chosen plan's result.  Any mismatch is reported with the plan's
-rank, so the failing plan can be reproduced exactly with
-``OPTION (USEPLAN <rank>)``.
+Given a query, the harness optimizes it once, opens the query's plan
+space (the numbering ``OPTION (USEPLAN n)`` executes), and executes *many*
+plans — all of them when the space is small enough, otherwise a uniform
+sample — comparing every result against the optimizer-chosen plan's
+result.  Any mismatch is reported with the plan's rank, so the failing
+plan can be reproduced exactly with ``OPTION (USEPLAN <rank>)``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.executor.executor import PlanExecutor
 from repro.optimizer.optimizer import OptimizationResult, Optimizer, OptimizerOptions
 from repro.optimizer.plan import PlanNode
-from repro.planspace.space import PlanSpace
+from repro.planspace.implicit import ImplicitPlanSpace
 from repro.storage.database import Database
 from repro.testing.diff import canonical_rows
 
@@ -123,8 +123,17 @@ class PlanValidator:
         sample_size: int = 100,
         seed: int = 0,
     ) -> ValidationReport:
+        """Validate an optimizer result's query.
+
+        The plans are numbered over the query's whole space, built from
+        ``result.query`` and ``result.options`` — not over the memo the
+        result carries, which a degraded tier shrinks to its own sub-space
+        — so every reported rank replays with ``OPTION (USEPLAN rank)``.
+        """
         started = time.perf_counter()
-        space = PlanSpace.from_result(result)
+        space = ImplicitPlanSpace.from_query(
+            self.database.catalog, result.query, options=result.options
+        )
         total = space.count()
 
         reference = self.executor.execute(result.best_plan)

@@ -23,11 +23,12 @@ same rank stream, no matter which engine unranks it.*  Concretely:
    (``UniformPlanSampler``) and implicit (``ImplicitPlanSampler``)
    engines both subclass it and add only their ``unrank``.
 
-Because the two engines also agree on ``N`` and on the rank -> plan
-bijection (asserted by the equivalence property suite), a seed uniquely
-identifies a set of *plans*, end-to-end through ``Session.iterate_plans``
-and the ``sample``/``validate`` CLI commands — materialized and implicit
-runs are interchangeable in experiment scripts.
+Every production route draws through the implicit engine; the
+materialized one is the paper-literal reference.  Because the two agree
+on ``N`` and on the rank -> plan bijection (asserted by the equivalence
+property suite), a seed uniquely identifies a set of *plans*, end-to-end
+through ``Session.iterate_plans`` and the ``sample``/``validate`` CLI
+commands, and the reference reproduces any of those draws.
 
 The stratified stream
 ---------------------

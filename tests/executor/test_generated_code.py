@@ -126,7 +126,7 @@ def test_whole_queries_emit_the_vocabulary_only(sources):
     session = Session(generate_tpch(seed=0))
     for name in ("Q3", "Q7", "Q9"):
         for _rank, result in session.iterate_plans(
-            TPCH_QUERIES[name].sql, sample=5, seed=3, implicit=True
+            TPCH_QUERIES[name].sql, sample=5, seed=3
         ):
             assert result.columns
     assert sources

@@ -81,7 +81,7 @@ def digests():
             allow_cross_products=cross, implementation=INDEX_JOINS
         )
         session = Session(database, options=options)
-        space = session.plan_space(sql, count_only=True)
+        space = session.plan_space(sql)
         out[name] = []
         for rank in space.sample_ranks(RANKS, seed=14):
             executor = RecordingExecutor(database)

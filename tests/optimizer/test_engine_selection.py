@@ -222,7 +222,7 @@ def test_beyond_the_limits_every_route_refuses_with_the_same_error(
             bound, samples=8
         ),
         "tier heuristic": lambda: optimize_heuristic(catalog, bound),
-        "count": lambda: session.plan_space(sql, count_only=True),
+        "count": lambda: session.plan_space(sql),
         "count_plans": lambda: session.count_plans(sql),
     }
     for route, call in routes.items():

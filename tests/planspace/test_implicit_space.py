@@ -221,24 +221,31 @@ class TestConfigurations:
 class TestSessionApi:
     def test_count_only_handle(self):
         session = Session.tpch(seed=0)
-        handle = session.plan_space(tpch_query("Q3").sql, count_only=True)
+        sql = tpch_query("Q3").sql
+        handle = session.plan_space(sql)
         assert isinstance(handle, PlanSpaceHandle)
-        full = session.plan_space(tpch_query("Q3").sql)
+        full = PlanSpace.from_result(session.optimize(sql))
         assert handle.count() == full.count()
         assert len(handle) == handle.count()
         assert handle.unrank(13).fingerprint() == full.unrank(13).fingerprint()
         assert "implicit plan space" in handle.describe()
 
     def test_handle_materialize(self):
+        """The reference the handle's numbering matches is built from an
+        optimizer result, never through the handle."""
         session = Session.tpch(seed=0)
-        handle = session.plan_space(tpch_query("Q3").sql, count_only=True)
-        assert handle.materialize().count() == handle.count()
+        sql = tpch_query("Q3").sql
+        handle = session.plan_space(sql)
+        assert not hasattr(handle, "materialize")
+        reference = PlanSpace.from_result(session.optimize(sql))
+        assert reference.count() == handle.count()
 
     def test_count_plans(self):
         session = Session.tpch(seed=0)
         sql = tpch_query("Q3").sql
-        assert session.count_plans(sql) == session.count_plans(
-            sql, implicit=False
+        assert (
+            session.count_plans(sql)
+            == PlanSpace.from_result(session.optimize(sql)).count()
         )
 
     def test_iterate_plans_implicit_matches(self):
@@ -247,15 +254,14 @@ class TestSessionApi:
             "SELECT n.n_name, r.r_name FROM nation n, region r "
             "WHERE n.n_regionkey = r.r_regionkey"
         )
+        reference = PlanSpace.from_result(session.optimize(sql))
         materialized = {
-            rank: result.rows
-            for rank, result in session.iterate_plans(sql, sample=5, seed=3)
+            rank: session.executor.execute(reference.unrank(rank)).rows
+            for rank in reference.sample_ranks(5, seed=3)
         }
         implicit = {
             rank: result.rows
-            for rank, result in session.iterate_plans(
-                sql, sample=5, seed=3, implicit=True
-            )
+            for rank, result in session.iterate_plans(sql, sample=5, seed=3)
         }
         assert materialized == implicit
 
@@ -267,27 +273,36 @@ class TestCli:
         return code, out.getvalue()
 
     def test_count_implicit_matches(self):
-        code_a, implicit = self.run("count", "Q3", "--implicit")
-        code_b, materialized = self.run("count", "Q3")
-        assert code_a == code_b == 0
-        pick = lambda text: text.split("plans: ")[1]
-        assert pick(implicit) == pick(materialized)
-        assert "(virtual)" in implicit
+        """``count`` reads the implicit space; its four numbers are the
+        materialized memo's."""
+        code, text = self.run("count", "Q3")
+        assert code == 0
+        session = Session.tpch(seed=0)
+        result = session.optimize(tpch_query("Q3").sql)
+        memo = result.memo
+        assert text == (
+            f"groups: {len(memo.groups)}\n"
+            f"logical operators: {memo.logical_expression_count()}\n"
+            f"physical operators: {memo.physical_expression_count()}\n"
+            f"plans: {PlanSpace.from_result(result).count():,}\n"
+        )
+        assert "(virtual)" not in text
 
     def test_sample_implicit_same_ranks(self):
-        code_a, implicit = self.run(
-            "sample", "Q3", "-n", "5", "--seed", "9", "--implicit"
-        )
-        code_b, materialized = self.run("sample", "Q3", "-n", "5", "--seed", "9")
-        assert code_a == code_b == 0
-        ranks = lambda text: [
-            line.split()[0] for line in text.splitlines() if line.startswith("  #")
+        code, text = self.run("sample", "Q3", "-n", "5", "--seed", "9")
+        assert code == 0
+        ranks = [
+            int(line.split()[0][1:])
+            for line in text.splitlines()
+            if line.startswith("  #")
         ]
-        assert ranks(implicit) == ranks(materialized)
+        session = Session.tpch(seed=0)
+        reference = PlanSpace.from_result(session.optimize(tpch_query("Q3").sql))
+        assert ranks == reference.sample_ranks(5, seed=9)
 
     def test_sample_implicit_analyze(self):
-        code, text = self.run(
-            "sample", "Q3", "-n", "4", "--implicit", "--analyze"
-        )
+        code, text = self.run("sample", "Q3", "-n", "4", "--analyze")
         assert code == 0
-        assert "(implicit)" in text
+        assert "(implicit)" not in text
+        assert "x optimum" in text
+        assert "analysis of 4 plans" in text

@@ -4,8 +4,10 @@ import pytest
 
 from repro.api import Session
 from repro.errors import PlanSpaceError
+from repro.executor.executor import PlanExecutor
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.testing.diff import canonical_rows
+from repro.testing.harness import PlanValidator
 
 SQL = (
     "SELECT n.n_name, r.r_name FROM nation n, region r "
@@ -148,3 +150,34 @@ class TestCostDistribution:
         assert memo_free.scaled_costs == pytest.approx(
             materialized.scaled_costs, rel=1e-12
         )
+
+
+class _CountingExecutor(PlanExecutor):
+    executed = 0
+
+    def execute(self, plan, **kwargs):
+        self.executed += 1
+        return super().execute(plan, **kwargs)
+
+
+#: every route that numbers plans, as (session, validator) -> call
+PLAN_NUMBER_ROUTES = {
+    "plan_space": lambda s, v: s.plan_space(SQL),
+    "count_plans": lambda s, v: s.count_plans(SQL),
+    "iterate_plans": lambda s, v: next(s.iterate_plans(SQL, sample=3)),
+    "useplan": lambda s, v: s.execute(f"{SQL} OPTION (USEPLAN 0)"),
+    "validate_sql": lambda s, v: v.validate_sql(SQL),
+}
+
+
+@pytest.mark.parametrize("route", PLAN_NUMBER_ROUTES)
+def test_pruned_session_refuses_plan_numbers(micro_db, route):
+    """Plan numbers are defined on the unpruned space: a session pruning
+    every optimization is refused by name before any plan executes."""
+    options = OptimizerOptions(pruning_factor=1.5)
+    session = Session(micro_db, options=options)
+    session.executor = executor = _CountingExecutor(micro_db)
+    validator = PlanValidator(micro_db, options, executor=executor)
+    with pytest.raises(PlanSpaceError, match="pruning_factor=1.5"):
+        PLAN_NUMBER_ROUTES[route](session, validator)
+    assert executor.executed == 0

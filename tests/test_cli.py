@@ -251,7 +251,7 @@ class TestValidate:
         ("validate", "Q3", "--sample", "-1"),
         ("validate", "Q3", "--sample", "0"),
         ("sample", "Q3", "-n", "-2"),
-        ("sample", "Q3", "-n", "0", "--implicit"),
+        ("sample", "Q3", "-n", "0"),
     ],
     ids=["validate-negative", "validate-zero", "sample-negative", "sample-zero"],
 )

@@ -132,7 +132,7 @@ def _with_space(workload, **space_kwargs):
 
 
 def _abandoned(session, sql):
-    plans = session.iterate_plans(sql, sample=4, seed=2, implicit=True)
+    plans = session.iterate_plans(sql, sample=4, seed=2)
     return plans, next(plans)
 
 
@@ -147,7 +147,7 @@ ROUTES = {
     ),
     "no-redundant-sorts": lambda s, w: _with_space(w, include_redundant_sorts=False),
     "iterate-plans-exhausted": lambda s, w: list(
-        s.iterate_plans(w.sql, sample=4, seed=2, implicit=True)
+        s.iterate_plans(w.sql, sample=4, seed=2)
     ),
     "iterate-plans-abandoned": lambda s, w: _abandoned(s, w.sql),
     "count-plans": lambda s, w: s.count_plans(w.sql),

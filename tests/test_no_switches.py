@@ -1,14 +1,16 @@
 """ROADMAP's standing rule as a test: no knob, no environment variable,
 no second engine.
 
-There is one explorer, one exact engine and one count pass.  These
-guards fail in tier-1 — not in review — when an engine selector comes
-back as an optimizer option, an explorer argument, a count-state field
-or an environment lookup (in ``src/`` or in ``scripts/ci.sh``, which
-also keeps no timer), or when the deleted rule engine, object
-best-plan path, per-pair reference count pass, Python csg–cmp
-enumerator, the two callers' own key-interning chains (or a result served
-by any of them) reappears under ``src/``.
+There is one explorer, one exact engine, one count pass and one plan
+numbering.  These guards fail in tier-1 — not in review — when an engine
+selector comes back as an optimizer option, an explorer argument, a
+count-state field, a plan-space keyword or CLI flag, or an environment
+lookup (in ``src/`` or in ``scripts/ci.sh``, which also keeps no timer),
+when the deleted rule engine, object best-plan path, per-pair reference
+count pass, Python csg–cmp enumerator, the two callers' own key-interning
+chains (or a result served by any of them) reappears under ``src/``, or
+when production code outside the diagnostics numbers plans through the
+materialized reference.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api import Session
+from repro.api import PlanSpaceHandle, Session
+from repro.cli import build_parser
 from repro.kernel.vector import cut_key_table
 from repro.memo.columnar import build_logical_store
 from repro.optimizer.explorer import EnumerationExplorer
@@ -316,3 +319,100 @@ def test_result_engine_is_one_of_three(options):
             )
         seen |= {getattr(result, "engine", "sampled") for result in results}
     assert {"columnar", "heuristic"} <= seen <= {"columnar", "sampled", "heuristic"}
+
+
+#: the materialized plan space: the paper-literal reference and the
+#: diagnostics that print its internals
+REFERENCE_MODULES = {
+    f"repro.planspace.{name}"
+    for name in (
+        "space",
+        "links",
+        "counting",
+        "unranking",
+        "enumeration",
+        "participation",
+        "diff",
+        "export",
+    )
+}
+#: the package exports that are not the reference
+PLANSPACE_PRODUCTION_EXPORTS = {"ImplicitPlanSpace", "RankSampler"}
+#: the ``cli.py`` handlers that print the reference's internals
+#: (``unrank`` only under ``--trace``)
+REFERENCE_HANDLERS = {"_cmd_participation", "_cmd_diff", "_cmd_unrank"}
+
+
+def _reference_imports(node) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name in REFERENCE_MODULES]
+    if isinstance(node, ast.ImportFrom):
+        if node.module in REFERENCE_MODULES:
+            return [node.module]
+        if node.module == "repro.planspace":
+            return [
+                f"repro.planspace.{a.name}"
+                for a in node.names
+                if a.name not in PLANSPACE_PRODUCTION_EXPORTS
+            ]
+    return []
+
+
+def test_only_the_diagnostics_import_the_materialized_reference():
+    """Every production route numbers plans through the implicit space:
+    the reference is imported by its own package, the package root's
+    public exports and three CLI diagnostics, nothing else."""
+    offenders = []
+    for path, tree in _src_trees():
+        posix = path.as_posix()
+        if posix.startswith("planspace/") or posix == "__init__.py":
+            continue
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            allowed = posix == "cli.py" and owner in REFERENCE_HANDLERS
+            offenders += [
+                f"{posix}:{node.lineno}: {module}"
+                for node in ast.walk(top)
+                for module in _reference_imports(node)
+                if not allowed
+            ]
+    assert not offenders, offenders
+
+
+def test_plan_numbering_takes_no_engine_selector():
+    assert list(inspect.signature(Session.count_plans).parameters) == [
+        "self",
+        "sql",
+    ]
+    assert [f.name for f in dataclasses.fields(PlanSpaceHandle)] == ["space"]
+    assert not hasattr(PlanSpaceHandle, "materialize")
+    (commands,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action.choices, dict)
+    ]
+    for name, command in commands.items():
+        flags = {flag for action in command._actions for flag in action.option_strings}
+        assert "--implicit" not in flags, name
+
+
+def test_held_keywords_select_nothing():
+    """``plan_space(count_only=)`` and ``iterate_plans(implicit=)`` stay
+    accepted only because ``benchmarks/perf`` passes them; ROADMAP 1(b),
+    the benchmark change, deletes both (and ``PlanSpaceHandle``).  Until
+    then each value runs the one code path."""
+    workload = chain_query(4, rows=5, seed=0)
+    session = Session(workload.database)
+    on = session.plan_space(workload.sql, count_only=True)
+    off = session.plan_space(workload.sql, count_only=False)
+    assert type(on) is type(off) is PlanSpaceHandle
+    renders = lambda space: [plan.render() for plan in space.sample(6, seed=3)]
+    assert renders(on) == renders(off)
+
+    def executed(implicit):
+        plans = session.iterate_plans(
+            workload.sql, sample=4, seed=3, implicit=implicit
+        )
+        return [(rank, result.rows) for rank, result in plans]
+
+    assert executed(True) == executed(False)

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.api import Session
 from repro.optimizer.optimizer import OptimizerOptions
+from repro.testing.faults import DroppedRowExecutor
 from repro.testing.harness import PlanValidator
+from repro.workloads.synthetic import chain_query, star_query
 from repro.workloads.tpch_queries import tpch_query
 
 
@@ -86,3 +89,34 @@ class TestCrossProductSpaces:
         )
         report = validator.validate_sql(sql, max_exhaustive=0, sample_size=60)
         assert report.all_equal
+
+
+class TestUseplanNumbering:
+    """A reported rank is the plan ``OPTION (USEPLAN rank)`` executes.
+
+    A heuristic-tier result's memo holds one greedy join order; the
+    harness must still number the query's whole space, or its "replay
+    with USEPLAN n" advice replays a different plan."""
+
+    @pytest.mark.parametrize(
+        "workload",
+        [star_query(6, rows=6, seed=0), chain_query(5, rows=6, seed=0)],
+        ids=["star6", "chain5"],
+    )
+    def test_degraded_result_is_numbered_like_useplan(self, workload):
+        session = Session(workload.database)
+        result = session.optimize(workload.sql, deadline_s=1e-6)
+        assert result.engine == "heuristic"
+        validator = PlanValidator(
+            workload.database,
+            session.options,
+            executor=DroppedRowExecutor(workload.database),
+        )
+        report = validator.validate_result(
+            result, sql=workload.sql, max_exhaustive=0, sample_size=5, seed=1
+        )
+        assert report.total_plans == session.count_plans(workload.sql)
+        assert report.mismatches
+        space = session.plan_space(workload.sql)
+        for mismatch in report.mismatches:
+            assert mismatch.plan.render() == space.unrank(mismatch.rank).render()
