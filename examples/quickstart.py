@@ -51,18 +51,6 @@ def main() -> None:
     default = session.execute(sql)
     print(f"\nOptimizer's plan returned {len(default.rows)} rows — same result.")
 
-    # 6. The paper's literal algorithm — links materialized over the
-    # optimized memo — is kept as the reference.  It computes the same N
-    # and the same plans (identical memo ids) as the space above, which
-    # never materializes a physical expression (see
-    # planspace/implicit/README.md).
-    from repro import PlanSpace
-
-    reference = PlanSpace.from_result(session.optimize(sql))
-    assert reference.count() == total
-    assert reference.unrank(8).render() == plan.render()
-    print(f"\nThe materialized reference agrees: N = {reference.count():,}")
-
 
 if __name__ == "__main__":
     main()

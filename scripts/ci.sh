@@ -3,9 +3,10 @@
 # implicit plan-space engine against regressing into re-materialization,
 # exact optimization against falling off the columnar engine, the plan
 # cache's tiers, the sampled optimizer's quality/laziness, the Section 4
-# plan-testing loop, explain --analyze and feedback re-costing.  Every
-# smoke asserts counts, costs and tiers, never a wall clock: performance
-# is measured by benchmarks/perf, whose self-tests run here too.
+# plan-testing loop, explain --analyze and feedback re-costing, plus a
+# run of every example.  Every smoke asserts counts, costs and tiers,
+# never a wall clock: performance is measured by benchmarks/perf, whose
+# self-tests run here too.
 #
 #     bash scripts/ci.sh            # tier-1 + smokes
 #     CI_SLOW=1 bash scripts/ci.sh  # additionally run the -m slow tier
@@ -350,6 +351,20 @@ info = code_object.cache_info()
 print(f"executor code cache: {info.hits} hits, {info.misses} misses, {info.currsize} kept")
 assert info.hits > 10 * info.misses, f"compiled expressions are not being reused: {info}"
 assert info.currsize <= CODE_CACHE_SIZE == info.maxsize, info
+EOF
+
+echo "== examples =="
+# Each example must run to completion (exit status only: their output is
+# prose for a reader, not a pinned figure), so an example that still
+# imports a removed name fails here.
+python - <<'EOF'
+import pathlib
+import subprocess
+import sys
+
+for example in sorted(pathlib.Path("examples").glob("*.py")):
+    print(f"-- {example}")
+    subprocess.run([sys.executable, str(example)], check=True, stdout=subprocess.DEVNULL)
 EOF
 
 echo "== benchmark self-tests =="

@@ -22,10 +22,10 @@ Quickstart::
 
     session.execute("SELECT ... OPTION (USEPLAN 8)")   # run plan 8
 
-``Session.plan_space`` numbers plans with the implicit engine, which never
-builds the physical memo; :class:`PlanSpace` is the paper's literal
-algorithm over an optimized memo (``PlanSpace.from_result(result)``), kept
-as the reference both numberings are tested against.
+``Session.plan_space`` numbers plans with the implicit engine
+(:mod:`repro.planspace.implicit`), which never builds the physical memo;
+the paper's literal algorithm over an optimized memo lives under
+``tests/`` as the oracle that numbering is tested against.
 """
 
 from repro.api import ExecutedQuery, Session
@@ -41,7 +41,6 @@ from repro.optimizer.optimizer import (
 )
 from repro.optimizer.explain import explain_plan
 from repro.optimizer.plan import PlanNode
-from repro.planspace.space import PlanSpace
 from repro.sampledopt import SampledOptimizationResult, SampledOptimizer
 from repro.storage.database import Database
 from repro.storage.datagen import generate_tpch
@@ -59,7 +58,6 @@ __all__ = [
     "OptimizerOptions",
     "PlanExecutor",
     "PlanNode",
-    "PlanSpace",
     "PlanValidator",
     "QueryResult",
     "ReproError",

@@ -15,7 +15,8 @@ alternative's delivered order satisfies the requirement.
 
 ``Sort`` is an *enforcer*: a physical operator whose only job is to
 establish a property.  Its child alternatives come from its own group
-(see :mod:`repro.planspace.links` for how cycles are avoided).
+(it links to the non-enforcers of its group only, which keeps the plan
+space acyclic — see :mod:`repro.planspace.implicit.tables`).
 """
 
 from __future__ import annotations

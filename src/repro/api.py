@@ -92,9 +92,6 @@ class PlanSpaceHandle:
     def describe(self) -> str:
         return self.space.describe()
 
-    def __len__(self) -> int:
-        return self.count()
-
 
 @dataclass
 class ExecutedQuery:

@@ -666,11 +666,9 @@ def _cmd_unrank(args, out) -> int:
     session = _session(args)
     sql = _resolve_sql(args.query)
     if args.trace:
-        # The R/s trace is the paper's walk over the materialized links.
-        from repro.planspace.space import PlanSpace
-
-        space = PlanSpace.from_result(session.optimize(sql))
-        plan, trace = space.unrank_with_trace(args.rank)
+        plan, trace = session.implicit_plan_space(sql).unrank_with_trace(
+            args.rank
+        )
         out.write(trace.render() + "\n\n")
     else:
         plan = session.plan_space(sql).unrank(args.rank)
@@ -801,29 +799,26 @@ def _cmd_figure4(args, out) -> int:
 
 def _cmd_participation(args, out) -> int:
     from repro.planspace.participation import participation_report
-    from repro.planspace.space import PlanSpace
 
     session = _session(args)
-    space = PlanSpace.from_result(session.optimize(_resolve_sql(args.query)))
-    out.write(participation_report(space.linked) + "\n")
+    space = session.implicit_plan_space(_resolve_sql(args.query))
+    out.write(participation_report(space) + "\n")
     return 0
 
 
 def _cmd_diff(args, out) -> int:
     from repro.optimizer.implementation import ImplementationConfig
-    from repro.optimizer.optimizer import Optimizer
     from repro.planspace.diff import diff_spaces
-    from repro.planspace.links import materialize_links
+    from repro.planspace.implicit import ImplicitPlanSpace
 
     session = _session(args)
     sql = _resolve_sql(args.query)
 
-    def build(config: ImplementationConfig):
+    def build(config: ImplementationConfig) -> ImplicitPlanSpace:
         options = OptimizerOptions(
             allow_cross_products=args.cross_products, implementation=config
         )
-        result = Optimizer(session.catalog, options).optimize_sql(sql)
-        return materialize_links(result.memo, root_required=result.root_order)
+        return ImplicitPlanSpace.from_sql(session.catalog, sql, options=options)
 
     baseline = build(ImplementationConfig())
     candidate = build(

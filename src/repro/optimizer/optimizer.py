@@ -88,10 +88,10 @@ class OptimizationResult:
 
     The query's plan space (:class:`repro.planspace.ImplicitPlanSpace`)
     is built from ``query`` + ``options``, so its plan numbers do not
-    depend on the memo a degraded tier shrank; the paper-literal
-    reference (:class:`repro.planspace.PlanSpace`) reads ``memo`` +
-    ``root_order``.  The executor consumes plans; the experiment harness
-    consumes ``best_cost`` for cost scaling.
+    depend on the memo a degraded tier shrank; the paper-literal oracle
+    under ``tests/`` reads ``memo`` + ``root_order``.  The executor
+    consumes plans; the experiment harness consumes ``best_cost`` for
+    cost scaling.
     """
 
     memo: Memo

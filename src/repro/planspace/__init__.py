@@ -1,71 +1,37 @@
 """The paper's contribution (system S8): counting, enumerating, ranking,
-unranking, and uniform sampling of execution plans from an optimized MEMO.
+unranking, and uniform sampling of execution plans.
 
-Production numbers plans with :mod:`repro.planspace.implicit`, which never
-builds the physical memo.  The modules below are the paper's literal
-algorithm over a materialized memo, kept once as the reference the
-equivalence suites diff against, and for the diagnostics that print its
-internals (``repro participation``, ``repro diff``, ``repro unrank
---trace``).  :mod:`repro.planspace.sampling` also holds
-:class:`RankSampler`, the one rank-drawing contract both engines share.
+:mod:`repro.planspace.implicit` is the one engine: it numbers a query's
+plans from the bound query and the join graph, never building the
+physical memo (Section 3's counting and unranking over virtual
+operators).  :class:`ImplicitPlanSpace` is its facade.  The modules
+beside it read the same tables:
 
-Workflow (Section 3 of the paper):
+* :mod:`repro.planspace.sampling` — :class:`RankSampler`, the one
+  rank-drawing contract (the RNG contract of :mod:`repro.util.rng`);
+* :mod:`repro.planspace.participation` — exact per-operator plan counts
+  (``repro participation``);
+* :mod:`repro.planspace.diff` — operator-level diff of two
+  configurations' spaces (``repro diff``).
 
-1. :mod:`repro.planspace.links` — the preparatory step: extract all
-   physical operators and materialize, per operator and child slot, the
-   list of child alternatives whose physical properties qualify.
-2. :mod:`repro.planspace.counting` — compute ``N(v)`` for every operator
-   bottom-up and the space total ``N``.
-3. :mod:`repro.planspace.unranking` — the bijection between ``0..N-1``
-   and plans (both directions: unrank and rank).
-4. :mod:`repro.planspace.sampling` / :mod:`repro.planspace.enumeration` —
-   uniform sampling and exhaustive generation built on unranking.
-
-:class:`PlanSpace` is the reference's facade.
+The paper-literal algorithm over a materialized memo lives under
+``tests/`` as the oracle this engine is tested against; nothing in
+``src/`` imports it.
 """
 
-from repro.planspace.links import LinkedOperator, LinkedSpace, materialize_links
-from repro.planspace.counting import annotate_counts
-from repro.planspace.unranking import UnrankTrace, Unranker
-from repro.planspace.sampling import (
-    RankSampler,
-    UniformPlanSampler,
-    naive_walk_sample,
-)
+from repro.planspace.sampling import RankSampler
 from repro.planspace.implicit import ImplicitPlanSpace
-from repro.planspace.enumeration import enumerate_plans
 from repro.planspace.participation import (
     participation_counts,
     participation_report,
 )
-from repro.planspace.export import (
-    memo_to_dict,
-    plan_to_dict,
-    space_to_dict,
-    to_json,
-)
 from repro.planspace.diff import SpaceDiff, diff_spaces
-from repro.planspace.space import PlanSpace
 
 __all__ = [
-    "LinkedOperator",
-    "LinkedSpace",
-    "materialize_links",
-    "annotate_counts",
-    "Unranker",
-    "UnrankTrace",
-    "RankSampler",
-    "UniformPlanSampler",
-    "naive_walk_sample",
     "ImplicitPlanSpace",
-    "enumerate_plans",
-    "participation_counts",
-    "participation_report",
-    "memo_to_dict",
-    "plan_to_dict",
-    "space_to_dict",
-    "to_json",
+    "RankSampler",
     "SpaceDiff",
     "diff_spaces",
-    "PlanSpace",
+    "participation_counts",
+    "participation_report",
 ]

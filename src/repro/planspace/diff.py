@@ -4,16 +4,16 @@ When an optimizer's rule set changes, the plan space changes — sometimes
 intentionally (a new implementation), sometimes as a silent regression
 (alternatives lost to an over-eager pruning change).  Comparing the raw
 counts catches gross changes; comparing *operator sets* pinpoints what
-appeared or disappeared.  This module diffs two linked spaces built for
-the same query under different optimizer configurations.
+appeared or disappeared.  This module diffs two implicit spaces built
+for the same query under different optimizer configurations, reading
+each one's operator census (every virtual operator with its ``N(v)``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.planspace.counting import annotate_counts
-from repro.planspace.links import LinkedSpace
+from repro.planspace.implicit import ImplicitPlanSpace
 
 __all__ = ["SpaceDiff", "diff_spaces"]
 
@@ -66,49 +66,41 @@ class SpaceDiff:
         return "\n".join(lines)
 
 
-def diff_spaces(baseline: LinkedSpace, candidate: LinkedSpace) -> SpaceDiff:
-    """Compare two linked spaces of the *same query*.
+def diff_spaces(
+    baseline: ImplicitPlanSpace, candidate: ImplicitPlanSpace
+) -> SpaceDiff:
+    """Compare two plan spaces of the *same query*.
 
     Operators are matched by their operator identity (rendered form plus
     owning group's relation set), so memo renumbering between runs does
     not produce spurious differences.
     """
-    if baseline.total is None:
-        annotate_counts(baseline)
-    if candidate.total is None:
-        annotate_counts(candidate)
-
-    def signatures(space: LinkedSpace) -> dict[tuple, int]:
-        out: dict[tuple, int] = {}
-        for node in space.operators.values():
-            group = space.memo.group(node.expr.group_id)
-            signature = (node.expr.op.key(), tuple(sorted(group.relations)))
-            out[signature] = node.count or 0
-        return out
-
-    base_sigs = signatures(baseline)
-    cand_sigs = signatures(candidate)
-
-    def describe(space: LinkedSpace, signature: tuple) -> str:
-        for node in space.operators.values():
-            group = space.memo.group(node.expr.group_id)
-            if (node.expr.op.key(), tuple(sorted(group.relations))) == signature:
-                rels = ",".join(sorted(group.relations))
-                return f"{node.expr.op.render()} over {{{rels}}}"
-        return repr(signature)  # pragma: no cover - defensive
-
+    base_sigs, base_names = _signatures(baseline)
+    cand_sigs, cand_names = _signatures(candidate)
     diff = SpaceDiff(
-        baseline_total=baseline.total or 0,
-        candidate_total=candidate.total or 0,
+        baseline_total=baseline.count(),
+        candidate_total=candidate.count(),
     )
     for signature in sorted(cand_sigs.keys() - base_sigs.keys(), key=repr):
-        diff.added_operators.append(describe(candidate, signature))
+        diff.added_operators.append(cand_names[signature])
     for signature in sorted(base_sigs.keys() - cand_sigs.keys(), key=repr):
-        diff.removed_operators.append(describe(baseline, signature))
+        diff.removed_operators.append(base_names[signature])
     for signature in sorted(base_sigs.keys() & cand_sigs.keys(), key=repr):
         before, after = base_sigs[signature], cand_sigs[signature]
         if before != after:
-            diff.count_changes.append(
-                (describe(baseline, signature), before, after)
-            )
+            diff.count_changes.append((base_names[signature], before, after))
     return diff
+
+
+def _signatures(space: ImplicitPlanSpace) -> tuple[dict, dict]:
+    """``N(v)`` per operator signature (the last operator carrying it),
+    and each signature's description (the first one's)."""
+    counts: dict[tuple, int] = {}
+    names: dict[tuple, str] = {}
+    for _, _, operator, count, relations in space.census():
+        rels = tuple(sorted(relations))
+        signature = (operator.key(), rels)
+        counts[signature] = count
+        if signature not in names:
+            names[signature] = f"{operator.render()} over {{{','.join(rels)}}}"
+    return counts, names

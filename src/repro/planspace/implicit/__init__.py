@@ -1,8 +1,9 @@
 """The implicit plan-space engine: count, unrank, and sample without
 materializing the physical memo.
 
-The materialized pipeline (:mod:`repro.planspace`) pays to build every
-physical ``GroupExpr`` — for a 12-relation clique that is millions of
+The paper's literal pipeline over a materialized memo (kept under
+``tests/`` as this engine's oracle) pays to build every physical
+``GroupExpr`` — for a 12-relation clique that is millions of
 expressions and minutes of wall clock — before the first count is taken,
 even though counting is linear in the memo and sampling needs only
 O(depth) operators per plan.  This package treats the plan space as the
@@ -25,8 +26,10 @@ implicit combinatorial object it is:
 :class:`ImplicitPlanSpace` is the facade, and the one engine every
 production route numbers plans with: ``Session.plan_space`` /
 ``count_plans`` / ``iterate_plans``, ``OPTION (USEPLAN n)``, the
-validation harness, the golden corpus, the cost-distribution experiments
-and the ``count`` / ``sample`` / ``unrank`` CLI commands.  See
+validation harness, the golden corpus, the cost-distribution experiments,
+the ``count`` / ``sample`` / ``unrank`` CLI commands and the diagnostics
+that print a space's internals (``participation``, ``diff``, ``unrank
+--trace``).  See
 ``README.md`` in this directory for the derivation.
 """
 

@@ -2,8 +2,8 @@
 
 Thin binding of the shared :class:`~repro.planspace.sampling.RankSampler`
 contract to the implicit unranker: identical seed, identical space ⇒
-identical ranks as the materialized :class:`UniformPlanSampler` — the
-property suite asserts the streams match rank for rank.
+identical ranks as the materialized oracle's sampler — the property
+suite asserts the streams match rank for rank.
 """
 
 from __future__ import annotations

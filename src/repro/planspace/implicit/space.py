@@ -1,18 +1,21 @@
 """The implicit plan-space facade.
 
-Mirrors :class:`repro.planspace.space.PlanSpace` — count, unrank, rank,
-enumerate, sample — but is built from a *logical* description of the
-search space (bound query + join graph + implementation rules) and never
-constructs a physical memo.  Counting clique-sized spaces drops from
-minutes of memo materialization to sub-second table passes; unranking
-instantiates exactly the operators on the requested plan's path, with the
-same group and local ids the materialized pipeline would produce.
+Count, unrank, rank, enumerate and sample — built from a *logical*
+description of the search space (bound query + join graph +
+implementation rules), never from a physical memo.  Counting
+clique-sized spaces takes sub-second table passes where materializing
+the memo takes minutes; unranking instantiates exactly the operators on
+the requested plan's path, with the same group and local ids the
+materialized pipeline would produce.
 
-Every production route that counts, ranks, unranks, samples or
-enumerates plans goes through this class (see the package docstring), so
-a plan number means one thing everywhere; the materialized
-:class:`~repro.planspace.space.PlanSpace` is the paper-literal reference
-it is tested against.
+Every route that counts, ranks, unranks, samples or enumerates plans goes
+through this class (see the package docstring), and so do the
+diagnostics that print a space's internals: :meth:`census` (every
+virtual operator with its ``N(v)``, read by ``repro diff`` and ``repro
+participation``) and :meth:`unrank_with_trace` (``repro unrank
+--trace``).  A plan number means one thing everywhere; the paper-literal
+materialized engine lives under ``tests/`` as the oracle this class is
+tested against.
 
 Scope: the implicit layout simulates the enumeration explorer's memo —
 the one explorer.  Plan numbers are defined on the unpruned space:
@@ -33,7 +36,7 @@ from repro.optimizer.plan import PlanNode
 from repro.planspace.implicit.counting import CountState
 from repro.planspace.implicit.layout import ImplicitLayout
 from repro.planspace.implicit.sampling import ImplicitPlanSampler
-from repro.planspace.implicit.unranking import ImplicitUnranker
+from repro.planspace.implicit.unranking import ImplicitUnranker, UnrankTrace
 from repro.sql.binder import Binder, BoundQuery
 from repro.sql.parser import parse
 
@@ -126,6 +129,10 @@ class ImplicitPlanSpace:
         """Plan number ``rank`` (0-based)."""
         return self.unranker.unrank(rank)
 
+    def unrank_with_trace(self, rank: int) -> tuple[PlanNode, UnrankTrace]:
+        """Unrank with a step-by-step trace (paper appendix walkthrough)."""
+        return self.unranker.unrank_with_trace(rank)
+
     def rank(self, plan: PlanNode) -> int:
         """The number of ``plan``; inverse of :meth:`unrank`."""
         return self.unranker.rank(plan)
@@ -184,6 +191,19 @@ class ImplicitPlanSpace:
         computed analytically, none of them instantiated."""
         return self.state.physical_count
 
+    def census(self) -> Iterator[tuple[int, int, object, int, frozenset[str]]]:
+        """Every virtual physical operator as ``(gid, local_id, operator,
+        N(v), group relations)``, in gid then local-id order — the
+        materializer's order.  Builds every row: a diagnostic, O(space)."""
+        tables = self.unranker.tables
+        for group in self.state.layout.groups:
+            gid = group.gid
+            table = tables.table(gid)
+            for pos in range(len(table.counts)):
+                row = table.row(pos)
+                operator = tables.operator(gid, row)
+                yield gid, row.local_id, operator, row.count, group.relations
+
     def describe(self) -> str:
         layout = self.state.layout
         lines = [
@@ -194,6 +214,3 @@ class ImplicitPlanSpace:
             f"total plans N = {self.count():,}",
         ]
         return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return self.count()

@@ -26,99 +26,108 @@ Uses for the paper's testing methodology:
 * cross-validate the uniform sampler: sampled containment frequencies
   must converge to ``participation / N``.
 
-Like counting, the computation is linear in the size of the linked space.
+The computation reads the implicit space's candidate lists: a parent
+adds ``O(p) * prod_{j != i} b_p(j)`` to the list of its slot ``i``, and a
+group's operators take the sums of the lists that hold them.  Groups are
+visited parents first — the unary tower top-down, then relation sets by
+decreasing size (a join's inputs are proper subsets) — and within a group
+the ``Sort`` enforcers feed the group's own body before it is read.  Like
+counting, it is linear in the number of (operator, slot) links.
 """
 
 from __future__ import annotations
 
-from repro.errors import PlanSpaceError
-from repro.planspace.counting import annotate_counts
-from repro.planspace.links import LinkedOperator, LinkedSpace
+from repro.planspace.implicit import ImplicitPlanSpace
 
 __all__ = ["participation_counts", "participation_report"]
 
 
-def participation_counts(space: LinkedSpace) -> dict[str, int]:
+def participation_counts(space: ImplicitPlanSpace) -> dict[str, int]:
     """Exact number of plans containing each operator, keyed by id.
 
     Operators unreachable from any root have participation 0, as do
     operators with an unsatisfiable child slot (``N(v) = 0``).
     """
-    if space.total is None:
-        annotate_counts(space)
+    tables = space.unranker.tables
+    layout = space.state.layout
+    #: per group: id(candidate list) -> [list, contexts handed down to it]
+    pending: dict[int, dict[int, list]] = {}
 
-    contexts: dict[tuple[int, int], int] = {
-        key: 0 for key in space.operators
-    }
-    for root in space.roots:
-        contexts[root.key] = 1
+    def hand_down(candidates, contexts: int) -> None:
+        entry = pending.setdefault(candidates.gid, {}).setdefault(
+            id(candidates), [candidates, 0]
+        )
+        entry[1] += contexts
 
-    for node in _topological_order(space):
-        own_contexts = contexts[node.key]
-        for slot, alternatives in enumerate(node.alternatives):
-            # Plans completed by the *other* slots of this node.
-            others = 1
-            for j, b in enumerate(node.child_sums):
-                if j != slot:
-                    others *= b
-            if others == 0 or own_contexts == 0:
-                continue
-            for alt in alternatives:
-                contexts[alt.key] += own_contexts * others
+    hand_down(tables.candidates(layout.root_gid, space.state.root_kid), 1)
+    contexts: dict[int, list[int]] = {}
+    for gid in _parents_first(layout):
+        table = tables.table(gid)
+        size = len(table.counts)
+        own = contexts[gid] = [0] * size
+        # the Sorts first: they hand their contexts down to the body
+        for positions in (range(table.body, size), range(table.body)):
+            for candidates, weight in pending.pop(gid, {}).values():
+                for pos in candidates.positions:
+                    own[pos] += weight
+            for pos in positions:
+                if not own[pos]:
+                    continue
+                lists = [
+                    tables.candidates(child_gid, requirement)
+                    for child_gid, requirement in table.row(pos).slots
+                ]
+                sums = [candidates.total for candidates in lists]
+                for slot, candidates in enumerate(lists):
+                    # plans completed by the *other* slots of this row
+                    others = 1
+                    for j, b in enumerate(sums):
+                        if j != slot:
+                            others *= b
+                    if others:
+                        hand_down(candidates, own[pos] * others)
 
-    return {
-        node.id_str: contexts[node.key] * (node.count or 0)
-        for node in space.operators.values()
-    }
-
-
-def _topological_order(space: LinkedSpace) -> list[LinkedOperator]:
-    """Parents before children (reverse post-order over the link DAG)."""
-    order: list[LinkedOperator] = []
-    state: dict[tuple[int, int], int] = {}  # 1 = visiting, 2 = done
-
-    for start in space.operators.values():
-        if state.get(start.key):
-            continue
-        stack: list[tuple[LinkedOperator, bool]] = [(start, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                state[node.key] = 2
-                order.append(node)
-                continue
-            if state.get(node.key):
-                continue
-            state[node.key] = 1
-            stack.append((node, True))
-            for alternatives in node.alternatives:
-                for alt in alternatives:
-                    if not state.get(alt.key):
-                        stack.append((alt, False))
-                    elif state[alt.key] == 1:
-                        raise PlanSpaceError(
-                            f"cycle in linked space at {alt.id_str}"
-                        )
-    order.reverse()  # children were appended first; parents must come first
-    return order
+    out: dict[str, int] = {}
+    for group in layout.groups:
+        table = tables.table(group.gid)
+        own = contexts.get(group.gid)
+        for pos, count in enumerate(table.counts):
+            out[f"{group.gid}.{table.base + pos}"] = (
+                own[pos] * count if own is not None else 0
+            )
+    return out
 
 
-def participation_report(space: LinkedSpace) -> str:
+def _parents_first(layout) -> list[int]:
+    """Group ids, every parent before its children: the root's unary
+    tower top-down, then the relation-set groups by decreasing size."""
+    order = []
+    gid = layout.root_gid
+    while layout.group(gid).kind not in ("leaf", "join"):
+        order.append(gid)
+        gid = layout.group(gid).child_gid
+    relation_sets = [g for g in layout.groups if g.kind in ("leaf", "join")]
+    relation_sets.sort(key=lambda group: -len(group.relations))
+    return order + [group.gid for group in relation_sets]
+
+
+def participation_report(space: ImplicitPlanSpace) -> str:
     """Human-readable participation table, rarest operators first."""
     counts = participation_counts(space)
-    total = space.total or 0
+    names = {
+        f"{gid}.{local_id}": operator.name
+        for gid, local_id, operator, _, _ in space.census()
+    }
+    total = space.count()
     lines = [
         f"operator participation over {total:,} plans "
         "(exact, not sampled; rarest first):"
     ]
     items = sorted(counts.items(), key=lambda kv: (kv[1], kv[0]))
     for op_id, plans in items:
-        node = space.operators[
-            tuple(int(x) for x in op_id.split("."))
-        ]
         fraction = plans / total if total else 0.0
         lines.append(
-            f"  {op_id:>8}  {node.expr.op.name:<22} in {plans:>20,} plans"
+            f"  {op_id:>8}  {names[op_id]:<22} in {plans:>20,} plans"
             f" ({fraction:>8.2%})"
         )
     return "\n".join(lines)

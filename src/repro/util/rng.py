@@ -19,12 +19,12 @@ same rank stream, no matter which engine unranks it.*  Concretely:
    sparse ones rejection-sample ``randrange`` until ``n`` distinct ranks
    accumulate and return them *sorted*, not in draw order;
 3. the drawing logic lives in exactly one place,
-   :class:`repro.planspace.sampling.RankSampler`; the materialized
-   (``UniformPlanSampler``) and implicit (``ImplicitPlanSampler``)
-   engines both subclass it and add only their ``unrank``.
+   :class:`repro.planspace.sampling.RankSampler`; the implicit engine's
+   ``ImplicitPlanSampler`` and the materialized oracle's sampler (under
+   ``tests/``) both subclass it and add only their ``unrank``.
 
-Every production route draws through the implicit engine; the
-materialized one is the paper-literal reference.  Because the two agree
+Every route draws through the implicit engine; the materialized one is
+the paper-literal oracle it is tested against.  Because the two agree
 on ``N`` and on the rank -> plan bijection (asserted by the equivalence
 property suite), a seed uniquely identifies a set of *plans*, end-to-end
 through ``Session.iterate_plans`` and the ``sample``/``validate`` CLI

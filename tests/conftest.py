@@ -11,10 +11,10 @@ import pytest
 
 from repro.catalog.tpch import tpch_catalog
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
-from repro.planspace.space import PlanSpace
 from repro.storage.datagen import generate_tpch
-from repro.workloads.paper_example import build_paper_example
 from repro.workloads.tpch_queries import tpch_query
+from tests.planspace.materialized.paper_example import build_paper_example
+from tests.planspace.materialized.space import PlanSpace
 
 
 @pytest.fixture(scope="session")

@@ -23,12 +23,12 @@ import pytest
 from repro.optimizer.implementation import ImplementationConfig
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.optimizer.pruning import prune_memo
-from repro.planspace import counting
 from repro.planspace.implicit import ImplicitPlanSpace
-from repro.planspace.links import materialize_links
-from repro.planspace.space import PlanSpace
 from repro.workloads.synthetic import chain_query, clique_query
 from repro.workloads.tpch_queries import tpch_query
+from tests.planspace.materialized import counting
+from tests.planspace.materialized.links import materialize_links
+from tests.planspace.materialized.space import PlanSpace
 
 Q5_PLANS = 140_951_971_740_672
 

@@ -11,11 +11,11 @@ import pytest
 
 from repro.api import Session
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
-from repro.planspace.space import PlanSpace
 from repro.testing.diff import canonical_rows
 from repro.testing.harness import PlanValidator
 from repro.workloads.tpch_queries import tpch_query
 from tests.optimizer.reference_transformation import TransformationExplorer
+from tests.planspace.materialized.space import PlanSpace
 from tests.reference_pipeline import optimize_reference
 
 

@@ -15,9 +15,9 @@ import pytest
 from repro.api import Session
 from repro.optimizer.implementation import ImplementationConfig
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
-from repro.planspace.space import PlanSpace
 from repro.testing.diff import canonical_rows
 from tests.optimizer.reference_transformation import TransformationExplorer
+from tests.planspace.materialized.space import PlanSpace
 from tests.reference_pipeline import optimize_reference
 
 SQL = (

@@ -12,8 +12,8 @@ from repro.algebra.physical import Sort
 from repro.errors import OptimizerError
 from repro.optimizer.bestplan import ColumnarBestPlanSearch
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
-from repro.planspace.space import PlanSpace
 from tests.optimizer.reference_bestplan import BestPlanSearch
+from tests.planspace.materialized.space import PlanSpace
 
 
 def _optimize(catalog, sql, **kwargs):

@@ -17,9 +17,9 @@ import pytest
 
 from repro.algebra.logical import LogicalJoin
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
-from repro.planspace.space import PlanSpace
 from repro.workloads.synthetic import clique_query
 from repro.workloads.tpch_queries import tpch_query
+from tests.planspace.materialized.space import PlanSpace
 from tests.optimizer.reference_transformation import (
     RuleSet,
     TransformationExplorer,

@@ -13,8 +13,8 @@ from repro.errors import AlgebraError
 from repro.executor.executor import PlanExecutor
 from repro.optimizer.implementation import ImplementationConfig
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
-from repro.planspace.space import PlanSpace
 from repro.testing.diff import canonical_rows
+from tests.planspace.materialized.space import PlanSpace
 
 JOIN2 = (
     "SELECT n.n_name, r.r_name FROM nation n, region r "

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
-from repro.planspace.space import PlanSpace
 from repro.workloads.tpch_queries import tpch_query
+from tests.planspace.materialized.space import PlanSpace
 from tests.optimizer.reference_transformation import (
     RuleSet,
     TransformationExplorer,

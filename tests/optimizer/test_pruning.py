@@ -6,7 +6,6 @@ from repro.errors import OptimizerError
 from repro.optimizer.bestplan import ColumnarBestPlanSearch
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.optimizer.pruning import prune_memo
-from repro.planspace.space import PlanSpace
 from repro.workloads.synthetic import (
     chain_query,
     clique_query,
@@ -14,6 +13,7 @@ from repro.workloads.synthetic import (
     star_query,
 )
 from tests.optimizer.reference_bestplan import find_best_plan
+from tests.planspace.materialized.space import PlanSpace
 
 JOIN2 = (
     "SELECT n.n_name FROM nation n, region r WHERE n.n_regionkey = r.r_regionkey"

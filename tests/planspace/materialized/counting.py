@@ -21,7 +21,7 @@ operator is visited exactly once.
 from __future__ import annotations
 
 from repro.errors import PlanSpaceError
-from repro.planspace.links import LinkedOperator, LinkedSpace
+from tests.planspace.materialized.links import LinkedOperator, LinkedSpace
 
 __all__ = ["annotate_counts", "operator_count"]
 

@@ -13,8 +13,8 @@ from collections.abc import Iterator
 
 from repro.errors import RankOutOfRangeError
 from repro.optimizer.plan import PlanNode
-from repro.planspace.links import LinkedSpace
-from repro.planspace.unranking import Unranker
+from tests.planspace.materialized.links import LinkedSpace
+from tests.planspace.materialized.unranking import Unranker
 
 __all__ = ["enumerate_plans"]
 

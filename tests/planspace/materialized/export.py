@@ -13,7 +13,7 @@ import json
 
 from repro.memo.memo import Memo
 from repro.optimizer.plan import PlanNode
-from repro.planspace.links import LinkedSpace
+from tests.planspace.materialized.links import LinkedSpace
 
 __all__ = ["memo_to_dict", "space_to_dict", "plan_to_dict", "to_json"]
 

@@ -22,11 +22,11 @@ from repro.algebra.properties import SortOrder
 from repro.memo.memo import Memo
 from repro.optimizer.optimizer import OptimizationResult
 from repro.optimizer.plan import PlanNode
-from repro.planspace.counting import annotate_counts
-from repro.planspace.enumeration import enumerate_plans
-from repro.planspace.links import LinkedSpace, materialize_links
-from repro.planspace.sampling import UniformPlanSampler
-from repro.planspace.unranking import Unranker, UnrankTrace
+from tests.planspace.materialized.counting import annotate_counts
+from tests.planspace.materialized.enumeration import enumerate_plans
+from tests.planspace.materialized.links import LinkedSpace, materialize_links
+from tests.planspace.materialized.sampling import UniformPlanSampler
+from tests.planspace.materialized.unranking import Unranker, UnrankTrace
 
 __all__ = ["PlanSpace"]
 

@@ -26,12 +26,11 @@ concerns (plan depth is bounded by the number of memo groups).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import PlanSpaceError, RankOutOfRangeError
 from repro.optimizer.plan import PlanNode
-from repro.planspace.counting import annotate_counts
-from repro.planspace.links import LinkedOperator, LinkedSpace
+from repro.planspace.implicit.unranking import TraceStep, UnrankTrace
+from tests.planspace.materialized.counting import annotate_counts
+from tests.planspace.materialized.links import LinkedOperator, LinkedSpace
 
 __all__ = ["Unranker", "UnrankTrace", "TraceStep", "require_group_cardinality"]
 
@@ -55,43 +54,6 @@ def require_group_cardinality(group) -> float:
             "real row estimates for costing"
         )
     return cardinality
-
-
-@dataclass
-class TraceStep:
-    """One step of an unranking, for walkthrough output (paper appendix)."""
-
-    operator_id: str
-    rank: int
-    local_rank: int
-    remainders: tuple[int, ...]  # R_v(1) .. R_v(n)
-    sub_ranks: tuple[int, ...]  # s_v(1) .. s_v(n)
-
-    def render(self) -> str:
-        lines = [
-            f"unranked rank {self.rank} -> operator {self.operator_id} "
-            f"(local rank {self.local_rank})"
-        ]
-        n = len(self.sub_ranks)
-        for i in range(n, 0, -1):
-            lines.append(f"  R({i}) = {self.remainders[i - 1]}")
-        for i in range(n, 0, -1):
-            lines.append(f"  s({i}) = {self.sub_ranks[i - 1]}")
-        return "\n".join(lines)
-
-
-@dataclass
-class UnrankTrace:
-    """The full trace of one unranking."""
-
-    rank: int
-    steps: list[TraceStep] = field(default_factory=list)
-
-    def operator_ids(self) -> list[str]:
-        return [step.operator_id for step in self.steps]
-
-    def render(self) -> str:
-        return "\n".join(step.render() for step in self.steps)
 
 
 class Unranker:

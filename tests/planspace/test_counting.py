@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.optimizer.rules import ImplementationConfig
-from repro.planspace.counting import annotate_counts, operator_count
 from repro.planspace.implicit import ImplicitPlanSpace
-from repro.planspace.links import materialize_links
-from repro.workloads.paper_example import EXPECTED_COUNTS, EXPECTED_TOTAL
 from repro.workloads.synthetic import chain_query, cycle_query, random_query
 from repro.workloads.tpch_queries import tpch_query
+from tests.planspace.materialized.counting import annotate_counts, operator_count
+from tests.planspace.materialized.links import materialize_links
+from tests.planspace.materialized.paper_example import EXPECTED_COUNTS, EXPECTED_TOTAL
 from tests.planspace.reference_counting import assert_same_aggregates, count_both
 from tests.planspace.test_implicit_tables import SHAPES
 

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.optimizer.implementation import ImplementationConfig
-from repro.optimizer.optimizer import Optimizer, OptimizerOptions
+from repro.optimizer.optimizer import OptimizerOptions
 from repro.planspace.diff import diff_spaces
-from repro.planspace.links import materialize_links
+from repro.planspace.implicit import ImplicitPlanSpace
 
 SQL = (
     "SELECT n.n_name, r.r_name FROM nation n, region r "
@@ -18,8 +18,7 @@ def _space(catalog, **impl_kwargs):
         allow_cross_products=False,
         implementation=ImplementationConfig(**impl_kwargs),
     )
-    result = Optimizer(catalog, options).optimize_sql(SQL)
-    return materialize_links(result.memo, root_required=result.root_order)
+    return ImplicitPlanSpace.from_sql(catalog, SQL, options=options)
 
 
 class TestIdenticalSpaces:

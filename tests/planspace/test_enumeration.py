@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from repro.errors import RankOutOfRangeError
-from repro.planspace.enumeration import enumerate_plans
-from repro.planspace.links import materialize_links
+from tests.planspace.materialized.enumeration import enumerate_plans
+from tests.planspace.materialized.links import materialize_links
 
 
 @pytest.fixture

@@ -2,14 +2,14 @@
 
 import json
 
-from repro.planspace.export import (
+from tests.planspace.materialized.export import (
     memo_to_dict,
     plan_to_dict,
     space_to_dict,
     to_json,
 )
-from repro.planspace.links import materialize_links
-from repro.planspace.counting import annotate_counts
+from tests.planspace.materialized.links import materialize_links
+from tests.planspace.materialized.counting import annotate_counts
 
 
 class TestMemoExport:

@@ -17,11 +17,11 @@ from repro.errors import PlanSpaceError, RankOutOfRangeError
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.optimizer.rules import ImplementationConfig
 from repro.planspace.implicit import CountState, ImplicitLayout, ImplicitPlanSpace
-from repro.planspace.space import PlanSpace
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
 from repro.workloads.synthetic import chain_query, clique_query, cycle_query
 from repro.workloads.tpch_queries import tpch_query
+from tests.planspace.materialized.space import PlanSpace
 from tests.planspace.reference_counting import count_both
 
 
@@ -226,9 +226,17 @@ class TestSessionApi:
         assert isinstance(handle, PlanSpaceHandle)
         full = PlanSpace.from_result(session.optimize(sql))
         assert handle.count() == full.count()
-        assert len(handle) == handle.count()
+        assert handle
         assert handle.unrank(13).fingerprint() == full.unrank(13).fingerprint()
         assert "implicit plan space" in handle.describe()
+
+    def test_large_space_is_truthy(self):
+        """``count()`` is the API: a space past 2**63 plans (clique7,
+        N ≈ 8.6e28) is truthy, where a ``len`` would overflow."""
+        workload = clique_query(7, rows=5, seed=0)
+        handle = Session(workload.database).plan_space(workload.sql)
+        assert handle and handle.space
+        assert handle.count() == handle.space.count() == 86353104200675769041228522464
 
     def test_handle_materialize(self):
         """The reference the handle's numbering matches is built from an

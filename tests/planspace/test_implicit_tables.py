@@ -4,7 +4,9 @@ In every configuration the count pass serves — the default space,
 index-NL-joins, the redundant-sort ablation — the tables sliced from its
 columns must give each rank the plan the materialized
 :class:`PlanSpace` gives it, node for node, and build rows only for the
-positions something selects.
+positions something selects.  On the smaller spaces the diagnostics that
+read the tables — the operator census, participation counts, the
+unranking trace and the configuration diff — must equal the oracle's.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import pytest
 
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.optimizer.rules import ImplementationConfig
+from repro.planspace.diff import diff_spaces
 from repro.planspace.implicit import ImplicitPlanSpace
-from repro.planspace.space import PlanSpace
+from repro.planspace.participation import participation_counts
 from repro.sampledopt import StratifiedSampler
 from repro.workloads.synthetic import (
     chain_query,
@@ -26,6 +29,9 @@ from repro.workloads.synthetic import (
     random_query,
     star_query,
 )
+from tests.planspace.materialized import diff as reference_diff
+from tests.planspace.materialized import participation as reference_participation
+from tests.planspace.materialized.space import PlanSpace
 
 SHAPES = {
     "chain": chain_query,
@@ -75,13 +81,48 @@ def _variants(workload, cross):
     ), ImplicitPlanSpace.from_sql(catalog, sql, options=inlj)
 
 
+#: spaces of up to this many relations also check the diagnostics
+DIAGNOSED = 5
+
+
+def _assert_diagnostics_match(materialized, implicit, where):
+    """Census, participation and the R/s trace read off the implicit
+    tables equal the linked space's."""
+    linked = materialized.linked
+    assert {
+        f"{gid}.{local_id}": (op.render(), count, relations)
+        for gid, local_id, op, count, relations in implicit.census()
+    } == {
+        node.id_str: (
+            node.expr.op.render(),
+            node.count,
+            linked.memo.group(node.expr.group_id).relations,
+        )
+        for node in linked.operators.values()
+    }, where
+    assert participation_counts(
+        implicit
+    ) == reference_participation.participation_counts(linked), where
+    total = materialized.count()
+    for rank in sorted({0, total // 2, total - 1}):
+        ours = implicit.unrank_with_trace(rank)[1].render()
+        assert ours == materialized.unrank_with_trace(rank)[1].render(), (
+            where,
+            rank,
+        )
+
+
 @pytest.mark.parametrize("shape,n,cross", CASES)
 def test_unrank_matches_materialized_node_for_node(shape, n, cross):
     workload = SHAPES[shape](n, rows=5, seed=0)
+    spaces = {}
     for tag, materialized, implicit in _variants(workload, cross):
         where = (shape, n, cross, tag)
         total = materialized.count()
         assert implicit.count() == total, where
+        if n <= DIAGNOSED:
+            _assert_diagnostics_match(materialized, implicit, where)
+            spaces[tag] = materialized, implicit
         if total <= EXHAUSTIVE:
             ranks = range(total)
         else:
@@ -100,6 +141,11 @@ def test_unrank_matches_materialized_node_for_node(shape, n, cross):
                 assert a.op.key() == b.op.key(), (where, rank, a.expr_id)
                 assert a.cardinality == pytest.approx(b.cardinality, rel=1e-12)
             assert implicit.rank(ours) == rank, (where, rank)
+    if spaces:
+        (base_ref, base), (cand_ref, cand) = spaces["default"], spaces["index-nlj"]
+        assert diff_spaces(base, cand).render() == reference_diff.diff_spaces(
+            base_ref.linked, cand_ref.linked
+        ).render(), (shape, n, cross)
 
 
 #: sha256(repr(StratifiedSampler(space, seed).sample_ranks(100))), pinned

@@ -5,7 +5,7 @@ import pytest
 from repro.algebra.physical import MergeJoin, Sort
 from repro.errors import PlanSpaceError
 from repro.memo.memo import Memo
-from repro.planspace.links import materialize_links
+from tests.planspace.materialized.links import materialize_links
 
 
 class TestPaperExampleLinks:

@@ -1,16 +1,24 @@
-"""Tests for exact operator-participation counts."""
+"""Tests for exact operator-participation counts.
+
+The paper example is a hand-built memo, which only the materialized
+oracle can read; real queries go through the production function over
+the implicit tables.
+"""
 
 from collections import Counter
 
 import pytest
 
-from repro.planspace.counting import annotate_counts
-from repro.planspace.links import materialize_links
-from repro.planspace.participation import (
-    participation_counts,
-    participation_report,
-)
-from repro.planspace.space import PlanSpace
+from repro.optimizer.implementation import ImplementationConfig
+from repro.optimizer.optimizer import OptimizerOptions
+from repro.planspace.implicit import ImplicitPlanSpace
+from repro.planspace.participation import participation_counts
+from repro.workloads.tpch_queries import tpch_query
+from tests.planspace.materialized import participation as reference
+from tests.planspace.materialized.counting import annotate_counts
+from tests.planspace.materialized.links import materialize_links
+
+NO_CROSS = OptimizerOptions(allow_cross_products=False)
 
 
 @pytest.fixture
@@ -20,12 +28,20 @@ def example_space(paper_example):
     return space
 
 
-def brute_force_participation(space) -> Counter:
-    """Count containment by enumerating every plan."""
-    from repro.planspace.enumeration import enumerate_plans
+@pytest.fixture(scope="module")
+def q3_implicit(catalog):
+    return ImplicitPlanSpace.from_sql(catalog, tpch_query("Q3").sql, options=NO_CROSS)
 
+
+@pytest.fixture(scope="module")
+def q5_implicit(catalog):
+    return ImplicitPlanSpace.from_sql(catalog, tpch_query("Q5").sql, options=NO_CROSS)
+
+
+def brute_force_participation(plans) -> Counter:
+    """Count containment over an enumeration of every plan."""
     counts: Counter = Counter()
-    for _, plan in enumerate_plans(space):
+    for _, plan in plans:
         for node in plan.iter_nodes():
             counts[node.expr_id] += 1
     return counts
@@ -33,13 +49,15 @@ def brute_force_participation(space) -> Counter:
 
 class TestPaperExample:
     def test_matches_brute_force(self, example_space):
-        exact = participation_counts(example_space)
-        brute = brute_force_participation(example_space)
+        from tests.planspace.materialized.enumeration import enumerate_plans
+
+        exact = reference.participation_counts(example_space)
+        brute = brute_force_participation(enumerate_plans(example_space))
         for op_id, count in exact.items():
             assert count == brute.get(op_id, 0), op_id
 
     def test_known_values(self, example_space, paper_example):
-        exact = participation_counts(example_space)
+        exact = reference.participation_counts(example_space)
         # Every plan passes through exactly one root (22 each).
         assert exact[paper_example.paper_ids["7.7"]] == 22
         assert exact[paper_example.paper_ids["7.8"]] == 22
@@ -50,45 +68,42 @@ class TestPaperExample:
         assert exact[paper_example.paper_ids["1.4"]] == 24
 
     def test_participation_bounded_by_total(self, example_space):
-        exact = participation_counts(example_space)
+        exact = reference.participation_counts(example_space)
         assert all(0 <= count <= 44 for count in exact.values())
 
     def test_report_renders(self, example_space):
-        text = participation_report(example_space)
+        text = reference.participation_report(example_space)
         assert "44" in text
         assert "HashJoin" in text
 
 
 class TestOnRealQuery:
     def test_matches_brute_force_q3_subspace(self, catalog):
-        """Brute-force cross-check on a small real optimizer memo."""
-        from repro.optimizer.implementation import ImplementationConfig
-        from repro.optimizer.optimizer import Optimizer, OptimizerOptions
-
+        """Brute-force cross-check on a small real query's space."""
         options = OptimizerOptions(
             allow_cross_products=False,
             implementation=ImplementationConfig(
                 enable_index_scans=False, enable_merge_join=False
             ),
         )
-        result = Optimizer(catalog, options).optimize_sql(
+        space = ImplicitPlanSpace.from_sql(
+            catalog,
             "SELECT n.n_name FROM nation n, region r "
-            "WHERE n.n_regionkey = r.r_regionkey"
+            "WHERE n.n_regionkey = r.r_regionkey",
+            options=options,
         )
-        space = materialize_links(result.memo)
-        annotate_counts(space)
         exact = participation_counts(space)
-        brute = brute_force_participation(space)
+        brute = brute_force_participation(space.enumerate())
         for op_id, count in exact.items():
             assert count == brute.get(op_id, 0), op_id
 
-    def test_sampled_frequencies_converge(self, q3_space):
+    def test_sampled_frequencies_converge(self, q3_implicit):
         """Uniform sampling must agree with the exact participation — a
         cross-validation of the sampler's uniformity on a real query."""
-        exact = participation_counts(q3_space.linked)
-        total = q3_space.count()
+        exact = participation_counts(q3_implicit)
+        total = q3_implicit.count()
         sample_size = 3_000
-        plans = q3_space.sample(sample_size, seed=11)
+        plans = q3_implicit.sample(sample_size, seed=11)
         sampled: Counter = Counter()
         for plan in plans:
             for node in plan.iter_nodes():
@@ -103,16 +118,16 @@ class TestOnRealQuery:
             stderr = (expected * (1 - expected) / sample_size) ** 0.5
             assert abs(observed - expected) < max(5 * stderr, 0.01), op_id
 
-    def test_every_operator_reachable_or_zero(self, q5_space):
-        exact = participation_counts(q5_space.linked)
+    def test_every_operator_reachable_or_zero(self, q5_implicit):
+        exact = participation_counts(q5_implicit)
         # In a fully implemented memo every operator should be live.
         dead = [op_id for op_id, count in exact.items() if count == 0]
         assert not dead, f"dead operators: {dead[:5]}"
-        assert max(exact.values()) <= q5_space.count()
+        assert max(exact.values()) <= q5_implicit.count()
 
-    def test_linear_runtime_on_large_space(self, q5_space):
+    def test_linear_runtime_on_large_space(self, q5_implicit):
         import time
 
         started = time.perf_counter()
-        participation_counts(q5_space.linked)
+        participation_counts(q5_implicit)
         assert time.perf_counter() - started < 1.0

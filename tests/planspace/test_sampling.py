@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 
 from repro.api import Session
-from repro.planspace.links import materialize_links
-from repro.planspace.sampling import UniformPlanSampler, naive_walk_sample
-from repro.planspace.space import PlanSpace
-from repro.planspace.unranking import Unranker
+from tests.planspace.materialized.links import materialize_links
+from tests.planspace.materialized.sampling import UniformPlanSampler, naive_walk_sample
+from tests.planspace.materialized.space import PlanSpace
+from tests.planspace.materialized.unranking import Unranker
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.planspace.space import PlanSpace
+from tests.planspace.materialized.space import PlanSpace
 
 
 class TestConstruction:

@@ -8,9 +8,9 @@ import pytest
 
 from repro.errors import PlanSpaceError, RankOutOfRangeError
 from repro.executor.executor import PlanExecutor
-from repro.planspace.links import materialize_links
-from repro.planspace.unranking import Unranker
 from repro.testing.diff import canonical_result
+from tests.planspace.materialized.links import materialize_links
+from tests.planspace.materialized.unranking import Unranker
 
 
 @pytest.fixture

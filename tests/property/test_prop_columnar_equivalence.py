@@ -19,7 +19,6 @@ import pytest
 from repro.api import Session
 from repro.optimizer.implementation import ImplementationConfig
 from repro.optimizer.optimizer import OptimizerOptions
-from repro.planspace.space import PlanSpace
 from repro.workloads.synthetic import (
     chain_query,
     clique_query,
@@ -27,6 +26,7 @@ from repro.workloads.synthetic import (
     star_query,
 )
 from repro.workloads.tpch_queries import TPCH_QUERIES
+from tests.planspace.materialized.space import PlanSpace
 from tests.reference_pipeline import (
     assert_matches_reference,
     operator_census,

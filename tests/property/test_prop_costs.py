@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.optimizer.cost import CostModel, CostParameters
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
-from repro.planspace.space import PlanSpace
 from repro.workloads.synthetic import chain_query
+from tests.planspace.materialized.space import PlanSpace
 
 
 @given(

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.executor.executor import PlanExecutor
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
-from repro.planspace.space import PlanSpace
 from repro.testing.diff import canonical_rows
 from repro.workloads.synthetic import chain_query, clique_query, star_query
+from tests.planspace.materialized.space import PlanSpace
 
 _MAKERS = {"chain": chain_query, "star": star_query, "clique": clique_query}
 

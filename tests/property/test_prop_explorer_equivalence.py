@@ -37,7 +37,7 @@ from tests.optimizer.reference_enumeration import (
     reference_partitions,
 )
 from repro.optimizer.setup import build_initial_memo
-from repro.planspace.space import PlanSpace
+from tests.planspace.materialized.space import PlanSpace
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
 from repro.workloads.synthetic import (

@@ -29,13 +29,13 @@ import pytest
 
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.planspace.implicit import ImplicitPlanSpace
-from repro.planspace.space import PlanSpace
 from repro.workloads.synthetic import (
     chain_query,
     clique_query,
     cycle_query,
     star_query,
 )
+from tests.planspace.materialized.space import PlanSpace
 
 SHAPES = {
     "chain": chain_query,

@@ -14,9 +14,8 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.planspace.participation import participation_counts
-from repro.planspace.space import PlanSpace
-
+from tests.planspace.materialized.participation import participation_counts
+from tests.planspace.materialized.space import PlanSpace
 from tests.property.test_prop_unranking import build_random_memo
 
 

@@ -26,8 +26,8 @@ import pytest
 from repro.api import Session
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.planspace.implicit import ImplicitPlanSpace
-from repro.planspace.space import PlanSpace
 from repro.workloads.synthetic import random_query
+from tests.planspace.materialized.space import PlanSpace
 from tests.reference_pipeline import (
     assert_matches_reference,
     operator_census,

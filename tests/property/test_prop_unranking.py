@@ -25,7 +25,7 @@ from repro.algebra.physical import (
     TableScan,
 )
 from repro.memo.memo import Memo
-from repro.planspace.space import PlanSpace
+from tests.planspace.materialized.space import PlanSpace
 
 
 def build_random_memo(seed: int, n_leaves: int, sorted_scans: bool) -> Memo:

@@ -287,6 +287,60 @@ class TestParticipationAndDiff:
         assert "added" in text
 
 
+def _oracle_output(argv: list[str]) -> str:
+    """What the materialized oracle prints for a diagnostic command."""
+    from repro.api import Session
+    from repro.optimizer.implementation import ImplementationConfig
+    from repro.optimizer.optimizer import Optimizer, OptimizerOptions
+    from repro.workloads.tpch_queries import tpch_query
+    from tests.planspace.materialized.diff import diff_spaces
+    from tests.planspace.materialized.participation import participation_report
+    from tests.planspace.materialized.space import PlanSpace
+
+    cross = argv[0] == "--cross-products"
+    command, query, *rest = argv[cross:]
+    catalog = Session.tpch(seed=0).catalog
+    sql = tpch_query(query).sql
+
+    def space(**config) -> PlanSpace:
+        options = OptimizerOptions(
+            allow_cross_products=cross,
+            implementation=ImplementationConfig(**config),
+        )
+        return PlanSpace.from_result(Optimizer(catalog, options).optimize_sql(sql))
+
+    if command == "participation":
+        return participation_report(space().linked) + "\n"
+    if command == "unrank":
+        plan, trace = space().unrank_with_trace(int(rest[0]))
+        return trace.render() + "\n\n" + plan.render() + "\n"
+    flags = {
+        "--no-merge-join": {"enable_merge_join": False},
+        "--index-joins": {"enable_index_nl_join": True},
+    }
+    candidate = space(**{k: v for flag in rest for k, v in flags[flag].items()})
+    return diff_spaces(space().linked, candidate.linked).render() + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["participation", "Q3"],
+        ["--cross-products", "participation", "Q3"],
+        ["diff", "Q3", "--no-merge-join"],
+        ["diff", "Q5", "--index-joins"],
+        ["unrank", "Q3", "13", "--trace"],
+    ],
+    ids=" ".join,
+)
+def test_diagnostics_print_the_oracles_rendering(argv):
+    """The diagnostics read the implicit tables, and print byte for byte
+    what the materialized oracle's walk over its links prints."""
+    code, text = run_cli(*argv)
+    assert code == 0
+    assert text == _oracle_output(argv)
+
+
 class TestCorpusCommands:
     def test_build_and_verify(self, tmp_path):
         path = str(tmp_path / "corpus.json")

@@ -9,8 +9,8 @@ lookup (in ``src/`` or in ``scripts/ci.sh``, which also keeps no timer),
 when the deleted rule engine, object best-plan path, per-pair reference
 count pass, Python csg–cmp enumerator, the two callers' own key-interning
 chains (or a result served by any of them) reappears under ``src/``, or
-when production code outside the diagnostics numbers plans through the
-materialized reference.
+when the materialized plan space — now an oracle under ``tests/`` — is
+back in ``src/`` or imported by it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -321,62 +322,54 @@ def test_result_engine_is_one_of_three(options):
     assert {"columnar", "heuristic"} <= seen <= {"columnar", "sampled", "heuristic"}
 
 
-#: the materialized plan space: the paper-literal reference and the
-#: diagnostics that print its internals
-REFERENCE_MODULES = {
+#: the materialized plan space, moved under ``tests/planspace/materialized``
+#: as the oracle
+MOVED_MODULES = [
     f"repro.planspace.{name}"
-    for name in (
-        "space",
-        "links",
-        "counting",
-        "unranking",
-        "enumeration",
-        "participation",
-        "diff",
-        "export",
-    )
+    for name in ("space", "links", "counting", "unranking", "enumeration", "export")
+] + ["repro.workloads.paper_example"]
+#: what ``repro.planspace`` exports: the one engine, the rank-drawing
+#: contract and the two diagnostics that read its tables
+PLANSPACE_PRODUCTION_EXPORTS = {
+    "ImplicitPlanSpace",
+    "RankSampler",
+    "SpaceDiff",
+    "diff_spaces",
+    "participation_counts",
+    "participation_report",
 }
-#: the package exports that are not the reference
-PLANSPACE_PRODUCTION_EXPORTS = {"ImplicitPlanSpace", "RankSampler"}
-#: the ``cli.py`` handlers that print the reference's internals
-#: (``unrank`` only under ``--trace``)
-REFERENCE_HANDLERS = {"_cmd_participation", "_cmd_diff", "_cmd_unrank"}
 
 
-def _reference_imports(node) -> list[str]:
-    if isinstance(node, ast.Import):
-        return [a.name for a in node.names if a.name in REFERENCE_MODULES]
-    if isinstance(node, ast.ImportFrom):
-        if node.module in REFERENCE_MODULES:
-            return [node.module]
-        if node.module == "repro.planspace":
-            return [
-                f"repro.planspace.{a.name}"
-                for a in node.names
-                if a.name not in PLANSPACE_PRODUCTION_EXPORTS
-            ]
-    return []
-
-
-def test_only_the_diagnostics_import_the_materialized_reference():
-    """Every production route numbers plans through the implicit space:
-    the reference is imported by its own package, the package root's
-    public exports and three CLI diagnostics, nothing else."""
+def test_src_imports_nothing_from_tests():
+    """No ``src/`` module reaches into ``tests/`` — where the oracles,
+    the materialized plan space among them, live."""
     offenders = []
     for path, tree in _src_trees():
-        posix = path.as_posix()
-        if posix.startswith("planspace/") or posix == "__init__.py":
-            continue
-        for top in tree.body:
-            owner = top.name if isinstance(top, ast.FunctionDef) else None
-            allowed = posix == "cli.py" and owner in REFERENCE_HANDLERS
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
             offenders += [
-                f"{posix}:{node.lineno}: {module}"
-                for node in ast.walk(top)
-                for module in _reference_imports(node)
-                if not allowed
+                f"{path.as_posix()}:{node.lineno}: {name}"
+                for name in names
+                if name == "tests" or name.startswith("tests.")
             ]
     assert not offenders, offenders
+
+
+@pytest.mark.parametrize("module", MOVED_MODULES)
+def test_the_materialized_engine_left_src(module):
+    assert importlib.util.find_spec(module) is None, module
+
+
+def test_package_exports_no_materialized_space():
+    import repro.planspace
+
+    assert not hasattr(repro, "PlanSpace")
+    assert set(repro.planspace.__all__) == PLANSPACE_PRODUCTION_EXPORTS
 
 
 def test_plan_numbering_takes_no_engine_selector():

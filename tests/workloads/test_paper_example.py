@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads.paper_example import (
+from tests.planspace.materialized.paper_example import (
     EXPECTED_COUNTS,
     EXPECTED_TOTAL,
     build_paper_example,
@@ -59,7 +59,7 @@ class TestData:
 
     def test_joins_produce_rows(self, paper_example):
         from repro.executor import execute_plan
-        from repro.planspace import PlanSpace
+        from tests.planspace.materialized.space import PlanSpace
 
         space = PlanSpace.from_memo(paper_example.memo)
         result = execute_plan(space.unrank(0), paper_example.database)

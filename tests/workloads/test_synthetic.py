@@ -109,7 +109,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize("maker", [chain_query, star_query, clique_query])
     def test_optimize_and_execute(self, maker):
         from repro.optimizer.optimizer import Optimizer, OptimizerOptions
-        from repro.planspace.space import PlanSpace
+        from tests.planspace.materialized.space import PlanSpace
         from repro.executor.executor import PlanExecutor
         from repro.testing.diff import canonical_rows
 
