@@ -30,7 +30,6 @@ __all__ = [
     "csg_cmp_universe",
     "cut_key_table",
     "byte_words",
-    "lex_rank_rows",
     "prefix_intervals",
     "prefix_interval_ends",
     "union_words_by_mask",
@@ -54,17 +53,6 @@ def byte_words(mat):
         out[:, :width] = mat
         mat = out
     return np.ascontiguousarray(mat).view(">u8").astype(np.uint64)
-
-
-def lex_rank_rows(mat):
-    """Byte-lexicographic row ranks of a 0-padded uint8 matrix:
-    ``(order, rank)`` with ``mat[order]`` sorted and ``rank[i]`` the
-    position of row ``i`` in that order."""
-    words = byte_words(mat)
-    order = np.lexsort(words.T[::-1])
-    rank = np.empty(len(mat), np.int64)
-    rank[order] = np.arange(len(mat))
-    return order, rank
 
 
 def prefix_intervals(sorted_mat, lengths, pad_width):

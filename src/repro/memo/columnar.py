@@ -36,7 +36,8 @@ integer *kids*.  No predicate is walked and no key tuple is sorted per
 expression.
 
 The memo also has a *logical* columnar side
-(:class:`ColumnarLogicalStore`, built by batched exploration): for every
+(:class:`ColumnarLogicalStore`, built by batched exploration — or, for
+the heuristic tier, from the setup pass's seeded joins alone): for every
 relation-mask group of two or more aliases, the valid unordered csg–cmp
 splits are two parallel child-gid columns (``sl``/``sr``, bucket order,
 blocks contiguous per group in enumeration-universe order) plus the
@@ -57,9 +58,12 @@ hook materializes in logical-then-physical order, and
 (`expression_count` and friends) answers from the arrays without
 materializing anything.
 
-Columns are ``array.array`` buffers; the vectorized emitter and the
-layered best-plan DP (:mod:`repro.optimizer.bestplan`) view them as
-numpy arrays without copying.
+The physical rows are emitted by one vectorized pass over the logical
+store (index-lookup joins included); the per-group scalar loop it
+replaced is the oracle ``tests/memo/reference_emission.py``.  Columns
+are ``array.array`` buffers; the emitter and the layered best-plan DP
+(:mod:`repro.optimizer.bestplan`) view them as numpy arrays without
+copying.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ from repro.memo.group import Group, GroupExpr
 from repro.resilience.faults import fault_point
 from repro.optimizer.rules import (
     ImplementationConfig,
+    index_lookup_matches,
     index_nl_join_implementations,
     join_implementations,
     join_physical_kinds,
@@ -90,6 +95,7 @@ __all__ = [
     "build_columnar_store",
     "build_logical_store",
     "replay_logical_store",
+    "seeded_logical_store",
 ]
 
 # Physical row op-codes.  Joins use the contiguous NLJ/HASH/MERGE band so
@@ -118,9 +124,11 @@ _UNARY_TAGS = {
 
 class ColumnarUnsupported(Exception):
     """This memo cannot take a columnar build: not freshly seeded
-    (batched exploration), drifted from its cached template (replay —
-    the caller explores normally instead), or hand-assembled without an
-    alias universe (implementation, which has no other path)."""
+    (batched exploration, the heuristic tier's seeded store), drifted
+    from its cached template (replay — the caller explores normally
+    instead), or hand-assembled without an alias universe or holding a
+    join group explored one ``memo.insert`` at a time (implementation,
+    which has no other path)."""
 
 
 class _PendingExprs:
@@ -452,6 +460,31 @@ def replay_logical_store(
     return store
 
 
+def seeded_logical_store(
+    memo, graph, allow_cross_products: bool
+) -> ColumnarLogicalStore:
+    """The logical store of a freshly seeded, unexplored memo: each join
+    group's one split is its setup-seeded join (``sl`` the side holding
+    the group's lowest alias, as in :func:`build_logical_store`), so the
+    group holds both orientations, the seeded one first.  The heuristic
+    tier's restricted space — one join sequence — as split columns."""
+    store = ColumnarLogicalStore(memo, graph, allow_cross_products)
+    groups = memo.groups
+    for mask, gid in memo._rels_gid_by_mask.items():
+        store.subset_masks.append(mask)
+        if mask & (mask - 1):
+            (seeded,) = groups[gid]._exprs
+            left, right = store.initial_by_gid[gid] = seeded.children
+            if not groups[left].mask & mask & -mask:
+                left, right = right, left
+            store._range_by_gid[gid] = (len(store.sl), len(store.sl) + 1)
+            store.sl.append(left)
+            store.sr.append(right)
+    store.gid_by_mask = dict(memo._rels_gid_by_mask)
+    store.complete = True
+    return store
+
+
 class ColumnarPhysicalStore:
     """Array-backed physical expressions of one memo."""
 
@@ -488,9 +521,8 @@ class ColumnarPhysicalStore:
             self.edges = EdgeCatalog(graph)
 
         #: interned sort-order ids (kids) over packed key byte strings —
-        #: the implicit engine's hybrid table: dict-backed for scalar
-        #: builds, the preloaded cut-key table (row = kid = lex rank, no
-        #: overflow) when the vectorized emitter built one
+        #: the implicit engine's table, into which the emitter preloads
+        #: its one cut-key table (row = kid = lex rank, no overflow)
         self._keys = KeyTable(self.edges)
         self.kid_bytes = self._keys
 
@@ -516,8 +548,8 @@ class ColumnarPhysicalStore:
         self._sorts_by_gid: dict[int, list[int]] | None = None
         self._sort_counts: list[int] | None = None
         #: fused build→DP handoff: per merge row (in row order) the
-        #: dense state ids of its two child requirements; vector builds
-        #: only (``None`` after a scalar build)
+        #: dense state ids of its two child requirements (``None`` when
+        #: the store has no keyed pair)
         self._merge_sid0 = None
         self._merge_sid1 = None
         self.root_kid: int | None = None
@@ -530,19 +562,13 @@ class ColumnarPhysicalStore:
         self._keyed_tags: tuple[int, ...] = (TAG_NLJ, TAG_HASH, TAG_MERGE)
 
     # ------------------------------------------------------------------
-    # kid interning (delegated to the shared hybrid key table)
+    # kid interning (delegated to the shared key table)
     # ------------------------------------------------------------------
-    def kid(self, seq: bytes) -> int:
-        return self._keys.kid(seq)
-
     def kid_of_columns(self, columns) -> int:
         return self._keys.kid(self.edges.seq_bytes(tuple(columns)))
 
     def columns_of(self, kid: int):
         return self._keys.columns_of(kid)
-
-    def cut_kids(self, bits: int) -> tuple[int, int]:
-        return self._keys.cut_kids(bits)
 
     # ------------------------------------------------------------------
     # requirement states
@@ -781,15 +807,14 @@ def build_columnar_store(
 ) -> ColumnarPhysicalStore:
     """Populate a :class:`ColumnarPhysicalStore` by batched implementation.
 
-    Over a complete batched-explored logical store the join rows of every
-    group are emitted in one whole-bucket array pass
-    (:func:`_emit_rows_vectorized`); otherwise — and for leaf/tower groups
-    always — each group's operator block is accumulated in small
-    per-group buffers and appended to the flat columns in one ``extend``
-    per column (:func:`_emit_rows_scalar`).  Raises
-    :class:`ColumnarUnsupported` for a memo without an alias universe,
-    and lets the ``EdgeCatalog``'s limit refusal through — either way
-    before any state is attached.
+    The join rows of every group, index-lookup joins included, are
+    emitted in one whole-bucket array pass over the memo's logical store
+    (:func:`_emit_rows_vectorized`); leaf and tower groups are short
+    scalar blocks spliced between them.  Raises
+    :class:`ColumnarUnsupported` for a memo without an alias universe or
+    with a join group the logical store does not hold (one explored a
+    ``memo.insert`` at a time), and lets the ``EdgeCatalog``'s limit
+    refusal through — either way before any state is attached.
     """
     for group in memo.groups:
         if group.mask is None and group.key[0] == "rels":
@@ -804,57 +829,33 @@ def build_columnar_store(
     cross_tags = tuple(_JOIN_KIND_TAGS[kind] for kind in cross_kinds)
     store._keyed_tags = keyed_tags
 
-    logical_store = memo.columnar_logical
-    req_arrays = None
-    if (
-        logical_store is not None
-        and logical_store.complete
-        and not config.enable_index_nl_join
-        and store.tag.itemsize == 4
-    ):
-        req_arrays = _emit_rows_vectorized(
-            store, logical_store, keyed_kinds, keyed_tags, cross_tags, scope
-        )
+    req_gid, req_kid = _emit_rows_vectorized(
+        store, memo.columnar_logical, keyed_kinds, keyed_tags, cross_tags, scope
+    )
 
     # ------------------------------------------------------------------
     # requirement registration, in the oracle insert loop's exact order: the
     # interleaved merge stream first, then the enforcer scan's non-join
     # requirements (stream aggregates, in group order), then ORDER BY.
     # ------------------------------------------------------------------
-    if req_arrays is None:
-        merge_reqs = _emit_rows_scalar(
-            store, logical_store, keyed_kinds, keyed_tags, cross_tags, scope
+    codes = np.sort((req_gid << np.int64(32)) | req_kid)
+    extra: dict[tuple[int, int], None] = {}
+
+    def record(pair):
+        code = (pair[0] << 32) | pair[1]
+        i = int(np.searchsorted(codes, code))
+        if i < len(codes) and int(codes[i]) == code:
+            return  # already in the merge stream
+        extra.setdefault(pair, None)
+
+    _record_tail_requirements(store, record)
+    if extra:
+        req_gid = np.concatenate(
+            [req_gid, np.fromiter((g for g, _k in extra), np.int64, len(extra))]
         )
-        seen = dict.fromkeys(merge_reqs)
-        _record_tail_requirements(store, seen.setdefault)
-        req_gid = np.fromiter((g for g, _k in seen), np.int64, len(seen))
-        req_kid = np.fromiter((k for _g, k in seen), np.int64, len(seen))
-    else:
-        req_gid, req_kid = req_arrays
-        codes = np.sort((req_gid << np.int64(32)) | req_kid)
-        extra: dict[tuple[int, int], None] = {}
-
-        def record(pair):
-            code = (pair[0] << 32) | pair[1]
-            i = int(np.searchsorted(codes, code))
-            if i < len(codes) and int(codes[i]) == code:
-                return  # already in the merge stream
-            extra.setdefault(pair, None)
-
-        _record_tail_requirements(store, record)
-        if extra:
-            req_gid = np.concatenate(
-                [
-                    req_gid,
-                    np.fromiter((g for g, _k in extra), np.int64, len(extra)),
-                ]
-            )
-            req_kid = np.concatenate(
-                [
-                    req_kid,
-                    np.fromiter((k for _g, k in extra), np.int64, len(extra)),
-                ]
-            )
+        req_kid = np.concatenate(
+            [req_kid, np.fromiter((k for _g, k in extra), np.int64, len(extra))]
+        )
     store.set_requirement_arrays(req_gid, req_kid)
 
     store.complete = True
@@ -862,7 +863,7 @@ def build_columnar_store(
 
 
 def _emit_leaf_rows(store, gid, g_tag, g_c0, g_c1, g_a, g_b) -> None:
-    """Scan rows of one base-relation group (scalar, both build paths)."""
+    """Scan rows of one base-relation group (scalar)."""
     for ordinal, scan in enumerate(store.group_ops(gid)):
         order = scan.delivered_order()
         g_tag.append(TAG_INDEX_SCAN if order else TAG_TABLE_SCAN)
@@ -873,7 +874,7 @@ def _emit_leaf_rows(store, gid, g_tag, g_c0, g_c1, g_a, g_b) -> None:
 
 
 def _emit_tower_rows(store, gid, child, g_tag, g_c0, g_c1, g_a, g_b) -> None:
-    """Unary-operator rows of one tower group (scalar, both build paths)."""
+    """Unary-operator rows of one tower group (scalar)."""
     for ordinal, phys in enumerate(store.group_ops(gid)):
         tag = _UNARY_TAGS.get(type(phys).__name__)
         if tag is None:  # pragma: no cover - defensive
@@ -906,115 +907,6 @@ def _record_tail_requirements(store, record) -> None:
             record((memo.root_group_id, store.root_kid))
 
 
-def _emit_rows_scalar(
-    store, logical_store, keyed_kinds, keyed_tags, cross_tags, scope
-) -> list[tuple[int, int]]:
-    """The per-group emission loop (any memo, any config).
-
-    Returns the merge-requirement stream: (gid, kid) interleaved
-    left/right in emission order — the oracle's inline requirement
-    collection.
-    """
-    memo = store.memo
-    config = store.config
-    edges = store.edges
-    from_mask = edges.from_mask
-    to_mask = edges.to_mask
-    cut_kids = store.cut_kids
-    n_keyed = len(keyed_tags)
-    n_cross = len(cross_tags)
-    enable_inlj = config.enable_index_nl_join
-
-    groups = memo.groups
-    tag_col, gid_col = store.tag, store.gid
-    c0_col, c1_col = store.c0, store.c1
-    a_col, b_col = store.a, store.b
-    group_start = store.group_start
-    logical_counts = store.logical_counts
-    merge_reqs: list[tuple[int, int]] = []
-
-    # Per-group staging buffers, flushed with one extend per column.
-    g_tag: list[int] = []
-    g_c0: list[int] = []
-    g_c1: list[int] = []
-    g_a: list[int] = []
-    g_b: list[int] = []
-
-    checkpoint = scope.checkpoint if scope is not None else None
-    for group in groups:
-        fault_point("implement.columnar", store)
-        if checkpoint is not None:
-            checkpoint("implement.columnar", len(g_tag))
-        group_start.append(len(tag_col))
-        gid = group.gid
-        pairs = None
-        first = None
-        if logical_store is not None and logical_store.split_rows(gid) is not None:
-            # Batched exploration left this group's logical joins in the
-            # arrays: feed the ordered child-gid stream straight through
-            # without rebuilding (or ever having built) GroupExprs.
-            n_logical = logical_store.logical_join_count(gid)
-            logical_counts.append(n_logical)
-            if not n_logical:
-                continue
-            pairs = logical_store.ordered_pairs(gid)
-        else:
-            exprs = group.logical_exprs()
-            logical_counts.append(len(group._exprs))
-            if not exprs:
-                continue
-            first = exprs[0].op
-            if type(first) is LogicalJoin:
-                pairs = (expr.children for expr in exprs)
-        g_tag.clear()
-        g_c0.clear()
-        g_c1.clear()
-        g_a.clear()
-        g_b.clear()
-        if pairs is not None:
-            for l_gid, r_gid in pairs:
-                l_mask = groups[l_gid].mask
-                r_mask = groups[r_gid].mask
-                bits = from_mask(l_mask) & to_mask(r_mask)
-                if bits:
-                    lk, rk = cut_kids(bits)
-                    g_tag.extend(keyed_tags)
-                    g_c0.extend((l_gid,) * n_keyed)
-                    g_c1.extend((r_gid,) * n_keyed)
-                    g_a.extend((lk,) * n_keyed)
-                    g_b.extend((rk,) * n_keyed)
-                    if "merge" in keyed_kinds:
-                        merge_reqs.append((l_gid, lk))
-                        merge_reqs.append((r_gid, rk))
-                    if enable_inlj and not r_mask & (r_mask - 1):
-                        for pos in range(len(store.inlj_ops(l_mask, r_mask))):
-                            g_tag.append(TAG_INLJ)
-                            g_c0.append(l_gid)
-                            g_c1.append(-1)
-                            g_a.append(r_gid)
-                            g_b.append(pos)
-                elif n_cross:
-                    g_tag.extend(cross_tags)
-                    g_c0.extend((l_gid,) * n_cross)
-                    g_c1.extend((r_gid,) * n_cross)
-                    g_a.extend((-1,) * n_cross)
-                    g_b.extend((-1,) * n_cross)
-        elif isinstance(first, LogicalGet):
-            _emit_leaf_rows(store, gid, g_tag, g_c0, g_c1, g_a, g_b)
-        else:
-            _emit_tower_rows(
-                store, gid, exprs[0].children[0], g_tag, g_c0, g_c1, g_a, g_b
-            )
-        tag_col.extend(g_tag)
-        gid_col.extend((gid,) * len(g_tag))
-        c0_col.extend(g_c0)
-        c1_col.extend(g_c1)
-        a_col.extend(g_a)
-        b_col.extend(g_b)
-    group_start.append(len(tag_col))
-    return merge_reqs
-
-
 #: per-group emission kinds of the vectorized build plan
 _VEC, _LEAF, _TOWER, _EMPTY = 0, 1, 2, 3
 
@@ -1028,13 +920,16 @@ def _emit_rows_vectorized(
     orientation stream positionally from the ``sl``/``sr`` split columns,
     cut bitmasks through per-gid FROM/TO word tables, kids from the one
     cut-key table (every cut key, leaf and tower delivery and the root
-    order, lex-ranked) the store's key table adopts — then walks the
-    groups once in gid order, splicing vector block slices between the
-    scalar leaf/tower emissions.
+    order, lex-ranked) the store's key table adopts, each keyed pair's
+    index-lookup joins from :func:`index_lookup_matches` — then walks
+    the groups once in gid order, splicing vector block slices between
+    the scalar leaf/tower emissions.
 
     Returns the deduplicated merge-requirement stream as ``(gid, kid)``
-    int64 columns in first-occurrence order, or ``None`` when this memo
-    needs the scalar loop (an object-explored join group).
+    int64 columns in first-occurrence order.  Raises
+    :class:`ColumnarUnsupported`, with nothing written to the store's
+    columns, for a join group the logical store does not hold (``None``
+    holds none): its rows have no place in the split columns.
     """
     memo = store.memo
     groups = memo.groups
@@ -1042,16 +937,14 @@ def _emit_rows_vectorized(
     E = edges.edge_count
     checkpoint = scope.checkpoint if scope is not None else None
 
-    # One classification pass in gid order.  An object-explored join
-    # group (no split range) would interleave its merge requirements into
-    # the middle of the vectorized stream, so its presence sends the
-    # whole build down the scalar path.
+    # One classification pass in gid order.
+    ranges = logical_store._range_by_gid if logical_store is not None else {}
     plan: list[tuple[int, int, int]] = []  # (kind, logical_count, payload)
     join_gids: list[int] = []
     join_ranges: list[tuple[int, int]] = []
     for group in groups:
         gid = group.gid
-        rng = logical_store.split_rows(gid)
+        rng = ranges.get(gid)
         if rng is not None:
             n_logical = logical_store.logical_join_count(gid)
             if n_logical:
@@ -1068,7 +961,10 @@ def _emit_rows_vectorized(
             continue
         first = exprs[0].op
         if type(first) is LogicalJoin:
-            return None
+            raise ColumnarUnsupported(
+                f"join group {gid} was explored one expression at a time; "
+                "the columnar logical store does not hold it"
+            )
         if isinstance(first, LogicalGet):
             plan.append((_LEAF, n_logical, -1))
         else:
@@ -1093,41 +989,35 @@ def _emit_rows_vectorized(
     # orientation rolled to the front of its block — positionally
     # identical to ColumnarLogicalStore.ordered_pairs per group.
     # ------------------------------------------------------------------
-    sl_np = np.frombuffer(logical_store.sl, dtype=np.int32).astype(np.int64)
-    sr_np = np.frombuffer(logical_store.sr, dtype=np.int32).astype(np.int64)
     if join_ranges:
         split_idx = np.concatenate(
             [np.arange(s, e, dtype=np.int64) for s, e in join_ranges]
         )
+        gl = np.frombuffer(logical_store.sl, dtype=np.int32)[split_idx]
+        gr = np.frombuffer(logical_store.sr, dtype=np.int32)[split_idx]
     else:
-        split_idx = np.zeros(0, np.int64)
-    gl = sl_np[split_idx]
-    gr = sr_np[split_idx]
-    S = len(split_idx)
-    P = 2 * S
+        gl = gr = np.zeros(0, np.int64)
+    P = 2 * len(gl)
     pl = np.empty(P, np.int64)
     pr = np.empty(P, np.int64)
     pl[0::2] = gl
     pr[0::2] = gr
     pl[1::2] = gr
     pr[1::2] = gl
-    pair_counts = np.zeros(len(join_gids), np.int64)
-    for i, (s, e) in enumerate(join_ranges):
-        pair_counts[i] = 2 * (e - s)
-    pair_start = np.zeros(len(join_gids) + 1, np.int64)
-    np.cumsum(pair_counts, out=pair_start[1:])
-    initial = logical_store.initial_by_gid
-    if initial:
+    pair_start = 2 * np.cumsum([0] + [e - s for s, e in join_ranges], dtype=np.int64)
+    if join_gids:
         pos_of_gid = {gid: i for i, gid in enumerate(join_gids)}
-        for gid, (il, ir) in initial.items():
+        for gid, (il, ir) in logical_store.initial_by_gid.items():
             i = pos_of_gid.get(gid)
             if i is None:
                 continue
             s = int(pair_start[i])
             e = int(pair_start[i + 1])
             hits = np.nonzero((pl[s:e] == il) & (pr[s:e] == ir))[0]
-            if not len(hits):  # pragma: no cover - build_logical_store checks
-                return None
+            if not len(hits):  # pragma: no cover - the store builders check
+                raise ColumnarUnsupported(
+                    f"initial join of group {gid} missing from its splits"
+                )
             j = int(hits[0])
             if j:
                 pl[s : s + j + 1] = np.roll(pl[s : s + j + 1], 1)
@@ -1181,6 +1071,20 @@ def _emit_rows_vectorized(
     if checkpoint is not None:
         checkpoint("implement.columnar", kc)
 
+    # index-lookup joins per ordered pair (the inner side is the right
+    # one), after its join-rule tags; ``None`` when the rule is off
+    inlj = None
+    if store.config.enable_index_nl_join and kc:
+        inlj = index_lookup_matches(
+            store.catalog,
+            store._keys,
+            lambda gid: groups[gid].logical_exprs()[0].op.table,
+            pr,
+            rk_pair,
+            keyed,
+            mask_arr,
+        )
+
     # ------------------------------------------------------------------
     # merge-requirement stream: (gid, kid) interleaved left/right per
     # keyed pair in emission order, deduplicated to first occurrences by
@@ -1225,6 +1129,8 @@ def _emit_rows_vectorized(
     # pattern, each keyless pair the cross pattern
     # ------------------------------------------------------------------
     cnt = np.where(keyed, n_keyed, n_cross).astype(np.int64)
+    if inlj is not None:
+        cnt += inlj
     row_start = np.zeros(P + 1, np.int64)
     np.cumsum(cnt, out=row_start[1:])
     total = int(row_start[-1])
@@ -1236,11 +1142,22 @@ def _emit_rows_vectorized(
     cross_pat = np.zeros(pat_len, np.int64)
     cross_pat[:n_cross] = cross_tags
     keyed_rep = keyed[rep]
-    tag32 = np.where(keyed_rep, keyed_pat[off], cross_pat[off]).astype(np.int32)
+    pat_off = off if inlj is None else np.minimum(off, pat_len - 1)
+    tag32 = np.where(
+        keyed_rep, keyed_pat[pat_off], cross_pat[pat_off]
+    ).astype(np.int32)
     c032 = pl[rep].astype(np.int32)
     c132 = pr[rep].astype(np.int32)
     a32 = np.where(keyed_rep, lk_pair[rep], -1).astype(np.int32)
     b32 = np.where(keyed_rep, rk_pair[rep], -1).astype(np.int32)
+    if inlj is not None:
+        # index-lookup rows: arity 1, ``a`` keeps the inner gid and ``b``
+        # the ordinal into the pair's generated index-lookup joins
+        m = keyed_rep & (off >= n_keyed)
+        tag32[m] = TAG_INLJ
+        c132[m] = -1
+        a32[m] = pr[rep[m]]
+        b32[m] = off[m] - n_keyed
     group_row_counts = row_start[pair_start[1:]] - row_start[pair_start[:-1]]
     gid32 = np.repeat(
         np.asarray(join_gids, dtype=np.int64), group_row_counts

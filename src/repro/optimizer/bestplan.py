@@ -31,7 +31,6 @@ from repro.algebra.physical import Sort
 from repro.algebra.properties import SortOrder
 from repro.errors import OptimizerError
 from repro.kernel.vector import (
-    lex_rank_rows,
     prefix_interval_ends,
     prefix_intervals,
     range_min_pairs,
@@ -379,35 +378,6 @@ class ColumnarBestPlanSearch:
     # ------------------------------------------------------------------
     # the vectorized join layers
     # ------------------------------------------------------------------
-    def _kid_rank_tables(self):
-        """Lexicographic kid ranks over the store's key table:
-        ``(lexrank, sorted_mat, sorted_lengths, pad_width)`` with
-        ``lexrank[kid]`` the kid's byte-lex rank and ``sorted_mat`` the
-        0-padded kid matrix in rank order — the kids satisfying
-        (extending) a required kid are exactly the rank interval
-        ``[lexrank[rkid], end)`` with ``end`` from
-        :func:`_interval_ends` (evaluated for required ranks only).
-
-        A vector-built store's table is the lex-sorted cut-key table with
-        no overflow kids, adopted as built; a scalar-built store's kids
-        are all overflow, ranked here by one lexsort."""
-        matrix, lengths, overflow = self.store.kid_bytes.table()
-        pre, width = matrix.shape
-        if not overflow:
-            return np.arange(pre, dtype=np.int64), matrix, lengths, width
-        K = pre + len(overflow)
-        width = max(width, max(len(s) for s in overflow))
-        mat = np.zeros((K, width), np.uint8)
-        mat[:pre, : matrix.shape[1]] = matrix
-        all_lengths = np.zeros(K, np.int64)
-        all_lengths[:pre] = lengths
-        for i, seq in enumerate(overflow):
-            if seq:
-                mat[pre + i, : len(seq)] = np.frombuffer(seq, np.uint8)
-            all_lengths[pre + i] = len(seq)
-        order, rank = lex_rank_rows(mat)
-        return rank, mat[order], all_lengths[order], width
-
     def _run_join_layers(self) -> None:
         store = self.store
         intc = np.intc
@@ -416,7 +386,6 @@ class ColumnarBestPlanSearch:
         c0 = np.frombuffer(store.c0, dtype=intc)
         c1 = np.frombuffer(store.c1, dtype=intc)
         a = np.frombuffer(store.a, dtype=intc)
-        b = np.frombuffer(store.b, dtype=intc)
         card = np.asarray(self._card, dtype=np.float64)
         p = self.cost_model.params
         inf = _INFINITY
@@ -441,49 +410,33 @@ class ColumnarBestPlanSearch:
         for row in np.nonzero(tag == TAG_INLJ)[0]:
             local[row] = self._local_cost(int(row))
 
-        # Merge rows' child states, resolved to dense state ids against
-        # the store's requirement columns (no python tuple walk).
+        # Merge rows' child states as dense state ids, handed over by the
+        # build: merge rows appear one per keyed pair in pair order, so
+        # the build's state-id stream aligns with row order.
         S = store.requirement_count()
         state_cost = self._state_cost
         mpos = np.nonzero(tag == TAG_MERGE)[0]
         if S and mpos.size:
-            ms0 = store._merge_sid0
-            if ms0 is not None and len(ms0) == mpos.size:
-                # Fused handoff from the vectorized build: merge rows
-                # appear one per keyed pair in pair order, so the
-                # build's state-id stream aligns with row order.
-                sid0 = ms0
-                sid1 = store._merge_sid1
-            else:
-                order = self._state_order
-                sorted_codes = self._sorted_state_codes
-
-                def to_sid(gids, kids):
-                    codes = (gids.astype(np.int64) << 32) | kids.astype(
-                        np.int64
-                    )
-                    return order[sorted_codes.searchsorted(codes)]
-
-                sid0 = to_sid(c0[mpos], a[mpos])
-                sid1 = to_sid(c1[mpos], b[mpos])
             sid0_row = np.full(len(tag), -1, dtype=np.int64)
             sid1_row = np.full(len(tag), -1, dtype=np.int64)
-            sid0_row[mpos] = sid0
-            sid1_row[mpos] = sid1
+            sid0_row[mpos] = store._merge_sid0
+            sid1_row[mpos] = store._merge_sid1
         else:
             sid0_row = sid1_row = np.full(len(tag), -1, dtype=np.int64)
 
-        # Requirement satisfaction as lexicographic kid-rank intervals:
-        # delivered satisfies required iff its bytes extend the required
-        # bytes, i.e. its kid's lex rank falls in the required kid's
-        # prefix interval — computed once, for every state at once.
+        # Requirement satisfaction as kid intervals: a kid is its row in
+        # the store's lex-sorted cut-key table (the emitter preloads every
+        # order it interns), so delivered satisfies required iff its kid
+        # falls in the required kid's prefix interval ``[kid, end)`` —
+        # ``end`` from :func:`_interval_ends`, for every state at once.
         req_gid_arr = self._req_gid_arr
         req_kid_arr = self._req_kid_arr
-        lexrank, kid_mat, kid_len, kid_width = self._kid_rank_tables()
+        kid_mat, kid_len, overflow = store.kid_bytes.table()
+        assert not overflow, "the emitter preloads every kid"
         if S:
-            req_lo = lexrank[req_kid_arr]
-            req_hi = _interval_ends(kid_mat, kid_len, kid_width, req_lo)
-        K1 = len(lexrank) + 1
+            req_lo = req_kid_arr
+            req_hi = _interval_ends(kid_mat, kid_len, kid_mat.shape[1], req_lo)
+        K1 = len(kid_len) + 1
 
         # math.log2 per group (not np.log2: last-ulp identity with the
         # scalar enforcer formula), vectorized lookup per state.
@@ -568,11 +521,11 @@ class ColumnarBestPlanSearch:
             mrows = rows[mmask]
             sgid = req_gid_arr[lsids]
             if mrows.size:
-                ckey = gid_[mrows].astype(np.int64) * K1 + lexrank[a[mrows]]
+                ckey = gid_[mrows].astype(np.int64) * K1 + a[mrows]
                 lo_key = sgid * K1 + req_lo[lsids]
                 hi_key = sgid * K1 + req_hi[lsids]
                 if len(card) * K1 < 1 << 32:
-                    # (gid, lexrank) packs into 32 bits for every space
+                    # (gid, kid) packs into 32 bits for every space
                     # the EdgeCatalog admits; uint32 quicksort runs
                     # ~1.6x faster than int64.
                     ckey = ckey.astype(np.uint32)

@@ -47,7 +47,8 @@ def implement_memo_columnar(
     materialization hooks so the object ``Memo`` facade keeps working,
     and attaches the store as ``memo.columnar``.  A memo the store
     cannot represent raises with nothing attached: a hand-built memo
-    without an alias universe is
+    without an alias universe, or one with a join group explored one
+    ``memo.insert`` at a time, is
     :class:`~repro.memo.columnar.ColumnarUnsupported`; a query past the
     ``EdgeCatalog`` limits is the :class:`~repro.errors.PlanSpaceError`
     :func:`~repro.optimizer.setup.build_initial_memo` already refuses it

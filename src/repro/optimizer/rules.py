@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.algebra.expressions import (
     ColumnId,
     ColumnRef,
@@ -64,12 +66,14 @@ from repro.algebra.physical import (
 )
 from repro.catalog.catalog import Catalog
 from repro.errors import OptimizerError
+from repro.kernel.vector import sorted_unique
 
 __all__ = [
     "ImplementationConfig",
     "JoinImplementations",
     "equality_analysis",
     "extract_equi_keys",
+    "index_lookup_matches",
     "index_nl_join_implementations",
     "join_implementations",
     "join_physical_kinds",
@@ -365,6 +369,35 @@ def index_nl_join_implementations(
             )
         )
     return ops
+
+
+def index_lookup_matches(
+    catalog, keys, table_of, inner, inner_kid, keyed, mask_of
+):
+    """Index-lookup joins per ordered pair, as an int64 column: the
+    length of :func:`index_nl_join_implementations`' list, unbuilt.
+
+    None unless the pair is keyed and its inner side (gids ``inner``,
+    relation masks ``mask_of[inner]``) is one relation; then one per
+    index of ``table_of(gid)`` whose leading key column is among the
+    inner key columns (kids ``inner_kid`` in the key table ``keys``).
+    Counted once per distinct (inner gid, inner kid).
+    """
+    inner_masks = mask_of[inner]
+    sel = np.flatnonzero(keyed & ((inner_masks & (inner_masks - 1)) == 0))
+    out = np.zeros(len(inner), np.int64)
+    if not len(sel):
+        return out
+    KS = int(inner_kid[sel].max()) + 1
+    packed = inner[sel] * KS + inner_kid[sel]
+    pairs = sorted_unique(packed)
+    per_pair = []
+    for gid, kid in zip((pairs // KS).tolist(), (pairs % KS).tolist()):
+        names = {column.column for column in keys.columns_of(kid)}
+        indexes = catalog.indexes(table_of(gid))
+        per_pair.append(sum(1 for index in indexes if index.key[0] in names))
+    out[sel] = np.array(per_pair, np.int64)[np.searchsorted(pairs, packed)]
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,10 @@ single integer: the bitmask (bit *i* = rank-*i* edge crosses) ::
 
 where ``FROM[mask]``/``TO[mask]`` are unions over the alias bits of
 ``mask`` — per group, one vectorized OR sweep per alias bit in the count
-pass and the exact path's emitter, memoized per mask in the scalar
-emitter (:meth:`EdgeCatalog.from_mask`).  Decoding a
-cut bitmask yields both oriented column sequences — the left keys (sorted
-canonically for the left side) and the right keys (the matching columns
-in *the same order*, which is how merge-join ``right_keys`` are ordered).
+pass and the exact path's emitter.  Decoding a cut bitmask yields both
+oriented column sequences — the left keys (sorted canonically for the
+left side) and the right keys (the matching columns in *the same order*,
+which is how merge-join ``right_keys`` are ordered).
 
 Columns are interned to one-byte ids so key sequences pack into ``bytes``
 (hashable, memcmp-comparable, prefix-testable with ``startswith``) — the
@@ -123,24 +122,17 @@ class EdgeCatalog:
         self.left_col = bytes(left_cols)
         self.right_col = bytes(right_cols)
 
-        # FROM/TO unions are memoized per queried mask (lowest-bit
-        # recurrence), not pre-filled densely: a sparse topology touches
-        # only its connected subsets, a vanishing fraction of 2^n.
-        self._from_cache: dict[int, int] = {0: 0}
-        self._to_cache: dict[int, int] = {0: 0}
-
     # ------------------------------------------------------------------
     def clone(self, graph: JoinGraph | None = None) -> "EdgeCatalog":
         """A private copy bound to ``graph`` (default: the original).
 
         The heavy, immutable parts — the sorted oriented-edge records
         packed into ``left_col``/``right_col`` and ``edge_count`` — are
-        shared; the memoized caches (``col_ids``/``columns`` grow via
-        check-then-insert in :meth:`col_id`, ``_from_cache``/``_to_cache``
-        fill lazily) are copied, so the clone can be mutated freely on
-        another thread.  Used by the plan cache's template tier: a
-        structurally identical re-bound query supplies its own ``graph``
-        and skips the per-query equality analysis.  The caller is
+        shared; the interning tables (``col_ids``/``columns`` grow via
+        check-then-insert in :meth:`col_id`) are copied, so the clone can
+        be mutated freely on another thread.  Used by the plan cache's
+        template tier: a structurally identical re-bound query supplies
+        its own ``graph`` and skips the per-query equality analysis.  The caller is
         responsible for structural identity (same template, same
         catalog); the universe order is still asserted.
         """
@@ -158,8 +150,6 @@ class EdgeCatalog:
         twin.right_col = self.right_col
         twin.from_bits = list(self.from_bits)
         twin.to_bits = list(self.to_bits)
-        twin._from_cache = dict(self._from_cache)
-        twin._to_cache = dict(self._to_cache)
         return twin
 
     # ------------------------------------------------------------------
@@ -189,24 +179,6 @@ class EdgeCatalog:
         return tuple(columns[b] for b in seq)
 
     # ------------------------------------------------------------------
-    def _union(self, mask: int, bits: list[int], cache: dict[int, int]) -> int:
-        value = cache.get(mask)
-        if value is None:
-            low = mask & -mask
-            value = self._union(mask ^ low, bits, cache) | bits[
-                low.bit_length() - 1
-            ]
-            cache[mask] = value
-        return value
-
-    def from_mask(self, mask: int) -> int:
-        """Bitmask of the oriented edges leaving any alias of ``mask``."""
-        return self._union(mask, self.from_bits, self._from_cache)
-
-    def to_mask(self, mask: int) -> int:
-        """Bitmask of the oriented edges entering any alias of ``mask``."""
-        return self._union(mask, self.to_bits, self._to_cache)
-
     def decode(self, cut_bits: int) -> tuple[bytes, bytes]:
         """Decode a cut bitmask into ``(left key bytes, right key bytes)``.
 

@@ -36,9 +36,11 @@ class KeyTable:
       and the byte strings themselves are sliced out lazily, so a
       count-only run never materializes hundreds of thousands of
       ``bytes`` objects;
-    * the plain dict/list overflow: every kid of a scalar-built store,
-      and a sequence first named after the count pass (a tower's order
-      that no cut key or leaf delivers).  A vector-built store has none.
+    * the plain dict/list overflow: a sequence first named after the
+      count pass (a tower's order that no cut key or leaf delivers), and
+      every kid of the scalar emission oracle under ``tests/``.  The
+      physical store's emitter preloads every order it interns, so a
+      production store has none.
     """
 
     def __init__(self, edges: EdgeCatalog):
@@ -52,9 +54,6 @@ class KeyTable:
         #: the matrix as one ``bytes``, built on the first byte-level
         #: lookup (the matrix then becomes a view of it: one copy)
         self._flat: bytes | None = None
-        #: cut bitmask -> (left kid, right kid), memoized: symmetric
-        #: workloads reuse the same cut key sets across many subsets
-        self._cut_kids: dict[int, tuple[int, int]] = {}
 
     def preload(self, matrix, lengths, seqs=(), kids=None) -> None:
         """Adopt a sorted, 0-padded ``(K, width)`` uint8 kid matrix and
@@ -132,15 +131,6 @@ class KeyTable:
     def kid_of_columns(self, columns) -> int:
         """Intern a ColumnId sequence (index keys, GROUP BY, ORDER BY)."""
         return self.kid(self.edges.seq_bytes(tuple(columns)))
-
-    def cut_kids(self, cut_bits: int) -> tuple[int, int]:
-        """``(left kid, right kid)`` for one oriented cut bitmask."""
-        pair = self._cut_kids.get(cut_bits)
-        if pair is None:
-            left_seq, right_seq = self.edges.decode(cut_bits)
-            pair = (self.kid(left_seq), self.kid(right_seq))
-            self._cut_kids[cut_bits] = pair
-        return pair
 
     def columns_of(self, kid: int):
         """The ColumnId sequence of a kid (for ``Sort``/key construction)."""

@@ -52,7 +52,11 @@ from repro.kernel.vector import (
     sorted_unique,
     union_words_by_mask,
 )
-from repro.optimizer.rules import join_rule_arity, scan_implementations
+from repro.optimizer.rules import (
+    index_lookup_matches,
+    join_rule_arity,
+    scan_implementations,
+)
 
 __all__ = ["JoinColumns", "turbo_rels_pass"]
 
@@ -208,13 +212,14 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
     # side is the right one
     KS = K + 2
     if config.enable_index_nl_join:
-        matches = _index_lookup_matches(
-            state,
+        matches = index_lookup_matches(
+            state.catalog,
+            state.keys,
+            lambda gid: layout.group(gid).op.table,
             np.concatenate([Rs, Ls]),
             np.concatenate([rk_lr, rk_rl]),
             np.concatenate([has_keys, has_keys]),
             mask_lut,
-            KS,
         )
     else:
         matches = np.zeros(2 * M, np.int64)
@@ -462,28 +467,6 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
     state.sort_counts = (
         _PerGroupView(SC[by_first], bounds, gid_by_mask) if enforcers else {}
     )
-
-
-def _index_lookup_matches(state, inner, inner_kid, keyed, mask_lut, KS):
-    """Index-lookup joins per orientation: none unless the cut has keys
-    and the inner side is a single relation; then one per index of the
-    inner table whose leading key column is among the cut's inner
-    columns.  Counted once per distinct (inner relation, inner key)."""
-    inner_masks = mask_lut[inner]
-    sel = np.flatnonzero(keyed & ((inner_masks & (inner_masks - 1)) == 0))
-    out = np.zeros(len(inner), np.int64)
-    if not len(sel):
-        return out
-    packed = inner[sel] * KS + inner_kid[sel]
-    pairs = sorted_unique(packed)
-    layout, keys, columns = state.layout, state.keys, state.edges.columns
-    per_pair = []
-    for gid, kid in zip((pairs // KS).tolist(), (pairs % KS).tolist()):
-        names = {columns[b].column for b in keys[kid]}
-        indexes = state.catalog.indexes(layout.group(gid).op.table)
-        per_pair.append(sum(1 for index in indexes if index.key[0] in names))
-    out[sel] = np.array(per_pair, np.int64)[np.searchsorted(pairs, packed)]
-    return out
 
 
 class _SordView:

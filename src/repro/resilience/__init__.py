@@ -11,7 +11,7 @@ Public surface:
 * :mod:`repro.resilience.degrade` — the degradation ladder
   (:func:`optimize_resilient`, :class:`DegradationPolicy`,
   :class:`ResilienceReport`);
-* :mod:`repro.resilience.heuristic` — the greedy left-deep last-resort
+* :mod:`repro.resilience.heuristic` — the greedy join order last-resort
   tier (:func:`optimize_heuristic`).
 
 ``degrade`` and ``heuristic`` import the optimizer stack, which itself

@@ -8,7 +8,7 @@ the budget allows:
    leaves room for the fallbacks instead of being consumed whole);
 2. **sampled** — stratified sampled optimization with recombination
    (the paper's memo-free engine), given everything still remaining;
-3. **heuristic** — the greedy left-deep tier, unbudgeted: it costs
+3. **heuristic** — the greedy join order tier, unbudgeted: it costs
    milliseconds and must always succeed.
 
 Each tier runs under its own child :class:`~repro.resilience.budget.Budget`

@@ -1,16 +1,18 @@
-"""The last-resort tier: a greedy left-deep plan, no search.
+"""The last-resort tier: one greedy join sequence, no search.
 
 When every budgeted tier of the degradation ladder has been exhausted
 the session still owes the caller an executable plan.  This module
-produces one without *any* search: quantifiers are greedily ordered
+produces one without exploring: quantifiers are greedily ordered
 smallest-estimated-table first (connectivity-permitting, so the
 no-cross-products policy is honoured), the initial left-deep memo is
-built exactly as the exact path would, and the plan is read out of that
-un-explored memo — implementation rules, cardinality annotation, and
-the best-plan DP still run (the exact tier's own kernel: the columnar
-store and :class:`~repro.optimizer.bestplan.ColumnarBestPlanSearch`),
-but over the single join order, so the whole tier costs milliseconds
-even on queries whose full search space takes minutes.
+built exactly as the exact path would, and its n - 1 seeded joins become
+the memo's logical store, one split per join group
+(:func:`~repro.memo.columnar.seeded_logical_store`), so each join may
+take either input as its outer.  The exact tier's own kernel — the
+vectorized emitter and
+:class:`~repro.optimizer.bestplan.ColumnarBestPlanSearch` — runs over
+that sub-space in milliseconds, even on queries whose full search space
+takes minutes.
 
 The result is a genuine :class:`~repro.optimizer.optimizer.OptimizationResult`
 (``engine="heuristic"``): it renders, costs finitely, and executes
@@ -26,6 +28,7 @@ import dataclasses
 import time
 
 from repro.catalog.catalog import Catalog
+from repro.memo.columnar import seeded_logical_store
 from repro.optimizer.annotate import annotate_cardinalities
 from repro.optimizer.bestplan import ColumnarBestPlanSearch
 from repro.optimizer.cardinality import CardinalityEstimator
@@ -87,7 +90,7 @@ def optimize_heuristic(
     query: BoundQuery,
     options: OptimizerOptions | None = None,
 ) -> OptimizationResult:
-    """One greedy left-deep plan, costed and executable — no exploration."""
+    """The best plan over one greedy join sequence — no exploration."""
     if options is None:
         options = OptimizerOptions()
     timings: dict[str, float] = {}
@@ -101,12 +104,11 @@ def optimize_heuristic(
     )
     setup = build_initial_memo(ordered, options.allow_cross_products)
     memo, graph = setup.memo, setup.graph
+    # No exploration: every physical operator of the greedy joins, either
+    # input outer, is offered, and the DP picks the cheapest.
+    seeded_logical_store(memo, graph, options.allow_cross_products).attach()
     timings["setup"] = time.perf_counter() - start
 
-    # No exploration: the memo holds exactly the greedy join order.  The
-    # implementation pass still offers every physical operator for it,
-    # and the best-plan DP picks the cheapest — so within the single
-    # join shape the plan is optimal.
     start = time.perf_counter()
     store = implement_memo_columnar(
         memo, graph, catalog, options.implementation, root_order=query.order_by
@@ -138,5 +140,5 @@ def optimize_heuristic(
         options=options,
         timings=timings,
         engine="heuristic",
-        fallback_reason="greedy left-deep tier (no exploration)",
+        fallback_reason="greedy join order tier (no exploration)",
     )

@@ -10,7 +10,13 @@ chunks to one width, stack the left and right halves (and, in the count
 pass, the loose requirement / leaf sequences), and rank the stack by one
 big-endian word lexsort (:func:`lex_unique_rows`).  Both chains are kept
 here verbatim as the oracle the shared table must reproduce byte for
-byte (``tests/kernel/test_cut_key_table.py``).
+byte (``tests/kernel/test_cut_key_table.py``).  :func:`lex_rank_rows`,
+the lexsort the best-plan DP once ranked a scalar-built store's overflow
+kids with, and the one-cut-at-a-time interning the scalar emitter and the
+per-pair count pass read — :class:`ReferenceEdges` (per-mask FROM/TO
+unions) and :class:`ReferenceKeys` (the per-cut kid memo) — moved here
+verbatim when the one emitter left them no caller under ``src/``; the
+two scalar oracles build on them.
 """
 
 from __future__ import annotations
@@ -18,16 +24,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernel.vector import byte_words, unique_rows
+from repro.planspace.implicit.edges import EdgeCatalog
+from repro.planspace.implicit.keys import KeyTable
 
 __all__ = [
     "DECODE_CHUNK",
+    "ReferenceEdges",
+    "ReferenceKeys",
     "count_pass_key_chain",
     "decode_bit_rows",
     "emitter_key_chain",
+    "lex_rank_rows",
     "lex_unique_rows",
 ]
 
 DECODE_CHUNK = 1 << 18
+
+
+def lex_rank_rows(mat):
+    """Byte-lexicographic row ranks of a 0-padded uint8 matrix:
+    ``(order, rank)`` with ``mat[order]`` sorted and ``rank[i]`` the
+    position of row ``i`` in that order."""
+    words = byte_words(mat)
+    order = np.lexsort(words.T[::-1])
+    rank = np.empty(len(mat), np.int64)
+    rank[order] = np.arange(len(mat))
+    return order, rank
 
 
 def lex_unique_rows(mat):
@@ -207,3 +229,55 @@ def count_pass_key_chain(ebits, E, lcol_lut, rcol_lut, loose_seqs, checkpoint=No
         loose_kids,
         maxlen,
     )
+
+
+class ReferenceEdges(EdgeCatalog):
+    """The edge catalog plus its per-mask FROM/TO unions, one cut at a
+    time (the vectorized passes OR whole word tables instead)."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        # FROM/TO unions are memoized per queried mask (lowest-bit
+        # recurrence), not pre-filled densely: a sparse topology touches
+        # only its connected subsets, a vanishing fraction of 2^n.
+        self._from_cache: dict[int, int] = {0: 0}
+        self._to_cache: dict[int, int] = {0: 0}
+
+    # ------------------------------------------------------------------
+    def _union(self, mask: int, bits: list[int], cache: dict[int, int]) -> int:
+        value = cache.get(mask)
+        if value is None:
+            low = mask & -mask
+            value = self._union(mask ^ low, bits, cache) | bits[
+                low.bit_length() - 1
+            ]
+            cache[mask] = value
+        return value
+
+    def from_mask(self, mask: int) -> int:
+        """Bitmask of the oriented edges leaving any alias of ``mask``."""
+        return self._union(mask, self.from_bits, self._from_cache)
+
+    def to_mask(self, mask: int) -> int:
+        """Bitmask of the oriented edges entering any alias of ``mask``."""
+        return self._union(mask, self.to_bits, self._to_cache)
+
+
+class ReferenceKeys(KeyTable):
+    """The key table plus its per-cut kid memo: one cut bitmask decoded
+    and interned at a time (first occurrence, into the overflow)."""
+
+    def __init__(self, edges):
+        super().__init__(edges)
+        #: cut bitmask -> (left kid, right kid), memoized: symmetric
+        #: workloads reuse the same cut key sets across many subsets
+        self._cut_kids: dict[int, tuple[int, int]] = {}
+
+    def cut_kids(self, cut_bits: int) -> tuple[int, int]:
+        """``(left kid, right kid)`` for one oriented cut bitmask."""
+        pair = self._cut_kids.get(cut_bits)
+        if pair is None:
+            left_seq, right_seq = self.edges.decode(cut_bits)
+            pair = (self.kid(left_seq), self.kid(right_seq))
+            self._cut_kids[cut_bits] = pair
+        return pair

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.kernel.vector import (
     byte_words,
     int_words,
-    lex_rank_rows,
     prefix_interval_ends,
     prefix_intervals,
     range_min_pairs,
@@ -25,8 +24,13 @@ from repro.kernel.vector import (
 )
 
 # the key-table oracle's own pieces: the per-chunk decode and the
-# byte-row lexsort the exact emitter and the count pass each chained
-from tests.kernel.reference_keys import decode_bit_rows, lex_unique_rows
+# byte-row lexsorts the exact emitter, the count pass and the best-plan
+# DP's overflow ranking each ran
+from tests.kernel.reference_keys import (
+    decode_bit_rows,
+    lex_rank_rows,
+    lex_unique_rows,
+)
 
 
 def _random_padded_rows(rng, n, width, alphabet=4):

@@ -1,16 +1,15 @@
-"""One engine, two emission modes, one refusal — pinned from the input side.
+"""One engine, one emitter, one refusal — pinned from the input side.
 
-The exact path has one production engine: the columnar store and its
-layered best-plan DP.  A query changes only *how the store is emitted*
-(whole buckets after batched exploration; per group for index-lookup
-joins and the heuristic tier's unexplored memo) — never which engine
-serves, and never what it returns (the object-memo oracle of
+The exact path has one production engine: the columnar store, emitted
+by one vectorized pass (index-lookup joins and the heuristic tier's
+greedy memo included), and its layered best-plan DP.  No query changes
+which engine serves or what it returns (the object-memo oracle of
 ``tests/reference_pipeline.py`` is the witness, up to the limit itself).
 Past the limit — 63 relations, 254 distinct key columns — every route
 refuses with the same named error before exploring anything.  Nothing —
 no option, no environment variable, no property of the query — moves a
 query to another engine (``tests/test_no_switches.py`` guards the absence
-of the switches and of the deleted engine itself).
+of the switches and of the deleted engine and emitter themselves).
 """
 
 from __future__ import annotations
@@ -74,18 +73,18 @@ def test_default_options_take_the_columnar_engine(make, n):
 
 
 # ----------------------------------------------------------------------
-# two emission modes
+# one emitter
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("options", [INDEX_NLJ], ids=["index-nl-join"])
 def test_scalar_emission_is_still_the_columnar_engine(options):
-    """Index-lookup joins change how the columnar store is *emitted* (per
-    group, not per bucket) — not which engine serves, and not what it
-    returns."""
+    """Index-lookup joins take the one vectorized emitter; the engine
+    and its result are the oracle's."""
     workload = cycle_query(5, rows=5, seed=0)
     result = Session(workload.database, options=options).optimize(workload.sql)
     assert result.engine == "columnar"
     assert result.fallback_reason is None
     assert result.memo.columnar is not None
+    assert result.memo.columnar._merge_sid0 is not None  # the vector emitter ran
     assert_matches_reference(
         result, optimize_reference(workload.catalog, workload.sql, options)
     )

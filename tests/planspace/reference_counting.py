@@ -3,8 +3,10 @@
 The per-pair loop that :func:`repro.planspace.implicit.turbo.
 turbo_rels_pass` replaced — moved here verbatim (its cut helper and
 order index included) when the vectorized pass became the only count
-pass.  It walks every valid split of every relation-set group in subset
-order, interning cut keys one bitmask at a time and answering each
+pass; its per-mask unions and per-cut kid memo are
+``tests/kernel/reference_keys.py``'s.  It walks every valid split of
+every relation-set group in subset order, interning cut keys one
+bitmask at a time and answering each
 group's order queries through a sorted :class:`OrderIndex`, and fills
 ``CountState``'s aggregates as plain dicts.  :class:`ReferenceCountState`
 is a drop-in ``CountState``: ``ImplicitPlanSpace(state)`` unranks over
@@ -21,12 +23,11 @@ from repro.algebra.logical import LogicalGet
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.optimizer.rules import join_rule_arity, scan_implementations
 from repro.planspace.implicit.counting import CountState
-from repro.planspace.implicit.edges import EdgeCatalog
-from repro.planspace.implicit.keys import KeyTable
 from repro.planspace.implicit.layout import ImplicitGroup, ImplicitLayout
 from repro.planspace.implicit.turbo import JoinColumns
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
+from tests.kernel.reference_keys import ReferenceEdges, ReferenceKeys
 
 __all__ = [
     "OrderIndex",
@@ -71,8 +72,8 @@ class ReferenceCountState(CountState):
     """``CountState`` whose relation groups are counted pair by pair."""
 
     def compute(self) -> "ReferenceCountState":
-        self.edges = EdgeCatalog(self.layout.graph)
-        self.keys = KeyTable(self.edges)
+        self.edges = ReferenceEdges(self.layout.graph)
+        self.keys = ReferenceKeys(self.edges)
         rels_extra, tower_extra, root_seq = self._tower_requirement_seqs()
         extra = [(mask, self.keys.kid(seq)) for mask, seq in rels_extra]
         self._register_merge_requirements(extra)

@@ -28,6 +28,7 @@ from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import implement_memo_columnar
 from repro.optimizer.annotate import annotate_cardinalities
 from repro.optimizer.cardinality import CardinalityEstimator
+from tests.memo.reference_emission import implement_memo_reference
 from tests.optimizer.reference_enumeration import (
     ReferenceEnumerationExplorer,
     all_subsets,
@@ -80,8 +81,8 @@ def _explored(workload, explorer, allow_cross):
     return setup
 
 
-def _space_total(workload, setup) -> int:
-    implement_memo_columnar(
+def _space_total(workload, setup, implement) -> int:
+    implement(
         setup.memo,
         setup.graph,
         workload.catalog,
@@ -118,8 +119,10 @@ def _check_equivalence(shape: str, n: int, allow_cross: bool) -> None:
     assert fast_rels == slow_rels
 
     # Plan-space level: identical totals N after implementation.
-    fast_total, fast_space = _space_total(workload, fast)
-    slow_total, _ = _space_total(workload, slow)
+    # The reference-explored memo has no logical store for the production
+    # emitter; the scalar emission oracle implements it.
+    fast_total, fast_space = _space_total(workload, fast, implement_memo_columnar)
+    slow_total, _ = _space_total(workload, slow, implement_memo_reference)
     assert fast_total == slow_total
 
     # The rank <-> unrank bijection holds on the fast-path memo.

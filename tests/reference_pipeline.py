@@ -10,7 +10,8 @@ three object-memo phases production replaced, each kept as it was.  The
 memo it returns carries no columnar store, so every differential suite
 diffs the one engine's best plan, cost, memo render, operator census and
 plan count against it.  ``reference_heuristic`` is the same oracle over
-the heuristic tier's unexplored greedy memo.
+the heuristic tier's greedy memo: the seeded left-deep joins, each with
+its commuted orientation inserted beside it.
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ def optimize_reference(
 def reference_heuristic(
     catalog, sql: str, options: OptimizerOptions | None = None
 ) -> OptimizationResult:
-    """The heuristic tier as the oracle serves it: the same greedy,
-    unexplored left-deep memo, implemented and searched on objects."""
+    """The heuristic tier as the oracle serves it: the same greedy
+    left-deep memo, each seeded join group given its commuted
+    orientation (a split is unordered), implemented and searched on
+    objects."""
     if options is None:
         options = OptimizerOptions()
     query = Binder(catalog).bind(parse(sql))
@@ -83,6 +86,16 @@ def reference_heuristic(
         ),
     )
     setup = build_initial_memo(ordered, options.allow_cross_products)
+    memo, graph = setup.memo, setup.graph
+    for group in list(memo.groups):
+        if group.key[0] == "rels" and len(group.relations) > 1:
+            (seeded,) = group.logical_exprs()
+            left, right = seeded.children
+            memo.insert(
+                graph.join_operator_m(memo.groups[right].mask, memo.groups[left].mask),
+                (right, left),
+                group,
+            )
     return _implement_and_search(catalog, ordered, setup, options)
 
 

@@ -18,6 +18,7 @@ import pytest
 from repro.api import Session
 from repro.errors import BudgetError, Cancelled, PlanSpaceError, TimeoutExceeded
 from repro.executor.executor import PlanExecutor
+from repro.optimizer.implementation import ImplementationConfig
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.resilience import Budget, CancellationToken
 from repro.resilience.degrade import (
@@ -340,31 +341,80 @@ HEURISTIC_SHAPES = {
 }
 
 
+def _assert_heuristic_matches_the_oracle(catalog, sql, options):
+    """The tier reads its plan out of the exact tier's kernel over a
+    logical store of its own seeded joins — n - 1 join groups, one split
+    each, both orientations; the object implementation + search over the
+    same greedy memo, each join commuted beside it, is the oracle."""
+    bound = Binder(catalog).bind(parse(sql))
+    result = optimize_heuristic(catalog, bound, options)
+    n = len(bound.quantifiers)
+    logical = result.memo.columnar_logical
+    assert logical is not None and logical.complete
+    assert logical.row_count == n - 1
+    join_gids = [
+        g.gid
+        for g in result.memo.groups
+        if g.key[0] == "rels" and len(g.relations) > 1
+    ]
+    assert len(join_gids) == n - 1
+    assert all(logical.logical_join_count(gid) == 2 for gid in join_gids)
+    assert result.memo.columnar is not None
+    assert_matches_reference(result, reference_heuristic(catalog, sql, options))
+
+
 @pytest.mark.parametrize("shape", HEURISTIC_SHAPES)
 @pytest.mark.parametrize("cross", [False, True], ids=["no-cross", "cross"])
 def test_heuristic_tier_matches_the_oracle_on_its_own_memo(shape, cross):
-    """The tier reads its plan out of the exact tier's kernel (scalar
-    emission: an unexplored memo has no logical store); the object
-    implementation + search over the same greedy memo is the oracle."""
     workload = HEURISTIC_SHAPES[shape]()
-    options = OptimizerOptions(allow_cross_products=cross)
-    result = optimize_heuristic(workload.catalog, _bind(workload), options)
-    assert result.memo.columnar is not None
-    assert result.memo.columnar_logical is None
-    assert_matches_reference(
-        result, reference_heuristic(workload.catalog, workload.sql, options)
+    _assert_heuristic_matches_the_oracle(
+        workload.catalog, workload.sql, OptimizerOptions(allow_cross_products=cross)
     )
 
 
 @pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
 def test_heuristic_tier_matches_the_oracle_on_tpch(name):
     session = Session.tpch(seed=0)
-    sql = TPCH_QUERIES[name].sql
-    bound = Binder(session.catalog).bind(parse(sql))
-    result = optimize_heuristic(session.catalog, bound, NO_CROSS)
-    assert_matches_reference(
-        result, reference_heuristic(session.catalog, sql, NO_CROSS)
+    _assert_heuristic_matches_the_oracle(
+        session.catalog, TPCH_QUERIES[name].sql, NO_CROSS
     )
+
+
+@pytest.mark.parametrize(
+    "name", [*HEURISTIC_SHAPES, *(f"tpch-{q}" for q in sorted(TPCH_QUERIES))]
+)
+def test_heuristic_tier_with_index_nl_joins_matches_the_oracle(name):
+    if name.startswith("tpch-"):
+        catalog = Session.tpch(seed=0).catalog
+        sql = TPCH_QUERIES[name[5:]].sql
+    else:
+        workload = HEURISTIC_SHAPES[name]()
+        catalog, sql = workload.catalog, workload.sql
+    options = OptimizerOptions(
+        implementation=ImplementationConfig(enable_index_nl_join=True)
+    )
+    _assert_heuristic_matches_the_oracle(catalog, sql, options)
+
+
+@pytest.mark.parametrize("make", [chain_query, star_query], ids=["chain63", "star63"])
+@pytest.mark.parametrize("cross", [False, True], ids=["no-cross", "cross"])
+def test_heuristic_tier_at_the_relation_limit_is_pinned_by_counts(make, cross):
+    """At 63 relations the tier is n - 1 join groups of one split each
+    (two logical joins), and a fixed number of emitted rows: counts, not
+    costs, which still multiply cardinalities in hash order."""
+    workload = make(63, rows=3, seed=0)
+    options = OptimizerOptions(allow_cross_products=cross)
+    result = optimize_heuristic(workload.catalog, _bind(workload), options)
+    memo = result.memo
+    logical, physical = memo.columnar_logical, memo.columnar
+    join_gids = [
+        g.gid for g in memo.groups if g.key[0] == "rels" and len(g.relations) > 1
+    ]
+    assert len(memo.groups) == 127  # 63 leaves, 62 joins, aggregate, project
+    assert len(join_gids) == logical.row_count == 62
+    assert {logical.logical_join_count(gid) for gid in join_gids} == {2}
+    assert physical.row_count == 562
+    assert physical.requirement_count() == 124
 
 
 # ------------------------------------------------------------ session API

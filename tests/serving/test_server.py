@@ -10,6 +10,7 @@ import pytest
 from repro.api import Session
 from repro.serving import PlanCache, PlanServer
 from repro.testing.faults import FaultSpec, inject
+from repro.workloads.synthetic import star_query
 
 SQL = (
     "SELECT * FROM customer c, orders o, lineitem l "
@@ -113,6 +114,24 @@ class TestSessionIntegration:
     def test_no_cache_means_no_tagging(self, database):
         result = Session(database).optimize(SQL.format(lit="1000.0"))
         assert result.cache is None
+
+    def test_a_degraded_result_never_seeds_the_cache(self):
+        """The heuristic tier's memo carries a complete logical store,
+        which template capture would accept: only the admission tier
+        check keeps a deadline artefact out of both tiers."""
+        workload = star_query(6, rows=5, seed=0)
+        session = Session(workload.database, plan_cache=PlanCache())
+        hurried = session.optimize(workload.sql, deadline_s=1e-6)
+        assert hurried.engine == "heuristic"
+        assert hurried.memo.columnar_logical is not None
+        stats = session.plan_cache.stats()
+        assert stats["plan.size"] == stats["template.size"] == 0
+        served = session.optimize(workload.sql)
+        assert served.cache.tier == "miss"
+        assert served.engine == "columnar" and served.resilience is None
+        cold = Session(workload.database).optimize(workload.sql)
+        assert served.best_plan.render() == cold.best_plan.render()
+        assert served.best_cost == cold.best_cost
 
 
 class TestPlanServer:

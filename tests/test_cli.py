@@ -118,7 +118,7 @@ class TestOptimize:
         code, text = run_cli("optimize", "Q5", "--deadline-s", "0.000001")
         assert code == 0
         assert (
-            "engine: heuristic (fallback: greedy left-deep tier "
+            "engine: heuristic (fallback: greedy join order tier "
             "(no exploration))"
         ) in text
         assert "best cost" in text

@@ -1,16 +1,17 @@
 """ROADMAP's standing rule as a test: no knob, no environment variable,
 no second engine.
 
-There is one explorer, one exact engine, one count pass and one plan
-numbering.  These guards fail in tier-1 — not in review — when an engine
-selector comes back as an optimizer option, an explorer argument, a
-count-state field, a plan-space keyword or CLI flag, or an environment
-lookup (in ``src/`` or in ``scripts/ci.sh``, which also keeps no timer),
-when the deleted rule engine, object best-plan path, per-pair reference
-count pass, Python csg–cmp enumerator, the two callers' own key-interning
-chains (or a result served by any of them) reappears under ``src/``, or
-when the materialized plan space — now an oracle under ``tests/`` — is
-back in ``src/`` or imported by it.
+There is one explorer, one exact engine, one emitter, one count pass and
+one plan numbering.  These guards fail in tier-1 — not in review — when
+an engine selector comes back as an optimizer option, an explorer or
+store-builder argument, a count-state field, a plan-space keyword or CLI
+flag, or an environment lookup (in ``src/`` or in ``scripts/ci.sh``,
+which also keeps no timer), when the deleted rule engine, object
+best-plan path, per-pair reference count pass, Python csg–cmp
+enumerator, the two callers' own key-interning chains, the scalar
+emission loop (or a result served by any of them) reappears under
+``src/``, or when the materialized plan space — now an oracle under
+``tests/`` — is back in ``src/`` or imported by it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import repro
 from repro.api import PlanSpaceHandle, Session
 from repro.cli import build_parser
 from repro.kernel.vector import cut_key_table
-from repro.memo.columnar import build_logical_store
+from repro.memo.columnar import build_columnar_store, build_logical_store
 from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import ImplementationConfig
 from repro.optimizer.joingraph import JoinGraph
@@ -265,6 +266,29 @@ DELETED_KEY_CHAIN = {"decode_bit_rows", "DECODE_CHUNK", "lex_unique_rows"}
 def test_src_neither_defines_nor_references_the_key_chains():
     offenders = _src_uses(DELETED_KEY_CHAIN.__contains__)
     assert not offenders, offenders
+
+
+#: the per-group scalar emission loop, moved under ``tests/`` as the
+#: oracle (``tests/memo/reference_emission.py``): the vectorized pass is
+#: the one emitter, index-lookup joins and the heuristic tier included
+DELETED_EMITTER = {"_emit_rows_scalar"}
+
+
+def test_src_neither_defines_nor_references_the_scalar_emitter():
+    offenders = _src_uses(DELETED_EMITTER.__contains__)
+    assert not offenders, offenders
+
+
+def test_store_builder_takes_no_emission_selector():
+    assert list(inspect.signature(build_columnar_store).parameters) == [
+        "memo",
+        "graph",
+        "catalog",
+        "config",
+        "root_order",
+        "scope",
+        "edges",
+    ]
 
 
 def test_cut_key_table_takes_no_selector_or_threshold():
