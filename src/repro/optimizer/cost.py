@@ -216,11 +216,11 @@ class CostModel:
         return total
 
     def plan_costs(self, plans: list[PlanNode]) -> list[float]:
-        """Batch-cost many plans (the sampled-costing hot path).
+        """Batch-cost many assembled plans.
 
-        One entry point for pipelines that cost whole samples at a time —
-        e.g. :mod:`repro.sampledopt` costs every sampled plan of a batch
-        before consulting its stopping rule.
+        The sampled optimizer itself prices drawn plans row by row on its
+        one walk per rank (``FragmentPool.add_ranks``) and assembles none
+        of them; this is for callers that hold ``PlanNode`` trees.
         """
         plan_cost = self.plan_cost
         return [plan_cost(plan) for plan in plans]

@@ -23,6 +23,10 @@ prefix test per distinct kid), or the body.  A :class:`Row` (slots,
 ``B_v`` prefix, payload, later its operator) is constructed, and cached,
 only for a position a plan, a stratum descent or a pooled fragment
 selects — ``TableSet.rows_built`` counts them: O(plan), never O(group).
+A join row's kind is its physical join (``nlj`` / ``hash`` / ``merge``,
+from ``join_physical_kinds``), so it can be priced from cardinalities
+alone; its operator is built only when a plan node needs it
+(``TableSet.operators_built`` counts every operator the set builds).
 """
 
 from __future__ import annotations
@@ -34,8 +38,10 @@ from itertools import accumulate
 from repro.errors import PlanSpaceError
 from repro.optimizer.rules import (
     JoinImplementations,
+    extract_equi_keys,
     index_nl_join_implementations,
     join_implementations,
+    join_physical_kinds,
     join_rule_arity,
     scan_implementations,
 )
@@ -45,6 +51,8 @@ __all__ = ["GroupTable", "CandidateList", "TableSet"]
 
 #: slot requirement sentinel: enforcer child (non-enforcers of own group)
 NONENF = "nonenf"
+#: the row kinds of binary joins, named as ``join_physical_kinds`` names them
+JOIN_KINDS = ("nlj", "hash", "merge")
 
 
 @dataclass(slots=True)
@@ -52,7 +60,7 @@ class Row:
     """One virtual physical operator of a group."""
 
     local_id: int
-    kind: str  # scan | join | inlj | unary | sort
+    kind: str  # scan | nlj | hash | merge | inlj | unary | sort
     payload: tuple
     count: int
     #: per child slot: (child_gid, requirement) where requirement is
@@ -109,6 +117,8 @@ class GroupTable:
             counts = [1] * len(self.scans)
         elif group.kind == "join":
             self.join = state.join_columns(gid)
+            #: (keyed, keyless) physical join kinds, in rule order
+            self.join_kinds = join_physical_kinds(state.config)
             counts = self.join.counts
         else:  # unary tower
             counts = [top.count for top in state.tower_ops[gid]]
@@ -206,17 +216,19 @@ class GroupTable:
         gid_by_mask = state.layout.gid_by_mask
         lgid, rgid = gid_by_mask[left], gid_by_mask[right]
         lkid = cols.lkid[expr]
-        plain, merge = join_rule_arity(state.config, lkid >= 0)
+        keyed, keyless = self.join_kinds
+        kinds = keyed if lkid >= 0 else keyless
+        if offset >= len(kinds):
+            payload = (left, right, offset - len(kinds))
+            return Row(local, "inlj", payload, count, ((lgid, None),), (1,))
+        kind = kinds[offset]
         payload = (left, right, offset)
-        if offset < plain:
-            slots = ((lgid, None), (rgid, None))
-            return Row(local, "join", payload, count, slots, (1, state.A[left]))
-        if merge and offset == plain:
+        if kind == "merge":
             slots = ((lgid, lkid), (rgid, cols.rkid[expr]))
             prefix = (1, state.sord[(left, lkid)])
-            return Row(local, "join", payload, count, slots, prefix)
-        payload = (left, right, offset - plain - merge)
-        return Row(local, "inlj", payload, count, ((lgid, None),), (1,))
+            return Row(local, kind, payload, count, slots, prefix)
+        slots = ((lgid, None), (rgid, None))
+        return Row(local, kind, payload, count, slots, (1, state.A[left]))
 
 
 class TableSet:
@@ -233,6 +245,7 @@ class TableSet:
         self._cardinality: dict[int, float] = {}
         self._estimator = None
         self._built = [0]  # rows constructed, counted by the tables
+        self._operators = 0  # physical operators constructed
 
     # ------------------------------------------------------------------
     # first-touch work so far, in counts (each an O(1) read)
@@ -240,6 +253,13 @@ class TableSet:
     def rows_built(self) -> int:
         """:class:`Row` objects constructed so far (the laziness measure)."""
         return self._built[0]
+
+    @property
+    def operators_built(self) -> int:
+        """Physical operators constructed so far: a leaf's access paths
+        with its table, a join pair's operators when a plan node needs
+        one of them, one ``Sort`` per kid."""
+        return self._operators
 
     @property
     def tables(self) -> int:
@@ -301,6 +321,7 @@ class TableSet:
             group = state.layout.group(gid)
             ops = scan_implementations(group.op, state.catalog, state.config)
             self._scan_ops[gid] = ops
+            self._operators += len(ops)
         return ops
 
     def _join_impls(self, left: int, right: int):
@@ -314,6 +335,7 @@ class TableSet:
                 self.state.config,
             )
             self._join_ops[(left, right)] = ji
+            self._operators += len(ji.ops)
         return ji
 
     def _inlj_list(self, left: int, right: int) -> list:
@@ -322,14 +344,20 @@ class TableSet:
         if ops is None:
             state = self.state
             layout = state.layout
-            ji = self._join_impls(left, right)
+            predicate = layout.graph.join_predicate_m(left, right)
+            left_keys, right_keys, _ = extract_equi_keys(
+                predicate,
+                layout.universe.names(left),
+                layout.universe.names(right),
+            )
             ops = self._inlj_ops[key] = index_nl_join_implementations(
                 layout.group_for_mask(right).op,
                 state.catalog,
-                layout.graph.join_predicate_m(left, right),
-                ji.left_keys,
-                ji.right_keys,
+                predicate,
+                left_keys,
+                right_keys,
             )
+            self._operators += len(ops)
         return ops
 
     def operator(self, gid: int, row: Row):
@@ -340,7 +368,7 @@ class TableSet:
         kind = row.kind
         if kind == "scan":
             op = self.scan_ops(gid)[row.payload[0]]
-        elif kind == "join":
+        elif kind in JOIN_KINDS:
             left, right, pos = row.payload
             op = self._join_impls(left, right).ops[pos]
         elif kind == "inlj":
@@ -356,6 +384,7 @@ class TableSet:
             if op is None:
                 op = Sort(self.state.keys.columns_of(kid))
                 self._sort_ops[kid] = op
+                self._operators += 1
         else:  # pragma: no cover - defensive
             raise PlanSpaceError(f"unknown row kind {kind!r}")
         row.op = op

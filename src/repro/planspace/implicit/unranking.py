@@ -7,15 +7,18 @@ selections over a group's count column (:class:`~.tables.TableSet`).
 Operator selection bisects the list's prefix sums and indexes the
 selected *position*; only that position becomes a row object, whose
 ``B_v`` products split the local rank and whose slots name the child
-lists to recurse into.  ``rank`` inverts it by arithmetic: a node's
+lists to descend into.  ``rank`` inverts it by arithmetic: a node's
 position is ``local_id - base``.  One unranking therefore touches
 O(depth) group tables and constructs exactly the plan's rows and
 operators — never a group's, let alone the physical memo.
 
-:meth:`ImplicitUnranker.unrank_with_trace` is a separate walk over the
-same candidate lists that records the paper's appendix walkthrough — per
-operator its rank, local rank, ``R_v(i)`` and ``s_v(i)`` — for ``repro
-unrank --trace``; the hot path never builds a trace.
+The descent exists once, :meth:`ImplicitUnranker.descend`: a loop over
+an explicit stack that lists the plan's rows.  :meth:`~ImplicitUnranker.unrank`
+assembles a :class:`PlanNode` tree from that list; the sampled
+optimizer's fragment pool prices and pools the rows without assembling
+anything; :meth:`~ImplicitUnranker.unrank_with_trace` derives the
+paper's appendix walkthrough from it — per operator its rank, local
+rank, ``R_v(i)`` and ``s_v(i)`` — for ``repro unrank --trace``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.errors import PlanSpaceError, RankOutOfRangeError
 from repro.optimizer.plan import PlanNode
 from repro.planspace.implicit.counting import CountState
-from repro.planspace.implicit.tables import CandidateList, TableSet
+from repro.planspace.implicit.tables import CandidateList, Row, TableSet
 
 __all__ = ["ImplicitUnranker", "TraceStep", "UnrankTrace"]
 
@@ -75,105 +78,123 @@ class ImplicitUnranker:
         self.state = state
         self.tables = TableSet(state)
         self.total = state.total
-
-    def _root_candidates(self) -> CandidateList:
-        return self.tables.candidates(
-            self.state.layout.root_gid, self.state.root_kid
-        )
+        #: the root's context: ``(root gid, root requirement)``
+        self.root_ctx = (state.layout.root_gid, state.root_kid)
 
     # ------------------------------------------------------------------
-    def unrank(self, rank: int) -> PlanNode:
-        """The plan with number ``rank``."""
+    def descend(self, rank: int) -> list[tuple[tuple, Row, int]]:
+        """The rows of plan ``rank`` as ``(context, row, rank within the
+        context's list)``, in pre-order with the *last* slot first.
+
+        A context is ``(gid, requirement)``: the root's, then the
+        ``row.slots`` entry a row was selected for.  This is the one
+        descent every unranking walks: :meth:`unrank` assembles its plan
+        from it, and the sampled optimizer's fragment pool records and
+        prices its rows without assembling anything.
+        """
         if not 0 <= rank < self.total:
             raise RankOutOfRangeError(rank, self.total)
-        return self._unrank_among(self._root_candidates(), rank)
+        candidates = self.tables.candidates
+        walk = []
+        stack = [(self.root_ctx, rank)]
+        while stack:
+            ctx, rank = stack.pop()
+            found = candidates(*ctx)
+            cumulative = found.cumulative
+            # bisect over the exclusive prefix sums = the paper's linear
+            # prefix-sum scan, sublinear in wide groups
+            pos = bisect_right(cumulative, rank) - 1
+            row = found.table.row(found.positions[pos])
+            walk.append((ctx, row, rank))
+            # R_v / s_v mixed-radix split of the local rank over the row's
+            # (at most two) slots: B_v(0) = 1 leaves the remainder to
+            # slot 0; slot 1 is pushed last, so it is walked first
+            slots = row.slots
+            if slots:
+                local = rank - cumulative[pos]
+                if len(slots) == 1:
+                    stack.append((slots[0], local))
+                else:
+                    high, low = divmod(local, row.prefix[1])
+                    stack.append((slots[0], low))
+                    stack.append((slots[1], high))
+        return walk
 
-    def _unrank_among(self, candidates: CandidateList, rank: int) -> PlanNode:
-        cumulative = candidates.cumulative
-        # bisect over the exclusive prefix sums = the paper's linear
-        # prefix-sum scan, sublinear in wide groups
-        pos = bisect_right(cumulative, rank) - 1
-        if pos >= len(candidates.positions):  # pragma: no cover - guarded by total
-            raise PlanSpaceError(
-                f"rank {rank} exceeds the {cumulative[-1]} plans of this list"
-            )
-        table = candidates.table
-        row = table.row(candidates.positions[pos])
-        local = rank - cumulative[pos]
+    def unrank(self, rank: int) -> PlanNode:
+        """The plan with number ``rank``."""
+        return self._assemble(self.descend(rank))
+
+    def _assemble(self, walk: list[tuple[tuple, Row, int]]) -> PlanNode:
+        """The plan whose :meth:`descend` walk is ``walk``.  Backwards, a
+        last-slot-first pre-order is a first-slot-first post-order: each
+        node's children are the top of the stack of finished subtrees."""
         tables = self.tables
-        # R_v / s_v mixed-radix split, highest slot first (B_v(0) = 1
-        # leaves the whole remainder to slot 0)
-        slots, prefix = row.slots, row.prefix
-        children = [None] * len(slots)
-        for i in range(len(slots) - 1, -1, -1):
-            sub_rank, local = divmod(local, prefix[i])
-            child_gid, requirement = slots[i]
-            children[i] = self._unrank_among(
-                tables.candidates(child_gid, requirement), sub_rank
+        operator, cardinality = tables.operator, tables.cardinality
+        done: list[PlanNode] = []
+        pop = done.pop
+        for (gid, _), row, _ in reversed(walk):
+            n = len(row.slots)
+            if not n:
+                children = ()
+            elif n == 1:
+                children = (pop(),)
+            else:
+                second = pop()
+                children = (pop(), second)
+            done.append(
+                PlanNode(
+                    op=operator(gid, row),
+                    children=children,
+                    group_id=gid,
+                    local_id=row.local_id,
+                    cardinality=cardinality(gid),
+                )
             )
-        gid = table.gid
-        return PlanNode(
-            op=tables.operator(gid, row),
-            children=tuple(children),
-            group_id=gid,
-            local_id=row.local_id,
-            cardinality=tables.cardinality(gid),
-        )
+        return done[0]
 
     # ------------------------------------------------------------------
     def unrank_with_trace(self, rank: int) -> tuple[PlanNode, UnrankTrace]:
         """Plan ``rank`` plus the R/s trace of every operator on it, in
         pre-order (the paper's appendix walkthrough)."""
-        if not 0 <= rank < self.total:
-            raise RankOutOfRangeError(rank, self.total)
-        trace = UnrankTrace(rank=rank)
-        plan = self._trace_among(self._root_candidates(), rank, trace.steps)
-        return plan, trace
+        walk = self.descend(rank)
+        plan = self._assemble(walk)
+        # the walk lists the plan's nodes last slot first; the
+        # walkthrough reads them first slot first
+        nodes = []
+        stack = [plan]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.children)
+        step_of = {
+            id(node): self._trace_step(*entry) for node, entry in zip(nodes, walk)
+        }
+        steps = [step_of[id(node)] for node in plan.iter_nodes()]
+        return plan, UnrankTrace(rank=rank, steps=steps)
 
-    def _trace_among(
-        self, candidates: CandidateList, rank: int, steps: list[TraceStep]
-    ) -> PlanNode:
-        cumulative = candidates.cumulative
-        pos = bisect_right(cumulative, rank) - 1
-        table = candidates.table
-        row = table.row(candidates.positions[pos])
-        local = rank - cumulative[pos]
+    def _trace_step(self, ctx: tuple, row: Row, rank: int) -> TraceStep:
+        candidates = self.tables.candidates(*ctx)
+        local = rank - candidates.cumulative[candidates.find(row.local_id)]
         # R_v(|v|) = r_l, R_v(i) = R_v(i+1) mod B_v(i) and
         # s_v(i) = floor(R_v(i) / B_v(i-1)), 0-based: prefix[i] = B_v(i)
         # and prefix[0] = B_v(0) = 1 makes s_v(1) = R_v(1)
-        slots, prefix = row.slots, row.prefix
-        n = len(slots)
+        prefix = row.prefix
+        n = len(prefix)
         remainders = [local] * n
         for i in range(n - 1, 0, -1):
             remainders[i - 1] = remainders[i] % prefix[i]
-        sub_ranks = [r // b for r, b in zip(remainders, prefix)]
-        gid = table.gid
-        steps.append(
-            TraceStep(
-                operator_id=f"{gid}.{row.local_id}",
-                rank=rank,
-                local_rank=local,
-                remainders=tuple(remainders),
-                sub_ranks=tuple(sub_ranks),
-            )
-        )
-        tables = self.tables
-        children = tuple(
-            self._trace_among(tables.candidates(*slots[i]), sub_ranks[i], steps)
-            for i in range(n)
-        )
-        return PlanNode(
-            op=tables.operator(gid, row),
-            children=children,
-            group_id=gid,
-            local_id=row.local_id,
-            cardinality=tables.cardinality(gid),
+        return TraceStep(
+            operator_id=f"{ctx[0]}.{row.local_id}",
+            rank=rank,
+            local_rank=local,
+            remainders=tuple(remainders),
+            sub_ranks=tuple(r // b for r, b in zip(remainders, prefix)),
         )
 
     # ------------------------------------------------------------------
     def rank(self, plan: PlanNode) -> int:
         """The number of ``plan`` within the space (inverse of unrank)."""
-        return self._rank_among(self._root_candidates(), plan)
+        return self._rank_among(self.tables.candidates(*self.root_ctx), plan)
 
     def _rank_among(self, candidates: CandidateList, plan: PlanNode) -> int:
         pos = -1

@@ -4,12 +4,14 @@ The paper's machinery (count, unrank, uniform sample) was built to
 *study* plan spaces; this package turns it into an optimizer that never
 materializes the physical memo:
 
-* :mod:`.costing` — batch plan costing straight off the implicit engine
-  (``CostModel.plan_costs`` over sampled ``PlanNode``\\ s, lazily cached
-  group cardinalities) plus per-fragment local costs;
-* :mod:`.search` — the best-of-k anytime optimizer: sample, batch-cost,
+* :mod:`.costing` — per-row local costs straight off the implicit
+  engine (lazily cached group cardinalities; join rows priced without
+  building their operators), which sum to ``CostModel.plan_cost``;
+* :mod:`.search` — the best-of-k anytime optimizer: sample, walk each
+  drawn rank once into the fragment pool and price it on that walk,
   recombine fragments with a dynamic program (exact over the sampled
-  sub-memo), consult a stopping rule, repeat;
+  sub-memo), consult a stopping rule, repeat; only the returned plan is
+  assembled;
 * :mod:`.stopping` — fixed-k, cost-plateau and PAO-style quantile-target
   stopping rules;
 * :mod:`.strata` — plan-shape strata (contiguous rank intervals keyed by

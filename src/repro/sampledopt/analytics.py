@@ -4,7 +4,8 @@ sizes the memo path cannot reach).
 ``experiments/distributions.py`` runs the full optimizer per query —
 fine for TPC-H-sized memos, minutes-to-hours for clique12.  Here the
 whole pipeline is memo-free: the implicit engine counts and samples, the
-cost model batch-prices the sample, and costs are scaled either to a
+fragment pool prices each drawn plan on its one walk (no plan is
+assembled), and costs are scaled either to a
 caller-provided optimum (when one is computable) or to the best *known*
 plan — by default the recombined best of the very sample being analyzed,
 so the report is self-contained ("scaled-to-best factors").  The result
@@ -22,6 +23,7 @@ from repro.errors import PlanSpaceError, ReproError
 from repro.experiments.distributions import CostDistribution
 from repro.planspace.implicit.space import ImplicitPlanSpace
 from repro.sampledopt.costing import SampledPlanCoster
+from repro.sampledopt.search import FragmentPool
 from repro.sampledopt.strata import StratifiedSampler
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
@@ -75,14 +77,9 @@ def sampled_distribution(
         ranks = StratifiedSampler(space, seed=seed).sample_ranks(sample_size)
     else:
         ranks = space.sample_ranks(sample_size, seed=seed)
-    plans, costs = coster.cost_ranks(ranks)
-
+    pool = FragmentPool(space, coster)
+    costs = pool.add_ranks(ranks)
     if scale_to is None:
-        from repro.sampledopt.search import FragmentPool
-
-        pool = FragmentPool(space, coster)
-        for plan in plans:
-            pool.add_plan(plan)
         scale_to, _choice = pool.solve()
     if scale_to <= 0:
         raise PlanSpaceError(

@@ -1,32 +1,43 @@
 """Memo-free plan costing over the implicit engine.
 
-The materialized pipeline prices plans only after the whole physical memo
-exists; here costing rides directly on the implicit tables: a sampled
-``PlanNode`` already carries the group cardinality estimates the implicit
-unranker computed lazily (the same values ``annotate_cardinalities``
-would have stored on memo groups — parity is asserted by the equivalence
-property suite), so pricing it is a pure :class:`CostModel` pass, and a
-whole sampled batch goes through the one hot-path entry point
-``CostModel.plan_costs``.
+Costing rides directly on the implicit tables, one virtual operator row
+at a time: :class:`RowCoster` prices a row's *local* cost from its group
+cardinality and its child groups' cardinalities (the same values
+``annotate_cardinalities`` would have stored on memo groups — parity is
+asserted by the equivalence property suite), cached per ``(gid,
+local_id)``.  A sampled plan's cost is the sum of its rows' local costs,
+added in ``CostModel.plan_cost``'s order so it is the same float; the
+sampled optimizer's fragment pool (:mod:`.search`) sums them on its one
+walk per drawn rank, and no ``PlanNode`` is assembled for a drawn plan.
 
-:class:`RowCoster` is the per-fragment variant used by the recombination
-search: the *local* cost of one virtual operator row, computed from the
-row's group cardinality and its child groups' cardinalities — no
-``PlanNode`` is assembled at all.  Because cardinality is a group
-property, every alternative subtree of the same ``(group, requirement)``
-context feeds its parent the same row count, which is what makes
-fragment-local costs composable (see :mod:`.search`).
+A join row is priced without its operator: its kind is the physical
+join ``join_physical_kinds`` names (``nlj`` / ``hash`` / ``merge``), and
+the cost model's formula for that operator reads only cardinalities.
+Join operators are therefore built only for the plan the optimizer
+returns.  Scan, sort, unary and index-lookup rows price through their
+operator.  Because cardinality is a group property, every alternative
+subtree of the same ``(group, requirement)`` context feeds its parent
+the same row count, which is what makes fragment-local costs composable.
 """
 
 from __future__ import annotations
 
+from repro.algebra.physical import HashJoin, MergeJoin, NestedLoopJoin
 from repro.catalog.catalog import Catalog
-from repro.optimizer.cost import CostModel, CostParameters
+from repro.optimizer.cost import _FORMULAS, CostModel, CostParameters
 from repro.optimizer.plan import PlanNode
 from repro.planspace.implicit.space import ImplicitPlanSpace
 from repro.planspace.implicit.tables import Row, TableSet
 
 __all__ = ["RowCoster", "SampledPlanCoster"]
+
+#: join row kind -> the cost model's formula for that operator (the join
+#: formulas read the cardinalities only, never the operator)
+_JOIN_FORMULAS = {
+    "nlj": _FORMULAS[NestedLoopJoin],
+    "hash": _FORMULAS[HashJoin],
+    "merge": _FORMULAS[MergeJoin],
+}
 
 
 class RowCoster:
@@ -44,17 +55,23 @@ class RowCoster:
         if cached is not None:
             return cached
         tables = self.tables
-        cost = self.cost_model.operator_cost(
-            tables.operator(gid, row),
-            tables.cardinality(gid),
-            tuple(tables.cardinality(child_gid) for child_gid, _ in row.slots),
+        output_rows = tables.cardinality(gid)
+        child_rows = tuple(
+            tables.cardinality(child_gid) for child_gid, _ in row.slots
         )
+        formula = _JOIN_FORMULAS.get(row.kind)
+        if formula is not None:
+            cost = formula(self.cost_model, None, output_rows, child_rows)
+        else:
+            cost = self.cost_model.operator_cost(
+                tables.operator(gid, row), output_rows, child_rows
+            )
         self._local[key] = cost
         return cost
 
 
 class SampledPlanCoster:
-    """Batch-cost sampled plans straight off an implicit space.
+    """Cost sampled plans straight off an implicit space.
 
     Owns the :class:`CostModel` (built from the space's options so costs
     are comparable with the materialized optimizer's) and the
@@ -75,11 +92,5 @@ class SampledPlanCoster:
         return self.cost_model.plan_cost(plan)
 
     def cost_batch(self, plans: list[PlanNode]) -> list[float]:
-        """Price a sampled batch (one ``plan_costs`` call, the hot path)."""
+        """Price assembled plans (one ``plan_costs`` call)."""
         return self.cost_model.plan_costs(plans)
-
-    def cost_ranks(self, ranks: list[int]) -> tuple[list[PlanNode], list[float]]:
-        """Unrank and price ``ranks``; returns (plans, costs) in order."""
-        unrank = self.space.unrank
-        plans = [unrank(rank) for rank in ranks]
-        return plans, self.cost_batch(plans)

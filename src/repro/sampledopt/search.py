@@ -1,7 +1,8 @@
 """Best-of-k sampled optimization with fragment recombination.
 
 The driver loop is anytime: draw a batch of uniform (optionally
-stratified) ranks, unrank and batch-cost them, update the incumbent,
+stratified) ranks, walk each into the fragment pool and price it on the
+same walk (no plan is assembled for a draw), update the incumbent,
 consult the stopping rule, repeat until the rule fires or the wall-clock
 budget runs out.  Two incumbents are tracked:
 
@@ -63,7 +64,7 @@ DEFAULT_BATCH_SIZE = 128
 #: default cap on total samples (the plateau rule usually fires earlier)
 DEFAULT_MAX_SAMPLES = 384
 #: the ``TableSet`` counters the "sample" trace record carries
-FIRST_TOUCH = ("tables", "candidate_lists", "rows_built")
+FIRST_TOUCH = ("tables", "candidate_lists", "rows_built", "operators_built")
 
 
 @dataclass
@@ -79,26 +80,52 @@ class BatchPoint:
 class FragmentPool:
     """Sampled plan fragments, pooled by ``(group, requirement)`` context.
 
-    ``add_plan`` walks a sampled plan and its virtual operator rows in
-    lockstep, recording which rows have been observed in which context;
+    ``add_ranks`` walks each drawn rank's rows once
+    (``ImplicitUnranker.descend``), recording which rows have been
+    observed in which context and summing their local costs;
+    ``add_plan`` records an already assembled plan the same way.
     ``solve`` runs the dynamic program over the pooled contexts and
-    ``assemble`` builds the plan it chose.  All three are loops over
-    explicit work lists, so chain-query plans of any depth are safe, and
-    no closure refers back to the pool: it and the space it holds are
-    freed by reference count when the optimize call returns.
+    ``assemble`` builds the plan it chose — the only plan whose join
+    operators are built.  All of them are loops over explicit work
+    lists, so chain-query plans of any depth are safe, and no closure
+    refers back to the pool: it and the space it holds are freed by
+    reference count when the optimize call returns.
     """
 
     def __init__(self, space: ImplicitPlanSpace, coster: SampledPlanCoster):
         self.space = space
         self.tables = space.unranker.tables
         self.coster = coster
-        state = space.state
-        self.root_ctx = (state.layout.root_gid, state.root_kid)
+        self.root_ctx = space.unranker.root_ctx
         #: ctx -> {local_id: Row}
         self.fragments: dict[tuple, dict[int, object]] = {}
 
     def __len__(self) -> int:
         return sum(len(rows) for rows in self.fragments.values())
+
+    def add_ranks(self, ranks: list[int]) -> list[float]:
+        """Pool the rows of plans ``ranks`` and return their costs.
+
+        One walk per rank.  Rows enter the pool in ``add_plan``'s order
+        (pre-order, last slot first: ``solve`` breaks ties by it) and
+        their local costs are added in ``CostModel.plan_cost``'s order —
+        the same order — so each cost is ``plan_cost(space.unrank(rank))``
+        to the bit.
+        """
+        fragments = self.fragments
+        local_cost = self.coster.rows.local_cost
+        descend = self.space.unranker.descend
+        costs = []
+        for rank in ranks:
+            total = 0.0
+            for ctx, row, _ in descend(rank):
+                pooled = fragments.get(ctx)
+                if pooled is None:
+                    fragments[ctx] = pooled = {}
+                pooled[row.local_id] = row
+                total += local_cost(ctx[0], row)
+            costs.append(total)
+        return costs
 
     def add_plan(self, plan: PlanNode) -> None:
         tables = self.tables
@@ -285,12 +312,12 @@ class SampledOptimizer:
     ) -> SampledOptimizationResult:
         """See :meth:`_optimize`; the cycle collector is paused for the
         duration (as in ``Optimizer.optimize``): sampling allocates many
-        short-lived tuples and ``PlanNode`` trees, and on a large heap —
+        short-lived tuples and lists, and on a large heap —
         e.g. a memo from an earlier exhaustive run — generational passes
         only add pauses.  The request's space (layout, count state, group
         tables, fragment pool) is owner-points-down and dies by reference
         count on return; what is left for the collector is the
-        predicate-cache cycles of the join operators the plans used
+        predicate-cache cycles of the join operators the returned plan used
         (``optimizer/rules.py``; see ``planspace/implicit/README.md``,
         "Ownership and lifetime").  The pause is ref-counted, so a server
         worker degrading to this tier does not re-enable the collector
@@ -402,9 +429,8 @@ class SampledOptimizer:
                 scope.checkpoint("sampled.batch", batch)
             tick = time.perf_counter()
             ranks = draw(batch)
-            plans, costs = coster.cost_ranks(ranks)
-            for rank, plan, cost in zip(ranks, plans, costs):
-                pool.add_plan(plan)
+            costs = pool.add_ranks(ranks)
+            for rank, cost in zip(ranks, costs):
                 if cost < best_sampled_cost:
                     best_sampled_cost = cost
                     best_sampled_rank = rank
@@ -447,7 +473,9 @@ class SampledOptimizer:
             )
 
         with obs_phase("assemble") as span:
+            was = pool.tables.operators_built
             best_plan = pool.assemble(choice)
+            span.add("operators_built", pool.tables.operators_built - was)
         timings["assemble"] = span.elapsed_s
 
         return SampledOptimizationResult(

@@ -8,6 +8,7 @@ from the tests' perspective and expensive enough to be worth sharing.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.catalog.tpch import tpch_catalog
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
@@ -15,6 +16,14 @@ from repro.storage.datagen import generate_tpch
 from repro.workloads.tpch_queries import tpch_query
 from tests.planspace.materialized.paper_example import build_paper_example
 from tests.planspace.materialized.space import PlanSpace
+
+# Every property test draws the same examples on every run and in every
+# checkout: examples derive from the test function alone, never from a
+# seed or an on-disk example database, so two trees run side by side
+# test (and spend their time on) identical inputs.  Each test's own
+# ``max_examples`` still applies.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,9 @@ class TestTraceCommand:
         assert code == 0
         for phase in ("space", "sample", "recombine", "assemble"):
             assert phase in text
-        for counter in ("rows_built=", "tables=", "candidate_lists="):
+        for counter in (
+            "rows_built=", "tables=", "candidate_lists=", "operators_built="
+        ):
             assert counter in text
 
     def test_deadline_traces_tiers(self):
@@ -206,6 +208,10 @@ class TestOptimizeVerbose:
         # first-touch work in counts, next to the wall times
         (line,) = [ln for ln in text.splitlines() if ln.startswith("first touch:")]
         counts = dict(item.split("=") for item in line.split()[2:])
-        assert list(counts) == ["tables", "candidate_lists", "rows_built"]
+        assert list(counts) == [
+            "tables", "candidate_lists", "rows_built", "operators_built"
+        ]
         assert 0 < int(counts["tables"]) <= int(counts["candidate_lists"])
         assert int(counts["candidate_lists"]) <= 3 * int(counts["tables"])
+        # scans and sorts price through their operator, joins never do
+        assert 0 < int(counts["operators_built"]) < int(counts["rows_built"])

@@ -9,8 +9,8 @@ flag, or an environment lookup (in ``src/`` or in ``scripts/ci.sh``,
 which also keeps no timer), when the deleted rule engine, object
 best-plan path, per-pair reference count pass, Python csg–cmp
 enumerator, the two callers' own key-interning chains, the scalar
-emission loop (or a result served by any of them) reappears under
-``src/``, or when the materialized plan space — now an oracle under
+emission loop, the drawn-plan costing path or a second unranking descent
+(or a result served by any of them) reappears under ``src/``, or when the materialized plan space — now an oracle under
 ``tests/`` — is back in ``src/`` or imported by it.
 """
 
@@ -277,6 +277,28 @@ DELETED_EMITTER = {"_emit_rows_scalar"}
 def test_src_neither_defines_nor_references_the_scalar_emitter():
     offenders = _src_uses(DELETED_EMITTER.__contains__)
     assert not offenders, offenders
+
+
+#: the drawn-plan path (unrank every draw, price the trees, pool them),
+#: moved under ``tests/`` as the oracle
+#: (``tests/sampledopt/reference_costing.py``), and the two recursive
+#: descents ``ImplicitUnranker.descend`` replaced
+DELETED_DESCENTS = {"cost_ranks", "_unrank_among", "_trace_among"}
+
+
+def test_src_has_one_unranking_descent():
+    offenders = _src_uses(DELETED_DESCENTS.__contains__)
+    assert not offenders, offenders
+    # operator selection bisects a candidate list's prefix sums in one place
+    selections = [
+        f"{path}:{node.lineno}"
+        for path, node in _src_nodes()
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("bisect_right", "bisect_left")
+        and "cumulative" in ast.unparse(node.args[0])
+    ]
+    assert len(selections) == 1, selections
+    assert selections[0].startswith("planspace/implicit/unranking.py:")
 
 
 def test_store_builder_takes_no_emission_selector():
