@@ -555,8 +555,13 @@ def _cmd_optimize(args, out) -> int:
             if isinstance(seconds, float)
         )
         out.write(f"timings: {rendered}\n")
-        counters = result.trace.find("sample").counters
-        rendered = "  ".join(f"{name}={counters[name]}" for name in FIRST_TOUCH)
+        # the draw's first touch: the strata build's, then the walks'
+        spans = [result.trace.find(name) for name in ("strata", "sample")]
+        spans = [span.counters for span in spans if span is not None]
+        rendered = "  ".join(
+            f"{name}={sum(counters[name] for counters in spans)}"
+            for name in FIRST_TOUCH
+        )
         out.write(f"first touch: {rendered}\n")
     out.write(result.explain() + "\n")
     return 0

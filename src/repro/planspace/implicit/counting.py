@@ -82,6 +82,10 @@ class CountState:
     #: mask -> sort counts in required order (``.get``; == nonenf unless
     #: redundant sorts are left out)
     sort_counts: dict[int, list[int]] = field(default_factory=dict)
+    #: per kid ``q``: the end of its extension interval — kid ``d``'s
+    #: order satisfies ``q``'s iff ``q <= d < kid_hi[q]`` (kids are
+    #: byte-lexicographic ranks, and every kid is ranked by the pass)
+    kid_hi: object = field(default=None, repr=False)
     #: join gid -> its operator columns, sliced out of the count pass's
     #: arrays (a closure over those arrays only)
     join_columns: Callable[[int], JoinColumns] = field(default=None, repr=False)
@@ -109,8 +113,10 @@ class CountState:
         self.edges = EdgeCatalog(self.layout.graph)
         self.keys = KeyTable(self.edges)
         rels_extra, tower_extra, root_seq = self._tower_requirement_seqs()
+        tower_seqs = [seq for _gid, seq in tower_extra]
+        tower_seqs += self._tower_delivery_seqs()
         self._checkpoint()
-        turbo_rels_pass(self, rels_extra)
+        turbo_rels_pass(self, rels_extra, tower_seqs)
         for gid, seq in tower_extra:
             self.tower_required.setdefault(gid, {}).setdefault(self.keys.kid(seq))
         if root_seq is not None:
@@ -158,6 +164,16 @@ class CountState:
             else:
                 tower.append((root.gid, root_seq))
         return rels, tower, root_seq
+
+    def _tower_delivery_seqs(self) -> list[bytes]:
+        """The orders the unary tower's operators deliver, packed."""
+        seq_bytes = self.edges.seq_bytes
+        return [
+            seq_bytes(order)
+            for gid in self.layout.tower_gids
+            for op in unary_implementations(self.layout.group(gid).op, self.config)
+            if (order := op.delivered_order())
+        ]
 
     # ------------------------------------------------------------------
     # the unary tower

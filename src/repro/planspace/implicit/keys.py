@@ -8,8 +8,12 @@ the same kid, which is what deduplicates ``Sort`` enforcers exactly like
 the memo's duplicate detection does.  The paper's qualification rule
 (requirement is a prefix of delivery) is ``keys[delivered].startswith(
 keys[required])``; over a preloaded, lexicographically sorted kid matrix
-the deliveries extending ``q`` are the contiguous kid interval the count
-pass sums over.
+the deliveries extending ``q`` are the contiguous kid interval
+``[q, kid_hi[q])`` — the count pass sums over it and keeps ``kid_hi`` on
+its state, and the group tables test it instead of the bytes.  The count
+pass preloads every order the space names (cut keys, leaf and tower
+deliveries, GROUP BY / ORDER BY requirements), so no kid is interned
+after it.
 """
 
 from __future__ import annotations
@@ -36,11 +40,11 @@ class KeyTable:
       and the byte strings themselves are sliced out lazily, so a
       count-only run never materializes hundreds of thousands of
       ``bytes`` objects;
-    * the plain dict/list overflow: a sequence first named after the
-      count pass (a tower's order that no cut key or leaf delivers), and
-      every kid of the scalar emission oracle under ``tests/``.  The
-      physical store's emitter preloads every order it interns, so a
-      production store has none.
+    * the plain dict/list overflow: every kid of the oracles under
+      ``tests/`` that intern one sequence at a time (the scalar
+      emission loop, the per-pair count pass's first run).  The
+      physical store's emitter and the count pass preload every order
+      they intern, so production tables have none.
     """
 
     def __init__(self, edges: EdgeCatalog):

@@ -11,22 +11,27 @@ touch, as columns:
   unary-tower operators) come first, its ``Sort`` enforcers after them;
 * join groups: per-expression :class:`~.turbo.JoinColumns` (child
   masks, merge kids, first row of each logical join) from
-  ``CountState.join_columns`` — sliced out of the count pass's int64
-  columns.  A row's operator is arithmetic on its offset within
+  ``CountState.join_columns`` — the group's block of the count pass's
+  int64 rows, read as lists, its bigint counts multiplied out by a
+  plain loop.  A row's operator is arithmetic on its offset within
   its expression (``[nlj] [hash] [merge] [index-nl ...]``, rule order);
 * ``delivering()``: the sparse delivered-order column, ``(position,
   kid)`` of every row that delivers an order.
 
 A requirement (``None`` / kid / ``(NONENF, kid)``) selects *positions*:
-all of them, the delivering ones whose kid extends the required one (one
-prefix test per distinct kid), or the body.  A :class:`Row` (slots,
+all of them, the delivering ones whose kid extends the required one, or
+the body.  Kids are the count pass's byte-lexicographic ranks and every
+order a table names is ranked there, so the kids extending ``q`` are the
+interval ``[q, kid_hi[q])``: satisfaction is two integer comparisons per
+delivering row, no byte string is read.  A :class:`Row` (slots,
 ``B_v`` prefix, payload, later its operator) is constructed, and cached,
 only for a position a plan, a stratum descent or a pooled fragment
 selects — ``TableSet.rows_built`` counts them: O(plan), never O(group).
 A join row's kind is its physical join (``nlj`` / ``hash`` / ``merge``,
-from ``join_physical_kinds``), so it can be priced from cardinalities
-alone; its operator is built only when a plan node needs it
-(``TableSet.operators_built`` counts every operator the set builds).
+from ``join_physical_kinds``) and a sort row's is ``sort``, so both can
+be priced from cardinalities alone; their operators are built only when
+a plan node needs them (``TableSet.operators_built`` counts every
+operator the set builds).
 """
 
 from __future__ import annotations
@@ -169,18 +174,10 @@ class GroupTable:
         return out
 
     def satisfying(self, kid: int) -> list[int]:
-        """Positions whose delivered order satisfies required ``kid``."""
-        kid_bytes = self.state.keys
-        seq = kid_bytes[kid]
-        verdict: dict[int, bool] = {}
-        out = []
-        for pos, delivered in self.delivering():
-            ok = verdict.get(delivered)
-            if ok is None:
-                ok = verdict[delivered] = kid_bytes[delivered].startswith(seq)
-            if ok:
-                out.append(pos)
-        return out
+        """Positions whose delivered order satisfies required ``kid``:
+        the deliveries in the kid's extension interval."""
+        hi = int(self.state.kid_hi[kid])
+        return [pos for pos, found in self.delivering() if kid <= found < hi]
 
     # ------------------------------------------------------------------
     def row(self, pos: int) -> Row:

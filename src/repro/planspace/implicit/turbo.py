@@ -35,8 +35,10 @@ The state gets mask-keyed ``A``/``nonenf`` dicts and lazy array-backed
 views for the rest, so a count-only run pays for no per-requirement
 Python objects.  The int64 per-split columns (sides, cut kids, query
 slots and index-lookup matches per orientation) are laid out once more
-per logical join and stay alive behind ``state.join_columns``: the
-unranking tables slice them per group.
+as one row per logical join and stay alive behind
+``state.join_columns``: the unranking tables read a group's block of
+rows as lists.  The key table's extension intervals stay on the state
+too (``state.kid_hi``): the tables decide order satisfaction with them.
 """
 
 from __future__ import annotations
@@ -80,13 +82,17 @@ class JoinColumns(NamedTuple):
     counts: list[int]
 
 
-def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
+def turbo_rels_pass(
+    state, extra_pairs: list[tuple[int, bytes]], tower_seqs: list[bytes]
+) -> None:
     """Fill ``state``'s relation-group aggregates.
 
     ``extra_pairs`` are the StreamAggregate/ORDER BY requirements that
     target relation-set groups, as ``(mask, packed column bytes)`` —
     registered after all merge requirements, like the materializer's
-    enforcer pass.
+    enforcer pass.  ``tower_seqs`` are the orders the unary tower
+    requires or delivers: they only join the key table, so that no kid
+    is interned after this pass.
     """
     layout = state.layout
     config = state.config
@@ -185,6 +191,7 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
     # and right kid of every cut row, and the kid of every loose sequence
     loose_seqs = [seq for _mask, seq in extra_pairs]
     loose_seqs += [seq for _gid, seq in leaf_pairs]
+    loose_seqs += tower_seqs
     kid_mat, kid_lengths, left_kids, right_kids, loose_kids = cut_key_table(
         ebits,
         np.frombuffer(edges.left_col, dtype=np.uint8),
@@ -194,14 +201,16 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
     )
     poll()
     K = len(kid_mat)
-    state.keys.preload(kid_mat, kid_lengths)
+    state.keys.preload(kid_mat, kid_lengths, loose_seqs, loose_kids)
     has_keys = kid_lengths[left_kids[:M]] > 0
     extra_kids = loose_kids[: len(extra_pairs)]
-    leaf_kids = loose_kids[len(extra_pairs) :]
+    leaf_kids = loose_kids[len(extra_pairs) : len(extra_pairs) + len(leaf_pairs)]
 
     # prefix intervals: hi_rank[k] = first kid after k that does not
-    # extend k — one LCP sweep + monotonic stack over the sorted rows
+    # extend k — one LCP sweep + monotonic stack over the sorted rows.
+    # The state keeps it: kid d satisfies kid q iff q <= d < hi_rank[q]
     hi_rank = prefix_intervals(kid_mat, kid_lengths, kid_mat.shape[1])
+    state.kid_hi = hi_rank
     poll()
 
     # per-split kid roles (valid where has_keys)
@@ -403,61 +412,56 @@ def turbo_rels_pass(state, extra_pairs: list[tuple[int, bytes]]) -> None:
     state.A = dict(zip(masks, A_obj[rels_gids].tolist()))
     state.nonenf = dict(zip(masks, NE_obj[rels_gids].tolist()))
 
-    # The unranking tables' columns: one int64 entry per logical join,
-    # group-major in local-id order — both orientations of every split
-    # interleaved, a group's initial left-deep expression rotated to the
-    # front.  Bigint operator counts are multiplied out per group, on
-    # demand: no ``object`` array is retained beyond the DP's own.
-    def both(lr, rl):
-        out = np.empty(2 * M, np.int64)
-        out[0::2] = lr
-        out[1::2] = rl
-        return out
-
-    keyed = np.repeat(has_keys, 2)
-    exprs = [  # left/right gid, left/right kid (-1: no keys), index lookups
-        both(Ls, Rs),
-        both(Rs, Ls),
-        np.where(keyed, both(lk_lr, lk_rl), -1),
-        np.where(keyed, both(rk_lr, rk_rl), -1),
-        both(m_lr, m_rl),
+    # The unranking tables' columns: one row per logical join, group-major
+    # in local-id order — both orientations of every split interleaved, a
+    # group's initial left-deep expression rotated to the front.  A group
+    # reads its block of rows as lists with one ``tolist`` (a request
+    # touches a tenth of a dense layout's rows, and exporting them all
+    # as Python ints costs more than every group it serves); its bigint
+    # operator counts are multiplied out by a plain loop over that block,
+    # so no ``object`` array is retained beyond the DP's own.
+    rows_by_expr = np.zeros((2 * M, 7), np.int64)
+    l_masks, r_masks = mask_lut[Ls], mask_lut[Rs]
+    columns = [  # left/right mask, left/right kid (-1: no keys), index lookups
+        (l_masks, r_masks),
+        (r_masks, l_masks),
+        (np.where(has_keys, lk_lr, -1), np.where(has_keys, lk_rl, -1)),
+        (np.where(has_keys, rk_lr, -1), np.where(has_keys, rk_rl, -1)),
+        (m_lr, m_rl),
     ]
-    if merge and M:  # the QS slots of S(left, lkid) and S(right, rkid)
-        exprs += [both(q_l_lr, q_r_rl), both(q_r_lr, q_l_rl)]
+    if merge and M:  # the QS slots of S(left, lkid) and S(right, rkid);
+        # without merge joins they stay 0 and are never read
+        columns += [(q_l_lr, q_r_rl), (q_r_lr, q_l_rl)]
+    for col, (lr, rl) in enumerate(columns):
+        rows_by_expr[0::2, col] = lr
+        rows_by_expr[1::2, col] = rl
     for lo, at, forward in seeded:
-        hi = 2 * at + (1 if forward else 2)
-        for col in exprs:
-            col[2 * lo : hi] = np.roll(col[2 * lo : hi], 1)
+        block = rows_by_expr[2 * lo : 2 * at + (1 if forward else 2)]
+        block[:] = np.roll(block, 1, axis=0)
+    A = state.A
+    S = QS.tolist()
 
     def join_columns(gid: int) -> JoinColumns:
         """The operator columns of join group ``gid``, rule order within
         each logical join: ``[nlj] [hash] [merge] [index-nl ...]``."""
         lo, hi = expr_range[gid]
-        left, right, lkid, rkid, n_inlj, *slots = (col[lo:hi] for col in exprs)
-        keyed = lkid >= 0
-        a_left = A_obj[left]
-        plain = a_left * A_obj[right]
-        starts = np.zeros(hi - lo + 1, np.int64)
-        np.cumsum(
-            np.where(keyed, plain_keys + merge + n_inlj, plain_cross),
-            out=starts[1:],
-        )
-        counts = np.empty(starts[-1], dtype=object)
-        at, at_keyed = starts[:-1], starts[:-1][keyed]
-        for k in range(plain_cross):
-            counts[at + k] = plain
-        for k in range(plain_cross, plain_keys):
-            counts[at_keyed + k] = plain[keyed]
-        if merge:
-            counts[at_keyed + plain_keys] = QS[slots[0][keyed]] * QS[slots[1][keyed]]
-        if n_inlj.any():  # ``matches`` copies of A(outer) after the merge
-            at_inlj = np.repeat(at + plain_keys + merge, n_inlj)
-            offset = np.arange(len(at_inlj)) - np.repeat(
-                np.cumsum(n_inlj) - n_inlj, n_inlj
-            )
-            counts[at_inlj + offset] = np.repeat(a_left, n_inlj)
-        columns = (mask_lut[left], mask_lut[right], lkid, rkid, starts, counts)
-        return JoinColumns(*(col.tolist() for col in columns))
+        rows = rows_by_expr[lo:hi].tolist()
+        counts: list = []
+        starts = [0]
+        for left, right, lkid, _rkid, n_inlj, q_left, q_right in rows:
+            a_left = A[left]
+            plain = a_left * A[right]
+            if lkid < 0:
+                counts += [plain] * plain_cross
+            else:
+                counts += [plain] * plain_keys
+                if merge:
+                    counts.append(S[q_left] * S[q_right])
+                if n_inlj:  # ``matches`` copies of A(outer) after the merge
+                    counts += [a_left] * n_inlj
+            starts.append(len(counts))
+        left, right, lkid, rkid, *_ = map(list, zip(*rows))
+        return JoinColumns(left, right, lkid, rkid, starts, counts)
 
     state.join_columns = join_columns
     state.sord = _SordView(KS, req_packed, QS, gid_by_mask)

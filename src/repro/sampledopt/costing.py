@@ -12,17 +12,19 @@ walk per drawn rank, and no ``PlanNode`` is assembled for a drawn plan.
 
 A join row is priced without its operator: its kind is the physical
 join ``join_physical_kinds`` names (``nlj`` / ``hash`` / ``merge``), and
-the cost model's formula for that operator reads only cardinalities.
-Join operators are therefore built only for the plan the optimizer
-returns.  Scan, sort, unary and index-lookup rows price through their
-operator.  Because cardinality is a group property, every alternative
-subtree of the same ``(group, requirement)`` context feeds its parent
-the same row count, which is what makes fragment-local costs composable.
+the cost model's formula for that operator reads only cardinalities.  So
+is a sort row: the ``Sort`` formula reads its child's cardinality alone.
+Join and sort operators are therefore built only for the plan the
+optimizer returns.  Scan, unary and index-lookup rows price through
+their operator (a leaf's scans are built with its table).  Because
+cardinality is a group property, every alternative subtree of the same
+``(group, requirement)`` context feeds its parent the same row count,
+which is what makes fragment-local costs composable.
 """
 
 from __future__ import annotations
 
-from repro.algebra.physical import HashJoin, MergeJoin, NestedLoopJoin
+from repro.algebra.physical import HashJoin, MergeJoin, NestedLoopJoin, Sort
 from repro.catalog.catalog import Catalog
 from repro.optimizer.cost import _FORMULAS, CostModel, CostParameters
 from repro.optimizer.plan import PlanNode
@@ -31,12 +33,13 @@ from repro.planspace.implicit.tables import Row, TableSet
 
 __all__ = ["RowCoster", "SampledPlanCoster"]
 
-#: join row kind -> the cost model's formula for that operator (the join
-#: formulas read the cardinalities only, never the operator)
-_JOIN_FORMULAS = {
+#: row kind -> the cost model's formula for that operator (the join and
+#: sort formulas read the cardinalities only, never the operator)
+_ROW_FORMULAS = {
     "nlj": _FORMULAS[NestedLoopJoin],
     "hash": _FORMULAS[HashJoin],
     "merge": _FORMULAS[MergeJoin],
+    "sort": _FORMULAS[Sort],
 }
 
 
@@ -59,7 +62,7 @@ class RowCoster:
         child_rows = tuple(
             tables.cardinality(child_gid) for child_gid, _ in row.slots
         )
-        formula = _JOIN_FORMULAS.get(row.kind)
+        formula = _ROW_FORMULAS.get(row.kind)
         if formula is not None:
             cost = formula(self.cost_model, None, output_rows, child_rows)
         else:

@@ -403,13 +403,19 @@ class SampledOptimizer:
             self.catalog, space, self.options.cost_params
         )
         pool = FragmentPool(space, coster)
-        before = [getattr(pool.tables, name) for name in FIRST_TOUCH]
         if stratified:
-            sampler = StratifiedSampler(space, seed=seed)
+            # the strata's descent touches tables too: its own counters
+            with obs_phase("strata") as span:
+                before = [getattr(pool.tables, name) for name in FIRST_TOUCH]
+                sampler = StratifiedSampler(space, seed=seed)
+                for name, was in zip(FIRST_TOUCH, before):
+                    span.add(name, getattr(pool.tables, name) - was)
+            timings["strata"] = span.elapsed_s
             draw = sampler.sample_ranks
         else:
             plain = space.sampler(seed=seed)
             draw = plain.sample_ranks
+        before = [getattr(pool.tables, name) for name in FIRST_TOUCH]
 
         best_sampled_cost = float("inf")
         best_sampled_rank = -1

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import PlanSpaceError
 from repro.optimizer.plan import PlanNode
@@ -42,9 +42,16 @@ __all__ = ["Stratum", "rank_strata", "StratifiedSampler"]
 class Stratum:
     """One contiguous rank interval ``[lo, hi)`` of the plan space."""
 
-    label: str
     lo: int
     hi: int
+    #: the operator prefix as a linked ``(parent, gid, local_id)`` chain
+    #: (None: the root), formatted only when :attr:`label` is read
+    prefix: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def label(self) -> str:
+        """``gid.local/gid.local/...``, or ``(root)``."""
+        return _format(self.prefix)
 
     @property
     def size(self) -> int:
@@ -55,8 +62,8 @@ class _Node:
     """A refinable stratum: either a full candidate list (``pos=None``)
     or the row at table position ``pos``, pending descent into its last
     child slot.  ``label`` is the operator prefix as a linked
-    ``(parent label, gid, local_id)`` chain, formatted only for the
-    strata :func:`rank_strata` returns."""
+    ``(parent label, gid, local_id)`` chain, formatted only when a
+    returned :class:`Stratum`'s label is read."""
 
     __slots__ = ("gid", "req", "pos", "lo", "hi", "label", "depth")
 
@@ -150,10 +157,7 @@ def rank_strata(
             counter += 1
             heapq.heappush(heap, (-(child.hi - child.lo), counter, child))
     done.extend(node for _, _, node in heap)
-    strata = [
-        Stratum(label=_format(node.label), lo=node.lo, hi=node.hi)
-        for node in done
-    ]
+    strata = [Stratum(node.lo, node.hi, node.label) for node in done]
     strata.sort(key=lambda s: s.lo)
     assert strata[0].lo == 0 and strata[-1].hi == total
     return strata

@@ -107,6 +107,7 @@ class TestTraceShapeDeterminism:
             "parse",
             "bind",
             "space",
+            "strata",
             "sample",
             "recombine",
             "assemble",

@@ -19,6 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.algebra.logical import LogicalGet
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.optimizer.rules import join_rule_arity, scan_implementations
@@ -72,8 +74,38 @@ class ReferenceCountState(CountState):
     """``CountState`` whose relation groups are counted pair by pair."""
 
     def compute(self) -> "ReferenceCountState":
+        """Count twice: the first run interns the orders it names
+        first-come; this one interns them into a table preloaded in
+        byte-lexicographic order, as the production pass ranks its kids,
+        so the tables' kid intervals (``kid_hi``) apply to it too."""
         self.edges = ReferenceEdges(self.layout.graph)
-        self.keys = ReferenceKeys(self.edges)
+        first = type(self)(
+            layout=self.layout,
+            catalog=self.catalog,
+            config=self.config,
+            include_redundant_sorts=self.include_redundant_sorts,
+        )
+        first.edges = self.edges
+        seqs = sorted(first._count(ReferenceKeys(self.edges)).keys.table()[2])
+        keys = ReferenceKeys(self.edges)
+        width = max(map(len, seqs), default=1) or 1
+        matrix = np.frombuffer(
+            b"".join(seq.ljust(width, b"\x00") for seq in seqs), np.uint8
+        ).reshape(len(seqs), width)
+        lengths = np.array([len(seq) for seq in seqs], np.int64)
+        keys.preload(matrix, lengths, seqs, np.arange(len(seqs)))
+        self._count(keys)
+        self.kid_hi = [
+            next(
+                (j for j in range(k + 1, len(seqs)) if not seqs[j].startswith(seq)),
+                len(seqs),
+            )
+            for k, seq in enumerate(seqs)
+        ]
+        return self
+
+    def _count(self, keys: ReferenceKeys) -> "ReferenceCountState":
+        self.keys = keys
         rels_extra, tower_extra, root_seq = self._tower_requirement_seqs()
         extra = [(mask, self.keys.kid(seq)) for mask, seq in rels_extra]
         self._register_merge_requirements(extra)

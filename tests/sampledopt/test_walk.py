@@ -176,13 +176,15 @@ def test_descend_checks_the_rank_range():
 
 
 #: (tables, candidate_lists, rows_built, distinct join pairs among the
-#: rows built) after a 100-sample request at seed 0.  Pricing join rows
-#: without operators leaves the first three as assembling every drawn
-#: plan had them; the fourth is how many join pairs assembling every
-#: drawn plan builds operators for
+#: rows built, scan operators) after a 100-sample request at seed 0.
+#: Pricing join and sort rows without operators leaves the first three as
+#: assembling every drawn plan had them; the fourth is how many join
+#: pairs assembling every drawn plan builds operators for.  Sampling
+#: builds the touched leaves' access paths and nothing else (pricing sort
+#: rows through their operators built 1,058 and 908 ``Sort``s more)
 FIRST_TOUCH_PINS = {
-    "dense10": (218, 461, 1765, 517),
-    "clique8": (126, 266, 1457, 375),
+    "dense10": (218, 461, 1765, 517, 50),
+    "clique8": (126, 266, 1457, 375, 44),
 }
 
 
@@ -207,27 +209,32 @@ def test_join_operators_are_built_for_the_returned_plan_only(name, build):
         for row in table._rows.values()
         if row.kind in JOIN_KINDS
     }
+    scans = sum(len(ops) for ops in tables._scan_ops.values())
     assert (
         tables.tables,
         tables.candidate_lists,
         tables.rows_built,
         len(drawn_pairs),
+        scans,
     ) == FIRST_TOUCH_PINS[name]
     plan_pairs = set()
+    plan_sorts = set()
     for node in result.best_plan.iter_nodes():
         row = tables.table(node.group_id).row_by_local(node.local_id)
         if row.kind in JOIN_KINDS:
             plan_pairs.add(row.payload[:2])
+        elif row.kind == "sort":
+            plan_sorts.add(row.payload[0])
     assert len(plan_pairs) == workload.relations - 1
     assert set(tables._join_ops) == plan_pairs
-    # the trace splits the count: sampling builds scans and sorts, the
-    # assembly the returned plan's join operators
+    assert set(tables._sort_ops) == plan_sorts
+    # the trace splits the count: sampling builds the scans, the
+    # assembly the returned plan's join and sort operators
     spans = {span.name: span.counters for span in tracer.roots}
     join_ops = sum(len(ji.ops) for ji in tables._join_ops.values())
-    assert spans["assemble"]["operators_built"] == join_ops
-    assert spans["sample"]["operators_built"] + join_ops == tables.operators_built
-    assert [spans["sample"][name] for name in FIRST_TOUCH[:3]] == [
-        tables.tables,
-        tables.candidate_lists,
-        tables.rows_built,
-    ]
+    assert spans["assemble"]["operators_built"] == join_ops + len(plan_sorts)
+    assert spans["sample"]["operators_built"] == scans
+    assert scans + join_ops + len(plan_sorts) == tables.operators_built
+    assert [
+        spans["strata"][name] + spans["sample"][name] for name in FIRST_TOUCH[:3]
+    ] == [tables.tables, tables.candidate_lists, tables.rows_built]

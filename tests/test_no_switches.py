@@ -9,9 +9,11 @@ flag, or an environment lookup (in ``src/`` or in ``scripts/ci.sh``,
 which also keeps no timer), when the deleted rule engine, object
 best-plan path, per-pair reference count pass, Python csg–cmp
 enumerator, the two callers' own key-interning chains, the scalar
-emission loop, the drawn-plan costing path or a second unranking descent
-(or a result served by any of them) reappears under ``src/``, or when the materialized plan space — now an oracle under
-``tests/`` — is back in ``src/`` or imported by it.
+emission loop, the drawn-plan costing path, a second unranking descent
+or the group tables' byte-prefix satisfaction test (or a result served
+by any of them) reappears under ``src/``, or when the materialized plan
+space — now an oracle under ``tests/`` — is back in ``src/`` or imported
+by it.
 """
 
 from __future__ import annotations
@@ -299,6 +301,24 @@ def test_src_has_one_unranking_descent():
     ]
     assert len(selections) == 1, selections
     assert selections[0].startswith("planspace/implicit/unranking.py:")
+
+
+def test_group_tables_test_no_byte_prefixes():
+    """Order satisfaction in the group tables is the kid interval
+    ``[q, kid_hi[q])``; the bytes test it replaced is the oracle
+    ``tests/planspace/reference_satisfaction.py``, with no fallback
+    left beside the interval."""
+    (tables,) = [
+        tree
+        for path, tree in _src_trees()
+        if path.as_posix() == "planspace/implicit/tables.py"
+    ]
+    offenders = [
+        node.lineno
+        for node in ast.walk(tables)
+        if "startswith" in _names_used(node)
+    ]
+    assert not offenders, offenders
 
 
 def test_store_builder_takes_no_emission_selector():
