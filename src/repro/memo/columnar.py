@@ -59,8 +59,10 @@ hook materializes in logical-then-physical order, and
 materializing anything.
 
 The physical rows are emitted by one vectorized pass over the logical
-store (index-lookup joins included); the per-group scalar loop it
-replaced is the oracle ``tests/memo/reference_emission.py``.  Columns
+store (index-lookup joins included), reading the ordered pairs, cut kids,
+index lookups and merge requirements off the one :class:`PairRecord` the
+implicit count pass reads too; the per-group scalar loop it replaced is
+the oracle ``tests/memo/reference_emission.py``.  Columns
 are ``array.array`` buffers; the emitter and the layered best-plan DP
 (:mod:`repro.optimizer.bestplan`) view them as numpy arrays without
 copying.
@@ -69,6 +71,7 @@ copying.
 from __future__ import annotations
 
 from array import array
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +95,10 @@ __all__ = [
     "ColumnarLogicalStore",
     "ColumnarPhysicalStore",
     "ColumnarUnsupported",
+    "PairRecord",
     "build_columnar_store",
     "build_logical_store",
+    "build_pair_record",
     "replay_logical_store",
     "seeded_logical_store",
 ]
@@ -485,6 +490,184 @@ def seeded_logical_store(
     return store
 
 
+class PairRecord(NamedTuple):
+    """The physical description of a logical store's joins, derived once
+    for the exact emitter and the count pass (:func:`build_pair_record`).
+
+    ``join_gids`` are the groups holding splits, in gid order; group
+    ``join_gids[i]`` owns pairs ``pair_start[i]:pair_start[i + 1]``, and
+    its splits are half those positions.  ``sl``/``sr`` are the splits'
+    child gids (bucket order, left = the side holding the subset's
+    lowest alias); ``position[2 * s + o]`` is the emission position of
+    split ``s``'s orientation ``o`` (0 is ``(sl, sr)``, 1 ``(sr, sl)``).
+
+    Per ordered pair, in emission order (a group's local-id order: both
+    orientations of each split in turn, the seeded initial join moved to
+    the front): the child gids ``pl``/``pr``; ``keyed``, whether the cut
+    has equi-keys; the merge-join key kids ``lkid``/``rkid`` (``-1``
+    where keyless); and ``inlj``, the index-lookup joins with ``pr`` as
+    the inner side (``None`` when the rule is off or no pair is keyed).
+
+    ``req_gid``/``req_kid`` is the merge-requirement registry: ``(pl,
+    lkid)`` then ``(pr, rkid)`` per keyed pair, in emission order,
+    deduplicated to first occurrences.  ``sid0``/``sid1`` hold, per keyed
+    pair, its two requirements' positions in the registry (both empty
+    without merge joins).  ``loose_kids`` are the kids of the caller's
+    loose sequences.
+    """
+
+    join_gids: list[int]
+    pair_start: np.ndarray
+    sl: np.ndarray
+    sr: np.ndarray
+    position: np.ndarray
+    pl: np.ndarray
+    pr: np.ndarray
+    keyed: np.ndarray
+    lkid: np.ndarray
+    rkid: np.ndarray
+    inlj: np.ndarray | None
+    req_gid: np.ndarray
+    req_kid: np.ndarray
+    sid0: np.ndarray
+    sid1: np.ndarray
+    loose_kids: np.ndarray
+
+
+def build_pair_record(
+    logical_store, edges, keys, config, catalog, loose_seqs, poll=None
+) -> PairRecord:
+    """The one derivation of a logical store's ordered pairs and their
+    cut keys, index lookups and merge requirements (:class:`PairRecord`).
+
+    Cut bitmasks come from per-gid FROM/TO word tables (``FROM[l] &
+    TO[r]``); every keyed cut and every loose sequence (``loose_seqs``,
+    packed: the orders the caller interns beside the cut keys) go through
+    one cut-key table, which ``keys`` adopts — kid = row = byte-lex rank,
+    so no kid is interned after it.  ``poll`` (a budget poll, no units)
+    runs between the whole-store steps and per decoded cut block.
+    ``logical_store`` may be ``None`` (a memo with no join group): the
+    record then has no pairs.
+    """
+    ranges = logical_store._range_by_gid if logical_store is not None else {}
+    join_gids = sorted(gid for gid, (start, end) in ranges.items() if end > start)
+    split_counts = np.array(
+        [ranges[gid][1] - ranges[gid][0] for gid in join_gids], np.int64
+    )
+    pair_start = np.zeros(len(join_gids) + 1, np.int64)
+    np.cumsum(2 * split_counts, out=pair_start[1:])
+    P = int(pair_start[-1])
+    sl = sr = np.zeros(0, np.int64)
+    groups, initial_by_gid = [], {}
+    if P:
+        groups = logical_store.memo.groups
+        initial_by_gid = logical_store.initial_by_gid
+        first_rows = np.array([ranges[gid][0] for gid in join_gids], np.int64)
+        rows = np.arange(P // 2) + np.repeat(
+            first_rows - pair_start[:-1] // 2, split_counts
+        )
+        sl = np.frombuffer(logical_store.sl, np.intc)[rows].astype(np.int64)
+        sr = np.frombuffer(logical_store.sr, np.intc)[rows].astype(np.int64)
+    natural_l = np.empty(P, np.int64)
+    natural_r = np.empty(P, np.int64)
+    natural_l[0::2] = natural_r[1::2] = sl
+    natural_l[1::2] = natural_r[0::2] = sr
+
+    # the one emission order: each seeded group's initial join moves to
+    # the front of its block, the pairs before it one place back
+    position = np.arange(P)
+    index_of_gid = {gid: i for i, gid in enumerate(join_gids)}
+    for gid, (left, right) in initial_by_gid.items():
+        i = index_of_gid.get(gid)
+        if i is None:
+            continue
+        s, e = int(pair_start[i]), int(pair_start[i + 1])
+        hits = (natural_l[s:e] == left) & (natural_r[s:e] == right)
+        at = s + int(np.flatnonzero(hits)[0])
+        position[s:at] += 1
+        position[at] = s
+    pl = np.empty(P, np.int64)
+    pr = np.empty(P, np.int64)
+    pl[position] = natural_l
+    pr[position] = natural_r
+    if poll is not None:
+        poll()
+
+    # cut bitmasks: per-gid FROM|TO unions over the per-alias oriented
+    # edge masks, packed into uint64 word rows side by side
+    W = max(1, (edges.edge_count + 63) // 64)
+    mask_of = np.fromiter((group.mask or 0 for group in groups), np.int64, len(groups))
+    from_to = union_words_by_mask(
+        np.hstack([int_words(edges.from_bits, W), int_words(edges.to_bits, W)]),
+        mask_of,
+        edges.universe.size,
+    )
+    cut_words = from_to[pl, :W] & from_to[pr, W:]
+    keyed = (cut_words != 0).any(axis=1)
+    kc = int(keyed.sum())
+
+    kid_mat, kid_lengths, left_kids, right_kids, loose_kids = cut_key_table(
+        cut_words[keyed],
+        np.frombuffer(edges.left_col, dtype=np.uint8),
+        np.frombuffer(edges.right_col, dtype=np.uint8),
+        loose_seqs,
+        on_block=poll,
+    )
+    keys.preload(kid_mat, kid_lengths, loose_seqs, loose_kids)
+    lkid = np.full(P, -1, np.int64)
+    rkid = np.full(P, -1, np.int64)
+    lkid[keyed] = left_kids
+    rkid[keyed] = right_kids
+    if poll is not None:
+        poll()
+
+    inlj = None
+    if config.enable_index_nl_join and kc:
+        inlj = index_lookup_matches(
+            catalog,
+            keys,
+            lambda gid: groups[gid].logical_exprs()[0].op.table,
+            pr,
+            rkid,
+            keyed,
+            mask_of,
+        )
+
+    # merge-requirement registry: (gid, kid) interleaved left/right per
+    # keyed pair in emission order, deduplicated to first occurrences by
+    # one sort — the first occurrence of each code is the least stream
+    # position in its run, and a state id is the count of first
+    # occurrences before it
+    req_gid = req_kid = sid0 = sid1 = np.zeros(0, np.int64)
+    if config.enable_merge_join and kc:
+        KS = len(kid_lengths) + 1
+        code_type = np.uint32 if len(groups) * KS < 1 << 32 else np.int64
+        codes = np.empty(2 * kc, code_type)
+        codes[0::2] = pl[keyed] * KS + left_kids
+        codes[1::2] = pr[keyed] * KS + right_kids
+        order = codes.argsort()
+        run = np.empty(2 * kc, dtype=bool)
+        run[0] = True
+        sorted_codes = codes[order]
+        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=run[1:])
+        starts = np.flatnonzero(run)
+        first = np.minimum.reduceat(order, starts)
+        is_first = np.zeros(2 * kc, dtype=bool)
+        is_first[first] = True
+        sid_of_run = (np.cumsum(is_first) - 1)[first]
+        sid_stream = np.empty(2 * kc, np.int64)
+        sid_stream[order] = sid_of_run[np.cumsum(run) - 1]
+        sid0 = sid_stream[0::2].copy()
+        sid1 = sid_stream[1::2].copy()
+        uniq_codes = codes[is_first].astype(np.int64)
+        req_gid = uniq_codes // KS
+        req_kid = uniq_codes % KS
+    return PairRecord(
+        join_gids, pair_start, sl, sr, position, pl, pr, keyed, lkid, rkid,
+        inlj, req_gid, req_kid, sid0, sid1, loose_kids,
+    )
+
+
 class ColumnarPhysicalStore:
     """Array-backed physical expressions of one memo."""
 
@@ -830,7 +1013,7 @@ def build_columnar_store(
     store._keyed_tags = keyed_tags
 
     req_gid, req_kid = _emit_rows_vectorized(
-        store, memo.columnar_logical, keyed_kinds, keyed_tags, cross_tags, scope
+        store, memo.columnar_logical, keyed_tags, cross_tags, scope
     )
 
     # ------------------------------------------------------------------
@@ -911,48 +1094,38 @@ def _record_tail_requirements(store, record) -> None:
 _VEC, _LEAF, _TOWER, _EMPTY = 0, 1, 2, 3
 
 
-def _emit_rows_vectorized(
-    store, logical_store, keyed_kinds, keyed_tags, cross_tags, scope
-):
+def _emit_rows_vectorized(store, logical_store, keyed_tags, cross_tags, scope):
     """Whole-bucket join emission over the columnar logical store.
 
-    Computes every join group's rows as one array pipeline — the ordered
-    orientation stream positionally from the ``sl``/``sr`` split columns,
-    cut bitmasks through per-gid FROM/TO word tables, kids from the one
-    cut-key table (every cut key, leaf and tower delivery and the root
-    order, lex-ranked) the store's key table adopts, each keyed pair's
-    index-lookup joins from :func:`index_lookup_matches` — then walks
-    the groups once in gid order, splicing vector block slices between
-    the scalar leaf/tower emissions.
+    Classifies the groups in gid order, then reads every join group's
+    ordered pairs, cut-key kids, index-lookup matches and merge
+    requirements off the one :class:`PairRecord`
+    (:func:`build_pair_record`; its key table — every cut key, leaf and
+    tower delivery and the root order, lex-ranked — is the store's).
+    What the emitter adds: each pair expanded into its join-rule rows,
+    and one walk in gid order splicing vector block slices between the
+    scalar leaf/tower emissions.
 
     Returns the deduplicated merge-requirement stream as ``(gid, kid)``
-    int64 columns in first-occurrence order.  Raises
-    :class:`ColumnarUnsupported`, with nothing written to the store's
-    columns, for a join group the logical store does not hold (``None``
-    holds none): its rows have no place in the split columns.
+    int64 columns in first-occurrence order, and hands each merge row's
+    child state ids to the best-plan DP (``store._merge_sid0/1``).
+    Raises :class:`ColumnarUnsupported`, with nothing written to the
+    store's columns, for a join group the logical store does not hold
+    (``None`` holds none): its rows have no place in the split columns.
     """
     memo = store.memo
     groups = memo.groups
     edges = store.edges
-    E = edges.edge_count
     checkpoint = scope.checkpoint if scope is not None else None
 
     # One classification pass in gid order.
     ranges = logical_store._range_by_gid if logical_store is not None else {}
     plan: list[tuple[int, int, int]] = []  # (kind, logical_count, payload)
-    join_gids: list[int] = []
-    join_ranges: list[tuple[int, int]] = []
     for group in groups:
         gid = group.gid
-        rng = ranges.get(gid)
-        if rng is not None:
+        if gid in ranges:
             n_logical = logical_store.logical_join_count(gid)
-            if n_logical:
-                plan.append((_VEC, n_logical, -1))
-                join_gids.append(gid)
-                join_ranges.append(rng)
-            else:
-                plan.append((_EMPTY, n_logical, -1))
+            plan.append((_VEC if n_logical else _EMPTY, n_logical, -1))
             continue
         exprs = group.logical_exprs()
         n_logical = len(group._exprs)
@@ -983,146 +1156,25 @@ def _emit_rows_vectorized(
     if store.root_order:
         extra_seqs.append(edges.seq_bytes(store.root_order))
 
-    # ------------------------------------------------------------------
-    # ordered-pair stream: both orientations of every split interleaved
-    # in bucket order, gathered group-major, each setup-seeded initial
-    # orientation rolled to the front of its block — positionally
-    # identical to ColumnarLogicalStore.ordered_pairs per group.
-    # ------------------------------------------------------------------
-    if join_ranges:
-        split_idx = np.concatenate(
-            [np.arange(s, e, dtype=np.int64) for s, e in join_ranges]
-        )
-        gl = np.frombuffer(logical_store.sl, dtype=np.int32)[split_idx]
-        gr = np.frombuffer(logical_store.sr, dtype=np.int32)[split_idx]
-    else:
-        gl = gr = np.zeros(0, np.int64)
-    P = 2 * len(gl)
-    pl = np.empty(P, np.int64)
-    pr = np.empty(P, np.int64)
-    pl[0::2] = gl
-    pr[0::2] = gr
-    pl[1::2] = gr
-    pr[1::2] = gl
-    pair_start = 2 * np.cumsum([0] + [e - s for s, e in join_ranges], dtype=np.int64)
-    if join_gids:
-        pos_of_gid = {gid: i for i, gid in enumerate(join_gids)}
-        for gid, (il, ir) in logical_store.initial_by_gid.items():
-            i = pos_of_gid.get(gid)
-            if i is None:
-                continue
-            s = int(pair_start[i])
-            e = int(pair_start[i + 1])
-            hits = np.nonzero((pl[s:e] == il) & (pr[s:e] == ir))[0]
-            if not len(hits):  # pragma: no cover - the store builders check
-                raise ColumnarUnsupported(
-                    f"initial join of group {gid} missing from its splits"
-                )
-            j = int(hits[0])
-            if j:
-                pl[s : s + j + 1] = np.roll(pl[s : s + j + 1], 1)
-                pr[s : s + j + 1] = np.roll(pr[s : s + j + 1], 1)
-    if checkpoint is not None:
-        checkpoint("implement.columnar", P)
-
-    # ------------------------------------------------------------------
-    # cut bitmasks: per-gid FROM/TO unions over the per-alias oriented
-    # edge masks, packed into uint64 word rows
-    # ------------------------------------------------------------------
-    n_alias = edges.universe.size
-    W = max(1, (E + 63) // 64)
-    from_words = int_words(edges.from_bits, W)
-    to_words = int_words(edges.to_bits, W)
-    mask_arr = np.fromiter(
-        (group.mask or 0 for group in groups), np.int64, len(groups)
+    record = build_pair_record(
+        logical_store,
+        edges,
+        store._keys,
+        store.config,
+        store.catalog,
+        extra_seqs,
+        (lambda: checkpoint("implement.columnar")) if checkpoint else None,
     )
-    from_by_gid = union_words_by_mask(from_words, mask_arr, n_alias)
-    to_by_gid = union_words_by_mask(to_words, mask_arr, n_alias)
-    cut_words = from_by_gid[pl] & to_by_gid[pr]
-    keyed = (cut_words != 0).any(axis=1)
-
-    # ------------------------------------------------------------------
-    # kids: one lex-ranked table over the keyed cuts and every other
-    # order the walk interns (row = kid = lex rank), adopted by the
-    # store's key table — a vector build has no overflow kids
-    # ------------------------------------------------------------------
+    pl, pr, keyed = record.pl, record.pr, record.keyed
+    lk_pair, rk_pair, inlj = record.lkid, record.rkid, record.inlj
+    pair_start = record.pair_start
+    P = len(pl)
+    if checkpoint is not None:
+        checkpoint("implement.columnar", P + int(keyed.sum()))
+    store._merge_sid0 = record.sid0
+    store._merge_sid1 = record.sid1
     n_keyed = len(keyed_tags)
     n_cross = len(cross_tags)
-    kc = int(keyed.sum())
-    lk_pair = np.full(P, -1, np.int64)
-    rk_pair = np.full(P, -1, np.int64)
-    K = 0
-    if kc or extra_seqs:
-        kid_mat, kid_lengths, left_kids, right_kids, extra_kids = cut_key_table(
-            cut_words[keyed],
-            np.frombuffer(edges.left_col, dtype=np.uint8),
-            np.frombuffer(edges.right_col, dtype=np.uint8),
-            extra_seqs,
-            on_block=(
-                (lambda: checkpoint("implement.columnar", 0))
-                if checkpoint is not None
-                else None
-            ),
-        )
-        store._keys.preload(kid_mat, kid_lengths, extra_seqs, extra_kids)
-        lk_pair[keyed] = left_kids
-        rk_pair[keyed] = right_kids
-        K = len(kid_lengths)
-    if checkpoint is not None:
-        checkpoint("implement.columnar", kc)
-
-    # index-lookup joins per ordered pair (the inner side is the right
-    # one), after its join-rule tags; ``None`` when the rule is off
-    inlj = None
-    if store.config.enable_index_nl_join and kc:
-        inlj = index_lookup_matches(
-            store.catalog,
-            store._keys,
-            lambda gid: groups[gid].logical_exprs()[0].op.table,
-            pr,
-            rk_pair,
-            keyed,
-            mask_arr,
-        )
-
-    # ------------------------------------------------------------------
-    # merge-requirement stream: (gid, kid) interleaved left/right per
-    # keyed pair in emission order, deduplicated to first occurrences by
-    # one sort — the first occurrence of each code is the least stream
-    # position in its run, and a state id is the count of first
-    # occurrences before it
-    # ------------------------------------------------------------------
-    if "merge" in keyed_kinds and kc:
-        KS = K + 1
-        code_type = np.uint32 if len(groups) * KS < 1 << 32 else np.int64
-        codes = np.empty(2 * kc, code_type)
-        codes[0::2] = pl[keyed] * KS + lk_pair[keyed]
-        codes[1::2] = pr[keyed] * KS + rk_pair[keyed]
-        order = codes.argsort()
-        run = np.empty(2 * kc, dtype=bool)
-        run[0] = True
-        sorted_codes = codes[order]
-        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=run[1:])
-        starts = np.flatnonzero(run)
-        first = np.minimum.reduceat(order, starts)
-        is_first = np.zeros(2 * kc, dtype=bool)
-        is_first[first] = True
-        sid_of_run = (np.cumsum(is_first) - 1)[first]
-        # Fused implement→DP handoff: each merge row's child states as
-        # dense state ids (positions in the first-occurrence stream),
-        # one pair per keyed ordered pair in emission order.  The
-        # best-plan DP consumes these directly instead of re-deriving
-        # them by binary search over the requirement codes.
-        sid_stream = np.empty(2 * kc, np.int64)
-        sid_stream[order] = sid_of_run[np.cumsum(run) - 1]
-        store._merge_sid0 = sid_stream[0::2].copy()
-        store._merge_sid1 = sid_stream[1::2].copy()
-        uniq_codes = codes[is_first].astype(np.int64)
-        req_gid = uniq_codes // KS
-        req_kid = uniq_codes % KS
-    else:
-        req_gid = np.zeros(0, np.int64)
-        req_kid = np.zeros(0, np.int64)
 
     # ------------------------------------------------------------------
     # row expansion: each keyed pair becomes the enabled-join-rule tag
@@ -1160,7 +1212,7 @@ def _emit_rows_vectorized(
         b32[m] = off[m] - n_keyed
     group_row_counts = row_start[pair_start[1:]] - row_start[pair_start[:-1]]
     gid32 = np.repeat(
-        np.asarray(join_gids, dtype=np.int64), group_row_counts
+        np.asarray(record.join_gids, dtype=np.int64), group_row_counts
     ).astype(np.int32)
 
     # ------------------------------------------------------------------
@@ -1229,4 +1281,4 @@ def _emit_rows_vectorized(
         b_col.extend(g_b)
     _flush_vec()
     group_start.append(len(tag_col))
-    return req_gid, req_kid
+    return record.req_gid, record.req_kid

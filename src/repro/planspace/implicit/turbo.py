@@ -4,41 +4,40 @@ Every relation-set group's aggregates (``A``, ``nonenf``, ``sord``, the
 ordered requirement registry, sort counts, the virtual operator census)
 come out of one bottom-up pass per subset-size layer — the recurrence
 :mod:`.counting` describes, with the per-split work done as columnar
-array operations:
+array operations.  The joins' physical description is the exact
+emitter's: :func:`~repro.memo.columnar.build_pair_record` derives, once,
+every ordered pair of the layout's logical store in local-id order, its
+keyed flag and cut kids (one cut-key table, preloaded into
+``state.keys`` with the extra requirements, the leaf deliveries and the
+tower's orders), its index-lookup matches and the first-occurrence
+merge-requirement registry with each keyed pair's state ids.  The pass
+adds three things:
 
-* groups are addressed by gid — the logical store's ``sl``/``sr``
-  columns hold child gids already — so every per-group array is as long
-  as the layout, never ``2^n``: each group's ``FROM``/``TO`` edge unions
-  are one :func:`~repro.kernel.vector.union_words_by_mask` call over the
-  group masks, and every universe up to ``MAX_RELATIONS`` is served;
-* cut key identity: the ``FROM[l] & TO[r]`` word rows, the extra
-  requirements and the leaf deliveries go through the one cut-key table
-  (:func:`~repro.kernel.vector.cut_key_table`, which the exact path's
-  emitter shares), interned exactly by sorting (no hash, so no collision
-  path); a kid is its byte-lexicographic rank, and 0-padded rows sort a
-  key directly before its extensions, so the extensions of key ``q``
-  form the contiguous rank interval ``[rank(q), hi(q))``, with ``hi``
-  computed in one LCP sweep;
-* ``(gid, kid)`` requirement and delivery *slots* pack into group-major
-  int64 keys; order queries become prefix-sum differences over each
-  group's slot segment;
-* an index-lookup join contributes ``matches × A(outer)`` per keyed
-  orientation whose inner side is one relation; without redundant sorts
-  a layer answers its queries once over the non-enforcer deliveries
-  (each ``Sort`` counts the alternatives not already ordered its way)
-  and once more after its sorts are delivered;
-* the bigint recurrences themselves (counts overflow ``float64`` and
-  ``int64`` by hundreds of digits) run on ``object``-dtype arrays —
-  numpy's C loops over arbitrary-precision Python ints.
-
-The state gets mask-keyed ``A``/``nonenf`` dicts and lazy array-backed
-views for the rest, so a count-only run pays for no per-requirement
-Python objects.  The int64 per-split columns (sides, cut kids, query
-slots and index-lookup matches per orientation) are laid out once more
-as one row per logical join and stay alive behind
-``state.join_columns``: the unranking tables read a group's block of
-rows as lists.  The key table's extension intervals stay on the state
-too (``state.kid_hi``): the tables decide order satisfaction with them.
+* slot universes: ``(gid, kid)`` requirement and delivery slots packed
+  into group-major int64 keys, so order queries become prefix-sum
+  differences over each group's slot segment.  A kid is its
+  byte-lexicographic rank, and 0-padded rows sort a key directly before
+  its extensions, so the extensions of key ``q`` form the contiguous
+  rank interval ``[rank(q), hi(q))``, with ``hi`` computed in one LCP
+  sweep;
+* the bigint layer DP, per split — a split's two pairs share the
+  ``N(l) * N(r)`` product: an index-lookup join contributes
+  ``matches × A(outer)`` per keyed orientation whose inner side is one
+  relation; without redundant sorts a layer answers its queries once
+  over the non-enforcer deliveries (each ``Sort`` counts the
+  alternatives not already ordered its way) and once more after its
+  sorts are delivered.  The recurrences themselves (counts overflow
+  ``float64`` and ``int64`` by hundreds of digits) run on
+  ``object``-dtype arrays — numpy's C loops over arbitrary-precision
+  Python ints;
+* the export.  The state gets mask-keyed ``A``/``nonenf`` dicts and lazy
+  array-backed views for the rest, so a count-only run pays for no
+  per-requirement Python objects.  The record's pairs, with their query
+  slots, are laid out as one int64 row per logical join and stay alive
+  behind ``state.join_columns``: the unranking tables read a group's
+  block of rows as lists.  The key table's extension intervals stay on
+  the state too (``state.kid_hi``): the tables decide order satisfaction
+  with them.
 """
 
 from __future__ import annotations
@@ -47,18 +46,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.kernel.vector import (
-    cut_key_table,
-    int_words,
-    prefix_intervals,
-    sorted_unique,
-    union_words_by_mask,
-)
-from repro.optimizer.rules import (
-    index_lookup_matches,
-    join_rule_arity,
-    scan_implementations,
-)
+from repro.kernel.vector import prefix_intervals, sorted_unique
+from repro.memo.columnar import build_pair_record
+from repro.optimizer.rules import join_rule_arity, scan_implementations
 
 __all__ = ["JoinColumns", "turbo_rels_pass"]
 
@@ -96,7 +86,6 @@ def turbo_rels_pass(
     """
     layout = state.layout
     config = state.config
-    edges = state.edges
     scope = state.scope
     checkpoint = scope.checkpoint if scope is not None else None
 
@@ -111,6 +100,7 @@ def turbo_rels_pass(
     enforcers = config.enable_sort_enforcers
     gid_by_mask = layout.gid_by_mask
     G = len(layout.groups)
+    n_alias = layout.universe.size
     mask_lut = np.fromiter(
         (g.mask if g.mask is not None else 0 for g in layout.groups),
         np.int64,
@@ -118,60 +108,8 @@ def turbo_rels_pass(
     )
 
     # ------------------------------------------------------------------
-    # flatten splits, gid-major (the materializer's registration order)
-    # ------------------------------------------------------------------
-    # Columnar logical store: gather the child-gid columns directly
-    # (gid-major via per-group ranges) — no per-split Python tuples are
-    # ever built.
-    store = layout.store
-    split_counts = []
-    first_rows = []  # each group's first row in the store's columns
-    join_gids = []
-    initials = []  # groups seeded by the initial plan: (left gid, lo, hi)
-    expr_range: dict[int, tuple[int, int]] = {}  # gid -> its logical joins
-    M = 0
-    for g in layout.join_groups():
-        count = store.split_count(g.gid)
-        if count:
-            split_counts.append(count)
-            first_rows.append(store.split_rows(g.gid)[0])
-            join_gids.append(g.gid)
-            expr_range[g.gid] = (2 * M, 2 * (M + count))
-            if g.initial is not None:
-                initials.append((gid_by_mask[g.initial[0]], M, M + count))
-            M += count
-    if M:
-        counts = np.array(split_counts)
-        shift = np.array(first_rows) - (np.cumsum(counts) - counts)
-        gather = np.arange(M) + np.repeat(shift, counts)
-        Ls = np.frombuffer(store.sl, dtype=np.intc)[gather].astype(np.int64)
-        Rs = np.frombuffer(store.sr, dtype=np.intc)[gather].astype(np.int64)
-        Ss = np.repeat(np.array(join_gids, np.int64), counts)
-    else:
-        Ls = Rs = Ss = np.zeros(0, np.int64)
-    # A seeded group emits its initial left-deep join first.  Locate it:
-    # (the group's first split, the split holding the join, whether the
-    # join is that split's (l, r) orientation)
-    seeded = []
-    for left, lo, hi in initials:
-        forward = Ls[lo:hi] == left
-        at = int(np.flatnonzero(forward | (Rs[lo:hi] == left))[0])
-        seeded.append((lo, lo + at, bool(forward[at])))
-
-    # ------------------------------------------------------------------
-    # cut bitmasks as uint64 word rows, both orientations
-    # ------------------------------------------------------------------
-    E = edges.edge_count
-    W = max(1, (E + 63) // 64)
-    n_alias = layout.universe.size
-    FROM = union_words_by_mask(int_words(edges.from_bits, W), mask_lut, n_alias)
-    TO = union_words_by_mask(int_words(edges.to_bits, W), mask_lut, n_alias)
-    if checkpoint is not None:
-        checkpoint("implicit.count", int(M))
-    ebits = np.concatenate([FROM[Ls] & TO[Rs], FROM[Rs] & TO[Ls]], axis=0)
-
-    # ------------------------------------------------------------------
-    # the kid universe: cut keys, extra requirements, leaf deliveries
+    # leaf scans, then the pair record: its key table holds the cut keys,
+    # the extra requirements, the leaf deliveries and the tower's orders
     # ------------------------------------------------------------------
     leaf_pairs: list[tuple[int, bytes]] = []  # (gid, seq), delivery count 1
     leaf_nonenf: dict[int, int] = {}
@@ -185,26 +123,26 @@ def turbo_rels_pass(
         for scan in scans:
             order = scan.delivered_order()
             if order:
-                leaf_pairs.append((gid, edges.seq_bytes(order)))
+                leaf_pairs.append((gid, state.edges.seq_bytes(order)))
 
-    # one lex-ranked table: row = kid = byte-lexicographic rank, the left
-    # and right kid of every cut row, and the kid of every loose sequence
     loose_seqs = [seq for _mask, seq in extra_pairs]
     loose_seqs += [seq for _gid, seq in leaf_pairs]
     loose_seqs += tower_seqs
-    kid_mat, kid_lengths, left_kids, right_kids, loose_kids = cut_key_table(
-        ebits,
-        np.frombuffer(edges.left_col, dtype=np.uint8),
-        np.frombuffer(edges.right_col, dtype=np.uint8),
+    record = build_pair_record(
+        layout.store,
+        state.edges,
+        state.keys,
+        config,
+        state.catalog,
         loose_seqs,
-        on_block=poll,
+        poll,
     )
-    poll()
-    K = len(kid_mat)
-    state.keys.preload(kid_mat, kid_lengths, loose_seqs, loose_kids)
-    has_keys = kid_lengths[left_kids[:M]] > 0
-    extra_kids = loose_kids[: len(extra_pairs)]
-    leaf_kids = loose_kids[len(extra_pairs) : len(extra_pairs) + len(leaf_pairs)]
+    P = len(record.pl)
+    if checkpoint is not None:
+        checkpoint("implicit.count", P // 2)
+    kid_mat, kid_lengths, _overflow = state.keys.table()
+    extra_kids = record.loose_kids[: len(extra_pairs)]
+    leaf_kids = record.loose_kids[len(extra_pairs) : len(extra_pairs) + len(leaf_pairs)]
 
     # prefix intervals: hi_rank[k] = first kid after k that does not
     # extend k — one LCP sweep + monotonic stack over the sorted rows.
@@ -213,58 +151,62 @@ def turbo_rels_pass(
     state.kid_hi = hi_rank
     poll()
 
-    # per-split kid roles (valid where has_keys)
-    lk_lr, lk_rl = left_kids[:M], left_kids[M:]
-    rk_lr, rk_rl = right_kids[:M], right_kids[M:]
-
-    # index-lookup joins per orientation, (l, r) then (r, l): the inner
-    # side is the right one
-    KS = K + 2
-    if config.enable_index_nl_join:
-        matches = index_lookup_matches(
-            state.catalog,
-            state.keys,
-            lambda gid: layout.group(gid).op.table,
-            np.concatenate([Rs, Ls]),
-            np.concatenate([rk_lr, rk_rl]),
-            np.concatenate([has_keys, has_keys]),
-            mask_lut,
-        )
-    else:
-        matches = np.zeros(2 * M, np.int64)
-    m_lr, m_rl = matches[:M], matches[M:]
+    # The DP runs per split: both orientations share the N(l) * N(r)
+    # product.  ``lr``/``rl`` are a split's two pairs in the record.
+    lr, rl = record.position[0::2], record.position[1::2]
+    keyed = record.keyed
+    Ls, Rs, has_keys = record.sl, record.sr, keyed[lr]
+    pair_gids = np.repeat(
+        np.array(record.join_gids, np.int64), np.diff(record.pair_start)
+    )
+    Ss = pair_gids[lr]
+    matches = np.zeros(P, np.int64) if record.inlj is None else record.inlj
+    m_lr, m_rl = matches[lr], matches[rl]
 
     # ------------------------------------------------------------------
-    # requirement registry and slot universes
+    # slot universes: (gid, kid) requirement and delivery slots, packed
     # ------------------------------------------------------------------
+    KS = len(kid_lengths) + 2
     extra_packed = np.array(
         [
             gid_by_mask[mask] * KS + kid
-            for (mask, _), kid in zip(extra_pairs, extra_kids)
+            for (mask, _), kid in zip(extra_pairs, extra_kids.tolist())
         ],
         np.int64,
     )
-    reg_keys = []  # per split: its four packed (gid, kid) registrations
-    if merge and M:
-        reg_keys = [Ls * KS + lk_lr, Rs * KS + rk_lr]  # (l, r) orientation
-        reg_keys += [Rs * KS + lk_rl, Ls * KS + rk_rl]  # (r, l)
-    req_packed = sorted_unique(
-        np.concatenate([key[has_keys] for key in reg_keys] + [extra_packed])
-    )
+    reg_packed = record.req_gid * KS + record.req_kid
+    # registrations in first-occurrence order: the merge registry, then
+    # the extra requirements
+    reg_stream = np.concatenate([reg_packed, extra_packed])
+    req_packed = sorted_unique(reg_stream)
     NQ = len(req_packed)
     req_gids = req_packed // KS
     req_kids = req_packed % KS
     nreq_by_gid = np.bincount(req_gids, minlength=G)
+    stream = np.searchsorted(req_packed, reg_stream)
+    first = np.empty(NQ, np.int64)  # per slot: its first registration
+    first[stream[::-1]] = np.arange(len(stream) - 1, -1, -1)
+    # slots are group-major; within each group, first registered first
+    by_first = np.argsort(req_gids * len(stream) + first)
 
-    # delivered slots: merge deliveries, sort deliveries, leaf deliveries
+    # per pair: the query slots of S(left, lkid) and S(right, rkid) (0
+    # where keyless or without merge joins: never read)
+    q_left = np.zeros(P, np.int64)
+    q_right = np.zeros(P, np.int64)
+    if merge:
+        q_left[keyed] = stream[record.sid0]
+        q_right[keyed] = stream[record.sid1]
+
+    # delivered slots: leaf deliveries, merge deliveries (a merge join
+    # delivers its left key in its own group), sort deliveries
     leaf_packed = np.array(
-        [gid * KS + kid for (gid, _), kid in zip(leaf_pairs, leaf_kids)],
+        [gid * KS + kid for (gid, _), kid in zip(leaf_pairs, leaf_kids.tolist())],
         np.int64,
     )
+    delivered = pair_gids * KS + record.lkid
     d_parts = [leaf_packed]
-    if merge and M:
-        deliv_lr, deliv_rl = Ss * KS + lk_lr, Ss * KS + lk_rl
-        d_parts += [deliv_lr[has_keys], deliv_rl[has_keys]]
+    if merge:
+        d_parts.append(delivered[keyed])
     if enforcers:
         d_parts.append(req_packed)
     D_packed = sorted_unique(np.concatenate(d_parts))
@@ -272,30 +214,7 @@ def turbo_rels_pass(
     ND = len(D_packed)
     DS = np.empty(ND, dtype=object)
     DS[:] = 0
-
-    # The registration stream in query-slot coordinates, materializer
-    # emission order: four per split, a seeded group's left-deep join
-    # rolled to the front of its segment, the extra requirements last.
-    # Keyless splits register nothing: they point at a spare slot.
-    stream = np.searchsorted(req_packed, extra_packed)
-    if merge and M:
-        d_lr = np.searchsorted(D_packed, deliv_lr)
-        d_rl = np.searchsorted(D_packed, deliv_rl)
-        q_l_lr, q_r_lr, q_r_rl, q_l_rl = (
-            np.searchsorted(req_packed, key) for key in reg_keys
-        )
-        regs = np.stack([q_l_lr, q_r_lr, q_r_rl, q_l_rl], axis=1)
-        regs[~has_keys] = NQ
-        regs = regs.reshape(-1)
-        for lo, at, forward in seeded:
-            hi = 4 * at + (2 if forward else 4)
-            regs[4 * lo : hi] = np.roll(regs[4 * lo : hi], 2)
-        stream = np.concatenate([regs, stream])
-    first = np.empty(NQ + 1, np.int64)  # per slot: its first registration
-    first[stream[::-1]] = np.arange(len(stream) - 1, -1, -1)
-    # slots are group-major; within each group, first registered first
-    by_first = np.argsort(req_gids * len(stream) + first[:NQ])
-    poll()
+    d_slot = np.searchsorted(D_packed, delivered)
 
     # query ranges in D coordinates (a group's slots are contiguous and
     # kid-rank ordered, because the packed key is gid-major, rank-minor);
@@ -384,15 +303,15 @@ def turbo_rels_pass(
         contrib = a_l * a_r * coeff
         state.physical_count += int(coeff.sum())
         if merge:
-            keyed = np.flatnonzero(hk)
-            if len(keyed):
-                ksel = sel[keyed]
-                mc_lr = QS[q_l_lr[ksel]] * QS[q_r_lr[ksel]]
-                mc_rl = QS[q_r_rl[ksel]] * QS[q_l_rl[ksel]]
-                contrib[keyed] += mc_lr + mc_rl
-                np.add.at(DS, d_lr[ksel], mc_lr)
-                np.add.at(DS, d_rl[ksel], mc_rl)
-                state.physical_count += 2 * len(keyed)
+            with_keys = np.flatnonzero(hk)
+            if len(with_keys):
+                p_lr, p_rl = lr[sel[with_keys]], rl[sel[with_keys]]
+                mc_lr = QS[q_left[p_lr]] * QS[q_right[p_lr]]
+                mc_rl = QS[q_left[p_rl]] * QS[q_right[p_rl]]
+                contrib[with_keys] += mc_lr + mc_rl
+                np.add.at(DS, d_slot[p_lr], mc_lr)
+                np.add.at(DS, d_slot[p_rl], mc_rl)
+                state.physical_count += 2 * len(with_keys)
         inlj = np.flatnonzero(m_lr[sel] | m_rl[sel])
         if len(inlj):
             k_lr, k_rl = m_lr[sel[inlj]], m_rl[sel[inlj]]
@@ -412,32 +331,28 @@ def turbo_rels_pass(
     state.A = dict(zip(masks, A_obj[rels_gids].tolist()))
     state.nonenf = dict(zip(masks, NE_obj[rels_gids].tolist()))
 
-    # The unranking tables' columns: one row per logical join, group-major
-    # in local-id order — both orientations of every split interleaved, a
-    # group's initial left-deep expression rotated to the front.  A group
-    # reads its block of rows as lists with one ``tolist`` (a request
-    # touches a tenth of a dense layout's rows, and exporting them all
-    # as Python ints costs more than every group it serves); its bigint
-    # operator counts are multiplied out by a plain loop over that block,
-    # so no ``object`` array is retained beyond the DP's own.
-    rows_by_expr = np.zeros((2 * M, 7), np.int64)
-    l_masks, r_masks = mask_lut[Ls], mask_lut[Rs]
-    columns = [  # left/right mask, left/right kid (-1: no keys), index lookups
-        (l_masks, r_masks),
-        (r_masks, l_masks),
-        (np.where(has_keys, lk_lr, -1), np.where(has_keys, lk_rl, -1)),
-        (np.where(has_keys, rk_lr, -1), np.where(has_keys, rk_rl, -1)),
-        (m_lr, m_rl),
-    ]
-    if merge and M:  # the QS slots of S(left, lkid) and S(right, rkid);
-        # without merge joins they stay 0 and are never read
-        columns += [(q_l_lr, q_r_rl), (q_r_lr, q_l_rl)]
-    for col, (lr, rl) in enumerate(columns):
-        rows_by_expr[0::2, col] = lr
-        rows_by_expr[1::2, col] = rl
-    for lo, at, forward in seeded:
-        block = rows_by_expr[2 * lo : 2 * at + (1 if forward else 2)]
-        block[:] = np.roll(block, 1, axis=0)
+    # The unranking tables' columns: the record's pairs, one row per
+    # logical join in local-id order.  A group reads its block of rows as
+    # lists with one ``tolist`` (a request touches a tenth of a dense
+    # layout's rows, and exporting them all as Python ints costs more
+    # than every group it serves); its bigint operator counts are
+    # multiplied out by a plain loop over that block, so no ``object``
+    # array is retained beyond the DP's own.
+    rows_by_expr = np.stack(  # left/right mask, left/right kid (-1: no
+        # keys), index lookups, the QS slots of S(left, lkid), S(right, rkid)
+        [
+            mask_lut[record.pl],
+            mask_lut[record.pr],
+            record.lkid,
+            record.rkid,
+            matches,
+            q_left,
+            q_right,
+        ],
+        axis=1,
+    )
+    pair_bounds = record.pair_start.tolist()
+    expr_range = dict(zip(record.join_gids, zip(pair_bounds, pair_bounds[1:])))
     A = state.A
     S = QS.tolist()
 

@@ -193,14 +193,15 @@ class StratifiedSampler:
         largest-remainder apportionment; sums to exactly ``n``)."""
         if n < 0:
             raise ValueError("sample size must be non-negative")
-        ideals = [n * stratum.size / self.total for stratum in self.strata]
-        counts = [int(ideal) for ideal in ideals]
+        # exact integer shares: remainders of bigint sizes can differ
+        # below float precision
+        shares = [divmod(n * stratum.size, self.total) for stratum in self.strata]
+        counts = [quota for quota, _remainder in shares]
         short = n - sum(counts)
-        by_remainder = sorted(
-            range(len(ideals)),
-            key=lambda i: (counts[i] - ideals[i], i),
-        )
-        for i in by_remainder[:short]:
+        # the ``short`` largest remainders, the lower index first on ties
+        for i in heapq.nlargest(
+            short, range(len(shares)), key=lambda i: (shares[i][1], -i)
+        ):
             counts[i] += 1
         return counts
 

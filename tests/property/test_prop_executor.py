@@ -11,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.executor.executor import PlanExecutor
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
+from repro.planspace.implicit import ImplicitPlanSpace
+from repro.sampledopt.costing import SampledPlanCoster
+from repro.sampledopt.search import FragmentPool
 from repro.testing.diff import canonical_rows
 from repro.workloads.synthetic import chain_query, clique_query, star_query
 from tests.planspace.materialized.space import PlanSpace
@@ -43,18 +46,20 @@ def test_sampled_plans_result_equivalent(shape, n_tables, seed, allow_cross):
 )
 @settings(max_examples=15, deadline=None)
 def test_best_plan_cost_is_global_minimum(n_tables, seed):
-    """The optimizer's cost must equal the minimum over the whole space."""
+    """The optimizer's cost must equal the minimum over the whole space.
+
+    Every rank is priced by one walk (``FragmentPool.add_ranks``), which
+    equals ``plan_cost(space.unrank(rank))`` to the bit
+    (``tests/sampledopt/test_walk.py``) without assembling the plans."""
     workload = chain_query(n_tables, rows=5, seed=seed)
-    result = Optimizer(
-        workload.catalog, OptimizerOptions(allow_cross_products=False)
-    ).optimize_sql(workload.sql)
-    space = PlanSpace.from_result(result)
+    options = OptimizerOptions(allow_cross_products=False)
+    result = Optimizer(workload.catalog, options).optimize_sql(workload.sql)
+    space = ImplicitPlanSpace.from_sql(workload.catalog, workload.sql, options)
     total = space.count()
     if total > 20_000:
         return  # keep the brute force bounded
-    best = min(
-        result.cost_model.plan_cost(plan) for _, plan in space.enumerate()
-    )
+    pool = FragmentPool(space, SampledPlanCoster(workload.catalog, space))
+    best = min(pool.add_ranks(range(total)))
     assert abs(best - result.best_cost) < 1e-6 * max(1.0, best)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.planspace.implicit import ImplicitPlanSpace
-from repro.sampledopt.strata import StratifiedSampler, rank_strata
+from repro.sampledopt.strata import StratifiedSampler, Stratum, rank_strata
 from repro.workloads.synthetic import chain_query, clique_query
 
 
@@ -75,6 +75,21 @@ class TestStratifiedSampler:
         for stratum, count in zip(sampler.strata, counts):
             ideal = 100 * stratum.size / total
             assert abs(count - ideal) <= 1  # largest-remainder rounding
+
+    def test_allocation_ranks_remainders_exactly(self):
+        """Largest remainders compared as integers: 2 draws over strata
+        of 2**78, 2**78 + 1 and 2**79 - 1 ranks.  The remainders of the
+        first two (2**79 and 2**79 + 2, over 2**80) are equal as floats;
+        the second is larger."""
+
+        class Space:
+            def count(self):
+                return 2**80
+
+        bounds = [0, 2**78, 2**79 + 1, 2**80]
+        strata = [Stratum(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        sampler = StratifiedSampler(Space(), strata=strata)
+        assert sampler.allocate(2) == [0, 1, 1]
 
     def test_ranks_fall_in_their_strata(self, chain5_space):
         sampler = StratifiedSampler(chain5_space, seed=7, target=16)

@@ -475,3 +475,63 @@ def test_held_keywords_select_nothing():
         return [(rank, result.rows) for rank, result in plans]
 
     assert executed(True) == executed(False)
+
+
+#: the two front halves that each derived a logical store's ordered
+#: pairs, cut keys, index lookups and merge registry, moved under
+#: ``tests/`` as the oracle (``tests/memo/reference_pairs.py``):
+#: ``build_pair_record`` is the one derivation
+DELETED_PAIR_DERIVATIONS = {"emitter_front_half", "count_front_half"}
+PAIR_RECORD_STEPS = ("cut_key_table", "index_lookup_matches", "union_words_by_mask")
+
+
+def test_src_derives_the_pair_description_once():
+    offenders = _src_uses(DELETED_PAIR_DERIVATIONS.__contains__)
+    assert not offenders, offenders
+    for step in PAIR_RECORD_STEPS:
+        calls = []
+        for path, tree in _src_trees():
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                calls += [
+                    f"{path.as_posix()}:{function.name}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and step in _names_used(node.func)
+                ]
+        assert calls == ["memo/columnar.py:build_pair_record"], (step, calls)
+
+
+def test_each_route_builds_one_key_table(monkeypatch):
+    """One exact optimize, one sampled optimize and one ``count_plans``
+    each build one key table and one cut-key table."""
+    import repro.memo.columnar as columnar
+    from repro.planspace.implicit.keys import KeyTable
+
+    built = {"KeyTable": 0, "cut_key_table": 0}
+    init = KeyTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["KeyTable"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_table(*args, **kwargs):
+        built["cut_key_table"] += 1
+        return cut_key_table(*args, **kwargs)
+
+    monkeypatch.setattr(KeyTable, "__init__", counting_init)
+    monkeypatch.setattr(columnar, "cut_key_table", counting_table)
+    workload = star_query(5, rows=5, seed=0)
+    session = Session(workload.database)
+    routes = {
+        "exact": lambda: session.optimize(workload.sql),
+        "sampled": lambda: session.optimize(
+            workload.sql, method="sampled", samples=16
+        ),
+        "count": lambda: session.count_plans(workload.sql),
+    }
+    for name, route in routes.items():
+        built.update(KeyTable=0, cut_key_table=0)
+        route()
+        assert built == {"KeyTable": 1, "cut_key_table": 1}, name
