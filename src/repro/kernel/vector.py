@@ -15,10 +15,11 @@ The interning/ranking primitives are exact by construction:
 
 * :func:`unique_rows` interns word rows by one lexsort — no hashing, so
   no collision to detect or fall back from;
-* :func:`byte_words` + a big-endian word lexsort give byte-
-  lexicographic row order, and 0-padded rows sort a key directly before
-  its extensions, which is what makes :func:`prefix_intervals` a single
-  LCP sweep.
+* big-endian words of 0-padded byte rows sort in byte-lexicographic
+  row order, and 0-padded rows sort a key directly before its
+  extensions, which is what makes :func:`prefix_intervals` a single LCP
+  sweep — the one order rule: the extensions of kid ``q`` are the rank
+  interval ``[q, kid_hi[q])``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ __all__ = [
     "CUT_BLOCK",
     "csg_cmp_universe",
     "cut_key_table",
-    "byte_words",
     "prefix_intervals",
-    "prefix_interval_ends",
     "union_words_by_mask",
     "int_words",
     "unique_rows",
@@ -41,18 +40,6 @@ __all__ = [
 
 #: distinct cut rows decoded per budget poll of :func:`cut_key_table`
 CUT_BLOCK = 1 << 18
-
-
-def byte_words(mat):
-    """View a 0-padded (n, width) uint8 matrix as big-endian uint64 words
-    — numeric word order equals byte-lexicographic row order."""
-    width = mat.shape[1]
-    padded_width = (width + 7) // 8 * 8
-    if padded_width != width:
-        out = np.zeros((mat.shape[0], padded_width), np.uint8)
-        out[:, :width] = mat
-        mat = out
-    return np.ascontiguousarray(mat).view(">u8").astype(np.uint64)
 
 
 def prefix_intervals(sorted_mat, lengths, pad_width):
@@ -215,47 +202,6 @@ def _peel_keys(cuts, active, lut, left_out, right_out):
             np.bitwise_and(x, t, out=x)
         left_out[:m, j] = lut[0].take(p)
         right_out[:m, j] = lut[1].take(p)
-
-
-def prefix_interval_ends(sorted_mat, lengths, pad_width, ranks):
-    """:func:`prefix_intervals` evaluated at selected ranks only.
-
-    The DP needs interval ends for the *required* kids — a small
-    multiset of ranks — not for every row of the kid table.  For one
-    prefix length ``T`` the break boundaries are exactly the adjacent
-    row pairs whose first ``T`` bytes differ, which a masked big-endian
-    word compare answers without materializing the full LCP column:
-    per distinct required length this is a couple of whole-array uint64
-    ops instead of a ``(K, width)`` byte sweep.
-    """
-    out = np.full(len(ranks), len(sorted_mat), np.int64)
-    K = len(sorted_mat)
-    if K <= 1 or not len(ranks):
-        return out
-    words = byte_words(sorted_mat)
-    prev = words[:-1]
-    nxt = words[1:]
-    rlen = np.asarray(lengths, np.int64)[ranks]
-    for T in np.unique(rlen):
-        T = int(T)
-        if T <= 0:
-            continue  # empty prefix: extended to the end of the table
-        sel = np.flatnonzero(rlen == T)
-        neq = np.zeros(K - 1, dtype=bool)
-        for wi in range((T + 7) // 8):
-            tail = T - wi * 8
-            if tail >= 8:
-                neq |= nxt[:, wi] != prev[:, wi]
-            else:
-                shift = np.uint64(64 - 8 * tail)
-                neq |= (nxt[:, wi] >> shift) != (prev[:, wi] >> shift)
-        drops = np.flatnonzero(neq)
-        pos = np.searchsorted(drops, ranks[sel])
-        hit = pos < len(drops)
-        vals = np.full(len(sel), K, np.int64)
-        vals[hit] = drops[pos[hit]] + 1
-        out[sel] = vals
-    return out
 
 
 def union_words_by_mask(bit_words, masks, nbits):

@@ -60,9 +60,11 @@ materializing anything.
 
 The physical rows are emitted by one vectorized pass over the logical
 store (index-lookup joins included), reading the ordered pairs, cut kids,
-index lookups and merge requirements off the one :class:`PairRecord` the
-implicit count pass reads too; the per-group scalar loop it replaced is
-the oracle ``tests/memo/reference_emission.py``.  Columns
+index lookups and requirements off the one :class:`PairRecord` the
+implicit count pass reads too.  The record owns the kid universe — every
+order the memo names, byte-lex ranked — and its one order rule, the kid
+interval ``q <= d < kid_hi[q]``.  The per-group scalar loop the emitter
+replaced is the oracle ``tests/memo/reference_emission.py``.  Columns
 are ``array.array`` buffers; the emitter and the layered best-plan DP
 (:mod:`repro.optimizer.bestplan`) view them as numpy arrays without
 copying.
@@ -78,7 +80,12 @@ import numpy as np
 from repro.algebra.logical import LogicalGet, LogicalJoin
 from repro.algebra.physical import Sort
 from repro.errors import MemoError
-from repro.kernel.vector import cut_key_table, int_words, union_words_by_mask
+from repro.kernel.vector import (
+    cut_key_table,
+    int_words,
+    prefix_intervals,
+    union_words_by_mask,
+)
 from repro.memo.group import Group, GroupExpr
 from repro.resilience.faults import fault_point
 from repro.optimizer.rules import (
@@ -262,14 +269,6 @@ class ColumnarLogicalStore:
                 yield (left, right)
             if (right, left) != init:
                 yield (right, left)
-
-    def ordered_pairs(self, gid: int):
-        """All ordered orientations in local-id order: the initial
-        left-deep expression first, then :meth:`explored_pairs`."""
-        init = self.initial_by_gid.get(gid)
-        if init is not None:
-            yield init
-        yield from self.explored_pairs(gid)
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
@@ -491,8 +490,9 @@ def seeded_logical_store(
 
 
 class PairRecord(NamedTuple):
-    """The physical description of a logical store's joins, derived once
-    for the exact emitter and the count pass (:func:`build_pair_record`).
+    """The physical description of a memo's joins and of the orders its
+    space names, derived once for the exact emitter and the count pass
+    (:func:`build_pair_record`).
 
     ``join_gids`` are the groups holding splits, in gid order; group
     ``join_gids[i]`` owns pairs ``pair_start[i]:pair_start[i + 1]``, and
@@ -508,12 +508,18 @@ class PairRecord(NamedTuple):
     where keyless); and ``inlj``, the index-lookup joins with ``pr`` as
     the inner side (``None`` when the rule is off or no pair is keyed).
 
-    ``req_gid``/``req_kid`` is the merge-requirement registry: ``(pl,
-    lkid)`` then ``(pr, rkid)`` per keyed pair, in emission order,
-    deduplicated to first occurrences.  ``sid0``/``sid1`` hold, per keyed
-    pair, its two requirements' positions in the registry (both empty
-    without merge joins).  ``loose_kids`` are the kids of the caller's
-    loose sequences.
+    ``req_gid``/``req_kid`` is the requirement registry: ``(pl, lkid)``
+    then ``(pr, rkid)`` per keyed pair, in emission order (merge joins
+    only), then the tail — stream-aggregate child orders in gid order,
+    then ORDER BY — deduplicated to first occurrences.  ``sid0``/``sid1``
+    hold, per keyed pair, its two requirements' positions in the registry
+    (both empty without merge joins).  ``ops_by_gid`` holds the leaf and
+    tower groups' operators (scans, unary operators; rule order), and
+    ``root_kid`` the ORDER BY kid (``None`` without one).
+
+    ``kid_hi`` is the one order rule: kids are byte-lexicographic ranks
+    of every order the memo names, so kid ``d`` delivers what kid ``q``
+    requires (``q`` is a prefix of ``d``) iff ``q <= d < kid_hi[q]``.
     """
 
     join_gids: list[int]
@@ -531,21 +537,27 @@ class PairRecord(NamedTuple):
     req_kid: np.ndarray
     sid0: np.ndarray
     sid1: np.ndarray
-    loose_kids: np.ndarray
+    ops_by_gid: dict[int, list]
+    root_kid: int | None
+    kid_hi: np.ndarray
 
 
 def build_pair_record(
-    logical_store, edges, keys, config, catalog, loose_seqs, poll=None
+    memo, logical_store, edges, keys, config, catalog, root_order, checkpoint=None
 ) -> PairRecord:
-    """The one derivation of a logical store's ordered pairs and their
-    cut keys, index lookups and merge requirements (:class:`PairRecord`).
+    """The one derivation of a memo's ordered pairs, their cut keys,
+    index lookups and requirements, and of the kid universe
+    (:class:`PairRecord`).
 
     Cut bitmasks come from per-gid FROM/TO word tables (``FROM[l] &
-    TO[r]``); every keyed cut and every loose sequence (``loose_seqs``,
-    packed: the orders the caller interns beside the cut keys) go through
-    one cut-key table, which ``keys`` adopts — kid = row = byte-lex rank,
-    so no kid is interned after it.  ``poll`` (a budget poll, no units)
-    runs between the whole-store steps and per decoded cut block.
+    TO[r]``).  Every keyed cut and every loose order — the leaf access
+    paths' and the unary tower's deliveries, the tower's child
+    requirements and ``root_order`` — go through one cut-key table,
+    which ``keys`` adopts: kid = row = byte-lex rank, so no kid is
+    interned after it.  ``checkpoint(units)`` (a budget checkpoint at
+    the caller's site) accounts the ordered pairs once — both
+    orientations of every split, the ``explore.batch`` unit — and polls
+    between the whole-store steps and per decoded cut block.
     ``logical_store`` may be ``None`` (a memo with no join group): the
     record then has no pairs.
     """
@@ -557,10 +569,10 @@ def build_pair_record(
     pair_start = np.zeros(len(join_gids) + 1, np.int64)
     np.cumsum(2 * split_counts, out=pair_start[1:])
     P = int(pair_start[-1])
+    groups = memo.groups
     sl = sr = np.zeros(0, np.int64)
-    groups, initial_by_gid = [], {}
+    initial_by_gid = {}
     if P:
-        groups = logical_store.memo.groups
         initial_by_gid = logical_store.initial_by_gid
         first_rows = np.array([ranges[gid][0] for gid in join_gids], np.int64)
         rows = np.arange(P // 2) + np.repeat(
@@ -590,8 +602,40 @@ def build_pair_record(
     pr = np.empty(P, np.int64)
     pl[position] = natural_l
     pr[position] = natural_r
-    if poll is not None:
-        poll()
+    if checkpoint is not None:
+        checkpoint(P)
+
+    # the loose orders, read off the leaf and tower groups' operators in
+    # gid order (column byte ids are assigned on first sight), and the
+    # registry's tail: stream-aggregate child orders, then ORDER BY
+    seq_bytes = edges.seq_bytes
+    ops_by_gid: dict[int, list] = {}
+    loose_seqs: list[bytes] = []
+    tail: list[tuple[int, bytes]] = []
+    for group in groups:
+        if group.gid in ranges:
+            continue
+        exprs = group.logical_exprs()
+        if not exprs or type(exprs[0].op) is LogicalJoin:
+            continue
+        op = exprs[0].op
+        if isinstance(op, LogicalGet):
+            ops = scan_implementations(op, catalog, config)
+        else:
+            ops = unary_implementations(op, config)
+        ops_by_gid[group.gid] = ops
+        for phys in ops:
+            order = phys.delivered_order()
+            if order:
+                loose_seqs.append(seq_bytes(order))
+            order = phys.required_child_order(0)
+            if order:
+                tail.append((exprs[0].children[0], seq_bytes(order)))
+    root_seq = seq_bytes(tuple(root_order)) if root_order else None
+    if root_seq is not None:
+        loose_seqs.append(root_seq)
+        if memo.root_group_id is not None:
+            tail.append((memo.root_group_id, root_seq))
 
     # cut bitmasks: per-gid FROM|TO unions over the per-alias oriented
     # edge masks, packed into uint64 word rows side by side
@@ -606,6 +650,7 @@ def build_pair_record(
     keyed = (cut_words != 0).any(axis=1)
     kc = int(keyed.sum())
 
+    poll = None if checkpoint is None else lambda: checkpoint(0)
     kid_mat, kid_lengths, left_kids, right_kids, loose_kids = cut_key_table(
         cut_words[keyed],
         np.frombuffer(edges.left_col, dtype=np.uint8),
@@ -614,6 +659,7 @@ def build_pair_record(
         on_block=poll,
     )
     keys.preload(kid_mat, kid_lengths, loose_seqs, loose_kids)
+    kid_hi = prefix_intervals(kid_mat, kid_lengths, kid_mat.shape[1])
     lkid = np.full(P, -1, np.int64)
     rkid = np.full(P, -1, np.int64)
     lkid[keyed] = left_kids
@@ -662,9 +708,21 @@ def build_pair_record(
         uniq_codes = codes[is_first].astype(np.int64)
         req_gid = uniq_codes // KS
         req_kid = uniq_codes % KS
+
+    # the tail, after the merge registry and deduplicated against it
+    extra: dict[tuple[int, int], None] = {}
+    for gid, seq in tail:
+        kid = keys.kid(seq)
+        if not ((req_gid == gid) & (req_kid == kid)).any():
+            extra.setdefault((gid, kid))
+    if extra:
+        gids, kids = zip(*extra)
+        req_gid = np.concatenate([req_gid, np.array(gids, np.int64)])
+        req_kid = np.concatenate([req_kid, np.array(kids, np.int64)])
     return PairRecord(
         join_gids, pair_start, sl, sr, position, pl, pr, keyed, lkid, rkid,
-        inlj, req_gid, req_kid, sid0, sid1, loose_kids,
+        inlj, req_gid, req_kid, sid0, sid1, ops_by_gid,
+        None if root_seq is None else keys.kid(root_seq), kid_hi,
     )
 
 
@@ -707,7 +765,10 @@ class ColumnarPhysicalStore:
         #: the implicit engine's table, into which the emitter preloads
         #: its one cut-key table (row = kid = lex rank, no overflow)
         self._keys = KeyTable(self.edges)
-        self.kid_bytes = self._keys
+        #: per kid ``q``: the end of its extension interval — kid ``d``
+        #: delivers what ``q`` requires iff ``q <= d < kid_hi[q]`` (the
+        #: pair record's, set by the builder)
+        self.kid_hi = None
 
         # Parallel row columns (signed 32-bit ints on CPython/Linux).
         self.tag = array("i")
@@ -1012,35 +1073,9 @@ def build_columnar_store(
     cross_tags = tuple(_JOIN_KIND_TAGS[kind] for kind in cross_kinds)
     store._keyed_tags = keyed_tags
 
-    req_gid, req_kid = _emit_rows_vectorized(
+    _emit_rows_vectorized(
         store, memo.columnar_logical, keyed_tags, cross_tags, scope
     )
-
-    # ------------------------------------------------------------------
-    # requirement registration, in the oracle insert loop's exact order: the
-    # interleaved merge stream first, then the enforcer scan's non-join
-    # requirements (stream aggregates, in group order), then ORDER BY.
-    # ------------------------------------------------------------------
-    codes = np.sort((req_gid << np.int64(32)) | req_kid)
-    extra: dict[tuple[int, int], None] = {}
-
-    def record(pair):
-        code = (pair[0] << 32) | pair[1]
-        i = int(np.searchsorted(codes, code))
-        if i < len(codes) and int(codes[i]) == code:
-            return  # already in the merge stream
-        extra.setdefault(pair, None)
-
-    _record_tail_requirements(store, record)
-    if extra:
-        req_gid = np.concatenate(
-            [req_gid, np.fromiter((g for g, _k in extra), np.int64, len(extra))]
-        )
-        req_kid = np.concatenate(
-            [req_kid, np.fromiter((k for _g, k in extra), np.int64, len(extra))]
-        )
-    store.set_requirement_arrays(req_gid, req_kid)
-
     store.complete = True
     return store
 
@@ -1070,26 +1105,6 @@ def _emit_tower_rows(store, gid, child, g_tag, g_c0, g_c1, g_a, g_b) -> None:
         g_b.append(store.kid_of_columns(order) if order else -1)
 
 
-def _record_tail_requirements(store, record) -> None:
-    """The enforcer scan's non-merge requirements, in the oracle's
-    order: stream-aggregate GROUP BYs (group order, and stream aggregates
-    live only in unary tower groups, so the scan skips relation-set
-    groups — the bulk of the rows — entirely), then ORDER BY."""
-    memo = store.memo
-    tag_col, c0_col, b_col = store.tag, store.c0, store.b
-    for group in memo.groups:
-        if group.key[0] == "rels":
-            continue
-        start, end = store.group_rows(group.gid)
-        for row in range(start, end):
-            if tag_col[row] == TAG_STREAMAGG and b_col[row] >= 0:
-                record((c0_col[row], b_col[row]))
-    if store.root_order:
-        store.root_kid = store.kid_of_columns(store.root_order)
-        if memo.root_group_id is not None:
-            record((memo.root_group_id, store.root_kid))
-
-
 #: per-group emission kinds of the vectorized build plan
 _VEC, _LEAF, _TOWER, _EMPTY = 0, 1, 2, 3
 
@@ -1098,17 +1113,16 @@ def _emit_rows_vectorized(store, logical_store, keyed_tags, cross_tags, scope):
     """Whole-bucket join emission over the columnar logical store.
 
     Classifies the groups in gid order, then reads every join group's
-    ordered pairs, cut-key kids, index-lookup matches and merge
-    requirements off the one :class:`PairRecord`
-    (:func:`build_pair_record`; its key table — every cut key, leaf and
-    tower delivery and the root order, lex-ranked — is the store's).
-    What the emitter adds: each pair expanded into its join-rule rows,
-    and one walk in gid order splicing vector block slices between the
-    scalar leaf/tower emissions.
+    ordered pairs, cut-key kids and index-lookup matches off the one
+    :class:`PairRecord` (:func:`build_pair_record`; its key table — every
+    order the memo names, lex-ranked — is the store's).  The store adopts
+    the record's requirement registry, kid intervals (``kid_hi``), root
+    kid and leaf/tower operators, and hands each merge row's child state
+    ids to the best-plan DP (``store._merge_sid0/1``).  What the emitter
+    adds: each pair expanded into its join-rule rows, and one walk in gid
+    order splicing vector block slices between the scalar leaf/tower
+    emissions.
 
-    Returns the deduplicated merge-requirement stream as ``(gid, kid)``
-    int64 columns in first-occurrence order, and hands each merge row's
-    child state ids to the best-plan DP (``store._merge_sid0/1``).
     Raises :class:`ColumnarUnsupported`, with nothing written to the
     store's columns, for a join group the logical store does not hold
     (``None`` holds none): its rows have no place in the split columns.
@@ -1143,34 +1157,26 @@ def _emit_rows_vectorized(store, logical_store, keyed_tags, cross_tags, scope):
         else:
             plan.append((_TOWER, n_logical, exprs[0].children[0]))
 
-    # Every other order the final walk and the requirement tail intern,
-    # in their interning order (column byte ids are assigned on first
-    # sight), so the key table holds them all.
-    extra_seqs: list[bytes] = []
-    for (kind, _n, _payload), group in zip(plan, groups):
-        if kind == _LEAF or kind == _TOWER:
-            for op in store.group_ops(group.gid):
-                order = op.delivered_order()
-                if order:
-                    extra_seqs.append(edges.seq_bytes(order))
-    if store.root_order:
-        extra_seqs.append(edges.seq_bytes(store.root_order))
-
     record = build_pair_record(
+        memo,
         logical_store,
         edges,
         store._keys,
         store.config,
         store.catalog,
-        extra_seqs,
-        (lambda: checkpoint("implement.columnar")) if checkpoint else None,
+        store.root_order,
+        (lambda units: checkpoint("implement.columnar", units))
+        if checkpoint
+        else None,
     )
     pl, pr, keyed = record.pl, record.pr, record.keyed
     lk_pair, rk_pair, inlj = record.lkid, record.rkid, record.inlj
     pair_start = record.pair_start
     P = len(pl)
-    if checkpoint is not None:
-        checkpoint("implement.columnar", P + int(keyed.sum()))
+    store._group_ops = record.ops_by_gid
+    store.kid_hi = record.kid_hi
+    store.root_kid = record.root_kid
+    store.set_requirement_arrays(record.req_gid, record.req_kid)
     store._merge_sid0 = record.sid0
     store._merge_sid1 = record.sid1
     n_keyed = len(keyed_tags)
@@ -1251,7 +1257,7 @@ def _emit_rows_vectorized(store, logical_store, keyed_tags, cross_tags, scope):
     for (kind, n_logical, payload), group in zip(plan, groups):
         fault_point("implement.columnar", store)
         if checkpoint is not None:
-            checkpoint("implement.columnar", len(g_tag))
+            checkpoint("implement.columnar")
         group_start.append(len(tag_col) + (pend1 - pend0))
         logical_counts.append(n_logical)
         if kind == _VEC:
@@ -1279,6 +1285,7 @@ def _emit_rows_vectorized(store, logical_store, keyed_tags, cross_tags, scope):
         c1_col.extend(g_c1)
         a_col.extend(g_a)
         b_col.extend(g_b)
+        if checkpoint is not None:
+            checkpoint("implement.columnar", len(g_tag))
     _flush_vec()
     group_start.append(len(tag_col))
-    return record.req_gid, record.req_kid

@@ -30,11 +30,7 @@ import numpy as np
 from repro.algebra.physical import Sort
 from repro.algebra.properties import SortOrder
 from repro.errors import OptimizerError
-from repro.kernel.vector import (
-    prefix_interval_ends,
-    prefix_intervals,
-    range_min_pairs,
-)
+from repro.kernel.vector import range_min_pairs
 from repro.memo.columnar import (
     TAG_HASH,
     TAG_INDEX_SCAN,
@@ -52,24 +48,6 @@ from repro.resilience.faults import fault_point
 __all__ = ["ColumnarBestPlanSearch"]
 
 _INFINITY = float("inf")
-
-
-def _interval_ends(sorted_mat, lengths, pad_width, ranks):
-    """Prefix-interval ends for the required ranks.
-
-    The selective masked-word compare when the required kids span few
-    distinct lengths (each distinct length costs whole-array word
-    compares), falling back to the full LCP sweep when the requirement
-    set is dense — on clique-style queries nearly every kid in the table
-    is required, at every length, and one ``(K, width)`` byte sweep beats
-    per-length word passes."""
-    if len(ranks):
-        lens = np.asarray(lengths, np.int64)
-        distinct = np.unique(lens[ranks])
-        words = (pad_width + 7) // 8
-        if len(distinct) * words * 8 > pad_width + len(distinct):
-            return prefix_intervals(sorted_mat, lengths, pad_width)[ranks]
-    return prefix_interval_ends(sorted_mat, lengths, pad_width, ranks)
 
 
 #: placeholder for state winners the vectorized layers never resolved —
@@ -94,6 +72,13 @@ class ColumnarBestPlanSearch:
     arrays.  Join layers are vectorized (cost
     formulas and candidate minima as array expressions over the whole
     layer); leaves and the unary tower walk their few rows one by one.
+
+    Order satisfaction is the pair record's one rule: kids are
+    byte-lexicographic ranks of every order the memo names, and a row
+    delivering kid ``d`` (or a ``Sort`` of it) serves a requirement
+    ``q`` iff ``q <= d < store.kid_hi[q]`` — an interval for a whole
+    join layer's states at once, two integer comparisons per row for
+    leaves, the tower and plan assembly.
 
     Tie-breaking replicates the oracle bit for bit: candidates are
     considered in insertion (local-id) order with strict-``<``
@@ -320,18 +305,16 @@ class ColumnarBestPlanSearch:
 
     def _process_group_scalar(self, gid: int) -> None:
         store = self.store
-        kid_bytes = store.kid_bytes
+        kid_hi = store.kid_hi
         start, end = store.group_rows(gid)
         best = _INFINITY
         best_row = -1
-        ordered: list[tuple[bytes, int, float]] = []
+        ordered: list[tuple[int, int, float]] = []
         for row in range(start, end):
             total = self.row_total(row)
             dkid = self.delivered_kid(row)
             if dkid >= 0:
-                # Resolve the delivered order to bytes once per row, not
-                # once per (requirement, row) pair below.
-                ordered.append((kid_bytes[dkid], row, total))
+                ordered.append((dkid, row, total))
             if total < best:
                 best = total
                 best_row = row
@@ -340,11 +323,11 @@ class ColumnarBestPlanSearch:
         reqs = self._scalar_reqs.get(gid)
         if reqs:
             for sid, rkid in reqs:
-                rb = kid_bytes[rkid]
+                hi = int(kid_hi[rkid])
                 rbest = _INFINITY
                 rrow = -1
-                for dbytes, row, total in ordered:
-                    if dbytes.startswith(rb) and total < rbest:
+                for dkid, row, total in ordered:
+                    if rkid <= dkid < hi and total < rbest:
                         rbest = total
                         rrow = row
                 self._resolve_state(gid, sid, rkid, rbest, rrow)
@@ -424,19 +407,13 @@ class ColumnarBestPlanSearch:
         else:
             sid0_row = sid1_row = np.full(len(tag), -1, dtype=np.int64)
 
-        # Requirement satisfaction as kid intervals: a kid is its row in
-        # the store's lex-sorted cut-key table (the emitter preloads every
-        # order it interns), so delivered satisfies required iff its kid
-        # falls in the required kid's prefix interval ``[kid, end)`` —
-        # ``end`` from :func:`_interval_ends`, for every state at once.
+        # Requirement satisfaction as kid intervals: delivered satisfies
+        # required iff its kid falls in ``[kid, kid_hi[kid])``, the pair
+        # record's extension interval — for every state at once.
         req_gid_arr = self._req_gid_arr
-        req_kid_arr = self._req_kid_arr
-        kid_mat, kid_len, overflow = store.kid_bytes.table()
-        assert not overflow, "the emitter preloads every kid"
-        if S:
-            req_lo = req_kid_arr
-            req_hi = _interval_ends(kid_mat, kid_len, kid_mat.shape[1], req_lo)
-        K1 = len(kid_len) + 1
+        req_lo = self._req_kid_arr
+        req_hi = store.kid_hi[req_lo]
+        K1 = len(store.kid_hi) + 1
 
         # math.log2 per group (not np.log2: last-ulp identity with the
         # scalar enforcer formula), vectorized lookup per state.
@@ -609,14 +586,12 @@ class ColumnarBestPlanSearch:
         candidate row (or enforcer) is re-derived here with the scalar
         pass's exact comparison order, for winning-path states only."""
         store = self.store
-        kid_bytes = store.kid_bytes
-        rb = kid_bytes[rkid]
+        hi = int(store.kid_hi[rkid])
         start, end = store.group_rows(gid)
         rbest = _INFINITY
         rrow = -1
         for row in range(start, end):
-            dkid = self.delivered_kid(row)
-            if dkid >= 0 and kid_bytes[dkid].startswith(rb):
+            if rkid <= self.delivered_kid(row) < hi:
                 total = self.row_total(row)
                 if total < rbest:
                     rbest = total
@@ -648,12 +623,11 @@ class ColumnarBestPlanSearch:
             _tag, winner_rkid = winner
             # First satisfying sort in insertion order, as the oracle
             # picks — resolved here, on the winning path only.
-            rb = store.kid_bytes[winner_rkid]
-            kid_bytes = store.kid_bytes
+            hi = int(store.kid_hi[winner_rkid])
             position, skid = next(
                 (p, k)
                 for p, k in enumerate(store.group_sorts(gid))
-                if kid_bytes[k].startswith(rb)
+                if winner_rkid <= k < hi
             )
             inner = self._assemble(gid, None)
             return PlanNode(

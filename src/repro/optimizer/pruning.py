@@ -42,15 +42,15 @@ from repro.optimizer.cost import CostModel
 __all__ = ["prune_memo"]
 
 
-def _allowance(group_best: float, states, delivered: bytes | None) -> float:
+def _allowance(group_best: float, states, delivered: int) -> float:
     """The dearest state an expression qualifies for: the group's
-    order-free best, or a dearer ordered state (``(required order,
-    best)`` pairs) that its ``delivered`` order satisfies."""
+    order-free best, or a dearer ordered state (``(required kid, end of
+    its extension interval, best)``) whose interval holds the
+    ``delivered`` kid (``-1``: no order, in no interval)."""
     allowed = group_best
-    if delivered is not None:
-        for required, cost in states:
-            if cost > allowed and delivered.startswith(required):
-                allowed = cost
+    for required, end, cost in states:
+        if cost > allowed and required <= delivered < end:
+            allowed = cost
     return allowed
 
 
@@ -81,7 +81,7 @@ def prune_memo(
             )
         search = ColumnarBestPlanSearch(memo.columnar, cost_model).run()
     store = search.store
-    kid_bytes = store.kid_bytes
+    kid_hi = store.kid_hi.tolist()
     #: the ordered contexts each group serves — the child requirements
     #: any physical operator imposes, plus ORDER BY — with their bests
     states_by_gid = search.ordered_state_costs()
@@ -95,21 +95,19 @@ def prune_memo(
         if group_best == math.inf:
             continue
         states = [
-            (kid_bytes[kid], cost)
+            (kid, kid_hi[kid], cost)
             for kid, cost in states_by_gid.get(gid, ())
             if cost > group_best
         ]
         start, end = store.group_rows(gid)
         keep = []
         for row in range(start, end):
-            kid = search.delivered_kid(row)
-            delivered = kid_bytes[kid] if kid >= 0 and states else None
-            allowed = _allowance(group_best, states, delivered)
+            allowed = _allowance(group_best, states, search.delivered_kid(row))
             keep.append(search.row_total(row) <= allowed * factor)
         # Enforcers root the group's order-free optimum.
         sort_total = search.sort_total(gid)
         for kid in store.group_sorts(gid):
-            allowed = _allowance(group_best, states, kid_bytes[kid])
+            allowed = _allowance(group_best, states, kid)
             keep.append(sort_total <= allowed * factor)
         dropped = keep.count(False)
         if dropped:

@@ -51,7 +51,7 @@ class TowerOp:
 
     op: object
     count: int
-    delivered: bytes | None
+    delivered: int  # delivered order as a kid, -1 for none
     required_kid: int | None  # child-order requirement, as a kid
 
 
@@ -84,7 +84,7 @@ class CountState:
     sort_counts: dict[int, list[int]] = field(default_factory=dict)
     #: per kid ``q``: the end of its extension interval — kid ``d``'s
     #: order satisfies ``q``'s iff ``q <= d < kid_hi[q]`` (kids are
-    #: byte-lexicographic ranks, and every kid is ranked by the pass)
+    #: byte-lexicographic ranks, and the pair record ranks every kid)
     kid_hi: object = field(default=None, repr=False)
     #: join gid -> its operator columns, sliced out of the count pass's
     #: arrays (a closure over those arrays only)
@@ -112,68 +112,10 @@ class CountState:
         self._checkpoint()
         self.edges = EdgeCatalog(self.layout.graph)
         self.keys = KeyTable(self.edges)
-        rels_extra, tower_extra, root_seq = self._tower_requirement_seqs()
-        tower_seqs = [seq for _gid, seq in tower_extra]
-        tower_seqs += self._tower_delivery_seqs()
-        self._checkpoint()
-        turbo_rels_pass(self, rels_extra, tower_seqs)
-        for gid, seq in tower_extra:
-            self.tower_required.setdefault(gid, {}).setdefault(self.keys.kid(seq))
-        if root_seq is not None:
-            self.root_kid = self.keys.kid(root_seq)
+        turbo_rels_pass(self)
         self._checkpoint()
         self._count_tower()
         return self
-
-    # ------------------------------------------------------------------
-    def _tower_requirement_seqs(
-        self,
-    ) -> tuple[
-        list[tuple[int, bytes]], list[tuple[int, bytes]], bytes | None
-    ]:
-        """StreamAggregate and ORDER BY requirements (registered after all
-        merge requirements, mirroring the enforcer pass), as raw byte
-        sequences — kid interning happens after the relation-group pass so
-        that pass owns the kid universe.  Returns the pairs
-        targeting relation-set groups (mask-keyed), the pairs targeting
-        tower groups (gid-keyed), and the packed root requirement."""
-        layout = self.layout
-        seq_bytes = self.edges.seq_bytes
-        rels: list[tuple[int, bytes]] = []
-        tower: list[tuple[int, bytes]] = []
-        for gid in layout.tower_gids:
-            group = layout.group(gid)
-            if group.kind != "agg":
-                continue
-            for op in unary_implementations(group.op, self.config):
-                order = op.required_child_order(0)
-                if not order:
-                    continue
-                seq = seq_bytes(order)
-                child = layout.group(group.child_gid)
-                if child.kind in ("leaf", "join"):
-                    rels.append((child.mask, seq))
-                else:
-                    tower.append((child.gid, seq))
-        root_seq: bytes | None = None
-        if layout.root_order:
-            root_seq = seq_bytes(layout.root_order)
-            root = layout.group(layout.root_gid)
-            if root.kind in ("leaf", "join"):  # pragma: no cover - root is proj
-                rels.append((root.mask, root_seq))
-            else:
-                tower.append((root.gid, root_seq))
-        return rels, tower, root_seq
-
-    def _tower_delivery_seqs(self) -> list[bytes]:
-        """The orders the unary tower's operators deliver, packed."""
-        seq_bytes = self.edges.seq_bytes
-        return [
-            seq_bytes(order)
-            for gid in self.layout.tower_gids
-            for op in unary_implementations(self.layout.group(gid).op, self.config)
-            if (order := op.delivered_order())
-        ]
 
     # ------------------------------------------------------------------
     # the unary tower
@@ -184,14 +126,15 @@ class CountState:
             return self.A[group.mask]
         return self.tower_totals[gid]
 
-    def _tower_sum_satisfying(self, gid: int, seq: bytes) -> int:
+    def _tower_sum_satisfying(self, gid: int, kid: int) -> int:
         """``S(g, q)`` for a tower group (small: direct filtering)."""
+        hi = int(self.kid_hi[kid])
         total = 0
         for top in self.tower_ops[gid]:
-            if top.delivered is not None and top.delivered.startswith(seq):
+            if kid <= top.delivered < hi:
                 total += top.count
-        for kid, count in self.tower_sorts[gid]:
-            if self.keys[kid].startswith(seq):
+        for delivered, count in self.tower_sorts[gid]:
+            if kid <= delivered < hi:
                 total += count
         return total
 
@@ -199,7 +142,7 @@ class CountState:
         group = self.layout.group(gid)
         if group.kind in ("leaf", "join"):
             return self.sord[(group.mask, kid)]
-        return self._tower_sum_satisfying(gid, self.keys[kid])
+        return self._tower_sum_satisfying(gid, kid)
 
     def _count_tower(self) -> None:
         layout = self.layout
@@ -225,9 +168,7 @@ class CountState:
                     TowerOp(
                         op=op,
                         count=count,
-                        delivered=(
-                            self.edges.seq_bytes(delivered) if delivered else None
-                        ),
+                        delivered=keys.kid_of_columns(delivered) if delivered else -1,
                         required_kid=kid,
                     )
                 )
@@ -243,11 +184,9 @@ class CountState:
                     if self.include_redundant_sorts:
                         count = nonenf
                     else:
+                        hi = int(self.kid_hi[kid])
                         count = nonenf - sum(
-                            top.count
-                            for top in ops
-                            if top.delivered is not None
-                            and top.delivered.startswith(keys[kid])
+                            top.count for top in ops if kid <= top.delivered < hi
                         )
                     sorts.append((kid, count))
                 self.physical_count += len(sorts)
@@ -258,11 +197,7 @@ class CountState:
         if self.root_kid is None:
             self.total = self.total_of_gid(root.gid)
         else:
-            seq = keys[self.root_kid]
-            if root.kind in ("leaf", "join"):  # pragma: no cover - root is proj
-                self.total = self.sord[(root.mask, self.root_kid)]
-            else:
-                self.total = self._tower_sum_satisfying(root.gid, seq)
+            self.total = self.sord_of_gid(root.gid, self.root_kid)
         if not self.total and self.root_kid is not None:
             raise PlanSpaceError(
                 "no physical operator in the root group satisfies the root "

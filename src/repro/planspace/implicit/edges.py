@@ -20,10 +20,13 @@ oriented column sequences — the left keys (sorted canonically for the
 left side) and the right keys (the matching columns in *the same order*,
 which is how merge-join ``right_keys`` are ordered).
 
-Columns are interned to one-byte ids so key sequences pack into ``bytes``
-(hashable, memcmp-comparable, prefix-testable with ``startswith``) — the
-representation :mod:`repro.planspace.implicit.keys` builds its order
-indexes on.
+Columns are interned to one-byte ids (assigned on first sight) so key
+sequences pack into ``bytes`` — hashable and memcmp-comparable, the
+representation :mod:`repro.planspace.implicit.keys` interns.  Sorted as
+0-padded rows, a sequence sits directly before its extensions, so "the
+required order is a prefix of the delivered one" becomes an interval of
+byte-lexicographic ranks (``q <= d < kid_hi[q]``, the pair record's one
+order rule); no consumer tests the bytes themselves.
 """
 
 from __future__ import annotations

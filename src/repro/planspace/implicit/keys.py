@@ -6,14 +6,15 @@ index key orders, GROUP BY / ORDER BY requirements — is interned here as a
 :meth:`KeyTable.kid` is identity: the same column sequence always maps to
 the same kid, which is what deduplicates ``Sort`` enforcers exactly like
 the memo's duplicate detection does.  The paper's qualification rule
-(requirement is a prefix of delivery) is ``keys[delivered].startswith(
-keys[required])``; over a preloaded, lexicographically sorted kid matrix
-the deliveries extending ``q`` are the contiguous kid interval
-``[q, kid_hi[q])`` — the count pass sums over it and keeps ``kid_hi`` on
-its state, and the group tables test it instead of the bytes.  The count
-pass preloads every order the space names (cut keys, leaf and tower
-deliveries, GROUP BY / ORDER BY requirements), so no kid is interned
-after it.
+(the required order is a prefix of the delivered one) is one rule over
+kids: the pair record (:func:`repro.memo.columnar.build_pair_record`)
+preloads every order the memo names (cut keys, leaf and tower
+deliveries, the tower's child requirements, ORDER BY) as a
+lexicographically sorted kid matrix, so the deliveries extending ``q``
+are the contiguous kid interval ``[q, kid_hi[q])`` and every consumer —
+the best-plan DP, pruning, the count pass, its tower and the group
+tables — tests ``q <= d < kid_hi[q]``, reading no byte string.  No kid
+is interned after the record.
 """
 
 from __future__ import annotations
@@ -34,17 +35,17 @@ class KeyTable:
     Two backings share one id space:
 
     * a :meth:`preload`-ed, lexicographically sorted byte matrix — the
-      one cut-key table (:func:`repro.kernel.vector.cut_key_table`) a
-      vector build or the count pass interns every order it knows of
-      into, before anything asks for a kid.  Lookups binary-search it,
+      one cut-key table (:func:`repro.kernel.vector.cut_key_table`) the
+      pair record interns every order the memo names into, before
+      anything asks for a kid.  Lookups binary-search it,
       and the byte strings themselves are sliced out lazily, so a
       count-only run never materializes hundreds of thousands of
       ``bytes`` objects;
     * the plain dict/list overflow: every kid of the oracles under
       ``tests/`` that intern one sequence at a time (the scalar
-      emission loop, the per-pair count pass's first run).  The
-      physical store's emitter and the count pass preload every order
-      they intern, so production tables have none.
+      emission loop, the per-pair count pass's first run).  The pair
+      record preloads every order production interns, so production
+      tables have none.
     """
 
     def __init__(self, edges: EdgeCatalog):

@@ -165,9 +165,9 @@ class GroupTable:
                 ]
             else:
                 out = [
-                    (pos, state.keys.kid(top.delivered))
+                    (pos, top.delivered)
                     for pos, top in enumerate(state.tower_ops[self.gid])
-                    if top.delivered is not None
+                    if top.delivered >= 0
                 ]
             out += [(self.body + j, k) for j, k in enumerate(self.sort_kids)]
             self._delivering = out

@@ -4,22 +4,21 @@ Every relation-set group's aggregates (``A``, ``nonenf``, ``sord``, the
 ordered requirement registry, sort counts, the virtual operator census)
 come out of one bottom-up pass per subset-size layer — the recurrence
 :mod:`.counting` describes, with the per-split work done as columnar
-array operations.  The joins' physical description is the exact
-emitter's: :func:`~repro.memo.columnar.build_pair_record` derives, once,
-every ordered pair of the layout's logical store in local-id order, its
-keyed flag and cut kids (one cut-key table, preloaded into
-``state.keys`` with the extra requirements, the leaf deliveries and the
-tower's orders), its index-lookup matches and the first-occurrence
-merge-requirement registry with each keyed pair's state ids.  The pass
-adds three things:
+array operations.  The joins' physical description and the kid universe
+are the exact emitter's: :func:`~repro.memo.columnar.build_pair_record`
+derives, once, every ordered pair of the layout's logical store in
+local-id order, its keyed flag and cut kids (one cut-key table over the
+cut keys and every other order the memo names — leaf and tower
+deliveries, the tower's child requirements, ORDER BY — preloaded into
+``state.keys``), its index-lookup matches, the first-occurrence
+requirement registry with each keyed pair's state ids, and the kid
+intervals ``kid_hi``.  The pass adds three things:
 
 * slot universes: ``(gid, kid)`` requirement and delivery slots packed
   into group-major int64 keys, so order queries become prefix-sum
   differences over each group's slot segment.  A kid is its
-  byte-lexicographic rank, and 0-padded rows sort a key directly before
-  its extensions, so the extensions of key ``q`` form the contiguous
-  rank interval ``[rank(q), hi(q))``, with ``hi`` computed in one LCP
-  sweep;
+  byte-lexicographic rank, so the extensions of kid ``q`` are the
+  contiguous rank interval ``[q, kid_hi[q])``;
 * the bigint layer DP, per split — a split's two pairs share the
   ``N(l) * N(r)`` product: an index-lookup join contributes
   ``matches × A(outer)`` per keyed orientation whose inner side is one
@@ -35,9 +34,9 @@ adds three things:
   per-requirement Python objects.  The record's pairs, with their query
   slots, are laid out as one int64 row per logical join and stay alive
   behind ``state.join_columns``: the unranking tables read a group's
-  block of rows as lists.  The key table's extension intervals stay on
-  the state too (``state.kid_hi``): the tables decide order satisfaction
-  with them.
+  block of rows as lists.  The record's ``kid_hi`` stays on the state
+  too (``state.kid_hi``): the tower and the tables decide order
+  satisfaction with it.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.kernel.vector import prefix_intervals, sorted_unique
+from repro.kernel.vector import sorted_unique
 from repro.memo.columnar import build_pair_record
-from repro.optimizer.rules import join_rule_arity, scan_implementations
+from repro.optimizer.rules import join_rule_arity
 
 __all__ = ["JoinColumns", "turbo_rels_pass"]
 
@@ -72,28 +71,25 @@ class JoinColumns(NamedTuple):
     counts: list[int]
 
 
-def turbo_rels_pass(
-    state, extra_pairs: list[tuple[int, bytes]], tower_seqs: list[bytes]
-) -> None:
-    """Fill ``state``'s relation-group aggregates.
-
-    ``extra_pairs`` are the StreamAggregate/ORDER BY requirements that
-    target relation-set groups, as ``(mask, packed column bytes)`` —
-    registered after all merge requirements, like the materializer's
-    enforcer pass.  ``tower_seqs`` are the orders the unary tower
-    requires or delivers: they only join the key table, so that no kid
-    is interned after this pass.
+def turbo_rels_pass(state) -> None:
+    """Fill ``state``'s relation-group aggregates, and its kid universe:
+    the pair record's key table, kid intervals (``state.kid_hi``), root
+    kid and the tower groups' requirements (``state.tower_required``).
+    The record's registry tail — stream-aggregate child orders, then
+    ORDER BY — splits by target: a relation-set group's requirements
+    register after all merge requirements, like the materializer's
+    enforcer pass; a tower group's go to the tower.
     """
     layout = state.layout
     config = state.config
     scope = state.scope
     checkpoint = scope.checkpoint if scope is not None else None
 
-    def poll() -> None:
+    def poll(units: int = 0) -> None:
         # between the whole-universe sorts below: each is a large share
         # of a big query's pass, so none runs unpolled after another
         if checkpoint is not None:
-            checkpoint("implicit.count")
+            checkpoint("implicit.count", units)
 
     plain_keys, merge = join_rule_arity(config, True)
     plain_cross, _ = join_rule_arity(config, False)
@@ -107,48 +103,46 @@ def turbo_rels_pass(
         count=G,
     )
 
-    # ------------------------------------------------------------------
-    # leaf scans, then the pair record: its key table holds the cut keys,
-    # the extra requirements, the leaf deliveries and the tower's orders
-    # ------------------------------------------------------------------
-    leaf_pairs: list[tuple[int, bytes]] = []  # (gid, seq), delivery count 1
+    store = layout.store
+    record = build_pair_record(
+        store.memo,
+        store,
+        state.edges,
+        state.keys,
+        config,
+        state.catalog,
+        layout.root_order,
+        poll,
+    )
+    P = len(record.pl)
+    state.kid_hi = record.kid_hi
+    state.root_kid = record.root_kid
+    KS = len(record.kid_hi) + 2
+
+    # leaf scans: one delivery slot per ordered access path
+    leaf_packed: list[int] = []
     leaf_nonenf: dict[int, int] = {}
     for mask in layout.subset_masks:
         if mask & (mask - 1):
             break  # universes are size-sorted: leaves come first
         gid = gid_by_mask[mask]
-        scans = scan_implementations(layout.group(gid).op, state.catalog, config)
+        scans = record.ops_by_gid[gid]
         leaf_nonenf[gid] = len(scans)
         state.physical_count += len(scans)
         for scan in scans:
             order = scan.delivered_order()
             if order:
-                leaf_pairs.append((gid, state.edges.seq_bytes(order)))
+                leaf_packed.append(gid * KS + state.keys.kid_of_columns(order))
 
-    loose_seqs = [seq for _mask, seq in extra_pairs]
-    loose_seqs += [seq for _gid, seq in leaf_pairs]
-    loose_seqs += tower_seqs
-    record = build_pair_record(
-        layout.store,
-        state.edges,
-        state.keys,
-        config,
-        state.catalog,
-        loose_seqs,
-        poll,
-    )
-    P = len(record.pl)
-    if checkpoint is not None:
-        checkpoint("implicit.count", P // 2)
-    kid_mat, kid_lengths, _overflow = state.keys.table()
-    extra_kids = record.loose_kids[: len(extra_pairs)]
-    leaf_kids = record.loose_kids[len(extra_pairs) : len(extra_pairs) + len(leaf_pairs)]
-
-    # prefix intervals: hi_rank[k] = first kid after k that does not
-    # extend k — one LCP sweep + monotonic stack over the sorted rows.
-    # The state keeps it: kid d satisfies kid q iff q <= d < hi_rank[q]
-    hi_rank = prefix_intervals(kid_mat, kid_lengths, kid_mat.shape[1])
-    state.kid_hi = hi_rank
+    # the registry: relation-set groups' requirements are query slots,
+    # tower groups' are the tower's (first-occurrence order either way)
+    on_tower = np.zeros(G, bool)
+    on_tower[layout.tower_gids] = True
+    on_tower = on_tower[record.req_gid]
+    for gid, kid in zip(
+        record.req_gid[on_tower].tolist(), record.req_kid[on_tower].tolist()
+    ):
+        state.tower_required.setdefault(gid, {}).setdefault(kid)
     poll()
 
     # The DP runs per split: both orientations share the N(l) * N(r)
@@ -166,18 +160,9 @@ def turbo_rels_pass(
     # ------------------------------------------------------------------
     # slot universes: (gid, kid) requirement and delivery slots, packed
     # ------------------------------------------------------------------
-    KS = len(kid_lengths) + 2
-    extra_packed = np.array(
-        [
-            gid_by_mask[mask] * KS + kid
-            for (mask, _), kid in zip(extra_pairs, extra_kids.tolist())
-        ],
-        np.int64,
-    )
-    reg_packed = record.req_gid * KS + record.req_kid
     # registrations in first-occurrence order: the merge registry, then
-    # the extra requirements
-    reg_stream = np.concatenate([reg_packed, extra_packed])
+    # the relation-set groups' tail
+    reg_stream = record.req_gid[~on_tower] * KS + record.req_kid[~on_tower]
     req_packed = sorted_unique(reg_stream)
     NQ = len(req_packed)
     req_gids = req_packed // KS
@@ -199,12 +184,8 @@ def turbo_rels_pass(
 
     # delivered slots: leaf deliveries, merge deliveries (a merge join
     # delivers its left key in its own group), sort deliveries
-    leaf_packed = np.array(
-        [gid * KS + kid for (gid, _), kid in zip(leaf_pairs, leaf_kids.tolist())],
-        np.int64,
-    )
     delivered = pair_gids * KS + record.lkid
-    d_parts = [leaf_packed]
+    d_parts = [np.array(leaf_packed, np.int64)]
     if merge:
         d_parts.append(delivered[keyed])
     if enforcers:
@@ -220,7 +201,7 @@ def turbo_rels_pass(
     # kid-rank ordered, because the packed key is gid-major, rank-minor);
     # with enforcers every requirement is itself a delivered slot
     q_lo_D = req_slot_in_D = np.searchsorted(D_packed, req_packed)
-    q_hi_D = np.searchsorted(D_packed, req_gids * KS + hi_rank[req_kids])
+    q_hi_D = np.searchsorted(D_packed, req_gids * KS + record.kid_hi[req_kids])
     QS = np.empty(NQ, dtype=object)
     QS[:] = 0
     SC = np.empty(NQ, dtype=object)  # per requirement slot: its Sort's count
@@ -289,7 +270,7 @@ def turbo_rels_pass(
     leaf_gids = np.fromiter(leaf_nonenf, np.int64, count=len(leaf_nonenf))
     leaf_counts = np.empty(len(leaf_gids), dtype=object)
     leaf_counts[:] = list(leaf_nonenf.values())
-    if len(leaf_packed):
+    if leaf_packed:
         np.add.at(DS, np.searchsorted(D_packed, leaf_packed), 1)
     finish_layer(leaf_gids, leaf_counts, 1)
 

@@ -16,14 +16,19 @@ kids with, and the one-cut-at-a-time interning the scalar emitter and the
 per-pair count pass read — :class:`ReferenceEdges` (per-mask FROM/TO
 unions) and :class:`ReferenceKeys` (the per-cut kid memo) — moved here
 verbatim when the one emitter left them no caller under ``src/``; the
-two scalar oracles build on them.
+two scalar oracles build on them.  :func:`prefix_interval_ends`, the
+best-plan DP's second interval kernel (interval ends at the required
+ranks only, by masked word compares), moved here verbatim with
+:func:`byte_words` when the pair record's one ``prefix_intervals`` call
+became every consumer's order rule: it is a second derivation of that
+sweep (``tests/kernel/test_vector.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernel.vector import byte_words, unique_rows
+from repro.kernel.vector import unique_rows
 from repro.planspace.implicit.edges import EdgeCatalog
 from repro.planspace.implicit.keys import KeyTable
 
@@ -31,14 +36,69 @@ __all__ = [
     "DECODE_CHUNK",
     "ReferenceEdges",
     "ReferenceKeys",
+    "byte_words",
     "count_pass_key_chain",
     "decode_bit_rows",
     "emitter_key_chain",
     "lex_rank_rows",
     "lex_unique_rows",
+    "prefix_interval_ends",
 ]
 
 DECODE_CHUNK = 1 << 18
+
+
+def byte_words(mat):
+    """View a 0-padded (n, width) uint8 matrix as big-endian uint64 words
+    — numeric word order equals byte-lexicographic row order."""
+    width = mat.shape[1]
+    padded_width = (width + 7) // 8 * 8
+    if padded_width != width:
+        out = np.zeros((mat.shape[0], padded_width), np.uint8)
+        out[:, :width] = mat
+        mat = out
+    return np.ascontiguousarray(mat).view(">u8").astype(np.uint64)
+
+
+def prefix_interval_ends(sorted_mat, lengths, pad_width, ranks):
+    """:func:`prefix_intervals` evaluated at selected ranks only.
+
+    The DP needs interval ends for the *required* kids — a small
+    multiset of ranks — not for every row of the kid table.  For one
+    prefix length ``T`` the break boundaries are exactly the adjacent
+    row pairs whose first ``T`` bytes differ, which a masked big-endian
+    word compare answers without materializing the full LCP column:
+    per distinct required length this is a couple of whole-array uint64
+    ops instead of a ``(K, width)`` byte sweep.
+    """
+    out = np.full(len(ranks), len(sorted_mat), np.int64)
+    K = len(sorted_mat)
+    if K <= 1 or not len(ranks):
+        return out
+    words = byte_words(sorted_mat)
+    prev = words[:-1]
+    nxt = words[1:]
+    rlen = np.asarray(lengths, np.int64)[ranks]
+    for T in np.unique(rlen):
+        T = int(T)
+        if T <= 0:
+            continue  # empty prefix: extended to the end of the table
+        sel = np.flatnonzero(rlen == T)
+        neq = np.zeros(K - 1, dtype=bool)
+        for wi in range((T + 7) // 8):
+            tail = T - wi * 8
+            if tail >= 8:
+                neq |= nxt[:, wi] != prev[:, wi]
+            else:
+                shift = np.uint64(64 - 8 * tail)
+                neq |= (nxt[:, wi] >> shift) != (prev[:, wi] >> shift)
+        drops = np.flatnonzero(neq)
+        pos = np.searchsorted(drops, ranks[sel])
+        hit = pos < len(drops)
+        vals = np.full(len(sel), K, np.int64)
+        vals[hit] = drops[pos[hit]] + 1
+        out[sel] = vals
+    return out
 
 
 def lex_rank_rows(mat):

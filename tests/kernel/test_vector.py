@@ -13,9 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.kernel.vector import (
-    byte_words,
     int_words,
-    prefix_interval_ends,
     prefix_intervals,
     range_min_pairs,
     sorted_unique,
@@ -25,11 +23,13 @@ from repro.kernel.vector import (
 
 # the key-table oracle's own pieces: the per-chunk decode and the
 # byte-row lexsorts the exact emitter, the count pass and the best-plan
-# DP's overflow ranking each ran
+# DP's overflow ranking each ran, and the DP's selective interval ends
 from tests.kernel.reference_keys import (
+    byte_words,
     decode_bit_rows,
     lex_rank_rows,
     lex_unique_rows,
+    prefix_interval_ends,
 )
 
 
@@ -137,9 +137,10 @@ class TestPrefixIntervals:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("width", [3, 8, 13])
     def test_selective_ends_match_full_sweep(self, seed, width):
-        """prefix_interval_ends(ranks) must equal
-        prefix_intervals()[ranks] for any rank multiset — the DP's
-        density-cutover dispatch assumes the two are interchangeable."""
+        """prefix_interval_ends(ranks) — the masked word compare the DP
+        once used for its required ranks — must equal
+        prefix_intervals()[ranks] for any rank multiset: a second
+        derivation of the one interval sweep."""
         rng = np.random.default_rng(seed)
         mat, lengths = _random_padded_rows(rng, 200, width, alphabet=3)
         order, _ = lex_rank_rows(mat)

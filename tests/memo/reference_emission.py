@@ -10,8 +10,11 @@ here verbatim as its column-level oracle.  :func:`build_reference_store`
 is the scalar branch of the old builder: the same rows, interned
 first-occurrence into the key table's overflow (raw kid ids are *not*
 comparable with a vector build's lex ranks; kid byte strings are), the
-same deduplicated requirement stream.  It emits any memo — a
-reference-explored one included — and attaches like
+same deduplicated requirement stream (its tail,
+:func:`_record_tail_requirements`, and the ordered-pair walk of a
+logical store, :func:`ordered_pairs`, moved here verbatim when the pair
+record took over the tail and left them no ``src/`` caller).  It emits
+any memo — a reference-explored one included — and attaches like
 :func:`repro.optimizer.implementation.implement_memo_columnar`, so the
 object facade and the materialized plan space read it unchanged.  The
 production best-plan DP does not read a store built here (its kids are
@@ -27,11 +30,11 @@ from repro.algebra.logical import LogicalGet, LogicalJoin
 from repro.memo.columnar import (
     _JOIN_KIND_TAGS,
     TAG_INLJ,
+    TAG_STREAMAGG,
     ColumnarPhysicalStore,
     ColumnarUnsupported,
     _emit_leaf_rows,
     _emit_tower_rows,
-    _record_tail_requirements,
 )
 from repro.optimizer.rules import ImplementationConfig, join_physical_kinds
 from repro.resilience.faults import fault_point
@@ -47,7 +50,7 @@ class _ReferenceStore(ColumnarPhysicalStore):
         super().__init__(
             memo, graph, catalog, config, root_order, ReferenceEdges(graph)
         )
-        self._keys = self.kid_bytes = ReferenceKeys(self.edges)
+        self._keys = ReferenceKeys(self.edges)
 
     def cut_kids(self, bits: int) -> tuple[int, int]:
         return self._keys.cut_kids(bits)
@@ -92,6 +95,35 @@ def implement_memo_reference(
     store.attach()
     memo.columnar = store
     return store
+
+
+def ordered_pairs(self, gid: int):
+    """All ordered orientations in local-id order: the initial
+    left-deep expression first, then :meth:`explored_pairs`."""
+    init = self.initial_by_gid.get(gid)
+    if init is not None:
+        yield init
+    yield from self.explored_pairs(gid)
+
+
+def _record_tail_requirements(store, record) -> None:
+    """The enforcer scan's non-merge requirements, in the oracle's
+    order: stream-aggregate GROUP BYs (group order, and stream aggregates
+    live only in unary tower groups, so the scan skips relation-set
+    groups — the bulk of the rows — entirely), then ORDER BY."""
+    memo = store.memo
+    tag_col, c0_col, b_col = store.tag, store.c0, store.b
+    for group in memo.groups:
+        if group.key[0] == "rels":
+            continue
+        start, end = store.group_rows(group.gid)
+        for row in range(start, end):
+            if tag_col[row] == TAG_STREAMAGG and b_col[row] >= 0:
+                record((c0_col[row], b_col[row]))
+    if store.root_order:
+        store.root_kid = store.kid_of_columns(store.root_order)
+        if memo.root_group_id is not None:
+            record((memo.root_group_id, store.root_kid))
 
 
 def _emit_rows_scalar(
@@ -145,7 +177,7 @@ def _emit_rows_scalar(
             logical_counts.append(n_logical)
             if not n_logical:
                 continue
-            pairs = logical_store.ordered_pairs(gid)
+            pairs = ordered_pairs(logical_store, gid)
         else:
             exprs = group.logical_exprs()
             logical_counts.append(len(group._exprs))

@@ -60,7 +60,7 @@ _JOIN_TAGS = (TAG_NLJ, TAG_HASH, TAG_MERGE)
 def _store_fingerprint(store):
     """Emission-independent view of a columnar store: kid payloads are
     resolved to their byte strings."""
-    kid_bytes = store.kid_bytes
+    kid_bytes = store._keys
     rows = []
     for row in range(store.row_count):
         tag = store.tag[row]

@@ -93,7 +93,7 @@ def test_vector_built_store_has_no_overflow_kids(name, catalog):
     assert store._merge_sid0 is not None  # the vectorized emitter ran
     if config.enable_index_nl_join:
         assert TAG_INLJ in store.tag
-    matrix, lengths, overflow = store.kid_bytes.table()
+    matrix, lengths, overflow = store._keys.table()
     assert overflow == []
     assert len(matrix) == len(lengths) > 0
     # every kid the rows and requirements name is a row of the table: a

@@ -11,7 +11,9 @@ group's order queries through a sorted :class:`OrderIndex`, and fills
 ``CountState``'s aggregates as plain dicts.  :class:`ReferenceCountState`
 is a drop-in ``CountState``: ``ImplicitPlanSpace(state)`` unranks over
 it, and :func:`assert_same_aggregates` diffs every per-group aggregate
-against the production pass.
+against the production pass.  The tail registration it reads
+(``_tower_requirement_seqs``) moved here verbatim when the pair record
+took over every order the memo names.
 """
 
 from __future__ import annotations
@@ -23,7 +25,11 @@ import numpy as np
 
 from repro.algebra.logical import LogicalGet
 from repro.optimizer.optimizer import OptimizerOptions
-from repro.optimizer.rules import join_rule_arity, scan_implementations
+from repro.optimizer.rules import (
+    join_rule_arity,
+    scan_implementations,
+    unary_implementations,
+)
 from repro.planspace.implicit.counting import CountState
 from repro.planspace.implicit.layout import ImplicitGroup, ImplicitLayout
 from repro.planspace.implicit.turbo import JoinColumns
@@ -86,7 +92,11 @@ class ReferenceCountState(CountState):
             include_redundant_sorts=self.include_redundant_sorts,
         )
         first.edges = self.edges
-        seqs = sorted(first._count(ReferenceKeys(self.edges)).keys.table()[2])
+        # the first run stops before the tower, which tests order
+        # satisfaction by kid interval: its kids are not ranked yet (every
+        # order the tower names is a requirement the run interns)
+        first._count(ReferenceKeys(self.edges), tower=False)
+        seqs = sorted(first.keys.table()[2])
         keys = ReferenceKeys(self.edges)
         width = max(map(len, seqs), default=1) or 1
         matrix = np.frombuffer(
@@ -94,7 +104,6 @@ class ReferenceCountState(CountState):
         ).reshape(len(seqs), width)
         lengths = np.array([len(seq) for seq in seqs], np.int64)
         keys.preload(matrix, lengths, seqs, np.arange(len(seqs)))
-        self._count(keys)
         self.kid_hi = [
             next(
                 (j for j in range(k + 1, len(seqs)) if not seqs[j].startswith(seq)),
@@ -102,9 +111,9 @@ class ReferenceCountState(CountState):
             )
             for k, seq in enumerate(seqs)
         ]
-        return self
+        return self._count(keys)
 
-    def _count(self, keys: ReferenceKeys) -> "ReferenceCountState":
+    def _count(self, keys: ReferenceKeys, tower: bool = True) -> "ReferenceCountState":
         self.keys = keys
         rels_extra, tower_extra, root_seq = self._tower_requirement_seqs()
         extra = [(mask, self.keys.kid(seq)) for mask, seq in rels_extra]
@@ -115,8 +124,48 @@ class ReferenceCountState(CountState):
             self.tower_required.setdefault(gid, {}).setdefault(self.keys.kid(seq))
         if root_seq is not None:
             self.root_kid = self.keys.kid(root_seq)
-        self._count_tower()
+        if tower:
+            self._count_tower()
         return self
+
+    def _tower_requirement_seqs(
+        self,
+    ) -> tuple[
+        list[tuple[int, bytes]], list[tuple[int, bytes]], bytes | None
+    ]:
+        """StreamAggregate and ORDER BY requirements (registered after all
+        merge requirements, mirroring the enforcer pass), as raw byte
+        sequences — kid interning happens after the relation-group pass so
+        that pass owns the kid universe.  Returns the pairs
+        targeting relation-set groups (mask-keyed), the pairs targeting
+        tower groups (gid-keyed), and the packed root requirement."""
+        layout = self.layout
+        seq_bytes = self.edges.seq_bytes
+        rels: list[tuple[int, bytes]] = []
+        tower: list[tuple[int, bytes]] = []
+        for gid in layout.tower_gids:
+            group = layout.group(gid)
+            if group.kind != "agg":
+                continue
+            for op in unary_implementations(group.op, self.config):
+                order = op.required_child_order(0)
+                if not order:
+                    continue
+                seq = seq_bytes(order)
+                child = layout.group(group.child_gid)
+                if child.kind in ("leaf", "join"):
+                    rels.append((child.mask, seq))
+                else:
+                    tower.append((child.gid, seq))
+        root_seq: bytes | None = None
+        if layout.root_order:
+            root_seq = seq_bytes(layout.root_order)
+            root = layout.group(layout.root_gid)
+            if root.kind in ("leaf", "join"):  # pragma: no cover - root is proj
+                rels.append((root.mask, root_seq))
+            else:
+                tower.append((root.gid, root_seq))
+        return rels, tower, root_seq
 
     def _cut(self, left: int, right: int) -> int:
         """The oriented-edge bitmask of the cut ``(left, right)``."""
@@ -326,13 +375,13 @@ def assert_same_aggregates(state: CountState, reference: CountState) -> None:
     """Every per-group aggregate of ``state`` equals the oracle's: ``A``,
     ``nonenf``, the required orders in ``Sort`` local-id order, ``sord``
     over them, sort counts, every join group's operator columns, and the
-    totals.  Kid *ids* differ between the two key tables; kids are
-    compared by the orders they name."""
+    totals.  Kid *ids* (and column byte ids) differ between the two key
+    tables; kids are compared by the column sequences they name."""
     layout = state.layout
     keys, ref_keys = state.keys, reference.keys
 
     def orders(table, kids):
-        return [table[kid] if kid >= 0 else None for kid in kids]
+        return [table.columns_of(kid) if kid >= 0 else None for kid in kids]
 
     for mask in layout.subset_masks:
         where = sorted(layout.universe.names(mask))

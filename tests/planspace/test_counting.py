@@ -123,16 +123,16 @@ class TestZeroAlternativeOperators:
 # the implicit engine's requirement registry: one sort, same order
 # ----------------------------------------------------------------------
 def _registries(catalog, sql, cross):
-    """``mask -> required key byte strings in Sort local-id order`` of
+    """``mask -> required column sequences in Sort local-id order`` of
     the count pass's state and of the per-pair oracle's, over one layout
-    (kid *ids* differ between the two key tables; the orders they name
-    do not)."""
+    (kid *ids* and column byte ids differ between the two key tables;
+    the orders they name do not)."""
     options = OptimizerOptions(allow_cross_products=cross)
     states = count_both(catalog, sql, options)
     out = [
         {
             mask: (kids := state.required.get(mask))
-            and [state.keys.bytes_of(kid) for kid in kids]
+            and [state.keys.columns_of(kid) for kid in kids]
             for mask in state.layout.subset_masks
         }
         for state in states
@@ -174,11 +174,16 @@ class TestTurboRegistryOrder:
             "GROUP BY n.n_name ORDER BY n.n_name"
         )
         state = ImplicitPlanSpace.from_sql(catalog, sql).state
-        extra, _tower, root_seq = state._tower_requirement_seqs()
-        assert extra and root_seq is not None
-        (mask, seq), = extra
-        assert mask == state.layout.universe.full_mask
-        assert _registries(catalog, sql, False)[0][mask] == [seq]
+        layout = state.layout
+        (agg,) = [
+            layout.group(gid)
+            for gid in layout.tower_gids
+            if layout.group(gid).kind == "agg"
+        ]
+        mask = layout.group(agg.child_gid).mask
+        assert mask == layout.universe.full_mask
+        assert _registries(catalog, sql, False)[0][mask] == [agg.op.group_by]
+        assert state.root_kid in state.tower_required[layout.root_gid]
         _assert_same_registry(catalog, sql, False, 4)
 
     def test_seeded_join_in_reverse_orientation(self, catalog):

@@ -1,23 +1,32 @@
 """Order satisfaction by kid interval against the bytes oracle.
 
-``GroupTable.satisfying`` keeps a delivering row when its kid lies in
-the required kid's extension interval ``[q, kid_hi[q])`` of the count
-pass's byte-lexicographic key table.  The byte-string prefix test it
-replaced (``tests/planspace/reference_satisfaction.py``) must select the
-same positions for every group — tower groups under GROUP BY and ORDER
-BY included — and every kid a parent requires of it, its sorts deliver
-or its rows deliver, in every setting that changes which orders exist.
-No kid may be interned after the count pass: a kid outside the ranked
-table would have no interval.
+Every consumer keeps a delivering row when its kid lies in the required
+kid's extension interval ``[q, kid_hi[q])`` of the pair record's
+byte-lexicographic key table.  On the count route, ``GroupTable.
+satisfying`` must select the same positions as the byte-string prefix
+test it replaced (``tests/planspace/reference_satisfaction.py``) for
+every group — tower groups under GROUP BY and ORDER BY included — and
+every kid a parent requires of it, its sorts deliver or its rows
+deliver, in every setting that changes which orders exist.  On the exact
+routes — an exact ``optimize``, a template replay of it and the
+heuristic tier's seeded store — every required kid of a group against
+every order-delivering row or ``Sort`` of it must get the verdict of the
+bytes test.  No kid may be interned after the record: a kid outside the
+ranked table would have no interval.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.optimizer.optimizer import OptimizerOptions
+from repro.memo.columnar import TAG_INDEX_SCAN, TAG_MERGE, TAG_STREAMAGG
+from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.optimizer.rules import ImplementationConfig
 from repro.planspace.implicit.space import ImplicitPlanSpace
+from repro.resilience.heuristic import optimize_heuristic
+from repro.serving.cache import TemplateArtifacts
+from repro.sql.binder import Binder
+from repro.sql.parser import parse
 from repro.workloads.synthetic import (
     chain_query,
     clique_query,
@@ -100,32 +109,76 @@ def _assert_intervals_match_bytes(space) -> int:
     return compared
 
 
+def _delivered_kid(store, row) -> int:
+    """The kid a physical store row delivers, ``-1`` for none."""
+    tag = store.tag[row]
+    if tag == TAG_MERGE:
+        return store.a[row]
+    if tag in (TAG_INDEX_SCAN, TAG_STREAMAGG):
+        return store.b[row]
+    return -1
+
+
+def _assert_store_intervals_match_bytes(store) -> int:
+    keys = store._keys
+    assert keys.table()[2] == []
+    required: dict[int, set[int]] = {}
+    for gid, kid in zip(*(column.tolist() for column in store.requirement_arrays())):
+        required.setdefault(gid, set()).add(kid)
+    compared = 0
+    for gid, kids in required.items():
+        start, end = store.group_rows(gid)
+        delivered = [_delivered_kid(store, row) for row in range(start, end)]
+        delivered = [kid for kid in delivered if kid >= 0] + store.group_sorts(gid)
+        for q in sorted(kids):
+            hi = store.kid_hi[q]
+            for d in delivered:
+                assert (q <= d < hi) == keys[d].startswith(keys[q]), (gid, q, d)
+                compared += 1
+    return compared
+
+
+def _assert_exact_routes_match_bytes(catalog, sql, options) -> None:
+    """An exact ``optimize``, a template replay of it and the heuristic
+    tier, each over its own physical store."""
+    bound = Binder(catalog).bind(parse(sql))
+    optimizer = Optimizer(catalog, options)
+    exact = optimizer.optimize(bound)
+    replay = optimizer.optimize(bound, artifacts=TemplateArtifacts.capture(exact))
+    assert replay.timings["explore_source"] == "cached"
+    heuristic = optimize_heuristic(catalog, bound, options)
+    for result in (exact, replay, heuristic):
+        assert _assert_store_intervals_match_bytes(result.memo.columnar)
+
+
+def _assert_routes_match_bytes(catalog, sql, setting) -> ImplicitPlanSpace:
+    """The count route under ``setting``; the exact routes build the
+    paper's space, redundant sorts included, so they run once per
+    options."""
+    options, redundant = SETTINGS[setting]
+    space = ImplicitPlanSpace.from_sql(
+        catalog, sql, options=options, include_redundant_sorts=redundant
+    )
+    assert _assert_intervals_match_bytes(space)
+    if redundant:
+        _assert_exact_routes_match_bytes(catalog, sql, options)
+    return space
+
+
 @pytest.mark.parametrize("setting", list(SETTINGS))
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_synthetic_shapes(shape, setting):
     workload = SHAPES[shape]()
-    options, redundant = SETTINGS[setting]
-    space = ImplicitPlanSpace.from_sql(
-        workload.catalog,
-        workload.sql,
-        options=options,
-        include_redundant_sorts=redundant,
-    )
-    assert _assert_intervals_match_bytes(space)
+    _assert_routes_match_bytes(workload.catalog, workload.sql, setting)
 
 
 @pytest.mark.parametrize("setting", list(SETTINGS))
 @pytest.mark.parametrize("query", list(TPCH))
 def test_tower_groups(catalog, query, setting):
     name, order_by = TPCH[query]
-    options, redundant = SETTINGS[setting]
-    space = ImplicitPlanSpace.from_sql(
-        catalog,
-        tpch_query(name).sql + order_by,
-        options=options,
-        include_redundant_sorts=redundant,
+    space = _assert_routes_match_bytes(
+        catalog, tpch_query(name).sql + order_by, setting
     )
     required = _required_kids(space.state)
     # a tower group is compared on a kid required of it
     assert any(required.get(gid) for gid in space.state.layout.tower_gids)
-    assert _assert_intervals_match_bytes(space)

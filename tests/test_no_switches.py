@@ -9,9 +9,10 @@ flag, or an environment lookup (in ``src/`` or in ``scripts/ci.sh``,
 which also keeps no timer), when the deleted rule engine, object
 best-plan path, per-pair reference count pass, Python csg–cmp
 enumerator, the two callers' own key-interning chains, the scalar
-emission loop, the drawn-plan costing path, a second unranking descent
-or the group tables' byte-prefix satisfaction test (or a result served
-by any of them) reappears under ``src/``, or when the materialized plan
+emission loop, the drawn-plan costing path, a second unranking descent,
+a byte-prefix order test anywhere or a second owner of the kid universe
+(or a result served by any of them) reappears under ``src/``, or when
+the materialized plan
 space — now an oracle under ``tests/`` — is back in ``src/`` or imported
 by it.
 """
@@ -32,7 +33,11 @@ import repro
 from repro.api import PlanSpaceHandle, Session
 from repro.cli import build_parser
 from repro.kernel.vector import cut_key_table
-from repro.memo.columnar import build_columnar_store, build_logical_store
+from repro.memo.columnar import (
+    build_columnar_store,
+    build_logical_store,
+    build_pair_record,
+)
 from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import ImplementationConfig
 from repro.optimizer.joingraph import JoinGraph
@@ -304,21 +309,49 @@ def test_src_has_one_unranking_descent():
 
 
 def test_group_tables_test_no_byte_prefixes():
-    """Order satisfaction in the group tables is the kid interval
-    ``[q, kid_hi[q])``; the bytes test it replaced is the oracle
-    ``tests/planspace/reference_satisfaction.py``, with no fallback
-    left beside the interval."""
-    (tables,) = [
-        tree
-        for path, tree in _src_trees()
-        if path.as_posix() == "planspace/implicit/tables.py"
-    ]
+    """Order satisfaction anywhere under ``src/`` is the pair record's
+    kid interval ``q <= d < kid_hi[q]``; the bytes tests it replaced are
+    oracles under ``tests/`` (``reference_satisfaction.py`` for the group
+    tables), with no ``startswith`` left beside the interval."""
     offenders = [
-        node.lineno
-        for node in ast.walk(tables)
-        if "startswith" in _names_used(node)
+        f"{path}:{node.lineno}"
+        for path, node in _src_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "startswith"
     ]
     assert not offenders, offenders
+
+
+#: the DP's second interval kernel and its dispatch, the emitter's
+#: requirement tail and the count pass's own loose-order lists, and the
+#: ordered-pair walk only the scalar emission oracle read — each moved
+#: under ``tests/`` or deleted: the pair record owns the kid universe
+DELETED_ORDER_RULES = {
+    "prefix_interval_ends",
+    "_interval_ends",
+    "_record_tail_requirements",
+    "_tower_requirement_seqs",
+    "_tower_delivery_seqs",
+    "ordered_pairs",
+}
+
+
+def test_src_has_one_order_rule():
+    offenders = _src_uses(DELETED_ORDER_RULES.__contains__)
+    assert not offenders, offenders
+    # one interval sweep, in the one owner of the kid universe
+    calls = [
+        f"{path.as_posix()}:{function.name}"
+        for path, tree in _src_trees()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and "prefix_intervals" in _names_used(node.func)
+    ]
+    assert calls == ["memo/columnar.py:build_pair_record"], calls
+    assert "loose_seqs" not in inspect.signature(build_pair_record).parameters
 
 
 def test_store_builder_takes_no_emission_selector():
