@@ -602,14 +602,9 @@ class Session:
         Memo-free by default (costs scaled to the best plan recombinable
         from the sample); ``materialized=True`` runs the full optimizer
         and scales to its true optimum instead — the paper's exact
-        setup, at memo-building prices.
+        setup, at memo-building prices.  Either way the draws are priced
+        on the sampled optimizer's one walk per rank.
         """
-        if materialized:
-            from repro.experiments.distributions import distribution_from_result
-
-            return distribution_from_result(
-                self.optimize(sql), query_name, sample_size=sample_size, seed=seed
-            )
         from repro.sampledopt import sampled_distribution
 
         return sampled_distribution(
@@ -620,6 +615,7 @@ class Session:
             seed=seed,
             options=self.options,
             stratified=stratified,
+            scale_to=self.optimize(sql).best_cost if materialized else None,
         )
 
     def explain(self, sql: str, analyze: bool = False) -> str:

@@ -28,9 +28,8 @@ from repro.errors import (
     TimeoutExceeded,
 )
 from repro.experiments.analysis import analyze_plans
-from repro.experiments.distributions import distribution_from_result
 from repro.experiments.figure4 import figure4_histogram
-from repro.experiments.table1 import render_table1
+from repro.experiments.table1 import render_table1, reproduce_table1
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.testing.harness import PlanValidator
 from repro.workloads.tpch_queries import TPCH_QUERIES
@@ -772,28 +771,21 @@ def _cmd_validate(args, out) -> int:
 
 def _cmd_table1(args, out) -> int:
     session = _session(args)
-    distributions = []
-    for cross in (False, True):
-        for name in args.queries.split(","):
-            options = OptimizerOptions(allow_cross_products=cross)
-            sql = _resolve_sql(name.strip())
-            from repro.optimizer.optimizer import Optimizer
-
-            result = Optimizer(session.catalog, options).optimize_sql(sql)
-            distributions.append(
-                distribution_from_result(
-                    result, name.strip().upper(), sample_size=args.samples
-                )
-            )
+    queries = tuple(name.strip().upper() for name in args.queries.split(","))
+    distributions = reproduce_table1(
+        session.catalog, sample_size=args.samples, queries=queries
+    )
     out.write(render_table1(distributions) + "\n")
     return 0
 
 
 def _cmd_figure4(args, out) -> int:
     session = _session(args)
-    result = session.optimize(_resolve_sql(args.query))
-    dist = distribution_from_result(
-        result, args.query.upper(), sample_size=args.samples
+    dist = session.cost_distribution(
+        _resolve_sql(args.query),
+        query_name=args.query.upper(),
+        sample_size=args.samples,
+        materialized=True,
     )
     out.write(figure4_histogram(dist).render() + "\n")
     shape = dist.gamma_shape()

@@ -5,9 +5,10 @@ space.  All costs are normalized to the optimum plan found by the
 optimizer, which has cost 1.0."
 
 :func:`sample_cost_distribution` runs the full pipeline for one query —
-optimize, open the plan space, draw a uniform sample, cost every sampled
-plan with the optimizer's cost model, scale by the optimum — and returns
-a :class:`CostDistribution` with the summary statistics the paper's
+optimize, open the plan space, draw a uniform sample, price it on the
+sampled optimizer's walk (:func:`repro.sampledopt.sampled_distribution`,
+the one Section 5 pricing path), scale by the optimum — and returns a
+:class:`CostDistribution` with the summary statistics the paper's
 Table 1 reports plus everything Figure 4 needs.
 """
 
@@ -153,20 +154,22 @@ def distribution_from_result(
     sample_size: int = 10_000,
     seed: int = 0,
 ) -> CostDistribution:
-    """Sample the cost distribution of an already-optimized query."""
-    space = ImplicitPlanSpace.from_query(
-        result.cost_model.catalog, result.query, options=result.options
-    )
-    plans = space.sample(sample_size, seed=seed)
-    best = result.best_cost
-    scaled = [result.cost_model.plan_cost(plan) / best for plan in plans]
-    return CostDistribution(
-        query_name=query_name,
-        allow_cross_products=result.options.allow_cross_products,
-        total_plans=space.count(),
-        best_cost=best,
-        scaled_costs=scaled,
-        seed=seed,
+    """Sample the cost distribution of an already-optimized query,
+    scaled to its optimum."""
+    # Deferred: the sampled analytics import CostDistribution from here.
+    from repro.sampledopt.analytics import sampled_distribution
+
+    catalog, options = result.cost_model.catalog, result.options
+    space = ImplicitPlanSpace.from_query(catalog, result.query, options=options)
+    return sampled_distribution(
+        catalog,
+        None,
+        query_name,
+        sample_size,
+        seed,
+        options,
+        scale_to=result.best_cost,
+        space=space,
     )
 
 

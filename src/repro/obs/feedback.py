@@ -545,17 +545,7 @@ def plan_cost_under_ledger(
                 return observed
         return node.cardinality
 
-    total = 0.0
-    stack = [plan]
-    operator_cost = cost_model.operator_cost
-    while stack:
-        node = stack.pop()
-        children = node.children
-        total += operator_cost(
-            node.op, rows(node), tuple(rows(child) for child in children)
-        )
-        stack.extend(children)
-    return total
+    return cost_model.plan_cost(plan, rows)
 
 
 def true_cardinality_ledger(result, database) -> CardinalityLedger:

@@ -4,6 +4,10 @@ Cardinality is a *logical* property: every expression in a group produces
 the same rows, so the estimate lives on the group (as in Volcano/Cascades).
 Groups are created children-first, so a single in-order pass suffices.
 
+:func:`group_cardinality` is the one group-cardinality rule: the exact
+pipeline loops it here, the implicit tables call it lazily on first
+touch (``TableSet.cardinality``).
+
 Execution feedback plugs in here: an optional
 :class:`~repro.obs.feedback.CardinalityLedger` overrides the static
 estimate of every join-level (``("rels", mask)``) group the ledger holds
@@ -21,7 +25,35 @@ from repro.memo.memo import Memo
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.joingraph import JoinGraph
 
-__all__ = ["annotate_cardinalities"]
+__all__ = ["annotate_cardinalities", "group_cardinality"]
+
+
+def group_cardinality(
+    group, graph: JoinGraph, estimator: CardinalityEstimator, child_rows=None
+) -> float:
+    """The one per-group estimate: a relation-set group from its
+    relations and the join graph's conjuncts internal to them, a
+    ``select`` / ``agg`` / ``proj`` tower group from its logical operator
+    and ``child_rows``, its child group's estimate."""
+    tag = group.key[0]
+    if tag == "rels":
+        # The key holds the alias mask; ``relations`` is the derived view.
+        if group.mask is not None:
+            conjuncts = graph.internal_conjuncts_m(group.mask)
+        else:
+            conjuncts = graph.internal_conjuncts(group.relations)
+        return estimator.relation_set_cardinality(
+            group.relations, [c.expr for c in conjuncts]
+        )
+    if tag == "select":
+        predicate = _unary_op(group, LogicalSelect).predicate
+        return estimator.select_cardinality(child_rows, predicate)
+    if tag == "agg":
+        op = _unary_op(group, LogicalAggregate)
+        return estimator.aggregate_cardinality(child_rows, op.group_by)
+    if tag == "proj":
+        return child_rows
+    raise OptimizerError(f"unknown group key tag {tag!r}")  # pragma: no cover
 
 
 def annotate_cardinalities(
@@ -40,43 +72,19 @@ def annotate_cardinalities(
     )
     substituted = 0
     for group in memo.groups:
-        tag = group.key[0]
-        if tag == "rels":
+        if group.key[0] == "rels":
             if binding is not None:
                 observed = binding.rows_for_mask(group.key[1])
                 if observed is not None:
                     group.cardinality = observed
                     substituted += 1
                     continue
-            # The key holds the alias mask; ``relations`` is the derived view.
-            relations = group.relations
-            if group.mask is not None:
-                conjuncts = graph.internal_conjuncts_m(group.mask)
-            else:
-                conjuncts = graph.internal_conjuncts(relations)
-            internal = [c.expr for c in conjuncts]
-            before = estimator.feedback_hits
-            group.cardinality = estimator.relation_set_cardinality(
-                relations, internal
-            )
-            substituted += estimator.feedback_hits - before
-        elif tag == "select":
-            child = memo.group(group.key[1])
-            predicate = _unary_op(group, LogicalSelect).predicate
-            group.cardinality = estimator.select_cardinality(
-                _require(child), predicate
-            )
-        elif tag == "agg":
-            child = memo.group(group.key[1])
-            op = _unary_op(group, LogicalAggregate)
-            group.cardinality = estimator.aggregate_cardinality(
-                _require(child), op.group_by
-            )
-        elif tag == "proj":
-            child = memo.group(group.key[1])
-            group.cardinality = _require(child)
-        else:  # pragma: no cover - defensive
-            raise OptimizerError(f"unknown group key tag {tag!r}")
+            child_rows = None
+        else:
+            child_rows = _require(memo.group(group.key[1]))
+        before = estimator.feedback_hits
+        group.cardinality = group_cardinality(group, graph, estimator, child_rows)
+        substituted += estimator.feedback_hits - before
     return substituted
 
 

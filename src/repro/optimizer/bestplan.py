@@ -23,8 +23,6 @@ oracle (``tests/optimizer/reference_bestplan.py``).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.algebra.physical import Sort
@@ -41,13 +39,16 @@ from repro.memo.columnar import (
     TAG_TABLE_SCAN,
     ColumnarPhysicalStore,
 )
-from repro.optimizer.cost import CostModel
+from repro.optimizer.cost import CARDINALITY_FORMULAS, CostModel
 from repro.optimizer.plan import PlanNode
 from repro.resilience.faults import fault_point
 
 __all__ = ["ColumnarBestPlanSearch"]
 
 _INFINITY = float("inf")
+
+#: binary-join row tag -> its kind in ``CARDINALITY_FORMULAS``
+_JOIN_KINDS = {TAG_NLJ: "nlj", TAG_HASH: "hash", TAG_MERGE: "merge"}
 
 
 #: placeholder for state winners the vectorized layers never resolved —
@@ -69,9 +70,11 @@ class ColumnarBestPlanSearch:
     then join groups by relation-set popcount (children of a join
     strictly precede it), then the unary tower — and resolves each
     group's order-free optimum and all its ordered states from the
-    arrays.  Join layers are vectorized (cost
-    formulas and candidate minima as array expressions over the whole
-    layer); leaves and the unary tower walk their few rows one by one.
+    arrays.  Join layers are vectorized (candidate minima as array
+    expressions over the whole layer, local costs as one call per join
+    kind of the cost model's ``CARDINALITY_FORMULAS`` over the layer's
+    cardinality arrays); leaves and the unary tower walk their few rows
+    one by one, pricing through the same table and ``CostModel``.
 
     Order satisfaction is the pair record's one rule: kids are
     byte-lexicographic ranks of every order the memo names, and a row
@@ -209,34 +212,20 @@ class ColumnarBestPlanSearch:
     # scalar machinery (leaves, towers, and winning-path assembly)
     # ------------------------------------------------------------------
     def _local_cost(self, row: int) -> float:
-        """One row's operator-local cost — the same formulas (and the
-        same floating-point evaluation order) as ``CostModel``."""
+        """One row's operator-local cost: binary joins through the cost
+        model's cardinality-only formulas, every other row through the
+        cost model itself (scans, unary operators and index-lookup
+        joins read catalog or operator state)."""
         store = self.store
         tag = store.tag[row]
         card = self._card
-        p = self.cost_model.params
-        if tag == TAG_NLJ:
-            outer = card[store.c0[row]]
-            inner = card[store.c1[row]]
-            return outer * p.nlj_outer_row + outer * inner * p.nlj_pair
-        if tag == TAG_HASH:
-            probe = card[store.c0[row]]
-            build = card[store.c1[row]]
-            out = card[store.gid[row]]
-            return (
-                build * p.hash_build_row
-                + probe * p.hash_probe_row
-                + out * p.join_output_row
-            )
-        if tag == TAG_MERGE:
-            left = card[store.c0[row]]
-            right = card[store.c1[row]]
-            out = card[store.gid[row]]
-            return (left + right) * p.merge_row + out * p.join_output_row
-        # Scans, unary operators and index-lookup joins price through the
-        # cost model itself (their formulas need catalog/operator state).
-        op = store.row_op(row)
         out = card[store.gid[row]]
+        kind = _JOIN_KINDS.get(tag)
+        if kind is not None:
+            return CARDINALITY_FORMULAS[kind](
+                self.cost_model.params, out, card[store.c0[row]], card[store.c1[row]]
+            )
+        op = store.row_op(row)
         if tag in (TAG_TABLE_SCAN, TAG_INDEX_SCAN):
             child_rows: tuple = ()
         else:
@@ -245,7 +234,7 @@ class ColumnarBestPlanSearch:
 
     def _sort_local(self, gid: int) -> float:
         rows = self._card[gid]
-        return rows * math.log2(rows + 2.0) * self.cost_model.params.sort_row_log
+        return CARDINALITY_FORMULAS["sort"](self.cost_model.params, rows, rows)
 
     def sort_total(self, gid: int) -> float:
         """Rooted cost of any of the group's Sort enforcers (they price
@@ -373,23 +362,14 @@ class ColumnarBestPlanSearch:
         p = self.cost_model.params
         inf = _INFINITY
 
-        # Operator-local costs, whole memo at once.  Formula shape and
-        # term order match CostModel exactly (same IEEE rounding).
+        # Operator-local costs, whole memo at once: one masked call of
+        # the cost model's formula per join kind.
         local = np.zeros(len(tag), dtype=np.float64)
-        m = tag == TAG_NLJ
-        outer = card[c0[m]]
-        inner = card[c1[m]]
-        local[m] = outer * p.nlj_outer_row + outer * inner * p.nlj_pair
-        m = tag == TAG_HASH
-        local[m] = (
-            card[c1[m]] * p.hash_build_row
-            + card[c0[m]] * p.hash_probe_row
-            + card[gid_[m]] * p.join_output_row
-        )
-        m = tag == TAG_MERGE
-        local[m] = (card[c0[m]] + card[c1[m]]) * p.merge_row + card[
-            gid_[m]
-        ] * p.join_output_row
+        for join_tag, kind in _JOIN_KINDS.items():
+            m = tag == join_tag
+            local[m] = CARDINALITY_FORMULAS[kind](
+                p, card[gid_[m]], card[c0[m]], card[c1[m]]
+            )
         for row in np.nonzero(tag == TAG_INLJ)[0]:
             local[row] = self._local_cost(int(row))
 
@@ -415,11 +395,12 @@ class ColumnarBestPlanSearch:
         req_hi = store.kid_hi[req_lo]
         K1 = len(store.kid_hi) + 1
 
-        # math.log2 per group (not np.log2: last-ulp identity with the
-        # scalar enforcer formula), vectorized lookup per state.
+        # The sort formula per group (it calls math.log2, which np.log2
+        # can miss by an ulp), vectorized lookup per state.
         if self._enforcers:
+            sort_cost = CARDINALITY_FORMULAS["sort"]
             sort_local_g = np.fromiter(
-                (self._sort_local(g) for g in range(len(card))),
+                (sort_cost(p, rows, rows) for rows in self._card),
                 dtype=np.float64,
                 count=len(card),
             )

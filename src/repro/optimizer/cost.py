@@ -14,12 +14,18 @@ sub-result identically, and plan costs differ only through operator and
 shape choices — matching how the memo's costing works in the paper
 ("when costing a new operator we compute the costs using the children's
 best implementations").
+
+This module is the one home of the formulas; no other module reads a
+:class:`CostParameters` field.  The four that read cardinalities alone
+are published as :data:`CARDINALITY_FORMULAS` for the exact DP and the
+sampled optimizer, which price rows without building their operators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.algebra.expressions import (
     ColumnId,
@@ -48,7 +54,7 @@ from repro.catalog.catalog import Catalog
 from repro.errors import OptimizerError
 from repro.optimizer.plan import PlanNode
 
-__all__ = ["CostParameters", "CostModel"]
+__all__ = ["CARDINALITY_FORMULAS", "CostParameters", "CostModel"]
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,42 @@ def _constrains_leading_key(predicate: Scalar | None, key: ColumnId) -> bool:
     return False
 
 
+# -- the cardinality-only formulas ---------------------------------------
+def _nlj_cost(p: CostParameters, output_rows, outer, inner):
+    return outer * p.nlj_outer_row + outer * inner * p.nlj_pair
+
+
+def _hash_cost(p: CostParameters, output_rows, probe, build):
+    return (
+        build * p.hash_build_row
+        + probe * p.hash_probe_row
+        + output_rows * p.join_output_row
+    )
+
+
+def _merge_cost(p: CostParameters, output_rows, left, right):
+    return (left + right) * p.merge_row + output_rows * p.join_output_row
+
+
+def _sort_cost(p: CostParameters, output_rows: float, rows: float) -> float:
+    return rows * math.log2(rows + 2.0) * p.sort_row_log
+
+
+#: row kind -> ``formula(params, output_rows, *child_rows)`` for the
+#: operators whose local cost reads row counts alone (children in
+#: operator order; ``CostModel`` prices these operators through it too).
+#: Each join formula is a fixed sequence of ``+`` and ``*``, so float64
+#: arrays of cardinalities price a whole layer with the same IEEE
+#: operations, in the same order, as the scalar call — keep it so.
+#: ``sort`` calls ``math.log2`` and takes scalars only.
+CARDINALITY_FORMULAS = {
+    "nlj": _nlj_cost,
+    "hash": _hash_cost,
+    "merge": _merge_cost,
+    "sort": _sort_cost,
+}
+
+
 class CostModel:
     """Prices physical operators and whole plans."""
 
@@ -122,20 +164,8 @@ class CostModel:
         """
         formula = _FORMULAS.get(type(op))
         if formula is None:
-            return self._operator_cost_generic(op, output_rows, child_rows)
+            raise OptimizerError(f"no cost formula for operator {op.name}")
         return formula(self, op, output_rows, child_rows)
-
-    def _operator_cost_generic(
-        self,
-        op: PhysicalOperator,
-        output_rows: float,
-        child_rows: tuple[float, ...],
-    ) -> float:
-        """Fallback for operator subclasses not in the dispatch table."""
-        for op_type, formula in _FORMULAS.items():
-            if isinstance(op, op_type):
-                return formula(self, op, output_rows, child_rows)
-        raise OptimizerError(f"no cost formula for operator {op.name}")
 
     # -- per-operator formulas (bound through the dispatch table) -------
     def _cost_table_scan(self, op, output_rows, child_rows) -> float:
@@ -152,35 +182,12 @@ class CostModel:
     def _cost_filter(self, op, output_rows, child_rows) -> float:
         return child_rows[0] * self.params.filter_row
 
-    def _cost_nested_loop_join(self, op, output_rows, child_rows) -> float:
-        p = self.params
-        outer, inner = child_rows
-        return outer * p.nlj_outer_row + outer * inner * p.nlj_pair
-
-    def _cost_hash_join(self, op, output_rows, child_rows) -> float:
-        p = self.params
-        probe, build = child_rows
-        return (
-            build * p.hash_build_row
-            + probe * p.hash_probe_row
-            + output_rows * p.join_output_row
-        )
-
-    def _cost_merge_join(self, op, output_rows, child_rows) -> float:
-        p = self.params
-        left, right = child_rows
-        return (left + right) * p.merge_row + output_rows * p.join_output_row
-
     def _cost_index_nl_join(self, op, output_rows, child_rows) -> float:
         p = self.params
         outer = child_rows[0]
         inner_base = self.table_rows(op.inner_table)
         seek = p.index_join_seek * math.log2(inner_base + 1.0)
         return outer * seek + output_rows * p.index_probe_row
-
-    def _cost_sort(self, op, output_rows, child_rows) -> float:
-        rows = child_rows[0]
-        return rows * math.log2(rows + 2.0) * self.params.sort_row_log
 
     def _cost_hash_aggregate(self, op, output_rows, child_rows) -> float:
         p = self.params
@@ -194,12 +201,14 @@ class CostModel:
         return child_rows[0] * self.params.project_row * max(1, len(op.outputs))
 
     # ------------------------------------------------------------------
-    def plan_cost(self, plan: PlanNode) -> float:
+    def plan_cost(self, plan: PlanNode, rows=attrgetter("cardinality")) -> float:
         """Total cost of an assembled plan (sum of operator costs).
 
-        Iterative (explicit stack): a plan's cost is a sum of per-node
-        local costs, so traversal order is irrelevant and deep chain-query
-        plans cannot hit Python's recursion limit.
+        ``rows`` maps a plan node to the output rows it is priced at,
+        as an operator and as a child; by default the cardinality the
+        node carries.  Iterative (explicit stack): a plan's cost is a
+        sum of per-node local costs, so traversal order is irrelevant
+        and deep chain-query plans cannot hit Python's recursion limit.
         """
         total = 0.0
         stack = [plan]
@@ -208,9 +217,7 @@ class CostModel:
             node = stack.pop()
             children = node.children
             total += operator_cost(
-                node.op,
-                node.cardinality,
-                tuple(child.cardinality for child in children),
+                node.op, rows(node), tuple(rows(child) for child in children)
             )
             stack.extend(children)
         return total
@@ -226,17 +233,27 @@ class CostModel:
         return [plan_cost(plan) for plan in plans]
 
 
+def _by_cardinality(kind: str):
+    """``CARDINALITY_FORMULAS[kind]`` in the operator-formula signature."""
+    formula = CARDINALITY_FORMULAS[kind]
+
+    def cost(model: CostModel, op, output_rows, child_rows) -> float:
+        return formula(model.params, output_rows, *child_rows)
+
+    return cost
+
+
 #: concrete operator type -> unbound cost formula (joins first in spirit:
 #: they dominate every explored memo)
 _FORMULAS = {
-    NestedLoopJoin: CostModel._cost_nested_loop_join,
-    HashJoin: CostModel._cost_hash_join,
-    MergeJoin: CostModel._cost_merge_join,
+    NestedLoopJoin: _by_cardinality("nlj"),
+    HashJoin: _by_cardinality("hash"),
+    MergeJoin: _by_cardinality("merge"),
     IndexNestedLoopJoin: CostModel._cost_index_nl_join,
     TableScan: CostModel._cost_table_scan,
     IndexScan: CostModel._cost_index_scan,
     PhysicalFilter: CostModel._cost_filter,
-    Sort: CostModel._cost_sort,
+    Sort: _by_cardinality("sort"),
     HashAggregate: CostModel._cost_hash_aggregate,
     StreamAggregate: CostModel._cost_stream_aggregate,
     PhysicalProject: CostModel._cost_project,

@@ -29,9 +29,13 @@ only for a position a plan, a stratum descent or a pooled fragment
 selects — ``TableSet.rows_built`` counts them: O(plan), never O(group).
 A join row's kind is its physical join (``nlj`` / ``hash`` / ``merge``,
 from ``join_physical_kinds``) and a sort row's is ``sort``, so both can
-be priced from cardinalities alone; their operators are built only when
-a plan node needs them (``TableSet.operators_built`` counts every
-operator the set builds).
+be priced from cardinalities alone (the cost model's
+``CARDINALITY_FORMULAS``); their operators are built only when a plan
+node needs them (``TableSet.operators_built`` counts every operator the
+set builds).  A group's cardinality is estimated on first touch by
+annotate's one per-group estimate (``group_cardinality``) over the
+layout's own memo group — the rule ``annotate_cardinalities`` loops
+eagerly on the exact route — so the two routes hold the same floats.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from repro.errors import PlanSpaceError
+from repro.optimizer.annotate import group_cardinality
+from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.rules import (
     JoinImplementations,
     extract_equi_keys,
@@ -389,33 +395,20 @@ class TableSet:
 
     # ------------------------------------------------------------------
     def cardinality(self, gid: int) -> float:
-        """The group's estimated output rows (the annotation the
-        materialized pipeline stores on memo groups)."""
+        """The group's estimated output rows, computed on first touch
+        by annotate's one per-group estimate over the layout's own memo
+        group (the value the exact pipeline stores on it)."""
         cached = self._cardinality.get(gid)
         if cached is not None:
             return cached
         state = self.state
         layout = state.layout
-        group = layout.group(gid)
+        group = layout.store.memo.groups[gid]
         if self._estimator is None:
-            from repro.optimizer.cardinality import CardinalityEstimator
-
             self._estimator = CardinalityEstimator(state.catalog, layout.bound)
-        estimator = self._estimator
-        if group.kind in ("leaf", "join"):
-            conjuncts = layout.graph.internal_conjuncts_m(group.mask)
-            value = estimator.relation_set_cardinality(
-                group.relations, [c.expr for c in conjuncts]
-            )
-        elif group.kind == "select":
-            value = estimator.select_cardinality(
-                self.cardinality(group.child_gid), group.op.predicate
-            )
-        elif group.kind == "agg":
-            value = estimator.aggregate_cardinality(
-                self.cardinality(group.child_gid), group.op.group_by
-            )
-        else:  # proj
-            value = self.cardinality(group.child_gid)
+        child_rows = (
+            None if group.key[0] == "rels" else self.cardinality(group.key[1])
+        )
+        value = group_cardinality(group, layout.graph, self._estimator, child_rows)
         self._cardinality[gid] = value
         return value

@@ -1,14 +1,15 @@
 """Cost-distribution analytics without the memo (paper Section 5 at
 sizes the memo path cannot reach).
 
-``experiments/distributions.py`` runs the full optimizer per query —
-fine for TPC-H-sized memos, minutes-to-hours for clique12.  Here the
-whole pipeline is memo-free: the implicit engine counts and samples, the
-fragment pool prices each drawn plan on its one walk (no plan is
-assembled), and costs are scaled either to a
-caller-provided optimum (when one is computable) or to the best *known*
-plan — by default the recombined best of the very sample being analyzed,
-so the report is self-contained ("scaled-to-best factors").  The result
+This is the one Section 5 pricing path.  The implicit engine counts
+and samples, and the fragment pool prices each drawn plan on its one
+walk (no plan is assembled).  Costs are scaled either to a
+caller-provided optimum or to the best *known* plan — by default the
+recombined best of the very sample being analyzed, so the report is
+self-contained ("scaled-to-best factors") and large spaces need no memo
+at all.  ``experiments/distributions.py`` runs the full optimizer per
+query for the true optimum (fine for TPC-H-sized memos,
+minutes-to-hours for clique12) and prices its draws here.  The result
 is the same :class:`CostDistribution` object the Table 1 / Figure 4
 harness consumes, so every downstream statistic (quantiles,
 ``fraction_within`` curves, Gamma shape, skewness) works unchanged.
@@ -41,7 +42,7 @@ DEFAULT_FACTORS = (1.5, 2.0, 5.0, 10.0, 100.0)
 
 def sampled_distribution(
     catalog: Catalog,
-    sql: str,
+    sql: str | None,
     query_name: str,
     sample_size: int = 1000,
     seed: int | random.Random = 0,
@@ -59,7 +60,9 @@ def sampled_distribution(
     best sampled plan), so large spaces need no memo at all.  With
     ``stratified=True`` the sample is proportionally allocated across
     plan-shape strata (variance reduction; a different — still
-    deterministic — rank stream than plain sampling).
+    deterministic — rank stream than plain sampling).  ``space``
+    (optional) is the query's already-built plan space; ``sql`` is then
+    not read.
     """
     from repro.optimizer.optimizer import OptimizerOptions
 

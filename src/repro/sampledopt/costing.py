@@ -2,18 +2,19 @@
 
 Costing rides directly on the implicit tables, one virtual operator row
 at a time: :class:`RowCoster` prices a row's *local* cost from its group
-cardinality and its child groups' cardinalities (the same values
-``annotate_cardinalities`` would have stored on memo groups — parity is
-asserted by the equivalence property suite), cached per ``(gid,
-local_id)``.  A sampled plan's cost is the sum of its rows' local costs,
-added in ``CostModel.plan_cost``'s order so it is the same float; the
-sampled optimizer's fragment pool (:mod:`.search`) sums them on its one
-walk per drawn rank, and no ``PlanNode`` is assembled for a drawn plan.
+cardinality and its child groups' cardinalities
+(``TableSet.cardinality``: annotate's one per-group estimate, computed
+on first touch), cached per ``(gid, local_id)``.  A sampled plan's cost
+is the sum of its rows' local costs, added in ``CostModel.plan_cost``'s
+order so it is the same float; the sampled optimizer's fragment pool
+(:mod:`.search`) sums them on its one walk per drawn rank, and no
+``PlanNode`` is assembled for a drawn plan.
 
 A join row is priced without its operator: its kind is the physical
-join ``join_physical_kinds`` names (``nlj`` / ``hash`` / ``merge``), and
-the cost model's formula for that operator reads only cardinalities.  So
-is a sort row: the ``Sort`` formula reads its child's cardinality alone.
+join ``join_physical_kinds`` names (``nlj`` / ``hash`` / ``merge``),
+the key of that operator's formula in the cost model's
+``CARDINALITY_FORMULAS``, which reads only cardinalities.  So is a sort
+row (``sort``): its formula reads the child's cardinality alone.
 Join and sort operators are therefore built only for the plan the
 optimizer returns.  Scan, unary and index-lookup rows price through
 their operator (a leaf's scans are built with its table).  Because
@@ -24,23 +25,13 @@ which is what makes fragment-local costs composable.
 
 from __future__ import annotations
 
-from repro.algebra.physical import HashJoin, MergeJoin, NestedLoopJoin, Sort
 from repro.catalog.catalog import Catalog
-from repro.optimizer.cost import _FORMULAS, CostModel, CostParameters
+from repro.optimizer.cost import CARDINALITY_FORMULAS, CostModel, CostParameters
 from repro.optimizer.plan import PlanNode
 from repro.planspace.implicit.space import ImplicitPlanSpace
 from repro.planspace.implicit.tables import Row, TableSet
 
 __all__ = ["RowCoster", "SampledPlanCoster"]
-
-#: row kind -> the cost model's formula for that operator (the join and
-#: sort formulas read the cardinalities only, never the operator)
-_ROW_FORMULAS = {
-    "nlj": _FORMULAS[NestedLoopJoin],
-    "hash": _FORMULAS[HashJoin],
-    "merge": _FORMULAS[MergeJoin],
-    "sort": _FORMULAS[Sort],
-}
 
 
 class RowCoster:
@@ -62,9 +53,9 @@ class RowCoster:
         child_rows = tuple(
             tables.cardinality(child_gid) for child_gid, _ in row.slots
         )
-        formula = _ROW_FORMULAS.get(row.kind)
+        formula = CARDINALITY_FORMULAS.get(row.kind)
         if formula is not None:
-            cost = formula(self.cost_model, None, output_rows, child_rows)
+            cost = formula(self.cost_model.params, output_rows, *child_rows)
         else:
             cost = self.cost_model.operator_cost(
                 tables.operator(gid, row), output_rows, child_rows

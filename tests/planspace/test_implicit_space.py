@@ -20,7 +20,7 @@ from repro.planspace.implicit import CountState, ImplicitLayout, ImplicitPlanSpa
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
 from repro.workloads.synthetic import chain_query, clique_query, cycle_query
-from repro.workloads.tpch_queries import tpch_query
+from repro.workloads.tpch_queries import TPCH_QUERIES, tpch_query
 from tests.planspace.materialized.space import PlanSpace
 from tests.planspace.reference_counting import count_both
 
@@ -112,13 +112,28 @@ class TestUnranking:
         ]
         assert got == expected
 
-    def test_cardinalities_match(self):
+    def test_cardinalities_match(self, catalog):
         materialized, implicit = _spaces(chain_query(4, rows=5, seed=0))
         for rank in (0, 5, materialized.count() - 1):
             mat_nodes = list(materialized.unrank(rank).iter_nodes())
             imp_nodes = list(implicit.unrank(rank).iter_nodes())
             for mat_node, imp_node in zip(mat_nodes, imp_nodes):
                 assert mat_node.cardinality == imp_node.cardinality
+        # every group of every TPC-H text under both cross-product
+        # policies: the tables' lazy estimate is annotate's, to the bit
+        for name, query in sorted(TPCH_QUERIES.items()):
+            for cross in (False, True):
+                options = OptimizerOptions(allow_cross_products=cross)
+                result = Optimizer(catalog, options).optimize_sql(query.sql)
+                tables = ImplicitPlanSpace.from_sql(
+                    catalog, query.sql, options=options
+                ).unranker.tables
+                for group in result.memo.groups:
+                    assert tables.cardinality(group.gid) == group.cardinality, (
+                        name,
+                        cross,
+                        group.gid,
+                    )
 
 
 class TestSampling:

@@ -10,8 +10,10 @@ which also keeps no timer), when the deleted rule engine, object
 best-plan path, per-pair reference count pass, Python csg–cmp
 enumerator, the two callers' own key-interning chains, the scalar
 emission loop, the drawn-plan costing path, a second unranking descent,
-a byte-prefix order test anywhere or a second owner of the kid universe
-(or a result served by any of them) reappears under ``src/``, or when
+a byte-prefix order test anywhere, a second owner of the kid universe,
+a second copy of a cost formula or of the group-cardinality dispatch,
+or a second Section 5 pricing path (or a result served by any of them)
+reappears under ``src/``, or when
 the materialized plan
 space — now an oracle under ``tests/`` — is back in ``src/`` or imported
 by it.
@@ -38,6 +40,7 @@ from repro.memo.columnar import (
     build_logical_store,
     build_pair_record,
 )
+from repro.optimizer.cost import CostParameters
 from repro.optimizer.explorer import EnumerationExplorer
 from repro.optimizer.implementation import ImplementationConfig
 from repro.optimizer.joingraph import JoinGraph
@@ -568,3 +571,67 @@ def test_each_route_builds_one_key_table(monkeypatch):
         built.update(KeyTable=0, cut_key_table=0)
         route()
         assert built == {"KeyTable": 1, "cut_key_table": 1}, name
+
+
+#: the estimator's three group estimates: only annotate's one per-group
+#: dispatch (``group_cardinality``) calls them
+GROUP_ESTIMATES = {
+    "relation_set_cardinality",
+    "select_cardinality",
+    "aggregate_cardinality",
+}
+#: what prices an assembled plan tree
+PLAN_PRICING = {"plan_cost", "plan_costs", "operator_cost"}
+
+
+def _calls(names) -> list[str]:
+    """Every ``path:line`` under ``src/`` that calls one of ``names``."""
+    return [
+        f"{path.as_posix()}:{node.lineno}"
+        for path, node in _src_nodes()
+        if isinstance(node, ast.Call) and set(_names_used(node.func)) & names
+    ]
+
+
+def test_cost_formulas_live_in_the_cost_model():
+    """Each cost formula is written once, in ``optimizer/cost.py``: no
+    other module reads a ``CostParameters`` field, and the operator
+    formula table stays private to it (the DP and the sampled coster
+    read the published ``CARDINALITY_FORMULAS``)."""
+    fields = {field.name for field in dataclasses.fields(CostParameters)}
+    # a method of the same name (``Table.index_lookup``) is not a read
+    called = {
+        id(node.func) for _path, node in _src_nodes() if isinstance(node, ast.Call)
+    }
+    reads = [
+        f"{path}:{node.lineno}: {node.attr}"
+        for path, node in _src_nodes()
+        if isinstance(node, ast.Attribute)
+        and node.attr in fields
+        and id(node) not in called
+        and path.as_posix() != "optimizer/cost.py"
+    ]
+    assert not reads, reads
+    private = [
+        use
+        for use in _src_uses("_FORMULAS".__eq__)
+        if not use.startswith("optimizer/cost.py:")
+    ]
+    assert not private, private
+
+
+def test_group_cardinality_is_dispatched_once():
+    calls = _calls(GROUP_ESTIMATES)
+    assert len(calls) == len(GROUP_ESTIMATES), calls
+    assert all(call.startswith("optimizer/annotate.py:") for call in calls), calls
+
+
+def test_section5_samples_are_priced_on_the_walk():
+    """The materialized distribution prices its draws through the
+    sampled optimizer's walk, not by unranking and pricing plan trees."""
+    offenders = [
+        call
+        for call in _calls(PLAN_PRICING)
+        if call.startswith("experiments/distributions.py:")
+    ]
+    assert not offenders, offenders
