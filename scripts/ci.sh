@@ -90,7 +90,7 @@ for workload, logical, splits, best_cost in (
         f"logical={memo.logical_expression_count()} "
         f"physical={memo.physical_expression_count()} "
         f"best_cost={result.best_cost!r} "
-        f"pruned_states={result.timings.get('pruned_states')}"
+        f"pruned_states={result.dp_stats['pruned']}"
     )
     assert result.engine == "columnar", (
         f"{workload.name} fell off the columnar engine: {result.fallback_reason}"
@@ -229,6 +229,7 @@ import weakref
 from repro.obs.trace import Tracer, tracing
 from repro.optimizer.optimizer import Optimizer, OptimizerOptions
 from repro.planspace.implicit import ImplicitPlanSpace
+from repro.planspace.implicit.tables import JOIN_KINDS
 from repro.sampledopt import SampledOptimizer
 from repro.workloads.synthetic import clique_query
 
@@ -239,10 +240,13 @@ from repro.workloads.synthetic import clique_query
 # per pooled fragment plus the (<= 64) rows the strata descend through,
 # a small share of the space's virtual operators -- and at most three
 # candidate lists per touched group table (a group's sort enforcers
-# share one).  The request also pays for its own space: with the cycle
-# collector off, dropping the space and the result frees the count state
-# by reference count and leaves no CountState / ImplicitLayout /
-# TableSet for a later collection.  All of these are counts: they repeat
+# share one).  Its operators come from the space's one operator cache:
+# every leaf's and tower group's, built with the space, plus the join
+# and sort operators of the returned plan -- drawing builds none.  The
+# request also pays for its own space: with the cycle collector off,
+# dropping the space and the result frees the count state by reference
+# count and leaves no CountState / ImplicitLayout / TableSet /
+# PhysicalOperators for a later collection.  All of these are counts: they repeat
 # exactly on a shared host, where a wall-clock budget does not.
 # The materialized optimizer runs afterwards to provide the optimum.
 factor_cap = 2.0
@@ -268,6 +272,30 @@ rows_built, tables, lists = (
 fragments = root.find("recombine").counters["fragments"]
 best_cost, samples = result.best_cost, result.samples
 
+cache, layout = space.state.operators, space.state.layout
+group_ops = sum(
+    len(cache.group(group.gid)) for group in layout.groups if group.kind != "join"
+)
+pairs, sorts = set(), set()
+for node in result.best_plan.iter_nodes():
+    row = space.unranker.tables.table(node.group_id).row_by_local(node.local_id)
+    if row.kind in JOIN_KINDS:
+        pairs.add(row.payload[:2])
+    elif row.kind == "sort":
+        sorts.add(row.payload[0])
+plan_ops = sum(len(cache.joins(*pair)) for pair in pairs) + len(sorts)
+operators_built = space.unranker.tables.operators_built
+assert sample["operators_built"] == 0, (
+    f"sampling built {sample['operators_built']} operators -- drawn plans "
+    "must be priced without building join or sort operators"
+)
+assert operators_built == group_ops + plan_ops, (
+    f"the request built {operators_built} operators, not the space's "
+    f"{group_ops} leaf and tower operators plus the returned plan's "
+    f"{plan_ops} join and sort operators"
+)
+del cache, layout, row, node
+
 del space, result
 assert state() is None, (
     "the count state outlived its space and result with the collector off "
@@ -277,7 +305,7 @@ gc.set_debug(gc.DEBUG_SAVEALL)
 gc.collect()
 pinned = sorted(
     {type(obj).__name__ for obj in gc.garbage}
-    & {"CountState", "ImplicitLayout", "TableSet"}
+    & {"CountState", "ImplicitLayout", "TableSet", "PhysicalOperators"}
 )
 gc.set_debug(0)
 gc.garbage.clear()
@@ -291,7 +319,9 @@ print(
     f"{optimum.best_cost:,.1f} ({factor:.2f}x, cap {factor_cap:g}x); "
     f"{samples} samples built {rows_built} rows for {fragments} "
     f"fragments, of {operators} virtual operators; {lists} candidate "
-    f"lists over {tables} group tables; space freed by reference count"
+    f"lists over {tables} group tables; {operators_built} operators "
+    f"built ({group_ops} leaf/tower, {plan_ops} for the plan, 0 while "
+    "sampling); space freed by reference count"
 )
 assert factor <= factor_cap, (
     f"sampled optimization regressed to {factor:.2f}x the optimum "

@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     distribution.add_argument(
         "--stratified",
         action="store_true",
-        help="stratify the sample across plan-shape strata (memo-free only)",
+        help="stratify the sample across plan-shape strata",
     )
 
     explain = sub.add_parser("explain", help="show the optimizer's plan")
@@ -615,11 +615,6 @@ def _cmd_distribution(args, out) -> int:
     session = _session(args)
     sql = _resolve_sql(args.query)
     name = args.query.upper() if args.query.upper() in TPCH_QUERIES else "query"
-    if args.materialized and args.stratified:
-        raise ReproError(
-            "--stratified applies to the memo-free sampler only "
-            "(drop --materialized)"
-        )
     from repro.sampledopt import distribution_report
 
     dist = session.cost_distribution(

@@ -52,6 +52,9 @@ The object ``Memo``/``GroupExpr`` API stays the facade: every group gets
 a ``_pending`` hook that rebuilds its :class:`GroupExpr` list on first
 access (same operators, same order, same local ids — the shared rule
 module guarantees identity, and the columnar property suite asserts it),
+every operator read from the space's one operator cache
+(:class:`~repro.optimizer.rules.PhysicalOperators`, which the pair
+record creates and seeds with the leaf and tower groups' operators),
 so the plan-space toolkit, pruning, and explain work unchanged.  The
 hook materializes in logical-then-physical order, and
 ``Group.logical_exprs()`` fires only the logical half.  Counting
@@ -78,7 +81,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.algebra.logical import LogicalGet, LogicalJoin
-from repro.algebra.physical import Sort
 from repro.errors import MemoError
 from repro.kernel.vector import (
     cut_key_table,
@@ -90,12 +92,9 @@ from repro.memo.group import Group, GroupExpr
 from repro.resilience.faults import fault_point
 from repro.optimizer.rules import (
     ImplementationConfig,
+    PhysicalOperators,
     index_lookup_matches,
-    index_nl_join_implementations,
-    join_implementations,
     join_physical_kinds,
-    scan_implementations,
-    unary_implementations,
 )
 
 __all__ = [
@@ -125,7 +124,7 @@ TAG_PROJECT = 9
 
 _JOIN_KIND_TAGS = {"nlj": TAG_NLJ, "hash": TAG_HASH, "merge": TAG_MERGE}
 
-#: unary-operator tags in :func:`unary_implementations` class order
+#: unary-operator tags in ``unary_implementations`` class order
 _UNARY_TAGS = {
     "PhysicalFilter": TAG_FILTER,
     "HashAggregate": TAG_HASHAGG,
@@ -513,9 +512,13 @@ class PairRecord(NamedTuple):
     only), then the tail — stream-aggregate child orders in gid order,
     then ORDER BY — deduplicated to first occurrences.  ``sid0``/``sid1``
     hold, per keyed pair, its two requirements' positions in the registry
-    (both empty without merge joins).  ``ops_by_gid`` holds the leaf and
-    tower groups' operators (scans, unary operators; rule order), and
-    ``root_kid`` the ORDER BY kid (``None`` without one).
+    (both empty without merge joins).  ``operators`` is the space's one
+    operator cache (:class:`~repro.optimizer.rules.PhysicalOperators`),
+    created here and already holding every leaf's and tower group's
+    operators (scans, unary operators; rule order) — the emitter, the
+    exact store, the count pass and the unranking tables build every
+    other operator through it too.  ``root_kid`` is the ORDER BY kid
+    (``None`` without one).
 
     ``kid_hi`` is the one order rule: kids are byte-lexicographic ranks
     of every order the memo names, so kid ``d`` delivers what kid ``q``
@@ -537,7 +540,7 @@ class PairRecord(NamedTuple):
     req_kid: np.ndarray
     sid0: np.ndarray
     sid1: np.ndarray
-    ops_by_gid: dict[int, list]
+    operators: PhysicalOperators
     root_kid: int | None
     kid_hi: np.ndarray
 
@@ -609,7 +612,7 @@ def build_pair_record(
     # gid order (column byte ids are assigned on first sight), and the
     # registry's tail: stream-aggregate child orders, then ORDER BY
     seq_bytes = edges.seq_bytes
-    ops_by_gid: dict[int, list] = {}
+    operators = PhysicalOperators(edges.graph, catalog, config, keys)
     loose_seqs: list[bytes] = []
     tail: list[tuple[int, bytes]] = []
     for group in groups:
@@ -618,13 +621,7 @@ def build_pair_record(
         exprs = group.logical_exprs()
         if not exprs or type(exprs[0].op) is LogicalJoin:
             continue
-        op = exprs[0].op
-        if isinstance(op, LogicalGet):
-            ops = scan_implementations(op, catalog, config)
-        else:
-            ops = unary_implementations(op, config)
-        ops_by_gid[group.gid] = ops
-        for phys in ops:
+        for phys in operators.group(group.gid, exprs[0].op):
             order = phys.delivered_order()
             if order:
                 loose_seqs.append(seq_bytes(order))
@@ -721,7 +718,7 @@ def build_pair_record(
         req_kid = np.concatenate([req_kid, np.array(kids, np.int64)])
     return PairRecord(
         join_gids, pair_start, sl, sr, position, pl, pr, keyed, lkid, rkid,
-        inlj, req_gid, req_kid, sid0, sid1, ops_by_gid,
+        inlj, req_gid, req_kid, sid0, sid1, operators,
         None if root_seq is None else keys.kid(root_seq), kid_hi,
     )
 
@@ -798,10 +795,9 @@ class ColumnarPhysicalStore:
         self._merge_sid1 = None
         self.root_kid: int | None = None
 
-        #: operator caches for lazy per-row materialization
-        self._join_ops: dict[tuple[int, int], tuple] = {}
-        self._inlj_ops: dict[tuple[int, int], list] = {}
-        self._group_ops: dict[int, list] = {}
+        #: the space's one operator cache (the pair record's, set by the
+        #: builder): rows and enforcers get their operators there
+        self.operators: PhysicalOperators | None = None
         #: enabled join-rule tags in rule order (set by the builder)
         self._keyed_tags: tuple[int, ...] = (TAG_NLJ, TAG_HASH, TAG_MERGE)
 
@@ -810,9 +806,6 @@ class ColumnarPhysicalStore:
     # ------------------------------------------------------------------
     def kid_of_columns(self, columns) -> int:
         return self._keys.kid(self.edges.seq_bytes(tuple(columns)))
-
-    def columns_of(self, kid: int):
-        return self._keys.columns_of(kid)
 
     # ------------------------------------------------------------------
     # requirement states
@@ -912,87 +905,27 @@ class ColumnarPhysicalStore:
         right_gid = self.a[row] if tag == TAG_INLJ else self.c1[row]
         return left, groups[right_gid].mask
 
-    def join_ops(self, left_mask: int, right_mask: int) -> tuple:
-        """One orientation's generated join operators, in rule order —
-        identical to what the oracle's insert loop builds (same
-        construction through the shared rule module)."""
-        key = (left_mask, right_mask)
-        ops = self._join_ops.get(key)
-        if ops is None:
-            universe = self.graph.universe
-            ops = join_implementations(
-                self.graph.join_predicate_m(left_mask, right_mask),
-                universe.names(left_mask),
-                universe.names(right_mask),
-                self.config,
-            ).ops
-            self._join_ops[key] = ops
-        return ops
-
-    def inlj_ops(self, left_mask: int, right_mask: int) -> list:
-        key = (left_mask, right_mask)
-        ops = self._inlj_ops.get(key)
-        if ops is None:
-            universe = self.graph.universe
-            predicate = self.graph.join_predicate_m(left_mask, right_mask)
-            ji = join_implementations(
-                predicate,
-                universe.names(left_mask),
-                universe.names(right_mask),
-                self.config,
-            )
-            inner = self.memo.group_for_mask(right_mask)
-            get = next(
-                (
-                    e.op
-                    for e in inner.logical_exprs()
-                    if isinstance(e.op, LogicalGet)
-                ),
-                None,
-            )
-            if get is None or not ji.left_keys:
-                ops = []
-            else:
-                ops = index_nl_join_implementations(
-                    get, self.catalog, predicate, ji.left_keys, ji.right_keys
-                )
-            self._inlj_ops[key] = ops
-        return ops
-
-    def group_ops(self, gid: int) -> list:
-        """Scan / unary operator list of a leaf or tower group (ordinals
-        in the ``a`` column index into it)."""
-        ops = self._group_ops.get(gid)
-        if ops is None:
-            group = self.memo.groups[gid]
-            op = group.logical_exprs()[0].op
-            if isinstance(op, LogicalGet):
-                ops = scan_implementations(op, self.catalog, self.config)
-            else:
-                ops = unary_implementations(op, self.config)
-            self._group_ops[gid] = ops
-        return ops
-
     def row_op(self, row: int):
-        """The physical operator of one row, built on demand."""
+        """The physical operator of one row, from the operator cache
+        (built there on first request)."""
         tag = self.tag[row]
         if tag in (TAG_NLJ, TAG_HASH, TAG_MERGE):
-            left_mask, right_mask = self._mask_pair(row)
-            ops = self.join_ops(left_mask, right_mask)
+            ops = self.operators.joins(*self._mask_pair(row))
             # ``_keyed_tags`` is the enabled-rule tag order; a keyless
             # orientation generates the NLJ prefix only, whose position
             # is the same.
             return ops[self._keyed_tags.index(tag)]
         if tag == TAG_INLJ:
-            left_mask, right_mask = self._mask_pair(row)
-            return self.inlj_ops(left_mask, right_mask)[self.b[row]]
+            inner_get = self.memo.groups[self.a[row]].logical_exprs()[0].op
+            ops = self.operators.index_joins(*self._mask_pair(row), inner_get)
+            return ops[self.b[row]]
         if tag in (TAG_TABLE_SCAN, TAG_INDEX_SCAN) or tag in (
             TAG_FILTER,
             TAG_HASHAGG,
             TAG_STREAMAGG,
             TAG_PROJECT,
         ):
-            return self.group_ops(self.gid[row])[self.a[row]]
+            return self.operators.group(self.gid[row])[self.a[row]]
         raise MemoError(f"unknown columnar row tag {tag}")
 
     def row_children(self, row: int) -> tuple[int, ...]:
@@ -1024,7 +957,8 @@ class ColumnarPhysicalStore:
     def materialize_group(self, group: Group) -> None:
         """Rebuild the group's physical ``GroupExpr`` block — identical
         operators, order and local ids as the oracle's insert loop (the
-        columnar equivalence suite asserts byte identity)."""
+        columnar equivalence suite asserts byte identity), each operator
+        read from the operator cache."""
         exprs = group._exprs
         gid = group.gid
         local = self.logical_counts[gid] + 1
@@ -1036,7 +970,7 @@ class ColumnarPhysicalStore:
             )
             local += 1
         for kid in self.group_sorts(gid):
-            append(GroupExpr(Sort(self.columns_of(kid)), (gid,), gid, local))
+            append(GroupExpr(self.operators.sort(kid), (gid,), gid, local))
             local += 1
 
 
@@ -1080,9 +1014,10 @@ def build_columnar_store(
     return store
 
 
-def _emit_leaf_rows(store, gid, g_tag, g_c0, g_c1, g_a, g_b) -> None:
-    """Scan rows of one base-relation group (scalar)."""
-    for ordinal, scan in enumerate(store.group_ops(gid)):
+def _emit_leaf_rows(store, scans, g_tag, g_c0, g_c1, g_a, g_b) -> None:
+    """Scan rows of one base-relation group (scalar): ``scans`` is its
+    operator-cache list."""
+    for ordinal, scan in enumerate(scans):
         order = scan.delivered_order()
         g_tag.append(TAG_INDEX_SCAN if order else TAG_TABLE_SCAN)
         g_c0.append(-1)
@@ -1091,9 +1026,10 @@ def _emit_leaf_rows(store, gid, g_tag, g_c0, g_c1, g_a, g_b) -> None:
         g_b.append(store.kid_of_columns(order) if order else -1)
 
 
-def _emit_tower_rows(store, gid, child, g_tag, g_c0, g_c1, g_a, g_b) -> None:
-    """Unary-operator rows of one tower group (scalar)."""
-    for ordinal, phys in enumerate(store.group_ops(gid)):
+def _emit_tower_rows(store, ops, child, g_tag, g_c0, g_c1, g_a, g_b) -> None:
+    """Unary-operator rows of one tower group (scalar): ``ops`` is its
+    operator-cache list."""
+    for ordinal, phys in enumerate(ops):
         tag = _UNARY_TAGS.get(type(phys).__name__)
         if tag is None:  # pragma: no cover - defensive
             raise ColumnarUnsupported(f"no columnar tag for operator {phys.name}")
@@ -1117,11 +1053,11 @@ def _emit_rows_vectorized(store, logical_store, keyed_tags, cross_tags, scope):
     :class:`PairRecord` (:func:`build_pair_record`; its key table — every
     order the memo names, lex-ranked — is the store's).  The store adopts
     the record's requirement registry, kid intervals (``kid_hi``), root
-    kid and leaf/tower operators, and hands each merge row's child state
-    ids to the best-plan DP (``store._merge_sid0/1``).  What the emitter
-    adds: each pair expanded into its join-rule rows, and one walk in gid
-    order splicing vector block slices between the scalar leaf/tower
-    emissions.
+    kid and operator cache (leaf and tower lists already built), and
+    hands each merge row's child state ids to the best-plan DP
+    (``store._merge_sid0/1``).  What the emitter adds: each pair
+    expanded into its join-rule rows, and one walk in gid order splicing
+    vector block slices between the scalar leaf/tower emissions.
 
     Raises :class:`ColumnarUnsupported`, with nothing written to the
     store's columns, for a join group the logical store does not hold
@@ -1173,7 +1109,7 @@ def _emit_rows_vectorized(store, logical_store, keyed_tags, cross_tags, scope):
     lk_pair, rk_pair, inlj = record.lkid, record.rkid, record.inlj
     pair_start = record.pair_start
     P = len(pl)
-    store._group_ops = record.ops_by_gid
+    store.operators = record.operators
     store.kid_hi = record.kid_hi
     store.root_kid = record.root_kid
     store.set_requirement_arrays(record.req_gid, record.req_kid)
@@ -1273,12 +1209,11 @@ def _emit_rows_vectorized(store, logical_store, keyed_tags, cross_tags, scope):
         g_c1.clear()
         g_a.clear()
         g_b.clear()
+        ops = store.operators.group(group.gid)
         if kind == _LEAF:
-            _emit_leaf_rows(store, group.gid, g_tag, g_c0, g_c1, g_a, g_b)
+            _emit_leaf_rows(store, ops, g_tag, g_c0, g_c1, g_a, g_b)
         else:
-            _emit_tower_rows(
-                store, group.gid, payload, g_tag, g_c0, g_c1, g_a, g_b
-            )
+            _emit_tower_rows(store, ops, payload, g_tag, g_c0, g_c1, g_a, g_b)
         tag_col.extend(g_tag)
         gid_col.extend((group.gid,) * len(g_tag))
         c0_col.extend(g_c0)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algebra.physical import Sort
 from repro.algebra.properties import SortOrder
 from repro.errors import OptimizerError
 from repro.kernel.vector import range_min_pairs
@@ -612,7 +611,7 @@ class ColumnarBestPlanSearch:
             )
             inner = self._assemble(gid, None)
             return PlanNode(
-                op=Sort(store.columns_of(skid)),
+                op=store.operators.sort(skid),
                 children=(inner,),
                 group_id=gid,
                 local_id=store.sort_local_id(gid, position),

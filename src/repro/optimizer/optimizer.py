@@ -303,7 +303,6 @@ class Optimizer:
             )
         timings["fused"] = fspan.elapsed_s
         dp_stats = dict(dp.stats)
-        timings["pruned_states"] = dp_stats["pruned"]
 
         if opts.pruning_factor is not None:
             with obs_phase("prune") as span:

@@ -9,7 +9,12 @@ physical operator in the same group" — shared by two consumers:
 * :mod:`repro.planspace.implicit` applies the rules *analytically*: it
   derives per-group physical-alternative counts from the rule arity alone
   (:func:`join_rule_arity`) and only instantiates the operators on an
-  unranked plan's path (:func:`join_implementations` and friends).
+  unranked plan's path.
+
+Both build their operators through one :class:`PhysicalOperators` cache
+per space — the only caller of the four rule constructors and of
+``Sort`` — which the pair record creates and seeds with every leaf's and
+tower group's operators.
 
 Both consumers must agree exactly — operator identity, generation order,
 and enforcer requirements — or counting and unranking diverge from the
@@ -61,6 +66,7 @@ from repro.algebra.physical import (
     PhysicalFilter,
     PhysicalOperator,
     PhysicalProject,
+    Sort,
     StreamAggregate,
     TableScan,
 )
@@ -71,6 +77,7 @@ from repro.kernel.vector import sorted_unique
 __all__ = [
     "ImplementationConfig",
     "JoinImplementations",
+    "PhysicalOperators",
     "equality_analysis",
     "extract_equi_keys",
     "index_lookup_matches",
@@ -422,3 +429,93 @@ def unary_implementations(
     if isinstance(op, LogicalProject):
         return [PhysicalProject(op.outputs)]
     raise OptimizerError(f"no implementation rule for {op.name}")
+
+
+# ----------------------------------------------------------------------
+# the operator cache
+# ----------------------------------------------------------------------
+class PhysicalOperators:
+    """Every physical operator of one space, built on first request.
+
+    The one caller of the rule constructors above and of ``Sort``: the
+    exact store's rows, its best plan's enforcers, the count pass and the
+    unranking tables all read their operators here, so each is built
+    once per space.  It caches a leaf's access paths or a tower group's
+    unary operators per gid, one orientation's joins and index-lookup
+    joins per ``(left mask, right mask)`` and one ``Sort`` per kid of
+    ``keys``; ``built`` counts the operators constructed.  The pair record
+    creates it and requests every leaf's and tower group's list, so
+    those are built when the space is.  It holds the join graph, the
+    catalog, the config and the key table — never a store, table set or
+    count state (owners point down).
+    """
+
+    def __init__(self, graph, catalog: Catalog, config: ImplementationConfig, keys):
+        self.graph = graph
+        self.catalog = catalog
+        self.config = config
+        self.keys = keys
+        #: physical operators constructed so far
+        self.built = 0
+        self._groups: dict[int, list[PhysicalOperator]] = {}
+        self._joins: dict[tuple[int, int], tuple[PhysicalOperator, ...]] = {}
+        self._index_joins: dict[tuple[int, int], list[IndexNestedLoopJoin]] = {}
+        self._sorts: dict[int, Sort] = {}
+
+    def group(self, gid: int, op=None) -> list[PhysicalOperator]:
+        """A leaf's access paths or a tower group's unary operators, in
+        rule order, built from ``op`` (the group's ``Get`` or unary
+        logical operator) on first request — the pair record's, so later
+        readers omit it."""
+        ops = self._groups.get(gid)
+        if ops is None:
+            if isinstance(op, LogicalGet):
+                ops = scan_implementations(op, self.catalog, self.config)
+            else:
+                ops = unary_implementations(op, self.config)
+            self._groups[gid] = ops
+            self.built += len(ops)
+        return ops
+
+    def joins(self, left: int, right: int) -> tuple[PhysicalOperator, ...]:
+        """One orientation's join operators (relation masks), in rule
+        order; index-lookup joins are :meth:`index_joins`."""
+        key = (left, right)
+        ops = self._joins.get(key)
+        if ops is None:
+            graph = self.graph
+            ops = self._joins[key] = join_implementations(
+                graph.join_predicate_m(left, right),
+                graph.universe.names(left),
+                graph.universe.names(right),
+                self.config,
+            ).ops
+            self.built += len(ops)
+        return ops
+
+    def index_joins(
+        self, left: int, right: int, inner_get: LogicalGet
+    ) -> list[IndexNestedLoopJoin]:
+        """One orientation's index-lookup joins into ``inner_get``, the
+        right side's one relation."""
+        key = (left, right)
+        ops = self._index_joins.get(key)
+        if ops is None:
+            graph = self.graph
+            predicate = graph.join_predicate_m(left, right)
+            left_keys, right_keys, _ = extract_equi_keys(
+                predicate, graph.universe.names(left), graph.universe.names(right)
+            )
+            ops = self._index_joins[key] = index_nl_join_implementations(
+                inner_get, self.catalog, predicate, left_keys, right_keys
+            )
+            self.built += len(ops)
+        return ops
+
+    def sort(self, kid: int) -> Sort:
+        """The one ``Sort`` enforcer of kid ``kid``'s order."""
+        op = self._sorts.get(kid)
+        if op is None:
+            op = self._sorts[kid] = Sort(self.keys.columns_of(kid))
+            self.built += 1
+        return op

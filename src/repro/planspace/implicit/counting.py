@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
 from repro.errors import PlanSpaceError
-from repro.optimizer.rules import ImplementationConfig, unary_implementations
+from repro.optimizer.rules import ImplementationConfig, PhysicalOperators
 from repro.planspace.implicit.edges import EdgeCatalog
 from repro.planspace.implicit.keys import KeyTable
 from repro.planspace.implicit.layout import ImplicitLayout
@@ -47,9 +47,9 @@ __all__ = ["CountState", "TowerOp"]
 
 @dataclass
 class TowerOp:
-    """One physical operator of a unary-tower group."""
+    """One physical operator of a unary-tower group (the operator itself
+    is ``state.operators.group(gid)[position]``)."""
 
-    op: object
     count: int
     delivered: int  # delivered order as a kid, -1 for none
     required_kid: int | None  # child-order requirement, as a kid
@@ -89,6 +89,9 @@ class CountState:
     #: join gid -> its operator columns, sliced out of the count pass's
     #: arrays (a closure over those arrays only)
     join_columns: Callable[[int], JoinColumns] = field(default=None, repr=False)
+    #: the space's one operator cache (the pair record's): every leaf's
+    #: and tower group's operators are built, the rest on first request
+    operators: PhysicalOperators = field(default=None, repr=False)
 
     #: unary tower: per gid operator lists, sorts, and totals
     tower_ops: dict[int, list[TowerOp]] = field(default_factory=dict)
@@ -155,7 +158,7 @@ class CountState:
             group = layout.group(gid)
             ops: list[TowerOp] = []
             nonenf = 0
-            for op in unary_implementations(group.op, self.config):
+            for op in self.operators.group(gid):
                 order = op.required_child_order(0)
                 if order:
                     kid = keys.kid_of_columns(order)
@@ -166,7 +169,6 @@ class CountState:
                 delivered = op.delivered_order()
                 ops.append(
                     TowerOp(
-                        op=op,
                         count=count,
                         delivered=keys.kid_of_columns(delivered) if delivered else -1,
                         required_kid=kid,

@@ -20,9 +20,7 @@ and consumes the resulting child-gid arrays directly:
 * a join group's logical expressions are its valid splits in bucket
   order, both orientations, with the initial left-deep expression (if the
   group has one) first — read positionally from the store's ``sl``/``sr``
-  columns; :attr:`ImplicitGroup.splits` rebuilds the mask-pair list
-  lazily for the per-group Python passes, while the count pass
-  (:mod:`.turbo`) gathers the columns wholesale without ever building it.
+  columns, which the count pass (:mod:`.turbo`) gathers wholesale.
 
 ``local_id`` arithmetic follows: logical expressions occupy ``1..L``, the
 physical operators the implicit engine *counts without creating* would
@@ -55,11 +53,10 @@ class ImplicitGroup:
 
     ``kind`` is ``leaf`` (single relation), ``join`` (relation set of two
     or more), or the unary-tower tags ``select``/``agg``/``proj``.  Join
-    groups read their valid unordered ``splits`` (left side holding the
+    groups read their valid unordered splits (left side holding the
     subset's name-smallest alias, historical order) from the shared
-    columnar logical ``store``; the mask-pair list is built lazily on
-    first access.  Groups seeded by the initial left-deep plan carry the
-    ``initial`` ordered pair.
+    columnar logical ``store``.  Groups seeded by the initial left-deep
+    plan carry the ``initial`` ordered pair.
     """
 
     gid: int
@@ -70,55 +67,15 @@ class ImplicitGroup:
     child_gid: int | None = None  # tower groups
     initial: tuple[int, int] | None = None
     store: ColumnarLogicalStore | None = field(default=None, repr=False)
-    _splits: list[tuple[int, int]] | None = field(default=None, repr=False)
-
-    @property
-    def splits(self) -> list[tuple[int, int]]:
-        """The group's unordered splits as mask pairs (lazy)."""
-        splits = self._splits
-        if splits is None:
-            store = self.store
-            rng = None if store is None else store.split_rows(self.gid)
-            if rng is None:
-                splits = []
-            else:
-                groups = store.memo.groups
-                sl, sr = store.sl, store.sr
-                splits = [
-                    (groups[sl[row]].mask, groups[sr[row]].mask)
-                    for row in range(rng[0], rng[1])
-                ]
-            self._splits = splits
-        return splits
 
     @property
     def logical_count(self) -> int:
-        """Number of logical expressions (local ids ``1..L``)."""
+        """Number of logical expressions (local ids ``1..L``): both
+        orientations of every split of a join group (the initial
+        expression is one of them), one for a leaf or tower group."""
         if self.kind == "join":
-            # both orientations of every split; the initial expression is
-            # one of them (inserted first, deduplicated later)
-            store = self.store
-            if store is not None:
-                return store.logical_join_count(self.gid)
-            return 2 * len(self.splits)
+            return self.store.logical_join_count(self.gid)
         return 1
-
-    def ordered_exprs(self) -> Iterator[tuple[int, int]]:
-        """The group's logical joins as ordered mask pairs, in local-id
-        order: the initial left-deep expression first, then both
-        orientations of every split (minus the duplicate)."""
-        initial = self.initial
-        if initial is not None:
-            yield initial
-            for left, right in self.splits:
-                if (left, right) != initial:
-                    yield (left, right)
-                if (right, left) != initial:
-                    yield (right, left)
-        else:
-            for left, right in self.splits:
-                yield (left, right)
-                yield (right, left)
 
 
 class ImplicitLayout:

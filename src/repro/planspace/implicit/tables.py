@@ -31,11 +31,14 @@ A join row's kind is its physical join (``nlj`` / ``hash`` / ``merge``,
 from ``join_physical_kinds``) and a sort row's is ``sort``, so both can
 be priced from cardinalities alone (the cost model's
 ``CARDINALITY_FORMULAS``); their operators are built only when a plan
-node needs them (``TableSet.operators_built`` counts every operator the
-set builds).  A group's cardinality is estimated on first touch by
-annotate's one per-group estimate (``group_cardinality``) over the
-layout's own memo group — the rule ``annotate_cardinalities`` loops
-eagerly on the exact route — so the two routes hold the same floats.
+node needs them.  Every operator comes from the space's one operator
+cache (``state.operators``, the pair record's, which built every leaf's
+and tower group's operators when the space was counted);
+``TableSet.operators_built`` reads its counter.  A group's cardinality
+is estimated on first touch by annotate's one per-group estimate
+(``group_cardinality``) over the layout's own memo group — the rule
+``annotate_cardinalities`` loops eagerly on the exact route — so the two
+routes hold the same floats.
 """
 
 from __future__ import annotations
@@ -47,15 +50,7 @@ from itertools import accumulate
 from repro.errors import PlanSpaceError
 from repro.optimizer.annotate import group_cardinality
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.rules import (
-    JoinImplementations,
-    extract_equi_keys,
-    index_nl_join_implementations,
-    join_implementations,
-    join_physical_kinds,
-    join_rule_arity,
-    scan_implementations,
-)
+from repro.optimizer.rules import join_physical_kinds, join_rule_arity
 from repro.planspace.implicit.counting import CountState
 
 __all__ = ["GroupTable", "CandidateList", "TableSet"]
@@ -79,7 +74,8 @@ class Row:
     slots: tuple
     #: B_v prefix products per slot, B_v(0)=1 first
     prefix: tuple
-    #: the physical operator, built by :meth:`TableSet.operator`
+    #: the physical operator, set by :meth:`TableSet.operator` from the
+    #: operator cache
     op: object = None
 
 
@@ -124,7 +120,7 @@ class GroupTable:
         self.base = group.logical_count + 1
         self.join = None
         if group.kind == "leaf":
-            self.scans = tables.scan_ops(gid)
+            self.scans = state.operators.group(gid)
             counts = [1] * len(self.scans)
         elif group.kind == "join":
             self.join = state.join_columns(gid)
@@ -235,20 +231,16 @@ class GroupTable:
 
 
 class TableSet:
-    """Lazy per-group tables plus candidate lists and operator caches."""
+    """Lazy per-group tables and candidate lists over one count state;
+    operators come from the state's operator cache."""
 
     def __init__(self, state: CountState):
         self.state = state
         self._tables: dict[int, GroupTable] = {}
         self._candidates: dict[tuple, CandidateList] = {}
-        self._join_ops: dict[tuple[int, int], JoinImplementations] = {}
-        self._inlj_ops: dict[tuple[int, int], list] = {}
-        self._scan_ops: dict[int, list] = {}
-        self._sort_ops: dict[int, object] = {}  # kid -> its one Sort
         self._cardinality: dict[int, float] = {}
         self._estimator = None
         self._built = [0]  # rows constructed, counted by the tables
-        self._operators = 0  # physical operators constructed
 
     # ------------------------------------------------------------------
     # first-touch work so far, in counts (each an O(1) read)
@@ -259,10 +251,11 @@ class TableSet:
 
     @property
     def operators_built(self) -> int:
-        """Physical operators constructed so far: a leaf's access paths
-        with its table, a join pair's operators when a plan node needs
-        one of them, one ``Sort`` per kid."""
-        return self._operators
+        """Physical operators the space's operator cache has constructed:
+        every leaf's access paths and tower group's unary operators when
+        the space was counted, then a join pair's operators when a plan
+        node needs one of them, one ``Sort`` per kid."""
+        return self.state.operators.built
 
     @property
     def tables(self) -> int:
@@ -315,79 +308,27 @@ class TableSet:
         return cached
 
     # ------------------------------------------------------------------
-    # operator construction (lazy, cached per row)
+    # operators: read from the operator cache, remembered on the row
     # ------------------------------------------------------------------
-    def scan_ops(self, gid: int) -> list:
-        ops = self._scan_ops.get(gid)
-        if ops is None:
-            state = self.state
-            group = state.layout.group(gid)
-            ops = scan_implementations(group.op, state.catalog, state.config)
-            self._scan_ops[gid] = ops
-            self._operators += len(ops)
-        return ops
-
-    def _join_impls(self, left: int, right: int):
-        ji = self._join_ops.get((left, right))
-        if ji is None:
-            layout = self.state.layout
-            ji = join_implementations(
-                layout.graph.join_predicate_m(left, right),
-                layout.universe.names(left),
-                layout.universe.names(right),
-                self.state.config,
-            )
-            self._join_ops[(left, right)] = ji
-            self._operators += len(ji.ops)
-        return ji
-
-    def _inlj_list(self, left: int, right: int) -> list:
-        key = (left, right)
-        ops = self._inlj_ops.get(key)
-        if ops is None:
-            state = self.state
-            layout = state.layout
-            predicate = layout.graph.join_predicate_m(left, right)
-            left_keys, right_keys, _ = extract_equi_keys(
-                predicate,
-                layout.universe.names(left),
-                layout.universe.names(right),
-            )
-            ops = self._inlj_ops[key] = index_nl_join_implementations(
-                layout.group_for_mask(right).op,
-                state.catalog,
-                predicate,
-                left_keys,
-                right_keys,
-            )
-            self._operators += len(ops)
-        return ops
-
     def operator(self, gid: int, row: Row):
-        """The physical operator of ``row`` (built on first use)."""
+        """The physical operator of ``row``, from the operator cache
+        (built there on first request)."""
         op = row.op
         if op is not None:
             return op
+        operators = self.state.operators
         kind = row.kind
-        if kind == "scan":
-            op = self.scan_ops(gid)[row.payload[0]]
+        if kind in ("scan", "unary"):
+            op = operators.group(gid)[row.payload[0]]
         elif kind in JOIN_KINDS:
             left, right, pos = row.payload
-            op = self._join_impls(left, right).ops[pos]
+            op = operators.joins(left, right)[pos]
         elif kind == "inlj":
             left, right, pos = row.payload
-            op = self._inlj_list(left, right)[pos]
-        elif kind == "unary":
-            op = self.state.tower_ops[gid][row.payload[0]].op
+            inner_get = self.state.layout.group_for_mask(right).op
+            op = operators.index_joins(left, right, inner_get)[pos]
         elif kind == "sort":
-            from repro.algebra.physical import Sort
-
-            kid = row.payload[0]
-            op = self._sort_ops.get(kid)
-            if op is None:
-                op = Sort(self.state.keys.columns_of(kid))
-                self._sort_ops[kid] = op
-                self._operators += 1
+            op = operators.sort(row.payload[0])
         else:  # pragma: no cover - defensive
             raise PlanSpaceError(f"unknown row kind {kind!r}")
         row.op = op

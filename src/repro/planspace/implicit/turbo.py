@@ -11,8 +11,10 @@ local-id order, its keyed flag and cut kids (one cut-key table over the
 cut keys and every other order the memo names — leaf and tower
 deliveries, the tower's child requirements, ORDER BY — preloaded into
 ``state.keys``), its index-lookup matches, the first-occurrence
-requirement registry with each keyed pair's state ids, and the kid
-intervals ``kid_hi``.  The pass adds three things:
+requirement registry with each keyed pair's state ids, the kid
+intervals ``kid_hi``, and the space's operator cache holding every
+leaf's and tower group's operators (``state.operators``; the leaf scans
+counted here are its lists).  The pass adds three things:
 
 * slot universes: ``(gid, kid)`` requirement and delivery slots packed
   into group-major int64 keys, so order queries become prefix-sum
@@ -74,7 +76,8 @@ class JoinColumns(NamedTuple):
 def turbo_rels_pass(state) -> None:
     """Fill ``state``'s relation-group aggregates, and its kid universe:
     the pair record's key table, kid intervals (``state.kid_hi``), root
-    kid and the tower groups' requirements (``state.tower_required``).
+    kid and the tower groups' requirements (``state.tower_required``),
+    and adopt the record's operator cache (``state.operators``).
     The record's registry tail — stream-aggregate child orders, then
     ORDER BY — splits by target: a relation-set group's requirements
     register after all merge requirements, like the materializer's
@@ -115,6 +118,7 @@ def turbo_rels_pass(state) -> None:
         poll,
     )
     P = len(record.pl)
+    state.operators = record.operators
     state.kid_hi = record.kid_hi
     state.root_kid = record.root_kid
     KS = len(record.kid_hi) + 2
@@ -126,7 +130,7 @@ def turbo_rels_pass(state) -> None:
         if mask & (mask - 1):
             break  # universes are size-sorted: leaves come first
         gid = gid_by_mask[mask]
-        scans = record.ops_by_gid[gid]
+        scans = record.operators.group(gid)
         leaf_nonenf[gid] = len(scans)
         state.physical_count += len(scans)
         for scan in scans:

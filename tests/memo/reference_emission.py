@@ -36,7 +36,11 @@ from repro.memo.columnar import (
     _emit_leaf_rows,
     _emit_tower_rows,
 )
-from repro.optimizer.rules import ImplementationConfig, join_physical_kinds
+from repro.optimizer.rules import (
+    ImplementationConfig,
+    PhysicalOperators,
+    join_physical_kinds,
+)
 from repro.resilience.faults import fault_point
 from tests.kernel.reference_keys import ReferenceEdges, ReferenceKeys
 
@@ -51,6 +55,7 @@ class _ReferenceStore(ColumnarPhysicalStore):
             memo, graph, catalog, config, root_order, ReferenceEdges(graph)
         )
         self._keys = ReferenceKeys(self.edges)
+        self.operators = PhysicalOperators(graph, catalog, config, self._keys)
 
     def cut_kids(self, bits: int) -> tuple[int, int]:
         return self._keys.cut_kids(bits)
@@ -207,7 +212,9 @@ def _emit_rows_scalar(
                         merge_reqs.append((l_gid, lk))
                         merge_reqs.append((r_gid, rk))
                     if enable_inlj and not r_mask & (r_mask - 1):
-                        for pos in range(len(store.inlj_ops(l_mask, r_mask))):
+                        inner_get = groups[r_gid].logical_exprs()[0].op
+                        inlj = store.operators.index_joins(l_mask, r_mask, inner_get)
+                        for pos in range(len(inlj)):
                             g_tag.append(TAG_INLJ)
                             g_c0.append(l_gid)
                             g_c1.append(-1)
@@ -220,10 +227,12 @@ def _emit_rows_scalar(
                     g_a.extend((-1,) * n_cross)
                     g_b.extend((-1,) * n_cross)
         elif isinstance(first, LogicalGet):
-            _emit_leaf_rows(store, gid, g_tag, g_c0, g_c1, g_a, g_b)
+            scans = store.operators.group(gid, first)
+            _emit_leaf_rows(store, scans, g_tag, g_c0, g_c1, g_a, g_b)
         else:
+            ops = store.operators.group(gid, first)
             _emit_tower_rows(
-                store, gid, exprs[0].children[0], g_tag, g_c0, g_c1, g_a, g_b
+                store, ops, exprs[0].children[0], g_tag, g_c0, g_c1, g_a, g_b
             )
         tag_col.extend(g_tag)
         gid_col.extend((gid,) * len(g_tag))

@@ -31,6 +31,7 @@ from repro.kernel.vector import (
 )
 from repro.memo.columnar import _EMPTY, _LEAF, _TOWER, _VEC, ColumnarUnsupported
 from repro.optimizer.rules import (
+    PhysicalOperators,
     index_lookup_matches,
     join_rule_arity,
     scan_implementations,
@@ -89,9 +90,13 @@ def emitter_front_half(
     # in their interning order (column byte ids are assigned on first
     # sight), so the key table holds them all.
     extra_seqs: list[bytes] = []
+    operators = store.operators = PhysicalOperators(
+        store.graph, store.catalog, store.config, store._keys
+    )
     for (kind, _n, _payload), group in zip(plan, groups):
         if kind == _LEAF or kind == _TOWER:
-            for op in store.group_ops(group.gid):
+            first = group.logical_exprs()[0].op
+            for op in operators.group(group.gid, first):
                 order = op.delivered_order()
                 if order:
                     extra_seqs.append(edges.seq_bytes(order))

@@ -68,7 +68,8 @@ def test_default_options_take_the_columnar_engine(make, n):
     assert result.memo.columnar is not None
     assert result.memo.columnar_logical is not None
     assert {"states", "pruned"} <= set(result.dp_stats)
-    assert result.timings["pruned_states"] == result.dp_stats["pruned"]
+    # ``timings`` holds seconds (and ``explore_source``), never a count
+    assert "pruned_states" not in result.timings
     assert PHASES <= set(result.timings)
 
 

@@ -13,12 +13,15 @@ is a drop-in ``CountState``: ``ImplicitPlanSpace(state)`` unranks over
 it, and :func:`assert_same_aggregates` diffs every per-group aggregate
 against the production pass.  The tail registration it reads
 (``_tower_requirement_seqs``) moved here verbatim when the pair record
-took over every order the memo names.
+took over every order the memo names, and the per-group split walks
+(:func:`splits`, :func:`ordered_exprs`) when ``ImplicitGroup`` kept no
+``src/`` caller of them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ import numpy as np
 from repro.algebra.logical import LogicalGet
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.optimizer.rules import (
+    PhysicalOperators,
     join_rule_arity,
     scan_implementations,
     unary_implementations,
@@ -42,7 +46,41 @@ __all__ = [
     "ReferenceCountState",
     "assert_same_aggregates",
     "count_both",
+    "ordered_exprs",
+    "splits",
 ]
+
+
+def splits(group: ImplicitGroup) -> list[tuple[int, int]]:
+    """The group's unordered splits as mask pairs."""
+    store = group.store
+    rng = None if store is None else store.split_rows(group.gid)
+    if rng is None:
+        return []
+    groups = store.memo.groups
+    sl, sr = store.sl, store.sr
+    return [
+        (groups[sl[row]].mask, groups[sr[row]].mask)
+        for row in range(rng[0], rng[1])
+    ]
+
+
+def ordered_exprs(group: ImplicitGroup) -> Iterator[tuple[int, int]]:
+    """The group's logical joins as ordered mask pairs, in local-id
+    order: the initial left-deep expression first, then both
+    orientations of every split (minus the duplicate)."""
+    initial = group.initial
+    if initial is not None:
+        yield initial
+        for left, right in splits(group):
+            if (left, right) != initial:
+                yield (left, right)
+            if (right, left) != initial:
+                yield (right, left)
+    else:
+        for left, right in splits(group):
+            yield (left, right)
+            yield (right, left)
 
 
 class OrderIndex:
@@ -115,6 +153,13 @@ class ReferenceCountState(CountState):
 
     def _count(self, keys: ReferenceKeys, tower: bool = True) -> "ReferenceCountState":
         self.keys = keys
+        # the operator cache, seeded as the pair record seeds it
+        self.operators = PhysicalOperators(
+            self.layout.graph, self.catalog, self.config, keys
+        )
+        for group in self.layout.groups:
+            if group.op is not None:
+                self.operators.group(group.gid, group.op)
         rels_extra, tower_extra, root_seq = self._tower_requirement_seqs()
         extra = [(mask, self.keys.kid(seq)) for mask, seq in rels_extra]
         self._register_merge_requirements(extra)
@@ -183,7 +228,7 @@ class ReferenceCountState(CountState):
             cut = self._cut
             cut_kids = self.keys.cut_kids
             for group in self.layout.join_groups():
-                for left, right in group.ordered_exprs():
+                for left, right in ordered_exprs(group):
                     bits = cut(left, right)
                     if not bits:
                         continue
@@ -218,7 +263,7 @@ class ReferenceCountState(CountState):
                 total = self._count_leaf(group, deliveries)
             else:
                 total = 0
-                for left, right in group.splits:
+                for left, right in splits(group):
                     al = A[left]
                     ar = A[right]
                     bits_lr = cut(left, right)
@@ -294,7 +339,7 @@ class ReferenceCountState(CountState):
         A, sord = self.A, self.sord
         cols = JoinColumns([], [], [], [], [0], [])
         counts = cols.counts
-        for left, right in group.ordered_exprs():
+        for left, right in ordered_exprs(group):
             bits = cut(left, right)
             al = A[left]
             lk = rk = -1

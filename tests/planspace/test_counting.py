@@ -16,7 +16,11 @@ from repro.workloads.tpch_queries import tpch_query
 from tests.planspace.materialized.counting import annotate_counts, operator_count
 from tests.planspace.materialized.links import materialize_links
 from tests.planspace.materialized.paper_example import EXPECTED_COUNTS, EXPECTED_TOTAL
-from tests.planspace.reference_counting import assert_same_aggregates, count_both
+from tests.planspace.reference_counting import (
+    assert_same_aggregates,
+    count_both,
+    splits,
+)
 from tests.planspace.test_implicit_tables import SHAPES
 
 
@@ -198,7 +202,7 @@ class TestTurboRegistryOrder:
         )
         state = ImplicitPlanSpace.from_sql(catalog, sql).state
         top = state.layout.group_for_mask(state.layout.universe.full_mask)
-        assert top.initial not in top.splits and top.initial[::-1] in top.splits
+        assert top.initial not in splits(top) and top.initial[::-1] in splits(top)
         turbo, _reference, _seeded = _registries(catalog, sql, False)
         first, second = turbo[top.initial[0]]
         assert len(first) == 2 and first == second[::-1]

@@ -179,9 +179,10 @@ def test_descend_checks_the_rank_range():
 #: rows built, scan operators) after a 100-sample request at seed 0.
 #: Pricing join and sort rows without operators leaves the first three as
 #: assembling every drawn plan had them; the fourth is how many join
-#: pairs assembling every drawn plan builds operators for.  Sampling
-#: builds the touched leaves' access paths and nothing else (pricing sort
-#: rows through their operators built 1,058 and 908 ``Sort``s more)
+#: pairs assembling every drawn plan builds operators for.  The scans are
+#: every leaf's, built in the operator cache when the space was counted;
+#: sampling builds no operator (pricing sort rows through their
+#: operators built 1,058 and 908 ``Sort``s more)
 FIRST_TOUCH_PINS = {
     "dense10": (218, 461, 1765, 517, 50),
     "clique8": (126, 266, 1457, 375, 44),
@@ -203,13 +204,19 @@ def test_join_operators_are_built_for_the_returned_plan_only(name, build):
             workload.sql, samples=100, seed=0, space=space
         )
     tables = space.unranker.tables
+    operators = space.state.operators
+    layout = space.state.layout
     drawn_pairs = {
         row.payload[:2]
         for table in tables._tables.values()
         for row in table._rows.values()
         if row.kind in JOIN_KINDS
     }
-    scans = sum(len(ops) for ops in tables._scan_ops.values())
+    scans = sum(
+        len(ops)
+        for gid, ops in operators._groups.items()
+        if layout.group(gid).kind == "leaf"
+    )
     assert (
         tables.tables,
         tables.candidate_lists,
@@ -226,15 +233,21 @@ def test_join_operators_are_built_for_the_returned_plan_only(name, build):
         elif row.kind == "sort":
             plan_sorts.add(row.payload[0])
     assert len(plan_pairs) == workload.relations - 1
-    assert set(tables._join_ops) == plan_pairs
-    assert set(tables._sort_ops) == plan_sorts
-    # the trace splits the count: sampling builds the scans, the
-    # assembly the returned plan's join and sort operators
+    assert set(operators._joins) == plan_pairs
+    assert set(operators._sorts) == plan_sorts
+    # the trace splits the count: the space built every leaf's scans and
+    # tower group's operators, sampling builds none, the assembly the
+    # returned plan's join and sort operators
     spans = {span.name: span.counters for span in tracer.roots}
-    join_ops = sum(len(ji.ops) for ji in tables._join_ops.values())
+    join_ops = sum(len(ops) for ops in operators._joins.values())
+    group_ops = sum(len(ops) for ops in operators._groups.values())
+    assert set(operators._groups) == {
+        group.gid for group in layout.groups if group.kind != "join"
+    }
     assert spans["assemble"]["operators_built"] == join_ops + len(plan_sorts)
-    assert spans["sample"]["operators_built"] == scans
-    assert scans + join_ops + len(plan_sorts) == tables.operators_built
+    assert spans["sample"]["operators_built"] == 0
+    assert spans["strata"]["operators_built"] == 0
+    assert group_ops + join_ops + len(plan_sorts) == tables.operators_built
     assert [
         spans["strata"][name] + spans["sample"][name] for name in FIRST_TOUCH[:3]
     ] == [tables.tables, tables.candidate_lists, tables.rows_built]

@@ -4,7 +4,10 @@ import io
 
 import pytest
 
+from repro.api import Session
 from repro.cli import main
+from repro.sampledopt import distribution_report
+from repro.workloads.tpch_queries import tpch_query
 
 TWO_TABLE = (
     "SELECT n.n_name, r.r_name FROM nation n, region r "
@@ -226,11 +229,21 @@ class TestDistribution:
         assert code == 0
         assert "N = " in text
 
-    def test_stratified_conflicts_with_materialized(self):
-        code, _ = run_cli(
-            "distribution", "Q3", "--materialized", "--stratified"
+    def test_stratified_with_materialized_prints_the_api_distribution(self):
+        code, text = run_cli(
+            "distribution", "Q3", "--samples", "60", "--seed", "3",
+            "--materialized", "--stratified",
         )
-        assert code == 2
+        assert code == 0
+        dist = Session.tpch().cost_distribution(
+            tpch_query("Q3").sql,
+            query_name="Q3",
+            sample_size=60,
+            seed=3,
+            materialized=True,
+            stratified=True,
+        )
+        assert text == distribution_report(dist, scaled_to_optimum=True) + "\n"
 
     def test_seed_determinism(self):
         _, first = run_cli("distribution", "Q3", "--samples", "60", "--seed", "2")

@@ -9,7 +9,8 @@ run with it off, so anything caught in a cycle is memory held until some
 later full pass walks it.  Each route below runs with the collector
 disabled; at ``del result`` the weak references to the request's
 ``ImplicitPlanSpace``, ``CountState``, ``ImplicitLayout``, seed ``Memo``,
-``KeyTable``, ``TableSet`` and ``FragmentPool`` must already be dead, and
+``KeyTable``, ``PhysicalOperators`` (the operator cache), ``TableSet`` and
+``FragmentPool`` must already be dead, and
 a ``DEBUG_SAVEALL`` census of one ``gc.collect()`` must hold none of
 those types, no ``ImplicitGroup`` / ``GroupTable`` / ``CandidateList``,
 and nothing whose type is not in :data:`PREDICATE_CACHE_TYPES` — the
@@ -52,6 +53,7 @@ from repro.algebra.expressions import BoolExpr, ColumnId, ColumnRef, Comparison
 from repro.algebra.physical import NestedLoopJoin
 from repro.api import Session
 from repro.memo.memo import Memo
+from repro.optimizer.rules import PhysicalOperators
 from repro.planspace.implicit import ImplicitPlanSpace
 from repro.planspace.implicit.counting import CountState
 from repro.planspace.implicit.keys import KeyTable
@@ -67,6 +69,7 @@ SPACE_TYPES = (
     ImplicitLayout,
     Memo,
     KeyTable,
+    PhysicalOperators,
     TableSet,
     FragmentPool,
     ImplicitGroup,
@@ -107,6 +110,7 @@ def watched(monkeypatch):
             state.layout,
             state.layout.store.memo,
             state.keys,
+            state.operators,
             self.unranker.tables,
         )
         refs.extend(weakref.ref(obj) for obj in owned)

@@ -12,8 +12,9 @@ enumerator, the two callers' own key-interning chains, the scalar
 emission loop, the drawn-plan costing path, a second unranking descent,
 a byte-prefix order test anywhere, a second owner of the kid universe,
 a second copy of a cost formula or of the group-cardinality dispatch,
-or a second Section 5 pricing path (or a result served by any of them)
-reappears under ``src/``, or when
+a second Section 5 pricing path, or a second operator cache (a rule
+constructor or ``Sort`` called outside ``PhysicalOperators``) — or a
+result served by any of them — reappears under ``src/``, or when
 the materialized plan
 space — now an oracle under ``tests/`` — is back in ``src/`` or imported
 by it.
@@ -48,6 +49,7 @@ from repro.optimizer.optimizer import OptimizerOptions
 from repro.planspace.implicit import CountState, ImplicitPlanSpace
 from repro.resilience.faults import FAULT_SITES
 from repro.workloads.synthetic import chain_query, cycle_query, star_query
+from repro.workloads.tpch_queries import tpch_query
 
 SRC = Path(repro.__file__).resolve().parent
 CI_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ci.sh"
@@ -357,6 +359,16 @@ def test_src_has_one_order_rule():
     assert "loose_seqs" not in inspect.signature(build_pair_record).parameters
 
 
+#: ``ImplicitGroup``'s per-group split walks, read only by the count-pass
+#: oracle, moved under ``tests/`` (``tests/planspace/reference_counting.py``)
+DELETED_LAYOUT_HELPERS = {"splits", "ordered_exprs", "_splits"}
+
+
+def test_layout_keeps_no_split_walk():
+    offenders = _src_uses(DELETED_LAYOUT_HELPERS.__contains__)
+    assert not offenders, offenders
+
+
 def test_store_builder_takes_no_emission_selector():
     assert list(inspect.signature(build_columnar_store).parameters) == [
         "memo",
@@ -571,6 +583,101 @@ def test_each_route_builds_one_key_table(monkeypatch):
         built.update(KeyTable=0, cut_key_table=0)
         route()
         assert built == {"KeyTable": 1, "cut_key_table": 1}, name
+
+
+#: each operator constructor -> the one function under ``src/`` that
+#: calls it: the operator cache's
+OPERATOR_CONSTRUCTORS = {
+    "scan_implementations": "optimizer/rules.py:PhysicalOperators.group",
+    "unary_implementations": "optimizer/rules.py:PhysicalOperators.group",
+    "join_implementations": "optimizer/rules.py:PhysicalOperators.joins",
+    "index_nl_join_implementations": (
+        "optimizer/rules.py:PhysicalOperators.index_joins"
+    ),
+    "Sort": "optimizer/rules.py:PhysicalOperators.sort",
+}
+#: the per-consumer operator caches the one cache replaced
+DELETED_OPERATOR_CACHES = {
+    "ops_by_gid",
+    "group_ops",
+    "join_ops",
+    "inlj_ops",
+    "_group_ops",
+    "_join_ops",
+    "_inlj_ops",
+    "scan_ops",
+    "_scan_ops",
+    "_sort_ops",
+    "_join_impls",
+    "_inlj_list",
+}
+
+
+def _callers(name: str) -> set[str]:
+    """``path:[Class.]function`` of every ``src/`` function calling
+    ``name``."""
+    found = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and name in _names_used(child.func):
+                found.add(f"{path.as_posix()}:{'.'.join(scope)}")
+            visit(child, path, scope)
+
+    for path, tree in _src_trees():
+        visit(tree, path, ())
+    return found
+
+
+def test_operators_are_built_in_one_cache():
+    """The four rule constructors and ``Sort`` are called from the
+    operator cache only: no consumer builds or caches operators itself."""
+    offenders = _src_uses(DELETED_OPERATOR_CACHES.__contains__)
+    assert not offenders, offenders
+    for name, home in OPERATOR_CONSTRUCTORS.items():
+        assert _callers(name) == {home}, name
+
+
+def test_each_route_builds_each_group_operator_once(monkeypatch):
+    """One exact optimize, one sampled optimize and one ``count_plans`` of
+    Q5 each create one operator cache and call the scan rule once per
+    leaf (6) and the unary rule once per tower group (2)."""
+    from repro.optimizer import rules
+
+    calls = {"caches": 0, "scan": 0, "unary": 0}
+    init = rules.PhysicalOperators.__init__
+    scan = rules.scan_implementations
+    unary = rules.unary_implementations
+
+    def counting_init(self, *args, **kwargs):
+        calls["caches"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_scan(*args, **kwargs):
+        calls["scan"] += 1
+        return scan(*args, **kwargs)
+
+    def counting_unary(*args, **kwargs):
+        calls["unary"] += 1
+        return unary(*args, **kwargs)
+
+    monkeypatch.setattr(rules.PhysicalOperators, "__init__", counting_init)
+    monkeypatch.setattr(rules, "scan_implementations", counting_scan)
+    monkeypatch.setattr(rules, "unary_implementations", counting_unary)
+    session = Session.tpch()
+    sql = tpch_query("Q5").sql
+    routes = {
+        "exact": lambda: session.optimize(sql),
+        "sampled": lambda: session.optimize(sql, method="sampled", samples=16),
+        "count": lambda: session.count_plans(sql),
+    }
+    for name, route in routes.items():
+        calls.update(caches=0, scan=0, unary=0)
+        route()
+        assert calls == {"caches": 1, "scan": 6, "unary": 2}, name
 
 
 #: the estimator's three group estimates: only annotate's one per-group
