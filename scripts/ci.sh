@@ -312,16 +312,36 @@ gc.garbage.clear()
 gc.enable()
 assert not pinned, f"left for the cycle collector: {pinned}"
 
+# The exact optimizer owns its memo the same way: the memo owns its
+# columnar stores and operator cache, which read it back weakly, so the
+# dropped optimum leaves no Memo / Group / store / cache for the collector.
+gc.collect()
+gc.disable()
 optimum = Optimizer(workload.catalog, options).optimize_sql(workload.sql)
-factor = best_cost / optimum.best_cost
+optimum_cost = optimum.best_cost
+del optimum
+gc.set_debug(gc.DEBUG_SAVEALL)
+gc.collect()
+pinned = sorted(
+    {type(obj).__name__ for obj in gc.garbage}
+    & {"Memo", "Group", "ColumnarPhysicalStore", "PhysicalOperators"}
+)
+gc.set_debug(0)
+gc.garbage.clear()
+gc.enable()
+assert not pinned, (
+    f"the dropped exact result left {pinned} for the cycle collector "
+    "-- a memo <-> store cycle is back on the exact route"
+)
+factor = best_cost / optimum_cost
 print(
     f"clique10 no-cross: sampled {best_cost:,.1f} vs optimum "
-    f"{optimum.best_cost:,.1f} ({factor:.2f}x, cap {factor_cap:g}x); "
+    f"{optimum_cost:,.1f} ({factor:.2f}x, cap {factor_cap:g}x); "
     f"{samples} samples built {rows_built} rows for {fragments} "
     f"fragments, of {operators} virtual operators; {lists} candidate "
     f"lists over {tables} group tables; {operators_built} operators "
     f"built ({group_ops} leaf/tower, {plan_ops} for the plan, 0 while "
-    "sampling); space freed by reference count"
+    "sampling); space and exact memo freed by reference count"
 )
 assert factor <= factor_cap, (
     f"sampled optimization regressed to {factor:.2f}x the optimum "

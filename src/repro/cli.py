@@ -554,13 +554,18 @@ def _cmd_optimize(args, out) -> int:
             if isinstance(seconds, float)
         )
         out.write(f"timings: {rendered}\n")
-        # the draw's first touch: the strata build's, then the walks'
+        # the draw's first touch: the strata build's, then the walks';
+        # operators are the request's whole cache after assembly (the
+        # draw prices without building any)
         spans = [result.trace.find(name) for name in ("strata", "sample")]
         spans = [span.counters for span in spans if span is not None]
-        rendered = "  ".join(
-            f"{name}={sum(counters[name] for counters in spans)}"
+        counts = {
+            name: sum(counters[name] for counters in spans)
             for name in FIRST_TOUCH
-        )
+        }
+        assembled = result.trace.find("assemble").counters
+        counts["operators_built"] = assembled["operators_cached"]
+        rendered = "  ".join(f"{name}={count}" for name, count in counts.items())
         out.write(f"first touch: {rendered}\n")
     out.write(result.explain() + "\n")
     return 0

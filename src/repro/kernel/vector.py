@@ -42,35 +42,43 @@ __all__ = [
 CUT_BLOCK = 1 << 18
 
 
-def prefix_intervals(sorted_mat, lengths, pad_width):
-    """``hi_rank`` over byte-lex-sorted 0-padded rows: ``hi_rank[k]`` is
-    the first rank after ``k`` whose row does not extend row ``k`` — so
-    the extensions of row ``k`` (itself included) are exactly the
-    contiguous rank interval ``[k, hi_rank[k])``.  One LCP sweep plus a
-    monotonic stack."""
-    K = len(sorted_mat)
-    hi_rank = np.full(K, K, np.int64)
+def prefix_intervals(sorted_words, lengths):
+    """``hi_rank`` over byte-lex-sorted 0-padded rows, given as their
+    big-endian uint64 words (:func:`cut_key_table`'s ``kid_words``):
+    ``hi_rank[k]`` is the first rank after ``k`` whose row does not
+    extend row ``k`` — so the extensions of row ``k`` (itself included)
+    are exactly the contiguous rank interval ``[k, hi_rank[k])``.
+
+    One LCP sweep over words: per adjacent pair the first differing
+    word, then the differing byte from the XOR's leading zeros.  A row
+    its successor does not extend ends at ``k + 1``; only the proper
+    prefixes search on, one length at a time."""
+    K = len(sorted_words)
+    hi_rank = np.arange(1, K + 1, dtype=np.int64)
     if K > 1:
-        diff = sorted_mat[1:] != sorted_mat[:-1]
-        lcp = np.where(diff.any(axis=1), diff.argmax(axis=1), pad_width)
+        x = sorted_words[1:] ^ sorted_words[:-1]
+        word = (x != 0).argmax(axis=1)
+        first = x[np.arange(K - 1), word]
+        equal = first == 0
+        # smear the highest set bit down: 64 - popcount = leading zeros
+        for shift in (1, 2, 4, 8, 16, 32):
+            first |= first >> np.uint64(shift)
+        # lcp[i]: bytes rows i and i + 1 share; lcp[K - 1] = -1 is a
+        # break after the last row, which no row extends
+        lcp = np.full(K, -1, np.int64)
+        lcp[:-1] = 8 * word + (64 - np.bitwise_count(first)) // 8
+        lcp[:-1][equal] = 8 * sorted_words.shape[1]
         lens = np.asarray(lengths, np.int64)
-        # hi_rank[k] = 1 + (first boundary i >= k with lcp[i] < len[k]),
-        # or K when the extension run reaches the end of the table.  Row
-        # lengths are small (<= pad_width), so resolve one length
-        # threshold at a time: the break positions for threshold T are
-        # exactly lcp < T, and one searchsorted per threshold hands every
-        # row of that length its first break at or after it.
-        for T in np.unique(lens[:-1]):
-            if T <= 0:
-                continue  # empty prefix: extended to the end of the table
-            sel = np.flatnonzero(lens[:-1] == T)
+        # hi_rank[k] = 1 + (first boundary i >= k with lcp[i] < len[k]).
+        # Row lengths are small, so resolve one length T at a time: the
+        # break positions for T are exactly lcp < T, and one searchsorted
+        # hands every prefix row of that length its first break after it.
+        prefixes = np.flatnonzero(lcp >= lens)
+        prefix_lens = lens[prefixes]
+        for T in np.flatnonzero(np.bincount(prefix_lens)).tolist():
+            sel = prefixes[prefix_lens == T]
             drops = np.flatnonzero(lcp < T)
-            pos = np.searchsorted(drops, sel)
-            hit = pos < len(drops)
-            out = np.full(len(sel), K, np.int64)
-            out[hit] = drops[pos[hit]] + 1
-            hi_rank[sel] = out
-        # the last row trivially ends at K (already the fill value)
+            hi_rank[sel] = drops[np.searchsorted(drops, sel)] + 1
     return hi_rank
 
 
@@ -104,10 +112,12 @@ def cut_key_table(cut_words, left_lut, right_lut, extra_seqs=(), on_block=None):
     column ids, 1-based) to the cut's left / right key, in ascending bit
     order.  ``extra_seqs`` are packed byte sequences (leaf and tower
     deliveries, GROUP BY / ORDER BY requirements).  Returns ``(kid_mat,
-    kid_lengths, left_kids, right_kids, extra_kids)``: the distinct keys
-    as a 0-padded uint8 matrix of width ``max(longest key, 1)`` in
-    byte-lex order (row = kid = rank), their int64 lengths, the left and
-    right kid of every input cut row, and the kid of every extra.
+    kid_lengths, left_kids, right_kids, extra_kids, kid_words)``: the
+    distinct keys as a 0-padded uint8 matrix of width ``max(longest key,
+    1)`` in byte-lex order (row = kid = rank), their int64 lengths, the
+    left and right kid of every input cut row, the kid of every extra,
+    and the kid rows as the big-endian uint64 words they were ranked by
+    (what :func:`prefix_intervals` sweeps).
 
     The distinct cuts are decoded longest first, one key column at a
     time, straight into one 0-padded buffer whose width is a whole number
@@ -155,7 +165,8 @@ def cut_key_table(cut_words, left_lut, right_lut, extra_seqs=(), on_block=None):
         ).reshape(X, padded)
     if on_block is not None:
         on_block()
-    first, rank = unique_rows(buf.view(">u8").astype(np.uint64))
+    words = buf.view(">u8").astype(np.uint64)
+    first, rank = unique_rows(words)
     kid_lengths = np.concatenate(
         (cut_len, cut_len, np.array(extra_lens, np.int64))
     )[first]
@@ -164,7 +175,11 @@ def cut_key_table(cut_words, left_lut, right_lut, extra_seqs=(), on_block=None):
     left[by_len] = rank[:U]
     right[by_len] = rank[U : 2 * U]
     kid_mat = buf[:, :width].take(first, axis=0)
-    return kid_mat, kid_lengths, left[cut_ids], right[cut_ids], rank[2 * U :]
+    kid_words = words.take(first, axis=0)
+    return (
+        kid_mat, kid_lengths, left[cut_ids], right[cut_ids], rank[2 * U :],
+        kid_words,
+    )
 
 
 def _peel_keys(cuts, active, lut, left_out, right_out):

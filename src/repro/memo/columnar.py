@@ -75,6 +75,7 @@ copying.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from typing import NamedTuple
 
@@ -133,6 +134,23 @@ _UNARY_TAGS = {
 }
 
 
+class _MemoView:
+    """A store the memo owns (``memo.columnar_logical`` /
+    ``memo.columnar``, each group's pending hook) and reads back through
+    a weak reference: owners point down, so a dropped memo frees its
+    stores by reference count, not by the cycle collector."""
+
+    __slots__ = ()
+
+    @property
+    def memo(self):
+        """The memo this store describes, while someone else holds it."""
+        memo = self._memo()
+        if memo is None:
+            raise MemoError("the memo this columnar store describes was dropped")
+        return memo
+
+
 class ColumnarUnsupported(Exception):
     """This memo cannot take a columnar build: not freshly seeded
     (batched exploration, the heuristic tier's seeded store), drifted
@@ -189,7 +207,7 @@ class _PendingExprs:
                 group._pending = None
 
 
-class ColumnarLogicalStore:
+class ColumnarLogicalStore(_MemoView):
     """Array-backed explored logical joins of one memo.
 
     Rows are the *unordered* valid splits of every relation-mask group —
@@ -203,7 +221,7 @@ class ColumnarLogicalStore:
     """
 
     def __init__(self, memo, graph, allow_cross_products: bool):
-        self.memo = memo
+        self._memo = weakref.ref(memo)
         self.graph = graph
         self.allow_cross_products = allow_cross_products
         #: set by the builder once every block is emitted; an interrupted
@@ -648,15 +666,17 @@ def build_pair_record(
     kc = int(keyed.sum())
 
     poll = None if checkpoint is None else lambda: checkpoint(0)
-    kid_mat, kid_lengths, left_kids, right_kids, loose_kids = cut_key_table(
-        cut_words[keyed],
-        np.frombuffer(edges.left_col, dtype=np.uint8),
-        np.frombuffer(edges.right_col, dtype=np.uint8),
-        loose_seqs,
-        on_block=poll,
+    kid_mat, kid_lengths, left_kids, right_kids, loose_kids, kid_words = (
+        cut_key_table(
+            cut_words[keyed],
+            np.frombuffer(edges.left_col, dtype=np.uint8),
+            np.frombuffer(edges.right_col, dtype=np.uint8),
+            loose_seqs,
+            on_block=poll,
+        )
     )
     keys.preload(kid_mat, kid_lengths, loose_seqs, loose_kids)
-    kid_hi = prefix_intervals(kid_mat, kid_lengths, kid_mat.shape[1])
+    kid_hi = prefix_intervals(kid_words, kid_lengths)
     lkid = np.full(P, -1, np.int64)
     rkid = np.full(P, -1, np.int64)
     lkid[keyed] = left_kids
@@ -723,7 +743,7 @@ def build_pair_record(
     )
 
 
-class ColumnarPhysicalStore:
+class ColumnarPhysicalStore(_MemoView):
     """Array-backed physical expressions of one memo."""
 
     def __init__(
@@ -735,7 +755,7 @@ class ColumnarPhysicalStore:
         root_order,
         edges=None,
     ):
-        self.memo = memo
+        self._memo = weakref.ref(memo)
         self.graph = graph
         self.catalog = catalog
         self.config = config
@@ -1008,7 +1028,7 @@ def build_columnar_store(
     store._keyed_tags = keyed_tags
 
     _emit_rows_vectorized(
-        store, memo.columnar_logical, keyed_tags, cross_tags, scope
+        store, memo, memo.columnar_logical, keyed_tags, cross_tags, scope
     )
     store.complete = True
     return store
@@ -1045,7 +1065,9 @@ def _emit_tower_rows(store, ops, child, g_tag, g_c0, g_c1, g_a, g_b) -> None:
 _VEC, _LEAF, _TOWER, _EMPTY = 0, 1, 2, 3
 
 
-def _emit_rows_vectorized(store, logical_store, keyed_tags, cross_tags, scope):
+def _emit_rows_vectorized(
+    store, memo, logical_store, keyed_tags, cross_tags, scope
+):
     """Whole-bucket join emission over the columnar logical store.
 
     Classifies the groups in gid order, then reads every join group's
@@ -1063,7 +1085,6 @@ def _emit_rows_vectorized(store, logical_store, keyed_tags, cross_tags, scope):
     store's columns, for a join group the logical store does not hold
     (``None`` holds none): its rows have no place in the split columns.
     """
-    memo = store.memo
     groups = memo.groups
     edges = store.edges
     checkpoint = scope.checkpoint if scope is not None else None

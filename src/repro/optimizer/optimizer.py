@@ -185,11 +185,11 @@ class Optimizer:
         The cycle collector is paused for the duration: optimization
         allocates hundreds of thousands of short-lived tuples and memo
         expressions, none of them garbage before the call returns, so
-        generational GC passes only add pauses.  What it returns is not
-        cycle-free, though: the memo and its columnar stores refer to
-        each other and join predicates cache operators that point back
-        at them (``rules.py``), so a dropped result waits for a later
-        full collection.  The pause is
+        generational GC passes only add pauses.  What it returns is
+        cycle-free: the memo owns its columnar stores, which read it back
+        through a weak reference, and join predicates cache nothing on
+        themselves, so a dropped result is freed by reference count, not
+        left for a later full collection.  The pause is
         ref-counted (:func:`repro.util.gcguard.paused_gc`) so
         overlapping optimizations on sibling threads do not re-enable
         the collector for each other mid-flight.

@@ -122,46 +122,43 @@ def equality_analysis(
     tuple[tuple[ColumnId, ColumnId, str, str, tuple, tuple, Scalar], ...],
     tuple[Scalar, ...],
 ]:
-    """Classify a predicate's conjuncts once, memoized on the object.
+    """Classify a predicate's conjuncts.
 
     Returns ``(candidate equality pairs, other conjuncts)`` where each
     pair entry is ``(a, b, a_alias, b_alias, sort_key_ab, sort_key_ba,
-    conjunct)``.  Join predicates are interned by the join graph, so
-    across a whole memo the same predicate object is analyzed for both
-    join orientations and for every implementation rule — the conjunct
-    walk happens exactly once.
+    conjunct)``.  Nothing is cached on the predicate: an analysis holds
+    the conjuncts, so storing it on them would tie every predicate into
+    a reference cycle.  The walk runs once per operator-cache build of
+    an orientation (:class:`PhysicalOperators`) and once per conjunct of
+    an edge catalog.
     """
-    cached = predicate.__dict__.get("_eq_analysis")
-    if cached is None:
-        eq_pairs = []
-        others: list[Scalar] = []
-        for conjunct in split_conjuncts(predicate):
-            if (
-                isinstance(conjunct, Comparison)
-                and conjunct.op is CompOp.EQ
-                and isinstance(conjunct.left, ColumnRef)
-                and isinstance(conjunct.right, ColumnRef)
-            ):
-                a = conjunct.left.column_id
-                b = conjunct.right.column_id
-                # Both orientations' sort keys are precomputed so the
-                # per-join extraction sorts plain string tuples.
-                eq_pairs.append(
-                    (
-                        a,
-                        b,
-                        a.alias,
-                        b.alias,
-                        (a.alias, a.column, b.alias, b.column),
-                        (b.alias, b.column, a.alias, a.column),
-                        conjunct,
-                    )
+    eq_pairs = []
+    others: list[Scalar] = []
+    for conjunct in split_conjuncts(predicate):
+        if (
+            isinstance(conjunct, Comparison)
+            and conjunct.op is CompOp.EQ
+            and isinstance(conjunct.left, ColumnRef)
+            and isinstance(conjunct.right, ColumnRef)
+        ):
+            a = conjunct.left.column_id
+            b = conjunct.right.column_id
+            # Both orientations' sort keys are precomputed so the
+            # per-join extraction sorts plain string tuples.
+            eq_pairs.append(
+                (
+                    a,
+                    b,
+                    a.alias,
+                    b.alias,
+                    (a.alias, a.column, b.alias, b.column),
+                    (b.alias, b.column, a.alias, a.column),
+                    conjunct,
                 )
-            else:
-                others.append(conjunct)
-        cached = (tuple(eq_pairs), tuple(others))
-        object.__setattr__(predicate, "_eq_analysis", cached)
-    return cached
+            )
+        else:
+            others.append(conjunct)
+    return tuple(eq_pairs), tuple(others)
 
 
 def extract_equi_keys(
@@ -235,16 +232,12 @@ _CROSS_NLJ = NestedLoopJoin(None)
 
 
 def nested_loop_join(predicate: Scalar | None) -> NestedLoopJoin:
-    """The nested-loops operator for a predicate, interned per object:
-    both orientations of a logical join share the predicate, so they share
-    the physical operator (and its cached memo key) too."""
+    """The nested-loops operator for a predicate (one shared operator for
+    cross products).  :class:`PhysicalOperators` shares one per split
+    across both orientations."""
     if predicate is None:
         return _CROSS_NLJ
-    op = predicate.__dict__.get("_nlj_op")
-    if op is None:
-        op = NestedLoopJoin(predicate)
-        object.__setattr__(predicate, "_nlj_op", op)
-    return op
+    return NestedLoopJoin(predicate)
 
 
 class JoinImplementations(NamedTuple):
@@ -442,12 +435,14 @@ class PhysicalOperators:
     unranking tables all read their operators here, so each is built
     once per space.  It caches a leaf's access paths or a tower group's
     unary operators per gid, one orientation's joins and index-lookup
-    joins per ``(left mask, right mask)`` and one ``Sort`` per kid of
+    joins per ``(left mask, right mask)`` (the two orientations of a
+    split share one nested-loops operator) and one ``Sort`` per kid of
     ``keys``; ``built`` counts the operators constructed.  The pair record
     creates it and requests every leaf's and tower group's list, so
     those are built when the space is.  It holds the join graph, the
     catalog, the config and the key table — never a store, table set or
-    count state (owners point down).
+    count state — and caches nothing on the predicates it reads (owners
+    point down).
     """
 
     def __init__(self, graph, catalog: Catalog, config: ImplementationConfig, keys):
@@ -484,12 +479,18 @@ class PhysicalOperators:
         ops = self._joins.get(key)
         if ops is None:
             graph = self.graph
-            ops = self._joins[key] = join_implementations(
+            ops = join_implementations(
                 graph.join_predicate_m(left, right),
                 graph.universe.names(left),
                 graph.universe.names(right),
                 self.config,
             ).ops
+            twin = self._joins.get((right, left))
+            if twin is not None and self.config.enable_nested_loop_join:
+                # both orientations share the predicate, so one
+                # nested-loops operator (and its cached memo key)
+                ops = twin[:1] + ops[1:]
+            self._joins[key] = ops
             self.built += len(ops)
         return ops
 

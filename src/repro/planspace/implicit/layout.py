@@ -90,7 +90,9 @@ class ImplicitLayout:
         self.root_order = bound.order_by
         self.join_root_gid = setup.join_root_gid
 
-        memo = setup.memo
+        #: the seed memo: the layout owns it (the store only reads it
+        #: back weakly), so the count pass and the tables reach it here
+        self.memo = memo = setup.memo
         self.root_gid: int = memo.root_group_id
         self.groups: list[ImplicitGroup] = []
         self.tower_gids: list[int] = []

@@ -344,7 +344,7 @@ class TableSet:
             return cached
         state = self.state
         layout = state.layout
-        group = layout.store.memo.groups[gid]
+        group = layout.memo.groups[gid]
         if self._estimator is None:
             self._estimator = CardinalityEstimator(state.catalog, layout.bound)
         child_rows = (

@@ -106,10 +106,9 @@ def turbo_rels_pass(state) -> None:
         count=G,
     )
 
-    store = layout.store
     record = build_pair_record(
-        store.memo,
-        store,
+        layout.memo,
+        layout.store,
         state.edges,
         state.keys,
         config,

@@ -316,10 +316,9 @@ class SampledOptimizer:
         e.g. a memo from an earlier exhaustive run — generational passes
         only add pauses.  The request's space (layout, count state, group
         tables, fragment pool) is owner-points-down and dies by reference
-        count on return; what is left for the collector is the
-        predicate-cache cycles of the join operators the returned plan used
-        (``optimizer/rules.py``; see ``planspace/implicit/README.md``,
-        "Ownership and lifetime").  The pause is ref-counted, so a server
+        count on return, leaving the collector nothing (see
+        ``planspace/implicit/README.md``, "Ownership and lifetime").  The
+        pause is ref-counted, so a server
         worker degrading to this tier does not re-enable the collector
         under a sibling's in-flight exact optimize."""
         with paused_gc():
@@ -482,6 +481,9 @@ class SampledOptimizer:
             was = pool.tables.operators_built
             best_plan = pool.assemble(choice)
             span.add("operators_built", pool.tables.operators_built - was)
+            # the space's whole cache: the leaves' and tower's operators
+            # plus the returned plan's joins and sorts
+            span.add("operators_cached", pool.tables.operators_built)
         timings["assemble"] = span.elapsed_s
 
         return SampledOptimizationResult(

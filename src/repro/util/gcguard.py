@@ -3,10 +3,10 @@
 The optimizers pause generational GC for the duration of a call: they
 allocate hundreds of thousands of tuples and expressions that are all
 still reachable until the call returns, so collector passes inside it
-only add pauses.  (Not because nothing is cyclic: an exact result's memo
-and stores refer to each other, and join predicates cache operators that
-point back at them — the collector reclaims those after the call.  The
-sampled route's space is acyclic and dies by reference count.)
+only add pauses.  (Nothing they return is cyclic either: on every route
+owners point down — the exact memo owns its columnar stores, which read
+it back weakly — so a dropped result dies by reference count whether the
+collector runs or not.)
 ``gc.disable()``/``gc.enable()`` are *process-wide*, though —
 under a thread-pool front end (:mod:`repro.serving.server`), a sibling
 optimize finishing first would re-enable GC mid-flight for every other

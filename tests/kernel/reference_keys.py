@@ -21,7 +21,9 @@ best-plan DP's second interval kernel (interval ends at the required
 ranks only, by masked word compares), moved here verbatim with
 :func:`byte_words` when the pair record's one ``prefix_intervals`` call
 became every consumer's order rule: it is a second derivation of that
-sweep (``tests/kernel/test_vector.py``).
+sweep (``tests/kernel/test_vector.py``).  :func:`byte_prefix_intervals`
+is that sweep as it ran over the kid matrix's bytes, before it compared
+the rows' big-endian words; it moved here as a third derivation.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "DECODE_CHUNK",
     "ReferenceEdges",
     "ReferenceKeys",
+    "byte_prefix_intervals",
     "byte_words",
     "count_pass_key_chain",
     "decode_bit_rows",
@@ -58,6 +61,30 @@ def byte_words(mat):
         out[:, :width] = mat
         mat = out
     return np.ascontiguousarray(mat).view(">u8").astype(np.uint64)
+
+
+def byte_prefix_intervals(sorted_mat, lengths, pad_width):
+    """``hi_rank`` by a ``(K - 1, width)`` byte-inequality sweep — what
+    :func:`repro.kernel.vector.prefix_intervals` computed before it
+    compared the rows' big-endian words.  One LCP sweep plus one
+    searchsorted per row length."""
+    K = len(sorted_mat)
+    hi_rank = np.full(K, K, np.int64)
+    if K > 1:
+        diff = sorted_mat[1:] != sorted_mat[:-1]
+        lcp = np.where(diff.any(axis=1), diff.argmax(axis=1), pad_width)
+        lens = np.asarray(lengths, np.int64)
+        for T in np.unique(lens[:-1]):
+            if T <= 0:
+                continue  # empty prefix: extended to the end of the table
+            sel = np.flatnonzero(lens[:-1] == T)
+            drops = np.flatnonzero(lcp < T)
+            pos = np.searchsorted(drops, sel)
+            hit = pos < len(drops)
+            out = np.full(len(sel), K, np.int64)
+            out[hit] = drops[pos[hit]] + 1
+            hi_rank[sel] = out
+    return hi_rank
 
 
 def prefix_interval_ends(sorted_mat, lengths, pad_width, ranks):

@@ -18,7 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.kernel.vector as vector
 from repro.kernel.vector import cut_key_table, int_words, unique_rows
-from tests.kernel.reference_keys import count_pass_key_chain, emitter_key_chain
+from tests.kernel.reference_keys import (
+    byte_words,
+    count_pass_key_chain,
+    emitter_key_chain,
+)
 
 
 @st.composite
@@ -67,7 +71,10 @@ def cut_inputs(draw):
 
 
 def _assert_same_table(got, want_mat, want_lengths, want_kids):
-    kid_mat, kid_lengths, *kids = got
+    kid_mat, kid_lengths, *kids, kid_words = got
+    # the words the table was ranked by are the kid rows' own
+    assert kid_words.dtype == np.uint64
+    assert kid_words.tolist() == byte_words(kid_mat).tolist()
     assert kid_mat.dtype == np.uint8 and kid_mat.flags.c_contiguous
     assert kid_mat.shape == want_mat.shape
     assert kid_mat.tobytes() == want_mat.tobytes()
@@ -122,7 +129,7 @@ def test_lengths_are_key_lengths_and_rows_are_sorted():
     rng = np.random.default_rng(3)
     words = rng.integers(0, 1 << 63, size=(50, 2), dtype=np.uint64)
     lut = rng.integers(1, 4, size=128).astype(np.uint8)
-    kid_mat, lengths, left, right, extra = cut_key_table(
+    kid_mat, lengths, left, right, extra, _ = cut_key_table(
         words, lut, lut[::-1].copy(), [b"\x01" * 130]
     )
     rows = [row.tobytes() for row in kid_mat]

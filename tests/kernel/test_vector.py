@@ -25,6 +25,7 @@ from repro.kernel.vector import (
 # byte-row lexsorts the exact emitter, the count pass and the best-plan
 # DP's overflow ranking each ran, and the DP's selective interval ends
 from tests.kernel.reference_keys import (
+    byte_prefix_intervals,
     byte_words,
     decode_bit_rows,
     lex_rank_rows,
@@ -125,14 +126,24 @@ def _ref_prefix_intervals(mat, lengths):
 
 class TestPrefixIntervals:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("width", [3, 8, 13])
+    @pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 13, 25])
     def test_full_sweep_matches_reference(self, seed, width):
+        """The word sweep against the brute force, the byte sweep and the
+        selective ends: word compares across word boundaries, empty rows
+        (every row extends them) and duplicates (each extends the other)
+        included."""
         rng = np.random.default_rng(seed)
         mat, lengths = _random_padded_rows(rng, 150, width, alphabet=3)
+        empty = rng.integers(0, len(mat), size=3)
+        mat[empty] = 0
+        lengths[empty] = 0
         order, _ = lex_rank_rows(mat)
         smat, slen = mat[order], lengths[order]
-        got = prefix_intervals(smat, slen, width)
+        got = prefix_intervals(byte_words(smat), slen)
         assert (got == _ref_prefix_intervals(smat, slen)).all()
+        assert (got == byte_prefix_intervals(smat, slen, width)).all()
+        every = np.arange(len(smat), dtype=np.int64)
+        assert (got == prefix_interval_ends(smat, slen, width, every)).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("width", [3, 8, 13])
@@ -145,10 +156,27 @@ class TestPrefixIntervals:
         mat, lengths = _random_padded_rows(rng, 200, width, alphabet=3)
         order, _ = lex_rank_rows(mat)
         smat, slen = mat[order], lengths[order]
-        full = prefix_intervals(smat, slen, width)
+        full = prefix_intervals(byte_words(smat), slen)
         ranks = rng.integers(0, len(smat), size=70).astype(np.int64)
         got = prefix_interval_ends(smat, slen, width, ranks)
         assert (got == full[ranks]).all()
+
+    def test_word_sweep_on_clique10s_kid_table(self):
+        """The exact store's ``kid_hi`` on a 10-relation clique (about
+        80,000 kids of width 25) equals both oracles over its table."""
+        from repro.api import Session
+        from repro.workloads.synthetic import clique_query
+
+        workload = clique_query(10, rows=5, seed=0)
+        result = Session(workload.database).optimize(workload.sql)
+        store = result.memo.columnar
+        matrix, lengths, overflow = store._keys.table()
+        assert not overflow and len(lengths) > 50_000
+        width = matrix.shape[1]
+        every = np.arange(len(lengths), dtype=np.int64)
+        want = prefix_interval_ends(matrix, lengths, width, every)
+        assert (store.kid_hi == want).all()
+        assert (store.kid_hi == byte_prefix_intervals(matrix, lengths, width)).all()
 
     def test_selective_ends_empty_ranks(self):
         mat = np.zeros((5, 4), np.uint8)

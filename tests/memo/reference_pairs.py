@@ -173,7 +173,7 @@ def emitter_front_half(
     rk_pair = np.full(P, -1, np.int64)
     K = 0
     if kc or extra_seqs:
-        kid_mat, kid_lengths, left_kids, right_kids, extra_kids = cut_key_table(
+        kid_mat, kid_lengths, left_kids, right_kids, extra_kids, _ = cut_key_table(
             cut_words[keyed],
             np.frombuffer(edges.left_col, dtype=np.uint8),
             np.frombuffer(edges.right_col, dtype=np.uint8),
@@ -361,12 +361,14 @@ def count_front_half(state, extra_pairs, tower_seqs):
     loose_seqs = [seq for _mask, seq in extra_pairs]
     loose_seqs += [seq for _gid, seq in leaf_pairs]
     loose_seqs += tower_seqs
-    kid_mat, kid_lengths, left_kids, right_kids, loose_kids = cut_key_table(
-        ebits,
-        np.frombuffer(edges.left_col, dtype=np.uint8),
-        np.frombuffer(edges.right_col, dtype=np.uint8),
-        loose_seqs,
-        on_block=poll,
+    kid_mat, kid_lengths, left_kids, right_kids, loose_kids, kid_words = (
+        cut_key_table(
+            ebits,
+            np.frombuffer(edges.left_col, dtype=np.uint8),
+            np.frombuffer(edges.right_col, dtype=np.uint8),
+            loose_seqs,
+            on_block=poll,
+        )
     )
     poll()
     K = len(kid_mat)
@@ -378,7 +380,7 @@ def count_front_half(state, extra_pairs, tower_seqs):
     # prefix intervals: hi_rank[k] = first kid after k that does not
     # extend k — one LCP sweep + monotonic stack over the sorted rows.
     # The state keeps it: kid d satisfies kid q iff q <= d < hi_rank[q]
-    hi_rank = prefix_intervals(kid_mat, kid_lengths, kid_mat.shape[1])
+    hi_rank = prefix_intervals(kid_words, kid_lengths)
     state.kid_hi = hi_rank
     poll()
 

@@ -5,7 +5,9 @@ commands (``accuracy``, ``metrics``, ``optimize --feedback``)."""
 import io
 import json
 
+from repro.api import Session
 from repro.cli import main
+from repro.workloads.tpch_queries import tpch_query
 
 
 def run_cli(*argv):
@@ -213,7 +215,15 @@ class TestOptimizeVerbose:
         ]
         assert 0 < int(counts["tables"]) <= int(counts["candidate_lists"])
         assert int(counts["candidate_lists"]) <= 3 * int(counts["tables"])
-        # the leaves' scans and the tower's operators are built with the
-        # space, joins and sorts are priced without theirs: drawing
-        # builds rows, never an operator
-        assert int(counts["operators_built"]) == 0 < int(counts["rows_built"])
+        assert 0 < int(counts["rows_built"])
+        # drawing builds rows, never an operator; the column is the
+        # request's operator cache after assembly: the leaves' scans and
+        # the tower's operators, built with the space, plus the returned
+        # plan's joins and sorts (the ``assemble`` span's own count)
+        session = Session.tpch()
+        sql = tpch_query("Q3").sql
+        group_ops = session.implicit_plan_space(sql).state.operators.built
+        traced = session.optimize(sql, method="sampled", seed=0, trace=True)
+        plan_ops = traced.trace.find("assemble").counters["operators_built"]
+        assert 0 < group_ops and 0 < plan_ops
+        assert int(counts["operators_built"]) == group_ops + plan_ops

@@ -139,8 +139,10 @@ def _seeded_memo(graph: JoinGraph, cross: bool) -> Memo:
 def test_kernel_store_is_byte_identical_to_the_oracle_store(spec, cross):
     n, edges = spec
     graph = _graph(n, edges)
-    store = build_logical_store(_seeded_memo(graph, cross), graph, cross)
-    oracle = reference_logical_store(_seeded_memo(graph, cross), graph, cross)
+    # the caller owns each memo; a store reads its memo back weakly
+    memo, oracle_memo = _seeded_memo(graph, cross), _seeded_memo(graph, cross)
+    store = build_logical_store(memo, graph, cross)
+    oracle = reference_logical_store(oracle_memo, graph, cross)
     assert store.sl.tobytes() == oracle.sl.tobytes()
     assert store.sr.tobytes() == oracle.sr.tobytes()
     assert store._range_by_gid == oracle._range_by_gid
@@ -148,7 +150,7 @@ def test_kernel_store_is_byte_identical_to_the_oracle_store(spec, cross):
     assert store.initial_by_gid == oracle.initial_by_gid
     assert store.gid_by_mask == oracle.gid_by_mask
     assert store.subset_masks == oracle.subset_masks
-    assert [g.key for g in store.memo.groups] == [g.key for g in oracle.memo.groups]
+    assert [g.key for g in memo.groups] == [g.key for g in oracle_memo.groups]
 
 
 # ---------------------------------------------------------------------------

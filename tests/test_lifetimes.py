@@ -1,30 +1,28 @@
-"""Ownership on the implicit / sampled routes: a dropped result frees its
-space by reference count and leaves the collector (almost) nothing.
+"""Ownership on every route: a dropped result frees what the request
+built by reference count and leaves the cycle collector nothing.
 
-Owners point down — result → plan nodes → operators; pool → space →
-unranker → tables → count state → layout → seed memo — and nothing
-points back up (``planspace/implicit/README.md``, "Ownership and
-lifetime").  The optimizers pause the cycle collector and a server may
-run with it off, so anything caught in a cycle is memory held until some
-later full pass walks it.  Each route below runs with the collector
-disabled; at ``del result`` the weak references to the request's
-``ImplicitPlanSpace``, ``CountState``, ``ImplicitLayout``, seed ``Memo``,
-``KeyTable``, ``PhysicalOperators`` (the operator cache), ``TableSet`` and
-``FragmentPool`` must already be dead, and
-a ``DEBUG_SAVEALL`` census of one ``gc.collect()`` must hold none of
-those types, no ``ImplicitGroup`` / ``GroupTable`` / ``CandidateList``,
-and nothing whose type is not in :data:`PREDICATE_CACHE_TYPES` — the
-``predicate.__dict__`` caches of ``optimizer/rules.py`` (``_nlj_op``: a
-``NestedLoopJoin`` pointing back at its predicate; ``_eq_analysis``: a
-tuple that holds the conjunct it is stored on), shared with the exact
-path and owned there.
+Owners point down and nothing points back up.  Implicit / sampled
+routes: result → plan nodes → operators; pool → space → unranker →
+tables → count state → layout → seed memo (``planspace/implicit/README.md``,
+"Ownership and lifetime").  Exact routes: result → memo → groups →
+pending hooks → columnar stores → operator cache, each store reading
+its memo back through a weak reference (``memo/README.md``).  The
+optimizers pause the cycle collector and a server may run with it off,
+so anything caught in a cycle is memory held until some later full pass
+walks it.  Each route below runs with the collector disabled; at
+``del result`` (or, for a serving cache, at eviction) the weak
+references to what the request built must already be dead, and a
+``DEBUG_SAVEALL`` census of one ``gc.collect()`` must be empty.  Join
+predicates cache nothing on themselves (``optimizer/rules.py``), so no
+allowance is left for them.
 
-At the parent of this test (commit c22bd4d) every route failed both
-checks.  Objects one request left for the collector, clique6 with this
-file's arguments, parent → now:
+At the parent of the implicit-route checks (commit c22bd4d) every such
+route failed both checks.  Objects one request left for the collector,
+clique6 with this file's arguments, parent → then (the remainder was
+the predicate caches, gone since):
 
 ====================== ====== =====  ==================================
-route                  parent   now  what pinned the space
+route                  parent  then  what pinned the space
 ====================== ====== =====  ==================================
 sampled, stratified     9 768 1 731  ``FragmentPool.assemble``'s nested
 sampled, quantile rule  9 019 1 922  ``build``: a closure over itself
@@ -39,6 +37,11 @@ unrank                  1 078   315  groups, the key table
 
 .. [*] Measured then; the route left with the reference count pass,
    which now lives under ``tests/`` as the count-pass oracle.
+
+Before the exact routes pointed down, dropping one exact clique10
+result and its plan left 7,679 objects for the collector (1,025
+``Group``, 1,025 ``_PendingExprs``, the memo, both stores, and the
+predicate caches); now 0.
 """
 
 from __future__ import annotations
@@ -49,44 +52,24 @@ from collections import Counter
 
 import pytest
 
-from repro.algebra.expressions import BoolExpr, ColumnId, ColumnRef, Comparison
-from repro.algebra.physical import NestedLoopJoin
+import repro.memo.columnar as columnar
 from repro.api import Session
+from repro.memo.columnar import ColumnarLogicalStore, ColumnarPhysicalStore
 from repro.memo.memo import Memo
 from repro.optimizer.rules import PhysicalOperators
 from repro.planspace.implicit import ImplicitPlanSpace
-from repro.planspace.implicit.counting import CountState
-from repro.planspace.implicit.keys import KeyTable
-from repro.planspace.implicit.layout import ImplicitGroup, ImplicitLayout
-from repro.planspace.implicit.tables import CandidateList, GroupTable, TableSet
 from repro.sampledopt import FragmentPool, QuantileTarget, SampledOptimizer
+from repro.serving import PlanCache, PlanServer
 from repro.workloads.synthetic import clique_query
+from repro.workloads.tpch_queries import tpch_query
 
-#: must be gone by reference count, and absent from the collector's census
-SPACE_TYPES = (
-    ImplicitPlanSpace,
-    CountState,
-    ImplicitLayout,
+#: an exact request's memo and what it owns
+EXACT_TYPES = (
     Memo,
-    KeyTable,
+    ColumnarLogicalStore,
+    ColumnarPhysicalStore,
     PhysicalOperators,
-    TableSet,
-    FragmentPool,
-    ImplicitGroup,
-    GroupTable,
-    CandidateList,
 )
-#: all the collector may still find: the join predicates' ``__dict__``
-#: caches (``optimizer/rules.py``) and the expression nodes under them
-PREDICATE_CACHE_TYPES = {
-    NestedLoopJoin,
-    BoolExpr,
-    Comparison,
-    ColumnRef,
-    ColumnId,
-    tuple,
-    dict,
-}
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +91,7 @@ def watched(monkeypatch):
             self,
             state,
             state.layout,
-            state.layout.store.memo,
+            state.layout.memo,
             state.keys,
             state.operators,
             self.unranker.tables,
@@ -175,21 +158,145 @@ def test_dropped_result_frees_its_space(route, workload, watched):
         if route == "sampled-budget-stopped":
             assert result.stopped_because == "budget"
         del result
-        alive = Counter(type(ref()).__name__ for ref in watched if ref() is not None)
-        assert not alive, f"still referenced after `del result`: {dict(alive)}"
+        _assert_dead(watched, "`del result`")
+        census = _collector_census()
+    finally:
+        gc.enable()
+    assert not census, f"left for the cycle collector: {_names(census)}"
 
-        gc.set_debug(gc.DEBUG_SAVEALL)
+
+def _names(census: Counter) -> dict[str, int]:
+    return {cls.__name__: count for cls, count in census.most_common(12)}
+
+
+def _assert_dead(refs, when: str) -> None:
+    alive = Counter(type(ref()).__name__ for ref in refs if ref() is not None)
+    assert not alive, f"still referenced after {when}: {dict(alive)}"
+
+
+def _assert_exact_dead(watched, when: str) -> None:
+    alive = Counter(kind for kind, ref in watched if ref() is not None)
+    assert not alive, f"still referenced after {when}: {dict(alive)}"
+
+
+def _collector_census() -> Counter:
+    """Types of what one ``gc.collect()`` finds unreachable."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
         gc.collect()
-        census = Counter(type(obj) for obj in gc.garbage)
+        return Counter(type(obj) for obj in gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+
+
+# ----------------------------------------------------------------------
+# exact routes: the memo owns its stores, which read it back weakly
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def tpch():
+    return Session.tpch()
+
+
+@pytest.fixture
+def watched_exact(monkeypatch):
+    """``(kind, weak reference)`` to every memo, columnar store and
+    operator cache constructed while the fixture is active, and to each
+    pair record's ordered-pair column (a record is a tuple, which takes
+    no weak reference; the column is its own array, and dies with the
+    record once the build is done)."""
+    refs: list[tuple[str, weakref.ref]] = []
+
+    def spy(cls):
+        init = cls.__init__
+
+        def spying_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            refs.append((cls.__name__, weakref.ref(self)))
+
+        monkeypatch.setattr(cls, "__init__", spying_init)
+
+    for cls in EXACT_TYPES:
+        spy(cls)
+    build_record = columnar.build_pair_record
+
+    def spy_record(*args, **kwargs):
+        record = build_record(*args, **kwargs)
+        refs.append(("PairRecord", weakref.ref(record.pl)))
+        return record
+
+    monkeypatch.setattr(columnar, "build_pair_record", spy_record)
+    return refs
+
+
+Q5 = tpch_query("Q5").sql
+
+
+def _degraded(session, sql):
+    result = session.optimize(sql, deadline_s=1e-6)
+    assert result.resilience.tier == "heuristic"
+    return result
+
+
+def _replayed(tpch):
+    """A plan-cache session's template replay: the second region misses
+    the plan tier and replays the first's logical store.  The session
+    (and its cache, which holds both results) is dropped with it."""
+    session = Session(tpch.database, plan_cache=PlanCache())
+    session.optimize(Q5)
+    result = session.optimize(Q5.replace("'ASIA'", "'EUROPE'"))
+    assert result.cache.tier == "template"
+    return session, result
+
+
+#: route -> callable(clique6 session, clique6 workload, TPC-H session)
+EXACT_ROUTES = {
+    "exact-clique6": lambda s, w, t: s.optimize(w.sql),
+    "exact-tpch-q5": lambda s, w, t: t.optimize(Q5),
+    "heuristic-tier": lambda s, w, t: _degraded(s, w.sql),
+    "template-replay": lambda s, w, t: _replayed(t),
+}
+
+
+@pytest.mark.parametrize("route", sorted(EXACT_ROUTES))
+def test_dropped_exact_result_frees_its_memo(route, workload, tpch, watched_exact):
+    session = Session(workload.database)
+    run = EXACT_ROUTES[route]
+    run(session, workload, tpch)  # warm-up: lazy imports, process-wide caches
+    del watched_exact[:]
+    gc.collect()
+    gc.disable()
+    try:
+        result = run(session, workload, tpch)
+        built = {kind for kind, _ref in watched_exact}
+        assert built == {cls.__name__ for cls in EXACT_TYPES} | {"PairRecord"}
+        del result
+        _assert_exact_dead(watched_exact, "`del result`")
+        census = _collector_census()
+    finally:
         gc.enable()
-    pinned = {cls.__name__: census[cls] for cls in SPACE_TYPES if census[cls]}
-    assert not pinned, f"left for the cycle collector: {pinned}"
-    strangers = {
-        cls.__name__: count
-        for cls, count in census.items()
-        if cls not in PREDICATE_CACHE_TYPES
-    }
-    assert not strangers, f"garbage beyond the predicate caches: {strangers}"
+    assert not census, f"left for the cycle collector: {_names(census)}"
+
+
+def test_evicted_plan_frees_its_memo(tpch, watched_exact):
+    """A server whose cache holds one plan: the next statement evicts
+    the first, whose memo must die then, by reference count."""
+    cache = PlanCache(max_plans=1)
+    with PlanServer(tpch.database, workers=1, cache=cache) as server:
+        server.optimize(Q5)  # warm-up: the worker thread and its session
+        server.optimize(Q5.replace("'ASIA'", "'AMERICA'"))
+        del watched_exact[:]
+        gc.collect()
+        gc.disable()
+        try:
+            server.optimize(Q5.replace("'ASIA'", "'EUROPE'"))
+            first = list(watched_exact)
+            cached = {kind for kind, ref in first if ref() is not None}
+            assert cached == {cls.__name__ for cls in EXACT_TYPES}
+            server.optimize(Q5.replace("'ASIA'", "'AFRICA'"))
+            assert cache.stats()["plan.evictions"] == 3
+            _assert_exact_dead(first, "eviction")
+            census = _collector_census()
+        finally:
+            gc.enable()
+    assert not census, f"left for the cycle collector: {_names(census)}"

@@ -742,3 +742,51 @@ def test_section5_samples_are_priced_on_the_walk():
         if call.startswith("experiments/distributions.py:")
     ]
     assert not offenders, offenders
+
+
+#: the caches join predicates once kept on themselves: each held an
+#: object pointing back at its predicate
+DELETED_PREDICATE_CACHES = {"_eq_analysis", "_nlj_op"}
+
+
+def _self_assignments(tree):
+    """``(attribute, value)`` of every ``self.<attribute> = value`` in
+    ``tree``, tuple targets included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for element in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if (
+                    isinstance(element, ast.Attribute)
+                    and isinstance(element.value, ast.Name)
+                    and element.value.id == "self"
+                ):
+                    yield element.attr, node.value
+
+
+def test_columnar_stores_hold_their_memo_weakly():
+    """Owners point down: the memo owns its columnar stores, so no class
+    in ``memo/columnar.py`` assigns a strong ``self.memo`` — a store's
+    only reference to its memo is a ``weakref.ref`` — and no predicate
+    caches anything on itself."""
+    tree = dict(_src_trees())[Path("memo/columnar.py")]
+    offenders = [
+        f"{cls.name}.{attribute}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for attribute, value in _self_assignments(cls)
+        if "memo" in attribute
+        and not (
+            isinstance(value, ast.Call)
+            and _names_used(value.func) == ["ref"]
+            and isinstance(value.func, ast.Attribute)
+            and _names_used(value.func.value) == ["weakref"]
+        )
+    ]
+    assert not offenders, offenders
+    assert not _src_uses(DELETED_PREDICATE_CACHES.__contains__)
