@@ -368,11 +368,18 @@ python - <<'EOF'
 # cache, not the compiler.
 from repro.api import Session
 from repro.executor.scalar import CODE_CACHE_SIZE, code_object
+from repro.obs import Tracer, tracing
 from repro.storage.datagen import generate_tpch
 from repro.testing.diff import canonical_rows
 from repro.testing.faults import IgnoredResidualExecutor
 from repro.workloads.tpch_queries import TPCH_QUERIES
 from tests.testing.test_faults import RESIDUAL_SQL, _validate as validate_with
+
+
+def counted(span):
+    """How many spaces were counted under ``span``."""
+    return (span.name == "implicit.count") + sum(counted(c) for c in span.children)
+
 
 database = generate_tpch(seed=0)
 session = Session(database)
@@ -380,10 +387,22 @@ code_object.cache_clear()
 for name in ("Q5", "Q9"):
     sql = TPCH_QUERIES[name].sql
     expected = canonical_rows(session.execute(sql).rows)
-    plans = session.iterate_plans(sql, sample=200, seed=14)
-    wrong = [rank for rank, result in plans if canonical_rows(result.rows) != expected]
-    print(f"tpch {name}: 200 sampled plans executed, {len(wrong)} differ from the best plan")
-    assert not wrong, f"{name}: plans {wrong[:5]} return different rows"
+    drawn = []
+    for call in ("first", "second"):  # the second reads the session's count
+        tracer = Tracer()
+        with tracing(tracer), tracer.span(call):
+            plans = list(session.iterate_plans(sql, sample=200, seed=14))
+        ranks = [rank for rank, _result in plans]
+        wrong = [rank for rank, result in plans if canonical_rows(result.rows) != expected]
+        builds = counted(tracer.root)
+        print(
+            f"tpch {name}, {call} call: 200 sampled plans executed, {len(wrong)} "
+            f"differ from the best plan, {builds} space(s) counted"
+        )
+        assert not wrong, f"{name}: plans {wrong[:5]} return different rows"
+        assert builds == (call == "first"), f"{name}: {call} call counted {builds} spaces"
+        drawn.append(ranks)
+    assert drawn[0] == drawn[1], f"{name}: the reused space drew other ranks"
 
 report = validate_with(database, IgnoredResidualExecutor(database), RESIDUAL_SQL)
 print(f"ignored-residual executor: {len(report.mismatches)} mismatching plans reported")

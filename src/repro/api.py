@@ -16,6 +16,7 @@ deterministically or randomly selected set of possible plans."
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -34,7 +35,7 @@ from repro.optimizer.optimizer import (
     OptimizerOptions,
 )
 from repro.optimizer.plan import PlanNode
-from repro.planspace.implicit import ImplicitPlanSpace
+from repro.planspace.implicit import CountState, ImplicitPlanSpace
 from repro.serving.cache import (
     CacheIdentity,
     CacheInfo,
@@ -48,6 +49,13 @@ from repro.storage.database import Database
 from repro.storage.datagen import generate_tpch
 
 __all__ = ["Session", "ExecutedQuery", "PlanSpaceHandle"]
+
+#: Counted statements a session keeps (:meth:`Session.implicit_plan_space`),
+#: least recently used first out.  A Section 4 loop iterates a handful of
+#: statements many times over; every counted space a session keeps holds
+#: its layout, seed memo, key table and operator cache, so an unbounded
+#: table is a leak over a long-lived session.
+STATEMENT_TABLE_SIZE = 16
 
 
 @dataclass
@@ -111,7 +119,12 @@ class ExecutedQuery:
 
 
 class Session:
-    """A connection-like object: parse, optimize, execute."""
+    """A connection-like object: parse, optimize, execute.
+
+    A session is used by one thread at a time (a
+    :class:`~repro.serving.PlanServer` keeps one per worker): its
+    statement table takes no lock.
+    """
 
     def __init__(
         self,
@@ -142,6 +155,10 @@ class Session:
         #: ``execute(feedback=True)``); consumed by
         #: ``optimize(feedback=True)`` and ``estimation_report()``
         self.ledger = CardinalityLedger()
+        #: statement text -> its counted space (``implicit_plan_space``);
+        #: the catalog and options are fixed for the session's life, so
+        #: the text alone is the key
+        self._statements: OrderedDict[str, CountState] = OrderedDict()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -238,7 +255,7 @@ class Session:
         """
         ledger = self._resolve_feedback(feedback, method)
         cache = self.plan_cache if method == "exhaustive" else None
-        fp = key = artifacts = None
+        fp = key = artifacts = tokens = None
         if cache is not None:
             result, fp, key = probe_plan(
                 cache,
@@ -254,6 +271,7 @@ class Session:
                     self._trace_cache_hit(result)
                 return result
             artifacts = cache.lookup_template(key, metrics=self.metrics)
+            tokens = fp.tokens
         if trace:
             tracer = Tracer()
             with tracing(tracer):
@@ -270,6 +288,7 @@ class Session:
                         observed=True,
                         ledger=ledger,
                         artifacts=artifacts,
+                        tokens=tokens,
                         **kwargs,
                     )
             result.trace = tracer.root
@@ -286,6 +305,7 @@ class Session:
                 max_memory_mb=max_memory_mb,
                 ledger=ledger,
                 artifacts=artifacts,
+                tokens=tokens,
                 **kwargs,
             )
         if ledger is not None:
@@ -438,6 +458,7 @@ class Session:
         observed: bool = False,
         ledger=None,
         artifacts=None,
+        tokens=None,
         **kwargs,
     ):
         """The untraced dispatch behind :meth:`optimize`.  ``observed``
@@ -445,7 +466,8 @@ class Session:
         that would otherwise run scope-less; ``ledger`` (already
         resolved by :meth:`_resolve_feedback`) feedback-recosts the
         exhaustive paths; ``artifacts`` (cached template artifacts)
-        short-circuits their exploration phase."""
+        short-circuits their exploration phase; ``tokens`` is the
+        statement's scan when the plan-cache probe made one."""
         obs_scope = None
         if observed:
             from repro.resilience.budget import BudgetScope
@@ -471,14 +493,14 @@ class Session:
                         f"prune_factor must be >= 1.0 (got {prune_factor:g})"
                     )
                 options = replace(options, pruning_factor=prune_factor)
+            with obs_phase("parse"):
+                statement = parse(sql, tokens)
+            with obs_phase("bind"):
+                bound = Binder(self.catalog).bind(statement)
             if resilience_args:
                 from repro.resilience.budget import Budget
                 from repro.resilience.degrade import optimize_resilient
 
-                with obs_phase("parse"):
-                    statement = parse(sql)
-                with obs_phase("bind"):
-                    bound = Binder(self.catalog).bind(statement)
                 return optimize_resilient(
                     self.catalog,
                     bound,
@@ -494,8 +516,8 @@ class Session:
                     ledger=ledger,
                     artifacts=artifacts,
                 )
-            return Optimizer(self.catalog, options).optimize_sql(
-                sql, scope=obs_scope, ledger=ledger, artifacts=artifacts
+            return Optimizer(self.catalog, options).optimize(
+                bound, scope=obs_scope, ledger=ledger, artifacts=artifacts
             )
         if method == "sampled":
             if prune_factor is not None:
@@ -556,7 +578,8 @@ class Session:
         best-plan search, no memo — exact counts, unranking, enumeration
         and uniform sampling (the clique12 memo takes minutes to
         materialize; its implicit count takes seconds).  Its numbering is
-        the one ``OPTION (USEPLAN n)`` executes.  ``count_only`` selects
+        the one ``OPTION (USEPLAN n)`` executes, and its count is the
+        session's (:meth:`implicit_plan_space`).  ``count_only`` selects
         nothing: both values build the same space.  It stays accepted
         only because ``benchmarks/perf`` passes it (ROADMAP 1(b) deletes
         it).
@@ -564,11 +587,28 @@ class Session:
         return PlanSpaceHandle(space=self.implicit_plan_space(sql))
 
     def implicit_plan_space(self, sql: str) -> ImplicitPlanSpace:
-        """The implicit plan space of a query (no physical memo)."""
+        """The implicit plan space of a query (no physical memo).
+
+        Each statement is parsed, laid out and counted once per session:
+        its :class:`~repro.planspace.implicit.CountState` (layout, seed
+        memo, pair record, counts, key table, operator cache) is kept in
+        a table keyed by the statement text, the
+        ``STATEMENT_TABLE_SIZE`` most recently used ones.  Every call
+        returns a fresh space over the kept state, so the tables an
+        unranking fills die with the space.  One thread at a time: the
+        table takes no lock.
+        """
+        states = self._statements
+        state = states.get(sql)
+        if state is not None:
+            states.move_to_end(sql)
+            return ImplicitPlanSpace(state)
         bound = Binder(self.catalog).bind(parse(sql))
-        return ImplicitPlanSpace.from_query(
-            self.catalog, bound, options=self.options
-        )
+        space = ImplicitPlanSpace.from_query(self.catalog, bound, options=self.options)
+        states[sql] = space.state
+        if len(states) > STATEMENT_TABLE_SIZE:
+            states.popitem(last=False)
+        return space
 
     def count_plans(self, sql: str) -> int:
         """``N`` for a query.
@@ -743,10 +783,13 @@ class Session:
 
         ``ranks`` runs exactly those plan numbers; ``sample`` draws a
         uniform sample instead; giving neither enumerates the whole space.
-        The plans come from :meth:`plan_space`, so rank ``n`` is the plan
-        ``OPTION (USEPLAN n)`` runs.  ``implicit`` selects nothing: it
-        stays accepted only because ``benchmarks/perf`` passes it
-        (ROADMAP 1(b) deletes it).  Yields ``(rank, result)`` pairs.
+        The plans come from :meth:`implicit_plan_space`, so rank ``n`` is
+        the plan ``OPTION (USEPLAN n)`` runs, and a statement iterated
+        again is not counted again while it is among the session's
+        ``STATEMENT_TABLE_SIZE`` most recently used (one thread at a
+        time).  ``implicit`` selects nothing: it stays accepted only
+        because ``benchmarks/perf`` passes it (ROADMAP 1(b) deletes it).
+        Yields ``(rank, result)`` pairs.
         """
         space = self.implicit_plan_space(sql)
         if ranks is None:

@@ -40,7 +40,12 @@ from repro.algebra.physical import (
     TableScan,
 )
 from repro.errors import ExecutionError, ResourceExhausted
-from repro.executor.scalar import compile_filter, compile_join, compile_projection
+from repro.executor.scalar import (
+    compile_filter,
+    compile_join,
+    compile_probe,
+    compile_projection,
+)
 from repro.obs.analyze import ExecutionStats, OperatorStats
 from repro.resilience.faults import fault_point
 from repro.executor.schema import RowSchema, inner_columns, output_schema
@@ -265,7 +270,6 @@ class PlanExecutor:
 
         left_key = self._key_fn(op.left_keys, left_schema)
         right_key = self._key_fn(op.right_keys, right_schema)
-        join = compile_join(op.residual, left_schema, right_schema)
 
         # A NULL key equals nothing: such a row is never built, so no
         # probe -- NULL-keyed or not -- can find it.
@@ -275,12 +279,8 @@ class PlanExecutor:
             key = right_key(row)
             if not (key is None if one_column else None in key):
                 buckets.setdefault(key, []).append(row)
-        out = []
-        for left in left_rows:
-            bucket = buckets.get(left_key(left))
-            if bucket:
-                out += join((left,), bucket)
-        return left_schema + right_schema, out
+        probe = compile_probe(op.residual, left_schema, right_schema, left_key, buckets)
+        return left_schema + right_schema, probe(left_rows)
 
     def _run_merge_join(self, plan: PlanNode) -> tuple[RowSchema, list[tuple]]:
         op = plan.op
@@ -326,13 +326,10 @@ class PlanExecutor:
         seek = inner.index_lookup(op.index_name, len(op.inner_keys))
         outer_key = self._key_fn(op.outer_keys, outer_schema)
         predicates = [p for p in (op.inner_predicate, op.residual) if p is not None]
-        join = compile_join(make_conjunction(predicates), outer_schema, inner_schema)
-        out = []
-        for outer in outer_rows:
-            bucket = seek.get(outer_key(outer))
-            if bucket:
-                out += join((outer,), bucket)
-        return outer_schema + inner_schema, out
+        probe = compile_probe(
+            make_conjunction(predicates), outer_schema, inner_schema, outer_key, seek
+        )
+        return outer_schema + inner_schema, probe(outer_rows)
 
     def _run_sort(self, plan: PlanNode) -> tuple[RowSchema, list[tuple]]:
         schema, rows = self._run(plan.children[0])

@@ -43,6 +43,7 @@ __all__ = [
     "compile_predicate",
     "compile_filter",
     "compile_join",
+    "compile_probe",
     "compile_projection",
     "like_matcher",
     "code_object",
@@ -110,16 +111,19 @@ class _Source:
         text = self.emit(expr)
         return text if isinstance(expr, _BOOLEAN) else f"(not not {text})"
 
+    def column(self, column: ColumnId) -> tuple[str, int]:
+        """The input variable holding ``column``, and its position there."""
+        for var, positions in self.inputs:
+            if (index := positions.get(column)) is not None:
+                return var, index
+        known = sorted(c.render() for _, pos in self.inputs for c in pos)
+        raise ExecutionError(
+            f"column {column.render()!r} not in input schema ({', '.join(known)})"
+        )
+
     def emit(self, expr: Scalar) -> str:
         if isinstance(expr, ColumnRef):
-            for var, positions in self.inputs:
-                if (index := positions.get(expr.column_id)) is not None:
-                    return f"{var}[{index}]"
-            known = sorted(c.render() for _, pos in self.inputs for c in pos)
-            raise ExecutionError(
-                f"column {expr.column_id.render()!r} not in input schema "
-                f"({', '.join(known)})"
-            )
+            return "{}[{}]".format(*self.column(expr.column_id))
         if isinstance(expr, Literal):
             return self.constant(expr.value)
         if isinstance(expr, Comparison):
@@ -129,12 +133,21 @@ class _Source:
             # skip it.  Beside a guard, at most one operand is such a node.
             sides = (expr.left, expr.right)
             operands = [self.emit(side) for side in sides]
+            null = any(isinstance(s, Literal) and s.value is None for s in sides)
+            if expr.op is CompOp.EQ and not null:
+                # Equality first: ``None == x`` is false for a non-NULL
+                # ``x``, so only NULL = NULL needs a guard, and only
+                # between two columns; the operands are evaluated in order.
+                test = f"{operands[0]} == {operands[1]}"
+                if all(isinstance(side, ColumnRef) for side in sides):
+                    return f"({test} and {operands[0]} is not None)"
+                return f"({test})"
             guards = [
                 f"{text} is not None"
                 for side, text in zip(sides, operands)
                 if isinstance(side, ColumnRef)
             ]
-            if any(isinstance(s, Literal) and s.value is None for s in sides):
+            if null:
                 guards.append("False")
             for i, side in enumerate(sides):
                 if guards and not isinstance(side, (ColumnRef, Literal)):
@@ -206,15 +219,75 @@ def compile_filter(expr: Scalar | None, schema: Schema) -> RowsFn:
     return source.function("rows", f"[row for row in rows if {source.emit(expr)}]")
 
 
+def _cannot_raise(expr: Scalar) -> bool:
+    """True for a conjunct no row can make raise: ``=`` / ``<>`` and
+    ``IS NULL`` / ``IN`` over columns and literals."""
+    if isinstance(expr, Comparison):
+        return expr.op in (CompOp.EQ, CompOp.NE) and all(
+            isinstance(side, (ColumnRef, Literal)) for side in (expr.left, expr.right)
+        )
+    return isinstance(expr, (IsNull, InList)) and isinstance(expr.arg, (ColumnRef, Literal))
+
+
+def _join_source(source: _Source, expr: Scalar | None, inner: str) -> str:
+    """``[l + r for l in lefts for r in <inner> if <expr>]``, with every
+    column = column equality between the two sides that only conjuncts
+    which cannot raise precede *probed*: its left column is read once
+    per outer row into a temporary, and it is tested -- inner column
+    first, then the NULL guard -- before the other conjuncts, which keep
+    their order.  Moving a conjunct that cannot raise changes no value
+    and no exception."""
+    if expr is None:
+        conjuncts = []
+    elif isinstance(expr, BoolExpr) and expr.op is BoolOp.AND:
+        conjuncts = list(expr.args)
+    else:
+        conjuncts = [expr]
+    keys: list[str] = []
+    probes: list[str] = []
+    rest: list[str] = []
+    movable = True
+    for conjunct in conjuncts:
+        if movable and isinstance(conjunct, Comparison) and conjunct.op is CompOp.EQ:
+            sides = (conjunct.left, conjunct.right)
+            if all(isinstance(side, ColumnRef) for side in sides):
+                (a, i), (b, j) = (source.column(side.column_id) for side in sides)
+                if {a, b} == {"l", "r"}:
+                    outer, inner_index = (i, j) if a == "l" else (j, i)
+                    temp = source.temporary()
+                    keys.append(f" for {temp} in (l[{outer}],)")
+                    probes.append(f"r[{inner_index}] == {temp} and {temp} is not None")
+                    continue
+        movable = movable and _cannot_raise(conjunct)
+        rest.append(source.truth(conjunct))
+    tests = probes + rest
+    test = f" if {' and '.join(tests)}" if tests else ""
+    return f"[l + r for l in lefts{''.join(keys)} for r in {inner}{test}]"
+
+
 def compile_join(
     expr: Scalar | None, left: Schema, right: Schema
 ) -> Callable[[Sequence[tuple], Sequence[tuple]], Rows]:
     """``fn(lefts, rights) -> [l + r, ...]`` over the pairs that pass, in
     nested-loop order; only a passing pair is concatenated."""
     source = _Source(("l", left), ("r", right))
-    test = "" if expr is None else f" if {source.emit(expr)}"
-    body = f"[l + r for l in lefts for r in rights{test}]"
-    return source.function("lefts, rights", body)
+    return source.function("lefts, rights", _join_source(source, expr, "rights"))
+
+
+def compile_probe(
+    residual: Scalar | None,
+    left: Schema,
+    right: Schema,
+    key: Callable[[tuple], object],
+    buckets: dict,
+) -> RowsFn:
+    """``fn(lefts) -> [l + r, ...]``: each left row joined, in order, with
+    the rows of its bucket, ``buckets[key(l)]``, that pass ``residual``.
+    ``key`` and ``buckets`` are passed by name, so the source text is the
+    residual's alone."""
+    source = _Source(("l", left), ("r", right))
+    lookup = f"{source.constant(buckets.get)}({source.constant(key)}(l), ())"
+    return source.function("lefts", _join_source(source, residual, lookup))
 
 
 def compile_projection(exprs: Sequence[Scalar], schema: Schema) -> RowsFn:

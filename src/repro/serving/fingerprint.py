@@ -26,7 +26,7 @@ shaped the search space.  Either changing yields a fresh key, never a stale hit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.sql.lexer import TokenType, tokenize
 
@@ -55,10 +55,13 @@ class QueryFingerprint:
     single-spaced, literals replaced by ``?``); ``params`` carries the
     extracted ``(kind, value)`` pairs in occurrence order — the part of
     the cache key that distinguishes literal variants of one template.
+    ``tokens`` is the scan both were read from (EOF token included): a
+    plan-tier miss parses it rather than lexing the text again.
     """
 
     template: str
     params: tuple[tuple[str, str], ...]
+    tokens: list | None = field(default=None, compare=False, repr=False)
 
     @property
     def digest(self) -> str:
@@ -79,7 +82,7 @@ def fingerprint_sql(sql: str) -> QueryFingerprint:
     params: list[tuple[str, str]] = []
     after_useplan = False
     tokens = tokenize(sql)
-    tokens.pop()  # EOF
+    eof = tokens.pop()
     for kind, value, _line, _column in tokens:
         if kind in _LITERALS and not after_useplan:
             parts.append("?")
@@ -93,7 +96,10 @@ def fingerprint_sql(sql: str) -> QueryFingerprint:
         else:
             parts.append(value)
         after_useplan = kind is TokenType.KEYWORD and value == "USEPLAN"
-    return QueryFingerprint(template=" ".join(parts), params=tuple(params))
+    tokens.append(eof)  # the parser's scan ends with it
+    return QueryFingerprint(
+        template=" ".join(parts), params=tuple(params), tokens=tokens
+    )
 
 
 # ----------------------------------------------------------------------

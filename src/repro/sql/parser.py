@@ -76,8 +76,9 @@ _AGG_FUNCS = {
 class Parser:
     """Parses one SELECT statement from a token stream."""
 
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
+    def __init__(self, text: str, tokens: list[Token] | None = None):
+        #: ``tokens``, when given, is ``tokenize(text)`` already scanned
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.pos = 0
 
     # ------------------------------------------------------------------
@@ -382,6 +383,6 @@ class Parser:
         raise self._error(f"unexpected token {token.value!r} in expression")
 
 
-def parse(text: str) -> SelectStatement:
-    """Parse one SELECT statement."""
-    return Parser(text).parse_statement()
+def parse(text: str, tokens: list[Token] | None = None) -> SelectStatement:
+    """Parse one SELECT statement (``tokens``: its scan, if one was made)."""
+    return Parser(text, tokens).parse_statement()

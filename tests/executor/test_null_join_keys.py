@@ -9,6 +9,8 @@ find, latent only because the data generator emits no NULLs.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.expressions import (
     ColumnId,
@@ -42,8 +44,7 @@ C_FK, C_FK2, P_ID, P_ID2, P_V = (
 )
 
 
-@pytest.fixture
-def db():
+def _catalog():
     integer = ColumnType.INTEGER
     parent = TableSchema(
         name="p",
@@ -57,7 +58,16 @@ def db():
     catalog = Catalog()
     catalog.add_table(parent)
     catalog.add_table(child)
-    database = Database(catalog=catalog)
+    return catalog
+
+
+CATALOG = _catalog()
+
+
+@pytest.fixture
+def db():
+    database = Database(catalog=CATALOG)
+    parent, child = CATALOG.tables["p"], CATALOG.tables["c"]
     # distinct ids, so sorting the index never compares a NULL id2
     database.add_table(DataTable(parent, [(1, 1, 10), (2, None, 20), (3, 3, 30)]))
     database.add_table(
@@ -127,3 +137,34 @@ def test_the_defective_hash_join_still_runs_on_bare_keys(db):
     plan = PlanNode(HashJoin((C_FK,), (P_ID,)), (scan("c"), scan("p")), 2, 1, 5.0)
     rows = IgnoredResidualExecutor(db).execute(plan).rows
     assert (0, 1, 1, 1, 1, 10) in rows
+
+
+#: join-key values: NULLs, repeats, and ``1`` / ``1.0`` as one key
+KEYS = st.sampled_from([None, 1, 1.0, 2, 3])
+RESIDUALS = [
+    None,
+    Comparison(CompOp.GT, ColumnRef(P_V), Literal(10)),
+    Comparison(CompOp.LT, ColumnRef(ColumnId("c", "n")), ColumnRef(P_V)),
+    Comparison(CompOp.EQ, ColumnRef(C_FK2), ColumnRef(P_ID2)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 20), KEYS, KEYS), max_size=7),
+    st.lists(st.tuples(KEYS, KEYS, st.sampled_from([None, 5, 10, 20])), max_size=7),
+    st.sampled_from([((C_FK, P_ID),), ((C_FK, P_ID), (C_FK2, P_ID2))]),
+    st.sampled_from(RESIDUALS),
+)
+def test_the_compiled_hash_probe_gives_the_nested_loops_rows(
+    children, parents, keys, residual
+):
+    """The hash join's probe, compiled into one comprehension, against
+    the nested loop over the same pairs: the same rows in the same
+    order, with and without a residual, over NULL and repeated keys."""
+    database = Database(catalog=CATALOG)
+    database.add_table(DataTable(CATALOG.tables["p"], parents))
+    database.add_table(DataTable(CATALOG.tables["c"], children))
+    nested, hashed, _index = plans(keys, residual)
+    want = execute_plan(nested, database).rows
+    assert execute_plan(hashed, database).rows == want

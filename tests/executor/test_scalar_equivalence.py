@@ -7,6 +7,8 @@ same value *and type* (``True``, never ``1``), or fail with the same
 exception class — and, for ``ExecutionError``, the same message.
 """
 
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,8 +135,71 @@ def test_predicate_filter_and_projection_shapes_match(expr, row):
     )
 
 
+#: join keys from a narrow domain, so pairs match, keys repeat and NULL
+#: meets NULL; ``1`` and ``1.0`` are one key
+keys = st.sampled_from([None, None, 0, 1, 1.0, "a"])
+join_values = st.one_of(keys, values)
+
+
+def join_rows(width):
+    return st.tuples(*[join_values] * width)
+
+
+def probe_conjunctions():
+    """Conjunctions of the shapes a join compiles: column = column
+    equalities across the two sides, behind or ahead of conjuncts that
+    cannot raise and of conjuncts that can (``/`` by zero, ``<`` between
+    text and a number), and ``OR``s of equalities."""
+    cross = st.builds(
+        lambda pair, flip: Comparison(CompOp.EQ, *(pair[::-1] if flip else pair)),
+        st.sampled_from([(A, X), (B, Y), (C, X), (A, Y)]),
+        st.booleans(),
+    )
+    plain = st.one_of(
+        st.builds(
+            Comparison,
+            st.sampled_from([CompOp.EQ, CompOp.NE]),
+            st.sampled_from([A, B, Y]),
+            st.one_of(st.sampled_from([C, X]), st.builds(Literal, keys)),
+        ),
+        st.builds(IsNull, st.sampled_from([A, X]), st.booleans()),
+        st.builds(InList, st.sampled_from([B, Y]), st.just((0, "a")), st.booleans()),
+    )
+    raising = st.one_of(
+        st.builds(
+            lambda column, other: Comparison(
+                CompOp.EQ, column, Arithmetic("/", Literal(1), other)
+            ),
+            st.sampled_from([A, X]),
+            st.sampled_from([B, Y, Literal(0)]),
+        ),
+        st.builds(
+            Comparison,
+            st.sampled_from([CompOp.LT, CompOp.GE]),
+            st.sampled_from([A, X]),
+            st.sampled_from([Literal("a"), Literal(1), B, Y]),
+        ),
+    )
+    either = st.builds(
+        lambda args: BoolExpr(BoolOp.OR, tuple(args)),
+        st.lists(st.one_of(cross, plain), min_size=2, max_size=3),
+    )
+    return st.one_of(
+        cross,
+        st.builds(lambda *args: BoolExpr(BoolOp.AND, args), raising, cross),
+        st.builds(
+            lambda args: BoolExpr(BoolOp.AND, tuple(args)),
+            st.lists(st.one_of(cross, plain, raising, either), min_size=2, max_size=4),
+        ),
+    )
+
+
 @settings(max_examples=200, deadline=None)
-@given(trees([A, B, C, X, Y]), st.lists(rows(3), max_size=3), st.lists(rows(2), max_size=3))
+@given(
+    st.one_of(trees([A, B, C, X, Y]), probe_conjunctions()),
+    st.lists(join_rows(3), max_size=4),
+    st.lists(join_rows(2), max_size=4),
+)
 def test_join_shape_matches_the_oracle_over_concatenated_rows(expr, lefts, rights):
     def reference_join(lefts, rights):
         predicate = reference_scalar.compile_predicate(expr, LEFT + RIGHT)
@@ -254,4 +319,174 @@ class TestPinned:
         assert scalar.compile_join(None, LEFT, RIGHT)(rows, [(8, 9), (7, 6)]) == [
             (1, 2, 3, 8, 9),
             (1, 2, 3, 7, 6),
+        ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.none(), trees([A, B, C, X, Y]), probe_conjunctions()),
+    st.lists(join_rows(3), max_size=4),
+    st.lists(join_rows(2), max_size=4),
+    st.sampled_from([[0], [0, 1], [2]]),
+)
+def test_probe_shape_matches_the_oracle_over_each_bucket(residual, lefts, rights, key):
+    """``compile_probe`` against a loop over the buckets of the build
+    side, NULL-keyed build rows left out as the hash join leaves them."""
+    buckets: dict = {}
+    for row in rights:
+        value = row[0] if len(key) == 1 else row[: len(key)]
+        if not (value is None if len(key) == 1 else None in value):
+            buckets.setdefault(value, []).append(row)
+
+    def reference_probe(lefts):
+        predicate = reference_scalar.compile_predicate(residual, LEFT + RIGHT)
+        out = []
+        for l in lefts:
+            value = l[key[0]] if len(key) == 1 else tuple(l[i] for i in key)
+            out += [l + r for r in buckets.get(value, ()) if predicate(l + r)]
+        return out
+
+    probe = scalar.compile_probe(residual, LEFT, RIGHT, itemgetter(*key), buckets)
+    got = outcome(probe, lefts)
+    assert got == outcome(reference_probe, lefts)
+
+
+# ----------------------------------------------------------------------
+# pinned shapes: an equality, a join's probe, a hash probe
+# ----------------------------------------------------------------------
+@pytest.fixture
+def sources(monkeypatch):
+    """Every text handed to ``compile()`` while the test runs."""
+    seen = []
+    compiled = scalar.code_object
+
+    def recording(source):
+        seen.append(source)
+        return compiled(source)
+
+    monkeypatch.setattr(scalar, "code_object", recording)
+    return seen
+
+
+LEFTS = [(1, "a", None), (None, "a", 2), (2, None, 1), (1, 0, 0)]
+RIGHTS = [(1, "a"), (None, 1), (1, None), (2, "a")]
+
+
+def eq(a, b):
+    return Comparison(CompOp.EQ, a, b)
+
+
+def conjunction(*args):
+    return BoolExpr(BoolOp.AND, args)
+
+
+def assert_join(expr, source_text, sources, lefts=LEFTS, rights=RIGHTS):
+    got = outcome(scalar.compile_join(expr, LEFT, RIGHT), lefts, rights)
+
+    def reference_join(lefts, rights):
+        predicate = reference_scalar.compile_predicate(expr, LEFT + RIGHT)
+        return [l + r for l in lefts for r in rights if predicate(l + r)]
+
+    assert got == outcome(reference_join, lefts, rights)
+    assert sources == [source_text]
+    return got
+
+
+class TestEmittedShapes:
+    def test_column_equality_tests_equality_then_the_null_guard(self, sources):
+        fn = scalar.compile_scalar(eq(A, B), LEFT)
+        assert sources == ["lambda row: (row[0] == row[1] and row[0] is not None)"]
+        assert [fn(row) for row in [(1, 1, 0), (None, None, 0), (None, 1, 0)]] == [
+            True,
+            False,
+            False,
+        ]
+        assert_same_scalar(eq(A, B), (None, None, 0))
+
+    def test_equality_with_a_literal_is_the_test_alone(self, sources):
+        fn = scalar.compile_scalar(eq(A, Literal(1)), LEFT)
+        assert sources == ["lambda row: (row[0] == k2)"]
+        assert (fn((1, 0, 0)), fn((None, 0, 0))) == (True, False)
+        # NULL literal: false, with no equality test at all
+        assert scalar.compile_scalar(eq(A, Literal(None)), LEFT)((None, 0, 0)) is False
+
+    def test_equality_with_a_node_evaluates_the_node(self, sources):
+        expr = eq(A, Arithmetic("/", B, C))
+        assert_same_scalar(expr, (None, 1, 0))
+        with pytest.raises(ExecutionError, match="division by zero"):
+            scalar.compile_scalar(expr, LEFT)((None, 1, 0))
+        assert sources[0] == "lambda row: (row[0] == (row[1] / t1 if (t1 := row[2]) != 0 else zero()))"
+
+    def test_join_equality_is_probed(self, sources):
+        got = assert_join(
+            eq(X, A),
+            "lambda lefts, rights: [l + r for l in lefts for t1 in (l[0],)"
+            " for r in rights if r[0] == t1 and t1 is not None]",
+            sources,
+        )
+        assert got[1] == repr(
+            [
+                (1, "a", None, 1, "a"),
+                (1, "a", None, 1, None),
+                (2, None, 1, 2, "a"),
+                (1, 0, 0, 1, "a"),
+                (1, 0, 0, 1, None),
+            ]
+        )
+
+    def test_probe_moves_ahead_of_conjuncts_that_cannot_raise(self, sources):
+        expr = conjunction(
+            Comparison(CompOp.NE, C, Literal(5)), IsNull(Y, True), eq(B, Y), eq(A, X)
+        )
+        assert_join(
+            expr,
+            "lambda lefts, rights: [l + r for l in lefts for t1 in (l[1],)"
+            " for t2 in (l[0],) for r in rights if r[1] == t1 and t1 is not None"
+            " and r[0] == t2 and t2 is not None and (l[2] is not None and l[2] != k2)"
+            " and (r[1] is not None)]",
+            sources,
+        )
+
+    @pytest.mark.parametrize(
+        "raising",
+        [
+            eq(C, Arithmetic("/", Literal(1), Y)),  # division by zero
+            Comparison(CompOp.LT, B, Y),  # text < number
+        ],
+        ids=["division", "text-vs-number"],
+    )
+    def test_probe_stays_behind_a_conjunct_that_can_raise(self, raising, sources):
+        # probed first, the unequal pair would skip ``raising``: no error
+        expr = conjunction(raising, eq(A, X))
+        lefts, rights = [(1, "a", 0)], [(2, 0)]
+        got = outcome(scalar.compile_join(expr, LEFT, RIGHT), lefts, rights)
+        assert got[0] in ("ExecutionError", "TypeError"), got
+        assert_join(expr, sources[0], sources[:1], lefts, rights)
+        assert " for t" not in sources[0]
+
+    def test_or_of_equalities_is_not_probed(self, sources):
+        expr = BoolExpr(BoolOp.OR, (eq(A, X), eq(B, Y)))
+        assert_join(
+            expr,
+            "lambda lefts, rights: [l + r for l in lefts for r in rights if"
+            " ((l[0] == r[0] and l[0] is not None) or (l[1] == r[1] and l[1] is not None))]",
+            sources,
+        )
+
+    def test_hash_probe_is_one_comprehension(self, sources):
+        buckets = {1: [(1, "a"), (1, None)], (1, "a"): [(1, "a")]}
+        probe = scalar.compile_probe(None, LEFT, RIGHT, itemgetter(0), buckets)
+        assert probe(LEFTS) == [
+            (1, "a", None, 1, "a"),
+            (1, "a", None, 1, None),
+            (1, 0, 0, 1, "a"),
+            (1, 0, 0, 1, None),
+        ]
+        residual = Comparison(CompOp.NE, C, Y)
+        probe = scalar.compile_probe(residual, LEFT, RIGHT, itemgetter(0, 1), buckets)
+        assert probe(LEFTS + [(1, "a", "b")]) == [(1, "a", "b", 1, "a")]
+        assert sources == [
+            "lambda lefts: [l + r for l in lefts for r in k2(k3(l), ())]",
+            "lambda lefts: [l + r for l in lefts for r in k2(k3(l), ())"
+            " if (l[2] is not None and r[1] is not None and l[2] != r[1])]",
         ]

@@ -111,6 +111,31 @@ class TestSessionIntegration:
         other = Session(database, plan_cache=cache).optimize(sql)
         assert other.cache.tier == "plan"
 
+    @pytest.mark.parametrize("deadline_s", [None, 5.0])
+    def test_one_scan_per_request(self, database, monkeypatch, deadline_s):
+        """A plan-tier miss parses the fingerprint's tokens; a hit scans
+        once as before -- through a server too, which scans in the
+        caller's thread and hands the fingerprint on."""
+        import repro.serving.fingerprint as fingerprint
+        import repro.sql.parser as parser
+
+        scans = []
+
+        def counting(tokenize):
+            return lambda text: scans.append(text) or tokenize(text)
+
+        monkeypatch.setattr(fingerprint, "tokenize", counting(fingerprint.tokenize))
+        monkeypatch.setattr(parser, "tokenize", counting(parser.tokenize))
+        session = cached_session(database)
+        miss, hit = SQL.format(lit="1000.0"), SQL.format(lit="1000.0")
+        assert session.optimize(miss, deadline_s=deadline_s).cache.tier == "miss"
+        assert len(scans) == 1
+        assert session.optimize(hit, deadline_s=deadline_s).cache.tier == "plan"
+        assert len(scans) == 2
+        with PlanServer(database, workers=1) as server:
+            server.optimize(SQL.format(lit="7.0"), deadline_s=deadline_s)
+        assert len(scans) == 3
+
     def test_no_cache_means_no_tagging(self, database):
         result = Session(database).optimize(SQL.format(lit="1000.0"))
         assert result.cache is None

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.api import Session
+from repro.api import STATEMENT_TABLE_SIZE, Session
 from repro.errors import PlanSpaceError
 from repro.executor.executor import PlanExecutor
+from repro.obs import Tracer, tracing
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.testing.diff import canonical_rows
 from repro.testing.harness import PlanValidator
@@ -79,6 +80,67 @@ class TestIteratePlans:
             if reference is None:
                 reference = rows
             assert rows == reference
+
+
+def _spans(span, name: str) -> int:
+    """How many spans called ``name`` the tree under ``span`` holds."""
+    return (span.name == name) + sum(_spans(child, name) for child in span.children)
+
+
+class TestStatementTable:
+    """A session counts each statement once: ``iterate_plans``,
+    ``plan_space`` and ``count_plans`` share one table of counted
+    states, keyed by the statement text."""
+
+    @staticmethod
+    def _traced(session, calls):
+        tracer = Tracer()
+        with tracing(tracer), tracer.span("calls"):
+            out = [call() for call in calls]
+        return tracer.root, out
+
+    @staticmethod
+    def _drawn(session, sql, seed=4):
+        return [
+            (rank, result.rows)
+            for rank, result in session.iterate_plans(sql, sample=12, seed=seed)
+        ]
+
+    def test_two_iterations_build_one_layout_and_one_count(self):
+        session = Session.tpch(seed=0)
+        root, (first, second, total) = self._traced(
+            session,
+            [
+                lambda: self._drawn(session, SQL),
+                lambda: self._drawn(session, SQL),
+                lambda: session.count_plans(SQL),
+            ],
+        )
+        assert _spans(root, "implicit.layout") == _spans(root, "implicit.count") == 1
+        assert first == second and total == session.plan_space(SQL).count()
+
+    def test_a_reused_statement_draws_what_a_fresh_session_draws(self):
+        session = Session.tpch(seed=0)
+        self._drawn(session, SQL, seed=9)
+        reused = self._drawn(session, SQL)
+        fresh_session = Session.tpch(seed=0)
+        assert reused == self._drawn(fresh_session, SQL)
+        for rank, _rows in reused:
+            assert (
+                session.plan_space(SQL).unrank(rank).render()
+                == fresh_session.plan_space(SQL).unrank(rank).render()
+            )
+
+    def test_an_evicted_statement_is_rebuilt_the_same(self):
+        session = Session.tpch(seed=0)
+        before = self._drawn(session, SQL)
+        plans = [session.plan_space(SQL).unrank(rank).render() for rank, _ in before]
+        for n in range(1, STATEMENT_TABLE_SIZE + 1):  # pushes SQL out
+            session.count_plans(SQL + " " * n)
+        root, (after,) = self._traced(session, [lambda: self._drawn(session, SQL)])
+        assert _spans(root, "implicit.count") == 1, "evicted, so counted again"
+        assert after == before
+        assert [session.plan_space(SQL).unrank(r).render() for r, _ in after] == plans
 
 
 class TestIntrospection:

@@ -4,7 +4,12 @@ built by reference count and leaves the cycle collector nothing.
 Owners point down and nothing points back up.  Implicit / sampled
 routes: result → plan nodes → operators; pool → space → unranker →
 tables → count state → layout → seed memo (``planspace/implicit/README.md``,
-"Ownership and lifetime").  Exact routes: result → memo → groups →
+"Ownership and lifetime").  A session's own routes (``iterate_plans``,
+``count_plans``, ``implicit_plan_space``) count each statement once: the
+session's statement table owns the count state, layout, seed memo, key
+table and operator cache, which die at ``del session`` or when
+``STATEMENT_TABLE_SIZE`` newer statements push them out; the call's
+space and tables die at ``del result``.  Exact routes: result → memo → groups →
 pending hooks → columnar stores → operator cache, each store reading
 its memo back through a weak reference (``memo/README.md``).  The
 optimizers pause the cycle collector and a server may run with it off,
@@ -53,7 +58,7 @@ from collections import Counter
 import pytest
 
 import repro.memo.columnar as columnar
-from repro.api import Session
+from repro.api import STATEMENT_TABLE_SIZE, Session
 from repro.memo.columnar import ColumnarLogicalStore, ColumnarPhysicalStore
 from repro.memo.memo import Memo
 from repro.optimizer.rules import PhysicalOperators
@@ -77,26 +82,32 @@ def workload():
     return clique_query(6, rows=5, seed=0)
 
 
+class Watched(list):
+    """Weak references to what a call built (``self``) and, apart, to
+    the counted state under each space (``statements``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.statements: list[weakref.ref] = []
+
+    def clear(self) -> None:
+        del self[:]
+        del self.statements[:]
+
+
 @pytest.fixture
 def watched(monkeypatch):
     """Weak references to every space (and what it owns) and every
     fragment pool constructed while the fixture is active."""
-    refs: list[weakref.ref] = []
+    refs = Watched()
     space_init = ImplicitPlanSpace.__init__
     pool_init = FragmentPool.__init__
 
     def spy_space(self, state, *args, **kwargs):
         space_init(self, state, *args, **kwargs)
-        owned = (
-            self,
-            state,
-            state.layout,
-            state.layout.memo,
-            state.keys,
-            state.operators,
-            self.unranker.tables,
-        )
-        refs.extend(weakref.ref(obj) for obj in owned)
+        refs.extend(weakref.ref(obj) for obj in (self, self.unranker.tables))
+        counted = (state, state.layout, state.layout.memo, state.keys, state.operators)
+        refs.statements.extend(weakref.ref(obj) for obj in counted)
 
     def spy_pool(self, *args, **kwargs):
         pool_init(self, *args, **kwargs)
@@ -123,6 +134,15 @@ def _abandoned(session, sql):
     return plans, next(plans)
 
 
+#: the routes that read a statement's space through the session's
+#: statement table: the session, not the result, owns its counted state
+SESSION_ROUTES = {
+    "iterate-plans-exhausted",
+    "iterate-plans-abandoned",
+    "count-plans",
+    "unrank",
+}
+
 #: route -> callable(session, workload) -> the result to drop
 ROUTES = {
     "sampled-stratified": lambda s, w: _sampled(s, w.sql, samples=60),
@@ -147,7 +167,7 @@ def test_dropped_result_frees_its_space(route, workload, watched):
     session = Session(workload.database)
     run = ROUTES[route]
     run(session, workload)  # warm-up: lazy imports, process-wide caches
-    del watched[:]
+    watched.clear()
     gc.collect()
     gc.disable()
     try:
@@ -158,7 +178,44 @@ def test_dropped_result_frees_its_space(route, workload, watched):
         if route == "sampled-budget-stopped":
             assert result.stopped_because == "budget"
         del result
-        _assert_dead(watched, "`del result`")
+        if route in SESSION_ROUTES:
+            # the call's space and tables die with the result; the
+            # statement's counted state lives on in the session
+            _assert_dead(watched, "`del result`")
+            assert not _collector_census()
+            assert all(ref() is not None for ref in watched.statements)
+            del session
+            _assert_dead(watched.statements, "`del session`")
+        else:
+            _assert_dead(watched + watched.statements, "`del result`")
+        census = _collector_census()
+    finally:
+        gc.enable()
+    assert not census, f"left for the cycle collector: {_names(census)}"
+
+
+@pytest.mark.parametrize("route", sorted(SESSION_ROUTES))
+def test_evicted_statement_frees_its_state(route, workload, watched):
+    """A statement pushed out of the session's table by
+    ``STATEMENT_TABLE_SIZE`` newer ones: its counted state dies then,
+    by reference count, while the session lives on."""
+    session = Session(workload.database)
+    run = ROUTES[route]
+    run(session, workload)  # warm-up: lazy imports, process-wide caches
+    session = Session(workload.database)
+    others = [f"{workload.sql}{' ' * n}" for n in range(1, STATEMENT_TABLE_SIZE + 1)]
+    watched.clear()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run(session, workload)
+        del result
+        first = list(watched.statements)
+        for text in others[:-1]:
+            session.count_plans(text)
+        assert all(ref() is not None for ref in first), "evicted before the bound"
+        session.count_plans(others[-1])
+        _assert_dead(first, "eviction")
         census = _collector_census()
     finally:
         gc.enable()
