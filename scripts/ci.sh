@@ -219,6 +219,30 @@ for result in results:
     assert result.cache.tier == "plan"
     assert result.best_plan.render() == reference.best_plan.render()
     assert repr(result.best_cost) == repr(reference.best_cost)
+
+# A request's arguments pass through the front end: the server's
+# deadline and on_budget only fill in what the request left out.  A
+# sampled request is served under a server-wide deadline (it takes
+# budget_s instead), and a per-request on_budget="raise" reaches the
+# ladder and fails the request.  Counts, not timings.
+from repro.errors import BudgetError
+from repro.workloads.tpch_queries import tpch_query
+
+q3 = tpch_query("Q3").sql
+with PlanServer(Session.tpch(seed=0).database, workers=1, deadline_s=5) as server:
+    sampled = server.optimize(q3, method="sampled", samples=20)
+    try:
+        server.optimize(q3, on_budget="raise", max_expressions=1)
+        raise AssertionError("on_budget='raise' did not reach the ladder")
+    except BudgetError:
+        pass
+    stats = server.stats()
+print(
+    f"PlanServer(deadline_s=5): sampled request drew {sampled.samples}; "
+    f"{stats['served_pooled']} pooled, {stats['errors']} raised by on_budget"
+)
+assert sampled.samples == 20
+assert (stats["served_pooled"], stats["errors"]) == (2, 1), stats
 EOF
 
 echo "== sampled optimize smoke =="

@@ -18,9 +18,10 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-from repro.errors import PlanSpaceError
+from repro.errors import BudgetError, PlanSpaceError
 from repro.executor.executor import PlanExecutor, QueryResult
 from repro.obs import Metrics, Tracer, phase as obs_phase, tracing
 from repro.obs.feedback import (
@@ -36,6 +37,7 @@ from repro.optimizer.optimizer import (
 )
 from repro.optimizer.plan import PlanNode
 from repro.planspace.implicit import CountState, ImplicitPlanSpace
+from repro.resilience.budget import Budget, BudgetScope
 from repro.serving.cache import (
     CacheIdentity,
     CacheInfo,
@@ -56,6 +58,71 @@ __all__ = ["Session", "ExecutedQuery", "PlanSpaceHandle"]
 #: its layout, seed memo, key table and operator cache, so an unbounded
 #: table is a leak over a long-lived session.
 STATEMENT_TABLE_SIZE = 16
+
+
+def _check_request(
+    method: str,
+    prune_factor: float | None,
+    budgeted: bool,
+    on_budget: str,
+    feedback,
+    kwargs: dict,
+) -> None:
+    """Refuse an ``optimize`` argument combination that cannot run.
+
+    The one place that decides which arguments go together: the CLI and
+    :class:`~repro.serving.PlanServer` pass theirs through unchecked.
+    ``budgeted`` says a deadline, cancellation token or ceiling was
+    given; ``kwargs`` are the sampling arguments.
+    """
+    if on_budget not in ("degrade", "raise"):
+        raise BudgetError(
+            f'on_budget must be "degrade" or "raise", got {on_budget!r}'
+        )
+    if method == "exhaustive":
+        if kwargs:
+            raise PlanSpaceError(
+                "exhaustive optimization accepts no sampling arguments "
+                f"(got {sorted(kwargs)}); did you mean method='sampled'?"
+            )
+        if prune_factor is not None and prune_factor < 1.0:
+            raise PlanSpaceError(
+                f"prune_factor must be >= 1.0 (got {prune_factor:g})"
+            )
+        return
+    if method != "sampled":
+        raise PlanSpaceError(
+            f"unknown optimization method {method!r} "
+            "(expected 'exhaustive' or 'sampled')"
+        )
+    if prune_factor is not None:
+        raise PlanSpaceError(
+            "prune_factor applies to exhaustive optimization only "
+            "(the sampled path never builds the memo it would prune)"
+        )
+    if budgeted:
+        raise PlanSpaceError(
+            "deadline_s/cancellation/ceilings apply to exhaustive "
+            "optimization (the degradation ladder); the sampled "
+            "method takes its own budget_s/samples arguments"
+        )
+    if feedback is not None and feedback is not False:
+        raise PlanSpaceError(
+            "feedback re-costing applies to exhaustive optimization "
+            "(the sampled path rebuilds its estimates per batch from "
+            "catalog statistics)"
+        )
+
+
+@contextmanager
+def _optimize_span(tracer: Tracer | None):
+    """A traced request's root: ``tracer`` active, one ``optimize`` span
+    open.  Untraced (``tracer=None``) it does nothing."""
+    if tracer is None:
+        yield
+        return
+    with tracing(tracer), tracer.span("optimize"):
+        yield
 
 
 @dataclass
@@ -204,8 +271,7 @@ class Session:
         trip.  When any bound bites, ``on_budget="degrade"`` (default)
         falls back exact → sampled → greedy heuristic and reports how on
         ``result.resilience``; ``on_budget="raise"`` propagates the
-        budget error instead.  Without any of these arguments the
-        historical unbudgeted path runs unchanged.
+        budget error instead.
 
         ``method="sampled"`` runs the memo-free sampled optimizer
         (:class:`repro.sampledopt.SampledOptimizer`) instead and returns
@@ -221,8 +287,7 @@ class Session:
         span tree (``parse`` → ``bind`` → ``setup`` → ``explore`` → ...,
         or the sampled / degradation-tier phases), and the session's
         ``metrics`` registry accumulates hot-loop counters from the same
-        checkpoint sites the resilience layer polls.  The default
-        (``trace=False``) path carries no instrumentation.
+        checkpoint sites the resilience layer polls.
 
         ``feedback`` (exhaustive only) re-costs the search under
         execution-observed cardinalities: ``True`` consults the
@@ -236,8 +301,7 @@ class Session:
         (:class:`~repro.obs.FeedbackReport`): whether the plan changed
         versus the estimate-only baseline, and both plans' costs under
         the observed assignment.  It stays ``None`` when the ledger
-        covers nothing of this query.  ``feedback=None`` (the default)
-        is byte-identical to the historical path.
+        covers nothing of this query.
 
         With a ``plan_cache`` attached (exhaustive only), the call is
         cache-aware: an exact-match request (same template, same literal
@@ -252,8 +316,18 @@ class Session:
         is the statement's :class:`~repro.serving.QueryFingerprint` when
         the caller has it already (:class:`~repro.serving.PlanServer`
         scans a statement before it queues it).
+
+        The arguments are checked together (:func:`_check_request`)
+        before the cache probe, the feedback ledger's load and the parse:
+        a refused request touches no cache counter.
         """
-        ledger = self._resolve_feedback(feedback, method)
+        limits = (deadline_s, cancellation, max_expressions, max_memory_mb)
+        budgeted = any(limit is not None for limit in limits)
+        _check_request(method, prune_factor, budgeted, on_budget, feedback, kwargs)
+        budget = None
+        if budgeted:
+            budget = Budget(deadline_s, max_expressions, max_memory_mb)
+        ledger = self._resolve_feedback(feedback)
         cache = self.plan_cache if method == "exhaustive" else None
         fp = key = artifacts = tokens = None
         if cache is not None:
@@ -272,42 +346,24 @@ class Session:
                 return result
             artifacts = cache.lookup_template(key, metrics=self.metrics)
             tokens = fp.tokens
-        if trace:
-            tracer = Tracer()
-            with tracing(tracer):
-                with tracer.span("optimize"):
-                    result = self._optimize(
-                        sql,
-                        method=method,
-                        prune_factor=prune_factor,
-                        deadline_s=deadline_s,
-                        on_budget=on_budget,
-                        cancellation=cancellation,
-                        max_expressions=max_expressions,
-                        max_memory_mb=max_memory_mb,
-                        observed=True,
-                        ledger=ledger,
-                        artifacts=artifacts,
-                        tokens=tokens,
-                        **kwargs,
-                    )
-            result.trace = tracer.root
-            self._record_result_metrics(result)
-        else:
+        tracer = Tracer() if trace else None
+        with _optimize_span(tracer):
             result = self._optimize(
                 sql,
-                method=method,
-                prune_factor=prune_factor,
-                deadline_s=deadline_s,
-                on_budget=on_budget,
-                cancellation=cancellation,
-                max_expressions=max_expressions,
-                max_memory_mb=max_memory_mb,
-                ledger=ledger,
-                artifacts=artifacts,
-                tokens=tokens,
-                **kwargs,
+                method,
+                prune_factor,
+                budget,
+                cancellation,
+                on_budget,
+                self.metrics if trace else None,
+                ledger,
+                artifacts,
+                tokens,
+                kwargs,
             )
+        if tracer is not None:
+            result.trace = tracer.root
+            self._record_result_metrics(result)
         if ledger is not None:
             self._attach_feedback_report(sql, result, ledger)
         if cache is not None:
@@ -322,10 +378,8 @@ class Session:
         ``cache.hit`` — the shape tests assert to prove no optimization
         phase ran."""
         tracer = Tracer()
-        with tracing(tracer):
-            with tracer.span("optimize"):
-                with obs_phase("cache.hit") as span:
-                    span.add("hits", result.cache.hits)
+        with _optimize_span(tracer), obs_phase("cache.hit") as span:
+            span.add("hits", result.cache.hits)
         result.trace = tracer.root
         self._record_result_metrics(result)
 
@@ -338,7 +392,7 @@ class Session:
         not be served to unhurried callers.  The stored copy drops the
         per-call trace and cache tag.
         """
-        resilience = getattr(result, "resilience", None)
+        resilience = result.resilience
         exact = resilience is None or resilience.tier == "exact"
         if exact and getattr(result, "memo", None) is not None:
             stored = replace(result, trace=None, cache=None)
@@ -352,8 +406,7 @@ class Session:
             captured = TemplateArtifacts.capture(result)
             if captured is not None:
                 cache.store_template(key, captured)
-        timings = getattr(result, "timings", None) or {}
-        replayed = timings.get("explore_source") == "cached"
+        replayed = result.timings.get("explore_source") == "cached"
         if artifacts is not None and replayed:
             info = CacheInfo(
                 tier="template",
@@ -367,7 +420,7 @@ class Session:
         except AttributeError:
             pass  # degraded result flavours without the field stay untagged
 
-    def _resolve_feedback(self, feedback, method: str):
+    def _resolve_feedback(self, feedback):
         """Normalize ``optimize``'s ``feedback`` argument to a ledger.
 
         ``None``/``False`` → no feedback; ``True`` → the session's own
@@ -379,12 +432,6 @@ class Session:
         """
         if feedback is None or feedback is False:
             return None
-        if method != "exhaustive":
-            raise PlanSpaceError(
-                "feedback re-costing applies to exhaustive optimization "
-                "(the sampled path rebuilds its estimates per batch from "
-                "catalog statistics)"
-            )
         if feedback is True:
             ledger = self.ledger
         elif isinstance(feedback, CardinalityLedger):
@@ -409,7 +456,7 @@ class Session:
         cost_model = getattr(result, "cost_model", None)
         if memo is None or graph is None or cost_model is None:
             return
-        resilience = getattr(result, "resilience", None)
+        resilience = result.resilience
         if resilience is not None and resilience.tier != "exact":
             return
         substituted = getattr(
@@ -420,8 +467,7 @@ class Session:
             # different universe): the chosen plan IS the baseline, so
             # there is no delta to report — and no baseline to re-derive.
             return
-        options = getattr(result, "options", None) or self.options
-        baseline = Optimizer(self.catalog, options).optimize_sql(sql)
+        baseline = Optimizer(self.catalog, result.options).optimize_sql(sql)
         binding = ledger.binding(graph.universe.order)
         baseline_cost_feedback = plan_cost_under_ledger(
             baseline.best_plan, baseline.memo, binding, cost_model
@@ -448,99 +494,55 @@ class Session:
     def _optimize(
         self,
         sql: str,
-        method: str = "exhaustive",
-        prune_factor: float | None = None,
-        deadline_s: float | None = None,
-        on_budget: str = "degrade",
-        cancellation=None,
-        max_expressions: int | None = None,
-        max_memory_mb: float | None = None,
-        observed: bool = False,
-        ledger=None,
-        artifacts=None,
-        tokens=None,
-        **kwargs,
+        method: str,
+        prune_factor: float | None,
+        budget: Budget | None,
+        cancellation,
+        on_budget: str,
+        observer: Metrics | None,
+        ledger,
+        artifacts,
+        tokens,
+        kwargs: dict,
     ):
-        """The untraced dispatch behind :meth:`optimize`.  ``observed``
-        threads a metrics-observing (budget-free) scope through paths
-        that would otherwise run scope-less; ``ledger`` (already
-        resolved by :meth:`_resolve_feedback`) feedback-recosts the
-        exhaustive paths; ``artifacts`` (cached template artifacts)
-        short-circuits their exploration phase; ``tokens`` is the
-        statement's scan when the plan-cache probe made one."""
-        obs_scope = None
-        if observed:
-            from repro.resilience.budget import BudgetScope
-
-            obs_scope = BudgetScope(observer=self.metrics)
-        resilience_args = (
-            deadline_s is not None
-            or cancellation is not None
-            or max_expressions is not None
-            or max_memory_mb is not None
-        )
-        if method == "exhaustive":
-            if kwargs:
-                raise PlanSpaceError(
-                    "exhaustive optimization accepts no sampling arguments "
-                    f"(got {sorted(kwargs)}); did you mean method='sampled'?"
-                )
-            options = self.options
-            if prune_factor is not None:
-                if prune_factor < 1.0:
-                    # Validate before any optimization work is spent.
-                    raise PlanSpaceError(
-                        f"prune_factor must be >= 1.0 (got {prune_factor:g})"
-                    )
-                options = replace(options, pruning_factor=prune_factor)
-            with obs_phase("parse"):
-                statement = parse(sql, tokens)
-            with obs_phase("bind"):
-                bound = Binder(self.catalog).bind(statement)
-            if resilience_args:
-                from repro.resilience.budget import Budget
-                from repro.resilience.degrade import optimize_resilient
-
-                return optimize_resilient(
-                    self.catalog,
-                    bound,
-                    options=options,
-                    budget=Budget(
-                        deadline_s=deadline_s,
-                        max_expressions=max_expressions,
-                        max_memory_mb=max_memory_mb,
-                    ),
-                    token=cancellation,
-                    on_budget=on_budget,
-                    observer=self.metrics if observed else None,
-                    ledger=ledger,
-                    artifacts=artifacts,
-                )
-            return Optimizer(self.catalog, options).optimize(
-                bound, scope=obs_scope, ledger=ledger, artifacts=artifacts
-            )
+        """The dispatch behind :meth:`optimize`, on checked arguments:
+        ``budget`` and ``cancellation`` send the exhaustive path up the
+        degradation ladder, ``observer`` (a traced call's metrics) rides
+        a budget-free scope otherwise, ``ledger`` feedback-recosts,
+        ``artifacts`` (a template hit) skip exploration, and ``tokens``
+        is the cache probe's scan of ``sql``."""
+        with obs_phase("parse"):
+            statement = parse(sql, tokens)
+        with obs_phase("bind"):
+            bound = Binder(self.catalog).bind(statement)
+        scope = None if observer is None else BudgetScope(observer=observer)
         if method == "sampled":
-            if prune_factor is not None:
-                raise PlanSpaceError(
-                    "prune_factor applies to exhaustive optimization only "
-                    "(the sampled path never builds the memo it would prune)"
-                )
-            if resilience_args:
-                raise PlanSpaceError(
-                    "deadline_s/cancellation/ceilings apply to exhaustive "
-                    "optimization (the degradation ladder); the sampled "
-                    "method takes its own budget_s/samples arguments"
-                )
             from repro.sampledopt import SampledOptimizer
 
-            if obs_scope is not None and "scope" not in kwargs:
-                kwargs["scope"] = obs_scope
-            return SampledOptimizer(self.catalog, self.options).optimize_sql(
-                sql, **kwargs
+            if scope is not None:
+                kwargs.setdefault("scope", scope)
+            return SampledOptimizer(self.catalog, self.options).optimize(
+                bound, **kwargs
             )
-        raise PlanSpaceError(
-            f"unknown optimization method {method!r} "
-            "(expected 'exhaustive' or 'sampled')"
+        options = self.options
+        if prune_factor is not None:
+            options = replace(options, pruning_factor=prune_factor)
+        if budget is not None:
+            from repro.resilience.degrade import optimize_resilient
+
+            return optimize_resilient(
+                self.catalog,
+                bound,
+                options=options,
+                budget=budget,
+                token=cancellation,
+                on_budget=on_budget,
+                observer=observer,
+                ledger=ledger,
+                artifacts=artifacts,
+            )
+        return Optimizer(self.catalog, options).optimize(
+            bound, scope=scope, ledger=ledger, artifacts=artifacts
         )
 
     def _record_result_metrics(self, result) -> None:
@@ -565,7 +567,7 @@ class Session:
         samples = getattr(result, "samples", None)
         if samples is not None:
             metrics.inc("sampler.draws", samples)
-        resilience = getattr(result, "resilience", None)
+        resilience = result.resilience
         if resilience is not None:
             metrics.set_gauge(
                 "resilience.attempts", len(resilience.attempts)
@@ -656,6 +658,7 @@ class Session:
             options=self.options,
             stratified=stratified,
             scale_to=self.optimize(sql).best_cost if materialized else None,
+            space=self.implicit_plan_space(sql),
         )
 
     def explain(self, sql: str, analyze: bool = False) -> str:
@@ -670,11 +673,7 @@ class Session:
         from repro.obs import render_analyze
 
         executed = self.execute_detailed(sql, analyze=True)
-        header = (
-            f"best cost: {executed.optimization.best_cost:,.1f}"
-            if getattr(executed.optimization, "best_cost", None) is not None
-            else "best cost: (unknown)"
-        )
+        header = f"best cost: {executed.optimization.best_cost:,.1f}"
         return header + "\n" + render_analyze(executed.result.stats)
 
     # ------------------------------------------------------------------

@@ -131,7 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument(
         "--uniform",
-        action="store_true",
+        dest="stratified",
+        action="store_const",
+        const=False,
         help="plain uniform sampling instead of stratified batches",
     )
     optimize.add_argument(
@@ -145,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--on-budget",
         choices=("degrade", "raise"),
-        default="degrade",
         help="what to do when the deadline bites: serve a degraded plan "
         "(default) or fail with a budget error",
     )
@@ -411,182 +412,154 @@ def _cmd_count(args, out) -> int:
     return 0
 
 
+#: ``optimize`` flags passed through to ``Session.optimize`` when given;
+#: the API, not the CLI, refuses a combination that cannot run
+_OPTIMIZE_FLAGS = (
+    "prune_factor",
+    "deadline_s",
+    "on_budget",
+    "feedback",
+    "samples",
+    "seed",
+    "budget_s",
+    "stratified",
+)
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` the user gave, as keyword arguments."""
+    values = {name: getattr(args, name) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _write_timings(timings: dict, out) -> None:
+    """One ``timings:`` line: each timed phase in milliseconds."""
+    if timings:
+        rendered = "  ".join(
+            f"{name} {seconds * 1000.0:.1f}ms"
+            for name, seconds in timings.items()
+            if isinstance(seconds, float)
+        )
+        out.write(f"timings: {rendered}\n")
+
+
 def _cmd_optimize(args, out) -> int:
-    session = _session(args)
-    sql = _resolve_sql(args.query)
-    sampled_flags = [
-        ("--samples", args.samples is not None),
-        ("--seed", args.seed is not None),
-        ("--budget-s", args.budget_s is not None),
-        ("--rule", args.rule is not None),
-        ("--quantile", args.quantile is not None),
-        ("--confidence", args.confidence is not None),
-        ("--uniform", args.uniform),
-    ]
-    if not args.sampled:
-        offending = [name for name, given in sampled_flags if given]
-        if offending:
-            raise ReproError(
-                f"{', '.join(offending)} require(s) --sampled "
-                "(the exhaustive optimizer takes no sampling arguments)"
-            )
-        result = session.optimize(
-            sql,
-            prune_factor=args.prune_factor,
-            deadline_s=args.deadline_s,
-            on_budget=args.on_budget,
-            feedback=args.feedback,
-        )
-        report = getattr(result, "resilience", None)
-        if report is not None:
-            out.write(report.describe() + "\n")
-        feedback = getattr(result, "feedback", None)
-        if feedback is not None:
-            out.write(feedback.describe() + "\n")
-        elif args.feedback is not None:
-            out.write(
-                "feedback: ledger holds no observations for this query\n"
-            )
-        # Only the ladder's heuristic tier sets a fallback reason: a
-        # greedy plan is never served silently.
-        engine = getattr(result, "engine", None)
-        reason = getattr(result, "fallback_reason", None)
-        if reason:
-            out.write(f"engine: {engine} (fallback: {reason})\n")
-        elif args.verbose and engine is not None:
-            out.write(f"engine: {engine}\n")
-        if args.verbose:
-            dp_stats = getattr(result, "dp_stats", None)
-            if dp_stats is not None:
-                out.write(
-                    f"dp: states={dp_stats['states']} "
-                    f"pruned_states={dp_stats['pruned']}\n"
-                )
-            timings = getattr(result, "timings", None)
-            if timings:
-                rendered = "  ".join(
-                    f"{name} {seconds * 1000.0:.1f}ms"
-                    for name, seconds in timings.items()
-                    if isinstance(seconds, float)
-                )
-                out.write(f"timings: {rendered}\n")
-            if feedback is not None:
-                out.write(
-                    f"feedback: plan_changed={feedback.plan_changed} "
-                    f"substituted={feedback.substituted} "
-                    f"baseline_cost={feedback.baseline_cost:,.1f} "
-                    f"baseline_under_observed="
-                    f"{feedback.baseline_cost_feedback:,.1f} "
-                    f"chosen_under_observed={feedback.feedback_cost:,.1f} "
-                    f"improvement={feedback.improvement_factor:.2f}x\n"
-                )
-            if report is not None:
-                out.write(
-                    f"resilience: tier={report.tier} "
-                    f"trigger={report.trigger or '(none)'}\n"
-                )
-                for attempt in report.attempts:
-                    detail = f"  {attempt.detail}" if attempt.detail else ""
-                    out.write(
-                        f"  {attempt.tier}: {attempt.outcome} "
-                        f"({attempt.elapsed_s:.3f}s){detail}\n"
-                    )
-        if args.prune_factor is not None:
-            out.write(
-                f"pruned to {result.memo.physical_expression_count()} "
-                f"physical operators (factor {args.prune_factor:g})\n"
-            )
-        out.write(result.explain() + "\n")
-        return 0
-
-    if args.prune_factor is not None:
-        raise ReproError(
-            "--prune-factor applies to the exhaustive optimizer only "
-            "(drop --sampled)"
-        )
-    if args.deadline_s is not None:
-        raise ReproError(
-            "--deadline-s drives the exhaustive degradation ladder; the "
-            "sampled path takes --budget-s (drop --sampled or use that)"
-        )
-    if args.feedback is not None:
-        raise ReproError(
-            "--feedback applies to the exhaustive optimizer only "
-            "(the sampled path re-estimates per batch; drop --sampled)"
-        )
-
     from repro.sampledopt import make_rule
-    from repro.sampledopt.search import FIRST_TOUCH
 
-    if args.rule == "fixed" and args.samples is None:
-        raise ReproError("--rule fixed needs an explicit --samples budget")
     if args.rule != "quantile" and (
         args.quantile is not None or args.confidence is not None
     ):
         raise ReproError(
             "--quantile/--confidence apply to --rule quantile only"
         )
-    rule = (
-        make_rule(
+    session = _session(args)
+    kwargs = _given(args, _OPTIMIZE_FLAGS)
+    if args.rule is not None:
+        kwargs["rule"] = make_rule(
             args.rule,
             samples=args.samples,
             quantile=args.quantile if args.quantile is not None else 1e-4,
             confidence=args.confidence if args.confidence is not None else 0.95,
         )
-        if args.rule is not None
-        else None
-    )
     result = session.optimize(
-        sql,
-        method="sampled",
-        samples=args.samples,
-        budget_s=args.budget_s,
-        rule=rule,
-        seed=args.seed if args.seed is not None else 0,
-        stratified=False if args.uniform else None,
-        trace=args.verbose,
+        _resolve_sql(args.query),
+        method="sampled" if args.sampled else "exhaustive",
+        trace=args.sampled and args.verbose,
+        **kwargs,
     )
-    out.write(result.describe() + "\n")
-    if args.verbose and result.timings:
-        rendered = "  ".join(
-            f"{name} {seconds * 1000.0:.1f}ms"
-            for name, seconds in result.timings.items()
-            if isinstance(seconds, float)
-        )
-        out.write(f"timings: {rendered}\n")
-        # the draw's first touch: the strata build's, then the walks';
-        # operators are the request's whole cache after assembly (the
-        # draw prices without building any)
-        spans = [result.trace.find(name) for name in ("strata", "sample")]
-        spans = [span.counters for span in spans if span is not None]
-        counts = {
-            name: sum(counters[name] for counters in spans)
-            for name in FIRST_TOUCH
-        }
-        assembled = result.trace.find("assemble").counters
-        counts["operators_built"] = assembled["operators_cached"]
-        rendered = "  ".join(f"{name}={count}" for name, count in counts.items())
-        out.write(f"first touch: {rendered}\n")
+    if args.sampled:
+        out.write(result.describe() + "\n")
+        if args.verbose:
+            _write_timings(result.timings, out)
+            _write_first_touch(result.trace, out)
+    else:
+        _write_exhaustive(args, result, out)
     out.write(result.explain() + "\n")
     return 0
+
+
+def _write_first_touch(trace, out) -> None:
+    """The draw's first touch: the strata build's, then the walks';
+    operators are the request's whole cache after assembly (the draw
+    prices without building any)."""
+    from repro.sampledopt.search import FIRST_TOUCH
+
+    spans = [trace.find(name) for name in ("strata", "sample")]
+    spans = [span.counters for span in spans if span is not None]
+    counts = {
+        name: sum(counters[name] for counters in spans) for name in FIRST_TOUCH
+    }
+    counts["operators_built"] = trace.find("assemble").counters["operators_cached"]
+    rendered = "  ".join(f"{name}={count}" for name, count in counts.items())
+    out.write(f"first touch: {rendered}\n")
+
+
+def _write_exhaustive(args, result, out) -> None:
+    """What ``optimize`` prints above an exhaustive request's plan (a
+    degraded one may be a sampled result: fields only the exact result
+    declares are probed)."""
+    report = result.resilience
+    if report is not None:
+        out.write(report.describe() + "\n")
+    feedback = getattr(result, "feedback", None)
+    if feedback is not None:
+        out.write(feedback.describe() + "\n")
+    elif args.feedback is not None:
+        out.write("feedback: ledger holds no observations for this query\n")
+    # Only the ladder's heuristic tier sets a fallback reason: a greedy
+    # plan is never served silently.
+    engine = getattr(result, "engine", None)
+    reason = getattr(result, "fallback_reason", None)
+    if reason:
+        out.write(f"engine: {engine} (fallback: {reason})\n")
+    elif args.verbose and engine is not None:
+        out.write(f"engine: {engine}\n")
+    if args.verbose:
+        dp_stats = getattr(result, "dp_stats", None)
+        if dp_stats is not None:
+            out.write(
+                f"dp: states={dp_stats['states']} "
+                f"pruned_states={dp_stats['pruned']}\n"
+            )
+        _write_timings(result.timings, out)
+        if feedback is not None:
+            out.write(
+                f"feedback: plan_changed={feedback.plan_changed} "
+                f"substituted={feedback.substituted} "
+                f"baseline_cost={feedback.baseline_cost:,.1f} "
+                f"baseline_under_observed="
+                f"{feedback.baseline_cost_feedback:,.1f} "
+                f"chosen_under_observed={feedback.feedback_cost:,.1f} "
+                f"improvement={feedback.improvement_factor:.2f}x\n"
+            )
+        if report is not None:
+            out.write(
+                f"resilience: tier={report.tier} "
+                f"trigger={report.trigger or '(none)'}\n"
+            )
+            for attempt in report.attempts:
+                detail = f"  {attempt.detail}" if attempt.detail else ""
+                out.write(
+                    f"  {attempt.tier}: {attempt.outcome} "
+                    f"({attempt.elapsed_s:.3f}s){detail}\n"
+                )
+    if args.prune_factor is not None:
+        out.write(
+            f"pruned to {result.memo.physical_expression_count()} "
+            f"physical operators (factor {args.prune_factor:g})\n"
+        )
 
 
 def _cmd_trace(args, out) -> int:
     import json
 
     session = _session(args)
-    sql = _resolve_sql(args.query)
-    if args.sampled:
-        if args.deadline_s is not None:
-            raise ReproError(
-                "--deadline-s drives the exhaustive degradation ladder; "
-                "drop --sampled to trace it"
-            )
-        result = session.optimize(sql, method="sampled", trace=True)
-    else:
-        result = session.optimize(
-            sql, deadline_s=args.deadline_s, trace=True
-        )
+    result = session.optimize(
+        _resolve_sql(args.query),
+        method="sampled" if args.sampled else "exhaustive",
+        trace=True,
+        **_given(args, ("deadline_s",)),
+    )
     span = result.trace
     if args.chrome_trace is not None:
         import pathlib
@@ -610,7 +583,7 @@ def _cmd_trace(args, out) -> int:
     metrics = session.metrics
     if metrics:
         out.write("\n" + metrics.render() + "\n")
-    report = getattr(result, "resilience", None)
+    report = result.resilience
     if report is not None:
         out.write("\n" + report.describe() + "\n")
     return 0

@@ -6,19 +6,20 @@ templates.  A request first probes the shared plan cache **on the
 caller's thread** (:func:`~repro.serving.cache.probe_plan`, the hit path
 ``Session.optimize`` runs too): a hit needs no optimizer state, so it is
 answered there, for the price of scanning its text.  Only misses (and
-``trace=`` / ``feedback=`` / extra-argument calls) cross to the thread
-pool, carrying the fingerprint already computed.  Every worker thread
+every call with arguments) cross to the thread pool, carrying the
+fingerprint already computed.  Every worker thread
 owns a private :class:`~repro.api.Session` (sessions are not
 thread-safe); all share the read-only database, one thread-safe
 :class:`~repro.serving.cache.PlanCache` and one cardinality ledger — a
 plan cached by any worker serves every caller, and a feedback epoch bump
 invalidates for all at once.  ``README.md`` has the threading contract.
 
-Every pooled request routes through ``Session.optimize(deadline_s=...)``:
-the server's deadline rides the resilience ladder, so an overloaded or
-pathological request degrades (``result.resilience``) instead of
-stalling the pool, and the cache tag (``result.cache``) reports how much
-work the request actually did.
+A request's arguments pass through to ``Session.optimize`` unchanged,
+which checks them; the server's ``deadline_s`` and ``on_budget`` only
+fill in what the caller left out.  An exhaustive request's deadline
+rides the resilience ladder, so an overloaded or pathological request
+degrades (``result.resilience``) instead of stalling the pool, and the
+cache tag (``result.cache``) reports how much work it actually did.
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ class PlanServer:
     ``cache`` is a :class:`PlanCache` to share (e.g. across servers),
     ``None`` for a private default-sized cache, or ``False`` to serve
     uncached (every request optimizes from scratch — the cold baseline
-    the benchmark compares against).  ``deadline_s`` is the default
-    per-request optimization deadline; individual requests may override
-    it.  Use as a context manager, or call :meth:`close`.
+    the benchmark compares against).  ``deadline_s`` and ``on_budget``
+    are defaults, used where a request gives none: the deadline applies
+    to exhaustive requests only (a ``method="sampled"`` request takes
+    ``budget_s``).  Every other argument passes through to
+    ``Session.optimize``, which checks them.  Use as a context manager,
+    or call :meth:`close`.
     """
 
     def __init__(
@@ -106,19 +110,18 @@ class PlanServer:
             self._local.session = session
         return session
 
-    def _serve(self, sql, deadline_s, trace, feedback, fingerprint, kwargs):
-        """One pooled request, on a worker thread."""
+    def _serve(self, sql, kwargs):
+        """One pooled request, on a worker thread: the caller's
+        arguments over the server's defaults."""
+        request = {"on_budget": self.on_budget, **kwargs}
+        if (
+            request.get("deadline_s") is None
+            and request.get("method", "exhaustive") == "exhaustive"
+        ):
+            request["deadline_s"] = self.deadline_s
         start = time.perf_counter()
         try:
-            result = self._session().optimize(
-                sql,
-                deadline_s=deadline_s,
-                on_budget=self.on_budget,
-                trace=trace,
-                feedback=feedback,
-                fingerprint=fingerprint,
-                **kwargs,
-            )
+            result = self._session().optimize(sql, **request)
         except Exception:
             with self._lock:
                 self._served_pooled += 1
@@ -130,22 +133,15 @@ class PlanServer:
             self._latencies.append(elapsed)
         return result
 
-    def _route(
-        self,
-        sql: str,
-        deadline_s: float | None = None,
-        trace: bool = False,
-        feedback=None,
-        **kwargs,
-    ):
+    def _route(self, sql: str, kwargs: dict):
         """``(result, None)`` for a plan-tier hit, answered here on the
         caller's thread, else ``(None, future)`` of the pooled request.
-        The probe leaves its miss to the worker's own lookup (which may
-        hit: another request's admit can land while this one queues)."""
+        Only a request with no arguments is probed here; the probe
+        leaves its miss to the worker's own lookup (which may hit:
+        another request's admit can land while this one queues)."""
         if self._closed:
             raise RuntimeError("PlanServer is closed")
-        fingerprint = None
-        if not (self.cache is None or trace or feedback or kwargs):
+        if not kwargs and self.cache is not None:
             start = time.perf_counter()
             result, fingerprint, _key = probe_plan(
                 self.cache, self._identity, sql, count_miss=False
@@ -156,20 +152,16 @@ class PlanServer:
                     self._served_inline += 1
                     self._latencies.append(elapsed)
                 return result, None
-        if deadline_s is None:
-            deadline_s = self.deadline_s
-        return None, self._pool.submit(
-            self._serve, sql, deadline_s, trace, feedback, fingerprint, kwargs
-        )
+            kwargs = {"fingerprint": fingerprint}
+        return None, self._pool.submit(self._serve, sql, kwargs)
 
     # ------------------------------------------------------------------
     def submit(self, sql: str, **kwargs) -> Future:
-        """Enqueue one statement (``deadline_s``, ``trace``, ``feedback``
-        and further ``Session.optimize`` arguments pass through); the
-        Future resolves to the optimization result (``result.cache`` /
-        ``result.resilience`` report how it was served) and is already
-        done on a plan-tier hit."""
-        result, future = self._route(sql, **kwargs)
+        """Enqueue one statement (``Session.optimize`` arguments pass
+        through); the Future resolves to the optimization result
+        (``result.cache`` / ``result.resilience`` report how it was
+        served) and is already done on a plan-tier hit."""
+        result, future = self._route(sql, kwargs)
         if future is None:
             future = Future()
             future.set_result(result)
@@ -178,7 +170,7 @@ class PlanServer:
     def optimize(self, sql: str, **kwargs):
         """Serve one statement synchronously (a hit never leaves the
         caller's thread)."""
-        result, future = self._route(sql, **kwargs)
+        result, future = self._route(sql, kwargs)
         return result if future is None else future.result()
 
     def map(self, statements, **kwargs) -> list:

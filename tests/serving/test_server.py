@@ -8,6 +8,8 @@ import time
 import pytest
 
 from repro.api import Session
+from repro.errors import BudgetError, PlanSpaceError
+from repro.sampledopt import SampledOptimizationResult
 from repro.serving import PlanCache, PlanServer
 from repro.testing.faults import FaultSpec, inject
 from repro.workloads.synthetic import star_query
@@ -232,13 +234,39 @@ class TestPlanServer:
             server.submit("SELECT * FROM orders o")
 
 
+class TestArgumentsPassThrough:
+    """A request's arguments reach ``Session.optimize`` unchanged; the
+    server's ``deadline_s`` and ``on_budget`` fill in only what the
+    request left out."""
+
+    def test_a_default_deadline_serves_sampled_requests(self, database):
+        sql = SQL.format(lit="1000.0")
+        with PlanServer(database, workers=1, deadline_s=5) as server:
+            result = server.optimize(sql, method="sampled", samples=20)
+            assert isinstance(result, SampledOptimizationResult)
+            with pytest.raises(PlanSpaceError, match="deadline_s"):
+                server.optimize(sql, method="sampled", samples=20, deadline_s=5)
+
+    def test_request_arguments_override_the_servers(self, database):
+        sql = SQL.format(lit="1000.0")
+        with PlanServer(database, workers=1, deadline_s=5) as server:
+            with pytest.raises(BudgetError):
+                server.optimize(sql, on_budget="raise", max_expressions=1)
+            assert server.optimize(sql, fingerprint=None).cache.tier == "miss"
+        with PlanServer(database, workers=1, on_budget="raise") as server:
+            with pytest.raises(BudgetError):
+                server.optimize(sql, max_expressions=1)
+            degraded = server.optimize(sql, max_expressions=1, on_budget="degrade")
+            assert degraded.resilience.degraded
+
+
 def served(plan_result):
     return plan_result.best_plan.render() + "\n" + repr(plan_result.best_cost)
 
 
 class TestHitPath:
     """Plan-tier hits are answered on the caller's thread; only misses
-    (and trace/feedback/extra-argument calls) cross to the pool."""
+    (and every call with arguments) cross to the pool."""
 
     def test_worker_admits_caller_hits_and_back(self, database):
         first, second = SQL.format(lit="1000.0"), SQL.format(lit="2000.0")

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.api import STATEMENT_TABLE_SIZE, Session
-from repro.errors import PlanSpaceError
+from repro.errors import BudgetError, PlanSpaceError, ReproError
 from repro.executor.executor import PlanExecutor
 from repro.obs import Tracer, tracing
 from repro.optimizer.optimizer import OptimizerOptions
+from repro.sampledopt import sampled_distribution
+from repro.serving import PlanCache
 from repro.testing.diff import canonical_rows
 from repro.testing.harness import PlanValidator
 
@@ -131,6 +133,18 @@ class TestStatementTable:
                 == fresh_session.plan_space(SQL).unrank(rank).render()
             )
 
+    def test_cost_distribution_reads_the_counted_statement(self):
+        session = Session.tpch(seed=0)
+        root, (first, second) = self._traced(
+            session, [lambda: session.cost_distribution(SQL, sample_size=40, seed=2)] * 2
+        )
+        assert _spans(root, "implicit.layout") == _spans(root, "implicit.count") == 1
+        fresh = sampled_distribution(
+            session.catalog, SQL, "query", 40, seed=2, options=session.options
+        )
+        assert first.scaled_costs == second.scaled_costs == fresh.scaled_costs
+        assert first.best_cost == fresh.best_cost
+
     def test_an_evicted_statement_is_rebuilt_the_same(self):
         session = Session.tpch(seed=0)
         before = self._drawn(session, SQL)
@@ -194,6 +208,33 @@ class TestSampledOptimize:
     def test_exhaustive_rejects_sampling_kwargs(self, session):
         with pytest.raises(PlanSpaceError):
             session.optimize(SQL, samples=10)
+
+
+class TestRequestCheck:
+    """``Session.optimize`` checks a request's arguments together, before
+    it loads a ledger, probes the plan cache or parses."""
+
+    def test_unknown_on_budget_refused_without_a_budget(self, session):
+        with pytest.raises(BudgetError, match="on_budget must be"):
+            session.optimize(SQL, on_budget="bogus")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"prune_factor": 0.5},
+            {"samples": 10},
+            {"on_budget": "bogus", "deadline_s": 5.0},
+            {"method": "genetic"},
+        ],
+        ids=["prune-factor", "sampling-argument", "on-budget", "method"],
+    )
+    def test_a_refused_request_touches_no_cache_counter(self, micro_db, kwargs):
+        session = Session(micro_db, plan_cache=PlanCache())
+        with pytest.raises(ReproError):
+            session.optimize(SQL, **kwargs)
+        snapshot = session.metrics.snapshot()
+        assert [name for name in snapshot if name.startswith("plancache.")] == []
+        assert session.plan_cache.stats() == PlanCache().stats()
 
 
 class TestCostDistribution:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.api import Session
 from repro.cli import main
-from repro.sampledopt import distribution_report
+from repro.errors import ReproError
+from repro.sampledopt import distribution_report, make_rule
 from repro.workloads.tpch_queries import tpch_query
 
 TWO_TABLE = (
@@ -182,29 +183,66 @@ class TestOptimize:
         assert code == 0
         assert "sampled optimization: 20 samples" in text
 
-    def test_sampling_flags_require_sampled(self):
-        for flags in (
-            ["--samples", "10"],
-            ["--seed", "5"],
-            ["--budget-s", "1"],
-            ["--rule", "plateau"],
-            ["--quantile", "0.01"],
-            ["--confidence", "0.9"],
-            ["--uniform"],
-        ):
-            code, _ = run_cli("optimize", "Q3", *flags)
-            assert code == 2, flags
-
-    def test_fixed_rule_requires_samples(self):
-        code, _ = run_cli("optimize", "Q3", "--sampled", "--rule", "fixed")
-        assert code == 2
-
     def test_quantile_flags_require_quantile_rule(self):
         code, _ = run_cli(
             "optimize", "Q3", "--sampled", "--samples", "10",
             "--quantile", "0.01",
         )
         assert code == 2
+
+
+def _api(**kwargs):
+    """The ``Session.optimize`` call a row's flags stand for."""
+    return lambda: Session.tpch(seed=0).optimize(TWO_TABLE, **kwargs)
+
+
+#: every optimize-argument combination the CLI once refused with checks
+#: of its own: the command and flags, and the API call they pass through
+REFUSALS = {
+    "samples": ("optimize --samples 10", _api(samples=10)),
+    "seed": ("optimize --seed 5", _api(seed=5)),
+    "budget-s": ("optimize --budget-s 1", _api(budget_s=1.0)),
+    "rule": ("optimize --rule plateau", _api(rule=make_rule("plateau"))),
+    "quantile": (
+        "optimize --rule quantile --quantile 0.01",
+        _api(rule=make_rule("quantile", quantile=0.01)),
+    ),
+    "confidence": (
+        "optimize --rule quantile --confidence 0.9",
+        _api(rule=make_rule("quantile", confidence=0.9)),
+    ),
+    "uniform": ("optimize --uniform", _api(stratified=False)),
+    "sampled-prune-factor": (
+        "optimize --sampled --prune-factor 1.5",
+        _api(method="sampled", prune_factor=1.5),
+    ),
+    "sampled-deadline-s": (
+        "optimize --sampled --deadline-s 1",
+        _api(method="sampled", deadline_s=1.0),
+    ),
+    "sampled-feedback": (
+        "optimize --sampled --feedback ledger.json",
+        _api(method="sampled", feedback="ledger.json"),
+    ),
+    "rule-fixed": ("optimize --sampled --rule fixed", lambda: make_rule("fixed")),
+    "trace-sampled-deadline-s": (
+        "trace --sampled --deadline-s 1",
+        _api(method="sampled", deadline_s=1.0, trace=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal_matches_the_api(capsys, name):
+    """The CLI passes the flags it was given through and checks none of
+    them: it exits 2 with the words of the API's refusal."""
+    command, call = REFUSALS[name]
+    with pytest.raises(ReproError) as refused:
+        call()
+    subcommand, *flags = command.split()
+    code, _ = run_cli(subcommand, TWO_TABLE, *flags)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 class TestDistribution:
